@@ -18,7 +18,7 @@ from ellbethe import (
     analytic_involution,
     enumerate_fiber,
     psi,
-    psi_triple,
+    psi_derivs,
     weyl_on_function,
     zero_weight_space,
 )
@@ -43,8 +43,9 @@ def main():
     for point in report.points:
         sol = point.solution
         par = analytic_involution(sol)
-        lifted = weyl_on_function(psi_triple(sol), sp)
-        ratios = np.array([lifted(lam)[0] / psi(lam, par) for lam in lams])
+        # (s Psi)(lambda) comes from the jet of Psi at -lambda
+        ratios = np.array([weyl_on_function(psi_derivs(-lam, sol), sp)[0]
+                           / psi(lam, par) for lam in lams])
         mean = ratios.mean()
         spread = np.max(np.abs(ratios - mean)) / abs(mean)
         print("subset %s: ratio %10.4f%+10.4fj  spread %.1e"

@@ -21,7 +21,7 @@ from ellbethe import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
-    psi_triple,
+    psi_derivs,
     s2_via_kzb,
     seed_asymptotic,
     solve_bae,
@@ -35,17 +35,17 @@ def main():
     ctx = Torus(1j)
     prob = BetheProblem(2, Z4, 10j, ctx)
     sol = solve_bae(prob, seed_asymptotic(prob, (0, 1)), subset_tag=(0, 1))
-    F = psi_triple(sol)
     ev = kzb_eigenvalues(sol)
     lam = 0.37 + 0.21j
+    jet = psi_derivs(lam, sol)  # (Psi, Psi', Psi'') at lam, shared by every operator
 
     print("-- eigen relations H_a Psi = E_a Psi at lambda = %s --" % lam)
-    v = F(lam)[0]
+    v = jet[0]
     nv = np.linalg.norm(v)
     expected = (ev.e0,) + ev.e
     outs = []
     for a in range(5):
-        out = apply_kzb(a, F, lam, Z4, ctx)
+        out = apply_kzb(a, jet, lam, Z4, ctx)
         outs.append(out)
         rel = np.linalg.norm(out - expected[a] * v) / nv
         print("H_%d: eigenvalue %9.4f%+9.4fj   relative residual %.1e"
@@ -56,8 +56,8 @@ def main():
 
     print("\n-- two routes to S2(x), and the scalar operator --")
     x = 0.52 + 0.33j
-    via_kzb = s2_via_kzb(x, F, lam, Z4, ctx)
-    via_det = apply_rst_n2(x, F, lam, Z4, ctx)
+    via_kzb = s2_via_kzb(x, jet, lam, Z4, ctx)
+    via_det = apply_rst_n2(x, jet, lam, Z4, ctx)
     b2 = fundamental_b2(x, sol)
     print("KZB combination vs column determinant: %.1e"
           % (np.linalg.norm(via_kzb - via_det) / np.linalg.norm(via_kzb)))

@@ -52,18 +52,17 @@ from .repspace import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
-    psi_triple,
+    psi,
+    psi_derivs,
     s2_via_kzb,
-    weyl_on_function,
+    weyl_involution,
     zero_weight_space,
 )
-from .thetapoly import FundamentalParallelogram, SolveError, wronskian
-from .wronski import IncompleteFiberError, enumerate_fiber
+from .thetapoly import FundamentalParallelogram, SolveError, golden_points, wronskian
+from .wronski import IncompleteFiberError, enumerate_fiber, scan_mu_grid
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
-GOLDEN1 = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN2 = math.sqrt(2.0) - 1.0
 SHIFTS = ((1, 0), (0, 1), (-1, 1), (2, -1))
 
 DEFAULT_TOLERANCES = {
@@ -238,26 +237,12 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def sample_cell_points(ctx, base, count, seed, margin=LATTICE_MARGIN, avoid=()):
+def _cell_samples(cell, count, seed, avoid=()):
     """Seeded low-discrepancy points in the cell, a lattice-margin away from
     the lattice and from every point in `avoid` (mod the lattice)."""
-    rng = np.random.default_rng(seed)
-    off = rng.random(2)
-    out = []
-    k = 0
-    while len(out) < count and k < 500 * count:
-        k += 1
-        a = (off[0] + k * GOLDEN1) % 1.0
-        b = (off[1] + k * GOLDEN2) % 1.0
-        x = complex(base) + a + b * ctx.tau
-        if lattice_distance(x, ctx) <= margin:
-            continue
-        if any(lattice_distance(x - p, ctx) <= margin for p in avoid):
-            continue
-        out.append(x)
-    if len(out) < count:
-        raise ArithmeticError("could not sample %d admissible points" % count)
-    return out
+    offset = np.random.default_rng(seed).random(2)
+    return golden_points(cell, count, offset, avoid=(0.0,) + tuple(avoid),
+                         margin=LATTICE_MARGIN)
 
 
 def _relerr(a, b):
@@ -314,7 +299,7 @@ def _render(report, as_json):
 def cmd_identities(cfg: ExperimentConfig) -> dict:
     ctx = cfg.torus()
     base = cfg.parallelogram_base
-    pts = sample_cell_points(ctx, base, 100, cfg.seed)
+    pts = _cell_samples(FundamentalParallelogram(base, ctx), 100, cfg.seed)
     xs, ws = pts[:50], pts[50:]
     checks = []
 
@@ -459,43 +444,32 @@ def _point_record(point):
     }
 
 
-def _enumerate_outcome(prob):
-    """(report, failed subsets) whether or not the fiber completed."""
-    try:
-        return enumerate_fiber(prob), []
-    except IncompleteFiberError as exc:
-        return exc.partial, list(exc.failed)
-
-
 def cmd_fiber(cfg: ExperimentConfig) -> dict:
     checks, warnings = [], []
     out = {"checks": checks, "warnings": warnings}
     if cfg.mu_grid is not None:
-        mags = [abs(complex(mu).imag) for mu in cfg.mu_grid]
-        if mags != sorted(mags, reverse=True):
-            raise ConfigError("mu_grid must be sorted by |Im mu| descending")
+        try:
+            scan = scan_mu_grid(cfg.problem(cfg.mu_grid[0]), cfg.mu_grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         rows = []
-        mu_min = None
-        scanning = True
-        for mu in cfg.mu_grid:
-            report, failed = _enumerate_outcome(cfg.problem(mu))
-            complete = (not failed and not report.warnings
-                        and report.count == report.expected)
+        for mu, report, failed, complete in scan:
             rows.append({"mu": complex(mu), "abs_mu": abs(complex(mu)),
                          "count": report.count, "expected": report.expected,
                          "complete": complete})
             for subset, why in failed:
                 warnings.append("mu %s subset %s failed: %s" % (mu, subset, why))
-            if scanning and complete:
-                mu_min = abs(complex(mu).imag)
-            elif not complete:
-                scanning = False
+        leading = list(itertools.takewhile(lambda row: row["complete"], rows))
+        mu_min = abs(leading[-1]["mu"].imag) if leading else None
         out["fiber"] = {"scan": rows, "mu_min_estimate": mu_min}
         checks.append(_check("mu_min_found", 0.0 if mu_min is not None else 1.0,
                              cfg.tolerance("mu_min_found")))
         return out
 
-    report, failed = _enumerate_outcome(cfg.problem())
+    try:
+        report, failed = enumerate_fiber(cfg.problem()), []
+    except IncompleteFiberError as exc:
+        report, failed = exc.partial, list(exc.failed)
     for subset, why in failed:
         warnings.append("subset %s failed: %s" % (subset, why))
     warnings.extend(report.warnings)
@@ -504,7 +478,6 @@ def cmd_fiber(cfg: ExperimentConfig) -> dict:
         "expected": report.expected,
         "pairing": [[list(a), list(b)] for a, b in report.pairing],
         "points": [_point_record(p) for p in report.points],
-        "mu_min_estimate": report.mu_min_estimate,
     }
     checks.append(_check("fiber_count", float(report.expected - report.count),
                          cfg.tolerance("fiber_count")))
@@ -533,9 +506,8 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     prob = cfg.problem()
     ctx = prob.ctx
     sp = zero_weight_space(prob.n)
-    lam_pts = sample_cell_points(ctx, cfg.parallelogram_base, 10, cfg.seed)
-    x_pts = sample_cell_points(ctx, cfg.parallelogram_base, 10, cfg.seed + 1,
-                               avoid=prob.z)
+    lam_pts = _cell_samples(prob.cell, 10, cfg.seed)
+    x_pts = _cell_samples(prob.cell, 10, cfg.seed + 1, avoid=prob.z)
     worst = {name: 0.0 for name in
              ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes",
               "s2_eigen_b2", "b2_periodicity", "kernel_membership", "weyl_ratio")}
@@ -563,14 +535,13 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                                       abs(sum(eigenvalues.e)))
         expected = (eigenvalues.e0,) + eigenvalues.e
 
-        F = psi_triple(sol)
-        F_par = psi_triple(par)
-        lifted = weyl_on_function(F, sp)
+        # one Psi jet per (solution, lambda), shared by every operator below
+        jets = [psi_derivs(lam, sol) for lam in lam_pts]
         ratios = []
-        for lam in lam_pts:
-            value = F(lam)[0]
+        for lam, jet in zip(lam_pts, jets):
+            value = jet[0]
             vnorm = np.linalg.norm(value)
-            outs = [apply_kzb(a, F, lam, prob.z, ctx)
+            outs = [apply_kzb(a, jet, lam, prob.z, ctx)
                     for a in range(prob.n + 1)]
             for a, out in enumerate(outs):
                 rel = np.linalg.norm(out - expected[a] * value) / vnorm
@@ -578,7 +549,8 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
             total = np.sum(outs[1:], axis=0)
             worst["eigen_sum_rule"] = max(worst["eigen_sum_rule"],
                                           np.linalg.norm(total) / vnorm)
-            ratio = lifted(lam)[0] / F_par(lam)[0]
+            # s Psi(lambda) = s . Psi(-lambda), against the partner's Psi
+            ratio = weyl_involution(psi(-lam, sol), sp) / psi(lam, par)
             ratios.append(ratio)
             ratio_table.append({
                 "subset": list(subset),
@@ -592,11 +564,11 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                                   float(np.max(np.abs(arr - mean)) / abs(mean)))
 
         wr = wronskian(sol.poly(), par.poly())
-        for x, lam in zip(x_pts, lam_pts):
-            value = F(lam)[0]
+        for x, lam, jet in zip(x_pts, lam_pts, jets):
+            value = jet[0]
             vnorm = np.linalg.norm(value)
-            via_kzb = s2_via_kzb(x, F, lam, prob.z, ctx)
-            via_det = apply_rst_n2(x, F, lam, prob.z, ctx)
+            via_kzb = s2_via_kzb(x, jet, lam, prob.z, ctx)
+            via_det = apply_rst_n2(x, jet, lam, prob.z, ctx)
             worst["s2_routes"] = max(
                 worst["s2_routes"],
                 np.linalg.norm(via_kzb - via_det)

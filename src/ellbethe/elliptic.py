@@ -361,22 +361,16 @@ def phi(x: complex, w: complex, ctx: Torus) -> complex:
     w0, shift = reduce_argument(w, ctx)
     if abs(w0) < 3e-5 * ctx.cell_diagonal:
         # phi(x, w0 + k + l*tau) = e^{2 pi i l x} (phi(x, w0) + 2 pi i l sigma(w0, -x))
-        # (second-argument shift law), with sigma(0,-x) taken as the finite part
-        # 1/w0 - rho(x) of the Laurent series when w0 -> 0 exactly.
+        # (second-argument shift law).  sigma(w0, -x) has a pole at w0 = 0, so
+        # near a translate with l != 0 phi is genuinely singular and sigma
+        # raises PoleError within tol_pole of it.
         base = _phi_taylor(x, w0, ctx)
         l = shift.l
         if l == 0:
             return base
-        sig = _sigma_near_zero_first_slot(w0, -x, ctx)
+        sig = sigma(w0, -x, ctx)
         return cmath.exp(TWOPI_I * l * x) * (base + TWOPI_I * l * sig)
     return sigma(w, -x, ctx) * (rho(x - w, ctx) - rho(x, ctx))
-
-
-def _sigma_near_zero_first_slot(u: complex, w: complex, ctx: Torus) -> complex:
-    """sigma(u, w) for small u via the Laurent series 1/u + rho(w) + O(u)."""
-    if u == 0:
-        raise PoleError("sigma pole at u=0")
-    return sigma(u, w, ctx)
 
 
 def _phi_taylor(x: complex, w: complex, ctx: Torus) -> complex:

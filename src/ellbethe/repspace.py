@@ -10,17 +10,20 @@ zero-weight subspace V[0] has dimension C(n, m) and is spanned by the
 vectors v_I, indexed by m-element subsets I of {0..n-1} (0-based site
 labels): v_I carries v2 exactly at the positions in I.
 
-Operators act on coefficient vectors in the subset basis.  They are
-assembled from Kronecker products on the full 2^n-dimensional space and
-restricted to V[0]; intermediate products that leave the zero-weight
-subspace (as in the column-determinant expansion) are taken in the full
-space before restricting.
+Operators act on coefficient vectors in the subset basis and are built
+there directly, never on the 2^n-dimensional space.  A diagonal operator
+(hw^(s), Omega0^(s,p)) is the vector of its eigenvalues on the v_I.  A
+single-site move e12^(s) e21^(p) or e21^(s) e12^(p) sends each v_I to 0
+or to one v_J with coefficient 1, so it is a (source, target) pair of
+index arrays.  Every operator below is a sum of such terms; that includes
+L21 L12 in the column determinant, whose middle factor passes through
+the weight -2 space.
 
 Functions of the dynamical variable lambda (= lambda_1 - lambda_2 after
 the sl2 reduction d/d lambda_1 -> d/d lambda, d/d lambda_2 -> -d/d
-lambda) are passed to the operators as callables returning the triple
-(value, d/d lambda, d^2/d lambda^2) of coefficient vectors, so the
-operator layer is independent of how the function is represented.
+lambda) reach the operators as their jet (value, d/d lambda, d^2/d
+lambda^2) of coefficient vectors at the lambda of evaluation, so one
+evaluation serves every operator applied there.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import BetheProblem, BetheSolution, master_dtau, master_dz
+from .bethe import BetheSolution, master_dtau, master_dz
 from .elliptic import (
     Torus,
     eta,
@@ -48,18 +51,18 @@ from .elliptic import (
 
 TWOPI_I = 2j * math.pi
 
-E11 = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
-E22 = -E11
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-E21 = E12.T.copy()
-HW = E11 - E22  # diag(1, -1), the sl2 Cartan generator per site
-
 # c2 = e11 e22 - e12 e21 + e11 acts on each C^2 factor by this scalar
 C2_SCALAR = -0.75
 
 
 class ZeroWeightSpace:
-    """Subset basis of V[0] in (C^2)^(tensor n), with cached site operators."""
+    """Subset basis of V[0] in (C^2)^(tensor n), with its site operators.
+
+    hw_site[s] and omega0[s][p] hold the diagonals of hw^(s) = e11 - e22
+    and Omega0^(s,p) = e11^(s) e11^(p) + e22^(s) e22^(p); lower_raise[s][p]
+    and raise_lower[s][p] hold the (source, target) index maps of
+    e12^(s) e21^(p) and e21^(s) e12^(p).
+    """
 
     def __init__(self, n_sites: int):
         if n_sites <= 0 or n_sites % 2 != 0:
@@ -68,58 +71,41 @@ class ZeroWeightSpace:
         self.m = n_sites // 2
         self.subsets = tuple(itertools.combinations(range(n_sites), self.m))
         self.dim = len(self.subsets)
-        self.full_dim = 2 ** n_sites
         self._index = {I: k for k, I in enumerate(self.subsets)}
-        # full-space coordinate of v_I: site 0 is the leftmost tensor factor
-        self._embed = np.array(
-            [sum(1 << (n_sites - 1 - i) for i in I) for I in self.subsets]
-        )
-        self._site_full = [
-            {name: self._kron_one(mat, s) for name, mat in
-             (("e11", E11), ("e22", E22), ("e12", E12), ("e21", E21), ("hw", HW))}
-            for s in range(n_sites)
-        ]
-        self.e11_total = sum(ops["e11"] for ops in self._site_full)
-        self.e22_total = sum(ops["e22"] for ops in self._site_full)
-        # restricted blocks used by the KZB operators
-        self.hw_site = [self.restrict(ops["hw"]) for ops in self._site_full]
-        self.omega0 = [[self.restrict(self._pair(s, "e11", p, "e11")
-                                      + self._pair(s, "e22", p, "e22"))
-                        for p in range(n_sites)] for s in range(n_sites)]
-        self.lower_raise = [[self.restrict(self._pair(s, "e12", p, "e21"))
-                             for p in range(n_sites)] for s in range(n_sites)]
-        self.raise_lower = [[self.restrict(self._pair(s, "e21", p, "e12"))
-                             for p in range(n_sites)] for s in range(n_sites)]
+        inside = np.array([[s in I for I in self.subsets] for s in range(n_sites)])
+        self.hw_site = np.where(inside, -1.0, 1.0)
+        # e22 = -e11 = -hw/2 per site, so Omega0^(s,p) = hw^(s) hw^(p) / 2
+        self.omega0 = 0.5 * self.hw_site[:, None, :] * self.hw_site[None, :, :]
+        self.lower_raise = [[self._move_map(s, p, False) for p in range(n_sites)]
+                            for s in range(n_sites)]
+        self.raise_lower = [[self._move_map(s, p, True) for p in range(n_sites)]
+                            for s in range(n_sites)]
 
-    def _kron_one(self, mat: np.ndarray, site: int) -> np.ndarray:
-        out = np.eye(1, dtype=complex)
-        for s in range(self.n_sites):
-            out = np.kron(out, mat if s == site else np.eye(2, dtype=complex))
-        return out
+    def _move_map(self, s: int, p: int, s_joins: bool) -> tuple:
+        """(source, target) indices of e12^(s) e21^(p), or of e21^(s) e12^(p)
+        when s_joins: v_I -> v_J with coefficient 1 for each listed source.
 
-    def _pair(self, s: int, name_s: str, p: int, name_p: str) -> np.ndarray:
-        return self._site_full[s][name_s] @ self._site_full[p][name_p]
-
-    def site_full(self, name: str, site: int) -> np.ndarray:
-        """Full-space matrix of a one-site generator ('e11', 'e12', ...)."""
-        return self._site_full[site][name]
+        e21 moves its site into the subset (v1 -> v2), e12 out of it, and
+        the factor at p acts first.
+        """
+        src, tgt = [], []
+        for k, subset in enumerate(self.subsets):
+            moved = set(subset)
+            if (p in moved) != s_joins:
+                continue
+            moved ^= {p}
+            if (s in moved) == s_joins:
+                continue
+            moved ^= {s}
+            src.append(k)
+            tgt.append(self.index(moved))
+        return np.array(src, dtype=np.intp), np.array(tgt, dtype=np.intp)
 
     def index(self, subset) -> int:
         return self._index[tuple(sorted(subset))]
 
     def complement(self, subset) -> tuple:
         return tuple(sorted(set(range(self.n_sites)) - set(subset)))
-
-    def restrict(self, full_op: np.ndarray) -> np.ndarray:
-        return full_op[np.ix_(self._embed, self._embed)]
-
-    def embed(self, coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.full_dim, dtype=complex)
-        out[self._embed] = coeffs
-        return out
-
-    def project(self, full_vec: np.ndarray) -> np.ndarray:
-        return full_vec[self._embed]
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,21 +190,23 @@ def psi(lam: complex, sol: BetheSolution) -> np.ndarray:
     return psi_derivs(lam, sol)[0]
 
 
-def psi_triple(sol: BetheSolution):
-    """Psi as a callback triple, the form the operator layer consumes."""
-    return lambda lam: psi_derivs(lam, sol)
-
-
 # ---------------------------------------------------------------------------
 # KZB operators
 # ---------------------------------------------------------------------------
 
 
-def apply_kzb(a: int, F, lam: complex, z, ctx: Torus) -> np.ndarray:
+def _add_moved(acc: np.ndarray, coef: complex, move: tuple, value: np.ndarray) -> None:
+    """acc += coef * (the single-site move `move` applied to value)."""
+    src, tgt = move
+    acc[tgt] += coef * value[src]
+
+
+def apply_kzb(a: int, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     """Apply the KZB operator H_a (a = 0 is the tau-direction operator).
 
-    F is a callable lam -> (value, d1, d2) of subset-basis coefficient
-    vectors.  For a >= 1 the operator attached to site a-1 (0-based) is
+    jet = (value, d1, d2) holds the subset-basis coefficient vectors of a
+    function of lambda and its first two lambda-derivatives at lam.  For
+    a >= 1 the operator attached to site a-1 (0-based) is
 
         H_s = -hw^(s) d/dlambda + sum_{p != s} [ rho(z_s - z_p) Omega0^(s,p)
               + sigma(z_s - z_p, -lambda) e12^(s) e21^(p)
@@ -231,39 +219,39 @@ def apply_kzb(a: int, F, lam: complex, z, ctx: Torus) -> np.ndarray:
     """
     n = len(z)
     sp = zero_weight_space(n)
-    value, d1, d2 = F(lam)
+    value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
     if a == 0:
-        acc = 2.0 * np.asarray(d2, dtype=complex)
+        acc = 2.0 * d2
         for s in range(n):
             for p in range(n):
                 d = z[s] - z[p] if s != p else 0.0
-                acc += 0.5 * eta(d, ctx) * (sp.omega0[s][p] @ value)
-                acc -= phi(lam, d, ctx) * (sp.lower_raise[s][p] @ value)
-                acc -= phi(-lam, d, ctx) * (sp.raise_lower[s][p] @ value)
+                acc += 0.5 * eta(d, ctx) * (sp.omega0[s][p] * value)
+                _add_moved(acc, -phi(lam, d, ctx), sp.lower_raise[s][p], value)
+                _add_moved(acc, -phi(-lam, d, ctx), sp.raise_lower[s][p], value)
         return acc / (4j * math.pi)
     s = a - 1
-    acc = -(sp.hw_site[s] @ np.asarray(d1, dtype=complex))
+    acc = -(sp.hw_site[s] * d1)
     for p in range(n):
         if p == s:
             continue
         d = z[s] - z[p]
-        acc += rho(d, ctx) * (sp.omega0[s][p] @ value)
-        acc += sigma(d, -lam, ctx) * (sp.lower_raise[s][p] @ value)
-        acc += sigma(d, lam, ctx) * (sp.raise_lower[s][p] @ value)
+        acc += rho(d, ctx) * (sp.omega0[s][p] * value)
+        _add_moved(acc, sigma(d, -lam, ctx), sp.lower_raise[s][p], value)
+        _add_moved(acc, sigma(d, lam, ctx), sp.raise_lower[s][p], value)
     return acc
 
 
-def s2_via_kzb(x: complex, F, lam: complex, z, ctx: Torus) -> np.ndarray:
-    """S2(x) F via the KZB combination
+def s2_via_kzb(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
+    """S2(x) F at lam, from the jet of F there, via the KZB combination
 
     S2(x) = -2 pi i H_0 - sum_s [ H_s rho(x - z_s) + c2^(s) rho'(x - z_s) ]
 
     with c2^(s) the scalar -3/4 on each two-dimensional factor.
     """
-    out = -TWOPI_I * apply_kzb(0, F, lam, z, ctx)
-    value = F(lam)[0]
+    out = -TWOPI_I * apply_kzb(0, jet, lam, z, ctx)
+    value = jet[0]
     for s in range(len(z)):
-        out -= rho(x - z[s], ctx) * apply_kzb(s + 1, F, lam, z, ctx)
+        out -= rho(x - z[s], ctx) * apply_kzb(s + 1, jet, lam, z, ctx)
         out -= C2_SCALAR * rho_prime(x - z[s], ctx) * value
     return out
 
@@ -273,59 +261,58 @@ def s2_via_kzb(x: complex, F, lam: complex, z, ctx: Torus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _l_matrices(x: complex, lam: complex, z, sp: ZeroWeightSpace, ctx: Torus):
-    """Full-space matrices L11, L22, L12, L21, dL22/dx at (x, lambda)."""
-    n = len(z)
-    l11 = rho(lam, ctx) * sp.e22_total
-    l22 = -rho(lam, ctx) * sp.e11_total
-    l12 = np.zeros((sp.full_dim, sp.full_dim), dtype=complex)
-    l21 = np.zeros_like(l12)
-    dx22 = np.zeros_like(l12)
-    for k in range(n):
-        l11 = l11 + rho(x - z[k], ctx) * sp.site_full("e11", k)
-        l22 = l22 + rho(x - z[k], ctx) * sp.site_full("e22", k)
-        dx22 = dx22 + rho_prime(x - z[k], ctx) * sp.site_full("e22", k)
-        l12 = l12 + sigma(x - z[k], -lam, ctx) * sp.site_full("e21", k)
-        l21 = l21 + sigma(x - z[k], lam, ctx) * sp.site_full("e12", k)
-    return l11, l22, l12, l21, dx22
+def _l_diagonals(x: complex, z, sp: ZeroWeightSpace, ctx: Torus):
+    """Diagonals of L11, L22 and dL22/dx on V[0].
+
+    L11 = sum_k [rho(lambda) e22^(k) + rho(x - z_k) e11^(k)], and L22 the
+    same with e11 and e22 swapped and rho(lambda) negated.  The weight
+    sums sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], so only the
+    rho(x - z_k) terms remain.
+    """
+    e11 = 0.5 * sp.hw_site
+    rhos = [rho(x - zk, ctx) for zk in z]
+    l11 = sum(r * e for r, e in zip(rhos, e11))
+    l22 = sum(r * -e for r, e in zip(rhos, e11))  # e22 = -e11 per site
+    dx22 = sum(rho_prime(x - zk, ctx) * -e for zk, e in zip(z, e11))
+    return l11, l22, dx22
 
 
-def apply_rst_n2(x: complex, F, lam: complex, z, ctx: Torus) -> np.ndarray:
-    """S2(x) F from the N = 2 column determinant
-    cdet(delta ∂_x - delta ∂_{lambda_j} + L) = D11 D22 - D21 D12.
+def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
+    """S2(x) F at lam, from the jet of F there, by the N = 2 column
+    determinant cdet(delta ∂_x - delta ∂_{lambda_j} + L) = D11 D22 - D21 D12.
 
     Expanded once analytically for x-independent F (so D F = S2(x) F):
 
         D F = -F'' + (L11 - L22) F'
-              + [dL22/dx + rho'(lambda) e11_total + L11 L22 - L21 L12] F.
+              + [dL22/dx + rho'(lambda) sum_k e11^(k) + L11 L22 - L21 L12] F.
 
-    The product L21 L12 passes through the weight -2 subspace, so all
-    products are taken in the full tensor space before restricting.
+    On V[0] the rho'(lambda) term vanishes, L11 and L22 are diagonal, and with
+    L12 = sum_p sigma(x - z_p, -lambda) e21^(p) and L21 = sum_s sigma(x - z_s,
+    lambda) e12^(s) the product L21 L12 is the sum of single-site moves
+    sigma(x - z_s, lambda) sigma(x - z_p, -lambda) e12^(s) e21^(p).
     """
     n = len(z)
     sp = zero_weight_space(n)
-    value, d1, d2 = F(lam)
-    l11, l22, l12, l21, dx22 = _l_matrices(x, lam, z, sp, ctx)
-    fv = sp.embed(np.asarray(value, dtype=complex))
-    fd1 = sp.embed(np.asarray(d1, dtype=complex))
-    out = (l11 - l22) @ fd1
-    out += (dx22 + rho_prime(lam, ctx) * sp.e11_total) @ fv
-    out += l11 @ (l22 @ fv) - l21 @ (l12 @ fv)
-    return sp.project(out) - np.asarray(d2, dtype=complex)
+    value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
+    l11, l22, dx22 = _l_diagonals(x, z, sp, ctx)
+    out = (l11 - l22) * d1 + (dx22 + l11 * l22) * value
+    l21 = [sigma(x - z[s], lam, ctx) for s in range(n)]
+    l12 = [sigma(x - z[p], -lam, ctx) for p in range(n)]
+    for s in range(n):
+        for p in range(n):
+            _add_moved(out, -l21[s] * l12[p], sp.lower_raise[s][p], value)
+    return out - d2
 
 
-def rst_s1_residual(x: complex, F, lam: complex, z, ctx: Torus) -> float:
-    """Norm of S1(x) F = (L11 + L22) F - (∂_{lambda_1} + ∂_{lambda_2}) F.
+def rst_s1_residual(x: complex, jet, lam: complex, z, ctx: Torus) -> float:
+    """Norm of S1(x) F = (L11 + L22) F - (∂_{lambda_1} + ∂_{lambda_2}) F at lam.
 
     S1 vanishes identically on zero-weight functions of lambda_12; the
     derivative part cancels by the sl2 reduction, so this evaluates the
     matrix part alone.
     """
-    sp = zero_weight_space(len(z))
-    value = np.asarray(F(lam)[0], dtype=complex)
-    l11, l22 = _l_matrices(x, lam, z, sp, ctx)[:2]
-    out = sp.project((l11 + l22) @ sp.embed(value))
-    return float(np.linalg.norm(out))
+    l11, l22 = _l_diagonals(x, z, zero_weight_space(len(z)), ctx)[:2]
+    return float(np.linalg.norm((l11 + l22) * np.asarray(jet[0], dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +357,12 @@ def weyl_involution(coeffs: np.ndarray, space: ZeroWeightSpace) -> np.ndarray:
     return out
 
 
-def weyl_on_function(F, space: ZeroWeightSpace):
-    """(sF)(lambda) = s . F(-lambda), as a callback triple."""
-
-    def transformed(lam):
-        value, d1, d2 = F(-lam)
-        return (
-            weyl_involution(value, space),
-            -weyl_involution(d1, space),
-            weyl_involution(d2, space),
-        )
-
-    return transformed
+def weyl_on_function(jet, space: ZeroWeightSpace) -> tuple:
+    """The jet of (sF)(lambda) = s . F(-lambda) at lambda, from the jet of F
+    taken at -lambda (the first derivative changes sign)."""
+    value, d1, d2 = jet
+    return (
+        weyl_involution(value, space),
+        -weyl_involution(d1, space),
+        weyl_involution(d2, space),
+    )

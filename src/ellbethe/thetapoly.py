@@ -140,6 +140,32 @@ class FundamentalParallelogram:
         return complex(x) - k - l * self.ctx.tau, (k, l)
 
 
+GOLDEN = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
+
+
+def golden_points(cell: FundamentalParallelogram, count: int, offset, skip: int = 0,
+                  avoid=(), margin: float = 0.0) -> list[complex]:
+    """Deterministic low-discrepancy points inside the cell.
+
+    Candidates are base + a_k + b_k tau for k = skip + 1, skip + 2, ...,
+    with (a_k, b_k) = offset + k GOLDEN mod 1; the first `count` lying
+    farther than `margin` from the lattice orbit of every point in `avoid`
+    are returned.  Raises ArithmeticError after 500 * count candidates.
+    """
+    out = []
+    k = skip
+    while len(out) < count:
+        if k - skip >= 500 * count:
+            raise ArithmeticError("could not place %d sample points clear of %d "
+                                  "avoided orbits" % (count, len(avoid)))
+        k += 1
+        x = (cell.base + (offset[0] + k * GOLDEN[0]) % 1.0
+             + ((offset[1] + k * GOLDEN[1]) % 1.0) * cell.ctx.tau)
+        if all(lattice_distance(x - p, cell.ctx) > margin for p in avoid):
+            out.append(x)
+    return out
+
+
 def canonical_coords(poly: ThetaPoly, cell: FundamentalParallelogram) -> ThetaPoly:
     """Equivalent theta polynomial with all roots reduced into the cell.
 
@@ -291,18 +317,6 @@ class SolveResult:
     coefficients: tuple = field(repr=False, default=())
 
 
-def _golden_points(cell: FundamentalParallelogram, count: int, skip: int = 0) -> list[complex]:
-    """Deterministic low-discrepancy points inside the cell."""
-    g1 = (math.sqrt(5.0) - 1.0) / 2.0
-    g2 = math.sqrt(2.0) - 1.0
-    pts = []
-    for i in range(skip, skip + count):
-        a = (0.5 + (i + 1) * g1) % 1.0
-        b = (0.5 + (i + 1) * g2) % 1.0
-        pts.append(cell.base + a + b * cell.ctx.tau)
-    return pts
-
-
 def _residues_over_f_squared(f: ThetaPoly, h, nodes: int = 64) -> list[complex]:
     """Residues of h/f^2 at each root of f, by a small trapezoid circle."""
     seps = [1.0]
@@ -371,7 +385,7 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
 
     # collocation in the Fourier basis of T_{m, A2, B2}
     basis = fourier_basis(m, a2, b2, ctx)
-    xs = np.array(_golden_points(cell, 4 * m))
+    xs = np.array(golden_points(cell, 4 * m, (0.5, 0.5)))
     bval = np.column_stack([b.eval_many(xs, 0) for b in basis])
     bder = np.column_stack([b.eval_many(xs, 1) for b in basis])
     fval = np.array([f.derivs(x, 1) for x in xs])
@@ -384,7 +398,7 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
         return sum(c * b.eval(x, order) for c, b in zip(coef, basis))
 
     # verify on fresh points
-    ys = np.array(_golden_points(cell, 4 * m + 2, skip=4 * m))
+    ys = np.array(golden_points(cell, 4 * m + 2, (0.5, 0.5), skip=4 * m))
     hs = np.array([h.eval(y) for y in ys])
     scale = max(1.0, float(np.max(np.abs(hs))))
     residual = 0.0
@@ -469,7 +483,7 @@ def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:
 
     # scale: match values at the best-conditioned probe point
     probe, best, ref_best = None, -1.0, 1.0
-    for x in _golden_points(cell, 7, skip=13):
+    for x in golden_points(cell, 7, (0.5, 0.5), skip=13):
         ref = cmath.exp(TWOPI_I * label * x)
         for t in roots:
             ref *= theta(x - t, ctx)

@@ -33,6 +33,7 @@ from .thetapoly import (
     ResidueViolationError,
     SolveError,
     ThetaPoly,
+    golden_points,
     wronskian,
 )
 
@@ -75,28 +76,7 @@ class FiberReport:
     count: int
     expected: int
     pairing: tuple
-    mu_min_estimate: float = None
     warnings: tuple = ()
-
-
-def _sample_points(problem, avoid, count=8):
-    """Low-discrepancy cell points keeping clear of the given lattice orbits."""
-    cell = problem.cell
-    ctx = problem.ctx
-    g1 = (math.sqrt(5.0) - 1.0) / 2.0
-    g2 = math.sqrt(2.0) - 1.0
-    out = []
-    k = 0
-    while len(out) < count and k < 40 * count:
-        k += 1
-        a = (0.5 + k * g1) % 1.0
-        b = (0.37 + k * g2) % 1.0
-        x = cell.base + a + b * ctx.tau
-        if min(lattice_distance(x - p, ctx) for p in avoid) > 1e-3:
-            out.append(x)
-    if len(out) < count:
-        raise ArithmeticError("could not place sample points away from roots")
-    return out
 
 
 def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
@@ -106,7 +86,7 @@ def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
     wr = wronskian(f, g)
     avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
-    xs = _sample_points(problem, avoid)
+    xs = golden_points(problem.cell, 8, (0.5, 0.37), avoid=avoid, margin=1e-3)
     ratio = None
     worst = 0.0
     for x in xs:
@@ -196,7 +176,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
             point = _point_for_subset(problem, subset)
         except (SolveError, SeedTooCoarseError, ResidueViolationError,
                 InvolutionMismatchError, PoleError, ArithmeticError) as exc:
-            failures.append((subset, exc.__class__.__name__))
+            failures.append((subset, "%s: %s" % (exc.__class__.__name__, exc)))
             continue
         if any(_normal_form_distance(point.solution, q.solution) < DEDUP_TOL
                for q in points):
@@ -222,24 +202,42 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     return report
 
 
+def scan_mu_grid(problem: BetheProblem, mu_grid):
+    """Enumerate the fiber at each grid value of mu, lazily and in order.
+
+    The grid must be sorted by |Im mu| descending (checked before the first
+    enumeration).  Yields (mu, report, failed, complete) per grid value:
+    `failed` lists the (subset, reason) pairs of an incomplete enumeration,
+    and `complete` means every subset certified, none paired off its
+    complement, and the count reached C(2m, m).
+    """
+    grid = list(mu_grid)
+    mags = [abs(complex(mu).imag) for mu in grid]
+    if mags != sorted(mags, reverse=True):
+        raise ValueError("mu_grid must be sorted by |Im mu| descending")
+
+    def rows():
+        for mu in grid:
+            try:
+                report, failed = enumerate_fiber(dataclasses.replace(problem, mu=mu)), ()
+            except IncompleteFiberError as exc:
+                report, failed = exc.partial, exc.failed
+            complete = (not failed and not report.warnings
+                        and report.count == report.expected)
+            yield mu, report, failed, complete
+
+    return rows()
+
+
 def estimate_mu_min(problem: BetheProblem, mu_grid) -> float:
     """Smallest |Im mu| on the grid with a complete, certified fiber.
 
     The grid must be sorted by |Im mu| descending; scanning stops at the
     first failure.  Returns None when even the largest grid value fails.
     """
-    grid = list(mu_grid)
-    mags = [abs(complex(mu).imag) for mu in grid]
-    if mags != sorted(mags, reverse=True):
-        raise ValueError("mu_grid must be sorted by |Im mu| descending")
     best = None
-    for mu in grid:
-        candidate = dataclasses.replace(problem, mu=mu)
-        try:
-            report = enumerate_fiber(candidate)
-        except IncompleteFiberError:
-            break
-        if report.count != report.expected or report.warnings:
+    for mu, _, _, complete in scan_mu_grid(problem, mu_grid):
+        if not complete:
             break
         best = abs(complex(mu).imag)
     return best

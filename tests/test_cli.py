@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from ellbethe.cli import DEFAULT_TOLERANCES, main, sample_cell_points
+from ellbethe.cli import DEFAULT_TOLERANCES, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
+from ellbethe.thetapoly import FundamentalParallelogram
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
 LOW_MU_CONFIG = {"mu": [0.0, 1.3]}
@@ -194,6 +195,11 @@ class TestFiberCommand:
         rows = report["fiber"]["scan"]
         assert [r["complete"] for r in rows] == [True, False]
         assert report["fiber"]["mu_min_estimate"] == 6.0
+        # each failure keeps its reason, not only the exception class
+        assert report["warnings"]
+        for warning in report["warnings"]:
+            assert warning.startswith("mu 1.3j subset (")
+            assert "failed: SeedTooCoarseError: seed displacement" in warning
 
     def test_grid_must_descend(self, capsys):
         assert main(["fiber", "--mu-grid", "2i,4i", "--json"]) == 2
@@ -216,25 +222,24 @@ class TestEigenCommand:
 
 
 class TestSampler:
+    CELL = FundamentalParallelogram(0.0, Torus(1j))
+
     def test_points_respect_lattice_margin(self):
-        ctx = Torus(1j)
-        pts = sample_cell_points(ctx, 0.0, 50, seed=3)
+        pts = _cell_samples(self.CELL, 50, seed=3)
         assert len(pts) == 50
-        assert all(lattice_distance(x, ctx) > 0.05 for x in pts)
+        assert all(lattice_distance(x, self.CELL.ctx) > 0.05 for x in pts)
 
     def test_points_respect_avoid_list(self):
-        ctx = Torus(1j)
         avoid = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
-        pts = sample_cell_points(ctx, 0.0, 50, seed=3, avoid=avoid)
-        assert all(lattice_distance(x - a, ctx) > 0.05
+        pts = _cell_samples(self.CELL, 50, seed=3, avoid=avoid)
+        assert all(lattice_distance(x - a, self.CELL.ctx) > 0.05
                    for x in pts for a in avoid)
 
     def test_deterministic_in_seed(self):
-        ctx = Torus(1j)
-        assert (sample_cell_points(ctx, 0.0, 10, seed=4)
-                == sample_cell_points(ctx, 0.0, 10, seed=4))
-        assert (sample_cell_points(ctx, 0.0, 10, seed=4)
-                != sample_cell_points(ctx, 0.0, 10, seed=5))
+        assert (_cell_samples(self.CELL, 10, seed=4)
+                == _cell_samples(self.CELL, 10, seed=4))
+        assert (_cell_samples(self.CELL, 10, seed=4)
+                != _cell_samples(self.CELL, 10, seed=5))
 
 
 class TestUnknownCommand:

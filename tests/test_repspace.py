@@ -22,7 +22,6 @@ from ellbethe.repspace import (
     kzb_eigenvalues,
     psi,
     psi_derivs,
-    psi_triple,
     rst_s1_residual,
     s2_via_kzb,
     weyl_involution,
@@ -32,6 +31,8 @@ from ellbethe.repspace import (
 
 CTX = Torus(1j)
 Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
+Z10 = Z4 + (0.05 + 0.55j, 0.29 + 0.71j, 0.62 + 0.83j, 0.88 + 0.47j,
+            0.35 + 0.42j, 0.71 + 0.63j)
 LAM = 0.31 + 0.17j
 
 
@@ -46,7 +47,7 @@ def fixture_solution(m=2, mu=10j, subset=None):
 
 
 def random_test_function(space, seed=5):
-    """A smooth V[0]-valued function with analytic derivative triple."""
+    """A smooth V[0]-valued function: lam -> its analytic jet at lam."""
     rng = np.random.default_rng(seed)
     c0 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     c1 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
@@ -63,7 +64,7 @@ def random_test_function(space, seed=5):
 
 
 def fd_triple(G, h):
-    """Wrap a vector-valued callable into a 5-point-stencil derivative triple."""
+    """Wrap a vector-valued callable into a 5-point-stencil jet callable."""
 
     def trip(lam):
         gm2, gm1, g0, gp1, gp2 = (G(lam + k * h) for k in (-2, -1, 0, 1, 2))
@@ -72,6 +73,29 @@ def fd_triple(G, h):
         return g0, d1, d2
 
     return trip
+
+
+def kronecker_site_ops(n):
+    """Dense reference: name -> [the generator acting at site s on (C^2)^(tensor n)]."""
+    e11 = np.diag([0.5, -0.5])
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    gens = {"e11": e11, "e22": -e11, "e12": e12, "e21": e12.T, "hw": 2 * e11}
+    full = {}
+    for name, mat in gens.items():
+        full[name] = []
+        for s in range(n):
+            op = np.eye(1)
+            for k in range(n):
+                op = np.kron(op, mat if k == s else np.eye(2))
+            full[name].append(op)
+    return full
+
+
+def embed_indices(space):
+    """Position of each v_I in the 2^n tensor basis: site 0 is the leftmost
+    factor, and v2 sits at the sites in I."""
+    n = space.n_sites
+    return np.array([sum(1 << (n - 1 - i) for i in I) for I in space.subsets])
 
 
 class TestZeroWeightSpace:
@@ -86,20 +110,52 @@ class TestZeroWeightSpace:
             zero_weight_space(3)
 
     def test_basis_is_zero_weight(self):
-        sp = zero_weight_space(4)
-        weight = sp.restrict(sp.e11_total - sp.e22_total)
-        assert np.max(np.abs(weight)) == 0.0
+        """The v_I span exactly the kernel of e11_total - e22_total."""
+        for n in (2, 4, 6):
+            full = kronecker_site_ops(n)
+            embed = embed_indices(zero_weight_space(n))
+            weight = np.diag(sum(full["e11"]) - sum(full["e22"]))
+            assert np.array_equal(np.flatnonzero(weight == 0.0), np.sort(embed))
 
     def test_embed_project_round_trip(self):
         sp = zero_weight_space(4)
+        embed = embed_indices(sp)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        assert np.array_equal(sp.project(sp.embed(v)), v)
+        full = np.zeros(2 ** sp.n_sites, dtype=complex)
+        full[embed] = v
+        assert np.array_equal(full[embed], v)
+        assert np.count_nonzero(full) == sp.dim
+
+    def test_blocks_match_kronecker_reference(self):
+        """The subset-basis blocks equal the dense Kronecker products on
+        (C^2)^(tensor n) restricted to the v_I."""
+        for n in (2, 4, 6):
+            sp = zero_weight_space(n)
+            full = kronecker_site_ops(n)
+            embed = embed_indices(sp)
+
+            def restrict(op):
+                return op[np.ix_(embed, embed)]
+
+            for s in range(n):
+                assert np.array_equal(np.diag(sp.hw_site[s]), restrict(full["hw"][s]))
+                for p in range(n):
+                    def pair(a, b):
+                        return full[a][s] @ full[b][p]
+
+                    assert np.array_equal(np.diag(sp.omega0[s][p]),
+                                          restrict(pair("e11", "e11") + pair("e22", "e22")))
+                    for (src, tgt), ops in ((sp.lower_raise[s][p], ("e12", "e21")),
+                                            (sp.raise_lower[s][p], ("e21", "e12"))):
+                        dense = np.zeros((sp.dim, sp.dim))
+                        dense[tgt, src] = 1.0
+                        assert np.array_equal(dense, restrict(pair(*ops)))
 
     def test_omega0_diagonal_is_half_identity(self):
         sp = zero_weight_space(4)
         for s in range(4):
-            assert np.max(np.abs(sp.omega0[s][s] - 0.5 * np.eye(sp.dim))) == 0.0
+            assert np.max(np.abs(sp.omega0[s][s] - 0.5)) == 0.0
 
     def test_index_and_complement(self):
         sp = zero_weight_space(4)
@@ -176,24 +232,53 @@ class TestKzbOperators:
             z = Z4 if m == 2 else Z4[:2]
             for mu in (6j, 10j):
                 sol = solve_subset(BetheProblem(m, z, mu, CTX), tuple(range(m)))
-                F = psi_triple(sol)
                 ev = kzb_eigenvalues(sol)
                 for _ in range(3):
                     lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-                    v = F(lam)[0]
+                    jet = psi_derivs(lam, sol)
+                    v = jet[0]
                     nv = np.linalg.norm(v)
-                    out = apply_kzb(0, F, lam, z, CTX)
+                    out = apply_kzb(0, jet, lam, z, CTX)
                     assert np.linalg.norm(out - ev.e0 * v) / nv < 1e-8
                     for a in range(1, 2 * m + 1):
-                        out = apply_kzb(a, F, lam, z, CTX)
+                        out = apply_kzb(a, jet, lam, z, CTX)
                         assert np.linalg.norm(out - ev.e[a - 1] * v) / nv < 1e-8
+
+    def test_eigen_relations_and_s2_routes_m4(self):
+        """At 8 sites: H_a Psi = E_a Psi for all a, and the two S2 routes agree."""
+        sol = solve_subset(BetheProblem(4, Z10[:8], 14j, CTX), (0, 2, 4, 6))
+        ev = kzb_eigenvalues(sol)
+        expected = (ev.e0,) + ev.e
+        jet = psi_derivs(LAM, sol)
+        v = jet[0]
+        nv = np.linalg.norm(v)
+        for a in range(9):
+            out = apply_kzb(a, jet, LAM, Z10[:8], CTX)
+            assert np.linalg.norm(out - expected[a] * v) / nv < 1e-8
+        for x in (0.52 + 0.33j, 0.18 - 0.27j):
+            via_kzb = s2_via_kzb(x, jet, LAM, Z10[:8], CTX)
+            via_det = apply_rst_n2(x, jet, LAM, Z10[:8], CTX)
+            assert (np.linalg.norm(via_kzb - via_det)
+                    / max(1.0, np.linalg.norm(via_kzb)) < 1e-8)
+
+    def test_eigen_relations_m5(self):
+        """At 10 sites (V[0] of dimension 252): H_a Psi = E_a Psi at one lambda."""
+        sol = solve_subset(BetheProblem(5, Z10, 14j, CTX), (0, 2, 4, 6, 8))
+        ev = kzb_eigenvalues(sol)
+        expected = (ev.e0,) + ev.e
+        jet = psi_derivs(LAM, sol)
+        v = jet[0]
+        nv = np.linalg.norm(v)
+        for a in range(11):
+            out = apply_kzb(a, jet, LAM, Z10, CTX)
+            assert np.linalg.norm(out - expected[a] * v) / nv < 1e-8
 
     def test_sum_rule(self):
         """sum_s H_s = 0 on arbitrary zero-weight functions."""
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         for lam in (LAM, 0.62 - 0.21j):
-            total = sum(apply_kzb(s + 1, F, lam, Z4, CTX) for s in range(4))
+            total = sum(apply_kzb(s + 1, F(lam), lam, Z4, CTX) for s in range(4))
             assert np.linalg.norm(total) < 1e-9 * np.linalg.norm(F(lam)[0])
 
     def test_eigenvalue_sum_constraint(self):
@@ -211,10 +296,10 @@ class TestKzbOperators:
         scale = np.linalg.norm(F(LAM)[0])
         for a in range(5):
             for b in range(a + 1, 5):
-                ga = lambda l, a=a: apply_kzb(a, F, l, Z4, CTX)
-                gb = lambda l, b=b: apply_kzb(b, F, l, Z4, CTX)
-                comm = (apply_kzb(a, fd_triple(gb, 1e-3), LAM, Z4, CTX)
-                        - apply_kzb(b, fd_triple(ga, 1e-3), LAM, Z4, CTX))
+                ga = lambda l, a=a: apply_kzb(a, F(l), l, Z4, CTX)
+                gb = lambda l, b=b: apply_kzb(b, F(l), l, Z4, CTX)
+                comm = (apply_kzb(a, fd_triple(gb, 1e-3)(LAM), LAM, Z4, CTX)
+                        - apply_kzb(b, fd_triple(ga, 1e-3)(LAM), LAM, Z4, CTX))
                 assert np.linalg.norm(comm) / scale < 1e-7
 
 
@@ -227,35 +312,36 @@ class TestS2:
         for _ in range(20):
             x = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, 0.4))
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            a = s2_via_kzb(x, F, lam, Z4, CTX)
-            b = apply_rst_n2(x, F, lam, Z4, CTX)
+            a = s2_via_kzb(x, F(lam), lam, Z4, CTX)
+            b = apply_rst_n2(x, F(lam), lam, Z4, CTX)
             assert np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)) < 1e-8
 
     def test_s1_vanishes(self):
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         for x in (0.37 + 0.21j, 0.64 - 0.11j):
-            assert rst_s1_residual(x, F, LAM, Z4, CTX) < 1e-9
+            assert rst_s1_residual(x, F(LAM), LAM, Z4, CTX) < 1e-9
 
     def test_double_periodicity(self):
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         x = 0.33 + 0.21j
-        base = s2_via_kzb(x, F, LAM, Z4, CTX)
+        jet = F(LAM)
+        base = s2_via_kzb(x, jet, LAM, Z4, CTX)
         scale = np.linalg.norm(base)
-        assert np.linalg.norm(s2_via_kzb(x + 1, F, LAM, Z4, CTX) - base) / scale < 1e-9
-        assert np.linalg.norm(s2_via_kzb(x + CTX.tau, F, LAM, Z4, CTX) - base) / scale < 1e-9
+        assert np.linalg.norm(s2_via_kzb(x + 1, jet, LAM, Z4, CTX) - base) / scale < 1e-9
+        assert np.linalg.norm(s2_via_kzb(x + CTX.tau, jet, LAM, Z4, CTX) - base) / scale < 1e-9
 
     def test_eigen_relation_b2(self):
         """S2(x) Psi = B2(x) Psi at random (x, lam)."""
         sol = fixture_solution()
-        F = psi_triple(sol)
         rng = np.random.default_rng(13)
         for _ in range(10):
             x = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, 0.4))
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            v = F(lam)[0]
-            out = s2_via_kzb(x, F, lam, Z4, CTX)
+            jet = psi_derivs(lam, sol)
+            v = jet[0]
+            out = s2_via_kzb(x, jet, lam, Z4, CTX)
             err = np.linalg.norm(out - fundamental_b2(x, sol) * v)
             assert err / np.linalg.norm(v) < 1e-8
 
@@ -266,10 +352,10 @@ class TestS2:
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         u, v = 0.37 + 0.21j, 0.71 - 0.13j
-        gu = lambda l: s2_via_kzb(u, F, l, Z4, CTX)
-        gv = lambda l: s2_via_kzb(v, F, l, Z4, CTX)
-        comm = (s2_via_kzb(u, fd_triple(gv, 5e-4), LAM, Z4, CTX)
-                - s2_via_kzb(v, fd_triple(gu, 5e-4), LAM, Z4, CTX))
+        gu = lambda l: s2_via_kzb(u, F(l), l, Z4, CTX)
+        gv = lambda l: s2_via_kzb(v, F(l), l, Z4, CTX)
+        comm = (s2_via_kzb(u, fd_triple(gv, 5e-4)(LAM), LAM, Z4, CTX)
+                - s2_via_kzb(v, fd_triple(gu, 5e-4)(LAM), LAM, Z4, CTX))
         scale = max(np.linalg.norm(gu(LAM)), np.linalg.norm(gv(LAM)))
         assert np.linalg.norm(comm) / scale < 1e-7
 
@@ -330,12 +416,12 @@ class TestWeylInvolution:
         sol = fixture_solution()
         par = analytic_involution(sol)
         sp = zero_weight_space(4)
-        lifted = weyl_on_function(psi_triple(sol), sp)
         rng = np.random.default_rng(11)
         ratios = []
         for _ in range(10):
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            ratios.append(lifted(lam)[0] / psi(lam, par))
+            lifted = weyl_on_function(psi_derivs(-lam, sol), sp)
+            ratios.append(lifted[0] / psi(lam, par))
         arr = np.array(ratios)
         mean = arr.mean()
         assert np.max(np.abs(arr - mean)) < 1e-8 * abs(mean)
@@ -344,8 +430,8 @@ class TestWeylInvolution:
         """The transformed triple matches finite differences of the
         transformed value."""
         sp = zero_weight_space(4)
-        F = psi_triple(fixture_solution())
-        G = weyl_on_function(F, sp)
+        sol = fixture_solution()
+        G = lambda lam: weyl_on_function(psi_derivs(-lam, sol), sp)
         val, d1, d2 = G(LAM)
         h = 1e-6
         fd1 = (G(LAM + h)[0] - G(LAM - h)[0]) / (2 * h)
