@@ -27,14 +27,13 @@ import numpy as np
 from .bethe import (
     BetheProblem,
     CoalescedRootsError,
-    InvolutionMismatchError,
     SeedTooCoarseError,
-    analytic_involution,
     normalize_solution,
     seed_asymptotic,
     solve_bae,
 )
 from .elliptic import (
+    PoleError,
     Torus,
     eta,
     lattice_distance,
@@ -59,7 +58,7 @@ from .repspace import (
     zero_weight_space,
 )
 from .thetapoly import FundamentalParallelogram, SolveError, golden_points, wronskian
-from .wronski import IncompleteFiberError, enumerate_fiber, scan_mu_grid
+from .wronski import IncompleteFiberError, enumerate_fiber, fiber_point, scan_mu_grid
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -515,15 +514,12 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
 
     for subset in cfg.subset_list():
         try:
-            sol = solve_bae(prob, seed_asymptotic(prob, subset),
-                            subset_tag=subset)
-            if not sol.converged:
-                raise SolveError("no convergence (residual %.3e)" % sol.residual)
-            par = analytic_involution(sol)
+            point = fiber_point(prob, subset)
         except (SeedTooCoarseError, CoalescedRootsError, SolveError,
-                InvolutionMismatchError, ValueError) as exc:
+                PoleError, ValueError) as exc:
             warnings.append("subset %s skipped: %s" % (subset, exc))
             continue
+        sol, par = point.solution, point.partner
 
         try:
             eigenvalues = kzb_eigenvalues(sol)

@@ -5,10 +5,13 @@ A fiber point over h = e^{-2 pi i mu x} prod_a theta(x - z_a) is a pair
 presented in the normal form f = prod theta(x - t_j) (label 0) and
 g = e^{2 pi i (-mu + k) x} prod theta(x - s_j) with integer k.  Fiber
 points are found by solving the Bethe equations from the asymptotic
-seed of each m-element site subset and pairing each solution with its
-analytic-involution partner; for |Im mu| above an instance-dependent
-threshold this yields all C(2m, m) points, pairwise distinct, with
-complementary subset tags inside each involution pair.
+seed of each m-element site subset, and the partner (-mu, s) by solving
+them again at -mu from the seed of the complementary subset (`fiber_point`);
+the pair is accepted only if Wr(f, g) passes `wr_certificate`.  For
+|Im mu| above an instance-dependent threshold this yields all C(2m, m)
+points, pairwise distinct, with complementary subset tags inside each
+involution pair.  `bethe.analytic_involution`, which inverts the
+Wronskian instead, is the independent route to the same partner.
 """
 
 from __future__ import annotations
@@ -21,14 +24,12 @@ from dataclasses import dataclass
 from .bethe import (
     BetheProblem,
     BetheSolution,
-    InvolutionMismatchError,
     SeedTooCoarseError,
-    analytic_involution,
-    bae_residual,
+    nearest_site_tag,
     seed_asymptotic,
     solve_bae,
 )
-from .elliptic import PoleError, lattice_distance, reduce_argument
+from .elliptic import lattice_distance
 from .thetapoly import (
     ResidueViolationError,
     SolveError,
@@ -82,11 +83,17 @@ class FiberReport:
 def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
     """Relative sampling residual of Wr(f, g) against e^{-2 pi i mu x}
     prod_a theta(x - z_a); pointwise-relative, so the mu-envelope spanning
-    many decades across the cell does not mask errors."""
+    many decades across the cell does not mask errors.
+
+    Wr(f, g) - c * target is a degree-2m theta-polynomial with the target's
+    multipliers, so it has 2m zeros in the cell unless it vanishes; the
+    first point fixes c and the other 2m + 1 (at least 7) force it to zero.
+    """
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
     wr = wronskian(f, g)
     avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
-    xs = golden_points(problem.cell, 8, (0.5, 0.37), avoid=avoid, margin=1e-3)
+    count = max(8, 2 * problem.m + 2)
+    xs = golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3)
     ratio = None
     worst = 0.0
     for x in xs:
@@ -109,52 +116,64 @@ def _normal_form_distance(sol_a: BetheSolution, sol_b: BetheSolution) -> float:
     return max(lattice_distance(a - b, ctx) for a, b in zip(ra, rb))
 
 
-def _present_near_sites(sol: BetheSolution) -> BetheSolution:
-    """Move each root to its lattice representative nearest a site.
-
-    The (root + l*tau, mu - 2l) moves preserve the underlying section, so
-    this only changes the presentation; in the asymptotic regime it lands
-    every partner root next to its site and the g-label at exactly -mu.
-    """
-    problem = sol.problem
-    roots = []
-    mu = sol.mu
-    for s in sol.t:
-        site = min(problem.z, key=lambda z: lattice_distance(s - z, problem.ctx))
-        x0, move = reduce_argument(s - site, problem.ctx)
-        roots.append(site + x0)
-        mu += 2 * move.l
-    res = max(abs(v) for v in bae_residual(roots, problem, mu))
-    return dataclasses.replace(sol, t=tuple(roots), mu=mu, residual=float(res))
+def _gated_solve(problem, seed, tol, subset_tag=None):
+    """Newton solve from `seed`, held to the residual gate."""
+    sol = solve_bae(problem, seed, tol=tol, subset_tag=subset_tag)
+    if not sol.converged or sol.residual > RESIDUAL_GATE:
+        raise SolveError("no convergence (residual %.2e)" % sol.residual)
+    return sol
 
 
-def _point_for_subset(problem, subset):
-    """Solve, certify, and package one subset's fiber point.
+def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
+    """Solve, pair, certify, and package one subset's fiber point.
+
+    The solution (mu, t) comes from the asymptotic seed of `subset`; its
+    partner (-mu, s) from the Bethe equations at -mu, seeded at the
+    complementary sites (s_j = z_a - 1/(2 pi i mu) + O(mu^-2)), so g has
+    label exactly -mu and no Wronskian has to be inverted.  Both solves
+    must meet RESIDUAL_GATE, no two roots or sites may collide, and
+    Wr(f, g) must pass `wr_certificate`.  The partner's tag is read off
+    its roots (`nearest_site_tag`), not assumed.
 
     The solution is used raw (not cell-normalized): f = prod theta(x - t_j)
     has label exactly 0 only for root representatives satisfying the Bethe
     equations at mu itself, and lattice-reducing a root would silently turn
     the pair into a different section (caught by the Wr certificate).
+
+    Every exception raised here carries a `stage` attribute naming the
+    step that failed: seed, newton, partner or certificate.
     """
+    subset = tuple(subset)
     # Bethe-equation terms grow like |2 pi mu|, so the convergence floor in
     # double precision does too; keep the demand proportionate (and always
     # far below RESIDUAL_GATE at desk scale).
     tol = max(1e-12, 2e-14 * abs(TWOPI_I * problem.mu))
-    sol = solve_bae(problem, seed_asymptotic(problem, subset),
-                    tol=tol, subset_tag=tuple(subset))
-    if not sol.converged or sol.residual > RESIDUAL_GATE:
-        raise SolveError("no convergence (residual %.2e)" % sol.residual)
-    par = _present_near_sites(analytic_involution(sol))
-    f = ThetaPoly(1.0, 0.0, sol.t, problem.ctx)
-    g = ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx)
-    for a, b in itertools.combinations(tuple(sol.t) + tuple(par.t) + tuple(problem.z), 2):
-        if lattice_distance(a - b, problem.ctx) < 1e-6:
-            raise SolveError("fiber roots collide with each other or a site")
-    residual = wr_certificate(f, g, problem)
-    if residual > WR_RESIDUAL_GATE:
-        raise ResidueViolationError(
-            "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
-    return FiberPoint(f, g, tuple(subset), par.subset_tag, residual, sol, par)
+    stage = "seed"
+    try:
+        seed = seed_asymptotic(problem, subset)
+        stage = "newton"
+        sol = _gated_solve(problem, seed, tol, subset)
+        stage = "partner"
+        # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
+        mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
+        complement = tuple(sorted(set(range(problem.n)) - set(subset)))
+        par = _gated_solve(mirror, seed_asymptotic(mirror, complement), tol)
+        par = dataclasses.replace(par, subset_tag=nearest_site_tag(par.t, problem))
+        stage = "certificate"
+        f = ThetaPoly(1.0, 0.0, sol.t, problem.ctx)
+        g = ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx)
+        roots = tuple(sol.t) + tuple(par.t) + tuple(problem.z)
+        for a, b in itertools.combinations(roots, 2):
+            if lattice_distance(a - b, problem.ctx) < 1e-6:
+                raise SolveError("fiber roots collide with each other or a site")
+        residual = wr_certificate(f, g, problem)
+        if residual > WR_RESIDUAL_GATE:
+            raise ResidueViolationError(
+                "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
+    except (ArithmeticError, ValueError, SolveError) as exc:
+        exc.stage = stage
+        raise
+    return FiberPoint(f, g, subset, par.subset_tag, residual, sol, par)
 
 
 def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
@@ -173,10 +192,10 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     warnings = []
     for subset in subsets:
         try:
-            point = _point_for_subset(problem, subset)
-        except (SolveError, SeedTooCoarseError, ResidueViolationError,
-                InvolutionMismatchError, PoleError, ArithmeticError) as exc:
-            failures.append((subset, "%s: %s" % (exc.__class__.__name__, exc)))
+            point = fiber_point(problem, subset)
+        except (SolveError, SeedTooCoarseError, ArithmeticError) as exc:
+            failures.append((subset, "%s: %s [stage %s]"
+                             % (exc.__class__.__name__, exc, exc.stage)))
             continue
         if any(_normal_form_distance(point.solution, q.solution) < DEDUP_TOL
                for q in points):

@@ -9,12 +9,16 @@ import json
 
 import pytest
 
+from ellbethe import bethe, thetapoly
 from ellbethe.cli import DEFAULT_TOLERANCES, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
 LOW_MU_CONFIG = {"mu": [0.0, 1.3]}
+M4_CONFIG = {"m": 4, "mu": [0.0, 14.0],
+             "z": [[0.13, 0.0], [0.41, 0.12], [0.55, 0.31], [0.77, 0.05],
+                   [0.05, 0.55], [0.29, 0.71], [0.62, 0.83], [0.88, 0.47]]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -219,6 +223,31 @@ class TestEigenCommand:
         assert len(table) == 20  # 2 subsets x 10 lambda samples
         for row in table:
             assert row["component_spread"] < 1e-8
+
+    def test_never_inverts_the_wronskian(self, tmp_path, capsys, monkeypatch):
+        # fiber partners come from the Bethe solve at -mu; the Wronskian
+        # inversion and its residue contour stay library-only routes
+        def forbidden(*args, **kwargs):
+            raise AssertionError("CLI reached the Wronskian inversion")
+
+        for name in ("solve_wronskian", "_residues_over_f_squared"):
+            monkeypatch.setattr(bethe, name, forbidden)
+            monkeypatch.setattr(thetapoly, name, forbidden)
+        cfg = write_config(tmp_path, M1_CONFIG)
+        for argv in (["fiber"], ["fiber", "--mu-grid", "8i,2i"],
+                     ["eigen", "--config", cfg]):
+            code, report = run_json(capsys, argv)
+            assert code == 0 and report["warnings"] == []
+
+    def test_m4_subset_certifies(self, tmp_path, capsys):
+        # the Wronskian-inversion partner of this subset has an O(1)
+        # collocation residual, which used to skip it
+        cfg = write_config(tmp_path, dict(M4_CONFIG, subsets=[[0, 1, 2, 3]]))
+        code, report = run_json(capsys, ["eigen", "--config", cfg])
+        assert code == 0
+        assert report["warnings"] == []
+        assert all(c["status"] == "pass" for c in report["checks"])
+        assert len(report["ratio_table"]) == 10
 
 
 class TestSampler:

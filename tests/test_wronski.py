@@ -2,7 +2,9 @@
 
 The m=1 fiber is cross-checked against an independent route: Newton on the
 two-root correspondence G(x) = f g - v Wr(f, g) evaluated at the sites,
-which never touches the Bethe-equation solver.
+which never touches the Bethe-equation solver.  For m = 1..3 every fiber
+partner (the Bethe solve at -mu) is cross-checked against the Wronskian
+inversion of `analytic_involution`.
 """
 
 import functools
@@ -11,15 +13,23 @@ import itertools
 import numpy as np
 import pytest
 
-from ellbethe.bethe import BetheProblem, bae_jacobian
+from ellbethe.bethe import (
+    BetheProblem,
+    SeedTooCoarseError,
+    analytic_involution,
+    bae_jacobian,
+    normalize_solution,
+)
 from ellbethe.elliptic import Torus, lattice_distance, theta_derivs
 from ellbethe.thetapoly import ThetaPoly, wronskian
 from ellbethe.wronski import (
+    WR_RESIDUAL_GATE,
     IncompleteFiberError,
     asymptotic_deviation,
     count_ratios,
     enumerate_fiber,
     estimate_mu_min,
+    fiber_point,
     partner_asymptotic_deviation,
     wr_certificate,
 )
@@ -27,6 +37,15 @@ from ellbethe.wronski import (
 CTX = Torus(1j)
 Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
 Z2 = Z4[:2]
+# cell coordinates (a, b) of sites z = a + b tau; at tau = i these extend Z4
+CELL_AB = ((0.13, 0.0), (0.41, 0.12), (0.55, 0.31), (0.77, 0.05),
+           (0.05, 0.55), (0.29, 0.71), (0.62, 0.83), (0.88, 0.47),
+           (0.35, 0.42), (0.71, 0.63))
+
+
+def cell_problem(m, mu, tau=1j):
+    return BetheProblem(m, [a + b * tau for a, b in CELL_AB[:2 * m]], mu,
+                        Torus(tau))
 
 
 def problem(m, mu, z=None):
@@ -118,6 +137,49 @@ class TestEnumerateFiber:
         assert rep.count == 6
         assert len(rep.warnings) == 1
         assert "complement" in rep.warnings[0]
+
+
+class TestFiberPoint:
+    def test_m4_fiber_certifies_every_subset(self):
+        # the Wronskian-inversion partner failed two of these 70 subsets
+        # with an O(1) collocation residual
+        prob = cell_problem(4, 14j)
+        rep = enumerate_fiber(prob)
+        assert rep.count == rep.expected == 70
+        assert rep.warnings == ()
+        for point in rep.points:
+            complement = tuple(sorted(set(range(8)) - set(point.subset_tag)))
+            assert point.partner_tag == complement
+            assert point.wr_residual <= 1e-9
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    @pytest.mark.parametrize("m, mu", [(1, 6j), (2, 6j), (3, 10j)])
+    def test_partner_matches_wronskian_route(self, m, mu, tau):
+        prob = cell_problem(m, mu, tau)
+        for subset in itertools.combinations(range(2 * m), m):
+            point = fiber_point(prob, subset)
+            ours = normalize_solution(point.partner)
+            theirs = normalize_solution(analytic_involution(point.solution))
+            assert ours.mu == theirs.mu
+            for a, b in ((ours.t, theirs.t), (theirs.t, ours.t)):
+                assert max(min(abs(x - y) for y in b) for x in a) < 1e-9
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_certificate_rejects_moved_partner_root(self, m):
+        prob = cell_problem(m, 14j)
+        point = fiber_point(prob, tuple(range(0, 2 * m, 2)))
+        assert point.wr_residual <= WR_RESIDUAL_GATE
+        moved = (point.g.roots[0] + 1e-3,) + point.g.roots[1:]
+        bad = ThetaPoly(1.0, point.g.mu, moved, prob.ctx)
+        assert wr_certificate(point.f, bad, prob) > WR_RESIDUAL_GATE
+
+    def test_failures_name_their_stage(self):
+        with pytest.raises(SeedTooCoarseError) as info:
+            fiber_point(problem(2, 1.3j), (0, 1))
+        assert info.value.stage == "seed"
+        with pytest.raises(IncompleteFiberError) as info:
+            enumerate_fiber(problem(2, 1.3j))
+        assert all(why.endswith(" [stage seed]") for _, why in info.value.failed)
 
 
 class TestAsymptoticLaws:
