@@ -2,10 +2,10 @@
 
 The basic object is the odd entire function
 
-    theta(x, tau) = sin(pi x)/pi * prod_{n>=1} (1 - q^n z)(1 - q^n / z) / (1 - q^n)^2,
+    theta(x, tau) = theta_1(x, tau) / theta_1'(0, tau),
+    theta_1(x, tau) = 2 sum_{n>=0} (-1)^n e^{pi i tau (n+1/2)^2} sin((2n+1) pi x),
 
-with z = e^{2 pi i x}, q = e^{2 pi i tau}, normalized so that theta'(0, tau) = 1.
-It is theta_1(x, tau) / theta_1'(0, tau) in the classical notation and obeys
+normalized so that theta'(0, tau) = 1.  It obeys
 
     theta(x + k + l*tau) = (-1)^{k+l} e^{-pi i l^2 tau - 2 pi i l x} theta(x).
 
@@ -17,9 +17,14 @@ transfer-matrix operators:
     phi(x, w)   = d/dx sigma(w, -x) = sigma(w,-x)(rho(x-w) - rho(x))
     eta(x)      = rho(x)^2 + rho'(x) = theta''(x)/theta(x)
 
-Values are double precision; arguments are reduced into the fundamental strip
-before summation, with the quasi-periodicity multiplier reassembled exactly,
-so arbitrary (sane) lattice translates are handled without overflow.
+Values are double precision.  Each `Torus` maps tau once into the SL2(Z)
+fundamental domain (DLMF 20.7(viii)), tau' = (a tau + b)/(c tau + d), where
+a fixed number of series terms suffices, and theta is evaluated through
+
+    theta(x, tau) = (c tau + d) e^{-pi i c x^2/(c tau + d)} theta(x/(c tau + d), tau'),
+
+with the lattice multipliers and the automorphy factor in one exponent, so
+small Im tau and far lattice translates neither overflow nor lose digits.
 """
 
 from __future__ import annotations
@@ -28,13 +33,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-TWOPI = 2.0 * math.pi
 TWOPI_I = 2j * math.pi
 
 # largest |l| we accept before declaring the argument out of range: the
 # reassembled multiplier exp(-pi i l^2 tau) would overflow double precision
 # long before this, so the guard exists to fail loudly rather than return inf.
 _MAX_LATTICE_SHIFT = 10 ** 6
+
+# On the reduced cell (|Im u| <= Im tau'/2) series term n is at most e^{-pi
+# Im(tau') n^2} times term 0, and Im tau' >= sqrt(3)/2 in the fundamental domain:
+# the first omitted term (n = 6) is below 3e-43 of it (1e-33 at order 4, d/dtau).
+_SERIES_TERMS = 6
 
 
 class PoleError(ArithmeticError):
@@ -47,31 +56,57 @@ class RangeError(ValueError):
 
 @dataclass(frozen=True)
 class Torus:
-    """Immutable evaluation context: the modular parameter and truncation knobs.
+    """Immutable evaluation context for the modular parameter tau (Im tau > 0).
 
-    Parameters
-    ----------
-    tau : complex
-        Modular parameter, Im(tau) > 0.
-    trunc_eps : float
-        Products/series are truncated once the next factor differs from 1
-        (resp. the next term from 0) by less than this.
-    max_terms : int
-        Hard cap on the number of product/series terms.
+    tau is reduced once by T-shifts and S: tau -> -1/tau (taken only while
+    |tau| < 1, so tau = i stays put) to `tau_reduced` = (a tau + b)/(c tau +
+    d), |Re| <= 1/2 and |.| >= 1, with `cd` = (c, d).  `amplitudes` has one
+    row per series term, the common factor e^{pi i tau'/4} left out so that
+    the first never underflows: (2n+1) pi, the phase 2 (-1)^n e^{pi i
+    Re(tau') n(n+1)}, the log-modulus -pi Im(tau') n(n+1), and pi i n(n+1).
     """
 
     tau: complex
-    trunc_eps: float = 1e-16
-    max_terms: int = 256
-    q: complex = field(init=False, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tau_reduced: complex = field(init=False, repr=False, compare=False)
+    cd: tuple = field(init=False, repr=False, compare=False)
+    amplitudes: tuple = field(init=False, repr=False, compare=False)
+    # c tau + d; e^{-pi i tau'/4} theta_1'(0, tau'), theta_1'(0, tau), their log d/dtau
+    _j: complex = field(init=False, repr=False, compare=False)
+    _norm: complex = field(init=False, repr=False, compare=False)
+    _dlog_norm: complex = field(init=False, repr=False, compare=False)
+    _theta1_norm: complex = field(init=False, repr=False, compare=False)
+    _dlog_theta1_norm: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
         if not (tau.imag > 0):
             raise ValueError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "q", cmath.exp(TWOPI_I * tau))
+        # theta_1'(0, tau) = e^{pi i eighths/4} scale theta_1'(0, t), where
+        # t -> t - n carries e^{pi i n/4} and t -> -1/t carries (-i t)^{-3/2}
+        # (DLMF 20.7.30); t is recomputed from the matrix, so no drift.
+        a, b, c, d, eighths, scale = 1, 0, 0, 1, 0, 1.0 + 0j
+        while True:
+            n = round(((a * tau + b) / (c * tau + d)).real)
+            a, b, eighths = a - n * c, b - n * d, eighths + n
+            t = (a * tau + b) / (c * tau + d)
+            if abs(t) >= 1.0:
+                break
+            scale /= (-1j * t) ** 1.5
+            a, b, c, d = -c, -d, a, b
+        amps = tuple(((2 * n + 1) * math.pi,
+                      (-2.0 if n % 2 else 2.0) * cmath.exp(1j * math.pi * t.real * n * (n + 1)),
+                      -math.pi * t.imag * n * (n + 1), 1j * math.pi * n * (n + 1))
+                     for n in range(_SERIES_TERMS))
+        norm = sum(p * math.exp(e) * a_n for a_n, p, e, _ in amps)
+        j = c * tau + d
+        # dtau'/dtau = 1/j^2; theta_1'(0, tau)/theta_1'(0, tau') ~ j^{-3/2}
+        dlog_norm = sum(w * p * math.exp(e) * a_n for a_n, p, e, w in amps) / (norm * j * j)
+        for name, value in (
+                ("tau", tau), ("tau_reduced", t), ("cd", (c, d)), ("amplitudes", amps),
+                ("_j", j), ("_norm", norm), ("_dlog_norm", dlog_norm),
+                ("_theta1_norm", cmath.exp(0.25j * math.pi * (eighths % 8 + t)) * scale * norm),
+                ("_dlog_theta1_norm", dlog_norm + 0.25j * math.pi / (j * j) - 1.5 * c / j)):
+            object.__setattr__(self, name, value)
 
     @property
     def cell_diagonal(self) -> float:
@@ -95,193 +130,152 @@ class LatticePoint:
         return self.k + self.l * ctx.tau
 
 
-def reduce_argument(x: complex, ctx: Torus) -> tuple[complex, LatticePoint]:
-    """Split x = x0 + (k + l*tau) with x0 near the origin.
-
-    l is chosen from Im x / Im tau and k from the remaining real part, so that
-    |Im x0| <= Im(tau)/2 and |Re x0| <= 1/2 + |Re tau|/2.
-    """
-    x = complex(x)
-    l = round(x.imag / ctx.tau.imag)
+def _split(x: complex, tau: complex) -> tuple[complex, int, int]:
+    l = round(x.imag / tau.imag)
     if abs(l) > _MAX_LATTICE_SHIFT:
-        raise RangeError("Im(x)/Im(tau) = %g exceeds the supported range" % (x.imag / ctx.tau.imag))
-    y = x - l * ctx.tau
+        raise RangeError("Im(x)/Im(tau) = %g exceeds the supported range" % (x.imag / tau.imag))
+    y = x - l * tau
     k = round(y.real)
     if abs(k) > _MAX_LATTICE_SHIFT:
         raise RangeError("Re(x) = %g exceeds the supported range" % (x.real,))
-    return y - k, LatticePoint(int(k), int(l))
+    return y - k, int(k), int(l)
+
+
+def reduce_argument(x: complex, ctx: Torus) -> tuple[complex, LatticePoint]:
+    """Split x = x0 + (k + l*tau) with |Im x0| <= Im(tau)/2, |Re x0| <= 1/2."""
+    x0, k, l = _split(complex(x), ctx.tau)
+    return x0, LatticePoint(k, l)
 
 
 def lattice_distance(x: complex, ctx: Torus) -> float:
-    """Distance from x to the lattice Z + tau*Z."""
-    x0, _ = reduce_argument(x, ctx)
-    best = abs(x0)
-    for dk in (-1, 0, 1):
-        for dl in (-1, 0, 1):
-            d = abs(x0 - dk - dl * ctx.tau)
-            if d < best:
-                best = d
-    return best
+    """Distance from x to the lattice Z + tau*Z.
 
-
-def _multiplier_derivs(shift: LatticePoint, x0: complex, ctx: Torus, order: int) -> list[complex]:
-    """Derivative stack of M(x) = (-1)^{k+l} e^{-pi i l^2 tau - 2 pi i l x} at x0+k+l*tau.
-
-    theta(x0 + k + l*tau) = M * theta(x0); each d/dx brings down -2*pi*i*l.
+    Z + tau Z = (c tau + d)(Z + tau' Z), and on the reduced basis (1, tau')
+    the nearest lattice point to a reduced argument is one of its 3x3
+    neighbours, so the search is exact however skewed tau is.
     """
-    k, l = shift.k, shift.l
-    sign = -1.0 if (k + l) % 2 else 1.0
-    m0 = sign * cmath.exp(-1j * math.pi * l * l * ctx.tau - TWOPI_I * l * x0)
-    return [((-TWOPI_I * l) ** r) * m0 for r in range(order + 1)]
+    j, tau_r = ctx._j, ctx.tau_reduced
+    u0, _, _ = _split(complex(x) / j, tau_r)
+    best = abs(u0)
+    for dl in (-1, 0, 1):
+        row = u0 - dl * tau_r
+        for dk in (-1, 0, 1):
+            dist = abs(row - dk)
+            if dist < best:
+                best = dist
+    return abs(j) * best
 
 
-def _theta1_series_raw(x0: complex, ctx: Torus, order: int) -> list[complex]:
-    """[theta_1, theta_1', ..., theta_1^(order)] at a reduced argument x0.
+def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False):
+    """([theta, theta', ..., theta^(order)], d/dtau theta or None) at (x, tau).
 
-    Term-wise differentiated sine series,
-    theta_1 = 2 sum (-1)^n e^{pi i tau (n+1/2)^2} sin((2n+1) pi x).
+    The only theta evaluator.  x = x0 + k0 + l0 tau is reduced on the tau
+    lattice first (so the zero in reach sits at x0 = 0, subtracted exactly),
+    then with j = c tau + d and x0/j = u0 + k + l tau',
+
+        theta(x, tau) = j (-1)^{k0+l0+k+l} e^{P(x)} S(u0) / S'(0),
+        P = -pi i (l0^2 tau + 2 l0 x0 + c x0^2/j + l^2 tau' + 2 l u0),
+
+    S the sine series at tau'.  P' = -2 pi i W/j with W = c x0 + l + l0 j,
+    P'' = -2 pi i c/j, and H_{r+1}(q) = q H_r + r P'' H_{r-1}.  Every sum is
+    scaled by e^{-pi |Im u0|}, which joins P, so no term overflows.  Order
+    r >= 1 differentiates each e^{P +- i a u0} as a whole, so the opposite
+    slopes of the Gaussian and of the dominant exponential near a cusp
+    cancel inside one exponent, not in a Leibniz sum; near u0 = 0 it sums
+    the parts even and odd in i a/j instead, so every order keeps its
+    relative accuracy at the zero.  d/dtau at fixed x is the term-wise
+    tau'-derivative of S carried by the chain rule: dtau'/dtau = 1/j^2,
+    du0/dtau = -W/j^2 and dP/dtau = pi i W^2/j^2.
     """
-    out = [0j] * (order + 1)
-    small_run = 0
-    ref = 0.0
-    for n in range(ctx.max_terms):
-        a = (2 * n + 1) * math.pi
-        amp = 2.0 * (-1.0 if n % 2 else 1.0) * cmath.exp(1j * math.pi * ctx.tau * (n + 0.5) ** 2)
-        s = cmath.sin(a * x0)
-        c = cmath.cos(a * x0)
-        # d^r/dx^r sin(ax) cycles through a^r * (sin, cos, -sin, -cos)
-        cyc = (s, c, -s, -c)
-        scale = abs(amp) * max(abs(s), abs(c))
-        ref = max(ref, scale)
-        pw = 1.0
-        for r in range(order + 1):
-            out[r] += amp * pw * cyc[r % 4]
-            pw *= a
-        if n >= 2 and scale < ctx.trunc_eps * (ref + 1e-300):
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-    return out
-
-
-def _theta1_norm(ctx: Torus) -> complex:
-    """theta_1'(0, tau), the normalization constant (memoized per context)."""
-    norm = ctx._cache.get("norm")
-    if norm is None:
-        norm = _theta1_series_raw(0j, ctx, 1)[1]
-        ctx._cache["norm"] = norm
-    return norm
+    c, j, tau, tau_r = ctx.cd[0], ctx._j, ctx.tau, ctx.tau_reduced
+    x0, k0, l0 = _split(complex(x), tau)
+    u0, k, l = _split(x0 / j, tau_r)
+    v = abs(u0.imag)
+    # e^{i a Re u0} and expm1(-2 a v), a = (2n+1) pi, stepped in n: both
+    # recurrences add same-signed parts, so no digits cancel as u0 -> 0
+    z = complex(math.cos(math.pi * u0.real), math.sin(math.pi * u0.real))
+    z2 = z * z
+    em, em2 = math.expm1(-2.0 * math.pi * v), math.expm1(-4.0 * math.pi * v)
+    wt = c * x0 + l + l0 * j
+    kappa = -1j * math.pi / j
+    big_a, p2 = 2.0 * kappa * wt, 2.0 * kappa * c
+    value = s_x = s_tau = 0j
+    derivs = [0j] * (order + 1)
+    # within 0.05 of u0 = 0 the exponential form loses ~eps/|u0| of even orders
+    up, balanced = u0.imag >= 0, abs(u0) < 0.05
+    step, half, ratio = 2.0 * math.pi * v, (-0.5 if up else 0.5), 1.0 + em2
+    for n, (a, phase, loga, w) in enumerate(ctx.amplitudes):
+        amp = phase * math.exp(loga + n * step)
+        ch, sh = 1.0 + 0.5 * em, half * em
+        s = complex(z.imag * ch, z.real * sh)          # e^{-a v} sin(a u0)
+        value += amp * s
+        if dtau:
+            s_tau += w * amp * s
+            s_x += a * amp * complex(z.real * ch, -z.imag * sh)
+        if order:
+            # d^r/dx^r e^{P +- i a u0} = H_r(A +- B) e^{...}, A = P', B = i a/j
+            big_b = -kappa * (2 * n + 1)
+            if balanced:
+                # H(A +- B) = E +- O: sum 2i sin E_r + 2 cos O_r, both exact in A
+                f1, f2 = 2j * amp * s, 2.0 * amp * complex(z.real * ch, -z.imag * sh)
+                x, y, xp, yp = 1.0, 0.0, 0.0, 0.0
+                for r in range(order):
+                    x, y, xp, yp = (big_a * x + big_b * y + r * p2 * xp,
+                                    big_b * x + big_a * y + r * p2 * yp, x, y)
+                    derivs[r + 1] += f1 * x + f2 * y
+            else:
+                f1 = amp * z * (1.0 + em if up else 1.0)
+                f2 = -amp * z.conjugate() * (1.0 if up else 1.0 + em)
+                qp, qm = big_a + big_b, big_a - big_b
+                x, y, xp, yp = 1.0, 1.0, 0.0, 0.0
+                for r in range(order):
+                    x, y, xp, yp = qp * x + r * p2 * xp, qm * y + r * p2 * yp, x, y
+                    derivs[r + 1] += f1 * x + f2 * y
+        z *= z2
+        em = em * ratio + em2
+    sign = -1.0 if (k0 + l0 + k + l) % 2 else 1.0
+    g = sign * j / ctx._norm * cmath.exp(
+        -1j * math.pi * (l0 * l0 * tau + c * x0 * x0 / j + l * l * tau_r)
+        - TWOPI_I * (l0 * x0 + l * u0) + math.pi * v)
+    out = [g * value] + [-0.5j * g * derivs[r] for r in range(1, order + 1)]
+    if not dtau:
+        return out, None
+    return out, (out[0] * (c / j + 1j * math.pi * wt * wt / (j * j) - ctx._dlog_norm)
+                 + g * (s_tau - wt * s_x) / (j * j))
 
 
 def theta(x: complex, ctx: Torus) -> complex:
-    """Normalized theta via the triple product, valid for any (sane) x."""
-    x0, shift = reduce_argument(x, ctx)
-    z = cmath.exp(TWOPI_I * x0)
-    q = ctx.q
-    val = cmath.sin(math.pi * x0) / math.pi
-    qn = 1.0 + 0j
-    for _ in range(ctx.max_terms):
-        qn *= q
-        if abs(qn) * max(abs(z), 1.0 / abs(z), 1.0) < ctx.trunc_eps:
-            break
-        val *= (1.0 - qn * z) * (1.0 - qn / z) / (1.0 - qn) ** 2
-    return _multiplier_derivs(shift, x0, ctx, 0)[0] * val
+    """Normalized theta at any (sane) x."""
+    return _theta_jet(x, ctx, 0)[0][0]
 
 
 def theta_derivs(x: complex, ctx: Torus, order: int = 3) -> list[complex]:
-    """[theta, theta', ...] up to `order` <= 3, term-wise differentiated series."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
-    return _theta_derivs_any(x, ctx, order)
-
-
-def _theta_derivs_any(x: complex, ctx: Torus, order: int) -> list[complex]:
-    # internal variant without the order cap (the phi Taylor branch wants order 4)
-    x0, shift = reduce_argument(x, ctx)
-    raw = _theta1_series_raw(x0, ctx, order)
-    norm = _theta1_norm(ctx)
-    mult = _multiplier_derivs(shift, x0, ctx, order)
-    out = []
-    for r in range(order + 1):
-        acc = 0j
-        for j in range(r + 1):
-            acc += math.comb(r, j) * mult[j] * raw[r - j]
-        out.append(acc / norm)
-    return out
+    """[theta, theta', ...] up to `order` <= 4."""
+    if order not in (0, 1, 2, 3, 4):
+        raise ValueError("order must be 0..4")
+    return _theta_jet(x, ctx, order)[0]
 
 
 def theta1(x: complex, ctx: Torus) -> complex:
     """Unnormalized theta_1(x, tau) (the function obeying the heat equation)."""
-    x0, shift = reduce_argument(x, ctx)
-    return _multiplier_derivs(shift, x0, ctx, 0)[0] * _theta1_series_raw(x0, ctx, 0)[0]
+    return ctx._theta1_norm * theta(x, ctx)
 
 
 def theta1_derivs(x: complex, ctx: Torus, order: int = 2) -> list[complex]:
     """[theta_1, theta_1', ...] up to `order`."""
-    x0, shift = reduce_argument(x, ctx)
-    raw = _theta1_series_raw(x0, ctx, order)
-    mult = _multiplier_derivs(shift, x0, ctx, order)
-    return [sum(math.comb(r, j) * mult[j] * raw[r - j] for j in range(r + 1))
-            for r in range(order + 1)]
+    return [ctx._theta1_norm * t for t in _theta_jet(x, ctx, order)[0]]
 
 
 def theta1_dtau(x: complex, ctx: Torus) -> complex:
-    """d/dtau theta_1(x, tau) at fixed x, term-wise in q.
-
-    The reduction x = x0 + k + l*tau makes both the quasi-periodicity
-    multiplier and the reduced argument tau-dependent: theta_1(x) =
-    M(tau) theta_1(x0(tau), tau) with M = (-1)^{k+l} e^{-pi i l^2 tau
-    - 2 pi i l x0} and dx0/dtau = -l, so differentiating the product at
-    fixed x gives
-
-        d/dtau theta_1(x) = M [ (d/dtau theta_1)(x0)
-                                + i pi l^2 theta_1(x0) - l theta_1'(x0) ].
-    """
-    x0, shift = reduce_argument(x, ctx)
-    acc = 0j
-    small_run = 0
-    ref = 0.0
-    for n in range(ctx.max_terms):
-        a = (2 * n + 1) * math.pi
-        w = 1j * math.pi * (n + 0.5) ** 2
-        term = 2.0 * (-1.0 if n % 2 else 1.0) * w * cmath.exp(1j * math.pi * ctx.tau * (n + 0.5) ** 2) * cmath.sin(a * x0)
-        acc += term
-        ref = max(ref, abs(acc))
-        if n >= 2 and abs(term) < ctx.trunc_eps * (ref + 1e-300):
-            small_run += 1
-            if small_run >= 2:
-                break
-        else:
-            small_run = 0
-    m0 = _multiplier_derivs(shift, x0, ctx, 0)[0]
-    raw = _theta1_series_raw(x0, ctx, 1)
-    l = shift.l
-    return m0 * (acc + (1j * math.pi * l * l) * raw[0] - l * raw[1])
+    """d/dtau theta_1(x, tau) at fixed x, from the term-wise tau-derivative
+    of the series, so the heat equation stays an independent check."""
+    (t,), dt = _theta_jet(x, ctx, 0, dtau=True)
+    return ctx._theta1_norm * (dt + t * ctx._dlog_theta1_norm)
 
 
 def theta_dtau(x: complex, ctx: Torus) -> complex:
     """d/dtau of the normalized theta = theta_1 / theta_1'(0)."""
-    t1 = theta1(x, ctx)
-    dt1 = theta1_dtau(x, ctx)
-    norm = _theta1_norm(ctx)
-    # d/dtau theta_1'(0): differentiate the heat equation route term-wise at x=0
-    dnorm = _theta1_dtau_deriv0(ctx)
-    return dt1 / norm - t1 * dnorm / norm ** 2
-
-
-def _theta1_dtau_deriv0(ctx: Torus) -> complex:
-    """d/dtau theta_1'(0, tau), term-wise."""
-    acc = 0j
-    for n in range(ctx.max_terms):
-        a = (2 * n + 1) * math.pi
-        w = 1j * math.pi * (n + 0.5) ** 2
-        term = 2.0 * (-1.0 if n % 2 else 1.0) * w * cmath.exp(1j * math.pi * ctx.tau * (n + 0.5) ** 2) * a
-        acc += term
-        if n >= 3 and abs(term) < ctx.trunc_eps * abs(acc):
-            break
-    return acc
+    return _theta_jet(x, ctx, 0, dtau=True)[1]
 
 
 def _require_regular(x: complex, ctx: Torus, what: str) -> None:
@@ -314,7 +308,7 @@ def rho_second(x: complex, ctx: Torus) -> complex:
 
 def _rho_third(x: complex, ctx: Torus) -> complex:
     # needed only by the small-w Taylor branch of phi
-    d = _theta_derivs_any(x, ctx, 4)
+    d = theta_derivs(x, ctx, 4)
     u1, u2, u3, u4 = (d[r] / d[0] for r in range(1, 5))
     return u4 - 4.0 * u1 * u3 - 3.0 * u2 ** 2 + 12.0 * u1 ** 2 * u2 - 6.0 * u1 ** 4
 

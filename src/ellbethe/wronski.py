@@ -179,11 +179,11 @@ def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
 def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     """Enumerate the labeled fiber over e^{-2 pi i mu x} prod theta(x - z_a).
 
-    One Bethe solve per m-element site subset; duplicates (below-threshold
-    mu can merge basins, and repeated subsets are allowed in an explicit
-    `subsets` list) are collapsed by normal-form comparison.  Raises
-    IncompleteFiberError, carrying the partial report and the failing
-    subsets, if any subset fails to converge or to certify.
+    One Bethe solve per m-element site subset.  A subset repeated in an
+    explicit `subsets` list collapses onto its own point; one whose solve
+    lands on another subset's point (below-threshold mu can merge basins)
+    fails at stage dedup.  Raises IncompleteFiberError, carrying the
+    partial report and the failing subsets, if any subset fails.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
@@ -197,8 +197,11 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
             failures.append((subset, "%s: %s [stage %s]"
                              % (exc.__class__.__name__, exc, exc.stage)))
             continue
-        if any(_normal_form_distance(point.solution, q.solution) < DEDUP_TOL
-               for q in points):
+        twin = next((q.subset_tag for q in points
+                     if _normal_form_distance(point.solution, q.solution) < DEDUP_TOL), None)
+        if twin is not None:
+            if twin != point.subset_tag:
+                failures.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
             continue
         expected_partner = tuple(sorted(set(range(problem.n)) - set(subset)))
         if point.partner_tag != expected_partner:

@@ -132,6 +132,18 @@ class TestReportFormat:
         assert report["timings"]["total_s"] > 0.0
 
 
+class TestIdentitiesCommand:
+    @pytest.mark.parametrize("tau", [0.05, 0.03])
+    def test_all_checks_pass_at_small_imag_tau(self, tmp_path, capsys, tau):
+        # the sine series lost digits here before tau was reduced into the
+        # fundamental domain; default tolerances throughout
+        cfg = write_config(tmp_path, {"tau": [0.0, tau]})
+        code, report = run_json(capsys, ["identities", "--config", cfg])
+        assert code == 0
+        assert len(report["checks"]) == 6
+        assert all(c["status"] == "pass" for c in report["checks"])
+
+
 class TestSolveCommand:
     def test_reports_one_record_per_subset(self, tmp_path, capsys):
         cfg = write_config(tmp_path, M1_CONFIG)

@@ -33,6 +33,8 @@ from ellbethe.elliptic import (
 )
 
 TAUS = [1j, 2j, 0.3 + 0.8j]
+# Im tau from 5 down to 0.02, including a skewed torus near a cusp
+LADDER = [5j, 2j, 1j, 0.3 + 0.8j, 0.2j, 0.4 + 0.05j, 0.05j, 0.03j, 0.02j]
 
 
 def relerr(a, b):
@@ -69,20 +71,47 @@ class TestTheta:
         for x in (0.3 + 0.1j, -0.45 + 0.2j):
             assert relerr(theta(-x, ctx), -theta(x, ctx)) < 1e-14
 
-    def test_product_and_series_agree(self):
-        """theta() uses the product formula, theta_derivs() the sine series."""
+    @pytest.mark.parametrize("tau", LADDER)
+    def test_oracle_ladder(self, tau):
+        """theta_derivs orders 0..4, theta1 and theta1_dtau match the 50-digit
+        oracle from Im tau = 5 down to 0.02, in the cell and at translates."""
+        ctx = Torus(tau)
+        rng = np.random.default_rng(1)
+        for a, b in rng.uniform(-0.5, 0.5, size=(3, 2)):
+            for k, l in ((0, 0), (1, -1), (-2, 2)):
+                x = a + k + (b + l) * tau
+                d = theta_derivs(x, ctx, 4)
+                for r in range(5):
+                    assert relerr(d[r], complex(orc.theta(x, tau, r))) < 1e-12
+                assert relerr(theta1(x, ctx), complex(orc.theta1_series(x, tau))) < 1e-12
+                assert relerr(theta1_dtau(x, ctx), complex(orc.theta1_dtau(x, tau))) < 1e-12
+
+    def test_relative_accuracy_at_the_zeros(self):
+        """Every order up to 4 keeps its relative accuracy next to a lattice
+        point, where the even orders vanish along with theta."""
+        for tau in (1j, 0.3 + 0.8j, 0.05j):
+            ctx = Torus(tau)
+            for x in (1e-9, 1e-9j, 1 + 3e-6 + 1e-6j, 2e-7 - tau):
+                d = theta_derivs(x, ctx, 4)
+                for r in range(5):
+                    want = complex(orc.theta(x, tau, r))
+                    assert abs(d[r] - want) < 1e-13 * abs(want)
+
+    def test_theta1_derivs_match_oracle(self):
         for tau in TAUS:
             ctx = Torus(tau)
-            for x in sample_points(ctx, 10, seed=1, margin=1e-3):
-                assert relerr(theta(x, ctx), theta_derivs(x, ctx, 0)[0]) < 5e-15
+            for x in sample_points(ctx, 4, seed=12, margin=1e-3):
+                d = theta1_derivs(x, ctx, 4)
+                for r in range(5):
+                    assert relerr(d[r], complex(orc.theta1_series(x, tau, r))) < 1e-13
 
     def test_derivatives_fd_consistent(self):
-        """Orders 1..3 agree with central differences of the order below."""
+        """Orders 1..4 agree with central differences of the order below."""
         ctx = Torus(0.3 + 0.8j)
         h = 1e-5
         for x in sample_points(ctx, 5, seed=2):
-            d = theta_derivs(x, ctx, 3)
-            for r in range(1, 4):
+            d = theta_derivs(x, ctx, 4)
+            for r in range(1, 5):
                 lo = theta_derivs(x - h, ctx, r - 1)[r - 1]
                 hi = theta_derivs(x + h, ctx, r - 1)[r - 1]
                 assert relerr(d[r], (hi - lo) / (2 * h)) < 1e-8
@@ -112,6 +141,34 @@ class TestTheta:
         with pytest.raises(RangeError):
             theta(2.0e7j, ctx)
 
+    def test_torus_reduces_tau_into_fundamental_domain(self):
+        ctx = Torus(1j)
+        assert ctx.cd == (0, 1) and ctx.tau_reduced == 1j
+        for tau in LADDER + [-3.7 + 0.01j, 12.25 + 0.9j]:
+            ctx = Torus(tau)
+            c, d = ctx.cd
+            red = ctx.tau_reduced
+            assert abs(red.real) <= 0.5 + 1e-12 and abs(red) >= 1 - 1e-12
+            assert abs(red.imag - tau.imag / abs(c * tau + d) ** 2) < 1e-12 * red.imag
+
+    def test_lattice_distance_is_exact_on_skewed_torus(self):
+        """The 3x3 neighbour search runs on the reduced basis; on the raw
+        basis it returned 0.2016 here, though 1 - 2 tau is 0.075 away."""
+        ctx = Torus(0.4 + 0.05j)
+        assert abs(lattice_distance(0.2 - 0.025j, ctx) - 0.075) < 1e-12
+        rng = np.random.default_rng(13)
+        for tau in (0.4 + 0.05j, 0.3 + 0.8j, -0.45 + 0.02j):
+            ctx = Torus(tau)
+            for x in rng.uniform(-2, 2, size=(10, 2)) @ np.array([1, 1j]):
+                # the nearest lattice point is closer than the longer cell
+                # diagonal R, so it has |l - Im x / Im tau| < R / Im tau
+                row = round(x.imag / tau.imag)
+                span = int(max(abs(1 + tau), abs(1 - tau)) / tau.imag) + 2
+                brute = min(abs(x - k - l * tau)
+                            for l in range(row - span, row + span + 1)
+                            for k in (round((x - l * tau).real) + dk for dk in (-1, 0, 1)))
+                assert abs(lattice_distance(x, ctx) - brute) < 1e-12
+
     def test_reduction_roundtrip(self):
         ctx = Torus(0.3 + 0.8j)
         x = 5.2 - 3.1j
@@ -140,6 +197,14 @@ class TestHeatEquation:
                 lhs = 4j * math.pi * theta1_dtau(x, ctx)
                 rhs = theta1_derivs(x, ctx, 2)[2]
                 assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
+
+    def test_theta1_dtau_vs_fd(self):
+        """d/dtau theta_1 at fixed x against a central difference in tau."""
+        h = 1e-6
+        for tau in (1j, 0.3 + 0.8j, 0.05j):
+            for x in (0.23 + 0.11j, 0.11 - 1.2 * tau, -0.4 + 2.3 * tau):
+                fd = (theta1(x, Torus(tau + h)) - theta1(x, Torus(tau - h))) / (2 * h)
+                assert abs(theta1_dtau(x, Torus(tau)) - fd) < 1e-7 * max(1.0, abs(fd))
 
     def test_theta_dtau_vs_fd(self):
         """d/dtau of the normalized theta against a central difference."""

@@ -114,6 +114,23 @@ class TestEnumerateFiber:
         assert rep.count == 1
         assert rep.points[0].subset_tag == (0, 1)
 
+    def test_merged_subsets_are_a_dedup_failure(self):
+        # seed-1 benchmark scan at mu = 2.5i: subset (0, 3, 4) converges onto
+        # the point of (0, 1, 3), which used to vanish from the fiber silently
+        z = (0.12890928334489193 + 0.8705894159142823j,
+             0.5731648745745974 + 0.7985952968328152j,
+             0.6952530335957309 + 0.05419763380688547j,
+             0.46772907960594134 + 0.5771382780492729j,
+             0.5505276633859453 + 0.9508925304238594j,
+             0.0038096713445530117 + 0.019650900869300436j)
+        prob = BetheProblem(3, z, 2.5j, CTX)
+        with pytest.raises(IncompleteFiberError) as info:
+            enumerate_fiber(prob, subsets=[(0, 1, 3), (0, 3, 4)])
+        assert info.value.partial.count == 1
+        [(subset, why)] = info.value.failed
+        assert subset == (0, 3, 4)
+        assert "(0, 1, 3)" in why and why.endswith(" [stage dedup]")
+
     def test_jacobian_condition(self):
         prob = problem(2, 6j)
         for point in fiber_report(2, 6j).points:
