@@ -244,11 +244,13 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
 
 
 def _guarded_residual(t, problem, mu):
-    """Residual norm, or inf when an evaluation lands on a pole."""
+    """(residual vector, its max norm), or (None, inf) when an evaluation
+    lands on a pole."""
     try:
-        return float(np.max(np.abs(bae_residual(t, problem, mu))))
+        res = bae_residual(t, problem, mu)
     except ArithmeticError:
-        return math.inf
+        return None, math.inf
+    return res, float(np.max(np.abs(res)))
 
 
 def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
@@ -257,8 +259,9 @@ def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
     """Damped Newton iteration for the Bethe equations.
 
     Backtracks the Newton step by halves (up to 20 times) until the residual
-    satisfies an Armijo-type decrease; returns the best iterate with
-    converged=False if tol is not reached within max_iter iterations.
+    satisfies an Armijo-type decrease; returns the last iterate, which is
+    the best one, with converged=False if tol is not reached within
+    max_iter iterations.
 
     Raises
     ------
@@ -268,30 +271,24 @@ def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
     if mu is None:
         mu = problem.mu
     t = np.array([complex(v) for v in seed])
-    best_t, best_res = t.copy(), _guarded_residual(t, problem, mu)
+    res, norm = _guarded_residual(t, problem, mu)
     for _ in range(max_iter):
-        res = bae_residual(t, problem, mu)
-        norm = float(np.max(np.abs(res)))
-        if norm < best_res:
-            best_t, best_res = t.copy(), norm
         if norm < tol:
-            _check_separation(t, problem)
-            return BetheSolution(problem, tuple(t), mu, norm, True, subset_tag)
-        jac = bae_jacobian(t, problem)
-        step = np.linalg.solve(jac, -res)
+            break
+        # a seed on a pole (norm inf) raises PoleError here
+        step = np.linalg.solve(bae_jacobian(t, problem), -res)
         lam = 1.0
         for _ in range(20):
             cand = t + lam * step
-            cand_norm = _guarded_residual(cand, problem, mu)
+            cand_res, cand_norm = _guarded_residual(cand, problem, mu)
             if cand_norm <= (1.0 - 1e-4 * lam) * norm:
                 break
             lam *= 0.5
         else:
-            break  # no productive step length: stop with best iterate
-        t = t + lam * step
-    _check_separation(best_t, problem)
-    final = _guarded_residual(best_t, problem, mu)
-    return BetheSolution(problem, tuple(best_t), mu, final, final < tol, subset_tag)
+            break  # no productive step length: stop at the current iterate
+        t, res, norm = cand, cand_res, cand_norm
+    _check_separation(t, problem)
+    return BetheSolution(problem, tuple(t), mu, norm, norm < tol, subset_tag)
 
 
 def _check_separation(t, problem):

@@ -13,9 +13,13 @@ From it we build the kernels that appear as coefficients of the KZB and
 transfer-matrix operators:
 
     rho(x)      = theta'(x)/theta(x)            (odd, rho(x+l*tau) = rho(x) - 2 pi i l)
-    sigma(x, w) = theta(x+w)/(theta(x) theta(w))
+    sigma(x, w) = theta(x+w)/(theta(x) theta(w))   (sigma_jet adds d/dw, d^2/dw^2)
     phi(x, w)   = d/dx sigma(w, -x) = sigma(w,-x)(rho(x-w) - rho(x))
     eta(x)      = rho(x)^2 + rho'(x) = theta''(x)/theta(x)
+
+rho, rho_prime, rho_second, sigma and sigma_jet raise PoleError within
+tol_pole of the lattice; the test is made by the theta jet that evaluates
+the argument, on the reduction it computes anyway.
 
 Values are double precision.  Each `Torus` maps tau once into the SL2(Z)
 fundamental domain (DLMF 20.7(viii)), tau' = (a tau + b)/(c tau + d), where
@@ -166,7 +170,7 @@ def lattice_distance(x: complex, ctx: Torus) -> float:
     return abs(j) * best
 
 
-def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False):
+def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False, pole: str = None):
     """([theta, theta', ..., theta^(order)], d/dtau theta or None) at (x, tau).
 
     The only theta evaluator.  x = x0 + k0 + l0 tau is reduced on the tau
@@ -186,10 +190,18 @@ def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False):
     relative accuracy at the zero.  d/dtau at fixed x is the term-wise
     tau'-derivative of S carried by the chain rule: dtau'/dtau = 1/j^2,
     du0/dtau = -W/j^2 and dP/dtau = pi i W^2/j^2.
+
+    It is also the kernels' pole guard: a kernel passes its name as `pole`,
+    and PoleError is raised when |j u0| < tol_pole.  u0 lies in the reduced
+    box and every nonzero point of Z + tau' Z is at least sqrt(3)/4 from it,
+    so this is the test lattice_distance(x) < tol_pole whenever the
+    shortest period |j| is at least 4 tol_pole/sqrt(3).
     """
     c, j, tau, tau_r = ctx.cd[0], ctx._j, ctx.tau, ctx.tau_reduced
     x0, k0, l0 = _split(complex(x), tau)
     u0, k, l = _split(x0 / j, tau_r)
+    if pole is not None and abs(j * u0) < ctx.tol_pole:
+        raise PoleError("%s evaluated within tol_pole of the lattice (x=%r)" % (pole, x))
     v = abs(u0.imag)
     # e^{i a Re u0} and expm1(-2 a v), a = (2n+1) pi, stepped in n: both
     # recurrences add same-signed parts, so no digits cancel as u0 -> 0
@@ -278,30 +290,22 @@ def theta_dtau(x: complex, ctx: Torus) -> complex:
     return _theta_jet(x, ctx, 0, dtau=True)[1]
 
 
-def _require_regular(x: complex, ctx: Torus, what: str) -> None:
-    if lattice_distance(x, ctx) < ctx.tol_pole:
-        raise PoleError("%s evaluated within tol_pole of the lattice (x=%r)" % (what, x))
-
-
 def rho(x: complex, ctx: Torus) -> complex:
     """Logarithmic derivative theta'/theta."""
-    _require_regular(x, ctx, "rho")
-    d = theta_derivs(x, ctx, 1)
+    d = _theta_jet(x, ctx, 1, pole="rho")[0]
     return d[1] / d[0]
 
 
 def rho_prime(x: complex, ctx: Torus) -> complex:
     """rho'(x) = theta''/theta - rho^2 (doubly periodic)."""
-    _require_regular(x, ctx, "rho_prime")
-    d = theta_derivs(x, ctx, 2)
+    d = _theta_jet(x, ctx, 2, pole="rho_prime")[0]
     r = d[1] / d[0]
     return d[2] / d[0] - r * r
 
 
 def rho_second(x: complex, ctx: Torus) -> complex:
     """rho''(x), from the order-3 derivative stack."""
-    _require_regular(x, ctx, "rho_second")
-    d = theta_derivs(x, ctx, 3)
+    d = _theta_jet(x, ctx, 3, pole="rho_second")[0]
     u1, u2, u3 = d[1] / d[0], d[2] / d[0], d[3] / d[0]
     return u3 - 3.0 * u1 * u2 + 2.0 * u1 ** 3
 
@@ -315,33 +319,26 @@ def _rho_third(x: complex, ctx: Torus) -> complex:
 
 def sigma(x: complex, w: complex, ctx: Torus) -> complex:
     """sigma(x, w) = theta(x+w) / (theta(x) theta(w))."""
-    _require_regular(x, ctx, "sigma (x slot)")
-    _require_regular(w, ctx, "sigma (w slot)")
-    return theta(x + w, ctx) / (theta(x, ctx) * theta(w, ctx))
+    tx = _theta_jet(x, ctx, 0, pole="sigma (x slot)")[0][0]
+    tw = _theta_jet(w, ctx, 0, pole="sigma (w slot)")[0][0]
+    return theta(x + w, ctx) / (tx * tw)
 
 
-def sigma_dw(x: complex, w: complex, ctx: Torus) -> complex:
-    """d/dw sigma(x, w) = sigma(x,w) (rho(x+w) - rho(w)).
+def sigma_jet(x: complex, w: complex, ctx: Torus) -> tuple:
+    """(sigma, d/dw sigma, d^2/dw^2 sigma) at (x, w).
 
-    Computed in quotient-rule form (theta'(x+w)theta(w) - theta(x+w)theta'(w))
-    / (theta(x) theta(w)^2), which stays finite when x+w hits the lattice.
+    d/dw sigma = sigma (rho(x+w) - rho(w)).  Both derivatives are taken in
+    quotient-rule form over theta(x) theta(w)^k, from the order-2 jets at
+    x + w and at w, so they stay finite when x+w hits the lattice.
     """
-    _require_regular(x, ctx, "sigma_dw (x slot)")
-    _require_regular(w, ctx, "sigma_dw (w slot)")
-    ts = theta_derivs(x + w, ctx, 1)
-    tw = theta_derivs(w, ctx, 1)
-    return (ts[1] * tw[0] - ts[0] * tw[1]) / (theta(x, ctx) * tw[0] * tw[0])
-
-
-def sigma_dw2(x: complex, w: complex, ctx: Torus) -> complex:
-    """d^2/dw^2 sigma(x, w), in quotient-rule form (finite at lattice x+w)."""
-    _require_regular(x, ctx, "sigma_dw2 (x slot)")
-    _require_regular(w, ctx, "sigma_dw2 (w slot)")
-    ts = theta_derivs(x + w, ctx, 2)
-    tw = theta_derivs(w, ctx, 2)
-    num = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
-           - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
-    return num / (theta(x, ctx) * tw[0] ** 3)
+    tx = _theta_jet(x, ctx, 0, pole="sigma_jet (x slot)")[0][0]
+    tw = _theta_jet(w, ctx, 2, pole="sigma_jet (w slot)")[0]
+    ts = _theta_jet(x + w, ctx, 2)[0]
+    num2 = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
+            - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
+    return (ts[0] / (tx * tw[0]),
+            (ts[1] * tw[0] - ts[0] * tw[1]) / (tx * tw[0] * tw[0]),
+            num2 / (tx * tw[0] ** 3))
 
 
 def phi(x: complex, w: complex, ctx: Torus) -> complex:
@@ -349,9 +346,9 @@ def phi(x: complex, w: complex, ctx: Torus) -> complex:
 
     phi is regular at w on the lattice (phi(x, 0) = -rho'(x)); for small
     lattice-reduced w the product form loses digits to cancellation, so a
-    second-order Taylor expansion in w is used there.
+    second-order Taylor expansion in w is used there.  The rho, rho_prime
+    and sigma calls guard the x slot.
     """
-    _require_regular(x, ctx, "phi (x slot)")
     w0, shift = reduce_argument(w, ctx)
     if abs(w0) < 3e-5 * ctx.cell_diagonal:
         # phi(x, w0 + k + l*tau) = e^{2 pi i l x} (phi(x, w0) + 2 pi i l sigma(w0, -x))

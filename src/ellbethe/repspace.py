@@ -45,8 +45,7 @@ from .elliptic import (
     rho,
     rho_prime,
     sigma,
-    sigma_dw,
-    sigma_dw2,
+    sigma_jet,
 )
 
 TWOPI_I = 2j * math.pi
@@ -140,15 +139,6 @@ def kzb_eigenvalues(sol: BetheSolution) -> KzbEigenvalues:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_stack(x: complex, lam: complex, ctx: Torus) -> tuple:
-    """(g, g', g'') for g(lambda) = sigma(x, -lambda), quotient-rule forms."""
-    return (
-        sigma(x, -lam, ctx),
-        -sigma_dw(x, -lam, ctx),
-        sigma_dw2(x, -lam, ctx),
-    )
-
-
 def _product_triple(factors) -> tuple:
     """Leibniz fold of (value, d1, d2) triples of scalar factors."""
     p0, p1, p2 = 1.0 + 0j, 0j, 0j
@@ -170,8 +160,10 @@ def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
     sp = zero_weight_space(prob.n)
     ctx = prob.ctx
     m = prob.m
-    stacks = [[_sigma_stack(sol.t[j] - prob.z[s], lam, ctx)
-               for s in range(prob.n)] for j in range(m)]
+    # jets of sigma(t_j - z_s, w) in w at w = -lambda, so the rows of `w`
+    # hold W_I, -dW_I/dlambda and d2W_I/dlambda2
+    stacks = [[sigma_jet(sol.t[j] - prob.z[s], -lam, ctx) for s in range(prob.n)]
+              for j in range(m)]
     w = np.zeros((3, sp.dim), dtype=complex)
     for idx, subset in enumerate(sp.subsets):
         for perm in itertools.permutations(range(m)):
@@ -180,8 +172,8 @@ def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
     c = 1j * math.pi * sol.mu
     envelope = cmath.exp(c * lam)
     value = envelope * w[0]
-    d1 = envelope * (c * w[0] + w[1])
-    d2 = envelope * (c * c * w[0] + 2.0 * c * w[1] + w[2])
+    d1 = envelope * (c * w[0] - w[1])
+    d2 = envelope * (c * c * w[0] - 2.0 * c * w[1] + w[2])
     return value, d1, d2
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ellbethe.elliptic import Torus
+from ellbethe.elliptic import PoleError, Torus
 from ellbethe.thetapoly import FundamentalParallelogram
 from ellbethe.bethe import (
     BetheProblem,
@@ -165,6 +165,16 @@ class TestSolver:
         with pytest.raises(CoalescedRootsError):
             solve_bae(prob, (0.3 + 0.2j, 0.3 + 0.2j + 1e-10), max_iter=0)
 
+    def test_seed_on_a_pole(self):
+        """A seed on a site raises PoleError once Newton needs a step; with
+        max_iter=0 the separation check reports it."""
+        prob = problem4()
+        seed = (Z4[0], 0.3 + 0.2j)
+        with pytest.raises(PoleError):
+            solve_bae(prob, seed, max_iter=1)
+        with pytest.raises(CoalescedRootsError):
+            solve_bae(prob, seed, max_iter=0)
+
     def test_nonconvergence_returns_best_iterate(self):
         prob = problem4()
         seed = (0.25 + 0.45j, 0.64 + 0.72j)  # far from any solution
@@ -172,6 +182,32 @@ class TestSolver:
         assert not sol.converged
         assert math.isfinite(sol.residual)
         assert len(sol.t) == 2
+
+    def test_max_iter_keeps_the_last_accepted_step(self):
+        """Running out of iterations returns the last accepted iterate with
+        its own residual, not the iterate before it."""
+        prob = problem4()
+        seed = (0.25 + 0.45j, 0.64 + 0.72j)
+        start = solve_bae(prob, seed, max_iter=0)
+        one = solve_bae(prob, seed, max_iter=1)
+        assert one.t != start.t
+        assert one.residual < start.residual
+        assert one.residual == float(np.max(np.abs(bae_residual(one.t, prob))))
+
+    def test_max_iter_counts_newton_steps(self, monkeypatch):
+        """A solve that converges after n Newton steps converges with max_iter=n."""
+        import ellbethe.bethe as bethe_module
+
+        steps = []
+        jacobian = bethe_module.bae_jacobian
+        monkeypatch.setattr(bethe_module, "bae_jacobian",
+                            lambda *a: steps.append(1) or jacobian(*a))
+        prob = problem4()
+        seed = seed_asymptotic(prob, (0, 1))
+        full = solve_bae(prob, seed)
+        assert full.converged and len(steps) > 1
+        capped = solve_bae(prob, seed, max_iter=len(steps))
+        assert capped.converged and capped.t == full.t
 
     def test_residues_vanish_at_solutions(self):
         """Scale-relative residues of W/f^2 at the Bethe roots are ~0."""

@@ -23,7 +23,7 @@ from ellbethe.elliptic import (
     rho_prime,
     rho_second,
     sigma,
-    sigma_dw,
+    sigma_jet,
     theta,
     theta1,
     theta1_derivs,
@@ -249,24 +249,46 @@ class TestKernels:
             assert relerr(rho_second(x, ctx), fd2) < 1e-8
 
     def test_sigma_dw_is_w_derivative(self):
-        """sigma_dw = d sigma/dw, and equals sigma (rho(x+w) - rho(w))."""
+        """sigma_jet(...)[1] = d sigma/dw, and equals sigma (rho(x+w) - rho(w))."""
         ctx = Torus(0.3 + 0.8j)
         h = 1e-5
         pts = sample_points(ctx, 6, seed=6)
         for x, w in zip(pts[:3], pts[3:]):
             fd = (sigma(x, w + h, ctx) - sigma(x, w - h, ctx)) / (2 * h)
-            assert relerr(sigma_dw(x, w, ctx), fd) < 1e-8
+            assert relerr(sigma_jet(x, w, ctx)[1], fd) < 1e-8
             closed = sigma(x, w, ctx) * (rho(x + w, ctx) - rho(w, ctx))
-            assert relerr(sigma_dw(x, w, ctx), closed) < 1e-12
+            assert relerr(sigma_jet(x, w, ctx)[1], closed) < 1e-12
 
     def test_sigma_dw_regular_when_sum_on_lattice(self):
         """The quotient form stays finite when x+w is a lattice point."""
         ctx = Torus(1j)
         x = 0.3 + 0.2j
-        val = sigma_dw(x, 1.0 - x, ctx)
+        val = sigma_jet(x, 1.0 - x, ctx)[1]
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         fd = (sigma(x, 1.0 - x + 1e-6, ctx) - sigma(x, 1.0 - x - 1e-6, ctx)) / 2e-6
         assert relerr(val, fd) < 1e-7
+        val2 = sigma_jet(x, 1.0 - x, ctx)[2]
+        fd2 = (sigma_jet(x, 1.0 - x + 1e-6, ctx)[1]
+               - sigma_jet(x, 1.0 - x - 1e-6, ctx)[1]) / 2e-6
+        assert relerr(val2, fd2) < 1e-7
+
+    def test_sigma_jet_second_w_derivative(self):
+        """sigma_jet(...)[0] is sigma, and sigma_jet(...)[2] is d/dw of
+        sigma_jet(...)[1] (five-point central difference) and equals
+        sigma ((rho(x+w) - rho(w))^2 + rho'(x+w) - rho'(w))."""
+        h = 1e-4
+        for tau in TAUS:
+            ctx = Torus(tau)
+            pts = sample_points(ctx, 6, seed=17)
+            for x, w in zip(pts[:3], pts[3:]):
+                d0, _, d2 = sigma_jet(x, w, ctx)
+                assert d0 == sigma(x, w, ctx)
+                d1 = [sigma_jet(x, w + r * h, ctx)[1] for r in (-2, -1, 1, 2)]
+                fd = (d1[0] - 8.0 * d1[1] + 8.0 * d1[2] - d1[3]) / (12 * h)
+                assert relerr(d2, fd) < 1e-8
+                log_dw = rho(x + w, ctx) - rho(w, ctx)
+                closed = d0 * (log_dw ** 2 + rho_prime(x + w, ctx) - rho_prime(w, ctx))
+                assert relerr(d2, closed) < 1e-12
 
     def test_phi_is_x_derivative_of_sigma(self):
         """phi(x, w) = d/dx sigma(w, -x)."""
@@ -435,6 +457,29 @@ class TestPoleGuards:
             sigma(0.3, bad, ctx)
         with pytest.raises(PoleError):
             phi(bad, 0.3, ctx)
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.4 + 0.05j, 0.02j])
+    def test_guard_matches_lattice_distance(self, tau):
+        """The guard taken from the theta jet raises exactly where
+        lattice_distance < tol_pole: at 0.5 tol_pole from every translate
+        k + l tau (|k|, |l| <= 2), and not at 10 tol_pole."""
+        ctx = Torus(tau)
+        other = 0.3 + 0.1j * tau.imag
+        assert lattice_distance(other, ctx) > 1e-2
+        for k in range(-2, 3):
+            for l in range(-2, 3):
+                for turn in (1, 1j, -1 + 1j, -0.6 - 0.8j):
+                    for scale, near in ((0.5, True), (10.0, False)):
+                        x = k + l * tau + scale * ctx.tol_pole * turn / abs(turn)
+                        assert (lattice_distance(x, ctx) < ctx.tol_pole) is near
+                        for fn, args in ((rho, (x,)), (rho_prime, (x,)),
+                                         (sigma, (x, other)), (sigma, (other, x)),
+                                         (sigma_jet, (x, other)), (sigma_jet, (other, x))):
+                            if near:
+                                with pytest.raises(PoleError):
+                                    fn(*args, ctx)
+                            else:
+                                fn(*args, ctx)
 
     def test_eta_pole_at_tau_translates(self):
         """eta has genuine poles at l tau + k with l != 0, but not at k."""
