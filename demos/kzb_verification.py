@@ -21,6 +21,7 @@ from ellbethe import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
+    kzb_operators,
     psi_derivs,
     s2_via_kzb,
     seed_asymptotic,
@@ -38,15 +39,14 @@ def main():
     ev = kzb_eigenvalues(sol)
     lam = 0.37 + 0.21j
     jet = psi_derivs(lam, sol)  # (Psi, Psi', Psi'') at lam, shared by every operator
+    # the operators depend on (lambda, z, tau) only; their rows H_a Psi serve S2 too
+    outs = apply_kzb(kzb_operators(lam, Z4, ctx), jet)
 
     print("-- eigen relations H_a Psi = E_a Psi at lambda = %s --" % lam)
     v = jet[0]
     nv = np.linalg.norm(v)
     expected = (ev.e0,) + ev.e
-    outs = []
-    for a in range(5):
-        out = apply_kzb(a, jet, lam, Z4, ctx)
-        outs.append(out)
+    for a, out in enumerate(outs):
         rel = np.linalg.norm(out - expected[a] * v) / nv
         print("H_%d: eigenvalue %9.4f%+9.4fj   relative residual %.1e"
               % (a, expected[a].real, expected[a].imag, rel))
@@ -56,7 +56,7 @@ def main():
 
     print("\n-- two routes to S2(x), and the scalar operator --")
     x = 0.52 + 0.33j
-    via_kzb = s2_via_kzb(x, jet, lam, Z4, ctx)
+    via_kzb = s2_via_kzb(x, outs, v, Z4, ctx)
     via_det = apply_rst_n2(x, jet, lam, Z4, ctx)
     b2 = fundamental_b2(x, sol)
     print("KZB combination vs column determinant: %.1e"

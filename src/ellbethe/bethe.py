@@ -235,12 +235,13 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
     subset = tuple(subset)
     if len(subset) != problem.m or len(set(subset)) != problem.m:
         raise ValueError("subset must pick m distinct sites")
-    shift = 1.0 / (TWOPI_I * problem.mu)
-    if abs(shift) > 0.5 * problem.min_site_separation():
+    rate = abs(TWOPI_I * problem.mu)
+    # tested without dividing by mu, so that mu = 0 is rejected too
+    if 0.5 * problem.min_site_separation() * rate < 1.0:
         raise SeedTooCoarseError(
             "seed displacement %.3g exceeds half the minimal site separation %.3g"
-            % (abs(shift), 0.5 * problem.min_site_separation()))
-    return tuple(problem.z[i] + shift for i in subset)
+            % (1.0 / rate if rate else math.inf, 0.5 * problem.min_site_separation()))
+    return tuple(problem.z[i] + 1.0 / (TWOPI_I * problem.mu) for i in subset)
 
 
 def _guarded_residual(t, problem, mu):

@@ -51,6 +51,7 @@ from .repspace import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
+    kzb_operators,
     psi,
     psi_derivs,
     s2_via_kzb,
@@ -184,6 +185,9 @@ class ExperimentConfig:
             raise ConfigError("unknown tolerance names: %s (known: %s)"
                               % (", ".join(unknown),
                                  ", ".join(sorted(DEFAULT_TOLERANCES))))
+        for name, value in tolerances.items():
+            if not isinstance(value, (int, float)):
+                raise ConfigError("tolerance %r must be a number, got %r" % (name, value))
         tolerances = {k: float(v) for k, v in tolerances.items()}
 
         seed = merged["seed"]
@@ -507,6 +511,8 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     sp = zero_weight_space(prob.n)
     lam_pts = _cell_samples(prob.cell, 10, cfg.seed)
     x_pts = _cell_samples(prob.cell, 10, cfg.seed + 1, avoid=prob.z)
+    # the KZB coefficients depend on (lambda, z, tau) only
+    ops_pts = [kzb_operators(lam, prob.z, ctx) for lam in lam_pts]
     worst = {name: 0.0 for name in
              ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes",
               "s2_eigen_b2", "b2_periodicity", "kernel_membership", "weyl_ratio")}
@@ -531,14 +537,13 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                                       abs(sum(eigenvalues.e)))
         expected = (eigenvalues.e0,) + eigenvalues.e
 
-        # one Psi jet per (solution, lambda), shared by every operator below
+        # one Psi jet and its rows H_a Psi per (solution, lambda), shared below
         jets = [psi_derivs(lam, sol) for lam in lam_pts]
+        kzb_rows = [apply_kzb(ops, jet) for ops, jet in zip(ops_pts, jets)]
         ratios = []
-        for lam, jet in zip(lam_pts, jets):
+        for lam, jet, outs in zip(lam_pts, jets, kzb_rows):
             value = jet[0]
             vnorm = np.linalg.norm(value)
-            outs = [apply_kzb(a, jet, lam, prob.z, ctx)
-                    for a in range(prob.n + 1)]
             for a, out in enumerate(outs):
                 rel = np.linalg.norm(out - expected[a] * value) / vnorm
                 worst["eigen_relation"] = max(worst["eigen_relation"], rel)
@@ -560,10 +565,10 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                                   float(np.max(np.abs(arr - mean)) / abs(mean)))
 
         wr = wronskian(sol.poly(), par.poly())
-        for x, lam, jet in zip(x_pts, lam_pts, jets):
+        for x, lam, jet, outs in zip(x_pts, lam_pts, jets, kzb_rows):
             value = jet[0]
             vnorm = np.linalg.norm(value)
-            via_kzb = s2_via_kzb(x, jet, lam, prob.z, ctx)
+            via_kzb = s2_via_kzb(x, outs, value, prob.z, ctx)
             via_det = apply_rst_n2(x, jet, lam, prob.z, ctx)
             worst["s2_routes"] = max(
                 worst["s2_routes"],

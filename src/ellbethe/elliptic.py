@@ -23,7 +23,7 @@ the argument, on the reduction it computes anyway.
 
 Values are double precision.  Each `Torus` maps tau once into the SL2(Z)
 fundamental domain (DLMF 20.7(viii)), tau' = (a tau + b)/(c tau + d), where
-a fixed number of series terms suffices, and theta is evaluated through
+at most five series terms suffice, and theta is evaluated through
 
     theta(x, tau) = (c tau + d) e^{-pi i c x^2/(c tau + d)} theta(x/(c tau + d), tau'),
 
@@ -44,10 +44,11 @@ TWOPI_I = 2j * math.pi
 # long before this, so the guard exists to fail loudly rather than return inf.
 _MAX_LATTICE_SHIFT = 10 ** 6
 
-# On the reduced cell (|Im u| <= Im tau'/2) series term n is at most e^{-pi
-# Im(tau') n^2} times term 0, and Im tau' >= sqrt(3)/2 in the fundamental domain:
-# the first omitted term (n = 6) is below 3e-43 of it (1e-33 at order 4, d/dtau).
-_SERIES_TERMS = 6
+# On the reduced cell (|Im u| <= Im tau'/2) series row n is at most e^{-pi Im(tau')
+# n^2} times row 0, times (2n+1)^4 up to order 4 and d/dtau.  A Torus keeps the
+# rows n >= 1 while that bound is >= _ROW_CUTOFF: 4 rows at tau' = i, 3 at 2i,
+# 1 at 50i, and at most 5, as Im tau' >= sqrt(3)/2 in the fundamental domain.
+_ROW_CUTOFF = 1e-17
 
 
 class PoleError(ArithmeticError):
@@ -65,7 +66,7 @@ class Torus:
     tau is reduced once by T-shifts and S: tau -> -1/tau (taken only while
     |tau| < 1, so tau = i stays put) to `tau_reduced` = (a tau + b)/(c tau +
     d), |Re| <= 1/2 and |.| >= 1, with `cd` = (c, d).  `amplitudes` has one
-    row per series term, the common factor e^{pi i tau'/4} left out so that
+    row per series term kept, the common factor e^{pi i tau'/4} left out so that
     the first never underflows: (2n+1) pi, the phase 2 (-1)^n e^{pi i
     Re(tau') n(n+1)}, the log-modulus -pi Im(tau') n(n+1), and pi i n(n+1).
     """
@@ -97,10 +98,13 @@ class Torus:
                 break
             scale /= (-1j * t) ** 1.5
             a, b, c, d = -c, -d, a, b
+        rows = 1
+        while (2 * rows + 1) ** 4 * math.exp(-math.pi * t.imag * rows * rows) >= _ROW_CUTOFF:
+            rows += 1
         amps = tuple(((2 * n + 1) * math.pi,
                       (-2.0 if n % 2 else 2.0) * cmath.exp(1j * math.pi * t.real * n * (n + 1)),
                       -math.pi * t.imag * n * (n + 1), 1j * math.pi * n * (n + 1))
-                     for n in range(_SERIES_TERMS))
+                     for n in range(rows))
         norm = sum(p * math.exp(e) * a_n for a_n, p, e, _ in amps)
         j = c * tau + d
         # dtau'/dtau = 1/j^2; theta_1'(0, tau)/theta_1'(0, tau') ~ j^{-3/2}

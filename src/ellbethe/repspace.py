@@ -10,14 +10,11 @@ zero-weight subspace V[0] has dimension C(n, m) and is spanned by the
 vectors v_I, indexed by m-element subsets I of {0..n-1} (0-based site
 labels): v_I carries v2 exactly at the positions in I.
 
-Operators act on coefficient vectors in the subset basis and are built
-there directly, never on the 2^n-dimensional space.  A diagonal operator
-(hw^(s), Omega0^(s,p)) is the vector of its eigenvalues on the v_I.  A
-single-site move e12^(s) e21^(p) or e21^(s) e12^(p) sends each v_I to 0
-or to one v_J with coefficient 1, so it is a (source, target) pair of
-index arrays.  Every operator below is a sum of such terms; that includes
-L21 L12 in the column determinant, whose middle factor passes through
-the weight -2 space.
+Operators act on coefficient vectors in the subset basis, never on the
+2^n-dimensional space: each one below is a diagonal (the vector of its
+eigenvalues on the v_I) plus a weighted sum of the moves e12^(s) e21^(p)
+read from one table.  That includes L21 L12 in the column determinant,
+whose middle factor passes through the weight -2 space.
 
 Functions of the dynamical variable lambda (= lambda_1 - lambda_2 after
 the sl2 reduction d/d lambda_1 -> d/d lambda, d/d lambda_2 -> -d/d
@@ -33,20 +30,11 @@ import dataclasses
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bethe import BetheSolution, master_dtau, master_dz
-from .elliptic import (
-    Torus,
-    eta,
-    phi,
-    rho,
-    rho_prime,
-    sigma,
-    sigma_jet,
-)
+from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
 
 TWOPI_I = 2j * math.pi
 
@@ -57,10 +45,13 @@ C2_SCALAR = -0.75
 class ZeroWeightSpace:
     """Subset basis of V[0] in (C^2)^(tensor n), with its site operators.
 
-    hw_site[s] and omega0[s][p] hold the diagonals of hw^(s) = e11 - e22
-    and Omega0^(s,p) = e11^(s) e11^(p) + e22^(s) e22^(p); lower_raise[s][p]
-    and raise_lower[s][p] hold the (source, target) index maps of
-    e12^(s) e21^(p) and e21^(s) e12^(p).
+    hw_site[s] holds the diagonal of hw^(s) = e11 - e22.  The move table
+    lists the nonzero entries of e12^(s) e21^(p), s != p: entry k sends
+    v_{src[k]} to v_{tgt[k]}, site leave[k] = s leaving the subset and
+    join[k] = p joining it, grouped by target, m^2 entries each.  The other
+    two-site products reduce to these: e21^(s) e12^(p) = e12^(p) e21^(s)
+    for s != p, e12^(s) e21^(s) and e21^(s) e12^(s) are the projectors
+    (1 +- hw^(s))/2, and Omega0^(s,p) = hw^(s) hw^(p)/2.
     """
 
     def __init__(self, n_sites: int):
@@ -73,32 +64,18 @@ class ZeroWeightSpace:
         self._index = {I: k for k, I in enumerate(self.subsets)}
         inside = np.array([[s in I for I in self.subsets] for s in range(n_sites)])
         self.hw_site = np.where(inside, -1.0, 1.0)
-        # e22 = -e11 = -hw/2 per site, so Omega0^(s,p) = hw^(s) hw^(p) / 2
-        self.omega0 = 0.5 * self.hw_site[:, None, :] * self.hw_site[None, :, :]
-        self.lower_raise = [[self._move_map(s, p, False) for p in range(n_sites)]
-                            for s in range(n_sites)]
-        self.raise_lower = [[self._move_map(s, p, True) for p in range(n_sites)]
-                            for s in range(n_sites)]
+        # e21^(p) acts first and takes p into the subset, e12^(s) takes s out
+        rows = [(self.index(set(target) - {p} | {s}), k, s, p)
+                for k, target in enumerate(self.subsets)
+                for s in range(n_sites) if s not in target
+                for p in target]
+        self.src, self.tgt, self.leave, self.join = np.array(rows, dtype=np.intp).T
 
-    def _move_map(self, s: int, p: int, s_joins: bool) -> tuple:
-        """(source, target) indices of e12^(s) e21^(p), or of e21^(s) e12^(p)
-        when s_joins: v_I -> v_J with coefficient 1 for each listed source.
-
-        e21 moves its site into the subset (v1 -> v2), e12 out of it, and
-        the factor at p acts first.
-        """
-        src, tgt = [], []
-        for k, subset in enumerate(self.subsets):
-            moved = set(subset)
-            if (p in moved) != s_joins:
-                continue
-            moved ^= {p}
-            if (s in moved) == s_joins:
-                continue
-            moved ^= {s}
-            src.append(k)
-            tgt.append(self.index(moved))
-        return np.array(src, dtype=np.intp), np.array(tgt, dtype=np.intp)
+    def moves(self, coef, value) -> np.ndarray:
+        """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value, one output row
+        per leading index of coef (its diagonal is not read)."""
+        terms = np.asarray(coef)[..., self.leave, self.join] * np.asarray(value)[self.src]
+        return terms.reshape(terms.shape[:-1] + (self.dim, -1)).sum(axis=-1)
 
     def index(self, subset) -> int:
         return self._index[tuple(sorted(subset))]
@@ -112,7 +89,7 @@ def zero_weight_space(n_sites: int) -> ZeroWeightSpace:
     return ZeroWeightSpace(n_sites)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class KzbEigenvalues:
     """Eigenvalue tuple (E0 for H_0; E[a] for H_{a+1}) of a Bethe solution."""
 
@@ -187,18 +164,21 @@ def psi(lam: complex, sol: BetheSolution) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _add_moved(acc: np.ndarray, coef: complex, move: tuple, value: np.ndarray) -> None:
-    """acc += coef * (the single-site move `move` applied to value)."""
-    src, tgt = move
-    acc[tgt] += coef * value[src]
+@dataclasses.dataclass(frozen=True)
+class KzbOperators:
+    """H_0, ..., H_n at one lambda, without their lambda-derivative terms:
+    H_a F = diag[a] F + moves(coef[a], F), plus (1/2 pi i) F'' for a = 0
+    and -hw^(s) F' for a = s + 1."""
+
+    space: ZeroWeightSpace
+    diag: np.ndarray  # (n + 1, dim)
+    coef: np.ndarray  # (n + 1, n, n)
 
 
-def apply_kzb(a: int, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
-    """Apply the KZB operator H_a (a = 0 is the tau-direction operator).
+def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
+    """The KZB operators at lam, each kernel evaluated once per ordered pair.
 
-    jet = (value, d1, d2) holds the subset-basis coefficient vectors of a
-    function of lambda and its first two lambda-derivatives at lam.  For
-    a >= 1 the operator attached to site a-1 (0-based) is
+    The operator attached to site s (0-based; H_{s+1}) is
 
         H_s = -hw^(s) d/dlambda + sum_{p != s} [ rho(z_s - z_p) Omega0^(s,p)
               + sigma(z_s - z_p, -lambda) e12^(s) e21^(p)
@@ -208,44 +188,51 @@ def apply_kzb(a: int, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     (1/2) eta(z_s - z_p) Omega0^(s,p) - phi(lambda, z_s - z_p) e12^(s) e21^(p)
     - phi(-lambda, z_s - z_p) e21^(s) e12^(p) ], where the diagonal s = p
     terms take the removable values eta(0) and phi(+-lambda, 0) = -rho'(lambda).
+    Those terms are diagonal: Omega0^(s,s) = 1/2 and the two projectors
+    (1 +- hw^(s))/2 add up to 1, so they give n (eta(0)/4 + rho'(lambda)).
     """
     n = len(z)
     sp = zero_weight_space(n)
-    value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
-    if a == 0:
-        acc = 2.0 * d2
-        for s in range(n):
-            for p in range(n):
-                d = z[s] - z[p] if s != p else 0.0
-                acc += 0.5 * eta(d, ctx) * (sp.omega0[s][p] * value)
-                _add_moved(acc, -phi(lam, d, ctx), sp.lower_raise[s][p], value)
-                _add_moved(acc, -phi(-lam, d, ctx), sp.raise_lower[s][p], value)
-        return acc / (4j * math.pi)
-    s = a - 1
-    acc = -(sp.hw_site[s] * d1)
-    for p in range(n):
-        if p == s:
-            continue
+    hw = sp.hw_site
+    kernels = np.zeros((6, n, n), dtype=complex)
+    for s, p in itertools.permutations(range(n), 2):
         d = z[s] - z[p]
-        acc += rho(d, ctx) * (sp.omega0[s][p] * value)
-        _add_moved(acc, sigma(d, -lam, ctx), sp.lower_raise[s][p], value)
-        _add_moved(acc, sigma(d, lam, ctx), sp.raise_lower[s][p], value)
-    return acc
+        kernels[:, s, p] = (rho(d, ctx), eta(d, ctx), sigma(d, -lam, ctx),
+                            sigma(d, lam, ctx), phi(lam, d, ctx), phi(-lam, d, ctx))
+    rho_d, eta_d, sig_minus, sig_plus, phi_plus, phi_minus = kernels
+    diag = np.empty((n + 1, sp.dim), dtype=complex)
+    diag[0] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)
+               + n * (0.25 * eta(0.0, ctx) + rho_prime(lam, ctx))) / (4j * math.pi)
+    diag[1:] = 0.5 * hw * (rho_d @ hw)
+    # e21^(s) e12^(p) is the move with p leaving and s joining: a transpose
+    coef = np.zeros((n + 1, n, n), dtype=complex)
+    coef[0] = -(phi_plus + phi_minus.T) / (4j * math.pi)
+    for s in range(n):
+        coef[s + 1, s, :] = sig_minus[s]
+        coef[s + 1, :, s] = sig_plus[s]
+    return KzbOperators(sp, diag, coef)
 
 
-def s2_via_kzb(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
-    """S2(x) F at lam, from the jet of F there, via the KZB combination
+def apply_kzb(ops: KzbOperators, jet) -> np.ndarray:
+    """The rows H_0 F, ..., H_n F at the lambda of `ops`, from the jet
+    (value, d1, d2) of F there: the subset-basis coefficient vectors of a
+    function of lambda and its first two lambda-derivatives."""
+    value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
+    rows = ops.diag * value + ops.space.moves(ops.coef, value)
+    rows[0] += d2 / TWOPI_I
+    rows[1:] -= ops.space.hw_site * d1
+    return rows
 
-    S2(x) = -2 pi i H_0 - sum_s [ H_s rho(x - z_s) + c2^(s) rho'(x - z_s) ]
 
-    with c2^(s) the scalar -3/4 on each two-dimensional factor.
+def s2_via_kzb(x: complex, rows, value, z, ctx: Torus) -> np.ndarray:
+    """S2(x) F from F and its rows H_a F (see apply_kzb), via the KZB
+    combination S2(x) = -2 pi i H_0 - sum_s [ H_s rho(x - z_s)
+    + c2^(s) rho'(x - z_s) ], c2^(s) the scalar -3/4 on each factor.
     """
-    out = -TWOPI_I * apply_kzb(0, jet, lam, z, ctx)
-    value = jet[0]
-    for s in range(len(z)):
-        out -= rho(x - z[s], ctx) * apply_kzb(s + 1, jet, lam, z, ctx)
-        out -= C2_SCALAR * rho_prime(x - z[s], ctx) * value
-    return out
+    rhos = np.array([rho(x - zs, ctx) for zs in z])
+    rho_primes = sum(rho_prime(x - zs, ctx) for zs in z)
+    return (-TWOPI_I * rows[0] - rhos @ rows[1:]
+            - C2_SCALAR * rho_primes * np.asarray(value, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +270,15 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     lambda) e12^(s) the product L21 L12 is the sum of single-site moves
     sigma(x - z_s, lambda) sigma(x - z_p, -lambda) e12^(s) e21^(p).
     """
-    n = len(z)
-    sp = zero_weight_space(n)
+    sp = zero_weight_space(len(z))
     value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
     l11, l22, dx22 = _l_diagonals(x, z, sp, ctx)
-    out = (l11 - l22) * d1 + (dx22 + l11 * l22) * value
-    l21 = [sigma(x - z[s], lam, ctx) for s in range(n)]
-    l12 = [sigma(x - z[p], -lam, ctx) for p in range(n)]
-    for s in range(n):
-        for p in range(n):
-            _add_moved(out, -l21[s] * l12[p], sp.lower_raise[s][p], value)
-    return out - d2
+    l21 = np.array([sigma(x - zs, lam, ctx) for zs in z])
+    l12 = np.array([sigma(x - zp, -lam, ctx) for zp in z])
+    # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
+    l21_l12_diag = 0.5 * (l21 * l12) @ (1.0 + sp.hw_site)
+    return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value
+            - sp.moves(np.outer(l21, l12), value) - d2)
 
 
 def rst_s1_residual(x: complex, jet, lam: complex, z, ctx: Torus) -> float:

@@ -38,6 +38,7 @@ from ellbethe.repspace import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
+    kzb_operators,
     psi,
     psi_derivs,
     s2_via_kzb,
@@ -219,16 +220,17 @@ class TestAcceptance:
         for m in (1, 2):
             prob = problem(m, 6j)
             lams = cell_samples(CTX, 10, seed=6)
+            ops = [kzb_operators(lam, prob.z, CTX) for lam in lams]
             for subset in itertools.combinations(range(2 * m), m):
                 sol = solve_subset(prob, subset)
                 ev = kzb_eigenvalues(sol)
                 expected = (ev.e0,) + ev.e
-                for lam in lams:
+                for lam, ops_lam in zip(lams, ops):
                     jet = psi_derivs(lam, sol)
                     v = jet[0]
                     nv = np.linalg.norm(v)
-                    outs = [apply_kzb(a, jet, lam, prob.z, CTX)
-                            for a in range(2 * m + 1)]
+                    outs = apply_kzb(ops_lam, jet)
+                    assert len(outs) == 2 * m + 1
                     for a, out in enumerate(outs):
                         assert np.linalg.norm(out - expected[a] * v) / nv < 1e-8
                     assert np.linalg.norm(np.sum(outs[1:], axis=0)) / nv < 1e-9
@@ -242,7 +244,7 @@ class TestAcceptance:
         for x, lam in zip(xs, lams):
             jet = psi_derivs(lam, sol)
             v = jet[0]
-            via_kzb = s2_via_kzb(x, jet, lam, Z4, CTX)
+            via_kzb = s2_via_kzb(x, apply_kzb(kzb_operators(lam, Z4, CTX), jet), v, Z4, CTX)
             via_det = apply_rst_n2(x, jet, lam, Z4, CTX)
             via_b2 = fundamental_b2(x, sol) * v
             scale = max(1.0, np.linalg.norm(via_kzb))

@@ -5,6 +5,7 @@ exercised: config loading and validation, the numerical suites, report
 assembly, and exit codes (0 = ran, 1 = check failure, 2 = config error).
 """
 
+import itertools
 import json
 
 import pytest
@@ -81,6 +82,12 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["solve", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", None, [1e-9]])
+    def test_rejects_non_numeric_tolerance(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"tolerances": {"bae_residual": value}})
+        assert main(["solve", "--config", cfg]) == 2
+        assert "tolerance 'bae_residual' must be a number" in capsys.readouterr().err
 
     def test_tolerance_override_is_applied(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tolerances": {"bae_residual": 1e-30}})
@@ -167,6 +174,17 @@ class TestSolveCommand:
     def test_strict_escalates_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, LOW_MU_CONFIG)
         assert main(["solve", "--config", cfg, "--strict", "--json"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "eigen"])
+    def test_zero_mu_is_reported_per_subset(self, tmp_path, capsys, command):
+        # the seed displacement 1/(2 pi i mu) is unbounded at mu = 0
+        cfg = write_config(tmp_path, {"mu": 0})
+        code, report = run_json(capsys, [command, "--config", cfg])
+        assert code == 0
+        assert len(report["warnings"]) == 6
+        for warning, subset in zip(report["warnings"], itertools.combinations(range(4), 2)):
+            assert warning.startswith("subset %s" % (subset,))
+            assert "seed displacement inf exceeds" in warning
 
     def test_explicit_subset_selection(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"subsets": [[0, 2], [1, 3]]})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ellbethe.elliptic import PoleError, Torus, theta
+from ellbethe.elliptic import PoleError, Torus, eta, phi, rho, rho_prime, sigma, theta
 from ellbethe.bethe import (
     BetheProblem,
     analytic_involution,
@@ -20,6 +20,7 @@ from ellbethe.repspace import (
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
+    kzb_operators,
     psi,
     psi_derivs,
     rst_s1_residual,
@@ -75,6 +76,16 @@ def fd_triple(G, h):
     return trip
 
 
+def kzb_rows(jet, lam, z):
+    """H_0 F, ..., H_n F at lam, with the operators assembled there."""
+    return apply_kzb(kzb_operators(lam, z, CTX), jet)
+
+
+def s2_kzb(x, jet, lam, z):
+    """S2(x) F at lam by the KZB route."""
+    return s2_via_kzb(x, kzb_rows(jet, lam, z), jet[0], z, CTX)
+
+
 def kronecker_site_ops(n):
     """Dense reference: name -> [the generator acting at site s on (C^2)^(tensor n)]."""
     e11 = np.diag([0.5, -0.5])
@@ -128,34 +139,38 @@ class TestZeroWeightSpace:
         assert np.count_nonzero(full) == sp.dim
 
     def test_blocks_match_kronecker_reference(self):
-        """The subset-basis blocks equal the dense Kronecker products on
-        (C^2)^(tensor n) restricted to the v_I."""
+        """hw_site and the move table equal the dense Kronecker products on
+        (C^2)^(tensor n) restricted to the v_I, and so do the products the
+        operators reduce to it: e21^(s) e12^(p) = e12^(p) e21^(s), the s = p
+        projectors (1 +- hw^(s))/2 and Omega0^(s,p) = hw^(s) hw^(p)/2."""
         for n in (2, 4, 6):
             sp = zero_weight_space(n)
             full = kronecker_site_ops(n)
             embed = embed_indices(sp)
+            # moves() sums the table in groups of m^2 entries per target
+            assert np.array_equal(sp.tgt, np.repeat(np.arange(sp.dim), sp.m ** 2))
 
             def restrict(op):
                 return op[np.ix_(embed, embed)]
 
+            def pair(a, s, b, p):
+                return restrict(full[a][s] @ full[b][p])
+
             for s in range(n):
-                assert np.array_equal(np.diag(sp.hw_site[s]), restrict(full["hw"][s]))
+                hw = sp.hw_site[s]
+                assert np.array_equal(np.diag(hw), restrict(full["hw"][s]))
+                assert np.array_equal(np.diag((1 + hw) / 2), pair("e12", s, "e21", s))
+                assert np.array_equal(np.diag((1 - hw) / 2), pair("e21", s, "e12", s))
                 for p in range(n):
-                    def pair(a, b):
-                        return full[a][s] @ full[b][p]
-
-                    assert np.array_equal(np.diag(sp.omega0[s][p]),
-                                          restrict(pair("e11", "e11") + pair("e22", "e22")))
-                    for (src, tgt), ops in ((sp.lower_raise[s][p], ("e12", "e21")),
-                                            (sp.raise_lower[s][p], ("e21", "e12"))):
-                        dense = np.zeros((sp.dim, sp.dim))
-                        dense[tgt, src] = 1.0
-                        assert np.array_equal(dense, restrict(pair(*ops)))
-
-    def test_omega0_diagonal_is_half_identity(self):
-        sp = zero_weight_space(4)
-        for s in range(4):
-            assert np.max(np.abs(sp.omega0[s][s] - 0.5)) == 0.0
+                    assert np.array_equal(np.diag(hw * sp.hw_site[p] / 2),
+                                          pair("e11", s, "e11", p) + pair("e22", s, "e22", p))
+                    if p == s:
+                        continue
+                    coef = np.zeros((n, n))
+                    coef[s, p] = 1.0
+                    dense = np.column_stack([sp.moves(coef, e) for e in np.eye(sp.dim)])
+                    assert np.array_equal(dense, pair("e12", s, "e21", p))
+                    assert np.array_equal(dense, pair("e21", p, "e12", s))
 
     def test_index_and_complement(self):
         sp = zero_weight_space(4)
@@ -238,11 +253,11 @@ class TestKzbOperators:
                     jet = psi_derivs(lam, sol)
                     v = jet[0]
                     nv = np.linalg.norm(v)
-                    out = apply_kzb(0, jet, lam, z, CTX)
-                    assert np.linalg.norm(out - ev.e0 * v) / nv < 1e-8
+                    rows = kzb_rows(jet, lam, z)
+                    assert len(rows) == 2 * m + 1
+                    assert np.linalg.norm(rows[0] - ev.e0 * v) / nv < 1e-8
                     for a in range(1, 2 * m + 1):
-                        out = apply_kzb(a, jet, lam, z, CTX)
-                        assert np.linalg.norm(out - ev.e[a - 1] * v) / nv < 1e-8
+                        assert np.linalg.norm(rows[a] - ev.e[a - 1] * v) / nv < 1e-8
 
     def test_eigen_relations_and_s2_routes_m4(self):
         """At 8 sites: H_a Psi = E_a Psi for all a, and the two S2 routes agree."""
@@ -252,11 +267,11 @@ class TestKzbOperators:
         jet = psi_derivs(LAM, sol)
         v = jet[0]
         nv = np.linalg.norm(v)
+        rows = kzb_rows(jet, LAM, Z10[:8])
         for a in range(9):
-            out = apply_kzb(a, jet, LAM, Z10[:8], CTX)
-            assert np.linalg.norm(out - expected[a] * v) / nv < 1e-8
+            assert np.linalg.norm(rows[a] - expected[a] * v) / nv < 1e-8
         for x in (0.52 + 0.33j, 0.18 - 0.27j):
-            via_kzb = s2_via_kzb(x, jet, LAM, Z10[:8], CTX)
+            via_kzb = s2_via_kzb(x, rows, v, Z10[:8], CTX)
             via_det = apply_rst_n2(x, jet, LAM, Z10[:8], CTX)
             assert (np.linalg.norm(via_kzb - via_det)
                     / max(1.0, np.linalg.norm(via_kzb)) < 1e-8)
@@ -269,16 +284,16 @@ class TestKzbOperators:
         jet = psi_derivs(LAM, sol)
         v = jet[0]
         nv = np.linalg.norm(v)
+        rows = kzb_rows(jet, LAM, Z10)
         for a in range(11):
-            out = apply_kzb(a, jet, LAM, Z10, CTX)
-            assert np.linalg.norm(out - expected[a] * v) / nv < 1e-8
+            assert np.linalg.norm(rows[a] - expected[a] * v) / nv < 1e-8
 
     def test_sum_rule(self):
         """sum_s H_s = 0 on arbitrary zero-weight functions."""
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         for lam in (LAM, 0.62 - 0.21j):
-            total = sum(apply_kzb(s + 1, F(lam), lam, Z4, CTX) for s in range(4))
+            total = np.sum(kzb_rows(F(lam), lam, Z4)[1:], axis=0)
             assert np.linalg.norm(total) < 1e-9 * np.linalg.norm(F(lam)[0])
 
     def test_eigenvalue_sum_constraint(self):
@@ -296,10 +311,10 @@ class TestKzbOperators:
         scale = np.linalg.norm(F(LAM)[0])
         for a in range(5):
             for b in range(a + 1, 5):
-                ga = lambda l, a=a: apply_kzb(a, F(l), l, Z4, CTX)
-                gb = lambda l, b=b: apply_kzb(b, F(l), l, Z4, CTX)
-                comm = (apply_kzb(a, fd_triple(gb, 1e-3)(LAM), LAM, Z4, CTX)
-                        - apply_kzb(b, fd_triple(ga, 1e-3)(LAM), LAM, Z4, CTX))
+                ga = lambda l, a=a: kzb_rows(F(l), l, Z4)[a]
+                gb = lambda l, b=b: kzb_rows(F(l), l, Z4)[b]
+                comm = (kzb_rows(fd_triple(gb, 1e-3)(LAM), LAM, Z4)[a]
+                        - kzb_rows(fd_triple(ga, 1e-3)(LAM), LAM, Z4)[b])
                 assert np.linalg.norm(comm) / scale < 1e-7
 
 
@@ -312,7 +327,7 @@ class TestS2:
         for _ in range(20):
             x = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, 0.4))
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            a = s2_via_kzb(x, F(lam), lam, Z4, CTX)
+            a = s2_kzb(x, F(lam), lam, Z4)
             b = apply_rst_n2(x, F(lam), lam, Z4, CTX)
             assert np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)) < 1e-8
 
@@ -327,10 +342,12 @@ class TestS2:
         F = random_test_function(sp)
         x = 0.33 + 0.21j
         jet = F(LAM)
-        base = s2_via_kzb(x, jet, LAM, Z4, CTX)
+        rows = kzb_rows(jet, LAM, Z4)
+        base = s2_via_kzb(x, rows, jet[0], Z4, CTX)
         scale = np.linalg.norm(base)
-        assert np.linalg.norm(s2_via_kzb(x + 1, jet, LAM, Z4, CTX) - base) / scale < 1e-9
-        assert np.linalg.norm(s2_via_kzb(x + CTX.tau, jet, LAM, Z4, CTX) - base) / scale < 1e-9
+        for shift in (1, CTX.tau):
+            moved = s2_via_kzb(x + shift, rows, jet[0], Z4, CTX)
+            assert np.linalg.norm(moved - base) / scale < 1e-9
 
     def test_eigen_relation_b2(self):
         """S2(x) Psi = B2(x) Psi at random (x, lam)."""
@@ -341,7 +358,7 @@ class TestS2:
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             jet = psi_derivs(lam, sol)
             v = jet[0]
-            out = s2_via_kzb(x, jet, lam, Z4, CTX)
+            out = s2_kzb(x, jet, lam, Z4)
             err = np.linalg.norm(out - fundamental_b2(x, sol) * v)
             assert err / np.linalg.norm(v) < 1e-8
 
@@ -352,12 +369,85 @@ class TestS2:
         sp = zero_weight_space(4)
         F = random_test_function(sp)
         u, v = 0.37 + 0.21j, 0.71 - 0.13j
-        gu = lambda l: s2_via_kzb(u, F(l), l, Z4, CTX)
-        gv = lambda l: s2_via_kzb(v, F(l), l, Z4, CTX)
-        comm = (s2_via_kzb(u, fd_triple(gv, 5e-4)(LAM), LAM, Z4, CTX)
-                - s2_via_kzb(v, fd_triple(gu, 5e-4)(LAM), LAM, Z4, CTX))
+        gu = lambda l: s2_kzb(u, F(l), l, Z4)
+        gv = lambda l: s2_kzb(v, F(l), l, Z4)
+        comm = (s2_kzb(u, fd_triple(gv, 5e-4)(LAM), LAM, Z4)
+                - s2_kzb(v, fd_triple(gu, 5e-4)(LAM), LAM, Z4))
         scale = max(np.linalg.norm(gu(LAM)), np.linalg.norm(gv(LAM)))
         assert np.linalg.norm(comm) / scale < 1e-7
+
+
+class TestDenseReference:
+    """H_0..H_n and both S2 routes at n = 4, assembled as dense 2^n matrices
+    from the Kronecker site operators (every s = p term included as written),
+    against the subset-basis operators on random jets."""
+
+    N = 4
+
+    def operators(self, lam, x):
+        """(the H_a as lists of matrices multiplying (F, F', F''), the KZB
+        S2(x), the column-determinant S2(x))."""
+        n, z, g = self.N, Z4, kronecker_site_ops(self.N)
+        eye = np.eye(2 ** n)
+        zero = np.zeros_like(eye)
+
+        def two_site(c_omega, c_lr, c_rl, s, p):
+            return (c_omega * (g["e11"][s] @ g["e11"][p] + g["e22"][s] @ g["e22"][p])
+                    + c_lr * g["e12"][s] @ g["e21"][p] + c_rl * g["e21"][s] @ g["e12"][p])
+
+        def gap(s, p):  # the s = p terms take the removable values at 0
+            return z[s] - z[p] if s != p else 0.0
+
+        h0 = sum(two_site(0.5 * eta(gap(s, p), CTX), -phi(lam, gap(s, p), CTX),
+                          -phi(-lam, gap(s, p), CTX), s, p)
+                 for s in range(n) for p in range(n)) / (4j * math.pi)
+        ops = [[h0, zero, eye / (2j * math.pi)]]
+        for s in range(n):
+            hs = sum(two_site(rho(z[s] - z[p], CTX), sigma(z[s] - z[p], -lam, CTX),
+                              sigma(z[s] - z[p], lam, CTX), s, p)
+                     for p in range(n) if p != s)
+            ops.append([hs, -g["hw"][s], zero])
+        c2 = [g["e11"][s] @ g["e22"][s] - g["e12"][s] @ g["e21"][s] + g["e11"][s]
+              for s in range(n)]
+        s2_kzb = [-2j * math.pi * m0 for m0 in ops[0]]
+        for s in range(n):
+            for k in range(3):
+                s2_kzb[k] = s2_kzb[k] - rho(x - z[s], CTX) * ops[s + 1][k]
+            s2_kzb[0] = s2_kzb[0] - rho_prime(x - z[s], CTX) * c2[s]
+        l11 = sum(rho(lam, CTX) * g["e22"][k] + rho(x - z[k], CTX) * g["e11"][k]
+                  for k in range(n))
+        l22 = sum(-rho(lam, CTX) * g["e11"][k] + rho(x - z[k], CTX) * g["e22"][k]
+                  for k in range(n))
+        l12 = sum(sigma(x - z[p], -lam, CTX) * g["e21"][p] for p in range(n))
+        l21 = sum(sigma(x - z[s], lam, CTX) * g["e12"][s] for s in range(n))
+        dx22 = sum(rho_prime(x - z[k], CTX) * g["e22"][k] for k in range(n))
+        s2_det = [dx22 + rho_prime(lam, CTX) * sum(g["e11"]) + l11 @ l22 - l21 @ l12,
+                  l11 - l22, -eye]
+        return ops, s2_kzb, s2_det
+
+    def test_operators_match_dense_assembly(self):
+        sp = zero_weight_space(self.N)
+        embed = embed_indices(sp)
+        rng = np.random.default_rng(17)
+
+        def apply(mats, jet):
+            return sum(m[np.ix_(embed, embed)] @ f for m, f in zip(mats, jet))
+
+        for lam, x in ((LAM, 0.52 + 0.33j), (0.62 - 0.21j, 0.18 - 0.27j)):
+            ops, s2_kzb, s2_det = self.operators(lam, x)
+            for _ in range(3):
+                jet = tuple(rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
+                            for _ in range(3))
+                rows = kzb_rows(jet, lam, Z4)
+                for a, mats in enumerate(ops):
+                    ref = apply(mats, jet)
+                    assert np.linalg.norm(rows[a] - ref) < 1e-12 * np.linalg.norm(ref)
+                ref = apply(s2_kzb, jet)
+                got = s2_via_kzb(x, rows, jet[0], Z4, CTX)
+                assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
+                ref = apply(s2_det, jet)
+                got = apply_rst_n2(x, jet, lam, Z4, CTX)
+                assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
 
 class TestFundamentalB2:
