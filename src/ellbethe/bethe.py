@@ -26,6 +26,7 @@ Bethe equations, for a parameter that is -mu mod 2Z.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -185,39 +186,37 @@ def master_dtau(t, problem: BetheProblem) -> complex:
 
 
 def bae_residual(t, problem: BetheProblem, mu: complex = None) -> np.ndarray:
-    """Vector of Bethe equation values F_j(t) (zero at a solution)."""
+    """Vector of Bethe equation values F_j(t) (zero at a solution); rho is
+    odd, so one evaluation serves both roots of a pair."""
     z, ctx = problem.z, problem.ctx
     if mu is None:
         mu = problem.mu
     t = [complex(v) for v in t]
-    out = np.zeros(len(t), dtype=complex)
+    out = np.full(len(t), TWOPI_I * mu, dtype=complex)
+    for j, k in itertools.combinations(range(len(t)), 2):
+        r = 2.0 * rho(t[j] - t[k], ctx)
+        out[j] += r
+        out[k] -= r
     for j, tj in enumerate(t):
-        val = TWOPI_I * mu
-        for k, tk in enumerate(t):
-            if k != j:
-                val += 2.0 * rho(tj - tk, ctx)
         for zs in z:
-            val -= rho(tj - zs, ctx)
-        out[j] = val
+            out[j] -= rho(tj - zs, ctx)
     return out
 
 
 def bae_jacobian(t, problem: BetheProblem) -> np.ndarray:
-    """dF_j/dt_l; mu does not enter."""
+    """dF_j/dt_l; mu does not enter.  rho' is even, so one evaluation
+    serves both entries of a root pair."""
     z, ctx = problem.z, problem.ctx
     t = [complex(v) for v in t]
-    m = len(t)
-    jac = np.zeros((m, m), dtype=complex)
+    jac = np.zeros((len(t), len(t)), dtype=complex)
+    for j, k in itertools.combinations(range(len(t)), 2):
+        rp = 2.0 * rho_prime(t[j] - t[k], ctx)
+        jac[j, j] += rp
+        jac[k, k] += rp
+        jac[j, k] = jac[k, j] = -rp
     for j, tj in enumerate(t):
-        diag = 0j
-        for k, tk in enumerate(t):
-            if k != j:
-                rp = rho_prime(tj - tk, ctx)
-                diag += 2.0 * rp
-                jac[j, k] = -2.0 * rp
         for zs in z:
-            diag -= rho_prime(tj - zs, ctx)
-        jac[j, j] = diag
+            jac[j, j] -= rho_prime(tj - zs, ctx)
     return jac
 
 

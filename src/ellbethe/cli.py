@@ -517,6 +517,7 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
              ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes",
               "s2_eigen_b2", "b2_periodicity", "kernel_membership", "weyl_ratio")}
     warnings, ratio_table = [], []
+    verified = False
 
     for subset in cfg.subset_list():
         try:
@@ -535,6 +536,7 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
             continue
         worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"],
                                       abs(sum(eigenvalues.e)))
+        verified = True
         expected = (eigenvalues.e0,) + eigenvalues.e
 
         # one Psi jet and its rows H_a Psi per (solution, lambda), shared below
@@ -592,6 +594,9 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                 worst["kernel_membership"] = max(
                     worst["kernel_membership"], abs(vp + v * v + b2) / scale)
 
+    if not verified:
+        # no subset reached the checks, so none of them measured anything
+        worst = dict.fromkeys(worst, math.inf)
     checks = [_check(name, worst[name], cfg.tolerance(name)) for name in worst]
     return {"checks": checks, "warnings": warnings, "ratio_table": ratio_table}
 

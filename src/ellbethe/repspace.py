@@ -35,6 +35,7 @@ import numpy as np
 
 from .bethe import BetheSolution, master_dtau, master_dz
 from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
+from .thetapoly import _leibniz
 
 TWOPI_I = 2j * math.pi
 
@@ -80,9 +81,6 @@ class ZeroWeightSpace:
     def index(self, subset) -> int:
         return self._index[tuple(sorted(subset))]
 
-    def complement(self, subset) -> tuple:
-        return tuple(sorted(set(range(self.n_sites)) - set(subset)))
-
 
 @functools.lru_cache(maxsize=None)
 def zero_weight_space(n_sites: int) -> ZeroWeightSpace:
@@ -116,36 +114,27 @@ def kzb_eigenvalues(sol: BetheSolution) -> KzbEigenvalues:
 # ---------------------------------------------------------------------------
 
 
-def _product_triple(factors) -> tuple:
-    """Leibniz fold of (value, d1, d2) triples of scalar factors."""
-    p0, p1, p2 = 1.0 + 0j, 0j, 0j
-    for g0, g1, g2 in factors:
-        p2 = p2 * g0 + 2.0 * p1 * g1 + p0 * g2
-        p1 = p1 * g0 + p0 * g1
-        p0 = p0 * g0
-    return p0, p1, p2
-
-
 def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
     """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis.
 
     Psi = e^{pi i mu lambda} sum_I W_I v_I with
-    W_I = Sym_t prod_j sigma(t_j - z_{i_j}, -lambda); the symmetrization is
-    the plain sum over the m! orderings of the roots.
+    W_I = Sym_t prod_j sigma(t_j - z_{i_j}, -lambda), the permanent of the
+    sigma jets on the roots and the sites in I.  All C(n, m) permanents are
+    one array fold: in ordering pi root j takes site I[pi(j)], the jets
+    multiply by the Leibniz rule along j, and the orderings are summed last.
     """
     prob = sol.problem
     sp = zero_weight_space(prob.n)
     ctx = prob.ctx
-    m = prob.m
-    # jets of sigma(t_j - z_s, w) in w at w = -lambda, so the rows of `w`
-    # hold W_I, -dW_I/dlambda and d2W_I/dlambda2
-    stacks = [[sigma_jet(sol.t[j] - prob.z[s], -lam, ctx) for s in range(prob.n)]
-              for j in range(m)]
-    w = np.zeros((3, sp.dim), dtype=complex)
-    for idx, subset in enumerate(sp.subsets):
-        for perm in itertools.permutations(range(m)):
-            term = _product_triple(stacks[perm[j]][subset[j]] for j in range(m))
-            w[:, idx] += term
+    # jets[r, j, s]: d^r/dw^r sigma(t_j - z_s, w) at w = -lambda, so the
+    # rows of `w` hold W_I, -dW_I/dlambda and d2W_I/dlambda2
+    jets = np.array([[sigma_jet(tj - zs, -lam, ctx) for zs in prob.z]
+                     for tj in sol.t]).transpose(2, 0, 1)
+    sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
+    fold = jets[:, 0, sites[..., 0]]
+    for j in range(1, prob.m):
+        fold = _leibniz(fold, jets[:, j, sites[..., j]])
+    w = np.sum(fold, axis=-1)
     c = 1j * math.pi * sol.mu
     envelope = cmath.exp(c * lam)
     value = envelope * w[0]
@@ -176,7 +165,8 @@ class KzbOperators:
 
 
 def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
-    """The KZB operators at lam, each kernel evaluated once per ordered pair.
+    """The KZB operators at lam, from one evaluation of rho, eta,
+    sigma(z_s - z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -190,26 +180,31 @@ def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
     terms take the removable values eta(0) and phi(+-lambda, 0) = -rho'(lambda).
     Those terms are diagonal: Omega0^(s,s) = 1/2 and the two projectors
     (1 +- hw^(s))/2 add up to 1, so they give n (eta(0)/4 + rho'(lambda)).
+
+    The other coefficients follow by parity: sigma(-x, -w) = -sigma(x, w)
+    makes the sigma(., +lambda) table the negated transpose of the
+    sigma(., -lambda) one, and phi(-x, -w) = phi(x, w) makes the
+    phi(-lambda, .) table the transpose of the phi(lambda, .) one, so the
+    two moves of H_0 add up to -phi(lambda, z_s - z_p)/(2 pi i).
     """
     n = len(z)
     sp = zero_weight_space(n)
     hw = sp.hw_site
-    kernels = np.zeros((6, n, n), dtype=complex)
+    kernels = np.zeros((4, n, n), dtype=complex)
     for s, p in itertools.permutations(range(n), 2):
         d = z[s] - z[p]
-        kernels[:, s, p] = (rho(d, ctx), eta(d, ctx), sigma(d, -lam, ctx),
-                            sigma(d, lam, ctx), phi(lam, d, ctx), phi(-lam, d, ctx))
-    rho_d, eta_d, sig_minus, sig_plus, phi_plus, phi_minus = kernels
+        kernels[:, s, p] = rho(d, ctx), eta(d, ctx), sigma(d, -lam, ctx), phi(lam, d, ctx)
+    rho_d, eta_d, sig, phi_d = kernels
     diag = np.empty((n + 1, sp.dim), dtype=complex)
     diag[0] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)
                + n * (0.25 * eta(0.0, ctx) + rho_prime(lam, ctx))) / (4j * math.pi)
     diag[1:] = 0.5 * hw * (rho_d @ hw)
     # e21^(s) e12^(p) is the move with p leaving and s joining: a transpose
     coef = np.zeros((n + 1, n, n), dtype=complex)
-    coef[0] = -(phi_plus + phi_minus.T) / (4j * math.pi)
+    coef[0] = -phi_d / TWOPI_I
     for s in range(n):
-        coef[s + 1, s, :] = sig_minus[s]
-        coef[s + 1, :, s] = sig_plus[s]
+        coef[s + 1, s, :] = sig[s]
+        coef[s + 1, :, s] = -sig[:, s]
     return KzbOperators(sp, diag, coef)
 
 
@@ -240,22 +235,6 @@ def s2_via_kzb(x: complex, rows, value, z, ctx: Torus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _l_diagonals(x: complex, z, sp: ZeroWeightSpace, ctx: Torus):
-    """Diagonals of L11, L22 and dL22/dx on V[0].
-
-    L11 = sum_k [rho(lambda) e22^(k) + rho(x - z_k) e11^(k)], and L22 the
-    same with e11 and e22 swapped and rho(lambda) negated.  The weight
-    sums sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], so only the
-    rho(x - z_k) terms remain.
-    """
-    e11 = 0.5 * sp.hw_site
-    rhos = [rho(x - zk, ctx) for zk in z]
-    l11 = sum(r * e for r, e in zip(rhos, e11))
-    l22 = sum(r * -e for r, e in zip(rhos, e11))  # e22 = -e11 per site
-    dx22 = sum(rho_prime(x - zk, ctx) * -e for zk, e in zip(z, e11))
-    return l11, l22, dx22
-
-
 def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     """S2(x) F at lam, from the jet of F there, by the N = 2 column
     determinant cdet(delta ∂_x - delta ∂_{lambda_j} + L) = D11 D22 - D21 D12.
@@ -272,24 +251,20 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     """
     sp = zero_weight_space(len(z))
     value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
-    l11, l22, dx22 = _l_diagonals(x, z, sp, ctx)
+    # L11 = sum_k [rho(lambda) e22^(k) + rho(x - z_k) e11^(k)], and L22 the same
+    # with e11 and e22 swapped and rho(lambda) negated; the weight sums
+    # sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], leaving the rho(x - z_k) terms
+    e11 = 0.5 * sp.hw_site
+    rhos = [rho(x - zk, ctx) for zk in z]
+    l11 = sum(r * e for r, e in zip(rhos, e11))
+    l22 = sum(r * -e for r, e in zip(rhos, e11))  # e22 = -e11 per site
+    dx22 = sum(rho_prime(x - zk, ctx) * -e for zk, e in zip(z, e11))
     l21 = np.array([sigma(x - zs, lam, ctx) for zs in z])
     l12 = np.array([sigma(x - zp, -lam, ctx) for zp in z])
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
     l21_l12_diag = 0.5 * (l21 * l12) @ (1.0 + sp.hw_site)
     return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value
             - sp.moves(np.outer(l21, l12), value) - d2)
-
-
-def rst_s1_residual(x: complex, jet, lam: complex, z, ctx: Torus) -> float:
-    """Norm of S1(x) F = (L11 + L22) F - (∂_{lambda_1} + ∂_{lambda_2}) F at lam.
-
-    S1 vanishes identically on zero-weight functions of lambda_12; the
-    derivative part cancels by the sl2 reduction, so this evaluates the
-    matrix part alone.
-    """
-    l11, l22 = _l_diagonals(x, z, zero_weight_space(len(z)), ctx)[:2]
-    return float(np.linalg.norm((l11 + l22) * np.asarray(jet[0], dtype=complex)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +300,14 @@ def weyl_involution(coeffs: np.ndarray, space: ZeroWeightSpace) -> np.ndarray:
     """The nontrivial sl2 Weyl element on V[0].
 
     Per factor s v1 = v2, s v2 = -v1, so s v_I = (-1)^m v_{complement(I)}
-    on the zero-weight basis.
+    on the zero-weight basis.  Complementing reverses the lexicographic
+    order of the m-subsets of 2m sites (the first site where two subsets
+    differ belongs to the earlier one, and to the other's complement), so
+    the complement of the k-th subset is the (dim - 1 - k)-th and s
+    reverses the coefficient vector.
     """
-    out = np.zeros_like(np.asarray(coeffs, dtype=complex))
     sign = -1.0 if space.m % 2 else 1.0
-    for idx, subset in enumerate(space.subsets):
-        out[space.index(space.complement(subset))] = sign * coeffs[idx]
-    return out
+    return sign * np.asarray(coeffs, dtype=complex)[::-1]
 
 
 def weyl_on_function(jet, space: ZeroWeightSpace) -> tuple:

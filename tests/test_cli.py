@@ -7,6 +7,7 @@ assembly, and exit codes (0 = ran, 1 = check failure, 2 = config error).
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -180,7 +181,13 @@ class TestSolveCommand:
         # the seed displacement 1/(2 pi i mu) is unbounded at mu = 0
         cfg = write_config(tmp_path, {"mu": 0})
         code, report = run_json(capsys, [command, "--config", cfg])
-        assert code == 0
+        if command == "eigen":
+            # no subset was verified, so no check may read as a pass
+            assert code == 1
+            assert all(c["status"] == "fail" and c["measured"] == math.inf
+                       for c in report["checks"])
+        else:
+            assert code == 0
         assert len(report["warnings"]) == 6
         for warning, subset in zip(report["warnings"], itertools.combinations(range(4), 2)):
             assert warning.startswith("subset %s" % (subset,))

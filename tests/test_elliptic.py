@@ -35,6 +35,8 @@ from ellbethe.elliptic import (
 TAUS = [1j, 2j, 0.3 + 0.8j]
 # Im tau from 5 down to 0.02, including a skewed torus near a cusp
 LADDER = [5j, 2j, 1j, 0.3 + 0.8j, 0.2j, 0.4 + 0.05j, 0.05j, 0.03j, 0.02j]
+# square, skewed, near-cusp skewed and thin tori
+GUARD_TAUS = [1j, 0.3 + 0.8j, 0.4 + 0.05j, 0.02j]
 
 
 def relerr(a, b):
@@ -380,6 +382,26 @@ class TestQuasiPeriodicityLaws:
             assert relerr(eta(x + k + l * ctx.tau, ctx), want) < 1e-11
 
 
+class TestParity:
+    """rho(-x) = -rho(x), rho'(-x) = rho'(x), eta(-x) = eta(x),
+    sigma(-x, -w) = -sigma(x, w) and phi(-x, -w) = phi(x, w), which the KZB
+    table and the Bethe residual and Jacobian use to skip mirrored pairs."""
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_kernels(self, tau):
+        ctx = Torus(tau)
+        pts = sample_points(ctx, 20, seed=8)
+        for x, w in zip(pts[:10], pts[10:]):
+            for k, l in [(0, 0)] + TestQuasiPeriodicityLaws.SHIFTS:
+                y = x + k + l * tau
+                assert relerr(rho(-y, ctx), -rho(y, ctx)) < 1e-14
+                assert relerr(rho_prime(-y, ctx), rho_prime(y, ctx)) < 1e-14
+                assert relerr(eta(-y, ctx), eta(y, ctx)) < 1e-14
+                for a, b in ((y, w), (w, y)):
+                    assert relerr(sigma(-a, -b, ctx), -sigma(a, b, ctx)) < 1e-14
+                    assert relerr(phi(-a, -b, ctx), phi(a, b, ctx)) < 1e-14
+
+
 class TestIdentities:
     def test_sigma_cross_identity(self):
         """sigma(x-z1,w) sigma(x-z2,-w)/sigma(z1-z2,-w) + rho(x-z2) - rho(x-z1)
@@ -458,7 +480,7 @@ class TestPoleGuards:
         with pytest.raises(PoleError):
             phi(bad, 0.3, ctx)
 
-    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 0.4 + 0.05j, 0.02j])
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_guard_matches_lattice_distance(self, tau):
         """The guard taken from the theta jet raises exactly where
         lattice_distance < tol_pole: at 0.5 tol_pole from every translate

@@ -1,12 +1,14 @@
 """Tests of the zero-weight space, the eigenfunction Psi, and the KZB family."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ellbethe.elliptic import PoleError, Torus, eta, phi, rho, rho_prime, sigma, theta
+from ellbethe.elliptic import (PoleError, Torus, eta, phi, rho, rho_prime, sigma,
+                               sigma_jet, theta)
 from ellbethe.bethe import (
     BetheProblem,
     analytic_involution,
@@ -23,7 +25,6 @@ from ellbethe.repspace import (
     kzb_operators,
     psi,
     psi_derivs,
-    rst_s1_residual,
     s2_via_kzb,
     weyl_involution,
     weyl_on_function,
@@ -174,11 +175,41 @@ class TestZeroWeightSpace:
 
     def test_index_and_complement(self):
         sp = zero_weight_space(4)
-        assert sp.complement((0, 1)) == (2, 3)
+        assert sp.subsets[sp.dim - 1 - sp.index((0, 1))] == (2, 3)
         assert sp.index((1, 0)) == sp.index((0, 1))
 
 
+def psi_reference(lam, sol):
+    """(Psi, Psi', Psi'') from W_I summed over the m! orderings of the roots,
+    each term a scalar Leibniz fold of the sigma jets."""
+    prob = sol.problem
+    sp = zero_weight_space(prob.n)
+    stacks = [[sigma_jet(tj - zs, -lam, CTX) for zs in prob.z] for tj in sol.t]
+    w = np.zeros((3, sp.dim), dtype=complex)
+    for idx, subset in enumerate(sp.subsets):
+        for perm in itertools.permutations(range(prob.m)):
+            p0, p1, p2 = 1.0 + 0j, 0j, 0j
+            for j in range(prob.m):
+                g0, g1, g2 = stacks[perm[j]][subset[j]]
+                p0, p1, p2 = p0 * g0, p1 * g0 + p0 * g1, p2 * g0 + 2.0 * p1 * g1 + p0 * g2
+            w[:, idx] += (p0, p1, p2)
+    c = 1j * math.pi * sol.mu
+    envelope = cmath.exp(c * lam)
+    return (envelope * w[0], envelope * (c * w[0] - w[1]),
+            envelope * (c * c * w[0] - 2.0 * c * w[1] + w[2]))
+
+
 class TestPsi:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fold_matches_permutation_sum(self, m):
+        """Every row of the jet equals the per-ordering Leibniz sum, so a
+        uniform rescaling of Psi, which no eigen relation sees, is caught."""
+        z = Z10[:2 * m]
+        sol = solve_subset(BetheProblem(m, z, 14j, CTX), tuple(range(0, 2 * m, 2)))
+        for lam in (LAM, 0.62 - 0.21j):
+            for got, ref in zip(psi_derivs(lam, sol), psi_reference(lam, sol)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_m1_single_term(self):
         """For m=1 and I={0}, W_I is the single factor sigma(t - z_0, -lam)."""
         from ellbethe.elliptic import sigma
@@ -331,12 +362,6 @@ class TestS2:
             b = apply_rst_n2(x, F(lam), lam, Z4, CTX)
             assert np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)) < 1e-8
 
-    def test_s1_vanishes(self):
-        sp = zero_weight_space(4)
-        F = random_test_function(sp)
-        for x in (0.37 + 0.21j, 0.64 - 0.11j):
-            assert rst_s1_residual(x, F(LAM), LAM, Z4, CTX) < 1e-9
-
     def test_double_periodicity(self):
         sp = zero_weight_space(4)
         F = random_test_function(sp)
@@ -384,6 +409,15 @@ class TestDenseReference:
 
     N = 4
 
+    def l_diagonals(self, lam, x):
+        """Dense L11 and L22, with their rho(lambda) terms."""
+        n, z, g = self.N, Z4, kronecker_site_ops(self.N)
+        l11 = sum(rho(lam, CTX) * g["e22"][k] + rho(x - z[k], CTX) * g["e11"][k]
+                  for k in range(n))
+        l22 = sum(-rho(lam, CTX) * g["e11"][k] + rho(x - z[k], CTX) * g["e22"][k]
+                  for k in range(n))
+        return l11, l22
+
     def operators(self, lam, x):
         """(the H_a as lists of matrices multiplying (F, F', F''), the KZB
         S2(x), the column-determinant S2(x))."""
@@ -414,10 +448,7 @@ class TestDenseReference:
             for k in range(3):
                 s2_kzb[k] = s2_kzb[k] - rho(x - z[s], CTX) * ops[s + 1][k]
             s2_kzb[0] = s2_kzb[0] - rho_prime(x - z[s], CTX) * c2[s]
-        l11 = sum(rho(lam, CTX) * g["e22"][k] + rho(x - z[k], CTX) * g["e11"][k]
-                  for k in range(n))
-        l22 = sum(-rho(lam, CTX) * g["e11"][k] + rho(x - z[k], CTX) * g["e22"][k]
-                  for k in range(n))
+        l11, l22 = self.l_diagonals(lam, x)
         l12 = sum(sigma(x - z[p], -lam, CTX) * g["e21"][p] for p in range(n))
         l21 = sum(sigma(x - z[s], lam, CTX) * g["e12"][s] for s in range(n))
         dx22 = sum(rho_prime(x - z[k], CTX) * g["e22"][k] for k in range(n))
@@ -448,6 +479,23 @@ class TestDenseReference:
                 ref = apply(s2_det, jet)
                 got = apply_rst_n2(x, jet, lam, Z4, CTX)
                 assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
+
+    def test_s1_matrix_part_vanishes_on_zero_weight(self):
+        """S1(x) = L11 + L22 - (∂_{lambda_1} + ∂_{lambda_2}).  The derivative
+        part cancels on functions of lambda_1 - lambda_2; the matrix part is
+        sum_k [rho(x - z_k) (e11 + e22)^(k) + rho(lambda) (e22 - e11)^(k)],
+        which is 0 on V[0] and -w rho(lambda) on weight w, so it vanishes on
+        V[0] only."""
+        weight = np.diag(sum(kronecker_site_ops(self.N)["hw"]))
+        for lam, x in ((LAM, 0.52 + 0.33j), (0.62 - 0.21j, 0.18 - 0.27j)):
+            l11, l22 = self.l_diagonals(lam, x)
+            s1, scale = l11 + l22, np.linalg.norm(l11)
+            zero = np.flatnonzero(weight == 0)
+            assert np.linalg.norm(s1[:, zero]) < 1e-13 * scale
+            for w in (2, -2):
+                block = np.flatnonzero(weight == w)
+                assert (np.linalg.norm(s1[:, block])
+                        > 0.5 * abs(w * rho(lam, CTX)) * np.sqrt(len(block)))
 
 
 class TestFundamentalB2:
@@ -499,6 +547,15 @@ class TestWeylInvolution:
         out = weyl_involution(v, sp)
         assert out[sp.index((2, 3))] != 0.0
         assert np.count_nonzero(out) == 1
+        # s v_I = (-1)^m v_{complement(I)}, against the explicit complement map
+        rng = np.random.default_rng(3)
+        for n in range(2, 13, 2):
+            sp = zero_weight_space(n)
+            v = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
+            expected = np.zeros(sp.dim, dtype=complex)
+            for k, subset in enumerate(sp.subsets):
+                expected[sp.index(set(range(n)) - set(subset))] = (-1) ** sp.m * v[k]
+            assert np.array_equal(weyl_involution(v, sp), expected)
 
     def test_weyl_equals_analytic(self):
         """s(Psi(., mu, t)) is proportional to Psi(., -mu, s) with a constant
