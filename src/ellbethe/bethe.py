@@ -26,13 +26,21 @@ Bethe equations, for a parameter that is -mu mod 2Z.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import Torus, eta, lattice_distance, rho, rho_prime, theta_derivs
+from .elliptic import (
+    Torus,
+    _theta_jets,
+    eta,
+    lattice_distance,
+    lattice_distances,
+    rho,
+    theta_derivs,
+)
 from .thetapoly import (
     FundamentalParallelogram,
     ThetaPoly,
@@ -59,6 +67,15 @@ class InvolutionMismatchError(ArithmeticError):
     """Wronskian partner does not satisfy the Bethe equations as expected."""
 
     code = "involution_mismatch"
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """Read-only index arrays (i, j) of the pairs i < j < n, in
+    itertools.combinations order."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -94,8 +111,9 @@ class BetheProblem:
         return 2 * self.m
 
     def min_site_separation(self) -> float:
-        return min(lattice_distance(self.z[i] - self.z[j], self.ctx)
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        z = np.array(self.z)
+        i, j = _pairs(self.n)
+        return float(lattice_distances(z[i] - z[j], self.ctx).min())
 
 
 @dataclass(frozen=True)
@@ -185,39 +203,46 @@ def master_dtau(t, problem: BetheProblem) -> complex:
     return 0.5j * math.pi * mu * mu + acc / (4j * math.pi)
 
 
+@functools.lru_cache(maxsize=1)
+def _bethe_kernels(t: tuple, z: tuple, ctx: Torus) -> tuple:
+    """rho and rho' at the m(m-1)/2 root pairs j < k and the m n root-site
+    differences t_j - z_s, as read-only (m, m) and (m, n) arrays (pairs
+    above the diagonal), from one order-2 theta jet.
+
+    rho is odd and rho' even, so each unordered pair is evaluated once.
+    The one-entry memo lets the Jacobian at a Newton iterate reuse the
+    jet its residual took."""
+    m = len(t)
+    roots = np.array(t)
+    i, j = _pairs(m)
+    d = _theta_jets(np.concatenate([roots[i] - roots[j],
+                                    (roots[:, None] - np.array(z)).ravel()]),
+                    ctx, 2, pole="rho")
+    r = d[1] / d[0]
+    rp = d[2] / d[0] - r * r
+    pair_r, pair_rp = np.zeros((2, m, m), dtype=complex)
+    pair_r[i, j], pair_rp[i, j] = r[:len(i)], rp[:len(i)]
+    out = (pair_r, pair_rp, r[len(i):].reshape(m, -1), rp[len(i):].reshape(m, -1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def bae_residual(t, problem: BetheProblem, mu: complex = None) -> np.ndarray:
-    """Vector of Bethe equation values F_j(t) (zero at a solution); rho is
-    odd, so one evaluation serves both roots of a pair."""
-    z, ctx = problem.z, problem.ctx
+    """Vector of Bethe equation values F_j(t) (zero at a solution), from
+    the fused kernel jet that `bae_jacobian` at the same t reuses."""
     if mu is None:
         mu = problem.mu
-    t = [complex(v) for v in t]
-    out = np.full(len(t), TWOPI_I * mu, dtype=complex)
-    for j, k in itertools.combinations(range(len(t)), 2):
-        r = 2.0 * rho(t[j] - t[k], ctx)
-        out[j] += r
-        out[k] -= r
-    for j, tj in enumerate(t):
-        for zs in z:
-            out[j] -= rho(tj - zs, ctx)
-    return out
+    pair_r, _, site_r, _ = _bethe_kernels(tuple(complex(v) for v in t), problem.z, problem.ctx)
+    return TWOPI_I * mu + 2.0 * (pair_r.sum(axis=1) - pair_r.sum(axis=0)) - site_r.sum(axis=1)
 
 
 def bae_jacobian(t, problem: BetheProblem) -> np.ndarray:
     """dF_j/dt_l; mu does not enter.  rho' is even, so one evaluation
     serves both entries of a root pair."""
-    z, ctx = problem.z, problem.ctx
-    t = [complex(v) for v in t]
-    jac = np.zeros((len(t), len(t)), dtype=complex)
-    for j, k in itertools.combinations(range(len(t)), 2):
-        rp = 2.0 * rho_prime(t[j] - t[k], ctx)
-        jac[j, j] += rp
-        jac[k, k] += rp
-        jac[j, k] = jac[k, j] = -rp
-    for j, tj in enumerate(t):
-        for zs in z:
-            jac[j, j] -= rho_prime(tj - zs, ctx)
-    return jac
+    _, pair_rp, _, site_rp = _bethe_kernels(tuple(complex(v) for v in t), problem.z, problem.ctx)
+    pairs = 2.0 * (pair_rp + pair_rp.T)
+    return np.diag(pairs.sum(axis=1) - site_rp.sum(axis=1)) - pairs
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +288,10 @@ def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
     the best one, with converged=False if tol is not reached within
     max_iter iterations.
 
+    Each candidate costs one `bae_residual` call and each Newton step one
+    `bae_jacobian` call, and both read one batched theta jet per iterate:
+    the Jacobian at an accepted candidate reuses the jet its residual took.
+
     Raises
     ------
     CoalescedRootsError
@@ -292,15 +321,18 @@ def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
 
 
 def _check_separation(t, problem):
-    ctx = problem.ctx
-    t = [complex(v) for v in t]
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            if lattice_distance(t[i] - t[j], ctx) < 1e-8:
-                raise CoalescedRootsError("Bethe roots %d and %d coalesced" % (i, j))
-        for s, zs in enumerate(problem.z):
-            if lattice_distance(t[i] - zs, ctx) < 1e-8:
-                raise CoalescedRootsError("Bethe root %d hit site %d" % (i, s))
+    """Raise for the first (in row order) root pair j > i or root-site pair
+    closer than 1e-8 mod the lattice, from one array of distances."""
+    t = np.array([complex(v) for v in t])
+    m = len(t)
+    dist = lattice_distances(t[:, None] - np.concatenate([t, problem.z]), problem.ctx)
+    close = dist < 1e-8
+    close[:, :m] = np.triu(close[:, :m], 1)
+    if close.any():
+        i, col = divmod(int(np.argmax(close)), close.shape[1])
+        if col < m:
+            raise CoalescedRootsError("Bethe roots %d and %d coalesced" % (i, col))
+        raise CoalescedRootsError("Bethe root %d hit site %d" % (i, col - m))
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +382,9 @@ def wronskian_residues(sol: BetheSolution) -> list[float]:
 
 def nearest_site_tag(roots, problem: BetheProblem) -> tuple:
     """Indices of the sites nearest (mod lattice) to each root, sorted."""
-    tags = []
-    for t in roots:
-        dists = [lattice_distance(t - zs, problem.ctx) for zs in problem.z]
-        tags.append(int(np.argmin(dists)))
-    return tuple(sorted(tags))
+    dists = lattice_distances(np.array(roots, dtype=complex)[:, None] - np.array(problem.z),
+                              problem.ctx)
+    return tuple(sorted(int(a) for a in np.argmin(dists, axis=1)))
 
 
 def analytic_involution(sol: BetheSolution) -> BetheSolution:

@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TWOPI_I = 2j * math.pi
 
@@ -49,6 +52,12 @@ _MAX_LATTICE_SHIFT = 10 ** 6
 # rows n >= 1 while that bound is >= _ROW_CUTOFF: 4 rows at tau' = i, 3 at 2i,
 # 1 at 50i, and at most 5, as Im tau' >= sqrt(3)/2 in the fundamental domain.
 _ROW_CUTOFF = 1e-17
+
+# lattice_distances steps to the 3x3 neighbours of a reduced argument
+_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
+
+# past this real part e^z overflows a double, and cmath.exp raises
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 class PoleError(ArithmeticError):
@@ -81,6 +90,8 @@ class Torus:
     _dlog_norm: complex = field(init=False, repr=False, compare=False)
     _theta1_norm: complex = field(init=False, repr=False, compare=False)
     _dlog_theta1_norm: complex = field(init=False, repr=False, compare=False)
+    # the amplitude table as (rows, 1) columns (n, a, phase, log-modulus) for _theta_jets
+    _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -113,7 +124,9 @@ class Torus:
                 ("tau", tau), ("tau_reduced", t), ("cd", (c, d)), ("amplitudes", amps),
                 ("_j", j), ("_norm", norm), ("_dlog_norm", dlog_norm),
                 ("_theta1_norm", cmath.exp(0.25j * math.pi * (eighths % 8 + t)) * scale * norm),
-                ("_dlog_theta1_norm", dlog_norm + 0.25j * math.pi / (j * j) - 1.5 * c / j)):
+                ("_dlog_theta1_norm", dlog_norm + 0.25j * math.pi / (j * j) - 1.5 * c / j),
+                ("_columns", (np.arange(rows).reshape(-1, 1),)
+                 + tuple(np.array(col).reshape(-1, 1) for col in list(zip(*amps))[:3]))):
             object.__setattr__(self, name, value)
 
     @property
@@ -149,6 +162,24 @@ def _split(x: complex, tau: complex) -> tuple[complex, int, int]:
     return y - k, int(k), int(l)
 
 
+def _splits(xs: np.ndarray, tau: complex) -> tuple:
+    """_split on every point of a complex array, k and l as float arrays.
+
+    A point out of range is passed to `_split`, so the first one raises
+    RangeError with the scalar text."""
+    l = np.rint(xs.imag / tau.imag)
+    y = xs - l * tau
+    k = np.rint(y.real)
+    # written so that NaN fails too
+    if not (np.abs(l).max(initial=0.0) <= _MAX_LATTICE_SHIFT
+            and np.abs(k).max(initial=0.0) <= _MAX_LATTICE_SHIFT):
+        bad = ~((np.abs(l) <= _MAX_LATTICE_SHIFT) & (np.abs(k) <= _MAX_LATTICE_SHIFT))
+        x = complex(xs.flat[np.argmax(bad)])
+        _split(x, tau)
+        raise RangeError("x = %r exceeds the supported range" % (x,))
+    return y - k, k, l
+
+
 def reduce_argument(x: complex, ctx: Torus) -> tuple[complex, LatticePoint]:
     """Split x = x0 + (k + l*tau) with |Im x0| <= Im(tau)/2, |Re x0| <= 1/2."""
     x0, k, l = _split(complex(x), ctx.tau)
@@ -172,6 +203,16 @@ def lattice_distance(x: complex, ctx: Torus) -> float:
             if dist < best:
                 best = dist
     return abs(j) * best
+
+
+def lattice_distances(xs, ctx: Torus) -> np.ndarray:
+    """lattice_distance at every point of an array, in one pass: the same
+    reduction and 3x3 neighbour search, so the values differ from the
+    scalar ones only by rounding in the modulus (within 1e-15)."""
+    j, tau_r = ctx._j, ctx.tau_reduced
+    u0 = _splits(np.asarray(xs, dtype=complex) / j, tau_r)[0]
+    rows = u0[..., None] - _NEIGHBOURS * tau_r
+    return abs(j) * np.abs(rows[..., None] - _NEIGHBOURS).min(axis=(-2, -1))
 
 
 def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False, pole: str = None):
@@ -260,6 +301,90 @@ def _theta_jet(x: complex, ctx: Torus, order: int, dtau: bool = False, pole: str
                  + g * (s_tau - wt * s_x) / (j * j))
 
 
+def _theta_jets(xs, ctx: Torus, order: int, pole: str = None) -> np.ndarray:
+    """[theta, theta', ..., theta^(order)] at every point of an array xs,
+    as one (order + 1, *xs.shape) array: `_theta_jet` for orders 0..4
+    without d/dtau, one pass over all points.
+
+    The same reduction, series and pole guard as the scalar jet, with the
+    points on one array axis and the series rows on another; the balanced
+    and up/down branches are masks that pick each point's coefficients for
+    one shared recursion.  Where `_theta_jet` steps e^{i a Re u0} and
+    expm1(-2 a v) from row to row, this takes them directly, so the two
+    agree to rounding (within 1e-13 relative), not bit for bit.  RangeError
+    and PoleError carry the scalar texts and name the first offending x;
+    RangeError is tested on all points before PoleError.  Where the scalar
+    jet's exponential overflows, this raises the same OverflowError.
+
+    Callers with many points per call use this one (the Bethe equations,
+    theta polynomials on sample points); one-point callers keep the scalar
+    `_theta_jet`, since a numpy call costs several scalar evaluations.
+    """
+    shape = np.shape(xs)
+    xs = np.asarray(xs, dtype=complex).ravel()
+    c, j, tau, tau_r = ctx.cd[0], ctx._j, ctx.tau, ctx.tau_reduced
+    x0, k0, l0 = _splits(xs, tau)
+    u0, k, l = _splits(x0 / j, tau_r)
+    if pole is not None:
+        near = np.abs(j * u0) < ctx.tol_pole
+        if near.any():
+            raise PoleError("%s evaluated within tol_pole of the lattice (x=%r)"
+                            % (pole, complex(xs[np.argmax(near)])))
+    n, a, phase, loga = ctx._columns
+    v = np.abs(u0.imag)
+    up = u0.imag >= 0
+    # per row n and point: e^{i a Re u0}, expm1(-2 a v), e^{-a v} sin(a u0);
+    # masks enter as 0/1 factors, which select exactly
+    z = np.exp(1j * (a * u0.real))
+    em = np.expm1(-2.0 * a * v)
+    amp = phase * np.exp(loga + (2.0 * math.pi) * n * v)
+    ch, sh = 1.0 + 0.5 * em, (0.5 - up) * em
+    amp_s = amp * (z.imag * ch + 1j * (z.real * sh))
+    out = np.empty((order + 1, len(xs)), dtype=complex)
+    out[0] = amp_s.sum(axis=0)
+    if order:
+        # the scalar loop's two recursions as one: x' = alpha x + beta y
+        # + r P'' x_prev, y' = beta x + alpha2 y + r P'' y_prev, with
+        # (alpha, alpha2, beta) = (A, A, B) balanced, (A + B, A - B, 0)
+        # not; P'' = 2 kappa c vanishes on tori with c = 0
+        kappa = -1j * math.pi / j
+        big_a = 2.0 * kappa * (c * x0 + l + l0 * j)
+        big_b = -kappa * (2 * n + 1)
+        p2 = 2.0 * kappa * c
+        balanced = np.abs(u0) < 0.05
+        steep = ~balanced * big_b
+        alpha, alpha2, beta = big_a + steep, big_a - steep, balanced * big_b
+        zc = z.real * ch - 1j * (z.imag * sh)
+        f1 = np.where(balanced, 2j * amp_s, amp * z * (1.0 + up * em))
+        f2 = np.where(balanced, 2.0 * amp * zc, -amp * z.conj() * (1.0 + ~up * em))
+        x, y, xp, yp = 1.0, ~balanced, 0.0, 0.0
+        for r in range(order):
+            nx, ny = alpha * x + beta * y, beta * x + alpha2 * y
+            if r and c:
+                nx, ny = nx + r * p2 * xp, ny + r * p2 * yp
+            x, y, xp, yp = nx, ny, x, y
+            out[r + 1] = (f1 * x + f2 * y).sum(axis=0)
+    sign = 1.0 - 2.0 * ((k0 + l0 + k + l) % 2)
+    # P = -pi i expo, the scalar jet's exponent regrouped
+    expo = l0 * (l0 * tau + 2.0 * x0) + l * (l * tau_r + 2.0 * u0)
+    if c:
+        expo += c * x0 * x0 / j
+    g = sign * j / ctx._norm * _exp(math.pi * v - 1j * math.pi * expo)
+    out[0] *= g
+    out[1:] *= -0.5j * g
+    return out.reshape((order + 1,) + shape)
+
+
+def _exp(z: np.ndarray) -> np.ndarray:
+    """np.exp that raises OverflowError, as cmath.exp does in the scalar
+    code, where a real part passes the log of the largest double (up to
+    the last 0.35, where cmath's verdict also depends on the phase),
+    instead of returning inf and NaN."""
+    if z.real.max(initial=-math.inf) > _LOG_DOUBLE_MAX:
+        raise OverflowError("math range error")
+    return np.exp(z)
+
+
 def theta(x: complex, ctx: Torus) -> complex:
     """Normalized theta at any (sane) x."""
     return _theta_jet(x, ctx, 0)[0][0]
@@ -335,9 +460,17 @@ def sigma_jet(x: complex, w: complex, ctx: Torus) -> tuple:
     quotient-rule form over theta(x) theta(w)^k, from the order-2 jets at
     x + w and at w, so they stay finite when x+w hits the lattice.
     """
+    return _sigma_w_jet(x, w, _theta_jet(w, ctx, 2, pole="sigma_jet (w slot)")[0], ctx)
+
+
+def _sigma_w_jet(x: complex, w: complex, tw: list, ctx: Torus) -> tuple:
+    """sigma_jet(x, w) from the theta jet `tw` at w, for callers that share
+    one w across many x; a one-entry `tw` gives (sigma,) only, with the
+    same bits as the first entry of the full jet."""
     tx = _theta_jet(x, ctx, 0, pole="sigma_jet (x slot)")[0][0]
-    tw = _theta_jet(w, ctx, 2, pole="sigma_jet (w slot)")[0]
-    ts = _theta_jet(x + w, ctx, 2)[0]
+    ts = _theta_jet(x + w, ctx, len(tw) - 1)[0]
+    if len(tw) == 1:
+        return (ts[0] / (tx * tw[0]),)
     num2 = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
             - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
     return (ts[0] / (tx * tw[0]),

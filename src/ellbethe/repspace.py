@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .bethe import BetheSolution, master_dtau, master_dz
-from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
+from .elliptic import Torus, _sigma_w_jet, _theta_jet, eta, phi, rho, rho_prime, sigma
 from .thetapoly import _leibniz
 
 TWOPI_I = 2j * math.pi
@@ -114,27 +114,38 @@ def kzb_eigenvalues(sol: BetheSolution) -> KzbEigenvalues:
 # ---------------------------------------------------------------------------
 
 
-def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
-    """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis.
+def _weight_rows(lam: complex, sol: BetheSolution, order: int) -> np.ndarray:
+    """Rows d^r/dw^r W_I at w = -lambda, r = 0..order (0 or 2), over the
+    subsets I: W_I = Sym_t prod_j sigma(t_j - z_{i_j}, w), the permanent of
+    the sigma jets on the roots and the sites in I.
 
-    Psi = e^{pi i mu lambda} sum_I W_I v_I with
-    W_I = Sym_t prod_j sigma(t_j - z_{i_j}, -lambda), the permanent of the
-    sigma jets on the roots and the sites in I.  All C(n, m) permanents are
-    one array fold: in ordering pi root j takes site I[pi(j)], the jets
-    multiply by the Leibniz rule along j, and the orderings are summed last.
+    The theta jet at w is taken once and shared by every (root, site)
+    factor.  All C(n, m) permanents are one array fold: in ordering pi
+    root j takes site I[pi(j)], the jets multiply by the Leibniz rule along
+    j, and the orderings are summed last.  Row 0 does not depend on order.
     """
     prob = sol.problem
     sp = zero_weight_space(prob.n)
     ctx = prob.ctx
-    # jets[r, j, s]: d^r/dw^r sigma(t_j - z_s, w) at w = -lambda, so the
-    # rows of `w` hold W_I, -dW_I/dlambda and d2W_I/dlambda2
-    jets = np.array([[sigma_jet(tj - zs, -lam, ctx) for zs in prob.z]
+    tw = _theta_jet(-lam, ctx, order, pole="sigma_jet (w slot)")[0]
+    # jets[r, j, s]: d^r/dw^r sigma(t_j - z_s, w) at w = -lambda
+    jets = np.array([[_sigma_w_jet(tj - zs, -lam, tw, ctx) for zs in prob.z]
                      for tj in sol.t]).transpose(2, 0, 1)
     sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
     fold = jets[:, 0, sites[..., 0]]
     for j in range(1, prob.m):
         fold = _leibniz(fold, jets[:, j, sites[..., j]])
-    w = np.sum(fold, axis=-1)
+    return np.sum(fold, axis=-1)
+
+
+def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
+    """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis.
+
+    Psi = e^{pi i mu lambda} sum_I W_I v_I, with the W_I and their
+    w-derivatives from `_weight_rows` (w = -lambda, so its rows hold W_I,
+    -dW_I/dlambda and d2W_I/dlambda2).
+    """
+    w = _weight_rows(lam, sol, 2)
     c = 1j * math.pi * sol.mu
     envelope = cmath.exp(c * lam)
     value = envelope * w[0]
@@ -144,8 +155,10 @@ def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
 
 
 def psi(lam: complex, sol: BetheSolution) -> np.ndarray:
-    """The V[0]-valued eigenfunction Psi at lambda (coefficient vector)."""
-    return psi_derivs(lam, sol)[0]
+    """The V[0]-valued eigenfunction Psi at lambda (coefficient vector),
+    from order-0 sigma values only; the same bits as psi_derivs' value."""
+    c = 1j * math.pi * sol.mu
+    return cmath.exp(c * lam) * _weight_rows(lam, sol, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +178,9 @@ class KzbOperators:
 
 
 def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
-    """The KZB operators at lam, from one evaluation of rho, eta,
-    sigma(z_s - z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair.
+    """The KZB operators at lam, from one evaluation of rho and eta per
+    unordered site pair and of sigma(z_s - z_p, -lambda) and phi(lambda,
+    z_s - z_p) per ordered pair.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -181,19 +195,23 @@ def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
     Those terms are diagonal: Omega0^(s,s) = 1/2 and the two projectors
     (1 +- hw^(s))/2 add up to 1, so they give n (eta(0)/4 + rho'(lambda)).
 
-    The other coefficients follow by parity: sigma(-x, -w) = -sigma(x, w)
-    makes the sigma(., +lambda) table the negated transpose of the
-    sigma(., -lambda) one, and phi(-x, -w) = phi(x, w) makes the
-    phi(-lambda, .) table the transpose of the phi(lambda, .) one, so the
-    two moves of H_0 add up to -phi(lambda, z_s - z_p)/(2 pi i).
+    The other coefficients follow by parity: rho is odd and eta even, so
+    the rho table is antisymmetric and the eta table symmetric;
+    sigma(-x, -w) = -sigma(x, w) makes the sigma(., +lambda) table the
+    negated transpose of the sigma(., -lambda) one, and phi(-x, -w) =
+    phi(x, w) makes the phi(-lambda, .) table the transpose of the
+    phi(lambda, .) one, so the two moves of H_0 add up to
+    -phi(lambda, z_s - z_p)/(2 pi i).
     """
     n = len(z)
     sp = zero_weight_space(n)
     hw = sp.hw_site
     kernels = np.zeros((4, n, n), dtype=complex)
-    for s, p in itertools.permutations(range(n), 2):
+    for s, p in itertools.combinations(range(n), 2):
         d = z[s] - z[p]
-        kernels[:, s, p] = rho(d, ctx), eta(d, ctx), sigma(d, -lam, ctx), phi(lam, d, ctx)
+        r, e = rho(d, ctx), eta(d, ctx)
+        kernels[:, s, p] = r, e, sigma(d, -lam, ctx), phi(lam, d, ctx)
+        kernels[:, p, s] = -r, e, sigma(-d, -lam, ctx), phi(lam, -d, ctx)
     rho_d, eta_d, sig, phi_d = kernels
     diag = np.empty((n + 1, sp.dim), dtype=complex)
     diag[0] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)

@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import Torus, lattice_distance, theta, theta_derivs
+from .elliptic import (
+    Torus,
+    _exp,
+    _theta_jets,
+    lattice_distance,
+    lattice_distances,
+    theta,
+    theta_derivs,
+)
 
 TWOPI_I = 2j * math.pi
 
@@ -99,19 +107,28 @@ class ThetaPoly:
         return a, b
 
     def eval(self, x: complex) -> complex:
-        val = self.scale * cmath.exp(TWOPI_I * self.mu * x)
-        for t in self.roots:
-            val *= theta(x - t, self.ctx)
-        return val
+        """f(x); for an array x, f at every point (see `derivs`)."""
+        return self.derivs(x, 0)[0]
 
     __call__ = eval
 
     def derivs(self, x: complex, order: int = 3) -> list[complex]:
-        """[f, f', ..., f^(order)](x) by Leibniz over the factors."""
-        e0 = self.scale * cmath.exp(TWOPI_I * self.mu * x)
+        """[f, f', ..., f^(order)](x) by Leibniz over the factors.
+
+        For an array x every entry is an array over the points, and the
+        factors come from one theta batch over all (point, root) pairs."""
+        if np.ndim(x):
+            x = np.asarray(x, dtype=complex)
+            e0 = self.scale * _exp(TWOPI_I * self.mu * x)
+            jets = _theta_jets(x[..., None] - np.array(self.roots, dtype=complex),
+                               self.ctx, order)
+            factors = [jets[..., i] for i in range(self.degree)]
+        else:
+            e0 = self.scale * cmath.exp(TWOPI_I * self.mu * x)
+            factors = [theta_derivs(x - t, self.ctx, order) for t in self.roots]
         stack = [((TWOPI_I * self.mu) ** r) * e0 for r in range(order + 1)]
-        for t in self.roots:
-            stack = _leibniz(stack, theta_derivs(x - t, self.ctx, order))
+        for factor in factors:
+            stack = _leibniz(stack, factor)
         return stack
 
 
@@ -151,19 +168,23 @@ def golden_points(cell: FundamentalParallelogram, count: int, offset, skip: int 
     with (a_k, b_k) = offset + k GOLDEN mod 1; the first `count` lying
     farther than `margin` from the lattice orbit of every point in `avoid`
     are returned.  Raises ArithmeticError after 500 * count candidates.
+    Candidates are tested `count` at a time, against every avoided point
+    in one array of lattice distances.
     """
+    avoid = np.array(avoid, dtype=complex)
     out = []
-    k = skip
+    k, last = skip, skip + 500 * count
     while len(out) < count:
-        if k - skip >= 500 * count:
+        if k >= last:
             raise ArithmeticError("could not place %d sample points clear of %d "
                                   "avoided orbits" % (count, len(avoid)))
-        k += 1
-        x = (cell.base + (offset[0] + k * GOLDEN[0]) % 1.0
-             + ((offset[1] + k * GOLDEN[1]) % 1.0) * cell.ctx.tau)
-        if all(lattice_distance(x - p, cell.ctx) > margin for p in avoid):
-            out.append(x)
-    return out
+        ks = np.arange(k + 1, min(k + count, last) + 1)
+        xs = (cell.base + (offset[0] + ks * GOLDEN[0]) % 1.0
+              + ((offset[1] + ks * GOLDEN[1]) % 1.0) * cell.ctx.tau)
+        clear = (lattice_distances(xs[:, None] - avoid, cell.ctx) > margin).all(axis=1)
+        out.extend(complex(x) for x in xs[clear])
+        k = int(ks[-1])
+    return out[:count]
 
 
 def canonical_coords(poly: ThetaPoly, cell: FundamentalParallelogram) -> ThetaPoly:

@@ -21,15 +21,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bethe import (
     BetheProblem,
     BetheSolution,
     SeedTooCoarseError,
+    _pairs,
     nearest_site_tag,
     seed_asymptotic,
     solve_bae,
 )
-from .elliptic import lattice_distance
+from .elliptic import lattice_distances
 from .thetapoly import (
     ResidueViolationError,
     SolveError,
@@ -88,32 +91,27 @@ def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
     Wr(f, g) - c * target is a degree-2m theta-polynomial with the target's
     multipliers, so it has 2m zeros in the cell unless it vanishes; the
     first point fixes c and the other 2m + 1 (at least 7) force it to zero.
+    Both sides are evaluated at all points in one array pass each.
     """
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
-    wr = wronskian(f, g)
     avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
     count = max(8, 2 * problem.m + 2)
-    xs = golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3)
-    ratio = None
-    worst = 0.0
-    for x in xs:
-        a = wr.eval(x)
-        b = target.eval(x)
-        if ratio is None:
-            ratio = a / b
-            continue
-        err = abs(a - ratio * b) / max(abs(a), abs(ratio * b))
-        worst = max(worst, err)
-    return worst
+    xs = np.array(golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3))
+    a = wronskian(f, g).eval(xs)
+    b = target.eval(xs)
+    fit = a[0] / b[0] * b[1:]
+    err = np.abs(a[1:] - fit) / np.maximum(np.abs(a[1:]), np.abs(fit))
+    # fmax skips NaN the way the running max(worst, err) did
+    return float(np.fmax.reduce(err, initial=0.0))
 
 
-def _normal_form_distance(sol_a: BetheSolution, sol_b: BetheSolution) -> float:
-    """Max lattice-reduced coordinate distance between sorted root tuples."""
+def _root_key(sol: BetheSolution) -> np.ndarray:
+    """The roots reduced into the problem cell and sorted: the dedup key,
+    so two solutions are one fiber point when their keys are within
+    DEDUP_TOL of each other, root by root, mod the lattice."""
+    cell = sol.problem.cell
     key = lambda c: (round(c.real, 9), round(c.imag, 9))
-    ra = sorted(sol_a.t, key=key)
-    rb = sorted(sol_b.t, key=key)
-    ctx = sol_a.problem.ctx
-    return max(lattice_distance(a - b, ctx) for a, b in zip(ra, rb))
+    return np.array(sorted((cell.reduce(t)[0] for t in sol.t), key=key))
 
 
 def _gated_solve(problem, seed, tol, subset_tag=None):
@@ -162,10 +160,10 @@ def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
         stage = "certificate"
         f = ThetaPoly(1.0, 0.0, sol.t, problem.ctx)
         g = ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx)
-        roots = tuple(sol.t) + tuple(par.t) + tuple(problem.z)
-        for a, b in itertools.combinations(roots, 2):
-            if lattice_distance(a - b, problem.ctx) < 1e-6:
-                raise SolveError("fiber roots collide with each other or a site")
+        roots = np.array(tuple(sol.t) + tuple(par.t) + tuple(problem.z))
+        i, j = _pairs(len(roots))
+        if (lattice_distances(roots[i] - roots[j], problem.ctx) < 1e-6).any():
+            raise SolveError("fiber roots collide with each other or a site")
         residual = wr_certificate(f, g, problem)
         if residual > WR_RESIDUAL_GATE:
             raise ResidueViolationError(
@@ -184,11 +182,16 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     lands on another subset's point (below-threshold mu can merge basins)
     fails at stage dedup.  Raises IncompleteFiberError, carrying the
     partial report and the failing subsets, if any subset fails.
+
+    Each accepted point's `_root_key` is kept as a row of `keys`, and a new
+    point is compared with all earlier ones in one array of lattice
+    distances; the first twin in list order decides.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
     failures = []
     points = []
+    keys = np.empty((0, problem.m), dtype=complex)
     warnings = []
     for subset in subsets:
         try:
@@ -197,8 +200,9 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
             failures.append((subset, "%s: %s [stage %s]"
                              % (exc.__class__.__name__, exc, exc.stage)))
             continue
-        twin = next((q.subset_tag for q in points
-                     if _normal_form_distance(point.solution, q.solution) < DEDUP_TOL), None)
+        key = _root_key(point.solution)
+        close = lattice_distances(keys - key, problem.ctx).max(axis=1) < DEDUP_TOL
+        twin = points[np.argmax(close)].subset_tag if close.any() else None
         if twin is not None:
             if twin != point.subset_tag:
                 failures.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
@@ -209,6 +213,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
                 "subset %s pairs with %s, not its complement (below-threshold mu?)"
                 % (subset, point.partner_tag))
         points.append(point)
+        keys = np.vstack([keys, key])
     pairing = tuple(sorted({tuple(sorted((p.subset_tag, p.partner_tag)))
                             for p in points}))
     report = FiberReport(

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ellbethe.elliptic import PoleError, Torus
+from ellbethe.elliptic import PoleError, Torus, rho, rho_prime
 from ellbethe.thetapoly import FundamentalParallelogram
 from ellbethe.bethe import (
+    _check_separation,
     BetheProblem,
     CoalescedRootsError,
     InvolutionMismatchError,
@@ -120,6 +121,24 @@ class TestMasterFunction:
             err = np.abs(jac[:, l] - fd) / np.maximum(1.0, np.abs(fd))
             assert np.max(err) < 1e-6
 
+    def test_fused_jet_matches_scalar_kernels(self):
+        """Residual and Jacobian from the one batched jet agree with sums of
+        scalar rho and rho' over every ordered pair, for two site sets and
+        two mu at the same roots (the memo keys on the roots and sites)."""
+        t = (0.144 + 0.002j, 0.43 + 0.11j, 0.61 + 0.52j)
+        for z in (Z4 + (0.2 + 0.7j, 0.9 + 0.8j), Z4[:2] + (0.3 + 0.4j, 0.5 + 0.9j, 0.7, 0.8j)):
+            for mu in (10j, 3.0 - 2j):
+                prob = BetheProblem(3, z, mu, CTX)
+                res = [2j * math.pi * mu
+                       + sum(2.0 * rho(tj - tk, CTX) for tk in t if tk != tj)
+                       - sum(rho(tj - zs, CTX) for zs in z) for tj in t]
+                jac = [[(sum(2.0 * rho_prime(tj - tk, CTX) for tk in t if tk != tj)
+                         - sum(rho_prime(tj - zs, CTX) for zs in z)) if tj == tl
+                        else -2.0 * rho_prime(tj - tl, CTX) for tl in t] for tj in t]
+                for got, want in ((bae_residual(t, prob), res), (bae_jacobian(t, prob), jac)):
+                    want = np.array(want)
+                    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
 
 class TestSolver:
     def test_m1_all_subsets(self):
@@ -164,6 +183,18 @@ class TestSolver:
         prob = problem4()
         with pytest.raises(CoalescedRootsError):
             solve_bae(prob, (0.3 + 0.2j, 0.3 + 0.2j + 1e-10), max_iter=0)
+
+    def test_separation_names_the_first_collision(self):
+        """Root pairs and root-site pairs are checked root by root, pairs
+        first, so the message names the first collision in that order."""
+        prob = BetheProblem(3, Z4 + (0.2 + 0.7j, 0.9 + 0.8j), 10j, CTX)
+        cases = (((0.3 + 0.2j, Z4[2] + 1j, 0.3 + 0.2j + 1e-10), "Bethe roots 0 and 2 coalesced"),
+                 ((0.3 + 0.2j, Z4[2] + 1, 0.5 + 0.5j), "Bethe root 1 hit site 2"),
+                 ((Z4[3], 0.5 + 0.5j, 0.5 + 0.5j), "Bethe root 0 hit site 3"))
+        for t, message in cases:
+            with pytest.raises(CoalescedRootsError, match=message):
+                _check_separation(t, prob)
+        _check_separation((0.3 + 0.2j, 0.5 + 0.5j, 0.7 + 0.1j), prob)
 
     def test_seed_on_a_pole(self):
         """A seed on a site raises PoleError once Newton needs a step; with

@@ -11,12 +11,16 @@ import pytest
 
 import oracles as orc
 from ellbethe.elliptic import (
+    _MAX_LATTICE_SHIFT,
     LatticePoint,
     PoleError,
     RangeError,
     Torus,
+    _theta_jet,
+    _theta_jets,
     eta,
     lattice_distance,
+    lattice_distances,
     phi,
     reduce_argument,
     rho,
@@ -516,3 +520,94 @@ class TestPoleGuards:
             Torus(1.0 + 0j)
         with pytest.raises(ValueError):
             Torus(0.5 - 0.1j)
+
+
+class TestThetaJets:
+    """The array evaluator of the fiber path, pinned to the scalar jet (the
+    one-point evaluator) and to the oracle."""
+
+    @pytest.mark.parametrize("tau", LADDER)
+    def test_matches_scalar_and_oracle(self, tau):
+        """Orders 0..4 at the test_oracle_ladder points, lattice translates
+        included: within 1e-13 of the scalar jet and 1e-12 of the oracle."""
+        ctx = Torus(tau)
+        rng = np.random.default_rng(1)
+        xs = np.array([[a + k + (b + l) * tau for k, l in ((0, 0), (1, -1), (-2, 2))]
+                       for a, b in rng.uniform(-0.5, 0.5, size=(3, 2))])
+        for order in range(5):
+            jets = _theta_jets(xs, ctx, order)
+            assert jets.shape == (order + 1,) + xs.shape
+            for x, jet in zip(xs.ravel(), jets.reshape(order + 1, -1).T):
+                want = _theta_jet(complex(x), ctx, order)[0]
+                for r in range(order + 1):
+                    assert abs(jet[r] - want[r]) < 1e-13 * abs(want[r])
+        for x, jet in zip(xs.ravel(), _theta_jets(xs, ctx, 4).reshape(5, -1).T):
+            for r in range(5):
+                assert relerr(jet[r], complex(orc.theta(x, tau, r))) < 1e-12
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_pole_guard_matches_scalar(self, tau):
+        """The batch raises PoleError, with the scalar text naming the first
+        offending point, exactly where the scalar guard raises: at 0.5
+        tol_pole from every translate k + l tau (|k|, |l| <= 2), and not at
+        10 tol_pole."""
+        ctx = Torus(tau)
+        other = 0.3 + 0.1j * tau.imag
+        raised = 0
+        for k in range(-2, 3):
+            for l in range(-2, 3):
+                for turn in (1, 1j, -1 + 1j, -0.6 - 0.8j):
+                    for scale in (0.5, 10.0):
+                        x = k + l * tau + scale * ctx.tol_pole * turn / abs(turn)
+                        try:
+                            _theta_jet(x, ctx, 1, pole="rho")
+                        except PoleError as exc:
+                            raised += 1
+                            with pytest.raises(PoleError) as info:
+                                _theta_jets([other, x, x + 1], ctx, 1, pole="rho")
+                            assert str(info.value) == str(exc)
+                        else:
+                            _theta_jets([other, x], ctx, 1, pole="rho")
+        assert raised == 100
+
+    def test_range_guard_matches_scalar(self):
+        """Past _MAX_LATTICE_SHIFT the batch raises the scalar RangeError for
+        the first offending point, and lattice_distances does too."""
+        ctx = Torus(0.3 + 0.8j)
+        limit = _MAX_LATTICE_SHIFT
+        for bad in (2.0 * limit * 0.8j, 0.5 + (limit + 2) * 0.8j, 3.0 * limit + 0.1j):
+            with pytest.raises(RangeError) as want:
+                _theta_jet(bad, ctx, 0)
+            with pytest.raises(RangeError) as got:
+                _theta_jets([0.1, bad, 2 * bad], ctx, 2, pole="rho")
+            assert str(got.value) == str(want.value)
+            with pytest.raises(RangeError):
+                lattice_distances([0.1, bad], ctx)
+
+    def test_overflow_matches_scalar(self):
+        """Far up the tau direction the automorphy factor overflows: both
+        evaluators raise OverflowError instead of returning inf or NaN."""
+        ctx = Torus(1j)
+        for x in (0.3 + 30j, -0.2 - 300j):
+            with pytest.raises(OverflowError):
+                _theta_jet(x, ctx, 1)
+            with pytest.raises(OverflowError):
+                _theta_jets([0.1, x], ctx, 1)
+        jet = _theta_jets([0.3 + 12j], ctx, 4)[:, 0]
+        want = _theta_jet(0.3 + 12j, ctx, 4)[0]
+        assert all(abs(a - b) < 1e-13 * abs(b) for a, b in zip(jet, want))
+
+    def test_lattice_distances_match_scalar(self):
+        """On the skewed tori of test_lattice_distance_is_exact_on_skewed_torus,
+        far from and next to lattice points."""
+        rng = np.random.default_rng(13)
+        for tau in (0.4 + 0.05j, 0.3 + 0.8j, -0.45 + 0.02j):
+            ctx = Torus(tau)
+            far = rng.uniform(-2, 2, size=(30, 2)) @ np.array([1, 1j])
+            near = [k + l * tau + 1e-9 * turn for k, l in ((0, 0), (1, -1), (-2, 1))
+                    for turn in (1, 1j, -0.6 - 0.8j)]
+            xs = np.concatenate([far, near]).reshape(3, -1)
+            got = lattice_distances(xs, ctx)
+            assert got.shape == xs.shape
+            want = np.array([[lattice_distance(x, ctx) for x in row] for row in xs])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)

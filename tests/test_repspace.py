@@ -210,6 +210,15 @@ class TestPsi:
             for got, ref in zip(psi_derivs(lam, sol), psi_reference(lam, sol)):
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_value_is_order_independent(self, m):
+        """psi builds order-0 sigma values only, and the value row does not
+        depend on the order, so it is psi_derivs' value bit for bit."""
+        z = Z10[:2 * m]
+        sol = solve_subset(BetheProblem(m, z, 14j, CTX), tuple(range(0, 2 * m, 2)))
+        for lam in (LAM, -0.62 + 0.21j):
+            assert np.array_equal(psi(lam, sol), psi_derivs(lam, sol)[0])
+
     def test_m1_single_term(self):
         """For m=1 and I={0}, W_I is the single factor sigma(t - z_0, -lam)."""
         from ellbethe.elliptic import sigma
@@ -271,6 +280,24 @@ class TestPsi:
 
 
 class TestKzbOperators:
+    def test_parity_tables_match_ordered_evaluation(self):
+        """rho and eta are evaluated once per unordered site pair; rho is odd
+        and eta even bit for bit, so the diagonals equal those built from
+        every ordered pair."""
+        n = 6
+        z = Z10[:n]
+        sp = zero_weight_space(n)
+        hw = sp.hw_site
+        rho_d = np.array([[rho(z[s] - z[p], CTX) if s != p else 0 for p in range(n)]
+                          for s in range(n)])
+        eta_d = np.array([[eta(z[s] - z[p], CTX) if s != p else 0 for p in range(n)]
+                          for s in range(n)])
+        ops = kzb_operators(LAM, z, CTX)
+        assert np.array_equal(ops.diag[1:], 0.5 * hw * (rho_d @ hw))
+        want0 = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)
+                 + n * (0.25 * eta(0.0, CTX) + rho_prime(LAM, CTX))) / (4j * math.pi)
+        assert np.array_equal(ops.diag[0], want0)
+
     def test_eigen_relations(self):
         """H_a Psi = (dPhi/dz_a) Psi and H_0 Psi = (dPhi/dtau) Psi."""
         rng = np.random.default_rng(2)

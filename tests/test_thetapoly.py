@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ellbethe.elliptic import Torus, theta
+from ellbethe.elliptic import Torus, lattice_distance, theta
 from ellbethe.thetapoly import (
+    GOLDEN,
     DegenerateMultipliersError,
     FundamentalParallelogram,
     MultipleRootError,
@@ -17,6 +18,7 @@ from ellbethe.thetapoly import (
     ThetaPoly,
     canonical_coords,
     fourier_basis,
+    golden_points,
     solve_wronskian,
     wronskian,
 )
@@ -55,6 +57,27 @@ class TestThetaPoly:
             for r in range(1, 4):
                 fd = (f.derivs(x + h, r - 1)[r - 1] - f.derivs(x - h, r - 1)[r - 1]) / (2 * h)
                 assert relerr(d[r], fd) < 1e-8
+
+    def test_array_points_match_scalar(self):
+        """An array x evaluates every point in one theta batch; values and
+        derivatives agree with the scalar path to 1e-13, in any shape."""
+        ctx = Torus(0.3 + 0.8j)
+        f = ThetaPoly(1.2 - 0.3j, 0.4 + 0.2j, (0.1 + 0.2j, -0.3 + 0.1j, 0.45 - 0.3j), ctx)
+        xs = np.array([[0.21 + 0.13j, -0.4 + 0.3j, 1.7 - 0.9j], [0.05j, -2.2 + 0.4j, 0.6]])
+        got = f.derivs(xs, 3)
+        assert all(row.shape == xs.shape for row in got)
+        assert f.eval(xs).shape == xs.shape
+        for idx in np.ndindex(xs.shape):
+            want = f.derivs(complex(xs[idx]), 3)
+            for r in range(4):
+                assert abs(got[r][idx] - want[r]) < 1e-13 * abs(want[r])
+            assert abs(f.eval(xs)[idx] - want[0]) < 1e-13 * abs(want[0])
+        assert ThetaPoly(2.0, 0.0, (), ctx).eval(xs).shape == xs.shape
+        # a label whose exponential overflows raises on both paths
+        big = ThetaPoly(1.0, -200j, (0.1,), ctx)
+        for x in (0.9, np.array([0.2, 0.9])):
+            with pytest.raises(OverflowError):
+                big.derivs(x, 1)
 
     def test_transformation_laws(self):
         """f(x+1) = A(-1)^m f; f(x+tau) = B(-1)^m e^{-pi i m tau - 2 pi i m x} f."""
@@ -125,6 +148,34 @@ class TestCanonicalCoords:
         assert abs(once.scale - twice.scale) < 1e-12 * max(1, abs(once.scale))
 
 
+class TestGoldenPoints:
+    def test_matches_one_candidate_at_a_time(self):
+        """Testing candidates in blocks returns the points, in order, that a
+        one-candidate loop over the same sequence accepts."""
+        for tau in (1j, 0.3 + 0.8j):
+            ctx = Torus(tau)
+            cell = FundamentalParallelogram(-(1.0 + tau) / 2.0, ctx)
+            avoid = (0.0, 0.12 + 0.3j, -0.2 - 0.1j)
+            for count, skip, margin in ((8, 0, 1e-3), (12, 5, 0.2), (3, 0, 0.0)):
+                want, k = [], skip
+                while len(want) < count:
+                    k += 1
+                    x = (cell.base + (0.5 + k * GOLDEN[0]) % 1.0
+                         + ((0.37 + k * GOLDEN[1]) % 1.0) * tau)
+                    if all(lattice_distance(x - p, ctx) > margin for p in avoid):
+                        want.append(x)
+                got = golden_points(cell, count, (0.5, 0.37), skip=skip, avoid=avoid,
+                                    margin=margin)
+                assert got == want
+                assert all(type(x) is complex for x in got)
+
+    def test_gives_up_when_no_point_is_clear(self):
+        ctx = Torus(1j)
+        cell = FundamentalParallelogram(0.0, ctx)
+        with pytest.raises(ArithmeticError):
+            golden_points(cell, 4, (0.5, 0.5), avoid=(0.0,), margin=1.0)
+
+
 class TestWronskian:
     def test_value_and_derivs(self):
         ctx = Torus(1j)
@@ -137,6 +188,7 @@ class TestWronskian:
         for x in (0.21 + 0.13j, -0.34 + 0.4j):
             df, dg = f.derivs(x, 1), g.derivs(x, 1)
             assert relerr(w.eval(x), df[0] * dg[1] - df[1] * dg[0]) < 1e-13
+            assert relerr(w.eval(np.array([x]))[0], w.eval(x)) < 1e-13
             d = w.derivs(x, 2)
             fd1 = (w.eval(x + h) - w.eval(x - h)) / (2 * h)
             fd2 = (w.derivs(x + h, 1)[1] - w.derivs(x - h, 1)[1]) / (2 * h)

@@ -7,6 +7,7 @@ partner (the Bethe solve at -mu) is cross-checked against the Wronskian
 inversion of `analytic_involution`.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -19,10 +20,13 @@ from ellbethe.bethe import (
     analytic_involution,
     bae_jacobian,
     normalize_solution,
+    translate_root,
 )
 from ellbethe.elliptic import Torus, lattice_distance, theta_derivs
-from ellbethe.thetapoly import ThetaPoly, wronskian
+import ellbethe.wronski as wronski_module
+from ellbethe.thetapoly import SolveError, ThetaPoly, golden_points, wronskian
 from ellbethe.wronski import (
+    DEDUP_TOL,
     WR_RESIDUAL_GATE,
     IncompleteFiberError,
     asymptotic_deviation,
@@ -41,6 +45,16 @@ Z2 = Z4[:2]
 CELL_AB = ((0.13, 0.0), (0.41, 0.12), (0.55, 0.31), (0.77, 0.05),
            (0.05, 0.55), (0.29, 0.71), (0.62, 0.83), (0.88, 0.47),
            (0.35, 0.42), (0.71, 0.63))
+
+
+# seed-1 benchmark scan sites: below 2.6i some subsets converge onto other
+# subsets' points
+MERGED_Z = (0.12890928334489193 + 0.8705894159142823j,
+            0.5731648745745974 + 0.7985952968328152j,
+            0.6952530335957309 + 0.05419763380688547j,
+            0.46772907960594134 + 0.5771382780492729j,
+            0.5505276633859453 + 0.9508925304238594j,
+            0.0038096713445530117 + 0.019650900869300436j)
 
 
 def cell_problem(m, mu, tau=1j):
@@ -117,19 +131,54 @@ class TestEnumerateFiber:
     def test_merged_subsets_are_a_dedup_failure(self):
         # seed-1 benchmark scan at mu = 2.5i: subset (0, 3, 4) converges onto
         # the point of (0, 1, 3), which used to vanish from the fiber silently
-        z = (0.12890928334489193 + 0.8705894159142823j,
-             0.5731648745745974 + 0.7985952968328152j,
-             0.6952530335957309 + 0.05419763380688547j,
-             0.46772907960594134 + 0.5771382780492729j,
-             0.5505276633859453 + 0.9508925304238594j,
-             0.0038096713445530117 + 0.019650900869300436j)
-        prob = BetheProblem(3, z, 2.5j, CTX)
+        prob = BetheProblem(3, MERGED_Z, 2.5j, CTX)
         with pytest.raises(IncompleteFiberError) as info:
             enumerate_fiber(prob, subsets=[(0, 1, 3), (0, 3, 4)])
         assert info.value.partial.count == 1
         [(subset, why)] = info.value.failed
         assert subset == (0, 3, 4)
         assert "(0, 1, 3)" in why and why.endswith(" [stage dedup]")
+
+    def test_dedup_matches_pairwise_reference(self):
+        """At mu = 2.2i three subsets merge: the array dedup keeps and fails
+        the subsets a pairwise loop over cell-reduced sorted roots does."""
+        prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
+        with pytest.raises(IncompleteFiberError) as info:
+            enumerate_fiber(prob)
+
+        def key(point):
+            return sorted((prob.cell.reduce(t)[0] for t in point.solution.t),
+                          key=lambda c: (round(c.real, 9), round(c.imag, 9)))
+
+        kept, merged = [], []
+        for subset in itertools.combinations(range(6), 3):
+            try:
+                point = fiber_point(prob, subset)
+            except (SolveError, ArithmeticError, ValueError):
+                continue
+            twin = next((q.subset_tag for q in kept
+                         if max(lattice_distance(a - b, CTX)
+                                for a, b in zip(key(point), key(q))) < DEDUP_TOL), None)
+            if twin is None:
+                kept.append(point)
+            elif twin != subset:
+                merged.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
+        assert len(merged) == 3
+        assert [p.subset_tag for p in info.value.partial.points] == [p.subset_tag for p in kept]
+        assert [f for f in info.value.failed if f[1].endswith("[stage dedup]")] == merged
+
+    def test_translated_root_is_the_same_point(self, monkeypatch):
+        """The dedup key reduces roots into the cell before sorting: with
+        t_0 moved by 1 the raw sorted roots were 0.52 apart, and the moved
+        copy of a point entered the fiber as a second point."""
+        prob = cell_problem(3, 10j)
+        point = fiber_point(prob, (0, 2, 4))
+        moved = translate_root(point.solution, 0, 1, 0)
+        assert moved.residual < 1e-10
+        points = iter([point, dataclasses.replace(point, solution=moved)])
+        monkeypatch.setattr(wronski_module, "fiber_point", lambda problem, subset: next(points))
+        rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (0, 2, 4)])
+        assert rep.count == 1
 
     def test_jacobian_condition(self):
         prob = problem(2, 6j)
@@ -168,6 +217,34 @@ class TestFiberPoint:
             complement = tuple(sorted(set(range(8)) - set(point.subset_tag)))
             assert point.partner_tag == complement
             assert point.wr_residual <= 1e-9
+
+    def test_m5_fiber_certifies_every_subset(self):
+        prob = cell_problem(5, 18j)
+        rep = enumerate_fiber(prob)
+        assert rep.count == rep.expected == 252
+        assert rep.warnings == ()
+        for point in rep.points:
+            complement = tuple(sorted(set(range(10)) - set(point.subset_tag)))
+            assert point.partner_tag == complement
+            assert point.wr_residual <= WR_RESIDUAL_GATE
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_certificate_matches_pointwise_loop(self, m):
+        """The array certificate keeps the pointwise rule: the first sample
+        point fixes the ratio and the rest are compared one by one."""
+        prob = cell_problem(m, 14j)
+        point = fiber_point(prob, tuple(range(0, 2 * m, 2)))
+        for g in (point.g, ThetaPoly(1.0, point.g.mu, (point.g.roots[0] + 1e-3,)
+                                     + point.g.roots[1:], prob.ctx)):
+            target = ThetaPoly(1.0, -prob.mu, prob.z, prob.ctx)
+            wr = wronskian(point.f, g)
+            xs = golden_points(prob.cell, max(8, 2 * m + 2), (0.5, 0.37),
+                               avoid=point.f.roots + g.roots + prob.z, margin=1e-3)
+            ratio = wr.eval(xs[0]) / target.eval(xs[0])
+            want = max(abs(wr.eval(x) - ratio * target.eval(x))
+                       / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
+            got = wr_certificate(point.f, g, prob)
+            assert abs(got - want) <= 1e-12 * want + 1e-15
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
     @pytest.mark.parametrize("m, mu", [(1, 6j), (2, 6j), (3, 10j)])
