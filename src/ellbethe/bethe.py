@@ -25,7 +25,6 @@ Bethe equations, for a parameter that is -mu mod 2Z.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -36,9 +35,9 @@ from .elliptic import (
     Torus,
     _theta_jets,
     eta,
-    lattice_distance,
     lattice_distances,
     rho,
+    theta,
     theta_derivs,
 )
 from .thetapoly import (
@@ -97,14 +96,23 @@ class BetheProblem:
         object.__setattr__(self, "mu", complex(self.mu))
         if self.cell is None:
             object.__setattr__(self, "cell", FundamentalParallelogram(0.0, self.ctx))
-        if len(self.z) != 2 * self.m:
-            raise ValueError("need exactly 2m = %d sites, got %d" % (2 * self.m, len(self.z)))
-        for i in range(len(self.z)):
-            if not self.cell.contains(self.z[i]):
-                raise ValueError("site %d = %r outside the fundamental cell" % (i, self.z[i]))
-            for j in range(i + 1, len(self.z)):
-                if lattice_distance(self.z[i] - self.z[j], self.ctx) <= 1e-6:
-                    raise ValueError("sites %d and %d coincide mod the lattice" % (i, j))
+        n = len(self.z)
+        if n != 2 * self.m:
+            raise ValueError("need exactly 2m = %d sites, got %d" % (2 * self.m, n))
+        # the first failure in the order of a loop over sites i that checks
+        # site i against the cell, then the pairs (i, j > i): the pairs
+        # before the first site outside the cell, from one distance array
+        outside = [i for i, v in enumerate(self.z) if not self.cell.contains(v)] + [n]
+        z = np.array(self.z)
+        i, j = _pairs(n)
+        reached = i < outside[0]
+        close = lattice_distances(z[i[reached]] - z[j[reached]], self.ctx) <= 1e-6
+        if close.any():
+            k = int(np.argmax(close))
+            raise ValueError("sites %d and %d coincide mod the lattice" % (i[k], j[k]))
+        if outside[0] < n:
+            raise ValueError("site %d = %r outside the fundamental cell"
+                             % (outside[0], self.z[outside[0]]))
 
     @property
     def n(self) -> int:
@@ -149,6 +157,15 @@ class BetheSolution:
 # ---------------------------------------------------------------------------
 
 
+def _differences(t, problem: BetheProblem) -> tuple:
+    """The root pairs t_i - t_j (i < j), root-site differences t_i - z_s
+    and site pairs z_s - z_r (s < r), each flat in row order."""
+    t, z = np.array(t, dtype=complex), np.array(problem.z)
+    i, j = _pairs(len(t))
+    s, r = _pairs(len(z))
+    return t[i] - t[j], np.subtract.outer(t, z).ravel(), z[s] - z[r]
+
+
 def master_phi(t, problem: BetheProblem) -> complex:
     """Phi(t); uses principal logarithms, so only defined mod 2 pi i.
 
@@ -157,50 +174,25 @@ def master_phi(t, problem: BetheProblem) -> complex:
     """
     z, mu, ctx, tau = problem.z, problem.mu, problem.ctx, problem.ctx.tau
     t = [complex(v) for v in t]
-    val = 0.5j * math.pi * mu * mu * tau + TWOPI_I * mu * (sum(t) - 0.5 * sum(z))
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            val += 2.0 * cmath.log(theta_derivs(t[i] - t[j], ctx, 0)[0])
-    for ti in t:
-        for zs in z:
-            val -= cmath.log(theta_derivs(ti - zs, ctx, 0)[0])
-    for s in range(len(z)):
-        for r in range(s + 1, len(z)):
-            val += 0.5 * cmath.log(theta_derivs(z[s] - z[r], ctx, 0)[0])
-    return val
+    roots, mixed, sites = (np.log(theta(d, ctx)) for d in _differences(t, problem))
+    return (0.5j * math.pi * mu * mu * tau + TWOPI_I * mu * (sum(t) - 0.5 * sum(z))
+            + 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum())
 
 
 def master_dz(t, problem: BetheProblem) -> np.ndarray:
     """Gradient (dPhi/dz_1, ..., dPhi/dz_n); these are the Hamiltonian eigenvalues."""
-    z, mu, ctx = problem.z, problem.mu, problem.ctx
-    out = np.zeros(problem.n, dtype=complex)
-    for a in range(problem.n):
-        val = -1j * math.pi * mu
-        for ti in t:
-            val -= rho(z[a] - ti, ctx)
-        for r in range(problem.n):
-            if r != a:
-                val += 0.5 * rho(z[a] - z[r], ctx)
-        out[a] = val
-    return out
+    z, ctx = np.array(problem.z), problem.ctx
+    sites = np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)]
+    return (-1j * math.pi * problem.mu - rho(np.subtract.outer(z, t), ctx).sum(axis=1)
+            + 0.5 * rho(sites, ctx).reshape(problem.n, -1).sum(axis=1))
 
 
 def master_dtau(t, problem: BetheProblem) -> complex:
     """dPhi/dtau, via 4 pi i d/dtau ln theta(u) = eta(u) - eta(0)."""
-    z, mu, ctx = problem.z, problem.mu, problem.ctx
-    eta0 = theta_derivs(0.0, ctx, 3)[3]
-    acc = 0j
-    t = [complex(v) for v in t]
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            acc += 2.0 * (eta(t[i] - t[j], ctx) - eta0)
-    for ti in t:
-        for zs in z:
-            acc -= eta(ti - zs, ctx) - eta0
-    for s in range(len(z)):
-        for r in range(s + 1, len(z)):
-            acc += 0.5 * (eta(z[s] - z[r], ctx) - eta0)
-    return 0.5j * math.pi * mu * mu + acc / (4j * math.pi)
+    eta0 = theta_derivs(0.0, problem.ctx, 3)[3]
+    roots, mixed, sites = (eta(d, problem.ctx) - eta0 for d in _differences(t, problem))
+    acc = 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum()
+    return 0.5j * math.pi * problem.mu * problem.mu + acc / (4j * math.pi)
 
 
 @functools.lru_cache(maxsize=1)
@@ -408,17 +400,9 @@ def analytic_involution(sol: BetheSolution) -> BetheSolution:
         raise ValueError("involution undefined for integer mu (got %r)" % (mu,))
     result = solve_wronskian(sol.poly(), site_wronskian(problem), problem.cell)
     s = result.g.roots
-    # each Bethe equation determines nu; average for robustness
-    nu_vals = []
-    for j, sj in enumerate(s):
-        acc = 0j
-        for k, sk in enumerate(s):
-            if k != j:
-                acc += 2.0 * rho(sj - sk, problem.ctx)
-        for zs in problem.z:
-            acc -= rho(sj - zs, problem.ctx)
-        nu_vals.append(-acc / TWOPI_I)
-    nu_exact = sum(nu_vals) / len(nu_vals)
+    # each Bethe equation determines nu, F_j(s) at nu = 0 being -2 pi i nu;
+    # average for robustness
+    nu_exact = complex(np.mean(bae_residual(s, problem, 0.0))) / -TWOPI_I
     d = (nu_exact + mu) / 2.0
     d_int = round(d.real)
     if abs(d - d_int) > 1e-8:

@@ -36,7 +36,7 @@ from .elliptic import (
     PoleError,
     Torus,
     eta,
-    lattice_distance,
+    lattice_distances,
     phi,
     rho,
     rho_prime,
@@ -249,7 +249,13 @@ def _cell_samples(cell, count, seed, avoid=()):
 
 
 def _relerr(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    """|a - b| / max(1, |a|, |b|), elementwise."""
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _worst(*errors):
+    """The largest entry of any of the arrays, 0.0 if all are empty."""
+    return max((float(np.max(e, initial=0.0)) for e in errors), default=0.0)
 
 
 def _check(name, measured, tolerance):
@@ -300,92 +306,72 @@ def _render(report, as_json):
 
 
 def cmd_identities(cfg: ExperimentConfig) -> dict:
+    """Each identity is evaluated on all kept samples and the four SHIFTS
+    at once, one call per kernel; pairs too near the lattice are dropped
+    before anything is evaluated."""
     ctx = cfg.torus()
     base = cfg.parallelogram_base
-    pts = _cell_samples(FundamentalParallelogram(base, ctx), 100, cfg.seed)
+    pts = np.array(_cell_samples(FundamentalParallelogram(base, ctx), 100, cfg.seed))
     xs, ws = pts[:50], pts[50:]
+    # lattice shifts k + l tau along axis 0, against the points along axis 1
+    ks, ls = (np.array(col)[:, None] for col in zip(*SHIFTS))
+    shifts = ks + ls * ctx.tau
     checks = []
 
     checks.append(_check("theta_prime_origin",
                          abs(theta_derivs(0.0, ctx, 1)[1] - 1.0),
                          cfg.tolerance("theta_prime_origin")))
 
-    worst = 0.0
-    for x in xs[:10]:
-        lhs = 4j * math.pi * theta1_dtau(x, ctx)
-        rhs = theta1_derivs(x, ctx, 2)[2]
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    checks.append(_check("heat_equation", worst, cfg.tolerance("heat_equation")))
+    lhs = 4j * math.pi * theta1_dtau(xs[:10], ctx)
+    rhs = theta1_derivs(xs[:10], ctx, 2)[2]
+    checks.append(_check("heat_equation",
+                         np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))),
+                         cfg.tolerance("heat_equation")))
 
-    worst = 0.0
-    for x in xs:
-        val = theta(x, ctx)
-        for k, l in SHIFTS:
-            mult = (-1) ** (k + l) * np.exp(-1j * math.pi * l * l * ctx.tau
-                                            - 2j * math.pi * l * x)
-            worst = max(worst, _relerr(theta(x + k + l * ctx.tau, ctx), mult * val))
-    checks.append(_check("theta_quasi_periodicity", worst,
+    mult = (1.0 - 2.0 * ((ks + ls) % 2)) * np.exp(-1j * math.pi * ls * ls * ctx.tau
+                                                  - 2j * math.pi * ls * xs)
+    checks.append(_check("theta_quasi_periodicity",
+                         _worst(_relerr(theta(xs + shifts, ctx), mult * theta(xs, ctx))),
                          cfg.tolerance("theta_quasi_periodicity")))
 
-    worst = 0.0
-    counted = 0
-    for x, w in zip(xs, ws):
-        if min(lattice_distance(u, ctx) for u in (x + w, x - w)) < 1e-3:
-            continue
-        counted += 1
-        sig = sigma(x, w, ctx)
-        ph = phi(x, w, ctx)
-        sig_wx = sigma(w, -x, ctx)
-        for k, l in SHIFTS:
-            worst = max(
-                worst,
-                _relerr(rho(x + k + l * ctx.tau, ctx),
-                        rho(x, ctx) - 2j * math.pi * l),
-                _relerr(rho_prime(x + k + l * ctx.tau, ctx), rho_prime(x, ctx)),
-                _relerr(eta(x + k + l * ctx.tau, ctx),
-                        eta(x, ctx) - 4j * math.pi * l * rho(x, ctx)
-                        + (2j * math.pi * l) ** 2),
-                _relerr(sigma(x + k + l * ctx.tau, w, ctx),
-                        np.exp(-2j * math.pi * l * w) * sig),
-                _relerr(sigma(x, w + k + l * ctx.tau, ctx),
-                        np.exp(-2j * math.pi * l * x) * sig),
-                _relerr(phi(x + k + l * ctx.tau, w, ctx),
-                        np.exp(2j * math.pi * l * w) * ph),
-                _relerr(phi(x, w + k + l * ctx.tau, ctx),
-                        np.exp(2j * math.pi * l * x)
-                        * (ph + 2j * math.pi * l * sig_wx)),
-            )
+    # the kernel and product identities skip pairs with x +- w near the lattice
+    apart = np.minimum(lattice_distances(xs + ws, ctx), lattice_distances(xs - ws, ctx)) >= 1e-3
+    x, w = xs[apart], ws[apart]
+    r, rp, e = rho(x, ctx), rho_prime(x, ctx), eta(x, ctx)
+    sig, sig_minus, sig_wx = sigma(np.array([x, x, w]), np.array([w, -w, -x]), ctx)
+    ph = phi(x, w, ctx)
+    twopi_l = 2j * math.pi * ls
+    worst = _worst(
+        _relerr(rho(x + shifts, ctx), r - twopi_l),
+        _relerr(rho_prime(x + shifts, ctx), rp),
+        _relerr(eta(x + shifts, ctx), e - 2.0 * twopi_l * r + twopi_l ** 2),
+        _relerr(sigma(x + shifts, w, ctx), np.exp(-twopi_l * w) * sig),
+        _relerr(sigma(x, w + shifts, ctx), np.exp(-twopi_l * x) * sig),
+        _relerr(phi(x + shifts, w, ctx), np.exp(twopi_l * w) * ph),
+        _relerr(phi(x, w + shifts, ctx), np.exp(twopi_l * x) * (ph + twopi_l * sig_wx)))
     warnings = []
-    if counted < 30:
+    if len(x) < 30:
         warnings.append("kernel quasi-periodicity sampled only %d point pairs"
-                        % counted)
+                        % len(x))
     checks.append(_check("kernel_quasi_periodicity", worst,
                          cfg.tolerance("kernel_quasi_periodicity")))
 
     z1, z2 = complex(base) + 0.05 - 0.11j, complex(base) + 0.44 + 0.31j
-    worst = 0.0
-    counted = 0
-    for x, w in zip(xs, ws):
-        if min(lattice_distance(u, ctx) for u in
-               (x - z1, x - z2, w, w - (z1 - z2), z1 - z2)) < LATTICE_MARGIN:
-            continue
-        counted += 1
-        lhs = (sigma(x - z1, w, ctx) * sigma(x - z2, -w, ctx)
-               / sigma(z1 - z2, -w, ctx) + rho(x - z2, ctx) - rho(x - z1, ctx))
-        rhs = rho(w, ctx) - rho(w - (z1 - z2), ctx)
-        worst = max(worst, _relerr(lhs, rhs))
-    if counted < 20:
-        warnings.append("cross identity sampled only %d point pairs" % counted)
-    checks.append(_check("sigma_cross_identity", worst,
+    clear = lattice_distances(np.array([xs - z1, xs - z2, ws, ws - (z1 - z2),
+                                        np.full_like(xs, z1 - z2)]), ctx)
+    keep = clear.min(axis=0) >= LATTICE_MARGIN
+    cx, cw = xs[keep], ws[keep]
+    s1, s2, s12 = sigma(np.array([cx - z1, cx - z2, np.full_like(cx, z1 - z2)]),
+                        np.array([cw, -cw, -cw]), ctx)
+    r1, r2, rw, rw12 = rho(np.array([cx - z1, cx - z2, cw, cw - (z1 - z2)]), ctx)
+    if len(cx) < 20:
+        warnings.append("cross identity sampled only %d point pairs" % len(cx))
+    checks.append(_check("sigma_cross_identity",
+                         _worst(_relerr(s1 * s2 / s12 + r2 - r1, rw - rw12)),
                          cfg.tolerance("sigma_cross_identity")))
 
-    worst = 0.0
-    for x, w in zip(xs, ws):
-        if min(lattice_distance(u, ctx) for u in (x + w, x - w)) < 1e-3:
-            continue
-        worst = max(worst, _relerr(sigma(x, w, ctx) * sigma(x, -w, ctx),
-                                   rho_prime(w, ctx) - rho_prime(x, ctx)))
-    checks.append(_check("sigma_product_identity", worst,
+    checks.append(_check("sigma_product_identity",
+                         _worst(_relerr(sig * sig_minus, rho_prime(w, ctx) - rp)),
                          cfg.tolerance("sigma_product_identity")))
 
     return {"checks": checks, "warnings": warnings}
@@ -511,6 +497,7 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     sp = zero_weight_space(prob.n)
     lam_pts = _cell_samples(prob.cell, 10, cfg.seed)
     x_pts = _cell_samples(prob.cell, 10, cfg.seed + 1, avoid=prob.z)
+    x_arr = np.array(x_pts)
     # the KZB coefficients depend on (lambda, z, tau) only
     ops_pts = [kzb_operators(lam, prob.z, ctx) for lam in lam_pts]
     worst = {name: 0.0 for name in
@@ -566,8 +553,9 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
         worst["weyl_ratio"] = max(worst["weyl_ratio"],
                                   float(np.max(np.abs(arr - mean)) / abs(mean)))
 
-        wr = wronskian(sol.poly(), par.poly())
-        for x, lam, jet, outs in zip(x_pts, lam_pts, jets, kzb_rows):
+        # B2 at every x and at its translates by 1 and tau, in one call
+        b2s = fundamental_b2(np.array([x_arr, x_arr + 1, x_arr + ctx.tau]), sol)
+        for x, b2, lam, jet, outs in zip(x_pts, b2s[0], lam_pts, jets, kzb_rows):
             value = jet[0]
             vnorm = np.linalg.norm(value)
             via_kzb = s2_via_kzb(x, outs, value, prob.z, ctx)
@@ -576,23 +564,20 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
                 worst["s2_routes"],
                 np.linalg.norm(via_kzb - via_det)
                 / max(1.0, np.linalg.norm(via_kzb)))
-            b2 = fundamental_b2(x, sol)
             worst["s2_eigen_b2"] = max(
                 worst["s2_eigen_b2"],
                 np.linalg.norm(via_kzb - b2 * value) / vnorm)
-            scale = max(1.0, abs(b2))
-            worst["b2_periodicity"] = max(
-                worst["b2_periodicity"],
-                abs(fundamental_b2(x + 1, sol) - b2) / scale,
-                abs(fundamental_b2(x + ctx.tau, sol) - b2) / scale)
-            wd = wr.derivs(x, 2)
-            for poly in (sol.poly(), par.poly()):
-                pd = poly.derivs(x, 2)
-                v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
-                vp = (pd[2] / pd[0] - (pd[1] / pd[0]) ** 2
-                      - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2))
-                worst["kernel_membership"] = max(
-                    worst["kernel_membership"], abs(vp + v * v + b2) / scale)
+        scale = np.maximum(1.0, np.abs(b2s[0]))
+        worst["b2_periodicity"] = max(worst["b2_periodicity"],
+                                      float(np.max(np.abs(b2s[1:] - b2s[0]) / scale)))
+        wd = wronskian(sol.poly(), par.poly()).derivs(x_arr, 2)
+        for poly in (sol.poly(), par.poly()):
+            pd = poly.derivs(x_arr, 2)
+            v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
+            vp = (pd[2] / pd[0] - (pd[1] / pd[0]) ** 2
+                  - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2))
+            worst["kernel_membership"] = max(worst["kernel_membership"],
+                                             float(np.max(np.abs(vp + v * v + b2s[0]) / scale)))
 
     if not verified:
         # no subset reached the checks, so none of them measured anything

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .bethe import BetheSolution, master_dtau, master_dz
-from .elliptic import Torus, _sigma_w_jet, _theta_jet, eta, phi, rho, rho_prime, sigma
+from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
 from .thetapoly import _leibniz
 
 TWOPI_I = 2j * math.pi
@@ -119,18 +119,18 @@ def _weight_rows(lam: complex, sol: BetheSolution, order: int) -> np.ndarray:
     subsets I: W_I = Sym_t prod_j sigma(t_j - z_{i_j}, w), the permanent of
     the sigma jets on the roots and the sites in I.
 
-    The theta jet at w is taken once and shared by every (root, site)
-    factor.  All C(n, m) permanents are one array fold: in ordering pi
-    root j takes site I[pi(j)], the jets multiply by the Leibniz rule along
-    j, and the orderings are summed last.  Row 0 does not depend on order.
+    The sigma factors of all (root, site) pairs come from one kernel call.
+    All C(n, m) permanents are one array fold: in ordering pi root j takes
+    site I[pi(j)], the jets multiply by the Leibniz rule along j, and the
+    orderings are summed last.  Row 0 does not depend on order: sigma has
+    the same bits as sigma_jet's value.
     """
     prob = sol.problem
     sp = zero_weight_space(prob.n)
-    ctx = prob.ctx
-    tw = _theta_jet(-lam, ctx, order, pole="sigma_jet (w slot)")[0]
+    diffs = np.subtract.outer(sol.t, prob.z)
     # jets[r, j, s]: d^r/dw^r sigma(t_j - z_s, w) at w = -lambda
-    jets = np.array([[_sigma_w_jet(tj - zs, -lam, tw, ctx) for zs in prob.z]
-                     for tj in sol.t]).transpose(2, 0, 1)
+    jets = np.array(sigma_jet(diffs, -lam, prob.ctx) if order
+                    else (sigma(diffs, -lam, prob.ctx),))
     sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
     fold = jets[:, 0, sites[..., 0]]
     for j in range(1, prob.m):
@@ -180,7 +180,7 @@ class KzbOperators:
 def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
     """The KZB operators at lam, from one evaluation of rho and eta per
     unordered site pair and of sigma(z_s - z_p, -lambda) and phi(lambda,
-    z_s - z_p) per ordered pair.
+    z_s - z_p) per ordered pair, one kernel call each.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -206,12 +206,13 @@ def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
     n = len(z)
     sp = zero_weight_space(n)
     hw = sp.hw_site
+    i, j = np.triu_indices(n, 1)
+    d = np.subtract.outer(z, z)
     kernels = np.zeros((4, n, n), dtype=complex)
-    for s, p in itertools.combinations(range(n), 2):
-        d = z[s] - z[p]
-        r, e = rho(d, ctx), eta(d, ctx)
-        kernels[:, s, p] = r, e, sigma(d, -lam, ctx), phi(lam, d, ctx)
-        kernels[:, p, s] = -r, e, sigma(-d, -lam, ctx), phi(lam, -d, ctx)
+    kernels[:2, i, j] = rho(d[i, j], ctx), eta(d[i, j], ctx)
+    kernels[:2, j, i] = -kernels[0, i, j], kernels[1, i, j]
+    off = ~np.eye(n, dtype=bool)
+    kernels[2:, off] = sigma(d[off], -lam, ctx), phi(lam, d[off], ctx)
     rho_d, eta_d, sig, phi_d = kernels
     diag = np.empty((n + 1, sp.dim), dtype=complex)
     diag[0] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)
@@ -242,10 +243,9 @@ def s2_via_kzb(x: complex, rows, value, z, ctx: Torus) -> np.ndarray:
     combination S2(x) = -2 pi i H_0 - sum_s [ H_s rho(x - z_s)
     + c2^(s) rho'(x - z_s) ], c2^(s) the scalar -3/4 on each factor.
     """
-    rhos = np.array([rho(x - zs, ctx) for zs in z])
-    rho_primes = sum(rho_prime(x - zs, ctx) for zs in z)
-    return (-TWOPI_I * rows[0] - rhos @ rows[1:]
-            - C2_SCALAR * rho_primes * np.asarray(value, dtype=complex))
+    d = x - np.asarray(z)
+    return (-TWOPI_I * rows[0] - rho(d, ctx) @ rows[1:]
+            - C2_SCALAR * np.sum(rho_prime(d, ctx)) * np.asarray(value, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +273,11 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     # with e11 and e22 swapped and rho(lambda) negated; the weight sums
     # sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], leaving the rho(x - z_k) terms
     e11 = 0.5 * sp.hw_site
-    rhos = [rho(x - zk, ctx) for zk in z]
-    l11 = sum(r * e for r, e in zip(rhos, e11))
-    l22 = sum(r * -e for r, e in zip(rhos, e11))  # e22 = -e11 per site
-    dx22 = sum(rho_prime(x - zk, ctx) * -e for zk, e in zip(z, e11))
-    l21 = np.array([sigma(x - zs, lam, ctx) for zs in z])
-    l12 = np.array([sigma(x - zp, -lam, ctx) for zp in z])
+    d = x - np.asarray(z)
+    l11 = rho(d, ctx) @ e11
+    l22 = -l11  # e22 = -e11 per site
+    dx22 = -rho_prime(d, ctx) @ e11
+    l21, l12 = sigma(d, np.array([[lam], [-lam]]), ctx)
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
     l21_l12_diag = 0.5 * (l21 * l12) @ (1.0 + sp.hw_site)
     return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value
@@ -290,23 +289,19 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def fundamental_b2(x: complex, sol: BetheSolution) -> complex:
-    """B2(x) with d^2/dx^2 + B2(x) the fundamental operator of Psi.
+def fundamental_b2(x, sol: BetheSolution):
+    """B2(x) with d^2/dx^2 + B2(x) the fundamental operator of Psi, at a
+    point or at every point of an array.
 
     B2 = -w' - w^2 for w = (ln u)' = pi i mu + sum_j rho(x - t_j)
     - (1/2) sum_s rho(x - z_s).
     """
     prob = sol.problem
-    ctx = prob.ctx
-    w = 1j * math.pi * sol.mu
-    wp = 0j
-    for tj in sol.t:
-        w += rho(x - tj, ctx)
-        wp += rho_prime(x - tj, ctx)
-    for zs in prob.z:
-        w -= 0.5 * rho(x - zs, ctx)
-        wp -= 0.5 * rho_prime(x - zs, ctx)
-    return -wp - w * w
+    poles = np.concatenate([sol.t, prob.z])
+    weights = np.repeat([1.0, -0.5], [prob.m, prob.n])
+    d = np.subtract.outer(x, poles)
+    w = 1j * math.pi * sol.mu + rho(d, prob.ctx) @ weights
+    return -(rho_prime(d, prob.ctx) @ weights) - w * w
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import (
-    Torus,
-    _exp,
-    _theta_jets,
-    lattice_distance,
-    lattice_distances,
-    theta,
-    theta_derivs,
-)
+from .elliptic import Torus, _exp, _theta_jets, lattice_distances
 
 TWOPI_I = 2j * math.pi
 
@@ -106,29 +98,23 @@ class ThetaPoly:
         b = cmath.exp(TWOPI_I * self.mu * self.ctx.tau + TWOPI_I * sum(self.roots))
         return a, b
 
-    def eval(self, x: complex) -> complex:
-        """f(x); for an array x, f at every point (see `derivs`)."""
+    def eval(self, x):
+        """f at a point or at every point of an array (see `derivs`)."""
         return self.derivs(x, 0)[0]
 
     __call__ = eval
 
-    def derivs(self, x: complex, order: int = 3) -> list[complex]:
-        """[f, f', ..., f^(order)](x) by Leibniz over the factors.
-
-        For an array x every entry is an array over the points, and the
-        factors come from one theta batch over all (point, root) pairs."""
-        if np.ndim(x):
-            x = np.asarray(x, dtype=complex)
-            e0 = self.scale * _exp(TWOPI_I * self.mu * x)
-            jets = _theta_jets(x[..., None] - np.array(self.roots, dtype=complex),
-                               self.ctx, order)
-            factors = [jets[..., i] for i in range(self.degree)]
-        else:
-            e0 = self.scale * cmath.exp(TWOPI_I * self.mu * x)
-            factors = [theta_derivs(x - t, self.ctx, order) for t in self.roots]
+    def derivs(self, x, order: int = 3) -> list:
+        """[f, f', ..., f^(order)](x) by Leibniz over the factors, each entry
+        of the shape of x; the factors come from one theta batch over all
+        (point, root) pairs."""
+        x = np.asarray(x, dtype=complex)
+        e0 = self.scale * _exp(TWOPI_I * self.mu * x)
+        jets = _theta_jets(np.subtract.outer(x, np.array(self.roots, dtype=complex)),
+                           self.ctx, order)
         stack = [((TWOPI_I * self.mu) ** r) * e0 for r in range(order + 1)]
-        for factor in factors:
-            stack = _leibniz(stack, factor)
+        for i in range(self.degree):
+            stack = _leibniz(stack, jets[..., i])
         return stack
 
 
@@ -234,10 +220,8 @@ class Wronskian:
         ag, bg = self.g.multipliers
         return af * ag, bf * bg
 
-    def eval(self, x: complex) -> complex:
-        df = self.f.derivs(x, 1)
-        dg = self.g.derivs(x, 1)
-        return df[0] * dg[1] - df[1] * dg[0]
+    def eval(self, x):
+        return self.derivs(x, 0)[0]
 
     __call__ = eval
 
@@ -308,14 +292,17 @@ def fourier_basis(m: int, a_mult: complex, b_mult: complex, ctx: Torus) -> list[
              - cmath.log(b_mult))
     basis = []
     jmax = 40
+    js = np.arange(-jmax, jmax + 1)
+    heights = np.linspace(-1.5, 1.5, 61) * tau.imag
     for r in range(1, m + 1):
-        js = np.arange(-jmax, jmax + 1)
         # log a_{r+jm} = j log C + 2 pi i tau (r j + m j (j-1)/2)
         loga = js * log_c + TWOPI_I * tau * (r * js + m * js * (js - 1) / 2.0)
-        # keep terms that can matter anywhere within ~1.5 cells of the origin
+        # keep a term where, at some height Im x within 1.5 cells of the
+        # origin, it is within e^-40 of the largest term there: |a_n e^{2 pi
+        # i n x}| = e^{Re log a_n - 2 pi n Im x}
         n = r + js * m
-        weight = loga.real + 2.0 * math.pi * np.abs(n) * 1.5 * tau.imag
-        keep = weight >= weight.max() - 55.0
+        logmod = loga.real[:, None] - 2.0 * math.pi * np.outer(n, heights)
+        keep = (logmod >= logmod.max(axis=0) - 40.0).any(axis=1)
         coeffs = np.exp(loga[keep])
         if not np.all(np.isfinite(coeffs)):
             raise OverflowError("Fourier coefficients overflow for these multipliers")
@@ -338,27 +325,19 @@ class SolveResult:
     coefficients: tuple = field(repr=False, default=())
 
 
-def _residues_over_f_squared(f: ThetaPoly, h, nodes: int = 64) -> list[complex]:
-    """Residues of h/f^2 at each root of f, by a small trapezoid circle."""
-    seps = [1.0]
-    roots = f.roots
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            seps.append(abs(roots[i] - roots[j]) / 2.0)
-    radius = min(1e-2, min(seps))
-    out = []
-    for t in roots:
-        acc = 0j
-        scale = 0.0
-        for k in range(nodes):
-            w = cmath.exp(2j * math.pi * k / nodes)
-            x = t + radius * w
-            val = h.eval(x) / f.eval(x) ** 2
-            acc += w * val
-            scale = max(scale, abs(val))
-        out.append((radius / nodes) * acc)
-        out[-1] = (out[-1], max(1.0, scale * radius))  # (residue, local scale)
-    return out
+def _residues_over_f_squared(f: ThetaPoly, h, nodes: int = 64) -> list[tuple]:
+    """(residue, local scale) of h/f^2 at each root of f, by a small
+    trapezoid circle; all nodes of all roots in one evaluation each of h
+    and f."""
+    roots = np.array(f.roots, dtype=complex)
+    i, j = np.triu_indices(len(roots), 1)
+    radius = float(np.min(np.abs(roots[i] - roots[j]) / 2.0, initial=1e-2))
+    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    xs = np.add.outer(roots, radius * w)
+    vals = h.eval(xs) / f.eval(xs) ** 2
+    residues = (radius / nodes) * (vals @ w)
+    scales = np.maximum(1.0, np.abs(vals).max(axis=1, initial=0.0) * radius)
+    return [(complex(r), float(c)) for r, c in zip(residues, scales)]
 
 
 def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = None) -> SolveResult:
@@ -390,10 +369,12 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
         cell = FundamentalParallelogram(-(1.0 + ctx.tau) / 2.0, ctx)
 
     # structural guards
-    for i in range(m):
-        for j in range(i + 1, m):
-            if lattice_distance(f.roots[i] - f.roots[j], ctx) < 1e-8:
-                raise MultipleRootError("roots %d and %d of f coincide" % (i, j))
+    roots = np.array(f.roots, dtype=complex)
+    i, j = np.triu_indices(m, 1)
+    close = lattice_distances(roots[i] - roots[j], ctx) < 1e-8
+    if close.any():
+        k = int(np.argmax(close))
+        raise MultipleRootError("roots %d and %d of f coincide" % (i[k], j[k]))
     af, bf = f.multipliers
     ah, bh = h.multipliers
     a2, b2 = ah / af, bh / bf
@@ -409,34 +390,34 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
     xs = np.array(golden_points(cell, 4 * m, (0.5, 0.5)))
     bval = np.column_stack([b.eval_many(xs, 0) for b in basis])
     bder = np.column_stack([b.eval_many(xs, 1) for b in basis])
-    fval = np.array([f.derivs(x, 1) for x in xs])
-    mat = fval[:, [0]] * bder - fval[:, [1]] * bval
-    rhs = np.array([h.eval(x) for x in xs])
-    coef, _, _, sv = np.linalg.lstsq(mat, rhs, rcond=None)
+    fval = f.derivs(xs, 1)
+    mat = fval[0][:, None] * bder - fval[1][:, None] * bval
+    # unit columns: the basis functions differ in size by orders of
+    # magnitude across the cell, which would otherwise set the condition
+    cols = np.linalg.norm(mat, axis=0)
+    coef, _, _, sv = np.linalg.lstsq(mat / cols, h.eval(xs), rcond=None)
+    coef = coef / cols
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
     def g_hat(x, order=0):
-        return sum(c * b.eval(x, order) for c, b in zip(coef, basis))
+        return sum(c * b.eval_many(x, order) for c, b in zip(coef, basis))
 
     # verify on fresh points
     ys = np.array(golden_points(cell, 4 * m + 2, (0.5, 0.5), skip=4 * m))
-    hs = np.array([h.eval(y) for y in ys])
+    hs = h.eval(ys)
     scale = max(1.0, float(np.max(np.abs(hs))))
-    residual = 0.0
-    for y, hv in zip(ys, hs):
-        df = f.derivs(y, 1)
-        wr = df[0] * g_hat(y, 1) - df[1] * g_hat(y, 0)
-        residual = max(residual, abs(wr - hv) / scale)
+    df = f.derivs(ys, 1)
+    wr = df[0] * g_hat(ys, 1) - df[1] * g_hat(ys, 0)
+    residual = float(np.max(np.abs(wr - hs))) / scale
     if residual > 1e-9:
         raise SolveError("collocation residual %.3e exceeds 1e-9" % residual)
 
     g = _to_theta_poly(basis, coef, m, a2, b2, cell)
     # definitive consistency check: the reconstructed theta polynomial must
     # reproduce the collocation solution (catches missed/spurious roots)
-    for y in ys[:5]:
-        gv = g_hat(y)
-        if abs(g.eval(y) - gv) > 1e-8 * max(1.0, abs(gv)):
-            raise SolveError("root/label reconstruction does not match solution")
+    gv = g_hat(ys[:5])
+    if np.any(np.abs(g.eval(ys[:5]) - gv) > 1e-8 * np.maximum(1.0, np.abs(gv))):
+        raise SolveError("root/label reconstruction does not match solution")
     return SolveResult(g, residual, condition, tuple(coef))
 
 
@@ -486,7 +467,7 @@ def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:
         if abs(step) > 1e-9:
             continue
         x, _ = cell.reduce(x)
-        if any(lattice_distance(x - r, ctx) < 1e-6 for r in roots):
+        if (lattice_distances(x - np.array(roots, dtype=complex), ctx) < 1e-6).any():
             continue
         roots.append(x)
     if len(roots) != m:
@@ -503,12 +484,8 @@ def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:
         raise SolveError("multipliers inconsistent with recovered roots")
 
     # scale: match values at the best-conditioned probe point
-    probe, best, ref_best = None, -1.0, 1.0
-    for x in golden_points(cell, 7, (0.5, 0.5), skip=13):
-        ref = cmath.exp(TWOPI_I * label * x)
-        for t in roots:
-            ref *= theta(x - t, ctx)
-        if abs(ref) > best:
-            probe, best, ref_best = x, abs(ref), ref
-    scale = g_fun(probe) / ref_best
-    return ThetaPoly(scale, label, tuple(roots), ctx)
+    unit = ThetaPoly(1.0, label, tuple(roots), ctx)
+    probes = np.array(golden_points(cell, 7, (0.5, 0.5), skip=13))
+    ref = unit.eval(probes)
+    best = int(np.argmax(np.abs(ref)))
+    return ThetaPoly(g_fun(probes[best]) / ref[best], label, unit.roots, ctx)

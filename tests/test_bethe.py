@@ -57,6 +57,24 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             BetheProblem(1, (0.3, 0.3 + 1.0 + 1e-9 * 1j), 10j, CTX)  # equal mod lattice
 
+    def test_coincident_sites_name_the_first_pair(self):
+        """With two coinciding pairs, (1, 3) and (0, 2) mod the lattice, the
+        message names the pair a loop over i < j meets first."""
+        z = (0.1 + 0.2j, 0.3 + 0.4j, 0.1 + 0.2j + 1e-9, 0.3 + 0.4j + 2e-9j)
+        with pytest.raises(ValueError, match="^sites 0 and 2 coincide mod the lattice$"):
+            BetheProblem(2, z, 10j, CTX)
+        z = (0.1 + 0.2j, 0.3 + 0.4j, 0.6 + 0.1j, 0.3 + 0.4j - 1e-9, 0.6 + 0.1j + 1e-9j, 0.9j)
+        with pytest.raises(ValueError, match="^sites 1 and 3 coincide mod the lattice$"):
+            BetheProblem(3, z, 10j, CTX)
+
+    def test_site_check_order(self):
+        """A site outside the cell is reported before the pairs of later
+        sites, and after the pairs of earlier ones."""
+        with pytest.raises(ValueError, match="^site 1 = .* outside the fundamental cell$"):
+            BetheProblem(2, (0.1, 1.4, 0.5, 0.5 + 1e-9), 10j, CTX)
+        with pytest.raises(ValueError, match="^sites 0 and 3 coincide mod the lattice$"):
+            BetheProblem(2, (0.1, 1.4, 0.5, 0.1 + 1e-9), 10j, CTX)
+
     def test_site_outside_cell(self):
         with pytest.raises(ValueError):
             BetheProblem(1, (0.3, 1.4), 10j, CTX)

@@ -16,7 +16,7 @@ from ellbethe.elliptic import (
     PoleError,
     RangeError,
     Torus,
-    _theta_jet,
+    _split,
     _theta_jets,
     eta,
     lattice_distance,
@@ -56,6 +56,17 @@ def sample_points(ctx, n, seed, margin=5e-2):
         if lattice_distance(x, ctx) > margin:
             pts.append(x)
     return pts
+
+
+def brute_lattice_distance(x, tau):
+    """Distance from x to Z + tau Z by search over the rows in reach: the
+    nearest lattice point is closer than the longer cell diagonal R, so it
+    has |l - Im x / Im tau| < R / Im tau."""
+    row = round(x.imag / tau.imag)
+    span = int(max(abs(1 + tau), abs(1 - tau)) / tau.imag) + 2
+    return min(abs(x - k - l * tau)
+               for l in range(row - span, row + span + 1)
+               for k in (round((x - l * tau).real) + dk for dk in (-1, 0, 1)))
 
 
 class TestTheta:
@@ -166,14 +177,7 @@ class TestTheta:
         for tau in (0.4 + 0.05j, 0.3 + 0.8j, -0.45 + 0.02j):
             ctx = Torus(tau)
             for x in rng.uniform(-2, 2, size=(10, 2)) @ np.array([1, 1j]):
-                # the nearest lattice point is closer than the longer cell
-                # diagonal R, so it has |l - Im x / Im tau| < R / Im tau
-                row = round(x.imag / tau.imag)
-                span = int(max(abs(1 + tau), abs(1 - tau)) / tau.imag) + 2
-                brute = min(abs(x - k - l * tau)
-                            for l in range(row - span, row + span + 1)
-                            for k in (round((x - l * tau).real) + dk for dk in (-1, 0, 1)))
-                assert abs(lattice_distance(x, ctx) - brute) < 1e-12
+                assert abs(lattice_distance(x, ctx) - brute_lattice_distance(x, tau)) < 1e-12
 
     def test_reduction_roundtrip(self):
         ctx = Torus(0.3 + 0.8j)
@@ -310,6 +314,15 @@ class TestKernels:
         ctx = Torus(1j)
         for x in sample_points(ctx, 4, seed=8):
             assert relerr(phi(x, 0.0, ctx), -rho_prime(x, ctx)) < 1e-13
+
+    def test_phi_regular_at_x_equals_w(self):
+        """sigma(w, -x) vanishes where rho(x - w) has its pole, so phi(x, x)
+        = 1/theta(x)^2, the limit of nearby values, not a PoleError."""
+        ctx = Torus(0.3 + 0.8j)
+        for x in sample_points(ctx, 3, seed=14):
+            at = phi(x, x, ctx)
+            assert relerr(at, 1.0 / theta(x, ctx) ** 2) < 1e-12
+            assert relerr(at, phi(x, x + 1e-7, ctx)) < 1e-5
 
     def test_phi_small_w_branch(self):
         """The Taylor branch agrees with the oracle across the switch point."""
@@ -523,34 +536,33 @@ class TestPoleGuards:
 
 
 class TestThetaJets:
-    """The array evaluator of the fiber path, pinned to the scalar jet (the
-    one-point evaluator) and to the oracle."""
+    """The one theta evaluator on arrays: against one-point (scalar) calls,
+    the oracle, and the texts of its guards."""
 
     @pytest.mark.parametrize("tau", LADDER)
     def test_matches_scalar_and_oracle(self, tau):
         """Orders 0..4 at the test_oracle_ladder points, lattice translates
-        included: within 1e-13 of the scalar jet and 1e-12 of the oracle."""
+        included, as one array each: the bits of one-point calls, and within
+        1e-12 of the oracle."""
         ctx = Torus(tau)
         rng = np.random.default_rng(1)
         xs = np.array([[a + k + (b + l) * tau for k, l in ((0, 0), (1, -1), (-2, 2))]
                        for a, b in rng.uniform(-0.5, 0.5, size=(3, 2))])
+        want = [[complex(orc.theta(x, tau, r)) for r in range(5)] for x in xs.ravel()]
         for order in range(5):
             jets = _theta_jets(xs, ctx, order)
             assert jets.shape == (order + 1,) + xs.shape
-            for x, jet in zip(xs.ravel(), jets.reshape(order + 1, -1).T):
-                want = _theta_jet(complex(x), ctx, order)[0]
+            for x, jet, ref in zip(xs.ravel(), jets.reshape(order + 1, -1).T, want):
+                assert np.array_equal(jet, _theta_jets(complex(x), ctx, order))
                 for r in range(order + 1):
-                    assert abs(jet[r] - want[r]) < 1e-13 * abs(want[r])
-        for x, jet in zip(xs.ravel(), _theta_jets(xs, ctx, 4).reshape(5, -1).T):
-            for r in range(5):
-                assert relerr(jet[r], complex(orc.theta(x, tau, r))) < 1e-12
+                    assert relerr(jet[r], ref[r]) < 1e-12
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_pole_guard_matches_scalar(self, tau):
-        """The batch raises PoleError, with the scalar text naming the first
-        offending point, exactly where the scalar guard raises: at 0.5
-        tol_pole from every translate k + l tau (|k|, |l| <= 2), and not at
-        10 tol_pole."""
+        """PoleError exactly where lattice_distance < tol_pole, at 0.5
+        tol_pole from every translate k + l tau (|k|, |l| <= 2) and not at
+        10 tol_pole, with the text of a one-point call naming the first
+        offending point."""
         ctx = Torus(tau)
         other = 0.3 + 0.1j * tau.imag
         raised = 0
@@ -559,47 +571,54 @@ class TestThetaJets:
                 for turn in (1, 1j, -1 + 1j, -0.6 - 0.8j):
                     for scale in (0.5, 10.0):
                         x = k + l * tau + scale * ctx.tol_pole * turn / abs(turn)
-                        try:
-                            _theta_jet(x, ctx, 1, pole="rho")
-                        except PoleError as exc:
+                        if lattice_distance(x, ctx) < ctx.tol_pole:
                             raised += 1
+                            with pytest.raises(PoleError) as one:
+                                _theta_jets(x, ctx, 1, pole="rho")
                             with pytest.raises(PoleError) as info:
                                 _theta_jets([other, x, x + 1], ctx, 1, pole="rho")
-                            assert str(info.value) == str(exc)
+                            assert str(info.value) == str(one.value) == (
+                                "rho evaluated within tol_pole of the lattice (x=%r)" % (x,))
                         else:
                             _theta_jets([other, x], ctx, 1, pole="rho")
         assert raised == 100
 
     def test_range_guard_matches_scalar(self):
-        """Past _MAX_LATTICE_SHIFT the batch raises the scalar RangeError for
-        the first offending point, and lattice_distances does too."""
+        """Past _MAX_LATTICE_SHIFT the evaluator and a kernel raise the
+        RangeError that `_split` gives the first offending point, and
+        lattice_distances raises too."""
         ctx = Torus(0.3 + 0.8j)
         limit = _MAX_LATTICE_SHIFT
         for bad in (2.0 * limit * 0.8j, 0.5 + (limit + 2) * 0.8j, 3.0 * limit + 0.1j):
+            xs = np.array([0.1, bad, 2 * bad])
             with pytest.raises(RangeError) as want:
-                _theta_jet(bad, ctx, 0)
-            with pytest.raises(RangeError) as got:
-                _theta_jets([0.1, bad, 2 * bad], ctx, 2, pole="rho")
-            assert str(got.value) == str(want.value)
+                _split(bad, ctx.tau)
+            for fn in (lambda: _theta_jets(xs, ctx, 2, pole="rho"), lambda: rho(xs, ctx)):
+                with pytest.raises(RangeError) as got:
+                    fn()
+                assert str(got.value) == str(want.value)
             with pytest.raises(RangeError):
-                lattice_distances([0.1, bad], ctx)
+                lattice_distances(xs, ctx)
 
     def test_overflow_matches_scalar(self):
-        """Far up the tau direction the automorphy factor overflows: both
-        evaluators raise OverflowError instead of returning inf or NaN."""
+        """Far up the tau direction the automorphy factor overflows: the
+        kernels raise OverflowError instead of returning inf or NaN, at one
+        point and in a batch, and just short of that they still match the
+        oracle."""
         ctx = Torus(1j)
         for x in (0.3 + 30j, -0.2 - 300j):
-            with pytest.raises(OverflowError):
-                _theta_jet(x, ctx, 1)
-            with pytest.raises(OverflowError):
-                _theta_jets([0.1, x], ctx, 1)
-        jet = _theta_jets([0.3 + 12j], ctx, 4)[:, 0]
-        want = _theta_jet(0.3 + 12j, ctx, 4)[0]
-        assert all(abs(a - b) < 1e-13 * abs(b) for a, b in zip(jet, want))
+            for fn in (theta, rho, lambda y, c: sigma(y, 0.2, c), lambda y, c: phi(y, 0.2, c)):
+                for xs in (x, np.array([0.1, x])):
+                    with pytest.raises(OverflowError):
+                        fn(xs, ctx)
+        jet = theta_derivs(0.3 + 12j, ctx, 4)
+        for r in range(5):
+            assert relerr(jet[r], complex(orc.theta(0.3 + 12j, 1j, r))) < 1e-12
 
     def test_lattice_distances_match_scalar(self):
-        """On the skewed tori of test_lattice_distance_is_exact_on_skewed_torus,
-        far from and next to lattice points."""
+        """The brute-force scalar search of
+        test_lattice_distance_is_exact_on_skewed_torus, against arrays far
+        from and next to lattice points."""
         rng = np.random.default_rng(13)
         for tau in (0.4 + 0.05j, 0.3 + 0.8j, -0.45 + 0.02j):
             ctx = Torus(tau)
@@ -609,5 +628,102 @@ class TestThetaJets:
             xs = np.concatenate([far, near]).reshape(3, -1)
             got = lattice_distances(xs, ctx)
             assert got.shape == xs.shape
-            want = np.array([[lattice_distance(x, ctx) for x in row] for row in xs])
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+            want = np.array([brute_lattice_distance(x, tau) for x in xs.ravel()])
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=1e-14)
+
+
+class TestArrayContract:
+    """Every public kernel takes scalars or arrays and returns, in their
+    shape, the values of one-point calls bit for bit."""
+
+    ONE_SLOT = [theta, theta1, theta1_dtau, theta_dtau, rho, rho_prime, rho_second,
+                lambda x, ctx: theta_derivs(x, ctx, 4), lambda x, ctx: theta1_derivs(x, ctx, 3)]
+    TWO_SLOTS = [sigma, sigma_jet, phi]
+
+    @staticmethod
+    def mixed_points(ctx):
+        """(2, 6) points: cell points, lattice translates of them, and
+        points 1e-8 from the lattice."""
+        tau = ctx.tau
+        pts = sample_points(ctx, 6, seed=21)
+        return np.array(pts[:4] + [pts[0] + 1 - tau, pts[1] - 2 + 2 * tau,
+                                   2.0 + 1e-8, 1e-8j - tau, pts[2] + 3.0,
+                                   1.0 + tau + 1e-8 * (0.6 + 0.8j), pts[3] - tau,
+                                   -1.0 + 1e-8]).reshape(2, 6)
+
+    @staticmethod
+    def assert_per_point(got, fn, *args):
+        """got, a value or a tuple or stack of values, against fn at each
+        point of the broadcast args."""
+        points = np.broadcast_arrays(*args)
+        shape = points[0].shape
+        rows = got if isinstance(got, tuple) else (got,)
+        for row in rows:
+            assert row.shape[-len(shape):] == shape
+        for idx in np.ndindex(shape):
+            one = fn(*(complex(p[idx]) for p in points))
+            for row, want in zip(rows, one if isinstance(got, tuple) else (one,)):
+                assert np.array_equal(row[(Ellipsis,) + idx], want)
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_one_slot_kernels(self, tau):
+        ctx = Torus(tau)
+        xs = self.mixed_points(ctx)
+        for fn in self.ONE_SLOT:
+            self.assert_per_point(fn(xs, ctx), lambda x: fn(x, ctx), xs)
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_eta_at_z_translates(self, tau):
+        """eta's removable points (exactly on or 1e-8 from k, l = 0) mixed
+        with ordinary ones take the theta'''(0) limit there."""
+        ctx = Torus(tau)
+        xs = np.concatenate([[0.0, 3.0, -2.0 + 1e-8], self.mixed_points(ctx)[0, :5]])
+        got = eta(xs, ctx)
+        self.assert_per_point(got, lambda x: eta(x, ctx), xs)
+        assert relerr(got[0], theta_derivs(0.0, ctx, 3)[3]) < 1e-15
+        assert relerr(got[2], got[0]) < 1e-7
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_two_slot_kernels(self, tau):
+        """x and w broadcast against each other; phi's w also takes points
+        with |w0| < 3e-5, on Z-translates and on translates with l != 0."""
+        ctx = Torus(tau)
+        xs = self.mixed_points(ctx)[:1]
+        ws = np.array([0.3 - 0.2j * tau.imag, 0.11 + 0.3 * tau])[:, None]
+        for fn in self.TWO_SLOTS:
+            self.assert_per_point(fn(xs, ws, ctx), lambda x, w: fn(x, w, ctx), xs, ws)
+            self.assert_per_point(fn(xs, 0.3 - 0.2j, ctx), lambda x, w: fn(x, w, ctx), xs, 0.3 - 0.2j)
+        small = np.array([0.0, 2e-6j, 1.0 + tau + 1e-6, -2.0 * tau + 2e-5 * (0.6 - 0.8j)])
+        ws = np.concatenate([ws[:, 0], small])[:, None]
+        got = phi(xs, ws, ctx)
+        self.assert_per_point(got, lambda x, w: phi(x, w, ctx), xs, ws)
+        for x, value in zip(xs[0, :4], got[2]):
+            assert relerr(value, -complex(orc.rho_prime(x, tau))) < 1e-12
+        for row, w in zip(got[3:], small[1:]):
+            for x, value in zip(xs[0, :4], row):
+                assert relerr(value, complex(orc.phi(x, w, tau))) < 1e-9
+
+    def test_errors_name_the_first_offending_point(self):
+        """In a mixed array the PoleError of each guard names the first
+        point within tol_pole of the lattice, and eta's the first pole."""
+        ctx = Torus(0.3 + 0.8j)
+        good = np.array([0.2 + 0.1j, 0.4 - 0.2j])
+        first, second = 1.0 + ctx.tau + 1e-12, -2.0 + 1e-12j
+        bad = np.array([good[0], first, good[1], second])
+        text = "%s evaluated within tol_pole of the lattice (x=%r)"
+        for name, fn, x in (
+                ("rho", rho, first), ("rho_prime", rho_prime, first),
+                ("rho_second", rho_second, first),
+                ("sigma (x slot)", lambda b, c: sigma(b, 0.3, c), first),
+                ("sigma (w slot)", lambda b, c: sigma(0.3, b, c), first),
+                ("sigma_jet (x slot)", lambda b, c: sigma_jet(b, 0.3, c), first),
+                ("sigma_jet (w slot)", lambda b, c: sigma_jet(0.3, b, c), first),
+                ("phi (x slot)", lambda b, c: phi(b, 0.3, c), first),
+                ("sigma (x slot)", lambda b, c: phi(0.3, b, c), _split(first, ctx.tau)[0])):
+            with pytest.raises(PoleError) as info:
+                fn(bad, ctx)
+            assert str(info.value) == text % (name, x)
+        with pytest.raises(PoleError) as info:
+            eta(np.array([2.0, first, second]), ctx)
+        assert str(info.value) == ("eta pole at x = %r (lattice translate with l != 0)"
+                                   % (first,))

@@ -247,7 +247,7 @@ class TestFiberPoint:
             assert abs(got - want) <= 1e-12 * want + 1e-15
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
-    @pytest.mark.parametrize("m, mu", [(1, 6j), (2, 6j), (3, 10j)])
+    @pytest.mark.parametrize("m, mu", [(1, 6j), (2, 6j), (3, 10j), (4, 14j)])
     def test_partner_matches_wronskian_route(self, m, mu, tau):
         prob = cell_problem(m, mu, tau)
         for subset in itertools.combinations(range(2 * m), m):
@@ -257,6 +257,18 @@ class TestFiberPoint:
             assert ours.mu == theirs.mu
             for a, b in ((ours.t, theirs.t), (theirs.t, ours.t)):
                 assert max(min(abs(x - y) for y in b) for x in a) < 1e-9
+
+    @pytest.mark.parametrize("subset", [(0, 1, 2, 3), (0, 1, 3, 7)])
+    def test_wronskian_route_keeps_the_terms_that_dominate_inside_the_cell(self, subset):
+        """The partners of these m = 4 subsets need Fourier terms that are
+        negligible at the cell edge but dominate at smaller heights; a
+        window taken at the edge alone dropped them (collocation residual
+        0.18)."""
+        point = fiber_point(cell_problem(4, 14j), subset)
+        ours = normalize_solution(point.partner)
+        theirs = normalize_solution(analytic_involution(point.solution))
+        assert ours.mu == theirs.mu
+        assert max(min(abs(x - y) for y in theirs.t) for x in ours.t) < 1e-9
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_certificate_rejects_moved_partner_root(self, m):
