@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,6 +90,8 @@ class BetheProblem:
     mu: complex
     ctx: Torus
     cell: FundamentalParallelogram = None
+    # the smallest site distance mod the lattice, from the validating pass
+    _min_separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(v) for v in self.z))
@@ -106,22 +108,22 @@ class BetheProblem:
         z = np.array(self.z)
         i, j = _pairs(n)
         reached = i < outside[0]
-        close = lattice_distances(z[i[reached]] - z[j[reached]], self.ctx) <= 1e-6
+        dist = lattice_distances(z[i[reached]] - z[j[reached]], self.ctx)
+        close = dist <= 1e-6
         if close.any():
             k = int(np.argmax(close))
             raise ValueError("sites %d and %d coincide mod the lattice" % (i[k], j[k]))
         if outside[0] < n:
             raise ValueError("site %d = %r outside the fundamental cell"
                              % (outside[0], self.z[outside[0]]))
+        object.__setattr__(self, "_min_separation", float(dist.min(initial=math.inf)))
 
     @property
     def n(self) -> int:
         return 2 * self.m
 
     def min_site_separation(self) -> float:
-        z = np.array(self.z)
-        i, j = _pairs(self.n)
-        return float(lattice_distances(z[i] - z[j], self.ctx).min())
+        return self._min_separation
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,9 @@ class BetheSolution:
     residual: float
     converged: bool
     subset_tag: tuple = None
+    # Newton counters: accepted steps and rejected step lengths
+    iterations: int = field(default=0, compare=False)
+    backtracks: int = field(default=0, compare=False)
 
     def poly(self, scale: complex = 1.0) -> ThetaPoly:
         """The associated theta polynomial f = e^{pi i mu x} prod theta(x - t_j).
@@ -195,46 +200,63 @@ def master_dtau(t, problem: BetheProblem) -> complex:
     return 0.5j * math.pi * problem.mu * problem.mu + acc / (4j * math.pi)
 
 
-@functools.lru_cache(maxsize=1)
-def _bethe_kernels(t: tuple, z: tuple, ctx: Torus) -> tuple:
-    """rho and rho' at the m(m-1)/2 root pairs j < k and the m n root-site
-    differences t_j - z_s, as read-only (m, m) and (m, n) arrays (pairs
-    above the diagonal), from one order-2 theta jet.
+def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
+    """rho and rho' of S systems with roots t, an (S, m) array: at the
+    m(m-1)/2 root pairs j < k as (S, m, m) arrays (pairs above the
+    diagonal) and at the m n root-site differences t_j - z_s as (S, m, n)
+    arrays, from one order-2 theta jet over the differences of all S
+    systems.
 
     rho is odd and rho' even, so each unordered pair is evaluated once.
-    The one-entry memo lets the Jacobian at a Newton iterate reuse the
-    jet its residual took."""
-    m = len(t)
-    roots = np.array(t)
+    A system's values do not depend on the others in the batch, and a
+    PoleError names the first offending difference in system order."""
+    (count, m), n = t.shape, len(z)
     i, j = _pairs(m)
-    d = _theta_jets(np.concatenate([roots[i] - roots[j],
-                                    (roots[:, None] - np.array(z)).ravel()]),
+    d = _theta_jets(np.concatenate([t[:, i] - t[:, j],
+                                    (t[:, :, None] - np.array(z)).reshape(count, m * n)], axis=1),
                     ctx, 2, pole="rho")
     r = d[1] / d[0]
     rp = d[2] / d[0] - r * r
-    pair_r, pair_rp = np.zeros((2, m, m), dtype=complex)
-    pair_r[i, j], pair_rp[i, j] = r[:len(i)], rp[:len(i)]
-    out = (pair_r, pair_rp, r[len(i):].reshape(m, -1), rp[len(i):].reshape(m, -1))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    pair_r, pair_rp = np.zeros((2, count, m, m), dtype=complex)
+    pair_r[:, i, j], pair_rp[:, i, j] = r[:, :len(i)], rp[:, :len(i)]
+    return (pair_r, pair_rp, r[:, len(i):].reshape(count, m, n),
+            rp[:, len(i):].reshape(count, m, n))
+
+
+def _residuals(kernels, drive: np.ndarray) -> np.ndarray:
+    """The Bethe equation values F_j of each system in `kernels`, with
+    drive[k] = 2 pi i mu_k, as an (S, m) array."""
+    pair_r, _, site_r, _ = kernels
+    return drive[:, None] + 2.0 * (pair_r.sum(axis=2) - pair_r.sum(axis=1)) - site_r.sum(axis=2)
+
+
+def _jacobians(kernels) -> np.ndarray:
+    """dF_j/dt_l of each system in `kernels`, as an (S, m, m) array; mu
+    does not enter.  rho' is even, so one evaluation serves both entries
+    of a root pair."""
+    _, pair_rp, _, site_rp = kernels
+    pairs = 2.0 * (pair_rp + pair_rp.transpose(0, 2, 1))
+    diag = np.zeros_like(pairs)
+    k = np.arange(pairs.shape[1])
+    diag[:, k, k] = pairs.sum(axis=2) - site_rp.sum(axis=2)
+    return diag - pairs
+
+
+def _one_system(t, problem: BetheProblem) -> tuple:
+    """`_bethe_kernels` of the single system with roots t."""
+    return _bethe_kernels(np.array([[complex(v) for v in t]]), problem.z, problem.ctx)
 
 
 def bae_residual(t, problem: BetheProblem, mu: complex = None) -> np.ndarray:
-    """Vector of Bethe equation values F_j(t) (zero at a solution), from
-    the fused kernel jet that `bae_jacobian` at the same t reuses."""
+    """Vector of Bethe equation values F_j(t) (zero at a solution)."""
     if mu is None:
         mu = problem.mu
-    pair_r, _, site_r, _ = _bethe_kernels(tuple(complex(v) for v in t), problem.z, problem.ctx)
-    return TWOPI_I * mu + 2.0 * (pair_r.sum(axis=1) - pair_r.sum(axis=0)) - site_r.sum(axis=1)
+    return _residuals(_one_system(t, problem), np.array([TWOPI_I * mu]))[0]
 
 
 def bae_jacobian(t, problem: BetheProblem) -> np.ndarray:
-    """dF_j/dt_l; mu does not enter.  rho' is even, so one evaluation
-    serves both entries of a root pair."""
-    _, pair_rp, _, site_rp = _bethe_kernels(tuple(complex(v) for v in t), problem.z, problem.ctx)
-    pairs = 2.0 * (pair_rp + pair_rp.T)
-    return np.diag(pairs.sum(axis=1) - site_rp.sum(axis=1)) - pairs
+    """dF_j/dt_l at t."""
+    return _jacobians(_one_system(t, problem))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,71 +282,182 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
     return tuple(problem.z[i] + 1.0 / (TWOPI_I * problem.mu) for i in subset)
 
 
-def _guarded_residual(t, problem, mu):
-    """(residual vector, its max norm), or (None, inf) when an evaluation
-    lands on a pole."""
+def _by_rows(fn, *rows) -> tuple:
+    """fn over arrays that share a leading row axis, as (outputs, errors);
+    fn returns a tuple of arrays with that row axis.
+
+    One call serves all rows.  If it raises ArithmeticError or ValueError,
+    fn runs again on each row alone, so that every row gets exactly the
+    value or the exception it gets alone (the theta jets give a point the
+    same bits in any batch).  errors[k] is the exception of row k, whose
+    output rows are then left zero."""
+    count = len(rows[0])
     try:
-        res = bae_residual(t, problem, mu)
-    except ArithmeticError:
-        return None, math.inf
-    return res, float(np.max(np.abs(res)))
+        return fn(*rows), [None] * count
+    except (ArithmeticError, ValueError):
+        pass
+    outs = tuple(np.zeros((count,) + a.shape[1:], a.dtype) for a in fn(*(r[:0] for r in rows)))
+    errors = [None] * count
+    for k in range(count):
+        try:
+            for out, a in zip(outs, fn(*(r[k:k + 1] for r in rows))):
+                out[k] = a[0]
+        except (ArithmeticError, ValueError) as exc:
+            errors[k] = exc
+    return outs, errors
+
+
+def _newton_steps(jacobians, residuals) -> tuple:
+    """The Newton step -J^{-1} F of each system, in one stacked solve."""
+    return (np.linalg.solve(jacobians, -residuals[..., None])[..., 0],)
+
+
+def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: int = 50,
+                    subset_tags=None) -> list:
+    """Damped Newton iteration for S Bethe systems that share sites and
+    torus, in lockstep.
+
+    System k solves the Bethe equations of problems[k] at mus[k] (by
+    default its problem's mu) from seeds[k].  Each system keeps the
+    sequence of a solve on its own: from the current iterate it takes the
+    Newton step and backtracks it by halves (up to 20 times) until the
+    residual satisfies an Armijo-type decrease; it stops at the current
+    iterate when no step length is productive, and after max_iter
+    accepted steps, and is converged when its residual is below tol.  A
+    seed whose residual lands on a pole raises PoleError once it needs a
+    step.  Its counters record the accepted steps (`iterations`) and the
+    rejected step lengths (`backtracks`).
+
+    Every round evaluates the pending candidate of each running system in
+    one `_bethe_kernels` call and solves the Jacobians of the systems that
+    go on in one stacked `np.linalg.solve`; `_by_rows` gives each system
+    the bits, and the exception, of a solve on its own.
+
+    Returns, per system, its BetheSolution or the exception its own solve
+    raises: CoalescedRootsError if roots collide with each other or a site
+    (separation < 1e-8), which the separation check raises before any
+    convergence verdict, or the ArithmeticError or ValueError of an
+    evaluation.
+    """
+    count = len(seeds)
+    if not count:
+        return []
+    z, ctx = problems[0].z, problems[0].ctx
+    if any(p.z != z or p.ctx != ctx for p in problems):
+        raise ValueError("the systems of one batch must share sites and torus")
+    if mus is None:
+        mus = [None] * count
+    mus = [p.mu if mu is None else mu for p, mu in zip(problems, mus)]
+    tags = [None] * count if subset_tags is None else subset_tags
+    drive = np.array([TWOPI_I * mu for mu in mus])
+    t = np.array([[complex(v) for v in seed] for seed in seeds])
+    step = np.zeros_like(t)
+    norm = np.full(count, math.inf)
+    lam = np.ones(count)
+    tries, iterations, backtracks = np.zeros((3, count), dtype=int)
+    failed = [None] * count     # the exception that ends a system
+    kernels = functools.partial(_bethe_kernels, z=z, ctx=ctx)
+    running = np.arange(count)  # systems with a candidate to evaluate
+    cand = t.copy()
+    first = True
+    while running.size:
+        kern, errors = _by_rows(kernels, cand[running])
+        cres = _residuals(kern, drive[running])
+        cnorm = np.abs(cres).max(axis=1)
+        for pos, exc in enumerate(errors):
+            if isinstance(exc, ArithmeticError):
+                cnorm[pos] = math.inf
+            elif exc is not None:
+                failed[running[pos]] = exc
+        live = np.array([failed[k] is None for k in running], dtype=bool)
+        if first:
+            accept = live
+        else:
+            accept = live & (cnorm <= (1.0 - 1e-4 * lam[running]) * norm[running])
+            iterations[running[accept]] += 1
+        # rejected: halve the step length, and stop after 20 tries
+        back = running[live & ~accept]
+        lam[back] *= 0.5
+        tries[back] += 1
+        backtracks[back] += 1
+        retry = back[tries[back] < 20]
+        # accepted: move, and go on unless converged or out of steps
+        moved = np.flatnonzero(accept)
+        idx = running[moved]
+        t[idx], norm[idx] = cand[idx], cnorm[moved]
+        on = (iterations[idx] < max_iter) & ~(norm[idx] < tol)
+        # a residual that raised (a seed on a pole) fails once it needs a step
+        for pos, k in zip(moved[on], idx[on]):
+            if errors[pos] is not None:
+                failed[k] = errors[pos]
+        on &= np.array([errors[pos] is None for pos in moved], dtype=bool)
+        go, rows = idx[on], moved[on]
+        if go.size:
+            steps, singular = _by_rows(_newton_steps,
+                                       _jacobians([a[rows] for a in kern]), cres[rows])
+            step[go] = steps[0]
+            for k, exc in zip(go, singular):
+                failed[k] = exc
+            go = go[[exc is None for exc in singular]]
+            lam[go], tries[go] = 1.0, 0
+        running = np.sort(np.concatenate([retry, go]))
+        cand[running] = t[running] + lam[running, None] * step[running]
+        first = False
+    done = np.array([exc is None for exc in failed], dtype=bool)
+    for k, exc in zip(np.flatnonzero(done), _separation_errors(t[done], z, ctx)):
+        failed[k] = exc
+    return [failed[k] if failed[k] is not None else
+            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), bool(norm[k] < tol),
+                          tags[k], int(iterations[k]), int(backtracks[k]))
+            for k in range(count)]
 
 
 def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
               tol: float = 1e-12, max_iter: int = 50,
               subset_tag: tuple = None) -> BetheSolution:
-    """Damped Newton iteration for the Bethe equations.
+    """Damped Newton iteration for the Bethe equations: `solve_bae_batch`
+    on one system.
 
-    Backtracks the Newton step by halves (up to 20 times) until the residual
-    satisfies an Armijo-type decrease; returns the last iterate, which is
-    the best one, with converged=False if tol is not reached within
-    max_iter iterations.
-
-    Each candidate costs one `bae_residual` call and each Newton step one
-    `bae_jacobian` call, and both read one batched theta jet per iterate:
-    the Jacobian at an accepted candidate reuses the jet its residual took.
+    Returns the last iterate, which is the best one, with converged=False
+    if tol is not reached within max_iter iterations.
 
     Raises
     ------
     CoalescedRootsError
         If roots collide with each other or a site (separation < 1e-8).
     """
-    if mu is None:
-        mu = problem.mu
-    t = np.array([complex(v) for v in seed])
-    res, norm = _guarded_residual(t, problem, mu)
-    for _ in range(max_iter):
-        if norm < tol:
-            break
-        # a seed on a pole (norm inf) raises PoleError here
-        step = np.linalg.solve(bae_jacobian(t, problem), -res)
-        lam = 1.0
-        for _ in range(20):
-            cand = t + lam * step
-            cand_res, cand_norm = _guarded_residual(cand, problem, mu)
-            if cand_norm <= (1.0 - 1e-4 * lam) * norm:
-                break
-            lam *= 0.5
-        else:
-            break  # no productive step length: stop at the current iterate
-        t, res, norm = cand, cand_res, cand_norm
-    _check_separation(t, problem)
-    return BetheSolution(problem, tuple(t), mu, norm, norm < tol, subset_tag)
+    result, = solve_bae_batch([problem], [seed], [mu], tol=tol, max_iter=max_iter,
+                              subset_tags=[subset_tag])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _separation_errors(t: np.ndarray, z, ctx: Torus) -> list:
+    """Per system of roots t, an (S, m) array: CoalescedRootsError for the
+    first (in row order) root pair j > i or root-site pair closer than
+    1e-8 mod the lattice, or None; from one array of distances."""
+    count, m = t.shape
+    others = np.concatenate([t, np.broadcast_to(np.array(z, dtype=complex), (count, len(z)))],
+                            axis=1)
+    (dist,), errors = _by_rows(lambda r, o: (lattice_distances(r[:, :, None] - o[:, None, :],
+                                                               ctx),), t, others)
+    close = dist < 1e-8
+    close[:, :, :m] = np.triu(close[:, :, :m], 1)
+    for k in np.flatnonzero(close.any(axis=(1, 2))):
+        if errors[k] is None:
+            i, col = divmod(int(np.argmax(close[k])), close.shape[2])
+            errors[k] = CoalescedRootsError(
+                "Bethe roots %d and %d coalesced" % (i, col) if col < m
+                else "Bethe root %d hit site %d" % (i, col - m))
+    return errors
 
 
 def _check_separation(t, problem):
-    """Raise for the first (in row order) root pair j > i or root-site pair
-    closer than 1e-8 mod the lattice, from one array of distances."""
-    t = np.array([complex(v) for v in t])
-    m = len(t)
-    dist = lattice_distances(t[:, None] - np.concatenate([t, problem.z]), problem.ctx)
-    close = dist < 1e-8
-    close[:, :m] = np.triu(close[:, :m], 1)
-    if close.any():
-        i, col = divmod(int(np.argmax(close)), close.shape[1])
-        if col < m:
-            raise CoalescedRootsError("Bethe roots %d and %d coalesced" % (i, col))
-        raise CoalescedRootsError("Bethe root %d hit site %d" % (i, col - m))
+    """Raise the `_separation_errors` verdict on the single system t."""
+    exc, = _separation_errors(np.array([[complex(v) for v in t]]), problem.z, problem.ctx)
+    if exc is not None:
+        raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +507,14 @@ def wronskian_residues(sol: BetheSolution) -> list[float]:
 
 def nearest_site_tag(roots, problem: BetheProblem) -> tuple:
     """Indices of the sites nearest (mod lattice) to each root, sorted."""
-    dists = lattice_distances(np.array(roots, dtype=complex)[:, None] - np.array(problem.z),
-                              problem.ctx)
-    return tuple(sorted(int(a) for a in np.argmin(dists, axis=1)))
+    nearest, = _nearest_sites(np.array([roots], dtype=complex), problem.z, problem.ctx)
+    return tuple(sorted(int(a) for a in nearest[0]))
+
+
+def _nearest_sites(roots: np.ndarray, z, ctx: Torus) -> tuple:
+    """(the index of the site nearest to each root mod the lattice,) for
+    S systems of roots, an (S, m) array, from one array of distances."""
+    return (np.argmin(lattice_distances(roots[:, :, None] - np.array(z), ctx), axis=2),)
 
 
 def analytic_involution(sol: BetheSolution) -> BetheSolution:

@@ -30,10 +30,9 @@ from .bethe import (
     SeedTooCoarseError,
     normalize_solution,
     seed_asymptotic,
-    solve_bae,
+    solve_bae_batch,
 )
 from .elliptic import (
-    PoleError,
     Torus,
     eta,
     lattice_distances,
@@ -58,8 +57,8 @@ from .repspace import (
     weyl_involution,
     zero_weight_space,
 )
-from .thetapoly import FundamentalParallelogram, SolveError, golden_points, wronskian
-from .wronski import IncompleteFiberError, enumerate_fiber, fiber_point, scan_mu_grid
+from .thetapoly import FundamentalParallelogram, golden_points, wronskian
+from .wronski import IncompleteFiberError, enumerate_fiber, fiber_points, scan_mu_grid
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -386,27 +385,30 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     prob = cfg.problem()
     checks, warnings, records = [], [], []
     worst = 0.0
-    for subset in cfg.subset_list():
-        record = {"subset": list(subset)}
+    subsets = cfg.subset_list()
+    seeds = {}
+    for subset in subsets:
         try:
-            seed_roots = seed_asymptotic(prob, subset)
+            seeds[subset] = seed_asymptotic(prob, subset)
         except SeedTooCoarseError as exc:
-            record.update(status="no_convergence", reason=str(exc))
-            warnings.append("subset %s: %s" % (subset, exc))
-            records.append(record)
+            seeds[subset] = exc
+    seeded = [s for s in subsets if not isinstance(seeds[s], Exception)]
+    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded],
+                                              subset_tags=seeded)))
+    for subset in subsets:
+        record = {"subset": list(subset)}
+        records.append(record)
+        sol = solved.get(subset, seeds[subset])
+        if isinstance(sol, (SeedTooCoarseError, CoalescedRootsError)):
+            record.update(status="no_convergence", reason=str(sol))
+            warnings.append("subset %s: %s" % (subset, sol))
             continue
-        try:
-            sol = normalize_solution(
-                solve_bae(prob, seed_roots, subset_tag=subset))
-        except CoalescedRootsError as exc:
-            record.update(status="no_convergence", reason=str(exc))
-            warnings.append("subset %s: %s" % (subset, exc))
-            records.append(record)
-            continue
+        if isinstance(sol, Exception):
+            raise sol
+        sol = normalize_solution(sol)
         record.update(
             status="converged" if sol.converged else "no_convergence",
             t=list(sol.t), mu_effective=sol.mu, residual=sol.residual)
-        records.append(record)
         if sol.converged:
             worst = max(worst, sol.residual)
         else:
@@ -506,12 +508,11 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     warnings, ratio_table = [], []
     verified = False
 
-    for subset in cfg.subset_list():
-        try:
-            point = fiber_point(prob, subset)
-        except (SeedTooCoarseError, CoalescedRootsError, SolveError,
-                PoleError, ValueError) as exc:
-            warnings.append("subset %s skipped: %s" % (subset, exc))
+    subsets = cfg.subset_list()
+    for subset, point in zip(subsets, fiber_points(prob, subsets)):
+        if isinstance(point, Exception):
+            warnings.append("subset %s skipped: %s: %s [stage %s]"
+                            % (subset, point.__class__.__name__, point, point.stage))
             continue
         sol, par = point.solution, point.partner
 

@@ -54,6 +54,10 @@ _MAX_LATTICE_SHIFT = 10 ** 6
 # 1 at 50i, and at most 5, as Im tau' >= sqrt(3)/2 in the fundamental domain.
 _ROW_CUTOFF = 1e-17
 
+# points per series pass of _theta_jets: bounds its (rows, points) temporaries
+# to about 1.5 MB; a point's bits do not depend on the pass it is in
+_CHUNK = 1024
+
 # lattice_distances steps to the 3x3 neighbours of a reduced argument
 _NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
 
@@ -257,6 +261,11 @@ def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False
         if near.any():
             raise PoleError("%s evaluated within tol_pole of the lattice (x=%r)"
                             % (pole, complex(xs[np.argmax(near)])))
+    if len(xs) > _CHUNK:
+        # the guards have seen every point: sum the series one pass at a time
+        out = np.concatenate([_theta_jets(xs[start:start + _CHUNK], ctx, order, dtau=dtau)
+                              for start in range(0, len(xs), _CHUNK)], axis=1)
+        return out.reshape((len(out),) + shape)
     n, a, phase, loga = ctx._columns
     v = np.abs(u0.imag)
     up = u0.imag >= 0

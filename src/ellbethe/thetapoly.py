@@ -106,16 +106,34 @@ class ThetaPoly:
 
     def derivs(self, x, order: int = 3) -> list:
         """[f, f', ..., f^(order)](x) by Leibniz over the factors, each entry
-        of the shape of x; the factors come from one theta batch over all
-        (point, root) pairs."""
-        x = np.asarray(x, dtype=complex)
-        e0 = self.scale * _exp(TWOPI_I * self.mu * x)
-        jets = _theta_jets(np.subtract.outer(x, np.array(self.roots, dtype=complex)),
-                           self.ctx, order)
-        stack = [((TWOPI_I * self.mu) ** r) * e0 for r in range(order + 1)]
-        for i in range(self.degree):
-            stack = _leibniz(stack, jets[..., i])
-        return stack
+        of the shape of x: `stacked_derivs` on this one polynomial."""
+        return [d[0] for d in stacked_derivs([self], np.asarray(x, dtype=complex)[None], order)]
+
+
+def stacked_derivs(polys, xs, order: int = 3) -> list:
+    """[f, f', ..., f^(order)] for P >= 1 theta polynomials of one degree
+    on one torus, polynomial p at the points xs[p], an array of shape
+    (P, ...); each entry has the shape of xs.
+
+    The factors of all polynomials come from one theta batch over all
+    (point, root) pairs, and the powers (2 pi i mu)^r of each label are
+    taken one polynomial at a time, as Python complex numbers."""
+    ctx, degree = polys[0].ctx, polys[0].degree
+    if any(p.ctx != ctx or p.degree != degree for p in polys):
+        raise ValueError("stacked theta polynomials must share a torus and a degree")
+    xs = np.asarray(xs, dtype=complex)
+    col = (slice(None),) + (None,) * (xs.ndim - 1)
+    rates = [TWOPI_I * p.mu for p in polys]
+    e0 = (np.array([p.scale for p in polys], dtype=complex)[col]
+          * _exp(np.array(rates, dtype=complex)[col] * xs))
+    roots = np.array([p.roots for p in polys], dtype=complex).reshape(
+        (len(polys),) + (1,) * (xs.ndim - 1) + (degree,))
+    jets = _theta_jets(xs[..., None] - roots, ctx, order)
+    stack = [np.array([rate ** r for rate in rates], dtype=complex)[col] * e0
+             for r in range(order + 1)]
+    for i in range(degree):
+        stack = _leibniz(stack, jets[..., i])
+    return stack
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ presented in the normal form f = prod theta(x - t_j) (label 0) and
 g = e^{2 pi i (-mu + k) x} prod theta(x - s_j) with integer k.  Fiber
 points are found by solving the Bethe equations from the asymptotic
 seed of each m-element site subset, and the partner (-mu, s) by solving
-them again at -mu from the seed of the complementary subset (`fiber_point`);
-the pair is accepted only if Wr(f, g) passes `wr_certificate`.  For
+them again at -mu from the seed of the complementary subset; all subsets of
+an enumeration are solved in one lockstep Newton batch (`fiber_points`).
+A pair is accepted only if Wr(f, g) passes `wr_certificate`.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
@@ -17,6 +18,7 @@ Wronskian instead, is the independent route to the same partner.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,10 +29,11 @@ from .bethe import (
     BetheProblem,
     BetheSolution,
     SeedTooCoarseError,
+    _by_rows,
+    _nearest_sites,
     _pairs,
-    nearest_site_tag,
     seed_asymptotic,
-    solve_bae,
+    solve_bae_batch,
 )
 from .elliptic import lattice_distances
 from .thetapoly import (
@@ -38,7 +41,7 @@ from .thetapoly import (
     SolveError,
     ThetaPoly,
     golden_points,
-    wronskian,
+    stacked_derivs,
 )
 
 TWOPI_I = 2j * math.pi
@@ -91,18 +94,55 @@ def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
     Wr(f, g) - c * target is a degree-2m theta-polynomial with the target's
     multipliers, so it has 2m zeros in the cell unless it vanishes; the
     first point fixes c and the other 2m + 1 (at least 7) force it to zero.
-    Both sides are evaluated at all points in one array pass each.
+    `wr_certificates` on one pair.
+    """
+    residual, = wr_certificates([(f, g)], problem)
+    if isinstance(residual, Exception):
+        raise residual
+    return residual
+
+
+def wr_certificates(pairs, problem: BetheProblem) -> list:
+    """`wr_certificate` of every pair (f, g), all of one degree, at once:
+    per pair its residual, or the ArithmeticError its own certificate
+    raises.
+
+    Each pair keeps its own sample points, clear of its roots and the
+    sites.  Wr(f, g) at all of them comes from one theta batch over every
+    f and g, and the target from one more (`stacked_derivs`); a pair that
+    raises inside a batch is certified again on its own (`_by_rows`).
     """
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
-    avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
     count = max(8, 2 * problem.m + 2)
-    xs = np.array(golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3))
-    a = wronskian(f, g).eval(xs)
-    b = target.eval(xs)
-    fit = a[0] / b[0] * b[1:]
-    err = np.abs(a[1:] - fit) / np.maximum(np.abs(a[1:]), np.abs(fit))
-    # fmax skips NaN the way the running max(worst, err) did
-    return float(np.fmax.reduce(err, initial=0.0))
+    out = [None] * len(pairs)
+    kept, xs = [], []
+    for k, (f, g) in enumerate(pairs):
+        avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
+        try:
+            xs.append(golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3))
+        except ArithmeticError as exc:
+            out[k] = exc
+            continue
+        kept.append(k)
+
+    def certify(idx, x):
+        if not len(idx):
+            return (np.zeros(0),)
+        d = stacked_derivs([pairs[k][0] for k in idx] + [pairs[k][1] for k in idx],
+                           np.concatenate([x, x]), 1)
+        df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
+        a = df[0] * dg[1] - df[1] * dg[0]
+        b = stacked_derivs([target] * len(idx), x, 0)[0]
+        fit = a[:, :1] / b[:, :1] * b[:, 1:]
+        err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
+        # fmax skips NaN the way the running max(worst, err) did
+        return (np.fmax.reduce(err, axis=1, initial=0.0),)
+
+    if kept:
+        (residuals,), errors = _by_rows(certify, np.array(kept), np.array(xs))
+        for k, residual, exc in zip(kept, residuals, errors):
+            out[k] = float(residual) if exc is None else exc
+    return out
 
 
 def _root_key(sol: BetheSolution) -> np.ndarray:
@@ -114,16 +154,23 @@ def _root_key(sol: BetheSolution) -> np.ndarray:
     return np.array(sorted((cell.reduce(t)[0] for t in sol.t), key=key))
 
 
-def _gated_solve(problem, seed, tol, subset_tag=None):
-    """Newton solve from `seed`, held to the residual gate."""
-    sol = solve_bae(problem, seed, tol=tol, subset_tag=subset_tag)
-    if not sol.converged or sol.residual > RESIDUAL_GATE:
-        raise SolveError("no convergence (residual %.2e)" % sol.residual)
-    return sol
+def _gated(result):
+    """A Newton result held to the residual gate: the solution, or the
+    exception of a failed solve."""
+    if not isinstance(result, Exception) and (not result.converged
+                                              or result.residual > RESIDUAL_GATE):
+        return SolveError("no convergence (residual %.2e)" % result.residual)
+    return result
+
+
+def _staged(exc, stage):
+    exc.stage = stage
+    return exc
 
 
 def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
-    """Solve, pair, certify, and package one subset's fiber point.
+    """Solve, pair, certify, and package one subset's fiber point:
+    `fiber_points` on one subset, raising its exception.
 
     The solution (mu, t) comes from the asymptotic seed of `subset`; its
     partner (-mu, s) from the Bethe equations at -mu, seeded at the
@@ -141,46 +188,109 @@ def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
     Every exception raised here carries a `stage` attribute naming the
     step that failed: seed, newton, partner or certificate.
     """
-    subset = tuple(subset)
+    point, = fiber_points(problem, [subset])
+    if isinstance(point, Exception):
+        raise point
+    return point
+
+
+def fiber_points(problem: BetheProblem, subsets) -> list:
+    """`fiber_point` of every subset at once: per subset its FiberPoint,
+    or the exception (ArithmeticError, ValueError or SolveError) with the
+    `stage` at which its own `fiber_point` fails.
+
+    Every subset is seeded at mu and its complement at -mu, and all those
+    systems are solved in one `solve_bae_batch`.  The pairs that pass both
+    residual gates are checked for collisions in one distance array and
+    certified in one `wr_certificates` pass.  A subset reports the first
+    failing stage in the order seed, newton, partner, certificate,
+    whatever the other systems of the batch did.
+    """
+    subsets = [tuple(s) for s in subsets]
+    failures = (ArithmeticError, ValueError, SolveError)
     # Bethe-equation terms grow like |2 pi mu|, so the convergence floor in
     # double precision does too; keep the demand proportionate (and always
     # far below RESIDUAL_GATE at desk scale).
     tol = max(1e-12, 2e-14 * abs(TWOPI_I * problem.mu))
-    stage = "seed"
-    try:
-        seed = seed_asymptotic(problem, subset)
-        stage = "newton"
-        sol = _gated_solve(problem, seed, tol, subset)
-        stage = "partner"
-        # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
-        mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
+    # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
+    mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
+    out = [None] * len(subsets)
+    sols, pars = {}, {}
+    systems = []    # (problem, seed, subset tag, subset index, solutions dict)
+    for k, subset in enumerate(subsets):
+        try:
+            systems.append((problem, seed_asymptotic(problem, subset), subset, k, sols))
+        except failures as exc:
+            out[k] = _staged(exc, "seed")
+            continue
         complement = tuple(sorted(set(range(problem.n)) - set(subset)))
-        par = _gated_solve(mirror, seed_asymptotic(mirror, complement), tol)
-        par = dataclasses.replace(par, subset_tag=nearest_site_tag(par.t, problem))
-        stage = "certificate"
+        try:
+            systems.append((mirror, seed_asymptotic(mirror, complement), None, k, pars))
+        except failures as exc:
+            pars[k] = exc
+    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems], tol=tol,
+                              subset_tags=[s[2] for s in systems])
+    for (_, _, _, k, found), result in zip(systems, results):
+        found[k] = _gated(result)
+
+    # the partner's tag is read off its roots, all in one distance array
+    tagged = [k for k in sols if not isinstance(sols[k], Exception)
+              and not isinstance(pars[k], Exception)]
+    if tagged:
+        (nearest,), errors = _by_rows(
+            functools.partial(_nearest_sites, z=problem.z, ctx=problem.ctx),
+            np.array([pars[k].t for k in tagged]))
+        for row, (k, exc) in enumerate(zip(tagged, errors)):
+            pars[k] = exc or dataclasses.replace(
+                pars[k], subset_tag=tuple(sorted(int(a) for a in nearest[row])))
+    pairs = {}      # subset index -> (f, g, solution, partner)
+    for k in sols:
+        sol, par = sols[k], pars[k]
+        if isinstance(sol, Exception):
+            out[k] = _staged(sol, "newton")
+            continue
+        if isinstance(par, Exception):
+            out[k] = _staged(par, "partner")
+            continue
         f = ThetaPoly(1.0, 0.0, sol.t, problem.ctx)
         g = ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx)
-        roots = np.array(tuple(sol.t) + tuple(par.t) + tuple(problem.z))
-        i, j = _pairs(len(roots))
-        if (lattice_distances(roots[i] - roots[j], problem.ctx) < 1e-6).any():
-            raise SolveError("fiber roots collide with each other or a site")
-        residual = wr_certificate(f, g, problem)
-        if residual > WR_RESIDUAL_GATE:
-            raise ResidueViolationError(
+        pairs[k] = (f, g, sol, par)
+    if not pairs:
+        return out
+
+    order = list(pairs)
+    roots = np.array([tuple(pairs[k][2].t) + tuple(pairs[k][3].t) + problem.z for k in order])
+    i, j = _pairs(roots.shape[1])
+    (collide,), errors = _by_rows(
+        lambda r: ((lattice_distances(r[:, i] - r[:, j], problem.ctx) < 1e-6).any(axis=1),),
+        roots)
+    for k, hit, exc in zip(order, collide, errors):
+        if exc is None and hit:
+            exc = SolveError("fiber roots collide with each other or a site")
+        if exc is not None:
+            out[k] = _staged(exc, "certificate")
+            del pairs[k]
+    order = list(pairs)
+    residuals = wr_certificates([pairs[k][:2] for k in order], problem)
+    for k, residual in zip(order, residuals):
+        if not isinstance(residual, Exception) and residual > WR_RESIDUAL_GATE:
+            residual = ResidueViolationError(
                 "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
-    except (ArithmeticError, ValueError, SolveError) as exc:
-        exc.stage = stage
-        raise
-    return FiberPoint(f, g, subset, par.subset_tag, residual, sol, par)
+        if isinstance(residual, Exception):
+            out[k] = _staged(residual, "certificate")
+            continue
+        f, g, sol, par = pairs[k]
+        out[k] = FiberPoint(f, g, subsets[k], par.subset_tag, residual, sol, par)
+    return out
 
 
 def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     """Enumerate the labeled fiber over e^{-2 pi i mu x} prod theta(x - z_a).
 
-    One Bethe solve per m-element site subset.  A subset repeated in an
-    explicit `subsets` list collapses onto its own point; one whose solve
-    lands on another subset's point (below-threshold mu can merge basins)
-    fails at stage dedup.  Raises IncompleteFiberError, carrying the
+    One `fiber_points` batch over the m-element site subsets.  A subset
+    repeated in an explicit `subsets` list collapses onto its own point;
+    one whose solve lands on another subset's point (below-threshold mu
+    can merge basins) fails at stage dedup.  Raises IncompleteFiberError, carrying the
     partial report and the failing subsets, if any subset fails.
 
     Each accepted point's `_root_key` is kept as a row of `keys`, and a new
@@ -189,16 +299,17 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
+    subsets = list(subsets)
     failures = []
     points = []
     keys = np.empty((0, problem.m), dtype=complex)
     warnings = []
-    for subset in subsets:
-        try:
-            point = fiber_point(problem, subset)
-        except (SolveError, SeedTooCoarseError, ArithmeticError) as exc:
+    for subset, point in zip(subsets, fiber_points(problem, subsets)):
+        if isinstance(point, Exception):
+            if not isinstance(point, (SolveError, SeedTooCoarseError, ArithmeticError)):
+                raise point
             failures.append((subset, "%s: %s [stage %s]"
-                             % (exc.__class__.__name__, exc, exc.stage)))
+                             % (point.__class__.__name__, point, point.stage)))
             continue
         key = _root_key(point.solution)
         close = lattice_distances(keys - key, problem.ctx).max(axis=1) < DEDUP_TOL

@@ -26,6 +26,7 @@ from ellbethe.bethe import (
     normalize_solution,
     seed_asymptotic,
     solve_bae,
+    solve_bae_batch,
     translate_root,
     wronskian_residues,
 )
@@ -243,20 +244,15 @@ class TestSolver:
         assert one.residual < start.residual
         assert one.residual == float(np.max(np.abs(bae_residual(one.t, prob))))
 
-    def test_max_iter_counts_newton_steps(self, monkeypatch):
+    def test_max_iter_counts_newton_steps(self):
         """A solve that converges after n Newton steps converges with max_iter=n."""
-        import ellbethe.bethe as bethe_module
-
-        steps = []
-        jacobian = bethe_module.bae_jacobian
-        monkeypatch.setattr(bethe_module, "bae_jacobian",
-                            lambda *a: steps.append(1) or jacobian(*a))
         prob = problem4()
         seed = seed_asymptotic(prob, (0, 1))
         full = solve_bae(prob, seed)
-        assert full.converged and len(steps) > 1
-        capped = solve_bae(prob, seed, max_iter=len(steps))
+        assert full.converged and full.iterations > 1
+        capped = solve_bae(prob, seed, max_iter=full.iterations)
         assert capped.converged and capped.t == full.t
+        assert capped.iterations == full.iterations
 
     def test_residues_vanish_at_solutions(self):
         """Scale-relative residues of W/f^2 at the Bethe roots are ~0."""
@@ -271,6 +267,53 @@ class TestSolver:
         sol = solve_subset(prob, (0, 1))
         fake = solve_bae(prob, sol.t, mu=prob.mu + 0.3, max_iter=0)
         assert max(wronskian_residues(fake)) > 1e-4
+
+
+class TestBatch:
+    """`solve_bae_batch` advances many systems in lockstep, and each system
+    gets exactly what a solve on its own gets."""
+
+    BAD = [(Z4[0], 0.3 + 0.2j),                  # on a site
+           (0.3 + 0.2j, 0.3 + 0.2j + 1e-10),     # a coalesced pair
+           (0.25 + 0.45j, 0.64 + 0.72j)]         # far from any solution
+    # per system: the exception class, or (converged, iterations, backtracks)
+    EXPECTED = {
+        0: [(False, 0, 0), (False, 0, 0), "CoalescedRootsError", "CoalescedRootsError",
+            (False, 0, 0), (False, 0, 0), (False, 0, 0)],
+        1: [(False, 1, 0), (False, 1, 0), "PoleError", "PoleError",
+            (False, 1, 5), (False, 1, 0), (False, 1, 0)],
+        50: [(True, 4, 0), (True, 4, 0), "PoleError", "PoleError",
+             (True, 10, 11), (True, 4, 0), (True, 4, 0)],
+    }
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 50])
+    def test_failing_systems_do_not_touch_their_neighbours(self, max_iter):
+        prob, mirror = problem4(), problem4(-10j)
+        good = ([seed_asymptotic(prob, s) for s in ((0, 1), (0, 2), (1, 3))]
+                + [seed_asymptotic(mirror, (2, 3))])
+        seeds = good[:2] + self.BAD + good[2:]
+        # the last system solves at -mu: each system keeps its own mu
+        problems = [prob] * 6 + [mirror]
+        batch = solve_bae_batch(problems, seeds, max_iter=max_iter)
+        kinds = [type(r).__name__ if isinstance(r, Exception)
+                 else (r.converged, r.iterations, r.backtracks) for r in batch]
+        assert kinds == self.EXPECTED[max_iter]
+        for p, seed, got in zip(problems, seeds, batch):
+            try:
+                want = solve_bae(p, seed, max_iter=max_iter)
+            except ArithmeticError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert repr(got) == repr(want)
+            assert got.mu == p.mu
+
+    def test_systems_must_share_sites_and_torus(self):
+        other = BetheProblem(2, Z4, 10j, Torus(2j))
+        with pytest.raises(ValueError, match="share sites and torus"):
+            solve_bae_batch([problem4(), other], [(0.1, 0.2), (0.1, 0.2)])
+
+    def test_empty_batch(self):
+        assert solve_bae_batch([], []) == []
 
 
 class TestMoves:

@@ -11,8 +11,8 @@ import math
 
 import pytest
 
-from ellbethe import bethe, thetapoly
-from ellbethe.cli import DEFAULT_TOLERANCES, _cell_samples, main
+from ellbethe import bethe, cli, thetapoly, wronski
+from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
 
@@ -200,6 +200,23 @@ class TestSolveCommand:
         assert [r["subset"] for r in report["solutions"]] == [[0, 2], [1, 3]]
 
 
+    def test_subsets_are_solved_in_one_batch(self, capsys, monkeypatch):
+        sizes = []
+        batch = cli.solve_bae_batch
+        monkeypatch.setattr(cli, "solve_bae_batch",
+                            lambda problems, *a, **k: sizes.append(len(problems))
+                            or batch(problems, *a, **k))
+        code, report = run_json(capsys, ["solve"])
+        assert code == 0 and sizes == [6]
+        prob = ExperimentConfig.from_dict({}).problem()
+        for record in report["solutions"]:
+            subset = tuple(record["subset"])
+            sol = bethe.normalize_solution(
+                bethe.solve_bae(prob, bethe.seed_asymptotic(prob, subset), subset_tag=subset))
+            assert record["t"] == [[v.real, v.imag] for v in sol.t]
+            assert record["residual"] == sol.residual
+
+
 class TestFiberCommand:
     def test_full_fiber_count(self, capsys):
         code, report = run_json(capsys, ["fiber"])
@@ -285,6 +302,23 @@ class TestEigenCommand:
         assert report["warnings"] == []
         assert all(c["status"] == "pass" for c in report["checks"])
         assert len(report["ratio_table"]) == 10
+
+
+    def test_certificate_failure_is_a_skip_not_a_traceback(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """An ArithmeticError in the certificate skips the subset, and the
+        warning names the class and the stage, as the fiber warnings do."""
+        def refuse(*args, **kwargs):
+            raise ArithmeticError("could not place the sample points")
+
+        monkeypatch.setattr(wronski, "golden_points", refuse)
+        cfg = write_config(tmp_path, M1_CONFIG)
+        code, report = run_json(capsys, ["eigen", "--config", cfg])
+        # no subset reached the checks
+        assert code == 1
+        assert report["warnings"] == [
+            "subset (%d,) skipped: ArithmeticError: could not place the sample points "
+            "[stage certificate]" % k for k in (0, 1)]
 
 
 class TestSampler:

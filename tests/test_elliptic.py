@@ -5,12 +5,14 @@ identity and quasi-periodicity checks are self-contained.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles as orc
 from ellbethe.elliptic import (
+    _CHUNK,
     _MAX_LATTICE_SHIFT,
     LatticePoint,
     PoleError,
@@ -556,6 +558,26 @@ class TestThetaJets:
                 assert np.array_equal(jet, _theta_jets(complex(x), ctx, order))
                 for r in range(order + 1):
                     assert relerr(jet[r], ref[r]) < 1e-12
+
+    def test_large_batches_keep_the_bits_and_the_guard_order(self):
+        """A batch longer than one series pass gives every point the bits of
+        a one-point call, and its guards still see all points first: the
+        first pole is named wherever it falls, even after an overflow in an
+        earlier pass, and a RangeError anywhere wins over a pole."""
+        ctx = Torus(0.3 + 0.8j)
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(-3, 3, 2 * _CHUNK + 7) + 1j * rng.uniform(-3, 3, 2 * _CHUNK + 7)
+        jets = _theta_jets(xs, ctx, 2, dtau=True)
+        for i in (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 6):
+            assert np.array_equal(jets[:, i], _theta_jets(complex(xs[i]), ctx, 2, dtau=True))
+        # the first pass also holds a point whose exponential overflows
+        poles = xs.copy()
+        poles[[5, _CHUNK + 3, 2 * _CHUNK + 1]] = 0.3 + 300j, 1.0 + ctx.tau, 2.0
+        with pytest.raises(PoleError, match=re.escape("(x=%r)" % ((1 + ctx.tau),))):
+            _theta_jets(poles, ctx, 1, pole="rho")
+        poles[2 * _CHUNK + 5] = 3.0 * _MAX_LATTICE_SHIFT + 0.1j
+        with pytest.raises(RangeError):
+            _theta_jets(poles, ctx, 1, pole="rho")
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_pole_guard_matches_scalar(self, tau):

@@ -20,6 +20,7 @@ from ellbethe.thetapoly import (
     fourier_basis,
     golden_points,
     solve_wronskian,
+    stacked_derivs,
     wronskian,
 )
 
@@ -78,6 +79,23 @@ class TestThetaPoly:
         for x in (0.9, np.array([0.2, 0.9])):
             with pytest.raises(OverflowError):
                 big.derivs(x, 1)
+
+    def test_stacked_polys_match_one_at_a_time(self):
+        """stacked_derivs evaluates polynomials of one degree, each at its
+        own points, in one theta batch, with the bits of each alone."""
+        ctx = Torus(0.3 + 0.8j)
+        cell = centered_cell(ctx)
+        rng = np.random.default_rng(5)
+        polys = [random_poly(rng, 3, ctx, cell) for _ in range(4)]
+        xs = np.array([golden_points(cell, 6, (0.1 * k, 0.2)) for k in range(4)]).reshape(4, 2, 3)
+        got = stacked_derivs(polys, xs, 3)
+        assert all(row.shape == xs.shape for row in got)
+        for k, poly in enumerate(polys):
+            for row, want in zip(got, poly.derivs(xs[k], 3)):
+                assert np.array_equal(row[k], want)
+        for other in (random_poly(rng, 2, ctx, cell), random_poly(rng, 3, Torus(1j), cell)):
+            with pytest.raises(ValueError, match="share a torus and a degree"):
+                stacked_derivs(polys[:1] + [other], xs[:2], 1)
 
     def test_transformation_laws(self):
         """f(x+1) = A(-1)^m f; f(x+tau) = B(-1)^m e^{-pi i m tau - 2 pi i m x} f."""

@@ -16,6 +16,7 @@ import pytest
 
 from ellbethe.bethe import (
     BetheProblem,
+    CoalescedRootsError,
     SeedTooCoarseError,
     analytic_involution,
     bae_jacobian,
@@ -36,6 +37,7 @@ from ellbethe.wronski import (
     fiber_point,
     partner_asymptotic_deviation,
     wr_certificate,
+    wr_certificates,
 )
 
 CTX = Torus(1j)
@@ -66,6 +68,14 @@ def problem(m, mu, z=None):
     if z is None:
         z = Z4 if m == 2 else Z2
     return BetheProblem(m, z, mu, CTX)
+
+
+def fiber_outcome(prob):
+    """(points, failures) of enumerate_fiber, complete or not."""
+    try:
+        return enumerate_fiber(prob).points, ()
+    except IncompleteFiberError as exc:
+        return exc.partial.points, exc.failed
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,8 +185,8 @@ class TestEnumerateFiber:
         point = fiber_point(prob, (0, 2, 4))
         moved = translate_root(point.solution, 0, 1, 0)
         assert moved.residual < 1e-10
-        points = iter([point, dataclasses.replace(point, solution=moved)])
-        monkeypatch.setattr(wronski_module, "fiber_point", lambda problem, subset: next(points))
+        points = [point, dataclasses.replace(point, solution=moved)]
+        monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: points)
         rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (0, 2, 4)])
         assert rep.count == 1
 
@@ -286,6 +296,93 @@ class TestFiberPoint:
         with pytest.raises(IncompleteFiberError) as info:
             enumerate_fiber(problem(2, 1.3j))
         assert all(why.endswith(" [stage seed]") for _, why in info.value.failed)
+
+
+class TestLockstep:
+    """`fiber_points` solves and certifies all subsets in one batch; the
+    fiber must be the one a loop over single subsets finds, bit for bit."""
+
+    @pytest.mark.parametrize("prob, stages", [
+        (cell_problem(3, 10j), []),
+        (BetheProblem(3, MERGED_Z, 2.2j, CTX), ["certificate"] + ["dedup"] * 3),
+        (problem(2, 1.3j), ["seed"] * 6),
+    ], ids=["cell-m3", "merged-2.2i", "coarse-seeds"])
+    def test_batch_matches_one_subset_at_a_time(self, prob, stages, monkeypatch):
+        points, failures = fiber_outcome(prob)
+        one = wronski_module.fiber_points
+        monkeypatch.setattr(wronski_module, "fiber_points",
+                            lambda problem, subsets: [one(problem, [s])[0] for s in subsets])
+        alone_points, alone_failures = fiber_outcome(prob)
+        assert [why.rsplit(" [stage ", 1)[1] for _, why in failures] == [s + "]" for s in stages]
+        assert failures == alone_failures
+        # repr shows every float exactly, and the Newton counters too
+        assert repr(points) == repr(alone_points)
+
+    def test_stage_precedence_in_a_batch(self, monkeypatch):
+        """A subset whose solve at mu fails reports stage newton, whatever
+        its partner did in the same batch; one whose partner alone fails
+        reports stage partner."""
+        prob = problem(2, 6j)
+        solve = wronski_module.solve_bae_batch
+
+        def failing(sides):
+            def batch(problems, seeds, **kwargs):
+                out = solve(problems, seeds, **kwargs)
+                return [CoalescedRootsError("system %d" % i) if p.mu in sides else r
+                        for i, (p, r) in enumerate(zip(problems, out))]
+            return batch
+
+        subsets = list(itertools.combinations(range(4), 2))
+        for sides, stage in (((6j, -6j), "newton"), ((-6j,), "partner")):
+            monkeypatch.setattr(wronski_module, "solve_bae_batch", failing(sides))
+            with pytest.raises(IncompleteFiberError) as info:
+                enumerate_fiber(prob)
+            first = 0 if stage == "newton" else 1
+            assert info.value.failed == tuple(
+                (s, "CoalescedRootsError: system %d [stage %s]" % (2 * k + first, stage))
+                for k, s in enumerate(subsets))
+
+    def test_certificates_batch_matches_one_pair_at_a_time(self):
+        prob = cell_problem(3, 10j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:4]]
+        moved = ThetaPoly(1.0, pairs[1][1].mu, (pairs[1][1].roots[0] + 1e-3,)
+                          + pairs[1][1].roots[1:], prob.ctx)
+        pairs.insert(2, (pairs[1][0], moved))
+        got = wr_certificates(pairs, prob)
+        assert got == [wr_certificate(f, g, prob) for f, g in pairs]
+        assert got[2] > WR_RESIDUAL_GATE >= max(got[:2] + got[3:])
+
+    def test_one_failing_certificate_keeps_the_others(self):
+        """A pair whose certificate raises inside the batch (here g's
+        envelope overflows) gets the exception of its own certificate, and
+        the other pairs keep their residuals."""
+        prob = cell_problem(2, 14j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        huge = ThetaPoly(1.0, -1000j, pairs[1][1].roots, prob.ctx)
+        pairs.insert(1, (pairs[1][0], huge))
+        got = wr_certificates(pairs, prob)
+        assert isinstance(got[1], OverflowError)
+        with pytest.raises(OverflowError, match=str(got[1])):
+            wr_certificate(*pairs[1], prob)
+        assert [got[0]] + got[2:] == [wr_certificate(f, g, prob) for f, g in pairs[:1] + pairs[2:]]
+
+    def test_unplaceable_samples_fail_one_subset(self, monkeypatch):
+        prob = cell_problem(2, 14j)
+        report = enumerate_fiber(prob)
+        skip = report.points[1]
+        place = wronski_module.golden_points
+
+        def refuse(cell, count, offset, avoid=(), margin=0.0):
+            if avoid[0] == skip.f.roots[0]:
+                raise ArithmeticError("could not place the sample points")
+            return place(cell, count, offset, avoid=avoid, margin=margin)
+
+        monkeypatch.setattr(wronski_module, "golden_points", refuse)
+        with pytest.raises(IncompleteFiberError) as info:
+            enumerate_fiber(prob)
+        assert info.value.failed == ((skip.subset_tag, "ArithmeticError: could not place "
+                                      "the sample points [stage certificate]"),)
+        assert info.value.partial.points == report.points[:1] + report.points[2:]
 
 
 class TestAsymptoticLaws:
