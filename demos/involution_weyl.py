@@ -17,9 +17,8 @@ from ellbethe import (
     Torus,
     analytic_involution,
     enumerate_fiber,
-    psi,
     psi_derivs,
-    weyl_on_function,
+    weyl_involution,
     zero_weight_space,
 )
 
@@ -43,9 +42,9 @@ def main():
     for point in report.points:
         sol = point.solution
         par = analytic_involution(sol)
-        # (s Psi)(lambda) comes from the jet of Psi at -lambda
-        ratios = np.array([weyl_on_function(psi_derivs(-lam, sol), sp)[0]
-                           / psi(lam, par) for lam in lams])
+        # (s Psi)(lambda) = s . Psi(-lambda)
+        ratios = np.array([weyl_involution(psi_derivs(-lam, sol)[0], sp)
+                           / psi_derivs(lam, par)[0] for lam in lams])
         mean = ratios.mean()
         spread = np.max(np.abs(ratios - mean)) / abs(mean)
         print("subset %s: ratio %10.4f%+10.4fj  spread %.1e"

@@ -26,7 +26,6 @@ import numpy as np
 
 from .bethe import (
     BetheProblem,
-    CoalescedRootsError,
     SeedTooCoarseError,
     normalize_solution,
     seed_asymptotic,
@@ -45,19 +44,8 @@ from .elliptic import (
     theta1_dtau,
     theta_derivs,
 )
-from .repspace import (
-    apply_kzb,
-    apply_rst_n2,
-    fundamental_b2,
-    kzb_eigenvalues,
-    kzb_operators,
-    psi,
-    psi_derivs,
-    s2_via_kzb,
-    weyl_involution,
-    zero_weight_space,
-)
-from .thetapoly import FundamentalParallelogram, golden_points, wronskian
+from .repspace import verify_eigen
+from .thetapoly import FundamentalParallelogram, golden_points
 from .wronski import IncompleteFiberError, enumerate_fiber, fiber_points, scan_mu_grid
 
 SCHEMA = "elliptic-bethe/1"
@@ -102,14 +90,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit code 2."""
 
 
+def _is_number(value, kind=(int, float)):
+    """A JSON number of that kind: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _as_complex(value, field):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError("field %r must be a number or [re, im] pair, got %r"
-                      % (field, value))
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if not all(map(_is_number, parts)):
+        raise ConfigError("field %r must be a number or [re, im] pair, got %r"
+                          % (field, value))
+    if not all(math.isfinite(v) for v in parts):
+        raise ConfigError("field %r must be finite, got %r" % (field, value))
+    return complex(parts[0], parts[1])
 
 
 def _parse_mu_token(token):
@@ -145,7 +138,7 @@ class ExperimentConfig:
         merged.update(raw)
 
         m = merged["m"]
-        if not isinstance(m, int) or m < 1:
+        if not (_is_number(m, int) and m >= 1):
             raise ConfigError("m must be a positive integer, got %r" % (m,))
         z = merged["z"]
         if not isinstance(z, (list, tuple)) or len(z) != 2 * m:
@@ -168,10 +161,9 @@ class ExperimentConfig:
                 raise ConfigError('subsets must be "all" or a non-empty list')
             cleaned = []
             for entry in subsets:
-                entry = tuple(entry)
-                if (len(entry) != m or len(set(entry)) != m
-                        or not all(isinstance(i, int) and 0 <= i < 2 * m
-                                   for i in entry)):
+                if not (isinstance(entry, (list, tuple)) and len(entry) == m
+                        and all(_is_number(i, int) and 0 <= i < 2 * m for i in entry)
+                        and len(set(entry)) == m):
                     raise ConfigError(
                         "subset %r must hold %d distinct site indices in [0, %d)"
                         % (entry, m, 2 * m))
@@ -179,19 +171,21 @@ class ExperimentConfig:
             subsets = tuple(cleaned)
 
         tolerances = merged["tolerances"] or {}
+        if not isinstance(tolerances, dict):
+            raise ConfigError("tolerances must be an object, got %r" % (tolerances,))
         unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError("unknown tolerance names: %s (known: %s)"
                               % (", ".join(unknown),
                                  ", ".join(sorted(DEFAULT_TOLERANCES))))
         for name, value in tolerances.items():
-            if not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError("tolerance %r must be a number, got %r" % (name, value))
         tolerances = {k: float(v) for k, v in tolerances.items()}
 
         seed = merged["seed"]
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer, got %r" % (seed,))
+        if not (_is_number(seed, int) and seed >= 0):
+            raise ConfigError("seed must be a non-negative integer, got %r" % (seed,))
 
         return cls(
             tau=_as_complex(merged["tau"], "tau"),
@@ -399,12 +393,10 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
         record = {"subset": list(subset)}
         records.append(record)
         sol = solved.get(subset, seeds[subset])
-        if isinstance(sol, (SeedTooCoarseError, CoalescedRootsError)):
+        if isinstance(sol, Exception):
             record.update(status="no_convergence", reason=str(sol))
             warnings.append("subset %s: %s" % (subset, sol))
             continue
-        if isinstance(sol, Exception):
-            raise sol
         sol = normalize_solution(sol)
         record.update(
             status="converged" if sol.converged else "no_convergence",
@@ -495,95 +487,24 @@ def _fiber_csv(report_section):
 
 def cmd_eigen(cfg: ExperimentConfig) -> dict:
     prob = cfg.problem()
-    ctx = prob.ctx
-    sp = zero_weight_space(prob.n)
     lam_pts = _cell_samples(prob.cell, 10, cfg.seed)
     x_pts = _cell_samples(prob.cell, 10, cfg.seed + 1, avoid=prob.z)
-    x_arr = np.array(x_pts)
-    # the KZB coefficients depend on (lambda, z, tau) only
-    ops_pts = [kzb_operators(lam, prob.z, ctx) for lam in lam_pts]
-    worst = {name: 0.0 for name in
-             ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes",
-              "s2_eigen_b2", "b2_periodicity", "kernel_membership", "weyl_ratio")}
-    warnings, ratio_table = [], []
-    verified = False
-
     subsets = cfg.subset_list()
-    for subset, point in zip(subsets, fiber_points(prob, subsets)):
+    points = fiber_points(prob, subsets)
+    found = [point for point in points if not isinstance(point, Exception)]
+    result = verify_eigen([(p.solution, p.partner) for p in found], lam_pts, x_pts)
+    outcomes = iter(zip(result.skipped, result.ratio_rows))
+    warnings, ratio_table = [], []
+    for subset, point in zip(subsets, points):
         if isinstance(point, Exception):
             warnings.append("subset %s skipped: %s: %s [stage %s]"
                             % (subset, point.__class__.__name__, point, point.stage))
             continue
-        sol, par = point.solution, point.partner
-
-        try:
-            eigenvalues = kzb_eigenvalues(sol)
-        except ArithmeticError as exc:
-            warnings.append("subset %s: %s" % (subset, exc))
-            worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"], 1.0)
-            continue
-        worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"],
-                                      abs(sum(eigenvalues.e)))
-        verified = True
-        expected = (eigenvalues.e0,) + eigenvalues.e
-
-        # one Psi jet and its rows H_a Psi per (solution, lambda), shared below
-        jets = [psi_derivs(lam, sol) for lam in lam_pts]
-        kzb_rows = [apply_kzb(ops, jet) for ops, jet in zip(ops_pts, jets)]
-        ratios = []
-        for lam, jet, outs in zip(lam_pts, jets, kzb_rows):
-            value = jet[0]
-            vnorm = np.linalg.norm(value)
-            for a, out in enumerate(outs):
-                rel = np.linalg.norm(out - expected[a] * value) / vnorm
-                worst["eigen_relation"] = max(worst["eigen_relation"], rel)
-            total = np.sum(outs[1:], axis=0)
-            worst["eigen_sum_rule"] = max(worst["eigen_sum_rule"],
-                                          np.linalg.norm(total) / vnorm)
-            # s Psi(lambda) = s . Psi(-lambda), against the partner's Psi
-            ratio = weyl_involution(psi(-lam, sol), sp) / psi(lam, par)
-            ratios.append(ratio)
-            ratio_table.append({
-                "subset": list(subset),
-                "lambda": lam,
-                "ratio": complex(np.mean(ratio)),
-                "component_spread": float(np.max(np.abs(ratio - np.mean(ratio)))),
-            })
-        arr = np.concatenate(ratios)
-        mean = arr.mean()
-        worst["weyl_ratio"] = max(worst["weyl_ratio"],
-                                  float(np.max(np.abs(arr - mean)) / abs(mean)))
-
-        # B2 at every x and at its translates by 1 and tau, in one call
-        b2s = fundamental_b2(np.array([x_arr, x_arr + 1, x_arr + ctx.tau]), sol)
-        for x, b2, lam, jet, outs in zip(x_pts, b2s[0], lam_pts, jets, kzb_rows):
-            value = jet[0]
-            vnorm = np.linalg.norm(value)
-            via_kzb = s2_via_kzb(x, outs, value, prob.z, ctx)
-            via_det = apply_rst_n2(x, jet, lam, prob.z, ctx)
-            worst["s2_routes"] = max(
-                worst["s2_routes"],
-                np.linalg.norm(via_kzb - via_det)
-                / max(1.0, np.linalg.norm(via_kzb)))
-            worst["s2_eigen_b2"] = max(
-                worst["s2_eigen_b2"],
-                np.linalg.norm(via_kzb - b2 * value) / vnorm)
-        scale = np.maximum(1.0, np.abs(b2s[0]))
-        worst["b2_periodicity"] = max(worst["b2_periodicity"],
-                                      float(np.max(np.abs(b2s[1:] - b2s[0]) / scale)))
-        wd = wronskian(sol.poly(), par.poly()).derivs(x_arr, 2)
-        for poly in (sol.poly(), par.poly()):
-            pd = poly.derivs(x_arr, 2)
-            v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
-            vp = (pd[2] / pd[0] - (pd[1] / pd[0]) ** 2
-                  - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2))
-            worst["kernel_membership"] = max(worst["kernel_membership"],
-                                             float(np.max(np.abs(vp + v * v + b2s[0]) / scale)))
-
-    if not verified:
-        # no subset reached the checks, so none of them measured anything
-        worst = dict.fromkeys(worst, math.inf)
-    checks = [_check(name, worst[name], cfg.tolerance(name)) for name in worst]
+        skipped, rows = next(outcomes)
+        if skipped is not None:
+            warnings.append("subset %s: %s" % (subset, skipped))
+        ratio_table.extend(dict(row, subset=list(subset)) for row in rows)
+    checks = [_check(name, value, cfg.tolerance(name)) for name, value in result.worst.items()]
     return {"checks": checks, "warnings": warnings, "ratio_table": ratio_table}
 
 
@@ -633,13 +554,13 @@ def load_config(args) -> ExperimentConfig:
             raise ConfigError("config is not valid JSON: %s" % exc) from None
     else:
         raw = {}
-    cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.mu_grid:
-        grid = tuple(_parse_mu_token(t) for t in args.mu_grid.split(","))
-        cfg = dataclasses.replace(cfg, mu_grid=grid)
-    return cfg
+    # the overrides pass the same validation as the config they override
+    if isinstance(raw, dict) and args.seed is not None:
+        raw = dict(raw, seed=args.seed)
+    if isinstance(raw, dict) and args.mu_grid:
+        grid = (_parse_mu_token(t) for t in args.mu_grid.split(","))
+        raw = dict(raw, mu_grid=[[v.real, v.imag] for v in grid])
+    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:

@@ -156,6 +156,8 @@ class LatticePoint:
 
 
 def _split(x: complex, tau: complex) -> tuple[complex, int, int]:
+    if not cmath.isfinite(x):
+        raise RangeError("x = %r is not a finite number" % (x,))
     l = round(x.imag / tau.imag)
     if abs(l) > _MAX_LATTICE_SHIFT:
         raise RangeError("Im(x)/Im(tau) = %g exceeds the supported range" % (x.imag / tau.imag))
@@ -344,17 +346,23 @@ def _pointwise(kernel):
     arguments (those before ctx) are broadcast against each other and
     flattened, and each array returned gets their shape back behind any
     leading jet axis, a scalar for scalars.  All arithmetic thus runs on
-    arrays, so a point has the same bits alone as in a batch."""
+    arrays, so a point has the same bits alone as in a batch: at most _CHUNK
+    points a pass, as past 256 KiB numpy computes `a * temporary` in place
+    as `temporary * a`, and with fused multiply-adds a complex product is
+    not commutative bit for bit.  The first pass with a bad point raises."""
     count = kernel.__code__.co_varnames.index("ctx")
 
     @functools.wraps(kernel)
     def wrapper(*args, **kwargs):
         points = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in args[:count]))
         shape = points[0].shape
-        out = kernel(*(p.ravel() for p in points), *args[count:], **kwargs)
-        if isinstance(out, tuple):
-            return tuple(v.reshape(v.shape[:-1] + shape)[()] for v in out)
-        return out.reshape(out.shape[:-1] + shape)[()]
+        flat = [p.ravel() for p in points]
+        passes = [kernel(*(p[i:i + _CHUNK] for p in flat), *args[count:], **kwargs)
+                  for i in range(0, max(len(flat[0]), 1), _CHUNK)]
+        one = not isinstance(passes[0], tuple)
+        out = tuple(np.concatenate(rows, axis=-1).reshape(rows[0].shape[:-1] + shape)[()]
+                    for rows in zip(*([p] if one else p for p in passes)))
+        return out[0] if one else out
 
     return wrapper
 

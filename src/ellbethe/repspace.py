@@ -20,7 +20,9 @@ Functions of the dynamical variable lambda (= lambda_1 - lambda_2 after
 the sl2 reduction d/d lambda_1 -> d/d lambda, d/d lambda_2 -> -d/d
 lambda) reach the operators as their jet (value, d/d lambda, d^2/d
 lambda^2) of coefficient vectors at the lambda of evaluation, so one
-evaluation serves every operator applied there.
+evaluation serves every operator applied there.  `verify_eigen` checks
+the eigenfunctions Psi (`psi_derivs`) of many solutions against these
+operators, with every kernel evaluated once over all of them.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ import dataclasses
 import functools
 import itertools
 import math
+import typing
 
 import numpy as np
 
 from .bethe import BetheSolution, master_dtau, master_dz
 from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
-from .thetapoly import _leibniz
+from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
 
 TWOPI_I = 2j * math.pi
 
@@ -73,10 +76,13 @@ class ZeroWeightSpace:
         self.src, self.tgt, self.leave, self.join = np.array(rows, dtype=np.intp).T
 
     def moves(self, coef, value) -> np.ndarray:
-        """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value, one output row
-        per leading index of coef (its diagonal is not read)."""
-        terms = np.asarray(coef)[..., self.leave, self.join] * np.asarray(value)[self.src]
-        return terms.reshape(terms.shape[:-1] + (self.dim, -1)).sum(axis=-1)
+        """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value[..., :], the
+        leading axes of coef and value broadcast (coef's diagonal is not
+        read).  Each target adds its m^2 terms one at a time in table order,
+        so its bits depend neither on the batch nor on the memory layout."""
+        terms = np.asarray(coef)[..., self.leave, self.join] * np.asarray(value)[..., self.src]
+        terms = terms.reshape(terms.shape[:-1] + (self.dim, -1))
+        return functools.reduce(np.add, np.moveaxis(terms, -1, 0))
 
     def index(self, subset) -> int:
         return self._index[tuple(sorted(subset))]
@@ -114,51 +120,43 @@ def kzb_eigenvalues(sol: BetheSolution) -> KzbEigenvalues:
 # ---------------------------------------------------------------------------
 
 
-def _weight_rows(lam: complex, sol: BetheSolution, order: int) -> np.ndarray:
-    """Rows d^r/dw^r W_I at w = -lambda, r = 0..order (0 or 2), over the
-    subsets I: W_I = Sym_t prod_j sigma(t_j - z_{i_j}, w), the permanent of
-    the sigma jets on the roots and the sites in I.
-
-    The sigma factors of all (root, site) pairs come from one kernel call.
-    All C(n, m) permanents are one array fold: in ordering pi root j takes
-    site I[pi(j)], the jets multiply by the Leibniz rule along j, and the
-    orderings are summed last.  Row 0 does not depend on order: sigma has
-    the same bits as sigma_jet's value.
+def _psi_rows(lams, sols, order: int) -> np.ndarray:
+    """(Psi, dPsi/dlambda, d2Psi/dlambda2)[:order + 1] (order 0 or 2) of
+    each solution sols[k] at the points lams[k], an (order + 1, S, L, dim)
+    array: Psi = e^{pi i mu lambda} sum_I W_I v_I, the permanent W_I = Sym_t
+    prod_j sigma(t_j - z_{i_j}, -lambda) folded over the orderings pi (root
+    j takes site I[pi(j)]) by the Leibniz rule along j, the orderings summed
+    last.  All sigma factors come from one kernel call, whose value row
+    does not depend on order; the envelope is scalar arithmetic per point.
     """
-    prob = sol.problem
+    prob = sols[0].problem
     sp = zero_weight_space(prob.n)
-    diffs = np.subtract.outer(sol.t, prob.z)
-    # jets[r, j, s]: d^r/dw^r sigma(t_j - z_s, w) at w = -lambda
-    jets = np.array(sigma_jet(diffs, -lam, prob.ctx) if order
-                    else (sigma(diffs, -lam, prob.ctx),))
+    # diffs[k, 0, j, s] = t_j - z_s of solution k, against w[k, l] on axis 1
+    diffs = np.subtract.outer(np.array([sol.t for sol in sols], dtype=complex), prob.z)[:, None]
+    w = -np.array(lams, dtype=complex)[..., None, None]
+    jets = np.array(sigma_jet(diffs, w, prob.ctx) if order else (sigma(diffs, w, prob.ctx),))
     sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
-    fold = jets[:, 0, sites[..., 0]]
-    for j in range(1, prob.m):
-        fold = _leibniz(fold, jets[:, j, sites[..., j]])
-    return np.sum(fold, axis=-1)
+    out = np.empty(jets.shape[:3] + (sp.dim,), dtype=complex)
+    for k, (row, sol) in enumerate(zip(lams, sols)):
+        jk = jets[:, k]
+        fold = jk[..., 0, sites[..., 0]]
+        for j in range(1, prob.m):
+            fold = _leibniz(fold, jk[..., j, sites[..., j]])
+        wk = np.sum(fold, axis=-1)
+        c = 1j * math.pi * sol.mu
+        for l, lam in enumerate(row):
+            envelope = cmath.exp(c * lam)
+            out[0, k, l] = envelope * wk[0, l]
+            if order:
+                out[1, k, l] = envelope * (c * wk[0, l] - wk[1, l])
+                out[2, k, l] = envelope * (c * c * wk[0, l] - 2.0 * c * wk[1, l] + wk[2, l])
+    return out
 
 
 def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
-    """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis.
-
-    Psi = e^{pi i mu lambda} sum_I W_I v_I, with the W_I and their
-    w-derivatives from `_weight_rows` (w = -lambda, so its rows hold W_I,
-    -dW_I/dlambda and d2W_I/dlambda2).
-    """
-    w = _weight_rows(lam, sol, 2)
-    c = 1j * math.pi * sol.mu
-    envelope = cmath.exp(c * lam)
-    value = envelope * w[0]
-    d1 = envelope * (c * w[0] - w[1])
-    d2 = envelope * (c * c * w[0] - 2.0 * c * w[1] + w[2])
-    return value, d1, d2
-
-
-def psi(lam: complex, sol: BetheSolution) -> np.ndarray:
-    """The V[0]-valued eigenfunction Psi at lambda (coefficient vector),
-    from order-0 sigma values only; the same bits as psi_derivs' value."""
-    c = 1j * math.pi * sol.mu
-    return cmath.exp(c * lam) * _weight_rows(lam, sol, 0)[0]
+    """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis:
+    the eigenfunction of a solution and its jet (see `_psi_rows`)."""
+    return tuple(_psi_rows([[lam]], [sol], 2)[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +166,21 @@ def psi(lam: complex, sol: BetheSolution) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class KzbOperators:
-    """H_0, ..., H_n at one lambda, without their lambda-derivative terms:
+    """H_0, ..., H_n at a lambda, without their lambda-derivative terms:
     H_a F = diag[a] F + moves(coef[a], F), plus (1/2 pi i) F'' for a = 0
-    and -hw^(s) F' for a = s + 1."""
+    and -hw^(s) F' for a = s + 1.  Operators at an array of lambdas carry
+    its axes first."""
 
     space: ZeroWeightSpace
-    diag: np.ndarray  # (n + 1, dim)
-    coef: np.ndarray  # (n + 1, n, n)
+    diag: np.ndarray  # (..., n + 1, dim)
+    coef: np.ndarray  # (..., n + 1, n, n)
 
 
-def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
-    """The KZB operators at lam, from one evaluation of rho and eta per
-    unordered site pair and of sigma(z_s - z_p, -lambda) and phi(lambda,
-    z_s - z_p) per ordered pair, one kernel call each.
+def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
+    """The KZB operators at lam, a point or an array of points, from one
+    evaluation of rho and eta per unordered site pair and of sigma(z_s -
+    z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair and lambda,
+    one kernel call each.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -206,46 +206,52 @@ def kzb_operators(lam: complex, z, ctx: Torus) -> KzbOperators:
     n = len(z)
     sp = zero_weight_space(n)
     hw = sp.hw_site
+    lam = np.asarray(lam, dtype=complex)
     i, j = np.triu_indices(n, 1)
     d = np.subtract.outer(z, z)
-    kernels = np.zeros((4, n, n), dtype=complex)
-    kernels[:2, i, j] = rho(d[i, j], ctx), eta(d[i, j], ctx)
-    kernels[:2, j, i] = -kernels[0, i, j], kernels[1, i, j]
+    rho_d, eta_d = np.zeros((2, n, n), dtype=complex)
+    rho_d[i, j], eta_d[i, j] = rho(d[i, j], ctx), eta(d[i, j], ctx)
+    rho_d[j, i], eta_d[j, i] = -rho_d[i, j], eta_d[i, j]
     off = ~np.eye(n, dtype=bool)
-    kernels[2:, off] = sigma(d[off], -lam, ctx), phi(lam, d[off], ctx)
-    rho_d, eta_d, sig, phi_d = kernels
-    diag = np.empty((n + 1, sp.dim), dtype=complex)
-    diag[0] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0)
-               + n * (0.25 * eta(0.0, ctx) + rho_prime(lam, ctx))) / (4j * math.pi)
-    diag[1:] = 0.5 * hw * (rho_d @ hw)
+    sig, phi_d = np.zeros((2,) + lam.shape + (n, n), dtype=complex)
+    sig[..., off] = sigma(d[off], -lam[..., None], ctx)
+    phi_d[..., off] = phi(lam[..., None], d[off], ctx)
+    diag = np.empty(lam.shape + (n + 1, sp.dim), dtype=complex)
+    diag[..., 0, :] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0) + n * (
+        0.25 * eta(0.0, ctx) + rho_prime(lam, ctx))[..., None]) / (4j * math.pi)
+    diag[..., 1:, :] = 0.5 * hw * (rho_d @ hw)
     # e21^(s) e12^(p) is the move with p leaving and s joining: a transpose
-    coef = np.zeros((n + 1, n, n), dtype=complex)
-    coef[0] = -phi_d / TWOPI_I
+    coef = np.zeros(lam.shape + (n + 1, n, n), dtype=complex)
+    coef[..., 0, :, :] = -phi_d / TWOPI_I
     for s in range(n):
-        coef[s + 1, s, :] = sig[s]
-        coef[s + 1, :, s] = -sig[:, s]
+        coef[..., s + 1, s, :] = sig[..., s, :]
+        coef[..., s + 1, :, s] = -sig[..., :, s]
     return KzbOperators(sp, diag, coef)
 
 
 def apply_kzb(ops: KzbOperators, jet) -> np.ndarray:
     """The rows H_0 F, ..., H_n F at the lambda of `ops`, from the jet
     (value, d1, d2) of F there: the subset-basis coefficient vectors of a
-    function of lambda and its first two lambda-derivatives."""
-    value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
+    function of lambda and its first two lambda-derivatives.  Leading axes
+    of the jet and of `ops` broadcast into those of the (..., n + 1, dim)
+    rows."""
+    value, d1, d2 = (np.asarray(v, dtype=complex)[..., None, :] for v in jet)
     rows = ops.diag * value + ops.space.moves(ops.coef, value)
-    rows[0] += d2 / TWOPI_I
-    rows[1:] -= ops.space.hw_site * d1
+    rows[..., :1, :] += d2 / TWOPI_I
+    rows[..., 1:, :] -= ops.space.hw_site * d1
     return rows
 
 
-def s2_via_kzb(x: complex, rows, value, z, ctx: Torus) -> np.ndarray:
+def s2_via_kzb(x, rows, value, z, ctx: Torus) -> np.ndarray:
     """S2(x) F from F and its rows H_a F (see apply_kzb), via the KZB
     combination S2(x) = -2 pi i H_0 - sum_s [ H_s rho(x - z_s)
     + c2^(s) rho'(x - z_s) ], c2^(s) the scalar -3/4 on each factor.
+    x may be an array, whose axes then lead those of rows and value.
     """
-    d = x - np.asarray(z)
-    return (-TWOPI_I * rows[0] - rho(d, ctx) @ rows[1:]
-            - C2_SCALAR * np.sum(rho_prime(d, ctx)) * np.asarray(value, dtype=complex))
+    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
+    return (-TWOPI_I * rows[..., 0, :] - (rho(d, ctx)[..., None, :] @ rows[..., 1:, :])[..., 0, :]
+            - C2_SCALAR * np.sum(rho_prime(d, ctx), axis=-1)[..., None]
+            * np.asarray(value, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,11 @@ def s2_via_kzb(x: complex, rows, value, z, ctx: Torus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
+def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
     """S2(x) F at lam, from the jet of F there, by the N = 2 column
     determinant cdet(delta ∂_x - delta ∂_{lambda_j} + L) = D11 D22 - D21 D12.
+    x and lam may be arrays of one shape, whose axes then lead those of
+    the jet.
 
     Expanded once analytically for x-independent F (so D F = S2(x) F):
 
@@ -273,15 +281,19 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
     # with e11 and e22 swapped and rho(lambda) negated; the weight sums
     # sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], leaving the rho(x - z_k) terms
     e11 = 0.5 * sp.hw_site
-    d = x - np.asarray(z)
-    l11 = rho(d, ctx) @ e11
+    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
+    lam = np.asarray(lam, dtype=complex)[..., None]
+    l11 = (rho(d, ctx)[..., None, :] @ e11)[..., 0, :]
     l22 = -l11  # e22 = -e11 per site
-    dx22 = -rho_prime(d, ctx) @ e11
-    l21, l12 = sigma(d, np.array([[lam], [-lam]]), ctx)
+    dx22 = (-rho_prime(d, ctx)[..., None, :] @ e11)[..., 0, :]
+    l21, l12 = sigma(d, np.array([lam, -lam]), ctx)
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
-    l21_l12_diag = 0.5 * (l21 * l12) @ (1.0 + sp.hw_site)
-    return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value
-            - sp.moves(np.outer(l21, l12), value) - d2)
+    l21_l12_diag = ((0.5 * (l21 * l12))[..., None, :] @ (1.0 + sp.hw_site))[..., 0, :]
+    # the s != p terms, each target's as one contiguous row: numpy's pairwise
+    # sum, on which the reported s2_routes values rest (moves() sums in turn)
+    terms = np.ascontiguousarray(l21[..., sp.leave] * l12[..., sp.join] * value[..., sp.src])
+    l21_l12 = terms.reshape(terms.shape[:-1] + (sp.dim, -1)).sum(axis=-1)
+    return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value - l21_l12 - d2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +303,22 @@ def apply_rst_n2(x: complex, jet, lam: complex, z, ctx: Torus) -> np.ndarray:
 
 def fundamental_b2(x, sol: BetheSolution):
     """B2(x) with d^2/dx^2 + B2(x) the fundamental operator of Psi, at a
-    point or at every point of an array.
+    point or at every point of an array (see `_fundamental_b2`)."""
+    return _fundamental_b2(x, [sol])[0]
 
-    B2 = -w' - w^2 for w = (ln u)' = pi i mu + sum_j rho(x - t_j)
-    - (1/2) sum_s rho(x - z_s).
-    """
-    prob = sol.problem
-    poles = np.concatenate([sol.t, prob.z])
+
+def _fundamental_b2(x, sols) -> np.ndarray:
+    """B2 of each solution sols[k] at the points x, an (S, *x.shape) array
+    from one rho and one rho' call: B2 = -w' - w^2 for w = (ln u)' = pi i mu
+    + sum_j rho(x - t_j) - (1/2) sum_s rho(x - z_s)."""
+    prob = sols[0].problem
+    x = np.asarray(x, dtype=complex)
+    axes = (1,) * x.ndim
+    poles = np.array([tuple(sol.t) + tuple(prob.z) for sol in sols], dtype=complex)
     weights = np.repeat([1.0, -0.5], [prob.m, prob.n])
-    d = np.subtract.outer(x, poles)
-    w = 1j * math.pi * sol.mu + rho(d, prob.ctx) @ weights
+    d = x[..., None] - poles.reshape((len(sols),) + axes + (-1,))
+    rates = np.array([1j * math.pi * sol.mu for sol in sols]).reshape((-1,) + axes)
+    w = rates + rho(d, prob.ctx) @ weights
     return -(rho_prime(d, prob.ctx) @ weights) - w * w
 
 
@@ -317,18 +335,94 @@ def weyl_involution(coeffs: np.ndarray, space: ZeroWeightSpace) -> np.ndarray:
     order of the m-subsets of 2m sites (the first site where two subsets
     differ belongs to the earlier one, and to the other's complement), so
     the complement of the k-th subset is the (dim - 1 - k)-th and s
-    reverses the coefficient vector.
+    reverses the coefficient vector (the last axis of coeffs).
     """
     sign = -1.0 if space.m % 2 else 1.0
-    return sign * np.asarray(coeffs, dtype=complex)[::-1]
+    return sign * np.asarray(coeffs, dtype=complex)[..., ::-1]
 
 
-def weyl_on_function(jet, space: ZeroWeightSpace) -> tuple:
-    """The jet of (sF)(lambda) = s . F(-lambda) at lambda, from the jet of F
-    taken at -lambda (the first derivative changes sign)."""
-    value, d1, d2 = jet
-    return (
-        weyl_involution(value, space),
-        -weyl_involution(d1, space),
-        weyl_involution(d2, space),
-    )
+# ---------------------------------------------------------------------------
+# the eigen verifier
+# ---------------------------------------------------------------------------
+
+
+EIGEN_CHECKS = ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes",
+                "s2_eigen_b2", "b2_periodicity", "kernel_membership", "weyl_ratio")
+
+
+class EigenVerification(typing.NamedTuple):
+    worst: dict        # check name -> largest value, all inf if no pair was checked
+    ratio_rows: tuple  # per pair: per lambda {lambda, mean Weyl ratio, component_spread}
+    skipped: tuple     # per pair: the ArithmeticError of kzb_eigenvalues, or None
+
+
+def _norms(a) -> np.ndarray:
+    """np.linalg.norm per vector on the last axis (one along an axis sums in another order)."""
+    return np.array([np.linalg.norm(v) for v in a.reshape(-1, a.shape[-1])]).reshape(a.shape[:-1])
+
+
+def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
+    """Verify the eigenfunction Psi of each (solution, partner) pair at the
+    points lambda and x, two lists of one length: over |Psi|, H_a Psi = E_a
+    Psi (eigen_relation) and sum_s H_s Psi = 0 (eigen_sum_rule); E_1 + ...
+    + E_n = 0 (eigenvalue_sum, 1 if `kzb_eigenvalues` rejects them); at
+    (x_k, lambda_k), `s2_via_kzb` = `apply_rst_n2` over max(1, |S2 Psi|)
+    (s2_routes) and S2 Psi = B2 Psi over |Psi| (s2_eigen_b2); over max(1,
+    |B2|), B2(x + 1) = B2(x + tau) = B2(x) (b2_periodicity) and v' + v^2 +
+    B2 = 0 for v = (ln u)', u = f/sqrt(Wr) and g/sqrt(Wr) of the pair's
+    theta polynomials (kernel_membership); the spread of s . Psi(-lambda) /
+    Psi_partner(lambda) relative to its mean (weyl_ratio).  Each kernel is
+    evaluated once over every pair and point, and each reduction runs per
+    vector or along a last axis, so no value depends on the other pairs."""
+    evs, skipped = [], []
+    for sol, _ in pairs:
+        try:
+            evs.append(kzb_eigenvalues(sol))
+            skipped.append(None)
+        except ArithmeticError as exc:
+            skipped.append(exc)
+    kept = [pair for pair, exc in zip(pairs, skipped) if exc is None]
+    if not kept:
+        return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ((),) * len(pairs),
+                                 tuple(skipped))
+    (sols, pars), count = map(list, zip(*kept)), len(kept)
+    z, ctx = sols[0].problem.z, sols[0].problem.ctx
+    lams, xs = np.array(lam_pts, dtype=complex), np.array(x_pts, dtype=complex)
+    jets = _psi_rows([lam_pts] * count, sols, 2)
+    ops = kzb_operators(lams, z, ctx)
+    rows = np.array([apply_kzb(ops, jets[:, k]) for k in range(count)])
+    # s . Psi(-lambda) of each solution, over the partners' Psi(lambda)
+    flips = _psi_rows([[-lam for lam in lam_pts]] * count + [lam_pts] * count, sols + pars, 0)[0]
+    ratio = weyl_involution(flips[:count], zero_weight_space(len(z))) / flips[count:]
+    mean, overall = ratio.mean(axis=-1), ratio.reshape(count, -1).mean(axis=-1)
+    s2 = s2_via_kzb(xs, rows, jets[0], z, ctx)
+    b2s = _fundamental_b2(np.array([xs, xs + 1, xs + ctx.tau]), sols)
+    b2, scale = b2s[:, 0], np.maximum(1.0, np.abs(b2s[:, 0]))
+    pd = stacked_derivs([sol.poly() for sol in sols] + [par.poly() for par in pars],
+                        np.broadcast_to(xs, (2 * count, len(xs))), 3)
+    wd = _wronskian_rows([row[:count] for row in pd], [row[count:] for row in pd])
+    pd = [row.reshape(2, count, -1) for row in pd]
+    v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
+    vp = pd[2] / pd[0] - (pd[1] / pd[0]) ** 2 - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2)
+    expected = np.array([(ev.e0,) + ev.e for ev in evs])[:, None, :, None]
+    value, vnorm = jets[0], _norms(jets[0])
+    measured = {
+        "eigen_relation": _norms(rows - expected * value[:, :, None]) / vnorm[..., None],
+        "eigen_sum_rule": _norms(np.sum(rows[:, :, 1:], axis=2)) / vnorm,
+        "eigenvalue_sum": [abs(sum(ev.e)) for ev in evs] + [1.0] * (len(pairs) - count),
+        "s2_routes": _norms(s2 - apply_rst_n2(xs, jets, lams, z, ctx)) / np.fmax(1.0, _norms(s2)),
+        "s2_eigen_b2": _norms(s2 - b2[..., None] * value) / vnorm,
+        "b2_periodicity": np.max(np.abs(b2s[:, 1:] - b2[:, None]) / scale[:, None], axis=(1, 2)),
+        "kernel_membership": np.max(np.abs(vp + v * v + b2) / scale, axis=-1),
+        "weyl_ratio": np.max(np.abs(ratio.reshape(count, -1) - overall[:, None]), axis=-1)
+        / np.abs(overall),
+    }
+    # fmax skips NaN the way a running max(worst, value) does
+    worst = {name: float(np.fmax.reduce(np.ravel(measured[name]), initial=0.0))
+             for name in EIGEN_CHECKS}
+    spread = np.max(np.abs(ratio - mean[..., None]), axis=-1)
+    tables = iter(tuple({"lambda": lam, "ratio": complex(mean[k, l]),
+                         "component_spread": float(spread[k, l])}
+                        for l, lam in enumerate(lam_pts)) for k in range(count))
+    return EigenVerification(worst, tuple(next(tables) if exc is None else () for exc in skipped),
+                             tuple(skipped))

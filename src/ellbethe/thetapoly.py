@@ -244,17 +244,21 @@ class Wronskian:
     __call__ = eval
 
     def derivs(self, x: complex, order: int = 2) -> list[complex]:
-        """[Wr, Wr', Wr''](x); Wr' = f g'' - f'' g, Wr'' = f g''' + f' g'' - f'' g' - f''' g."""
+        """[Wr, Wr', ...](x) up to `order` <= 2 (see `_wronskian_rows`)."""
         if order > 2:
             raise ValueError("Wronskian derivatives available up to order 2")
-        df = self.f.derivs(x, order + 1)
-        dg = self.g.derivs(x, order + 1)
-        out = [df[0] * dg[1] - df[1] * dg[0]]
-        if order >= 1:
-            out.append(df[0] * dg[2] - df[2] * dg[0])
-        if order >= 2:
-            out.append(df[0] * dg[3] + df[1] * dg[2] - df[2] * dg[1] - df[3] * dg[0])
-        return out
+        return _wronskian_rows(self.f.derivs(x, order + 1), self.g.derivs(x, order + 1))
+
+
+def _wronskian_rows(df, dg) -> list:
+    """[Wr, Wr', Wr''][:len(df) - 1] of Wr(f, g) = f g' - f' g from the stacks
+    [f, f', ...], [g, g', ...]: Wr' = f g'' - f'' g, Wr'' = f g''' + f' g'' - f'' g' - f''' g."""
+    out = [df[0] * dg[1] - df[1] * dg[0]]
+    if len(df) > 2:
+        out.append(df[0] * dg[2] - df[2] * dg[0])
+    if len(df) > 3:
+        out.append(df[0] * dg[3] + df[1] * dg[2] - df[2] * dg[1] - df[3] * dg[0])
+    return out
 
 
 def wronskian(f: ThetaPoly, g: ThetaPoly) -> Wronskian:

@@ -40,6 +40,7 @@ from .thetapoly import (
     ResidueViolationError,
     SolveError,
     ThetaPoly,
+    _wronskian_rows,
     golden_points,
     stacked_derivs,
 )
@@ -131,7 +132,7 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
         d = stacked_derivs([pairs[k][0] for k in idx] + [pairs[k][1] for k in idx],
                            np.concatenate([x, x]), 1)
         df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
-        a = df[0] * dg[1] - df[1] * dg[0]
+        a, = _wronskian_rows(df, dg)
         b = stacked_derivs([target] * len(idx), x, 0)[0]
         fit = a[:, :1] / b[:, :1] * b[:, 1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))

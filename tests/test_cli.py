@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from ellbethe import bethe, cli, thetapoly, wronski
+from ellbethe import bethe, cli, elliptic, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
@@ -84,11 +84,35 @@ class TestConfigValidation:
         assert main(["solve", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", None, [1e-9]])
+    @pytest.mark.parametrize("value", ["abc", None, [1e-9], True])
     def test_rejects_non_numeric_tolerance(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, {"tolerances": {"bae_residual": value}})
         assert main(["solve", "--config", cfg]) == 2
         assert "tolerance 'bae_residual' must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, argv, text", [
+        ("solve", {"mu": math.nan}, [], "field 'mu' must be finite"),
+        ("fiber", {"mu": [0, math.inf]}, [], "field 'mu' must be finite"),
+        ("fiber", {"mu": None, "mu_grid": [[0, 8], math.nan]}, [], "field 'mu_grid' must be finite"),
+        ("fiber", {}, ["--mu-grid", "8i,nan"], "field 'mu_grid' must be finite"),
+        ("identities", {"parallelogram_base": [math.nan, 0]}, [],
+         "field 'parallelogram_base' must be finite"),
+        ("solve", {"m": True, "z": [[0.13, 0.0], [0.41, 0.12]]}, [], "m must be"),
+        ("eigen", {"m": True, "z": [[0.13, 0.0], [0.41, 0.12]]}, [], "m must be"),
+        ("fiber", {"m": True, "z": [[0.13, 0.0], [0.41, 0.12]]}, [], "m must be"),
+        ("solve", {"subsets": [[True, 0]]}, [], "distinct site indices"),
+        ("solve", {"subsets": [5]}, [], "distinct site indices"),
+        ("solve", {"tolerances": [1e-9]}, [], "tolerances must be an object"),
+        ("identities", {"seed": -1}, [], "seed must be a non-negative integer"),
+        ("eigen", {"seed": True}, [], "seed must be a non-negative integer"),
+        ("identities", {}, ["--seed", "-1"], "seed must be a non-negative integer"),
+        ("eigen", {}, ["--seed", "-1"], "seed must be a non-negative integer"),
+    ])
+    def test_rejects_non_finite_boolean_and_negative_values(self, tmp_path, capsys, command,
+                                                            payload, argv, text):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg] + argv) == 2
+        assert text in capsys.readouterr().err
 
     def test_tolerance_override_is_applied(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tolerances": {"bae_residual": 1e-30}})
@@ -171,6 +195,18 @@ class TestSolveCommand:
         assert len(report["warnings"]) == 6
         statuses = {r["status"] for r in report["solutions"]}
         assert statuses == {"no_convergence"}
+
+    def test_every_batch_failure_is_reported_per_subset(self, tmp_path, capsys):
+        # at |mu| = 1e300 each seed sits on its site, so Newton meets a pole
+        cfg = write_config(tmp_path, {"mu": [0, 1e300]})
+        code, report = run_json(capsys, ["solve", "--config", cfg])
+        assert code == 0
+        records = report["solutions"]
+        assert [r["status"] for r in records] == ["no_convergence"] * 6
+        for warning, record, subset in zip(report["warnings"], records,
+                                           itertools.combinations(range(4), 2)):
+            assert "tol_pole" in record["reason"]
+            assert warning == "subset %s: %s" % (subset, record["reason"])
 
     def test_strict_escalates_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, LOW_MU_CONFIG)
@@ -303,6 +339,22 @@ class TestEigenCommand:
         assert all(c["status"] == "pass" for c in report["checks"])
         assert len(report["ratio_table"]) == 10
 
+
+    def test_default_run_evaluates_each_kernel_once(self, capsys, monkeypatch):
+        """The verifier evaluates every kernel over all (subset, lambda, x)
+        at once: the default eigen makes at most 80 theta passes."""
+        calls = []
+        jets = elliptic._theta_jets
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return jets(*args, **kwargs)
+
+        for module in (elliptic, bethe, thetapoly):
+            monkeypatch.setattr(module, "_theta_jets", counted)
+        code, _ = run_json(capsys, ["eigen"])
+        assert code == 0
+        assert len(calls) <= 80
 
     def test_certificate_failure_is_a_skip_not_a_traceback(self, tmp_path, capsys,
                                                            monkeypatch):

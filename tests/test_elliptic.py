@@ -606,12 +606,13 @@ class TestThetaJets:
         assert raised == 100
 
     def test_range_guard_matches_scalar(self):
-        """Past _MAX_LATTICE_SHIFT the evaluator and a kernel raise the
-        RangeError that `_split` gives the first offending point, and
-        lattice_distances raises too."""
+        """Past _MAX_LATTICE_SHIFT, and at NaN or inf, the evaluator and a
+        kernel raise the RangeError that `_split` gives the first offending
+        point, and lattice_distances raises too."""
         ctx = Torus(0.3 + 0.8j)
         limit = _MAX_LATTICE_SHIFT
-        for bad in (2.0 * limit * 0.8j, 0.5 + (limit + 2) * 0.8j, 3.0 * limit + 0.1j):
+        for bad in (2.0 * limit * 0.8j, 0.5 + (limit + 2) * 0.8j, 3.0 * limit + 0.1j,
+                    complex(math.nan, 0.1), complex(0.2, math.inf)):
             xs = np.array([0.1, bad, 2 * bad])
             with pytest.raises(RangeError) as want:
                 _split(bad, ctx.tau)
@@ -724,6 +725,25 @@ class TestArrayContract:
         for row, w in zip(got[3:], small[1:]):
             for x, value in zip(xs[0, :4], row):
                 assert relerr(value, complex(orc.phi(x, w, tau))) < 1e-9
+
+    def test_batches_past_the_elision_size_keep_the_bits(self):
+        """Past 16,384 points (256 KiB of complex) numpy computes `a *
+        temporary` in place with the operands swapped; every kernel still
+        gives the bits of 1,000-point batches."""
+        ctx = Torus(0.3 + 0.8j)
+        rng = np.random.default_rng(8)
+        n = 20000
+        xs = rng.uniform(0.05, 0.95, n) + 1j * rng.uniform(0.05, 0.75, n)
+        ws = rng.uniform(0.05, 0.95, n) + 1j * rng.uniform(0.05, 0.75, n)
+        ws[::7] = rng.integers(-2, 3, len(ws[::7])) + 1e-6 * (1 + 1j)  # phi's small-w branch
+        for fn in self.ONE_SLOT + [eta] + self.TWO_SLOTS:
+            args = (xs, ws) if fn in self.TWO_SLOTS else (xs,)
+            got = fn(*args, ctx)
+            parts = [fn(*(a[i:i + 1000] for a in args), ctx) for i in range(0, n, 1000)]
+            if not isinstance(got, tuple):
+                got, parts = (got,), [(p,) for p in parts]
+            for row, want in zip(got, zip(*parts)):
+                assert np.array_equal(row, np.concatenate(want, axis=-1))
 
     def test_errors_name_the_first_offending_point(self):
         """In a mixed array the PoleError of each guard names the first

@@ -1,6 +1,7 @@
 """Tests of the zero-weight space, the eigenfunction Psi, and the KZB family."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -17,17 +18,18 @@ from ellbethe.bethe import (
 )
 from ellbethe.thetapoly import wronskian
 from ellbethe.repspace import (
+    EIGEN_CHECKS,
     KzbEigenvalues,
+    _psi_rows,
     apply_kzb,
     apply_rst_n2,
     fundamental_b2,
     kzb_eigenvalues,
     kzb_operators,
-    psi,
     psi_derivs,
     s2_via_kzb,
+    verify_eigen,
     weyl_involution,
-    weyl_on_function,
     zero_weight_space,
 )
 
@@ -212,12 +214,13 @@ class TestPsi:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_value_is_order_independent(self, m):
-        """psi builds order-0 sigma values only, and the value row does not
-        depend on the order, so it is psi_derivs' value bit for bit."""
+        """The order-0 rows (order-0 sigma values only, as the Weyl ratio
+        reads them) are psi_derivs' value bit for bit."""
         z = Z10[:2 * m]
         sol = solve_subset(BetheProblem(m, z, 14j, CTX), tuple(range(0, 2 * m, 2)))
         for lam in (LAM, -0.62 + 0.21j):
-            assert np.array_equal(psi(lam, sol), psi_derivs(lam, sol)[0])
+            assert np.array_equal(_psi_rows([[lam]], [sol], 0)[0, 0, 0],
+                                  psi_derivs(lam, sol)[0])
 
     def test_m1_single_term(self):
         """For m=1 and I={0}, W_I is the single factor sigma(t - z_0, -lam)."""
@@ -225,7 +228,7 @@ class TestPsi:
 
         sol = fixture_solution(m=1)
         sp = zero_weight_space(2)
-        val = psi(LAM, sol)
+        val = psi_derivs(LAM, sol)[0]
         expect = cmath.exp(1j * math.pi * sol.mu * LAM) * sigma(
             sol.t[0] - sol.problem.z[0], -LAM, CTX)
         assert abs(val[sp.index((0,))] - expect) < 1e-12 * abs(expect)
@@ -237,25 +240,25 @@ class TestPsi:
         sol = fixture_solution()
         val, d1, d2 = psi_derivs(LAM, sol)
         h = 1e-6
-        fd1 = (psi(LAM + h, sol) - psi(LAM - h, sol)) / (2 * h)
+        fd1 = (psi_derivs(LAM + h, sol)[0] - psi_derivs(LAM - h, sol)[0]) / (2 * h)
         assert np.max(np.abs(d1 - fd1)) / np.linalg.norm(d1) < 1e-7
         h = 1e-5
-        fd2 = (psi(LAM + h, sol) - 2 * val + psi(LAM - h, sol)) / h ** 2
+        fd2 = (psi_derivs(LAM + h, sol)[0] - 2 * val + psi_derivs(LAM - h, sol)[0]) / h ** 2
         assert np.max(np.abs(d2 - fd2)) / np.linalg.norm(d2) < 1e-7
 
     def test_periodicity(self):
         """Psi(lam + 1) = e^{pi i mu} Psi(lam)."""
         sol = fixture_solution()
-        lhs = psi(LAM + 1.0, sol)
-        rhs = cmath.exp(1j * math.pi * sol.mu) * psi(LAM, sol)
+        lhs = psi_derivs(LAM + 1.0, sol)[0]
+        rhs = cmath.exp(1j * math.pi * sol.mu) * psi_derivs(LAM, sol)[0]
         assert np.max(np.abs(lhs - rhs)) / np.linalg.norm(rhs) < 1e-12
 
     def test_lattice_pole(self):
         sol = fixture_solution()
         with pytest.raises(PoleError):
-            psi(0.0, sol)
+            psi_derivs(0.0, sol)
         with pytest.raises(PoleError):
-            psi(1.0 + CTX.tau, sol)
+            psi_derivs(1.0 + CTX.tau, sol)
 
     def test_asymptotic_limit(self):
         """Normalized by prod theta(t_j - z_{i_j}) and the exponential envelope,
@@ -270,7 +273,7 @@ class TestPsi:
             scale = 1.0
             for j, s in enumerate(tag):
                 scale *= theta(sol.t[j] - Z4[s], CTX)
-            w0 = psi(LAM, sol) * scale * cmath.exp(-1j * math.pi * sol.mu * LAM)
+            w0 = psi_derivs(LAM, sol)[0] * scale * cmath.exp(-1j * math.pi * sol.mu * LAM)
             off = max(abs(w0[k]) for k in range(sp.dim) if k != idx)
             assert abs(w0[idx] - 1.0) < 12.0 / abs(mu)
             assert off < 12.0 / abs(mu)
@@ -594,22 +597,114 @@ class TestWeylInvolution:
         ratios = []
         for _ in range(10):
             lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
-            lifted = weyl_on_function(psi_derivs(-lam, sol), sp)
-            ratios.append(lifted[0] / psi(lam, par))
+            lifted = weyl_involution(psi_derivs(-lam, sol)[0], sp)
+            ratios.append(lifted / psi_derivs(lam, par)[0])
         arr = np.array(ratios)
         mean = arr.mean()
         assert np.max(np.abs(arr - mean)) < 1e-8 * abs(mean)
 
-    def test_weyl_on_function_derivatives(self):
-        """The transformed triple matches finite differences of the
-        transformed value."""
-        sp = zero_weight_space(4)
-        sol = fixture_solution()
-        G = lambda lam: weyl_on_function(psi_derivs(-lam, sol), sp)
-        val, d1, d2 = G(LAM)
-        h = 1e-6
-        fd1 = (G(LAM + h)[0] - G(LAM - h)[0]) / (2 * h)
-        assert np.max(np.abs(d1 - fd1)) / np.linalg.norm(d1) < 1e-7
-        h = 1e-5
-        fd2 = (G(LAM + h)[0] - 2 * val + G(LAM - h)[0]) / h ** 2
-        assert np.max(np.abs(d2 - fd2)) / np.linalg.norm(d2) < 1e-7
+
+def reference_verification(pairs, lams, xs):
+    """verify_eigen's worst values and ratio rows, one pair, lambda and x
+    at a time through the public per-point functions."""
+    worst = dict.fromkeys(EIGEN_CHECKS, 0.0)
+    tables = []
+    for sol, par in pairs:
+        ev = kzb_eigenvalues(sol)
+        worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"], abs(sum(ev.e)))
+        expected = (ev.e0,) + ev.e
+        sp = zero_weight_space(sol.problem.n)
+        z = sol.problem.z
+        jets = [psi_derivs(lam, sol) for lam in lams]
+        rows = [apply_kzb(kzb_operators(lam, z, CTX), jet) for lam, jet in zip(lams, jets)]
+        table, ratios = [], []
+        for lam, jet, outs in zip(lams, jets, rows):
+            vnorm = np.linalg.norm(jet[0])
+            for a, out in enumerate(outs):
+                worst["eigen_relation"] = max(worst["eigen_relation"],
+                                              np.linalg.norm(out - expected[a] * jet[0]) / vnorm)
+            worst["eigen_sum_rule"] = max(worst["eigen_sum_rule"],
+                                          np.linalg.norm(np.sum(outs[1:], axis=0)) / vnorm)
+            ratio = (weyl_involution(psi_derivs(-lam, sol)[0], sp)
+                     / psi_derivs(lam, par)[0])
+            ratios.append(ratio)
+            table.append({"lambda": lam, "ratio": complex(np.mean(ratio)),
+                          "component_spread": float(np.max(np.abs(ratio - np.mean(ratio))))})
+        tables.append(tuple(table))
+        arr = np.concatenate(ratios)
+        worst["weyl_ratio"] = max(worst["weyl_ratio"], float(
+            np.max(np.abs(arr - arr.mean())) / abs(arr.mean())))
+        x_arr = np.array(xs)
+        b2s = fundamental_b2(np.array([x_arr, x_arr + 1, x_arr + CTX.tau]), sol)
+        for x, b2, lam, jet, outs in zip(xs, b2s[0], lams, jets, rows):
+            via_kzb = s2_via_kzb(x, outs, jet[0], z, CTX)
+            via_det = apply_rst_n2(x, jet, lam, z, CTX)
+            worst["s2_routes"] = max(worst["s2_routes"], np.linalg.norm(via_kzb - via_det)
+                                     / max(1.0, np.linalg.norm(via_kzb)))
+            worst["s2_eigen_b2"] = max(worst["s2_eigen_b2"], np.linalg.norm(via_kzb - b2 * jet[0])
+                                       / np.linalg.norm(jet[0]))
+        scale = np.maximum(1.0, np.abs(b2s[0]))
+        worst["b2_periodicity"] = max(worst["b2_periodicity"],
+                                      float(np.max(np.abs(b2s[1:] - b2s[0]) / scale)))
+        wd = wronskian(sol.poly(), par.poly()).derivs(x_arr, 2)
+        for poly in (sol.poly(), par.poly()):
+            pd = poly.derivs(x_arr, 2)
+            v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
+            vp = (pd[2] / pd[0] - (pd[1] / pd[0]) ** 2
+                  - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2))
+            worst["kernel_membership"] = max(worst["kernel_membership"], float(
+                np.max(np.abs(vp + v * v + b2s[0]) / scale)))
+    return worst, tuple(tables)
+
+
+class TestVerifyEigen:
+    LAMS = [0.31 + 0.17j, 0.62 - 0.21j, 0.18 + 0.44j, 0.87 + 0.62j]
+    XS = [0.52 + 0.33j, 0.27 + 0.81j, 0.93 + 0.58j, 0.66 + 0.12j]
+
+    @staticmethod
+    def pairs(*subsets, m=2):
+        sols = [fixture_solution(m=m, subset=subset) for subset in subsets]
+        return [(sol, analytic_involution(sol)) for sol in sols]
+
+    @pytest.mark.parametrize("m, subsets", [(1, [(0,), (1,)]), (2, [(0, 1), (0, 2), (1, 3)])])
+    def test_matches_the_per_point_reference(self, m, subsets):
+        """Every kernel is batched over the pairs and points, and every
+        value is still that of the per-point evaluation, bit for bit."""
+        pairs = self.pairs(*subsets, m=m)
+        result = verify_eigen(pairs, self.LAMS, self.XS)
+        worst, tables = reference_verification(pairs, self.LAMS, self.XS)
+        assert result.worst == worst
+        assert result.ratio_rows == tables
+        assert result.skipped == (None,) * len(pairs)
+        assert all(value < 1e-8 for value in worst.values())
+
+    def test_pairs_do_not_see_each_other(self):
+        pairs = self.pairs((0, 1), (0, 2), (1, 3))
+        together = verify_eigen(pairs, self.LAMS, self.XS)
+        alone = [verify_eigen([pair], self.LAMS, self.XS) for pair in pairs]
+        assert together.ratio_rows == tuple(r.ratio_rows[0] for r in alone)
+        for name in EIGEN_CHECKS:
+            assert together.worst[name] == max(r.worst[name] for r in alone)
+
+    def test_a_wrong_partner_fails_the_checks_that_read_it(self):
+        (sol, _), (_, other) = self.pairs((0, 1), (2, 3))
+        worst = verify_eigen([(sol, other)], self.LAMS, self.XS).worst
+        assert worst["weyl_ratio"] > 1e-3
+        assert worst["kernel_membership"] > 1e-3
+        for name in set(EIGEN_CHECKS) - {"weyl_ratio", "kernel_membership"}:
+            assert worst[name] < 1e-8
+
+    def test_a_rejected_eigenvalue_tuple_skips_the_pair(self):
+        """A non-solution fails the eigenvalue sum rule: it reads 1 and the
+        pair has no rows; with no pair left every check reads inf."""
+        (sol, par), good = self.pairs((0, 1), (0, 2))
+        bad = (dataclasses.replace(sol, t=(sol.t[0] + 1e-3, sol.t[1])), par)
+        result = verify_eigen([bad, good], self.LAMS, self.XS)
+        assert isinstance(result.skipped[0], ArithmeticError) and result.skipped[1] is None
+        assert result.ratio_rows[0] == () and len(result.ratio_rows[1]) == len(self.LAMS)
+        assert result.worst["eigenvalue_sum"] == 1.0
+        assert result.worst == dict(verify_eigen([good], self.LAMS, self.XS).worst,
+                                    eigenvalue_sum=1.0)
+        alone = verify_eigen([bad], self.LAMS, self.XS)
+        assert alone.worst == dict.fromkeys(EIGEN_CHECKS, math.inf)
+        assert alone.ratio_rows == ((),)
