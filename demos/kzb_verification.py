@@ -42,12 +42,12 @@ def main():
     prob = BetheProblem(2, Z4, 10j, ctx)
     sol = solve_bae(prob, seed_asymptotic(prob, (0, 1)), subset_tag=(0, 1))
     par = analytic_involution(sol)
-    ev = kzb_eigenvalues(sol)
+    ev, = kzb_eigenvalues([sol])
     lams = [0.37 + 0.21j, 0.62 + 0.74j, 0.15 + 0.48j]
     xs = [0.52 + 0.33j, 0.29 + 0.86j, 0.91 + 0.61j]
 
     print("-- eigenvalues of H_0, ..., H_4 on Psi --")
-    for a, e in enumerate((ev.e0,) + ev.e):
+    for a, e in enumerate(ev):
         print("E_%d = %9.4f%+9.4fj" % (a, e.real, e.imag))
 
     print("\n-- verify_eigen at %d lambdas and %d points x --" % (len(lams), len(xs)))

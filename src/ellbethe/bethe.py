@@ -164,11 +164,12 @@ class BetheSolution:
 
 def _differences(t, problem: BetheProblem) -> tuple:
     """The root pairs t_i - t_j (i < j), root-site differences t_i - z_s
-    and site pairs z_s - z_r (s < r), each flat in row order."""
+    and site pairs z_s - z_r (s < r), each flat in row order; roots t of
+    shape (..., m) give the first two with the same leading axes."""
     t, z = np.array(t, dtype=complex), np.array(problem.z)
-    i, j = _pairs(len(t))
+    i, j = _pairs(t.shape[-1])
     s, r = _pairs(len(z))
-    return t[i] - t[j], np.subtract.outer(t, z).ravel(), z[s] - z[r]
+    return t[..., i] - t[..., j], (t[..., None] - z).reshape(t.shape[:-1] + (-1,)), z[s] - z[r]
 
 
 def master_phi(t, problem: BetheProblem) -> complex:
@@ -184,20 +185,26 @@ def master_phi(t, problem: BetheProblem) -> complex:
             + 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum())
 
 
-def master_dz(t, problem: BetheProblem) -> np.ndarray:
-    """Gradient (dPhi/dz_1, ..., dPhi/dz_n); these are the Hamiltonian eigenvalues."""
+def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
+    """Gradients (dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
+    (S, m) array and mu their S parameters: the Hamiltonian eigenvalues,
+    an (S, n) array from one rho call over every solution."""
     z, ctx = np.array(problem.z), problem.ctx
     sites = np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)]
-    return (-1j * math.pi * problem.mu - rho(np.subtract.outer(z, t), ctx).sum(axis=1)
+    mixed = rho(z[:, None] - np.array(t, dtype=complex)[:, None, :], ctx).sum(axis=2)
+    return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed
             + 0.5 * rho(sites, ctx).reshape(problem.n, -1).sum(axis=1))
 
 
-def master_dtau(t, problem: BetheProblem) -> complex:
-    """dPhi/dtau, via 4 pi i d/dtau ln theta(u) = eta(u) - eta(0)."""
+def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
+    """dPhi/dtau of S solutions (see `master_dz`), an (S,) array, via 4 pi
+    i d/dtau ln theta(u) = eta(u) - eta(0); one eta call over every
+    solution, and each one's sums and scalar arithmetic in turn."""
     eta0 = theta_derivs(0.0, problem.ctx, 3)[3]
     roots, mixed, sites = (eta(d, problem.ctx) - eta0 for d in _differences(t, problem))
-    acc = 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum()
-    return 0.5j * math.pi * problem.mu * problem.mu + acc / (4j * math.pi)
+    acc = 2.0 * roots.sum(axis=1) - mixed.sum(axis=1) + 0.5 * sites.sum()
+    return np.array([0.5j * math.pi * complex(v) * complex(v) + a / (4j * math.pi)
+                     for v, a in zip(mu, acc)])
 
 
 def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
@@ -451,13 +458,6 @@ def _separation_errors(t: np.ndarray, z, ctx: Torus) -> list:
                 "Bethe roots %d and %d coalesced" % (i, col) if col < m
                 else "Bethe root %d hit site %d" % (i, col - m))
     return errors
-
-
-def _check_separation(t, problem):
-    """Raise the `_separation_errors` verdict on the single system t."""
-    exc, = _separation_errors(np.array([[complex(v) for v in t]]), problem.z, problem.ctx)
-    if exc is not None:
-        raise exc
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ from .elliptic import (
 )
 from .repspace import verify_eigen
 from .thetapoly import FundamentalParallelogram, golden_points
-from .wronski import IncompleteFiberError, enumerate_fiber, fiber_points, scan_mu_grid
+from .wronski import (IncompleteFiberError, enumerate_fiber, fiber_points, scan_mu_grid,
+                      scan_mu_min)
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -247,8 +248,8 @@ def _relerr(a, b):
 
 
 def _worst(*errors):
-    """The largest entry of any of the arrays, 0.0 if all are empty."""
-    return max((float(np.max(e, initial=0.0)) for e in errors), default=0.0)
+    """The largest entry of any of the arrays, 0.0 if all are empty, NaN if any entry is."""
+    return float(np.max([np.max(e, initial=0.0) for e in errors], initial=0.0))
 
 
 def _check(name, measured, tolerance):
@@ -260,24 +261,18 @@ def _check(name, measured, tolerance):
     }
 
 
-def _encode(value):
-    """JSON-ready form: complex as [re, im], numpy scalars as floats."""
-    if isinstance(value, complex):
+def _json_default(value):
+    """JSON form of what json does not encode: complex as [re, im], numpy scalars as floats."""
+    if isinstance(value, (complex, np.complexfloating)):
         return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, (np.floating, np.integer)):
         return float(value)
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
+    raise TypeError("%r is not JSON serializable" % (value,))
 
 
 def _render(report, as_json):
     if as_json:
-        return json.dumps(_encode(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     lines = ["%s | command %s | seed %d"
              % (report["schema"], report["command"], report["seed"])]
     for check in report["checks"]:
@@ -435,15 +430,13 @@ def cmd_fiber(cfg: ExperimentConfig) -> dict:
             scan = scan_mu_grid(cfg.problem(cfg.mu_grid[0]), cfg.mu_grid)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        rows = []
-        for mu, report, failed, complete in scan:
-            rows.append({"mu": complex(mu), "abs_mu": abs(complex(mu)),
-                         "count": report.count, "expected": report.expected,
-                         "complete": complete})
-            for subset, why in failed:
-                warnings.append("mu %s subset %s failed: %s" % (mu, subset, why))
-        leading = list(itertools.takewhile(lambda row: row["complete"], rows))
-        mu_min = abs(leading[-1]["mu"].imag) if leading else None
+        scanned = list(scan)
+        rows = [{"mu": complex(mu), "abs_mu": abs(complex(mu)), "count": report.count,
+                 "expected": report.expected, "complete": complete}
+                for mu, report, _, complete in scanned]
+        warnings.extend("mu %s subset %s failed: %s" % (mu, subset, why)
+                        for mu, _, failed, _ in scanned for subset, why in failed)
+        mu_min = scan_mu_min(scanned)
         out["fiber"] = {"scan": rows, "mu_min_estimate": mu_min}
         checks.append(_check("mu_min_found", 0.0 if mu_min is not None else 1.0,
                              cfg.tolerance("mu_min_found")))
@@ -493,17 +486,14 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     points = fiber_points(prob, subsets)
     found = [point for point in points if not isinstance(point, Exception)]
     result = verify_eigen([(p.solution, p.partner) for p in found], lam_pts, x_pts)
-    outcomes = iter(zip(result.skipped, result.ratio_rows))
+    outcomes = iter(result.ratio_rows)
     warnings, ratio_table = [], []
     for subset, point in zip(subsets, points):
         if isinstance(point, Exception):
             warnings.append("subset %s skipped: %s: %s [stage %s]"
                             % (subset, point.__class__.__name__, point, point.stage))
             continue
-        skipped, rows = next(outcomes)
-        if skipped is not None:
-            warnings.append("subset %s: %s" % (subset, skipped))
-        ratio_table.extend(dict(row, subset=list(subset)) for row in rows)
+        ratio_table.extend(dict(row, subset=list(subset)) for row in next(outcomes))
     checks = [_check(name, value, cfg.tolerance(name)) for name, value in result.worst.items()]
     return {"checks": checks, "warnings": warnings, "ratio_table": ratio_table}
 

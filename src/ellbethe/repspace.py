@@ -93,26 +93,13 @@ def zero_weight_space(n_sites: int) -> ZeroWeightSpace:
     return ZeroWeightSpace(n_sites)
 
 
-@dataclasses.dataclass(frozen=True)
-class KzbEigenvalues:
-    """Eigenvalue tuple (E0 for H_0; E[a] for H_{a+1}) of a Bethe solution."""
-
-    e0: complex
-    e: tuple
-
-    def __post_init__(self):
-        total = abs(sum(self.e))
-        if total > 1e-8:
-            raise ArithmeticError(
-                "KZB eigenvalues must sum to zero (got |sum| = %.3e)" % total)
-
-
-def kzb_eigenvalues(sol: BetheSolution) -> KzbEigenvalues:
-    """Eigenvalues of H_0, ..., H_n on the eigenfunction of a solution."""
-    prob = sol.problem
-    if sol.mu != prob.mu:
-        prob = dataclasses.replace(prob, mu=sol.mu)
-    return KzbEigenvalues(master_dtau(sol.t, prob), tuple(master_dz(sol.t, prob)))
+def kzb_eigenvalues(sols) -> np.ndarray:
+    """Eigenvalues (E_0 of H_0, E_1..E_n of H_1..H_n) on the eigenfunction
+    of each solution, all of one problem: an (S, n + 1) array from one
+    evaluation of each kernel over every solution."""
+    t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
+    prob = sols[0].problem
+    return np.column_stack([master_dtau(t, prob, mu), master_dz(t, prob, mu)])
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +277,17 @@ def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
     l21_l12_diag = ((0.5 * (l21 * l12))[..., None, :] @ (1.0 + sp.hw_site))[..., 0, :]
     # the s != p terms, each target's as one contiguous row: numpy's pairwise
-    # sum, on which the reported s2_routes values rest (moves() sums in turn)
-    terms = np.ascontiguousarray(l21[..., sp.leave] * l12[..., sp.join] * value[..., sp.src])
-    l21_l12 = terms.reshape(terms.shape[:-1] + (sp.dim, -1)).sum(axis=-1)
+    # sum, on which the reported s2_routes values rest (moves() sums in turn);
+    # one leading index (pair) of a batched jet at a time, so the term array
+    # never holds more than one pair's (x, dim m^2) entries
+    coef = l21[..., sp.leave] * l12[..., sp.join]
+
+    def move_sums(v):
+        terms = np.ascontiguousarray(coef * v[..., sp.src])
+        return terms.reshape(terms.shape[:-1] + (sp.dim, -1)).sum(axis=-1)
+
+    l21_l12 = (np.array([move_sums(v) for v in value]) if value.ndim > coef.ndim
+               else move_sums(value))
     return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value - l21_l12 - d2)
 
 
@@ -351,9 +346,8 @@ EIGEN_CHECKS = ("eigen_relation", "eigen_sum_rule", "eigenvalue_sum", "s2_routes
 
 
 class EigenVerification(typing.NamedTuple):
-    worst: dict        # check name -> largest value, all inf if no pair was checked
+    worst: dict        # check name -> largest value (NaN if any is), all inf if no pair
     ratio_rows: tuple  # per pair: per lambda {lambda, mean Weyl ratio, component_spread}
-    skipped: tuple     # per pair: the ArithmeticError of kzb_eigenvalues, or None
 
 
 def _norms(a) -> np.ndarray:
@@ -364,30 +358,23 @@ def _norms(a) -> np.ndarray:
 def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     """Verify the eigenfunction Psi of each (solution, partner) pair at the
     points lambda and x, two lists of one length: over |Psi|, H_a Psi = E_a
-    Psi (eigen_relation) and sum_s H_s Psi = 0 (eigen_sum_rule); E_1 + ...
-    + E_n = 0 (eigenvalue_sum, 1 if `kzb_eigenvalues` rejects them); at
-    (x_k, lambda_k), `s2_via_kzb` = `apply_rst_n2` over max(1, |S2 Psi|)
-    (s2_routes) and S2 Psi = B2 Psi over |Psi| (s2_eigen_b2); over max(1,
-    |B2|), B2(x + 1) = B2(x + tau) = B2(x) (b2_periodicity) and v' + v^2 +
-    B2 = 0 for v = (ln u)', u = f/sqrt(Wr) and g/sqrt(Wr) of the pair's
-    theta polynomials (kernel_membership); the spread of s . Psi(-lambda) /
-    Psi_partner(lambda) relative to its mean (weyl_ratio).  Each kernel is
-    evaluated once over every pair and point, and each reduction runs per
-    vector or along a last axis, so no value depends on the other pairs."""
-    evs, skipped = [], []
-    for sol, _ in pairs:
-        try:
-            evs.append(kzb_eigenvalues(sol))
-            skipped.append(None)
-        except ArithmeticError as exc:
-            skipped.append(exc)
-    kept = [pair for pair, exc in zip(pairs, skipped) if exc is None]
-    if not kept:
-        return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ((),) * len(pairs),
-                                 tuple(skipped))
-    (sols, pars), count = map(list, zip(*kept)), len(kept)
+    Psi (eigen_relation) and sum_s H_s Psi = 0 (eigen_sum_rule); |E_1 + ...
+    + E_n| (eigenvalue_sum); at (x_k, lambda_k), `s2_via_kzb` =
+    `apply_rst_n2` over max(1, |S2 Psi|) (s2_routes) and S2 Psi = B2 Psi
+    over |Psi| (s2_eigen_b2); over max(1, |B2|), B2(x + 1) = B2(x + tau) =
+    B2(x) (b2_periodicity) and v' + v^2 + B2 = 0 for v = (ln u)', u =
+    f/sqrt(Wr) and g/sqrt(Wr) of the pair's theta polynomials
+    (kernel_membership); the spread of s . Psi(-lambda) / Psi_partner(lambda)
+    relative to its mean (weyl_ratio).  Each kernel is evaluated once over
+    every pair and point, and each reduction runs per vector or along a
+    last axis, so no value depends on the other pairs.  A NaN anywhere
+    makes its check's worst value NaN, which fails every tolerance."""
+    if not pairs:
+        return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ())
+    (sols, pars), count = map(list, zip(*pairs)), len(pairs)
     z, ctx = sols[0].problem.z, sols[0].problem.ctx
     lams, xs = np.array(lam_pts, dtype=complex), np.array(x_pts, dtype=complex)
+    evs = kzb_eigenvalues(sols)
     jets = _psi_rows([lam_pts] * count, sols, 2)
     ops = kzb_operators(lams, z, ctx)
     rows = np.array([apply_kzb(ops, jets[:, k]) for k in range(count)])
@@ -404,12 +391,13 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     pd = [row.reshape(2, count, -1) for row in pd]
     v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]
     vp = pd[2] / pd[0] - (pd[1] / pd[0]) ** 2 - 0.5 * (wd[2] / wd[0] - (wd[1] / wd[0]) ** 2)
-    expected = np.array([(ev.e0,) + ev.e for ev in evs])[:, None, :, None]
     value, vnorm = jets[0], _norms(jets[0])
     measured = {
-        "eigen_relation": _norms(rows - expected * value[:, :, None]) / vnorm[..., None],
+        "eigen_relation": _norms(rows - evs[:, None, :, None] * value[:, :, None])
+        / vnorm[..., None],
         "eigen_sum_rule": _norms(np.sum(rows[:, :, 1:], axis=2)) / vnorm,
-        "eigenvalue_sum": [abs(sum(ev.e)) for ev in evs] + [1.0] * (len(pairs) - count),
+        # each pair's E_1..E_n summed left to right by Python's sum, the order the values rest on
+        "eigenvalue_sum": [abs(sum(e)) for e in evs[:, 1:]],
         "s2_routes": _norms(s2 - apply_rst_n2(xs, jets, lams, z, ctx)) / np.fmax(1.0, _norms(s2)),
         "s2_eigen_b2": _norms(s2 - b2[..., None] * value) / vnorm,
         "b2_periodicity": np.max(np.abs(b2s[:, 1:] - b2[:, None]) / scale[:, None], axis=(1, 2)),
@@ -417,12 +405,9 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
         "weyl_ratio": np.max(np.abs(ratio.reshape(count, -1) - overall[:, None]), axis=-1)
         / np.abs(overall),
     }
-    # fmax skips NaN the way a running max(worst, value) does
-    worst = {name: float(np.fmax.reduce(np.ravel(measured[name]), initial=0.0))
-             for name in EIGEN_CHECKS}
+    worst = {name: float(np.max(np.ravel(measured[name]), initial=0.0)) for name in EIGEN_CHECKS}
     spread = np.max(np.abs(ratio - mean[..., None]), axis=-1)
-    tables = iter(tuple({"lambda": lam, "ratio": complex(mean[k, l]),
-                         "component_spread": float(spread[k, l])}
-                        for l, lam in enumerate(lam_pts)) for k in range(count))
-    return EigenVerification(worst, tuple(next(tables) if exc is None else () for exc in skipped),
-                             tuple(skipped))
+    return EigenVerification(worst, tuple(
+        tuple({"lambda": lam, "ratio": complex(mean[k, l]),
+               "component_spread": float(spread[k, l])} for l, lam in enumerate(lam_pts))
+        for k in range(count)))

@@ -8,7 +8,7 @@ points are found by solving the Bethe equations from the asymptotic
 seed of each m-element site subset, and the partner (-mu, s) by solving
 them again at -mu from the seed of the complementary subset; all subsets of
 an enumeration are solved in one lockstep Newton batch (`fiber_points`).
-A pair is accepted only if Wr(f, g) passes `wr_certificate`.  For
+A pair is accepted only if Wr(f, g) passes `wr_certificates`.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
@@ -87,27 +87,17 @@ class FiberReport:
     warnings: tuple = ()
 
 
-def wr_certificate(f: ThetaPoly, g: ThetaPoly, problem: BetheProblem) -> float:
+def wr_certificates(pairs, problem: BetheProblem) -> list:
     """Relative sampling residual of Wr(f, g) against e^{-2 pi i mu x}
-    prod_a theta(x - z_a); pointwise-relative, so the mu-envelope spanning
-    many decades across the cell does not mask errors.
+    prod_a theta(x - z_a) for every pair (f, g), all of one degree, at
+    once: per pair its residual, or the ArithmeticError its own certificate
+    raises.  The residual is pointwise-relative, so the mu-envelope
+    spanning many decades across the cell does not mask errors, and a NaN
+    at any sample makes it NaN.
 
     Wr(f, g) - c * target is a degree-2m theta-polynomial with the target's
     multipliers, so it has 2m zeros in the cell unless it vanishes; the
     first point fixes c and the other 2m + 1 (at least 7) force it to zero.
-    `wr_certificates` on one pair.
-    """
-    residual, = wr_certificates([(f, g)], problem)
-    if isinstance(residual, Exception):
-        raise residual
-    return residual
-
-
-def wr_certificates(pairs, problem: BetheProblem) -> list:
-    """`wr_certificate` of every pair (f, g), all of one degree, at once:
-    per pair its residual, or the ArithmeticError its own certificate
-    raises.
-
     Each pair keeps its own sample points, clear of its roots and the
     sites.  Wr(f, g) at all of them comes from one theta batch over every
     f and g, and the target from one more (`stacked_derivs`); a pair that
@@ -136,8 +126,7 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
         b = stacked_derivs([target] * len(idx), x, 0)[0]
         fit = a[:, :1] / b[:, :1] * b[:, 1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
-        # fmax skips NaN the way the running max(worst, err) did
-        return (np.fmax.reduce(err, axis=1, initial=0.0),)
+        return (np.max(err, axis=1, initial=0.0),)
 
     if kept:
         (residuals,), errors = _by_rows(certify, np.array(kept), np.array(xs))
@@ -169,43 +158,30 @@ def _staged(exc, stage):
     return exc
 
 
-def fiber_point(problem: BetheProblem, subset) -> FiberPoint:
-    """Solve, pair, certify, and package one subset's fiber point:
-    `fiber_points` on one subset, raising its exception.
+def fiber_points(problem: BetheProblem, subsets) -> list:
+    """Solve, pair, certify, and package the fiber point of every subset
+    at once: per subset its FiberPoint, or the exception (ArithmeticError,
+    ValueError or SolveError) of the first stage it fails.
 
-    The solution (mu, t) comes from the asymptotic seed of `subset`; its
+    The solution (mu, t) comes from the asymptotic seed of the subset; its
     partner (-mu, s) from the Bethe equations at -mu, seeded at the
     complementary sites (s_j = z_a - 1/(2 pi i mu) + O(mu^-2)), so g has
     label exactly -mu and no Wronskian has to be inverted.  Both solves
     must meet RESIDUAL_GATE, no two roots or sites may collide, and
-    Wr(f, g) must pass `wr_certificate`.  The partner's tag is read off
-    its roots (`nearest_site_tag`), not assumed.
+    Wr(f, g) must pass `wr_certificates` at WR_RESIDUAL_GATE.  The
+    partner's tag is read off its roots (`nearest_site_tag`), not assumed.
 
     The solution is used raw (not cell-normalized): f = prod theta(x - t_j)
     has label exactly 0 only for root representatives satisfying the Bethe
     equations at mu itself, and lattice-reducing a root would silently turn
     the pair into a different section (caught by the Wr certificate).
 
-    Every exception raised here carries a `stage` attribute naming the
-    step that failed: seed, newton, partner or certificate.
-    """
-    point, = fiber_points(problem, [subset])
-    if isinstance(point, Exception):
-        raise point
-    return point
-
-
-def fiber_points(problem: BetheProblem, subsets) -> list:
-    """`fiber_point` of every subset at once: per subset its FiberPoint,
-    or the exception (ArithmeticError, ValueError or SolveError) with the
-    `stage` at which its own `fiber_point` fails.
-
-    Every subset is seeded at mu and its complement at -mu, and all those
-    systems are solved in one `solve_bae_batch`.  The pairs that pass both
-    residual gates are checked for collisions in one distance array and
-    certified in one `wr_certificates` pass.  A subset reports the first
-    failing stage in the order seed, newton, partner, certificate,
-    whatever the other systems of the batch did.
+    All those systems are solved in one `solve_bae_batch`; the pairs that
+    pass both residual gates are checked for collisions in one distance
+    array and certified in one `wr_certificates` pass.  Every exception
+    carries a `stage` attribute naming the first step that failed, in the
+    order seed, newton, partner, certificate, whatever the other systems
+    of the batch did.
     """
     subsets = [tuple(s) for s in subsets]
     failures = (ArithmeticError, ValueError, SolveError)
@@ -274,7 +250,7 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     order = list(pairs)
     residuals = wr_certificates([pairs[k][:2] for k in order], problem)
     for k, residual in zip(order, residuals):
-        if not isinstance(residual, Exception) and residual > WR_RESIDUAL_GATE:
+        if not isinstance(residual, Exception) and not residual <= WR_RESIDUAL_GATE:
             residual = ResidueViolationError(
                 "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
         if isinstance(residual, Exception):
@@ -374,8 +350,15 @@ def estimate_mu_min(problem: BetheProblem, mu_grid) -> float:
     The grid must be sorted by |Im mu| descending; scanning stops at the
     first failure.  Returns None when even the largest grid value fails.
     """
+    return scan_mu_min(scan_mu_grid(problem, mu_grid))
+
+
+def scan_mu_min(rows) -> float:
+    """The |Im mu| of the last complete row before the first incomplete
+    one, of `scan_mu_grid` rows; None if the first row is incomplete.
+    Reads no row past the first incomplete one."""
     best = None
-    for mu, _, _, complete in scan_mu_grid(problem, mu_grid):
+    for mu, _, _, complete in rows:
         if not complete:
             break
         best = abs(complex(mu).imag)

@@ -9,9 +9,10 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ellbethe import bethe, cli, elliptic, thetapoly, wronski
+from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
@@ -295,6 +296,14 @@ class TestFiberCommand:
             assert warning.startswith("mu 1.3j subset (")
             assert "failed: SeedTooCoarseError: seed displacement" in warning
 
+    @pytest.mark.parametrize("grid, want", [("8i,6i,4i,2i", 2.0), ("6i,1.3i", 6.0)])
+    def test_threshold_is_the_library_estimate(self, capsys, grid, want):
+        mus = [cli._parse_mu_token(token) for token in grid.split(",")]
+        prob = ExperimentConfig.from_dict({}).problem(mus[0])
+        assert wronski.estimate_mu_min(prob, mus) == want
+        _, report = run_json(capsys, ["fiber", "--mu-grid", grid])
+        assert report["fiber"]["mu_min_estimate"] == want
+
     def test_grid_must_descend(self, capsys):
         assert main(["fiber", "--mu-grid", "2i,4i", "--json"]) == 2
         assert "descending" in capsys.readouterr().err
@@ -342,7 +351,8 @@ class TestEigenCommand:
 
     def test_default_run_evaluates_each_kernel_once(self, capsys, monkeypatch):
         """The verifier evaluates every kernel over all (subset, lambda, x)
-        at once: the default eigen makes at most 80 theta passes."""
+        at once, the eigenvalues included: the default eigen makes at most
+        45 theta passes."""
         calls = []
         jets = elliptic._theta_jets
 
@@ -354,7 +364,7 @@ class TestEigenCommand:
             monkeypatch.setattr(module, "_theta_jets", counted)
         code, _ = run_json(capsys, ["eigen"])
         assert code == 0
-        assert len(calls) <= 80
+        assert len(calls) <= 45
 
     def test_certificate_failure_is_a_skip_not_a_traceback(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -371,6 +381,44 @@ class TestEigenCommand:
         assert report["warnings"] == [
             "subset (%d,) skipped: ArithmeticError: could not place the sample points "
             "[stage certificate]" % k for k in (0, 1)]
+
+
+class TestNanFailsItsCheck:
+    def test_worst_keeps_a_nan_wherever_it_is(self):
+        assert math.isnan(cli._worst(np.array([1.0]), np.array([2.0, np.nan])))
+        assert cli._worst(np.array([1.0]), np.array([2.0])) == 2.0
+        assert cli._worst(np.zeros(0)) == 0.0
+
+    def test_a_nan_kernel_value_fails_its_identity(self, capsys, monkeypatch):
+        """phi enters only the last two of the seven arrays of
+        kernel_quasi_periodicity, so the NaN is never the first one seen."""
+        phi = cli.phi
+
+        def poisoned(*args):
+            out = np.array(phi(*args))
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "phi", poisoned)
+        code, report = run_json(capsys, ["identities"])
+        assert code == 1
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert [c["name"] for c in failed] == ["kernel_quasi_periodicity"]
+        assert math.isnan(failed[0]["measured"])
+
+    def test_a_nan_in_psi_fails_the_eigen_checks_that_read_it(self, capsys, monkeypatch):
+        psi_rows = repspace._psi_rows
+
+        def poisoned(lams, sols, order):
+            out = psi_rows(lams, sols, order)
+            out[:, 0, 4, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(repspace, "_psi_rows", poisoned)
+        code, report = run_json(capsys, ["eigen"])
+        assert code == 1
+        assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {
+            "eigen_relation", "eigen_sum_rule", "s2_routes", "s2_eigen_b2", "weyl_ratio"}
 
 
 class TestSampler:

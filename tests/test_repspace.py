@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from ellbethe.elliptic import (PoleError, Torus, eta, phi, rho, rho_prime, sigma
 from ellbethe.bethe import (
     BetheProblem,
     analytic_involution,
+    bae_residual,
     seed_asymptotic,
     solve_bae,
 )
+from ellbethe import repspace
 from ellbethe.thetapoly import wronskian
 from ellbethe.repspace import (
     EIGEN_CHECKS,
-    KzbEigenvalues,
     _psi_rows,
     apply_kzb,
     apply_rst_n2,
@@ -308,7 +310,7 @@ class TestKzbOperators:
             z = Z4 if m == 2 else Z4[:2]
             for mu in (6j, 10j):
                 sol = solve_subset(BetheProblem(m, z, mu, CTX), tuple(range(m)))
-                ev = kzb_eigenvalues(sol)
+                ev, = kzb_eigenvalues([sol])
                 for _ in range(3):
                     lam = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
                     jet = psi_derivs(lam, sol)
@@ -316,15 +318,13 @@ class TestKzbOperators:
                     nv = np.linalg.norm(v)
                     rows = kzb_rows(jet, lam, z)
                     assert len(rows) == 2 * m + 1
-                    assert np.linalg.norm(rows[0] - ev.e0 * v) / nv < 1e-8
-                    for a in range(1, 2 * m + 1):
-                        assert np.linalg.norm(rows[a] - ev.e[a - 1] * v) / nv < 1e-8
+                    for a in range(2 * m + 1):
+                        assert np.linalg.norm(rows[a] - ev[a] * v) / nv < 1e-8
 
     def test_eigen_relations_and_s2_routes_m4(self):
         """At 8 sites: H_a Psi = E_a Psi for all a, and the two S2 routes agree."""
         sol = solve_subset(BetheProblem(4, Z10[:8], 14j, CTX), (0, 2, 4, 6))
-        ev = kzb_eigenvalues(sol)
-        expected = (ev.e0,) + ev.e
+        expected, = kzb_eigenvalues([sol])
         jet = psi_derivs(LAM, sol)
         v = jet[0]
         nv = np.linalg.norm(v)
@@ -340,8 +340,7 @@ class TestKzbOperators:
     def test_eigen_relations_m5(self):
         """At 10 sites (V[0] of dimension 252): H_a Psi = E_a Psi at one lambda."""
         sol = solve_subset(BetheProblem(5, Z10, 14j, CTX), (0, 2, 4, 6, 8))
-        ev = kzb_eigenvalues(sol)
-        expected = (ev.e0,) + ev.e
+        expected, = kzb_eigenvalues([sol])
         jet = psi_derivs(LAM, sol)
         v = jet[0]
         nv = np.linalg.norm(v)
@@ -358,12 +357,21 @@ class TestKzbOperators:
             assert np.linalg.norm(total) < 1e-9 * np.linalg.norm(F(lam)[0])
 
     def test_eigenvalue_sum_constraint(self):
-        ev = kzb_eigenvalues(fixture_solution())
-        assert abs(sum(ev.e)) < 1e-8
+        ev, = kzb_eigenvalues([fixture_solution()])
+        assert abs(sum(ev[1:])) < 1e-8
 
-    def test_eigenvalue_sum_violation_rejected(self):
-        with pytest.raises(ArithmeticError):
-            KzbEigenvalues(0.0, (1.0 + 0j, 2.0 + 0j))
+    def test_eigenvalues_of_a_batch_are_those_of_each_solution(self):
+        """Each row has the bits it has alone, and reads its own mu: mu -> mu - 2
+        moves E_a by 2 pi i and E_0 by (pi i / 2)((mu - 2)^2 - mu^2)."""
+        sols = [fixture_solution(subset=subset) for subset in ((0, 1), (0, 2), (1, 3))]
+        sols.append(dataclasses.replace(sols[0], mu=sols[0].mu - 2))
+        together = kzb_eigenvalues(sols)
+        assert together.shape == (4, 5)
+        assert np.array_equal(together, np.array([kzb_eigenvalues([sol])[0] for sol in sols]))
+        mu = sols[0].mu
+        shift = 0.5j * math.pi * ((mu - 2) ** 2 - mu ** 2)
+        assert abs(together[3, 0] - together[0, 0] - shift) < 1e-9
+        assert np.allclose(together[3, 1:] - together[0, 1:], 2j * math.pi, rtol=0, atol=1e-12)
 
     def test_commutators(self):
         """|[H_a, H_b] F| / |F| < 1e-7 (finite-difference outer derivatives)."""
@@ -391,6 +399,25 @@ class TestS2:
             a = s2_kzb(x, F(lam), lam, Z4)
             b = apply_rst_n2(x, F(lam), lam, Z4, CTX)
             assert np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)) < 1e-8
+
+    def test_column_determinant_builds_one_pair_at_a_time(self):
+        """70 pairs of jets at m = 4 and 10 points: the L21 L12 terms are
+        built one pair at a time (all at once they take about 24 MB), and
+        each pair keeps the bits it has alone."""
+        rng = np.random.default_rng(4)
+        xs = 0.05 + 0.9 * rng.random(10) + 1j * (0.05 + 0.9 * rng.random(10))
+        lams = 0.05 + 0.9 * rng.random(10) + 1j * (0.05 + 0.9 * rng.random(10))
+        jets = rng.standard_normal((3, 70, 10, 70)) + 1j * rng.standard_normal((3, 70, 10, 70))
+        tracemalloc.start()
+        try:
+            got = apply_rst_n2(xs, jets, lams, Z10[:8], CTX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert np.isfinite(got).all()
+        for k in (0, 37, 69):
+            assert np.array_equal(got[k], apply_rst_n2(xs, jets[:, k], lams, Z10[:8], CTX))
 
     def test_double_periodicity(self):
         sp = zero_weight_space(4)
@@ -610,9 +637,8 @@ def reference_verification(pairs, lams, xs):
     worst = dict.fromkeys(EIGEN_CHECKS, 0.0)
     tables = []
     for sol, par in pairs:
-        ev = kzb_eigenvalues(sol)
-        worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"], abs(sum(ev.e)))
-        expected = (ev.e0,) + ev.e
+        expected, = kzb_eigenvalues([sol])
+        worst["eigenvalue_sum"] = max(worst["eigenvalue_sum"], abs(sum(expected[1:])))
         sp = zero_weight_space(sol.problem.n)
         z = sol.problem.z
         jets = [psi_derivs(lam, sol) for lam in lams]
@@ -675,7 +701,6 @@ class TestVerifyEigen:
         worst, tables = reference_verification(pairs, self.LAMS, self.XS)
         assert result.worst == worst
         assert result.ratio_rows == tables
-        assert result.skipped == (None,) * len(pairs)
         assert all(value < 1e-8 for value in worst.values())
 
     def test_pairs_do_not_see_each_other(self):
@@ -694,17 +719,36 @@ class TestVerifyEigen:
         for name in set(EIGEN_CHECKS) - {"weyl_ratio", "kernel_membership"}:
             assert worst[name] < 1e-8
 
-    def test_a_rejected_eigenvalue_tuple_skips_the_pair(self):
-        """A non-solution fails the eigenvalue sum rule: it reads 1 and the
-        pair has no rows; with no pair left every check reads inf."""
+    def test_a_non_solution_fails_the_eigenvalue_sum(self):
+        """A pair that is not a solution is measured, not skipped: sum_a
+        dPhi/dz_a = -sum_j F_j, so eigenvalue_sum reads |sum_j F_j|, far
+        above its tolerance, and the pair keeps its ratio rows.  With no
+        pair every check reads inf."""
         (sol, par), good = self.pairs((0, 1), (0, 2))
-        bad = (dataclasses.replace(sol, t=(sol.t[0] + 1e-3, sol.t[1])), par)
-        result = verify_eigen([bad, good], self.LAMS, self.XS)
-        assert isinstance(result.skipped[0], ArithmeticError) and result.skipped[1] is None
-        assert result.ratio_rows[0] == () and len(result.ratio_rows[1]) == len(self.LAMS)
-        assert result.worst["eigenvalue_sum"] == 1.0
-        assert result.worst == dict(verify_eigen([good], self.LAMS, self.XS).worst,
-                                    eigenvalue_sum=1.0)
-        alone = verify_eigen([bad], self.LAMS, self.XS)
-        assert alone.worst == dict.fromkeys(EIGEN_CHECKS, math.inf)
-        assert alone.ratio_rows == ((),)
+        t = (sol.t[0] + 1e-3, sol.t[1])
+        result = verify_eigen([(dataclasses.replace(sol, t=t), par), good], self.LAMS, self.XS)
+        drift = abs(np.sum(bae_residual(t, sol.problem, sol.mu)))
+        assert result.worst["eigenvalue_sum"] >= 100 * 1e-8
+        assert result.worst["eigenvalue_sum"] == pytest.approx(drift, rel=1e-9)
+        assert len(result.ratio_rows[0]) == len(self.LAMS)
+        assert result.ratio_rows[1] == verify_eigen([good], self.LAMS, self.XS).ratio_rows[0]
+        assert verify_eigen([], self.LAMS, self.XS) == (dict.fromkeys(EIGEN_CHECKS, math.inf), ())
+
+    def test_a_nan_in_psi_fails_every_check_that_reads_it(self, monkeypatch):
+        """One NaN component of one Psi at one lambda makes the worst value of
+        each check that reads Psi NaN, which fails any tolerance."""
+        pairs = self.pairs((0, 1), (0, 2))
+        clean = verify_eigen(pairs, self.LAMS, self.XS).worst
+        psi_rows = repspace._psi_rows
+
+        def poisoned(lams, sols, order):
+            out = psi_rows(lams, sols, order)
+            out[:, 1, 2, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(repspace, "_psi_rows", poisoned)
+        worst = verify_eigen(pairs, self.LAMS, self.XS).worst
+        reads_psi = {"eigen_relation", "eigen_sum_rule", "s2_routes", "s2_eigen_b2", "weyl_ratio"}
+        assert {name for name in EIGEN_CHECKS if math.isnan(worst[name])} == reads_psi
+        for name in set(EIGEN_CHECKS) - reads_psi:
+            assert worst[name] == clean[name]

@@ -10,6 +10,7 @@ inversion of `analytic_involution`.
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from ellbethe.bethe import (
 )
 from ellbethe.elliptic import Torus, lattice_distance, theta_derivs
 import ellbethe.wronski as wronski_module
-from ellbethe.thetapoly import SolveError, ThetaPoly, golden_points, wronskian
+from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, golden_points,
+                                wronskian)
 from ellbethe.wronski import (
     DEDUP_TOL,
     WR_RESIDUAL_GATE,
@@ -34,9 +36,8 @@ from ellbethe.wronski import (
     count_ratios,
     enumerate_fiber,
     estimate_mu_min,
-    fiber_point,
+    fiber_points,
     partner_asymptotic_deviation,
-    wr_certificate,
     wr_certificates,
 )
 
@@ -131,7 +132,7 @@ class TestEnumerateFiber:
         point = fiber_report(2, 6j).points[0]
         bad_roots = (point.g.roots[0] + 0.05,) + point.g.roots[1:]
         bad = ThetaPoly(1.0, point.g.mu, bad_roots, CTX)
-        assert wr_certificate(point.f, bad, problem(2, 6j)) > 1e-4
+        assert wr_certificates([(point.f, bad)], problem(2, 6j))[0] > 1e-4
 
     def test_duplicate_seeds_dedup(self):
         rep = enumerate_fiber(problem(2, 6j), subsets=[(0, 1), (0, 1)])
@@ -162,9 +163,8 @@ class TestEnumerateFiber:
 
         kept, merged = [], []
         for subset in itertools.combinations(range(6), 3):
-            try:
-                point = fiber_point(prob, subset)
-            except (SolveError, ArithmeticError, ValueError):
+            point, = fiber_points(prob, [subset])
+            if isinstance(point, (SolveError, ArithmeticError, ValueError)):
                 continue
             twin = next((q.subset_tag for q in kept
                          if max(lattice_distance(a - b, CTX)
@@ -182,7 +182,7 @@ class TestEnumerateFiber:
         t_0 moved by 1 the raw sorted roots were 0.52 apart, and the moved
         copy of a point entered the fiber as a second point."""
         prob = cell_problem(3, 10j)
-        point = fiber_point(prob, (0, 2, 4))
+        point, = fiber_points(prob, [(0, 2, 4)])
         moved = translate_root(point.solution, 0, 1, 0)
         assert moved.residual < 1e-10
         points = [point, dataclasses.replace(point, solution=moved)]
@@ -243,7 +243,7 @@ class TestFiberPoint:
         """The array certificate keeps the pointwise rule: the first sample
         point fixes the ratio and the rest are compared one by one."""
         prob = cell_problem(m, 14j)
-        point = fiber_point(prob, tuple(range(0, 2 * m, 2)))
+        point, = fiber_points(prob, [tuple(range(0, 2 * m, 2))])
         for g in (point.g, ThetaPoly(1.0, point.g.mu, (point.g.roots[0] + 1e-3,)
                                      + point.g.roots[1:], prob.ctx)):
             target = ThetaPoly(1.0, -prob.mu, prob.z, prob.ctx)
@@ -253,7 +253,7 @@ class TestFiberPoint:
             ratio = wr.eval(xs[0]) / target.eval(xs[0])
             want = max(abs(wr.eval(x) - ratio * target.eval(x))
                        / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
-            got = wr_certificate(point.f, g, prob)
+            got = wr_certificates([(point.f, g)], prob)[0]
             assert abs(got - want) <= 1e-12 * want + 1e-15
 
     @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
@@ -261,7 +261,7 @@ class TestFiberPoint:
     def test_partner_matches_wronskian_route(self, m, mu, tau):
         prob = cell_problem(m, mu, tau)
         for subset in itertools.combinations(range(2 * m), m):
-            point = fiber_point(prob, subset)
+            point, = fiber_points(prob, [subset])
             ours = normalize_solution(point.partner)
             theirs = normalize_solution(analytic_involution(point.solution))
             assert ours.mu == theirs.mu
@@ -274,7 +274,7 @@ class TestFiberPoint:
         negligible at the cell edge but dominate at smaller heights; a
         window taken at the edge alone dropped them (collocation residual
         0.18)."""
-        point = fiber_point(cell_problem(4, 14j), subset)
+        point, = fiber_points(cell_problem(4, 14j), [subset])
         ours = normalize_solution(point.partner)
         theirs = normalize_solution(analytic_involution(point.solution))
         assert ours.mu == theirs.mu
@@ -283,16 +283,16 @@ class TestFiberPoint:
     @pytest.mark.parametrize("m", [4, 5])
     def test_certificate_rejects_moved_partner_root(self, m):
         prob = cell_problem(m, 14j)
-        point = fiber_point(prob, tuple(range(0, 2 * m, 2)))
+        point, = fiber_points(prob, [tuple(range(0, 2 * m, 2))])
         assert point.wr_residual <= WR_RESIDUAL_GATE
         moved = (point.g.roots[0] + 1e-3,) + point.g.roots[1:]
         bad = ThetaPoly(1.0, point.g.mu, moved, prob.ctx)
-        assert wr_certificate(point.f, bad, prob) > WR_RESIDUAL_GATE
+        assert wr_certificates([(point.f, bad)], prob)[0] > WR_RESIDUAL_GATE
 
     def test_failures_name_their_stage(self):
-        with pytest.raises(SeedTooCoarseError) as info:
-            fiber_point(problem(2, 1.3j), (0, 1))
-        assert info.value.stage == "seed"
+        point, = fiber_points(problem(2, 1.3j), [(0, 1)])
+        assert isinstance(point, SeedTooCoarseError)
+        assert point.stage == "seed"
         with pytest.raises(IncompleteFiberError) as info:
             enumerate_fiber(problem(2, 1.3j))
         assert all(why.endswith(" [stage seed]") for _, why in info.value.failed)
@@ -349,7 +349,7 @@ class TestLockstep:
                           + pairs[1][1].roots[1:], prob.ctx)
         pairs.insert(2, (pairs[1][0], moved))
         got = wr_certificates(pairs, prob)
-        assert got == [wr_certificate(f, g, prob) for f, g in pairs]
+        assert got == [wr_certificates([(f, g)], prob)[0] for f, g in pairs]
         assert got[2] > WR_RESIDUAL_GATE >= max(got[:2] + got[3:])
 
     def test_one_failing_certificate_keeps_the_others(self):
@@ -362,9 +362,30 @@ class TestLockstep:
         pairs.insert(1, (pairs[1][0], huge))
         got = wr_certificates(pairs, prob)
         assert isinstance(got[1], OverflowError)
-        with pytest.raises(OverflowError, match=str(got[1])):
-            wr_certificate(*pairs[1], prob)
-        assert [got[0]] + got[2:] == [wr_certificate(f, g, prob) for f, g in pairs[:1] + pairs[2:]]
+        alone, = wr_certificates([pairs[1]], prob)
+        assert isinstance(alone, OverflowError) and str(alone) == str(got[1])
+        assert [got[0]] + got[2:] == [wr_certificates([pair], prob)[0]
+                                      for pair in pairs[:1] + pairs[2:]]
+
+    def test_a_nan_sample_fails_the_certificate(self, monkeypatch):
+        """A NaN in Wr(f, g) at one of a pair's eight samples makes its
+        residual NaN, and its point fails at stage certificate."""
+        prob = problem(2, 6j)
+        points = fiber_points(prob, [(0, 1), (0, 2)])
+        clean = wr_certificates([(p.f, p.g) for p in points], prob)
+        wronskian_rows = wronski_module._wronskian_rows
+
+        def poisoned(df, dg):
+            rows = wronskian_rows(df, dg)
+            rows[0][0, 3] = np.nan
+            return rows
+
+        monkeypatch.setattr(wronski_module, "_wronskian_rows", poisoned)
+        got = wr_certificates([(p.f, p.g) for p in points], prob)
+        assert math.isnan(got[0]) and got[1] == clean[1]
+        failed, kept = fiber_points(prob, [(0, 1), (0, 2)])
+        assert isinstance(failed, ResidueViolationError) and failed.stage == "certificate"
+        assert kept.wr_residual == clean[1]
 
     def test_unplaceable_samples_fail_one_subset(self, monkeypatch):
         prob = cell_problem(2, 14j)
