@@ -33,6 +33,7 @@ import numpy as np
 
 from .elliptic import (
     Torus,
+    _joined,
     _theta_jets,
     eta,
     lattice_distances,
@@ -188,20 +189,21 @@ def master_phi(t, problem: BetheProblem) -> complex:
 def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
     """Gradients (dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
     (S, m) array and mu their S parameters: the Hamiltonian eigenvalues,
-    an (S, n) array from one rho call over every solution."""
+    an (S, n) array from one rho call over every solution and site pair."""
     z, ctx = np.array(problem.z), problem.ctx
-    sites = np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)]
-    mixed = rho(z[:, None] - np.array(t, dtype=complex)[:, None, :], ctx).sum(axis=2)
-    return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed
-            + 0.5 * rho(sites, ctx).reshape(problem.n, -1).sum(axis=1))
+    mixed, sites = _joined(rho, ctx, (z[:, None] - np.array(t, dtype=complex)[:, None, :],),
+                           (np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)],))
+    return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed.sum(axis=2)
+            + 0.5 * sites.reshape(problem.n, -1).sum(axis=1))
 
 
 def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
     """dPhi/dtau of S solutions (see `master_dz`), an (S,) array, via 4 pi
-    i d/dtau ln theta(u) = eta(u) - eta(0); one eta call over every
-    solution, and each one's sums and scalar arithmetic in turn."""
+    i d/dtau ln theta(u) = eta(u) - eta(0); one eta call over all the
+    differences, and each solution's sums and scalar arithmetic in turn."""
     eta0 = theta_derivs(0.0, problem.ctx, 3)[3]
-    roots, mixed, sites = (eta(d, problem.ctx) - eta0 for d in _differences(t, problem))
+    roots, mixed, sites = (v - eta0 for v in _joined(
+        eta, problem.ctx, *((d,) for d in _differences(t, problem))))
     acc = 2.0 * roots.sum(axis=1) - mixed.sum(axis=1) + 0.5 * sites.sum()
     return np.array([0.5j * math.pi * complex(v) * complex(v) + a / (4j * math.pi)
                      for v, a in zip(mu, acc)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -33,6 +34,7 @@ from .bethe import (
 )
 from .elliptic import (
     Torus,
+    _joined,
     eta,
     lattice_distances,
     phi,
@@ -295,8 +297,8 @@ def _render(report, as_json):
 
 def cmd_identities(cfg: ExperimentConfig) -> dict:
     """Each identity is evaluated on all kept samples and the four SHIFTS
-    at once, one call per kernel; pairs too near the lattice are dropped
-    before anything is evaluated."""
+    at once, each kernel once per report over all its sample sets; pairs
+    too near the lattice are dropped before anything is evaluated."""
     ctx = cfg.torus()
     base = cfg.parallelogram_base
     pts = np.array(_cell_samples(FundamentalParallelogram(base, ctx), 100, cfg.seed))
@@ -318,25 +320,35 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
 
     mult = (1.0 - 2.0 * ((ks + ls) % 2)) * np.exp(-1j * math.pi * ls * ls * ctx.tau
                                                   - 2j * math.pi * ls * xs)
-    checks.append(_check("theta_quasi_periodicity",
-                         _worst(_relerr(theta(xs + shifts, ctx), mult * theta(xs, ctx))),
+    th_shift, th = _joined(theta, ctx, (xs + shifts,), (xs,))
+    checks.append(_check("theta_quasi_periodicity", _worst(_relerr(th_shift, mult * th)),
                          cfg.tolerance("theta_quasi_periodicity")))
 
     # the kernel and product identities skip pairs with x +- w near the lattice
     apart = np.minimum(lattice_distances(xs + ws, ctx), lattice_distances(xs - ws, ctx)) >= 1e-3
     x, w = xs[apart], ws[apart]
-    r, rp, e = rho(x, ctx), rho_prime(x, ctx), eta(x, ctx)
-    sig, sig_minus, sig_wx = sigma(np.array([x, x, w]), np.array([w, -w, -x]), ctx)
-    ph = phi(x, w, ctx)
+    z1, z2 = complex(base) + 0.05 - 0.11j, complex(base) + 0.44 + 0.31j
+    clear = lattice_distances(np.array([xs - z1, xs - z2, ws, ws - (z1 - z2),
+                                        np.full_like(xs, z1 - z2)]), ctx)
+    keep = clear.min(axis=0) >= LATTICE_MARGIN
+    cx, cw = xs[keep], ws[keep]
+    r, r_shift, r1, r2, rw, rw12 = _joined(rho, ctx, (x,), (x + shifts,), (cx - z1,),
+                                           (cx - z2,), (cw,), (cw - (z1 - z2),))
+    rp, rp_shift, rp_w = _joined(rho_prime, ctx, (x,), (x + shifts,), (w,))
+    e, e_shift = _joined(eta, ctx, (x,), (x + shifts,))
+    sig, sig_minus, sig_wx, sig_x, sig_w, s1, s2, s12 = _joined(
+        sigma, ctx, (x, w), (x, -w), (w, -x), (x + shifts, w), (x, w + shifts),
+        (cx - z1, cw), (cx - z2, -cw), (np.full_like(cx, z1 - z2), -cw))
+    ph, ph_x, ph_w = _joined(phi, ctx, (x, w), (x + shifts, w), (x, w + shifts))
     twopi_l = 2j * math.pi * ls
     worst = _worst(
-        _relerr(rho(x + shifts, ctx), r - twopi_l),
-        _relerr(rho_prime(x + shifts, ctx), rp),
-        _relerr(eta(x + shifts, ctx), e - 2.0 * twopi_l * r + twopi_l ** 2),
-        _relerr(sigma(x + shifts, w, ctx), np.exp(-twopi_l * w) * sig),
-        _relerr(sigma(x, w + shifts, ctx), np.exp(-twopi_l * x) * sig),
-        _relerr(phi(x + shifts, w, ctx), np.exp(twopi_l * w) * ph),
-        _relerr(phi(x, w + shifts, ctx), np.exp(twopi_l * x) * (ph + twopi_l * sig_wx)))
+        _relerr(r_shift, r - twopi_l),
+        _relerr(rp_shift, rp),
+        _relerr(e_shift, e - 2.0 * twopi_l * r + twopi_l ** 2),
+        _relerr(sig_x, np.exp(-twopi_l * w) * sig),
+        _relerr(sig_w, np.exp(-twopi_l * x) * sig),
+        _relerr(ph_x, np.exp(twopi_l * w) * ph),
+        _relerr(ph_w, np.exp(twopi_l * x) * (ph + twopi_l * sig_wx)))
     warnings = []
     if len(x) < 30:
         warnings.append("kernel quasi-periodicity sampled only %d point pairs"
@@ -344,14 +356,6 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
     checks.append(_check("kernel_quasi_periodicity", worst,
                          cfg.tolerance("kernel_quasi_periodicity")))
 
-    z1, z2 = complex(base) + 0.05 - 0.11j, complex(base) + 0.44 + 0.31j
-    clear = lattice_distances(np.array([xs - z1, xs - z2, ws, ws - (z1 - z2),
-                                        np.full_like(xs, z1 - z2)]), ctx)
-    keep = clear.min(axis=0) >= LATTICE_MARGIN
-    cx, cw = xs[keep], ws[keep]
-    s1, s2, s12 = sigma(np.array([cx - z1, cx - z2, np.full_like(cx, z1 - z2)]),
-                        np.array([cw, -cw, -cw]), ctx)
-    r1, r2, rw, rw12 = rho(np.array([cx - z1, cx - z2, cw, cw - (z1 - z2)]), ctx)
     if len(cx) < 20:
         warnings.append("cross identity sampled only %d point pairs" % len(cx))
     checks.append(_check("sigma_cross_identity",
@@ -359,7 +363,7 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
                          cfg.tolerance("sigma_cross_identity")))
 
     checks.append(_check("sigma_product_identity",
-                         _worst(_relerr(sig * sig_minus, rho_prime(w, ctx) - rp)),
+                         _worst(_relerr(sig * sig_minus, rp_w - rp)),
                          cfg.tolerance("sigma_product_identity")))
 
     return {"checks": checks, "warnings": warnings}
@@ -533,6 +537,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process (it costs more than a parse); parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def load_config(args) -> ExperimentConfig:
     if args.config:
         try:
@@ -554,7 +562,7 @@ def load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         cfg = load_config(args)

@@ -367,6 +367,16 @@ def _pointwise(kernel):
     return wrapper
 
 
+def _joined(kernel, ctx, *arg_sets):
+    """kernel(*args, ctx) for every tuple `args` in `arg_sets`, from one call
+    over all their broadcast, flattened points: each set gets its values in
+    its broadcast shape, with the bits a call of its own gives (see above)."""
+    sets = [np.broadcast_arrays(*args) for args in arg_sets]
+    flat = kernel(*map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets))), ctx)
+    ends = np.cumsum([s[0].size for s in sets])[:-1]
+    return [v.reshape(s[0].shape) for v, s in zip(np.split(flat, ends), sets)]
+
+
 def _log_derivs(d) -> list:
     """[rho, rho', ...] up to rho^(len(d) - 2), at most rho''', from the
     theta jet d."""

@@ -36,6 +36,22 @@ def run_json(capsys, argv):
     return code, report
 
 
+@pytest.fixture
+def theta_passes(monkeypatch):
+    """The list that gets one entry per `_theta_jets` call (a theta pass)
+    made through `elliptic`, `bethe` or `thetapoly`."""
+    calls = []
+    jets = elliptic._theta_jets
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return jets(*args, **kwargs)
+
+    for module in (elliptic, bethe, thetapoly):
+        monkeypatch.setattr(module, "_theta_jets", counted)
+    return calls
+
+
 class TestConfigValidation:
     def test_default_config_runs(self, capsys):
         assert main(["identities"]) == 0
@@ -164,6 +180,19 @@ class TestReportFormat:
         _, report = run_json(capsys, ["identities", "--timings"])
         assert report["timings"]["total_s"] > 0.0
 
+    def test_a_parse_leaves_nothing_for_the_next(self, capsys):
+        """main reuses one parser: a flag given to one run is unset in the
+        next run of the same process."""
+        _, report = run_json(capsys, ["identities", "--timings"])
+        assert "timings" in report
+        _, report = run_json(capsys, ["identities"])
+        assert "timings" not in report
+        _, report = run_json(capsys, ["fiber", "--mu-grid", "8i,2i"])
+        assert "scan" in report["fiber"]
+        _, report = run_json(capsys, ["fiber"])
+        assert "scan" not in report["fiber"]
+        assert report["fiber"]["count"] == 6
+
 
 class TestIdentitiesCommand:
     @pytest.mark.parametrize("tau", [0.05, 0.03])
@@ -175,6 +204,41 @@ class TestIdentitiesCommand:
         assert code == 0
         assert len(report["checks"]) == 6
         assert all(c["status"] == "pass" for c in report["checks"])
+
+    def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
+        """One theta pass per public kernel over all its sample sets: theta,
+        rho, rho', eta, sigma (three jets), phi (three) and the single
+        theta_derivs, theta1_dtau and theta1_derivs calls make 13."""
+        code, _ = run_json(capsys, ["identities"])
+        assert code == 0
+        assert len(theta_passes) <= 13
+
+    @pytest.mark.parametrize("tau", [1.0, 0.03])
+    def test_joined_values_have_the_bits_of_separate_calls(self, tmp_path, capsys,
+                                                            monkeypatch, tau):
+        """Every set of a joined call, on the default samples, has the bytes
+        of a call of its own; at 0.03i the torus is S-transformed (c != 0)."""
+        joins = []
+        joined = cli._joined
+
+        def recorded(kernel, ctx, *arg_sets):
+            out = joined(kernel, ctx, *arg_sets)
+            joins.append((kernel, ctx, arg_sets, out))
+            return out
+
+        monkeypatch.setattr(cli, "_joined", recorded)
+        cfg = write_config(tmp_path, {"tau": [0.0, tau]})
+        assert main(["identities", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert [kernel.__name__ for kernel, *_ in joins] == [
+            "theta", "rho", "rho_prime", "eta", "sigma", "phi"]
+        assert (joins[0][1].cd[0] != 0) == (tau < 1.0)
+        for kernel, ctx, arg_sets, out in joins:
+            assert len(out) == len(arg_sets)
+            for args, values in zip(arg_sets, out):
+                alone = np.asarray(kernel(*args, ctx))
+                assert values.shape == alone.shape
+                assert values.tobytes() == alone.tobytes(), kernel.__name__
 
 
 class TestSolveCommand:
@@ -349,22 +413,13 @@ class TestEigenCommand:
         assert len(report["ratio_table"]) == 10
 
 
-    def test_default_run_evaluates_each_kernel_once(self, capsys, monkeypatch):
+    def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
         """The verifier evaluates every kernel over all (subset, lambda, x)
         at once, the eigenvalues included: the default eigen makes at most
-        45 theta passes."""
-        calls = []
-        jets = elliptic._theta_jets
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return jets(*args, **kwargs)
-
-        for module in (elliptic, bethe, thetapoly):
-            monkeypatch.setattr(module, "_theta_jets", counted)
+        39 theta passes."""
         code, _ = run_json(capsys, ["eigen"])
         assert code == 0
-        assert len(calls) <= 45
+        assert len(theta_passes) <= 39
 
     def test_certificate_failure_is_a_skip_not_a_traceback(self, tmp_path, capsys,
                                                            monkeypatch):
