@@ -32,7 +32,7 @@ def main():
 
     print("-- solving the Bethe equations, subset by subset (mu = 6i) --")
     for subset in itertools.combinations(range(4), 2):
-        sol = solve_bae(prob, seed_asymptotic(prob, subset), subset_tag=subset)
+        sol = solve_bae(prob, seed_asymptotic(prob, subset))
         roots = "  ".join("%.4f%+.4fj" % (t.real, t.imag) for t in sol.t)
         print("subset %s: residual %.1e   t = %s" % (subset, sol.residual, roots))
 

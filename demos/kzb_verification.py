@@ -40,7 +40,7 @@ CHECKS = (
 def main():
     ctx = Torus(1j)
     prob = BetheProblem(2, Z4, 10j, ctx)
-    sol = solve_bae(prob, seed_asymptotic(prob, (0, 1)), subset_tag=(0, 1))
+    sol = solve_bae(prob, seed_asymptotic(prob, (0, 1)))
     par = analytic_involution(sol)
     ev, = kzb_eigenvalues([sol])
     lams = [0.37 + 0.21j, 0.62 + 0.74j, 0.15 + 0.48j]
@@ -60,7 +60,7 @@ def main():
     b2 = fundamental_b2(x, sol)
     others = [s for s in itertools.combinations(range(4), 2) if s != (0, 1)]
     for subset in others[:2]:
-        other = solve_bae(prob, seed_asymptotic(prob, subset), subset_tag=subset)
+        other = solve_bae(prob, seed_asymptotic(prob, subset))
         print("|B2(x; %s) - B2(x; (0, 1))| = %.3f"
               % (subset, abs(fundamental_b2(x, other) - b2)))
     print("|B2(x; partner of (0, 1)) - B2(x; (0, 1))| = %.1e"

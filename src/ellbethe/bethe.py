@@ -132,8 +132,8 @@ class BetheSolution:
     """Bethe roots t with the parameter mu they actually satisfy.
 
     `mu` starts equal to problem.mu but changes by even integers under the
-    normalization moves, so it is carried explicitly.  `subset_tag` records
-    which sites the roots were seeded at / are nearest to, when known.
+    normalization moves, so it is carried explicitly.  `subset_tag` is the
+    sorted indices of the sites nearest (mod the lattice) to the roots.
     """
 
     problem: BetheProblem
@@ -141,7 +141,7 @@ class BetheSolution:
     mu: complex
     residual: float
     converged: bool
-    subset_tag: tuple = None
+    subset_tag: tuple
     # Newton counters: accepted steps and rejected step lengths
     iterations: int = field(default=0, compare=False)
     backtracks: int = field(default=0, compare=False)
@@ -321,8 +321,7 @@ def _newton_steps(jacobians, residuals) -> tuple:
     return (np.linalg.solve(jacobians, -residuals[..., None])[..., 0],)
 
 
-def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: int = 50,
-                    subset_tags=None) -> list:
+def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: int = 50) -> list:
     """Damped Newton iteration for S Bethe systems that share sites and
     torus, in lockstep.
 
@@ -346,7 +345,9 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
     raises: CoalescedRootsError if roots collide with each other or a site
     (separation < 1e-8), which the separation check raises before any
     convergence verdict, or the ArithmeticError or ValueError of an
-    evaluation.
+    evaluation.  A solution's `subset_tag` is read off the root-site
+    distances of that same check: the sorted indices of the sites nearest
+    its roots.
     """
     count = len(seeds)
     if not count:
@@ -357,7 +358,6 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
     if mus is None:
         mus = [None] * count
     mus = [p.mu if mu is None else mu for p, mu in zip(problems, mus)]
-    tags = [None] * count if subset_tags is None else subset_tags
     drive = np.array([TWOPI_I * mu for mu in mus])
     t = np.array([[complex(v) for v in seed] for seed in seeds])
     step = np.zeros_like(t)
@@ -413,8 +413,9 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
         cand[running] = t[running] + lam[running, None] * step[running]
         first = False
     done = np.array([exc is None for exc in failed], dtype=bool)
-    for k, exc in zip(np.flatnonzero(done), _separation_errors(t[done], z, ctx)):
-        failed[k] = exc
+    tags = [None] * count
+    for k, exc, tag in zip(np.flatnonzero(done), *_separation_errors(t[done], z, ctx)):
+        failed[k], tags[k] = exc, tag
     return [failed[k] if failed[k] is not None else
             BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), bool(norm[k] < tol),
                           tags[k], int(iterations[k]), int(backtracks[k]))
@@ -422,30 +423,30 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
 
 
 def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
-              tol: float = 1e-12, max_iter: int = 50,
-              subset_tag: tuple = None) -> BetheSolution:
+              tol: float = 1e-12, max_iter: int = 50) -> BetheSolution:
     """Damped Newton iteration for the Bethe equations: `solve_bae_batch`
     on one system.
 
     Returns the last iterate, which is the best one, with converged=False
-    if tol is not reached within max_iter iterations.
+    if tol is not reached within max_iter iterations, tagged with the
+    sites nearest its roots.
 
     Raises
     ------
     CoalescedRootsError
         If roots collide with each other or a site (separation < 1e-8).
     """
-    result, = solve_bae_batch([problem], [seed], [mu], tol=tol, max_iter=max_iter,
-                              subset_tags=[subset_tag])
+    result, = solve_bae_batch([problem], [seed], [mu], tol=tol, max_iter=max_iter)
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def _separation_errors(t: np.ndarray, z, ctx: Torus) -> list:
-    """Per system of roots t, an (S, m) array: CoalescedRootsError for the
-    first (in row order) root pair j > i or root-site pair closer than
-    1e-8 mod the lattice, or None; from one array of distances."""
+def _separation_errors(t: np.ndarray, z, ctx: Torus) -> tuple:
+    """Per system of roots t, an (S, m) array, from one array of distances:
+    (CoalescedRootsError for the first (in row order) root pair j > i or
+    root-site pair closer than 1e-8 mod the lattice, or None; the sorted
+    indices of the sites nearest its roots)."""
     count, m = t.shape
     others = np.concatenate([t, np.broadcast_to(np.array(z, dtype=complex), (count, len(z)))],
                             axis=1)
@@ -459,7 +460,8 @@ def _separation_errors(t: np.ndarray, z, ctx: Torus) -> list:
             errors[k] = CoalescedRootsError(
                 "Bethe roots %d and %d coalesced" % (i, col) if col < m
                 else "Bethe root %d hit site %d" % (i, col - m))
-    return errors
+    nearest = np.argmin(dist[:, :, m:], axis=2)
+    return errors, [tuple(sorted(int(a) for a in row)) for row in nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +511,9 @@ def wronskian_residues(sol: BetheSolution) -> list[float]:
 
 def nearest_site_tag(roots, problem: BetheProblem) -> tuple:
     """Indices of the sites nearest (mod lattice) to each root, sorted."""
-    nearest, = _nearest_sites(np.array([roots], dtype=complex), problem.z, problem.ctx)
-    return tuple(sorted(int(a) for a in nearest[0]))
-
-
-def _nearest_sites(roots: np.ndarray, z, ctx: Torus) -> tuple:
-    """(the index of the site nearest to each root mod the lattice,) for
-    S systems of roots, an (S, m) array, from one array of distances."""
-    return (np.argmin(lattice_distances(roots[:, :, None] - np.array(z), ctx), axis=2),)
+    dist = lattice_distances(np.array(roots, dtype=complex)[:, None] - np.array(problem.z),
+                             problem.ctx)
+    return tuple(sorted(int(a) for a in np.argmin(dist, axis=1)))
 
 
 def analytic_involution(sol: BetheSolution) -> BetheSolution:

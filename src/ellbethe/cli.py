@@ -386,8 +386,7 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
         except SeedTooCoarseError as exc:
             seeds[subset] = exc
     seeded = [s for s in subsets if not isinstance(seeds[s], Exception)]
-    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded],
-                                              subset_tags=seeded)))
+    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded])))
     for subset in subsets:
         record = {"subset": list(subset)}
         records.append(record)

@@ -155,22 +155,9 @@ class LatticePoint:
         return self.k + self.l * ctx.tau
 
 
-def _split(x: complex, tau: complex) -> tuple[complex, int, int]:
-    if not cmath.isfinite(x):
-        raise RangeError("x = %r is not a finite number" % (x,))
-    l = round(x.imag / tau.imag)
-    if abs(l) > _MAX_LATTICE_SHIFT:
-        raise RangeError("Im(x)/Im(tau) = %g exceeds the supported range" % (x.imag / tau.imag))
-    y = x - l * tau
-    k = round(y.real)
-    if abs(k) > _MAX_LATTICE_SHIFT:
-        raise RangeError("Re(x) = %g exceeds the supported range" % (x.real,))
-    return y - k, int(k), int(l)
-
-
 def _reduce(xs: np.ndarray, tau: complex) -> tuple:
-    """_split on every point of a complex array, k and l as float arrays,
-    without the range check."""
+    """x = x0 + k + l tau, |Im x0| <= Im(tau)/2 and |Re x0| <= 1/2, at every
+    point of a complex array, k and l as float arrays; no range check."""
     l = np.rint(xs.imag / tau.imag)
     y = xs - l * tau
     k = np.rint(y.real)
@@ -178,25 +165,29 @@ def _reduce(xs: np.ndarray, tau: complex) -> tuple:
 
 
 def _splits(xs: np.ndarray, tau: complex) -> tuple:
-    """_split on every point of a complex array, k and l as float arrays.
-
-    A point out of range is passed to `_split`, so the first one raises
-    RangeError with the scalar text."""
-    x0, k, l = _reduce(xs, tau)
+    """`_reduce` with the range check: RangeError names the first point
+    that is not finite or lies more than _MAX_LATTICE_SHIFT periods out."""
+    # such a point fails below, not with a warning from its arithmetic
+    with np.errstate(invalid="ignore", over="ignore"):
+        x0, k, l = _reduce(xs, tau)
     # written so that NaN fails too
-    if not (np.abs(l).max(initial=0.0) <= _MAX_LATTICE_SHIFT
-            and np.abs(k).max(initial=0.0) <= _MAX_LATTICE_SHIFT):
-        bad = ~((np.abs(l) <= _MAX_LATTICE_SHIFT) & (np.abs(k) <= _MAX_LATTICE_SHIFT))
-        x = complex(xs.flat[np.argmax(bad)])
-        _split(x, tau)
-        raise RangeError("x = %r exceeds the supported range" % (x,))
+    bad = ~((np.abs(l) <= _MAX_LATTICE_SHIFT) & (np.abs(k) <= _MAX_LATTICE_SHIFT))
+    if bad.any():
+        first = np.argmax(bad)
+        x = complex(xs.flat[first])
+        if not cmath.isfinite(x):
+            raise RangeError("x = %r is not a finite number" % (x,))
+        if abs(l.flat[first]) > _MAX_LATTICE_SHIFT:
+            raise RangeError("Im(x)/Im(tau) = %g exceeds the supported range"
+                             % (x.imag / tau.imag))
+        raise RangeError("Re(x) = %g exceeds the supported range" % (x.real,))
     return x0, k, l
 
 
 def reduce_argument(x: complex, ctx: Torus) -> tuple[complex, LatticePoint]:
     """Split x = x0 + (k + l*tau) with |Im x0| <= Im(tau)/2, |Re x0| <= 1/2."""
-    x0, k, l = _split(complex(x), ctx.tau)
-    return x0, LatticePoint(k, l)
+    x0, k, l = _splits(np.array([complex(x)]), ctx.tau)
+    return complex(x0[0]), LatticePoint(int(k[0]), int(l[0]))
 
 
 def lattice_distance(x: complex, ctx: Torus) -> float:

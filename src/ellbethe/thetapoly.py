@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -344,7 +344,6 @@ class SolveResult:
     g: ThetaPoly
     residual: float
     condition: float
-    coefficients: tuple = field(repr=False, default=())
 
 
 def _residues_over_f_squared(f: ThetaPoly, h, nodes: int = 64) -> list[tuple]:
@@ -440,7 +439,7 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
     gv = g_hat(ys[:5])
     if np.any(np.abs(g.eval(ys[:5]) - gv) > 1e-8 * np.maximum(1.0, np.abs(gv))):
         raise SolveError("root/label reconstruction does not match solution")
-    return SolveResult(g, residual, condition, tuple(coef))
+    return SolveResult(g, residual, condition)
 
 
 def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:

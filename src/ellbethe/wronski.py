@@ -18,7 +18,6 @@ Wronskian instead, is the independent route to the same partner.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .bethe import (
     BetheSolution,
     SeedTooCoarseError,
     _by_rows,
-    _nearest_sites,
     _pairs,
     seed_asymptotic,
     solve_bae_batch,
@@ -169,7 +167,8 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     label exactly -mu and no Wronskian has to be inverted.  Both solves
     must meet RESIDUAL_GATE, no two roots or sites may collide, and
     Wr(f, g) must pass `wr_certificates` at WR_RESIDUAL_GATE.  The
-    partner's tag is read off its roots (`nearest_site_tag`), not assumed.
+    partner's tag is the one the solver reads off its roots (the sites
+    nearest them), not assumed.
 
     The solution is used raw (not cell-normalized): f = prod theta(x - t_j)
     has label exactly 0 only for root representatives satisfying the Bethe
@@ -193,33 +192,21 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
     out = [None] * len(subsets)
     sols, pars = {}, {}
-    systems = []    # (problem, seed, subset tag, subset index, solutions dict)
+    systems = []    # (problem, seed, subset index, solutions dict)
     for k, subset in enumerate(subsets):
         try:
-            systems.append((problem, seed_asymptotic(problem, subset), subset, k, sols))
+            systems.append((problem, seed_asymptotic(problem, subset), k, sols))
         except failures as exc:
             out[k] = _staged(exc, "seed")
             continue
         complement = tuple(sorted(set(range(problem.n)) - set(subset)))
         try:
-            systems.append((mirror, seed_asymptotic(mirror, complement), None, k, pars))
+            systems.append((mirror, seed_asymptotic(mirror, complement), k, pars))
         except failures as exc:
             pars[k] = exc
-    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems], tol=tol,
-                              subset_tags=[s[2] for s in systems])
-    for (_, _, _, k, found), result in zip(systems, results):
+    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems], tol=tol)
+    for (_, _, k, found), result in zip(systems, results):
         found[k] = _gated(result)
-
-    # the partner's tag is read off its roots, all in one distance array
-    tagged = [k for k in sols if not isinstance(sols[k], Exception)
-              and not isinstance(pars[k], Exception)]
-    if tagged:
-        (nearest,), errors = _by_rows(
-            functools.partial(_nearest_sites, z=problem.z, ctx=problem.ctx),
-            np.array([pars[k].t for k in tagged]))
-        for row, (k, exc) in enumerate(zip(tagged, errors)):
-            pars[k] = exc or dataclasses.replace(
-                pars[k], subset_tag=tuple(sorted(int(a) for a in nearest[row])))
     pairs = {}      # subset index -> (f, g, solution, partner)
     for k in sols:
         sol, par = sols[k], pars[k]
@@ -381,24 +368,18 @@ def count_ratios(problem: BetheProblem) -> int:
 def asymptotic_deviation(point: FiberPoint) -> float:
     """max_j |(t_j - z_{i_j}) 2 pi i mu - 1|, pairing each root to the
     nearest tagged site; O(1/|mu|) at a fiber point (first-order law)."""
-    problem = point.solution.problem
-    mu = point.solution.mu
-    out = 0.0
-    for t in point.solution.t:
-        dev = min(abs((t - problem.z[a]) * TWOPI_I * mu - 1.0)
-                  for a in point.subset_tag)
-        out = max(out, dev)
-    return out
+    return _deviation(point.solution, point.subset_tag)
 
 
 def partner_asymptotic_deviation(point: FiberPoint) -> float:
     """Mirrored law for the involution partner: s_j = z_{a} - 1/(2 pi i mu)
     + O(mu^-2) over the partner's own tag, using the partner parameter."""
-    problem = point.solution.problem
-    nu = point.partner.mu
-    out = 0.0
-    for s in point.partner.t:
-        dev = min(abs((s - problem.z[a]) * TWOPI_I * nu - 1.0)
-                  for a in point.partner_tag)
-        out = max(out, dev)
-    return out
+    return _deviation(point.partner, point.partner_tag)
+
+
+def _deviation(sol: BetheSolution, tag) -> float:
+    """max(0, max_x min_a |(x - z_a) 2 pi i mu - 1|) over the roots x of
+    sol and the tagged sites a, with sol's own mu."""
+    z = sol.problem.z
+    return max([0.0] + [min(abs((x - z[a]) * TWOPI_I * sol.mu - 1.0) for a in tag)
+                        for x in sol.t])

@@ -59,8 +59,7 @@ def problem(m, mu):
 
 def solve_subset(prob, subset):
     tol = max(1e-12, 2e-14 * abs(TWOPI_I * prob.mu))  # double-precision floor
-    sol = solve_bae(prob, seed_asymptotic(prob, subset), tol=tol,
-                    subset_tag=tuple(subset))
+    sol = solve_bae(prob, seed_asymptotic(prob, subset), tol=tol)
     assert sol.converged
     return sol
 

@@ -44,7 +44,7 @@ def problem2(mu=10j):
 
 
 def solve_subset(prob, subset):
-    return solve_bae(prob, seed_asymptotic(prob, subset), subset_tag=tuple(subset))
+    return solve_bae(prob, seed_asymptotic(prob, subset))
 
 
 class TestProblemValidation:
@@ -211,7 +211,7 @@ class TestSolver:
                  ((0.3 + 0.2j, Z4[2] + 1, 0.5 + 0.5j), "Bethe root 1 hit site 2"),
                  ((Z4[3], 0.5 + 0.5j, 0.5 + 0.5j), "Bethe root 0 hit site 3"))
         for t, message in cases + (((0.3 + 0.2j, 0.5 + 0.5j, 0.7 + 0.1j), None),):
-            exc, = _separation_errors(np.array([t]), prob.z, prob.ctx)
+            (exc,), _ = _separation_errors(np.array([t]), prob.z, prob.ctx)
             assert (exc is None if message is None
                     else isinstance(exc, CoalescedRootsError) and str(exc) == message)
 
@@ -306,6 +306,21 @@ class TestBatch:
                 continue
             assert repr(got) == repr(want)
             assert got.mu == p.mu
+
+    def test_solutions_are_tagged_with_their_nearest_sites(self):
+        """With no tag passed in, every system, the partner solved at -mu
+        from the complementary seed included, comes back tagged with the
+        `nearest_site_tag` of its roots, in a batch and alone."""
+        prob, mirror = problem4(), problem4(-10j)
+        subsets = list(itertools.combinations(range(4), 2))
+        seeds = ([seed_asymptotic(prob, s) for s in subsets]
+                 + [seed_asymptotic(mirror, (2, 3)), self.BAD[2]])
+        problems = [prob] * len(subsets) + [mirror, prob]
+        batch = solve_bae_batch(problems, seeds)
+        alone = [solve_bae(p, seed) for p, seed in zip(problems, seeds)]
+        for sol in batch + alone:
+            assert sol.subset_tag == nearest_site_tag(sol.t, sol.problem)
+        assert [sol.subset_tag for sol in batch[:-1]] == subsets + [(2, 3)]
 
     def test_systems_must_share_sites_and_torus(self):
         other = BetheProblem(2, Z4, 10j, Torus(2j))

@@ -313,7 +313,7 @@ class TestSolveCommand:
         for record in report["solutions"]:
             subset = tuple(record["subset"])
             sol = bethe.normalize_solution(
-                bethe.solve_bae(prob, bethe.seed_asymptotic(prob, subset), subset_tag=subset))
+                bethe.solve_bae(prob, bethe.seed_asymptotic(prob, subset)))
             assert record["t"] == [[v.real, v.imag] for v in sol.t]
             assert record["residual"] == sol.residual
 

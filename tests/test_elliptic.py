@@ -18,7 +18,6 @@ from ellbethe.elliptic import (
     PoleError,
     RangeError,
     Torus,
-    _split,
     _theta_jets,
     eta,
     lattice_distance,
@@ -607,19 +606,23 @@ class TestThetaJets:
 
     def test_range_guard_matches_scalar(self):
         """Past _MAX_LATTICE_SHIFT, and at NaN or inf, the evaluator and a
-        kernel raise the RangeError that `_split` gives the first offending
-        point, and lattice_distances raises too."""
+        kernel raise the RangeError that `reduce_argument` gives the first
+        offending point, and lattice_distances raises too."""
         ctx = Torus(0.3 + 0.8j)
         limit = _MAX_LATTICE_SHIFT
-        for bad in (2.0 * limit * 0.8j, 0.5 + (limit + 2) * 0.8j, 3.0 * limit + 0.1j,
-                    complex(math.nan, 0.1), complex(0.2, math.inf)):
+        for bad, text in (
+                (2.0 * limit * 0.8j, "Im(x)/Im(tau) = 2e+06 exceeds the supported range"),
+                (0.5 + (limit + 2) * 0.8j, "Im(x)/Im(tau) = 1e+06 exceeds the supported range"),
+                (3.0 * limit + 0.1j, "Re(x) = 3e+06 exceeds the supported range"),
+                (complex(math.nan, 0.1), "x = (nan+0.1j) is not a finite number"),
+                (complex(0.2, math.inf), "x = (0.2+infj) is not a finite number")):
             xs = np.array([0.1, bad, 2 * bad])
-            with pytest.raises(RangeError) as want:
-                _split(bad, ctx.tau)
+            with pytest.raises(RangeError, match=re.escape(text) + "$"):
+                reduce_argument(bad, ctx)
             for fn in (lambda: _theta_jets(xs, ctx, 2, pole="rho"), lambda: rho(xs, ctx)):
                 with pytest.raises(RangeError) as got:
                     fn()
-                assert str(got.value) == str(want.value)
+                assert str(got.value) == text
             with pytest.raises(RangeError):
                 lattice_distances(xs, ctx)
 
@@ -761,7 +764,7 @@ class TestArrayContract:
                 ("sigma_jet (x slot)", lambda b, c: sigma_jet(b, 0.3, c), first),
                 ("sigma_jet (w slot)", lambda b, c: sigma_jet(0.3, b, c), first),
                 ("phi (x slot)", lambda b, c: phi(b, 0.3, c), first),
-                ("sigma (x slot)", lambda b, c: phi(0.3, b, c), _split(first, ctx.tau)[0])):
+                ("sigma (x slot)", lambda b, c: phi(0.3, b, c), reduce_argument(first, ctx)[0])):
             with pytest.raises(PoleError) as info:
                 fn(bad, ctx)
             assert str(info.value) == text % (name, x)

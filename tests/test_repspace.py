@@ -43,7 +43,7 @@ LAM = 0.31 + 0.17j
 
 
 def solve_subset(prob, subset):
-    return solve_bae(prob, seed_asymptotic(prob, subset), subset_tag=tuple(subset))
+    return solve_bae(prob, seed_asymptotic(prob, subset))
 
 
 def fixture_solution(m=2, mu=10j, subset=None):

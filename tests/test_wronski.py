@@ -21,6 +21,7 @@ from ellbethe.bethe import (
     SeedTooCoarseError,
     analytic_involution,
     bae_jacobian,
+    nearest_site_tag,
     normalize_solution,
     translate_root,
 )
@@ -176,6 +177,20 @@ class TestEnumerateFiber:
         assert len(merged) == 3
         assert [p.subset_tag for p in info.value.partial.points] == [p.subset_tag for p in kept]
         assert [f for f in info.value.failed if f[1].endswith("[stage dedup]")] == merged
+
+    def test_partners_off_the_complement_warn_in_subset_order(self):
+        """At mu = 2.2i two partners settle nearest sites other than their
+        seeds' complements (one of them nearest site 2 twice): the partial
+        report warns for each, in subset order, with the tag the solver
+        read off the partner's roots."""
+        prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
+        with pytest.raises(IncompleteFiberError) as info:
+            enumerate_fiber(prob)
+        text = "subset %s pairs with %s, not its complement (below-threshold mu?)"
+        assert info.value.partial.warnings == (text % ((0, 1, 3), (2, 2, 5)),
+                                               text % ((1, 3, 5), (0, 1, 2)))
+        for point in info.value.partial.points:
+            assert point.partner_tag == nearest_site_tag(point.partner.t, prob)
 
     def test_translated_root_is_the_same_point(self, monkeypatch):
         """The dedup key reduces roots into the cell before sorting: with
