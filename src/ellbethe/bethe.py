@@ -146,7 +146,7 @@ class BetheSolution:
     iterations: int = field(default=0, compare=False)
     backtracks: int = field(default=0, compare=False)
 
-    def poly(self, scale: complex = 1.0) -> ThetaPoly:
+    def poly(self) -> ThetaPoly:
         """The associated theta polynomial f = e^{pi i mu x} prod theta(x - t_j).
 
         Note the half: the ThetaPoly label is mu/2.  This is what makes the
@@ -155,7 +155,7 @@ class BetheSolution:
         + 2 sum_k rho(t_j - t_k)), and it is why lattice moves shift the label
         by sum l_j but the Bethe parameter by 2 sum l_j.
         """
-        return ThetaPoly(scale, self.mu / 2.0, self.t, self.problem.ctx)
+        return ThetaPoly(1.0, self.mu / 2.0, self.t, self.problem.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +319,12 @@ def _by_rows(fn, *rows) -> tuple:
 def _newton_steps(jacobians, residuals) -> tuple:
     """The Newton step -J^{-1} F of each system, in one stacked solve."""
     return (np.linalg.solve(jacobians, -residuals[..., None])[..., 0],)
+
+
+def _newton_tol(mu: complex) -> float:
+    """Newton's stopping target at mu: 1e-12, growing like the Bethe-equation
+    terms, |2 pi mu|, past |mu| = 25/pi (their rounding floor grows faster)."""
+    return max(1e-12, 2e-14 * abs(TWOPI_I * mu))
 
 
 def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: int = 50) -> list:
@@ -491,9 +497,9 @@ def normalize_solution(sol: BetheSolution) -> BetheSolution:
     return replace(sol, t=tuple(t), mu=mu, residual=res)
 
 
-def site_wronskian(problem: BetheProblem, scale: complex = 1.0) -> ThetaPoly:
+def site_wronskian(problem: BetheProblem) -> ThetaPoly:
     """The fixed Wronskian target W(x) = prod_s theta(x - z_s), label 0."""
-    return ThetaPoly(scale, 0.0, problem.z, problem.ctx)
+    return ThetaPoly(1.0, 0.0, problem.z, problem.ctx)
 
 
 def wronskian_residues(sol: BetheSolution) -> list[float]:
@@ -504,9 +510,8 @@ def wronskian_residues(sol: BetheSolution) -> list[float]:
     many orders of magnitude across the cell through the e^{pi i mu x}^2
     envelope of f^2, so only the scale-relative residue is meaningful.
     """
-    f = sol.poly()
     return [abs(res) / scale for (res, scale) in
-            _residues_over_f_squared(f, site_wronskian(sol.problem))]
+            _residues_over_f_squared(sol.poly(), site_wronskian(sol.problem))]
 
 
 def nearest_site_tag(roots, problem: BetheProblem) -> tuple:

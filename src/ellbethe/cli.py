@@ -28,6 +28,7 @@ import numpy as np
 from .bethe import (
     BetheProblem,
     SeedTooCoarseError,
+    _newton_tol,
     normalize_solution,
     seed_asymptotic,
     solve_bae_batch,
@@ -386,7 +387,8 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
         except SeedTooCoarseError as exc:
             seeds[subset] = exc
     seeded = [s for s in subsets if not isinstance(seeds[s], Exception)]
-    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded])))
+    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded],
+                                              tol=_newton_tol(prob.mu))))
     for subset in subsets:
         record = {"subset": list(subset)}
         records.append(record)

@@ -346,22 +346,22 @@ class SolveResult:
     condition: float
 
 
-def _residues_over_f_squared(f: ThetaPoly, h, nodes: int = 64) -> list[tuple]:
-    """(residue, local scale) of h/f^2 at each root of f, by a small
+def _residues_over_f_squared(f: ThetaPoly, h) -> list[tuple]:
+    """(residue, local scale) of h/f^2 at each root of f, by a 64-node
     trapezoid circle; all nodes of all roots in one evaluation each of h
     and f."""
     roots = np.array(f.roots, dtype=complex)
     i, j = np.triu_indices(len(roots), 1)
     radius = float(np.min(np.abs(roots[i] - roots[j]) / 2.0, initial=1e-2))
-    w = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    w = np.exp(2j * math.pi * np.arange(64) / 64)
     xs = np.add.outer(roots, radius * w)
     vals = h.eval(xs) / f.eval(xs) ** 2
-    residues = (radius / nodes) * (vals @ w)
+    residues = (radius / 64) * (vals @ w)
     scales = np.maximum(1.0, np.abs(vals).max(axis=1, initial=0.0) * radius)
     return [(complex(r), float(c)) for r, c in zip(residues, scales)]
 
 
-def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = None) -> SolveResult:
+def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram) -> SolveResult:
     """Find g with f g' - f' g = h, as a theta polynomial.
 
     Parameters
@@ -370,9 +370,8 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
         Known factor, degree m.
     h : ThetaPoly or Wronskian
         Target, degree 2m; anything with eval/degree/multipliers works.
-    cell : FundamentalParallelogram, optional
-        Cell used for collocation points and root normalization; defaults to
-        the cell based at -(1 + tau)/2 (centered at the origin).
+    cell : FundamentalParallelogram
+        Cell used for collocation points and root normalization.
 
     Raises
     ------
@@ -386,8 +385,6 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
     m = f.degree
     if h.degree != 2 * m:
         raise ValueError("target degree must be twice deg f (got %d vs %d)" % (h.degree, f.degree))
-    if cell is None:
-        cell = FundamentalParallelogram(-(1.0 + ctx.tau) / 2.0, ctx)
 
     # structural guards
     roots = np.array(f.roots, dtype=complex)
@@ -420,77 +417,62 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram | None = Non
     coef = coef / cols
     condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
 
-    def g_hat(x, order=0):
-        return sum(c * b.eval_many(x, order) for c, b in zip(coef, basis))
+    # the basis functions share nu0 and sit on disjoint residue classes mod
+    # m whose offsets are contiguous together, so g is one Fourier series:
+    # the concatenated terms c_k basis_k, sorted by offset
+    offsets = np.concatenate([b.offsets for b in basis])
+    order = np.argsort(offsets)
+    series = FourierTheta(basis[0].nu0, offsets[order],
+                          np.concatenate([c * b.coeffs for c, b in zip(coef, basis)])[order])
 
     # verify on fresh points
     ys = np.array(golden_points(cell, 4 * m + 2, (0.5, 0.5), skip=4 * m))
     hs = h.eval(ys)
     scale = max(1.0, float(np.max(np.abs(hs))))
     df = f.derivs(ys, 1)
-    wr = df[0] * g_hat(ys, 1) - df[1] * g_hat(ys, 0)
+    wr = df[0] * series.eval_many(ys, 1) - df[1] * series.eval_many(ys, 0)
     residual = float(np.max(np.abs(wr - hs))) / scale
     if residual > 1e-9:
         raise SolveError("collocation residual %.3e exceeds 1e-9" % residual)
 
-    g = _to_theta_poly(basis, coef, m, a2, b2, cell)
+    g = _to_theta_poly(series, m, a2, b2, cell)
     # definitive consistency check: the reconstructed theta polynomial must
     # reproduce the collocation solution (catches missed/spurious roots)
-    gv = g_hat(ys[:5])
+    gv = series.eval_many(ys[:5])
     if np.any(np.abs(g.eval(ys[:5]) - gv) > 1e-8 * np.maximum(1.0, np.abs(gv))):
         raise SolveError("root/label reconstruction does not match solution")
     return SolveResult(g, residual, condition)
 
 
-def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:
-    """Convert sum_k coef_k basis_k into scale/label/roots form."""
-    ctx = cell.ctx
-    tau = ctx.tau
-    # combined integer-offset coefficients
-    all_n = sorted({int(n) for b in basis for n in b.offsets})
-    index = {n: i for i, n in enumerate(all_n)}
-    ctilde = np.zeros(len(all_n), dtype=complex)
-    for c, b in zip(coef, basis):
-        for n, a in zip(b.offsets, b.coeffs):
-            ctilde[index[int(n)]] += c * a
+def _to_theta_poly(series: FourierTheta, m, a2, b2, cell) -> ThetaPoly:
+    """Convert the Fourier series of g into scale/label/roots form."""
+    ctx, tau = cell.ctx, cell.ctx.tau
     # trim tails too small to influence roots near the cell, then read the
     # remaining Fourier sum as a polynomial in z = e^{2 pi i x}
-    mag = np.abs(ctilde)
+    mag = np.abs(series.coeffs)
     big = mag > 1e-14 * mag.max()
     lo, hi = int(np.argmax(big)), len(big) - 1 - int(np.argmax(big[::-1]))
-    poly = ctilde[lo:hi + 1][::-1]  # np.roots wants highest degree first
-    zroots = np.roots(poly)
-
-    def g_fun(x, order=0):
-        return sum(c * b.eval(x, order) for c, b in zip(coef, basis))
+    zroots = np.roots(series.coeffs[lo:hi + 1][::-1])  # highest degree first
 
     # z only sees x mod 1: translate each candidate into the cell's tau-row,
-    # polish with Newton on the actual Fourier sum, then reduce and dedup
-    cand = []
-    for z in zroots:
-        if z == 0:
-            continue
-        x = cmath.log(z) / TWOPI_I
-        x -= round((x - cell.base).imag / tau.imag - 0.5) * tau
-        cand.append(x)
+    # polish them all with Newton on the series in lockstep (at most 8 steps;
+    # a last step above 1e-9 rejects a candidate), then reduce and dedup
+    x = np.log(zroots[zroots != 0]) / TWOPI_I
+    x = x - np.round((x - cell.base).imag / tau.imag - 0.5) * tau
+    step, live = np.full(len(x), np.inf, dtype=complex), np.ones(len(x), dtype=bool)
+    for _ in range(8):
+        idx = np.flatnonzero(live)
+        d = series.eval_many(x[idx], 1)
+        live[idx] = d != 0
+        idx, d = idx[d != 0], d[d != 0]
+        step[idx] = series.eval_many(x[idx]) / d
+        x[idx] -= step[idx]
+        live[idx] = np.abs(step[idx]) >= 1e-13
     roots = []
-    for x in cand:
-        step = math.inf
-        for _ in range(8):
-            v = g_fun(x, 0)
-            d = g_fun(x, 1)
-            if d == 0:
-                break
-            step = v / d
-            x = x - step
-            if abs(step) < 1e-13:
-                break
-        if abs(step) > 1e-9:
-            continue
-        x, _ = cell.reduce(x)
-        if (lattice_distances(x - np.array(roots, dtype=complex), ctx) < 1e-6).any():
-            continue
-        roots.append(x)
+    for t in x[np.abs(step) <= 1e-9]:
+        t, _ = cell.reduce(t)
+        if not (lattice_distances(t - np.array(roots, dtype=complex), ctx) < 1e-6).any():
+            roots.append(t)
     if len(roots) != m:
         raise SolveError("expected %d roots in the cell, found %d" % (m, len(roots)))
     roots.sort(key=lambda t: cell.coords(t))
@@ -509,4 +491,4 @@ def _to_theta_poly(basis, coef, m, a2, b2, cell) -> ThetaPoly:
     probes = np.array(golden_points(cell, 7, (0.5, 0.5), skip=13))
     ref = unit.eval(probes)
     best = int(np.argmax(np.abs(ref)))
-    return ThetaPoly(g_fun(probes[best]) / ref[best], label, unit.roots, ctx)
+    return ThetaPoly(series(probes[best]) / ref[best], label, unit.roots, ctx)

@@ -29,6 +29,7 @@ from .bethe import (
     BetheSolution,
     SeedTooCoarseError,
     _by_rows,
+    _newton_tol,
     _pairs,
     seed_asymptotic,
     solve_bae_batch,
@@ -143,10 +144,9 @@ def _root_key(sol: BetheSolution) -> np.ndarray:
 
 
 def _gated(result):
-    """A Newton result held to the residual gate: the solution, or the
+    """A Newton result held to RESIDUAL_GATE alone: the solution, or the
     exception of a failed solve."""
-    if not isinstance(result, Exception) and (not result.converged
-                                              or result.residual > RESIDUAL_GATE):
+    if not isinstance(result, Exception) and not result.residual <= RESIDUAL_GATE:
         return SolveError("no convergence (residual %.2e)" % result.residual)
     return result
 
@@ -184,10 +184,6 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     """
     subsets = [tuple(s) for s in subsets]
     failures = (ArithmeticError, ValueError, SolveError)
-    # Bethe-equation terms grow like |2 pi mu|, so the convergence floor in
-    # double precision does too; keep the demand proportionate (and always
-    # far below RESIDUAL_GATE at desk scale).
-    tol = max(1e-12, 2e-14 * abs(TWOPI_I * problem.mu))
     # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
     mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
     out = [None] * len(subsets)
@@ -204,7 +200,8 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
             systems.append((mirror, seed_asymptotic(mirror, complement), k, pars))
         except failures as exc:
             pars[k] = exc
-    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems], tol=tol)
+    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems],
+                               tol=_newton_tol(problem.mu))
     for (_, _, k, found), result in zip(systems, results):
         found[k] = _gated(result)
     pairs = {}      # subset index -> (f, g, solution, partner)

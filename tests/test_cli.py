@@ -273,6 +273,14 @@ class TestSolveCommand:
             assert "tol_pole" in record["reason"]
             assert warning == "subset %s: %s" % (subset, record["reason"])
 
+    def test_no_warning_where_the_fiber_certifies(self, tmp_path, capsys):
+        # at 40i the residuals, 1.1e-12 to 2.0e-12, miss a fixed 1e-12
+        # target but meet the one that grows with |mu| (5.0e-12)
+        cfg = write_config(tmp_path, {"mu": [0.0, 40.0]})
+        code, report = run_json(capsys, ["solve", "--config", cfg, "--strict"])
+        assert code == 0 and report["warnings"] == []
+        assert {r["status"] for r in report["solutions"]} == {"converged"}
+
     def test_strict_escalates_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, LOW_MU_CONFIG)
         assert main(["solve", "--config", cfg, "--strict", "--json"]) == 1
@@ -401,6 +409,16 @@ class TestEigenCommand:
                      ["eigen", "--config", cfg]):
             code, report = run_json(capsys, argv)
             assert code == 0 and report["warnings"] == []
+
+    def test_every_subset_is_verified_at_80i(self, tmp_path, capsys, monkeypatch):
+        sizes = []
+        verify = cli.verify_eigen
+        monkeypatch.setattr(cli, "verify_eigen",
+                            lambda pairs, *a: sizes.append(len(pairs)) or verify(pairs, *a))
+        cfg = write_config(tmp_path, {"mu": [0.0, 80.0]})
+        code, report = run_json(capsys, ["eigen", "--config", cfg])
+        assert code == 0 and report["warnings"] == [] and sizes == [6]
+        assert all(c["status"] == "pass" for c in report["checks"])
 
     def test_m4_subset_certifies(self, tmp_path, capsys):
         # the Wronskian-inversion partner of this subset has an O(1)

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, with every
+RuntimeWarning (ComplexWarning included) raised as an error."""
 
 import os
 import pathlib
@@ -16,6 +17,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -248,6 +248,26 @@ class TestFourierBasis:
                             * b.eval(x))
                     assert relerr(b.eval(x + tau), want) < 1e-10
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j])
+    @pytest.mark.parametrize("label", [0.3, 10j, -10j])
+    def test_offsets_tile_one_integer_range(self, tau, label):
+        """The basis functions sit on disjoint residue classes mod m whose
+        offsets together form one contiguous range: what lets
+        `solve_wronskian` concatenate c_k basis_k into one Fourier series."""
+        ctx = Torus(tau)
+        for m in range(1, 7):
+            # multipliers of a label-`label` theta polynomial with roots in the cell
+            roots = [(0.1 + 0.7 * k / m) + (0.2 + 0.5 * k / m) * tau for k in range(m)]
+            f = ThetaPoly(1.0, label, tuple(roots), ctx)
+            basis = fourier_basis(m, *f.multipliers, ctx)
+            offsets = [b.offsets.astype(int) for b in basis]
+            for r, (b, n) in enumerate(zip(basis, offsets), start=1):
+                assert np.array_equal(b.offsets, n)     # integers
+                assert np.all((n - r) % m == 0)
+            every = np.sort(np.concatenate(offsets))
+            assert len(set(every.tolist())) == len(every)
+            assert np.array_equal(every, np.arange(every[0], every[-1] + 1))
+
     def test_contains_theta_polys(self):
         """Any theta polynomial expands in the basis with tiny residual."""
         ctx = Torus(1j)

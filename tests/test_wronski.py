@@ -100,6 +100,23 @@ class TestEnumerateFiber:
         assert rep.count == rep.expected == 6
         assert rep.warnings == ()
 
+    def test_full_count_holds_at_80i(self):
+        # Newton's own target, 1.0e-11 here, sits below the rounding floor
+        # (residuals up to 1.45e-11); the gate, 1e-10, is what accepts
+        rep = fiber_report(2, 80j)
+        assert rep.count == rep.expected == 6
+        assert rep.warnings == ()
+        assert all(p.solution.residual <= 1e-10 and p.partner.residual <= 1e-10
+                   for p in rep.points)
+
+    def test_gate_alone_decides(self):
+        sol = fiber_report(2, 6j).points[0].solution
+        near = dataclasses.replace(sol, residual=1e-11, converged=False)
+        assert wronski_module._gated(near) is near
+        for residual in (2e-10, math.nan):
+            gated = wronski_module._gated(dataclasses.replace(sol, residual=residual))
+            assert isinstance(gated, SolveError)
+
     def test_m1_count(self):
         rep = fiber_report(1, 6j)
         assert rep.count == rep.expected == 2
