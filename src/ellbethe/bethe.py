@@ -327,7 +327,7 @@ def _newton_tol(mu: complex) -> float:
     return max(1e-12, 2e-14 * abs(TWOPI_I * mu))
 
 
-def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: int = 50) -> list:
+def solve_bae_batch(problems, seeds, mus=None, *, max_iter: int = 50) -> list:
     """Damped Newton iteration for S Bethe systems that share sites and
     torus, in lockstep.
 
@@ -337,10 +337,11 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
     Newton step and backtracks it by halves (up to 20 times) until the
     residual satisfies an Armijo-type decrease; it stops at the current
     iterate when no step length is productive, and after max_iter
-    accepted steps, and is converged when its residual is below tol.  A
-    seed whose residual lands on a pole raises PoleError once it needs a
-    step.  Its counters record the accepted steps (`iterations`) and the
-    rejected step lengths (`backtracks`).
+    accepted steps, and is converged when its residual is below
+    `_newton_tol` of its own mu.  A seed whose residual lands on a pole
+    raises PoleError once it needs a step.  Its counters record the
+    accepted steps (`iterations`) and the rejected step lengths
+    (`backtracks`).
 
     Every round evaluates the pending candidate of each running system in
     one `_bethe_kernels` call and solves the Jacobians of the systems that
@@ -365,6 +366,7 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
         mus = [None] * count
     mus = [p.mu if mu is None else mu for p, mu in zip(problems, mus)]
     drive = np.array([TWOPI_I * mu for mu in mus])
+    tol = np.array([_newton_tol(mu) for mu in mus])
     t = np.array([[complex(v) for v in seed] for seed in seeds])
     step = np.zeros_like(t)
     norm = np.full(count, math.inf)
@@ -400,7 +402,7 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
         moved = np.flatnonzero(accept)
         idx = running[moved]
         t[idx], norm[idx] = cand[idx], cnorm[moved]
-        on = (iterations[idx] < max_iter) & ~(norm[idx] < tol)
+        on = (iterations[idx] < max_iter) & ~(norm[idx] < tol[idx])
         # a residual that raised (a seed on a pole) fails once it needs a step
         for pos, k in zip(moved[on], idx[on]):
             if errors[pos] is not None:
@@ -423,29 +425,47 @@ def solve_bae_batch(problems, seeds, mus=None, *, tol: float = 1e-12, max_iter: 
     for k, exc, tag in zip(np.flatnonzero(done), *_separation_errors(t[done], z, ctx)):
         failed[k], tags[k] = exc, tag
     return [failed[k] if failed[k] is not None else
-            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), bool(norm[k] < tol),
+            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), bool(norm[k] < tol[k]),
                           tags[k], int(iterations[k]), int(backtracks[k]))
             for k in range(count)]
 
 
 def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
-              tol: float = 1e-12, max_iter: int = 50) -> BetheSolution:
+              max_iter: int = 50) -> BetheSolution:
     """Damped Newton iteration for the Bethe equations: `solve_bae_batch`
     on one system.
 
     Returns the last iterate, which is the best one, with converged=False
-    if tol is not reached within max_iter iterations, tagged with the
-    sites nearest its roots.
+    if `_newton_tol` of mu is not reached within max_iter iterations,
+    tagged with the sites nearest its roots.
 
     Raises
     ------
     CoalescedRootsError
         If roots collide with each other or a site (separation < 1e-8).
     """
-    result, = solve_bae_batch([problem], [seed], [mu], tol=tol, max_iter=max_iter)
+    result, = solve_bae_batch([problem], [seed], [mu], max_iter=max_iter)
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def solve_subsets(problems, subsets) -> list:
+    """Solve problems[k] from the asymptotic seed of subsets[k], for every
+    k in one `solve_bae_batch`: per system its BetheSolution or the
+    exception of its solve.  A seed that `seed_asymptotic` rejects is that
+    system's exception, with `stage = "seed"`, and is never solved."""
+    out, seeded, seeds = [None] * len(subsets), [], []
+    for k, (problem, subset) in enumerate(zip(problems, subsets)):
+        try:
+            seeds.append(seed_asymptotic(problem, subset))
+            seeded.append(k)
+        except ValueError as exc:
+            exc.stage = "seed"
+            out[k] = exc
+    for k, result in zip(seeded, solve_bae_batch([problems[k] for k in seeded], seeds)):
+        out[k] = result
+    return out
 
 
 def _separation_errors(t: np.ndarray, z, ctx: Torus) -> tuple:

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (
-    BetheProblem,
-    SeedTooCoarseError,
-    _newton_tol,
-    normalize_solution,
-    seed_asymptotic,
-    solve_bae_batch,
-)
+from .bethe import BetheProblem, normalize_solution, solve_subsets
 from .elliptic import (
     Torus,
     _joined,
@@ -380,19 +373,9 @@ def cmd_solve(cfg: ExperimentConfig) -> dict:
     checks, warnings, records = [], [], []
     worst = 0.0
     subsets = cfg.subset_list()
-    seeds = {}
-    for subset in subsets:
-        try:
-            seeds[subset] = seed_asymptotic(prob, subset)
-        except SeedTooCoarseError as exc:
-            seeds[subset] = exc
-    seeded = [s for s in subsets if not isinstance(seeds[s], Exception)]
-    solved = dict(zip(seeded, solve_bae_batch([prob] * len(seeded), [seeds[s] for s in seeded],
-                                              tol=_newton_tol(prob.mu))))
-    for subset in subsets:
+    for subset, sol in zip(subsets, solve_subsets([prob] * len(subsets), subsets)):
         record = {"subset": list(subset)}
         records.append(record)
-        sol = solved.get(subset, seeds[subset])
         if isinstance(sol, Exception):
             record.update(status="no_convergence", reason=str(sol))
             warnings.append("subset %s: %s" % (subset, sol))
@@ -428,6 +411,9 @@ def _point_record(point):
 
 
 def cmd_fiber(cfg: ExperimentConfig) -> dict:
+    if cfg.subsets != "all":
+        raise ConfigError('fiber covers every subset; subsets must be "all" or absent, got %s'
+                          % ([list(s) for s in cfg.subsets],))
     checks, warnings = [], []
     out = {"checks": checks, "warnings": warnings}
     if cfg.mu_grid is not None:

@@ -7,7 +7,8 @@ g = e^{2 pi i (-mu + k) x} prod theta(x - s_j) with integer k.  Fiber
 points are found by solving the Bethe equations from the asymptotic
 seed of each m-element site subset, and the partner (-mu, s) by solving
 them again at -mu from the seed of the complementary subset; all subsets of
-an enumeration are solved in one lockstep Newton batch (`fiber_points`).
+an enumeration and their complements are seeded and solved in one lockstep
+Newton batch (`bethe.solve_subsets`, called by `fiber_points`).
 A pair is accepted only if Wr(f, g) passes `wr_certificates`.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
@@ -29,10 +30,8 @@ from .bethe import (
     BetheSolution,
     SeedTooCoarseError,
     _by_rows,
-    _newton_tol,
     _pairs,
-    seed_asymptotic,
-    solve_bae_batch,
+    solve_subsets,
 )
 from .elliptic import lattice_distances
 from .thetapoly import (
@@ -175,40 +174,27 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     equations at mu itself, and lattice-reducing a root would silently turn
     the pair into a different section (caught by the Wr certificate).
 
-    All those systems are solved in one `solve_bae_batch`; the pairs that
-    pass both residual gates are checked for collisions in one distance
-    array and certified in one `wr_certificates` pass.  Every exception
+    Every solution and partner is seeded and solved in one
+    `solve_subsets` batch (the subsets, then their complements); the pairs
+    that pass both residual gates are checked for collisions in one
+    distance array and certified in one `wr_certificates` pass.  Every exception
     carries a `stage` attribute naming the first step that failed, in the
     order seed, newton, partner, certificate, whatever the other systems
     of the batch did.
     """
     subsets = [tuple(s) for s in subsets]
-    failures = (ArithmeticError, ValueError, SolveError)
+    count = len(subsets)
     # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
     mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
-    out = [None] * len(subsets)
-    sols, pars = {}, {}
-    systems = []    # (problem, seed, subset index, solutions dict)
-    for k, subset in enumerate(subsets):
-        try:
-            systems.append((problem, seed_asymptotic(problem, subset), k, sols))
-        except failures as exc:
-            out[k] = _staged(exc, "seed")
-            continue
-        complement = tuple(sorted(set(range(problem.n)) - set(subset)))
-        try:
-            systems.append((mirror, seed_asymptotic(mirror, complement), k, pars))
-        except failures as exc:
-            pars[k] = exc
-    results = solve_bae_batch([s[0] for s in systems], [s[1] for s in systems],
-                               tol=_newton_tol(problem.mu))
-    for (_, _, k, found), result in zip(systems, results):
-        found[k] = _gated(result)
+    complements = [tuple(sorted(set(range(problem.n)) - set(s))) for s in subsets]
+    results = [_gated(r) for r in solve_subsets([problem] * count + [mirror] * count,
+                                                subsets + complements)]
+    out = [None] * count
     pairs = {}      # subset index -> (f, g, solution, partner)
-    for k in sols:
-        sol, par = sols[k], pars[k]
+    for k in range(count):
+        sol, par = results[k], results[count + k]
         if isinstance(sol, Exception):
-            out[k] = _staged(sol, "newton")
+            out[k] = _staged(sol, getattr(sol, "stage", "newton"))
             continue
         if isinstance(par, Exception):
             out[k] = _staged(par, "partner")
@@ -347,19 +333,6 @@ def scan_mu_min(rows) -> float:
             break
         best = abs(complex(mu).imag)
     return best
-
-
-def count_ratios(problem: BetheProblem) -> int:
-    """Number of fiber points in the k = 0 normal form F = g/f, i.e. with
-    g carrying label exactly -mu (then F' is proportional to
-    e^{-2 pi i mu x} prod theta(x - z_a) / prod theta(x - t_j)^2)."""
-    report = enumerate_fiber(problem)
-    count = 0
-    for point in report.points:
-        k = point.g.mu + problem.mu
-        if abs(k) < 1e-8:
-            count += 1
-    return count
 
 
 def asymptotic_deviation(point: FiberPoint) -> float:

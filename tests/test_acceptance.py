@@ -58,8 +58,7 @@ def problem(m, mu):
 
 
 def solve_subset(prob, subset):
-    tol = max(1e-12, 2e-14 * abs(TWOPI_I * prob.mu))  # double-precision floor
-    sol = solve_bae(prob, seed_asymptotic(prob, subset), tol=tol)
+    sol = solve_bae(prob, seed_asymptotic(prob, subset))
     assert sol.converged
     return sol
 

@@ -27,6 +27,7 @@ from ellbethe.bethe import (
     seed_asymptotic,
     solve_bae,
     solve_bae_batch,
+    solve_subsets,
     translate_root,
     wronskian_residues,
 )
@@ -329,6 +330,34 @@ class TestBatch:
 
     def test_empty_batch(self):
         assert solve_bae_batch([], []) == []
+
+
+class TestNewtonTarget:
+    """Newton stops each system at the target of its own mu, which grows
+    with |mu| past the flat 1e-12 (`bethe._newton_tol`)."""
+
+    SUBSETS = list(itertools.combinations(range(4), 2))
+
+    def test_default_sites_converge_at_40i(self):
+        for subset in self.SUBSETS:
+            sol = solve_subset(problem4(40j), subset)
+            assert sol.converged and sol.residual < 1e-10
+
+    def test_mixed_batch_keeps_each_system_target(self):
+        problems = [problem4(mu) for mu in (6j, 40j, -40j) for _ in self.SUBSETS]
+        seeds = [seed_asymptotic(p, s) for p, s in zip(problems, self.SUBSETS * 3)]
+        batch = solve_bae_batch(problems, seeds)
+        assert [repr(got) for got in batch] == [repr(solve_bae(p, seed))
+                                                for p, seed in zip(problems, seeds)]
+        assert all(sol.converged for sol in batch)
+        assert max(sol.residual for sol in batch[:6]) < 1e-12
+
+    def test_solve_subsets_stages_rejected_seeds(self):
+        prob, coarse = problem4(40j), problem4(1.3j)
+        got = solve_subsets([prob, coarse, prob], [(0, 1), (0, 1), (2, 3)])
+        assert isinstance(got[1], SeedTooCoarseError) and got[1].stage == "seed"
+        assert [repr(got[0]), repr(got[2])] == [repr(solve_subset(prob, s))
+                                                for s in ((0, 1), (2, 3))]
 
 
 class TestMoves:

@@ -311,8 +311,8 @@ class TestSolveCommand:
 
     def test_subsets_are_solved_in_one_batch(self, capsys, monkeypatch):
         sizes = []
-        batch = cli.solve_bae_batch
-        monkeypatch.setattr(cli, "solve_bae_batch",
+        batch = bethe.solve_bae_batch
+        monkeypatch.setattr(bethe, "solve_bae_batch",
                             lambda problems, *a, **k: sizes.append(len(problems))
                             or batch(problems, *a, **k))
         code, report = run_json(capsys, ["solve"])
@@ -336,6 +336,19 @@ class TestFiberCommand:
         for point in section["points"]:
             assert point["wr_residual"] < 1e-9
             assert point["f_label"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("grid", [[], ["--mu-grid", "8i,6i"]], ids=["mu", "mu-grid"])
+    def test_explicit_subsets_are_a_config_error(self, tmp_path, capsys, grid):
+        """The fiber covers every subset, so a subset list it would ignore
+        is refused; "all" runs as the default does."""
+        cfg = write_config(tmp_path, {"subsets": [[0, 1]]})
+        assert main(["fiber", "--config", cfg] + grid) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "subsets" in captured.err
+        assert "every subset" in captured.err
+        cfg = write_config(tmp_path, {"subsets": "all"})
+        assert run_json(capsys, ["fiber", "--config", cfg] + grid) == run_json(
+            capsys, ["fiber"] + grid)
 
     def test_incomplete_fiber_partial_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, LOW_MU_CONFIG)
