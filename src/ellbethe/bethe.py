@@ -218,14 +218,18 @@ def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
 
     rho is odd and rho' even, so each unordered pair is evaluated once.
     A system's values do not depend on the others in the batch, and a
-    PoleError names the first offending difference in system order."""
+    PoleError names the first offending difference in system order; a rho
+    or rho' that is not finite raises OverflowError."""
     (count, m), n = t.shape, len(z)
     i, j = _pairs(m)
     d = _theta_jets(np.concatenate([t[:, i] - t[:, j],
                                     (t[:, :, None] - np.array(z)).reshape(count, m * n)], axis=1),
                     ctx, 2, pole="rho")
-    r = d[1] / d[0]
-    rp = d[2] / d[0] - r * r
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = d[1] / d[0]
+        rp = d[2] / d[0] - r * r
+    if not (np.isfinite(r).all() and np.isfinite(rp).all()):
+        raise OverflowError("rho or rho' is not finite")
     pair_r, pair_rp = np.zeros((2, count, m, m), dtype=complex)
     pair_r[:, i, j], pair_rp[:, i, j] = r[:, :len(i)], rp[:, :len(i)]
     return (pair_r, pair_rp, r[:, len(i):].reshape(count, m, n),
@@ -277,11 +281,15 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
     """Seed roots t_j = z_{i_j} + 1/(2 pi i mu) for a size-m site subset.
 
     For large Im mu each Bethe root sits this close to its site; the seed is
-    rejected if the displacement exceeds half the minimal site separation.
+    rejected (ValueError) if the subset holds an index outside [0, n), and
+    (SeedTooCoarseError) if the displacement exceeds half the minimal site
+    separation.
     """
     subset = tuple(subset)
     if len(subset) != problem.m or len(set(subset)) != problem.m:
         raise ValueError("subset must pick m distinct sites")
+    if not all(0 <= i < problem.n for i in subset):
+        raise ValueError("subset %s holds a site index outside [0, %d)" % (subset, problem.n))
     rate = abs(TWOPI_I * problem.mu)
     # tested without dividing by mu, so that mu = 0 is rejected too
     if 0.5 * problem.min_site_separation() * rate < 1.0:
@@ -327,18 +335,17 @@ def _newton_tol(mu: complex) -> float:
     return max(1e-12, 2e-14 * abs(TWOPI_I * mu))
 
 
-def solve_bae_batch(problems, seeds, mus=None, *, max_iter: int = 50) -> list:
+def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     """Damped Newton iteration for S Bethe systems that share sites and
     torus, in lockstep.
 
-    System k solves the Bethe equations of problems[k] at mus[k] (by
-    default its problem's mu) from seeds[k].  Each system keeps the
-    sequence of a solve on its own: from the current iterate it takes the
-    Newton step and backtracks it by halves (up to 20 times) until the
-    residual satisfies an Armijo-type decrease; it stops at the current
-    iterate when no step length is productive, and after max_iter
-    accepted steps, and is converged when its residual is below
-    `_newton_tol` of its own mu.  A seed whose residual lands on a pole
+    System k solves the Bethe equations of problems[k] from seeds[k].
+    Each system keeps the sequence of a solve on its own: from the
+    current iterate it takes the Newton step and backtracks it by halves
+    (up to 20 times) until the residual satisfies an Armijo-type
+    decrease; it stops at the current iterate when no step length is
+    productive, and after max_iter accepted steps, and is converged when
+    its residual is below `_newton_tol` of its own mu.  A seed whose residual lands on a pole
     raises PoleError once it needs a step.  Its counters record the
     accepted steps (`iterations`) and the rejected step lengths
     (`backtracks`).
@@ -362,9 +369,7 @@ def solve_bae_batch(problems, seeds, mus=None, *, max_iter: int = 50) -> list:
     z, ctx = problems[0].z, problems[0].ctx
     if any(p.z != z or p.ctx != ctx for p in problems):
         raise ValueError("the systems of one batch must share sites and torus")
-    if mus is None:
-        mus = [None] * count
-    mus = [p.mu if mu is None else mu for p, mu in zip(problems, mus)]
+    mus = [p.mu for p in problems]
     drive = np.array([TWOPI_I * mu for mu in mus])
     tol = np.array([_newton_tol(mu) for mu in mus])
     t = np.array([[complex(v) for v in seed] for seed in seeds])
@@ -430,8 +435,7 @@ def solve_bae_batch(problems, seeds, mus=None, *, max_iter: int = 50) -> list:
             for k in range(count)]
 
 
-def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
-              max_iter: int = 50) -> BetheSolution:
+def solve_bae(problem: BetheProblem, seed, *, max_iter: int = 50) -> BetheSolution:
     """Damped Newton iteration for the Bethe equations: `solve_bae_batch`
     on one system.
 
@@ -444,7 +448,7 @@ def solve_bae(problem: BetheProblem, seed, mu: complex = None, *,
     CoalescedRootsError
         If roots collide with each other or a site (separation < 1e-8).
     """
-    result, = solve_bae_batch([problem], [seed], [mu], max_iter=max_iter)
+    result, = solve_bae_batch([problem], [seed], max_iter=max_iter)
     if isinstance(result, Exception):
         raise result
     return result

@@ -42,8 +42,7 @@ from .elliptic import (
 )
 from .repspace import verify_eigen
 from .thetapoly import FundamentalParallelogram, golden_points
-from .wronski import (IncompleteFiberError, enumerate_fiber, fiber_points, scan_mu_grid,
-                      scan_mu_min)
+from .wronski import enumerate_fiber, scan_mu_grid, scan_mu_min
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -423,22 +422,18 @@ def cmd_fiber(cfg: ExperimentConfig) -> dict:
             raise ConfigError(str(exc)) from None
         scanned = list(scan)
         rows = [{"mu": complex(mu), "abs_mu": abs(complex(mu)), "count": report.count,
-                 "expected": report.expected, "complete": complete}
-                for mu, report, _, complete in scanned]
+                 "expected": report.expected, "complete": report.complete}
+                for mu, report in scanned]
         warnings.extend("mu %s subset %s failed: %s" % (mu, subset, why)
-                        for mu, _, failed, _ in scanned for subset, why in failed)
+                        for mu, report in scanned for subset, why in report.failed)
         mu_min = scan_mu_min(scanned)
         out["fiber"] = {"scan": rows, "mu_min_estimate": mu_min}
         checks.append(_check("mu_min_found", 0.0 if mu_min is not None else 1.0,
                              cfg.tolerance("mu_min_found")))
         return out
 
-    try:
-        report, failed = enumerate_fiber(cfg.problem()), []
-    except IncompleteFiberError as exc:
-        report, failed = exc.partial, list(exc.failed)
-    for subset, why in failed:
-        warnings.append("subset %s failed: %s" % (subset, why))
+    report = enumerate_fiber(cfg.problem())
+    warnings.extend("subset %s failed: %s" % failure for failure in report.failed)
     warnings.extend(report.warnings)
     out["fiber"] = {
         "count": report.count,
@@ -473,18 +468,11 @@ def cmd_eigen(cfg: ExperimentConfig) -> dict:
     prob = cfg.problem()
     lam_pts = _cell_samples(prob.cell, 10, cfg.seed)
     x_pts = _cell_samples(prob.cell, 10, cfg.seed + 1, avoid=prob.z)
-    subsets = cfg.subset_list()
-    points = fiber_points(prob, subsets)
-    found = [point for point in points if not isinstance(point, Exception)]
-    result = verify_eigen([(p.solution, p.partner) for p in found], lam_pts, x_pts)
-    outcomes = iter(result.ratio_rows)
-    warnings, ratio_table = [], []
-    for subset, point in zip(subsets, points):
-        if isinstance(point, Exception):
-            warnings.append("subset %s skipped: %s: %s [stage %s]"
-                            % (subset, point.__class__.__name__, point, point.stage))
-            continue
-        ratio_table.extend(dict(row, subset=list(subset)) for row in next(outcomes))
+    report = enumerate_fiber(prob, cfg.subset_list())
+    result = verify_eigen([(p.solution, p.partner) for p in report.points], lam_pts, x_pts)
+    warnings = ["subset %s skipped: %s" % failure for failure in report.failed]
+    ratio_table = [dict(row, subset=list(p.subset_tag))
+                   for p, rows in zip(report.points, result.ratio_rows) for row in rows]
     checks = [_check(name, value, cfg.tolerance(name)) for name, value in result.worst.items()]
     return {"checks": checks, "warnings": warnings, "ratio_table": ratio_table}
 
@@ -512,15 +500,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON on stdout")
-        p.add_argument("--csv", help="write a plot-ready CSV table (fiber)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--strict", action="store_true",
                        help="treat warnings as failures (exit 1)")
-        p.add_argument("--mu-grid",
-                       help="comma-separated mu values, e.g. '8i,6i,4i,2i'")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte "
                             "determinism between runs)")
+        if name == "fiber":
+            p.add_argument("--csv", help="write a plot-ready CSV table")
+            p.add_argument("--mu-grid",
+                           help="comma-separated mu values, e.g. '8i,6i,4i,2i'")
     return parser
 
 
@@ -542,7 +531,7 @@ def load_config(args) -> ExperimentConfig:
     # the overrides pass the same validation as the config they override
     if isinstance(raw, dict) and args.seed is not None:
         raw = dict(raw, seed=args.seed)
-    if isinstance(raw, dict) and args.mu_grid:
+    if isinstance(raw, dict) and getattr(args, "mu_grid", None):
         grid = (_parse_mu_token(t) for t in args.mu_grid.split(","))
         raw = dict(raw, mu_grid=[[v.real, v.imag] for v in grid])
     return ExperimentConfig.from_dict(raw)
@@ -567,7 +556,7 @@ def main(argv=None) -> int:
     report.update(body)
     if args.timings:
         report["timings"] = {"total_s": time.perf_counter() - started}
-    if args.csv and "fiber" in report:
+    if getattr(args, "csv", None):
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(_fiber_csv(report["fiber"]))
     sys.stdout.write(_render(report, args.json))

@@ -14,6 +14,9 @@ A pair is accepted only if Wr(f, g) passes `wr_certificates`.  For
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
 Wronskian instead, is the independent route to the same partner.
+`enumerate_fiber` returns one `FiberReport`, complete or not: the
+certified points and, for every subset without one, the reason and the
+stage it failed at; `fiber`, the mu-grid scan and `eigen` all read it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from .bethe import (
     BetheProblem,
     BetheSolution,
-    SeedTooCoarseError,
     _by_rows,
     _pairs,
     solve_subsets,
@@ -50,18 +52,6 @@ WR_RESIDUAL_GATE = 1e-9    # max relative sampling residual of Wr(f,g) vs h
 DEDUP_TOL = 1e-6           # below this normal-form distance, same point
 
 
-class IncompleteFiberError(ArithmeticError):
-    """Some subset seed failed to produce a certified fiber point."""
-
-    code = "incomplete_fiber"
-
-    def __init__(self, partial, failed):
-        self.partial = partial
-        self.failed = tuple(failed)
-        names = ", ".join("%s (%s)" % (tag, why) for tag, why in self.failed)
-        super().__init__("fiber enumeration incomplete; failed subsets: " + names)
-
-
 @dataclass(frozen=True)
 class FiberPoint:
     """One labeled point of the Wronski fiber, with its certificates."""
@@ -77,12 +67,23 @@ class FiberPoint:
 
 @dataclass(frozen=True)
 class FiberReport:
+    """The one record of an enumeration: the certified points, the
+    (subset, reason) pair of every subset that has none, and the warnings
+    for partners off the complement."""
+
     problem: BetheProblem
     points: tuple
     count: int
     expected: int
     pairing: tuple
     warnings: tuple = ()
+    failed: tuple = ()
+
+    @property
+    def complete(self) -> bool:
+        """Every subset certified, none paired off its complement, and the
+        count reached C(2m, m)."""
+        return not self.failed and not self.warnings and self.count == self.expected
 
 
 def wr_certificates(pairs, problem: BetheProblem) -> list:
@@ -237,8 +238,10 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     One `fiber_points` batch over the m-element site subsets.  A subset
     repeated in an explicit `subsets` list collapses onto its own point;
     one whose solve lands on another subset's point (below-threshold mu
-    can merge basins) fails at stage dedup.  Raises IncompleteFiberError, carrying the
-    partial report and the failing subsets, if any subset fails.
+    can merge basins) fails at stage dedup.  The report is returned
+    whether or not the fiber is complete: each failing subset is in
+    `failed` with the exception and stage `fiber_points` gave it, or its
+    dedup twin.
 
     Each accepted point's `_root_key` is kept as a row of `keys`, and a new
     point is compared with all earlier ones in one array of lattice
@@ -253,8 +256,6 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     warnings = []
     for subset, point in zip(subsets, fiber_points(problem, subsets)):
         if isinstance(point, Exception):
-            if not isinstance(point, (SolveError, SeedTooCoarseError, ArithmeticError)):
-                raise point
             failures.append((subset, "%s: %s [stage %s]"
                              % (point.__class__.__name__, point, point.stage)))
             continue
@@ -274,44 +275,29 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
         keys = np.vstack([keys, key])
     pairing = tuple(sorted({tuple(sorted((p.subset_tag, p.partner_tag)))
                             for p in points}))
-    report = FiberReport(
+    return FiberReport(
         problem=problem,
         points=tuple(points),
         count=len(points),
         expected=math.comb(problem.n, problem.m),
         pairing=pairing,
         warnings=tuple(warnings),
+        failed=tuple(failures),
     )
-    if failures:
-        raise IncompleteFiberError(report, failures)
-    return report
 
 
 def scan_mu_grid(problem: BetheProblem, mu_grid):
     """Enumerate the fiber at each grid value of mu, lazily and in order.
 
     The grid must be sorted by |Im mu| descending (checked before the first
-    enumeration).  Yields (mu, report, failed, complete) per grid value:
-    `failed` lists the (subset, reason) pairs of an incomplete enumeration,
-    and `complete` means every subset certified, none paired off its
-    complement, and the count reached C(2m, m).
+    enumeration).  Yields (mu, report) per grid value, the report of
+    `enumerate_fiber` at that mu; `report.complete` is the row's verdict.
     """
     grid = list(mu_grid)
     mags = [abs(complex(mu).imag) for mu in grid]
     if mags != sorted(mags, reverse=True):
         raise ValueError("mu_grid must be sorted by |Im mu| descending")
-
-    def rows():
-        for mu in grid:
-            try:
-                report, failed = enumerate_fiber(dataclasses.replace(problem, mu=mu)), ()
-            except IncompleteFiberError as exc:
-                report, failed = exc.partial, exc.failed
-            complete = (not failed and not report.warnings
-                        and report.count == report.expected)
-            yield mu, report, failed, complete
-
-    return rows()
+    return ((mu, enumerate_fiber(dataclasses.replace(problem, mu=mu))) for mu in grid)
 
 
 def estimate_mu_min(problem: BetheProblem, mu_grid) -> float:
@@ -328,8 +314,8 @@ def scan_mu_min(rows) -> float:
     one, of `scan_mu_grid` rows; None if the first row is incomplete.
     Reads no row past the first incomplete one."""
     best = None
-    for mu, _, _, complete in rows:
-        if not complete:
+    for mu, report in rows:
+        if not report.complete:
             break
         best = abs(complex(mu).imag)
     return best

@@ -1,7 +1,11 @@
 """Tests of the Bethe equations, master function, solver, and involution."""
 
+import cmath
+import dataclasses
 import itertools
 import math
+import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -266,7 +270,7 @@ class TestSolver:
     def test_residues_nonzero_off_solutions(self):
         prob = problem4()
         sol = solve_subset(prob, (0, 1))
-        fake = solve_bae(prob, sol.t, mu=prob.mu + 0.3, max_iter=0)
+        fake = dataclasses.replace(sol, mu=prob.mu + 0.3)
         assert max(wronskian_residues(fake)) > 1e-4
 
 
@@ -352,12 +356,41 @@ class TestNewtonTarget:
         assert all(sol.converged for sol in batch)
         assert max(sol.residual for sol in batch[:6]) < 1e-12
 
+    def test_seed_indices_must_name_sites(self):
+        """An index outside [0, n) is a rejected seed that names the subset;
+        (-1, 0) used to solve the subset (3, 0) through negative indexing."""
+        prob = problem4(6j)
+        for subset in ((-1, 0), (0, 9)):
+            with pytest.raises(ValueError, match=re.escape(str(subset))):
+                seed_asymptotic(prob, subset)
+            got, = solve_subsets([prob], [subset])
+            assert isinstance(got, ValueError) and got.stage == "seed"
+            assert str(subset) in str(got)
+
     def test_solve_subsets_stages_rejected_seeds(self):
         prob, coarse = problem4(40j), problem4(1.3j)
         got = solve_subsets([prob, coarse, prob], [(0, 1), (0, 1), (2, 3)])
         assert isinstance(got[1], SeedTooCoarseError) and got[1].stage == "seed"
         assert [repr(got[0]), repr(got[2])] == [repr(solve_subset(prob, s))
                                                 for s in ((0, 1), (2, 3))]
+
+
+class TestFarIterates:
+    """Newton candidates far from the cell overflow the theta jets: the
+    step is rejected, with no RuntimeWarning and no NaN iterate."""
+
+    def test_overflowing_candidates_are_rejected_quietly(self):
+        prob = problem4(6j)
+        seeds = [(0.00986735970751551 + 0.38400178640768756j,
+                  0.7838147042162945 + 0.10665319951510266j),
+                 (0.3940940779054982 + 0.9374146004543803j,
+                  0.549254071332635 + 0.3073449968702121j)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            converges, stalls = (solve_bae(prob, seed) for seed in seeds)
+        assert converges.converged and converges.residual < 1e-12
+        assert not stalls.converged and math.isfinite(stalls.residual)
+        assert all(cmath.isfinite(t) for t in stalls.t)
 
 
 class TestMoves:
@@ -429,7 +462,7 @@ class TestInvolution:
     def test_integer_mu_rejected(self):
         prob = problem4()
         sol = solve_subset(prob, (0, 1))
-        fake = solve_bae(prob, sol.t, mu=3.0, max_iter=0)
+        fake = dataclasses.replace(sol, mu=3.0)
         with pytest.raises(ValueError):
             analytic_involution(fake)
 

@@ -16,6 +16,7 @@ from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
+from test_wronski import MERGED_Z
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
 LOW_MU_CONFIG = {"mu": [0.0, 1.3]}
@@ -452,6 +453,31 @@ class TestEigenCommand:
         assert code == 0
         assert len(theta_passes) <= 39
 
+    def test_merged_subsets_are_skipped_at_stage_dedup(self, tmp_path, capsys):
+        """Below the threshold three subsets land on other subsets' points;
+        eigen skips them as fiber does, and verifies what the other
+        subsets alone verify."""
+        merged = {"m": 3, "z": [[v.real, v.imag] for v in MERGED_Z], "mu": [0.0, 2.2]}
+        code, report = run_json(capsys, ["eigen", "--config", write_config(tmp_path, merged)])
+        assert code == 0
+        text = "subset %s skipped: same point as subset %s [stage dedup]"
+        dedup = [(0, 3, 4), (0, 4, 5), (3, 4, 5)]
+        assert [w for w in report["warnings"] if w.endswith("[stage dedup]")] == [
+            text % pair for pair in zip(dedup, [(0, 1, 3), (0, 1, 5), (1, 3, 5)])]
+        assert len(report["ratio_table"]) == 160
+        rest = [list(s) for s in itertools.combinations(range(6), 3) if s not in dedup]
+        cfg = write_config(tmp_path, dict(merged, subsets=rest), "rest.json")
+        _, alone = run_json(capsys, ["eigen", "--config", cfg])
+        assert report["checks"] == alone["checks"]
+        assert report["ratio_table"] == alone["ratio_table"]
+
+    def test_repeated_subset_is_verified_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(M1_CONFIG, subsets=[[0], [0]]))
+        code, report = run_json(capsys, ["eigen", "--config", cfg])
+        assert code == 0 and report["warnings"] == []
+        assert {tuple(row["subset"]) for row in report["ratio_table"]} == {(0,)}
+        assert len(report["ratio_table"]) == 10
+
     def test_certificate_failure_is_a_skip_not_a_traceback(self, tmp_path, capsys,
                                                            monkeypatch):
         """An ArithmeticError in the certificate skips the subset, and the
@@ -533,3 +559,12 @@ class TestUnknownCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["solve", "--csv", "x.csv"], ["eigen", "--mu-grid", "8i"],
+                                      ["identities", "--mu-grid", "8i"]])
+    def test_fiber_flags_belong_to_fiber(self, capsys, argv):
+        """Only fiber reads --csv and --mu-grid, so only fiber takes them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

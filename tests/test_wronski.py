@@ -33,7 +33,6 @@ from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, go
 from ellbethe.wronski import (
     DEDUP_TOL,
     WR_RESIDUAL_GATE,
-    IncompleteFiberError,
     asymptotic_deviation,
     enumerate_fiber,
     estimate_mu_min,
@@ -74,10 +73,8 @@ def problem(m, mu, z=None):
 
 def fiber_outcome(prob):
     """(points, failures) of enumerate_fiber, complete or not."""
-    try:
-        return enumerate_fiber(prob).points, ()
-    except IncompleteFiberError as exc:
-        return exc.partial.points, exc.failed
+    report = enumerate_fiber(prob)
+    return report.points, report.failed
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,10 +158,10 @@ class TestEnumerateFiber:
         # seed-1 benchmark scan at mu = 2.5i: subset (0, 3, 4) converges onto
         # the point of (0, 1, 3), which used to vanish from the fiber silently
         prob = BetheProblem(3, MERGED_Z, 2.5j, CTX)
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(prob, subsets=[(0, 1, 3), (0, 3, 4)])
-        assert info.value.partial.count == 1
-        [(subset, why)] = info.value.failed
+        report = enumerate_fiber(prob, subsets=[(0, 1, 3), (0, 3, 4)])
+        assert not report.complete
+        assert report.count == 1
+        [(subset, why)] = report.failed
         assert subset == (0, 3, 4)
         assert "(0, 1, 3)" in why and why.endswith(" [stage dedup]")
 
@@ -172,8 +169,8 @@ class TestEnumerateFiber:
         """At mu = 2.2i three subsets merge: the array dedup keeps and fails
         the subsets a pairwise loop over cell-reduced sorted roots does."""
         prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(prob)
+        report = enumerate_fiber(prob)
+        assert not report.complete
 
         def key(point):
             return sorted((prob.cell.reduce(t)[0] for t in point.solution.t),
@@ -192,8 +189,8 @@ class TestEnumerateFiber:
             elif twin != subset:
                 merged.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
         assert len(merged) == 3
-        assert [p.subset_tag for p in info.value.partial.points] == [p.subset_tag for p in kept]
-        assert [f for f in info.value.failed if f[1].endswith("[stage dedup]")] == merged
+        assert [p.subset_tag for p in report.points] == [p.subset_tag for p in kept]
+        assert [f for f in report.failed if f[1].endswith("[stage dedup]")] == merged
 
     def test_partners_off_the_complement_warn_in_subset_order(self):
         """At mu = 2.2i two partners settle nearest sites other than their
@@ -201,12 +198,12 @@ class TestEnumerateFiber:
         report warns for each, in subset order, with the tag the solver
         read off the partner's roots."""
         prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(prob)
+        report = enumerate_fiber(prob)
+        assert not report.complete
         text = "subset %s pairs with %s, not its complement (below-threshold mu?)"
-        assert info.value.partial.warnings == (text % ((0, 1, 3), (2, 2, 5)),
-                                               text % ((1, 3, 5), (0, 1, 2)))
-        for point in info.value.partial.points:
+        assert report.warnings == (text % ((0, 1, 3), (2, 2, 5)),
+                                   text % ((1, 3, 5), (0, 1, 2)))
+        for point in report.points:
             assert point.partner_tag == nearest_site_tag(point.partner.t, prob)
 
     def test_translated_root_is_the_same_point(self, monkeypatch):
@@ -228,14 +225,12 @@ class TestEnumerateFiber:
             assert np.linalg.cond(bae_jacobian(point.solution.t, prob)) < 1e6
 
     def test_incomplete_fiber_reports_failures(self):
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(problem(2, 1.3j))
-        err = info.value
-        assert err.code == "incomplete_fiber"
-        assert err.partial.count == 0
-        assert len(err.failed) == 6
+        report = enumerate_fiber(problem(2, 1.3j))
+        assert not report.complete
+        assert report.count == 0
+        assert len(report.failed) == 6
         assert all(why.startswith("SeedTooCoarseError: seed displacement")
-                   for _, why in err.failed)
+                   for _, why in report.failed)
 
     def test_below_threshold_pairing_is_warning_not_error(self):
         # at 8i this fixture solves every subset and certifies every
@@ -321,13 +316,26 @@ class TestFiberPoint:
         bad = ThetaPoly(1.0, point.g.mu, moved, prob.ctx)
         assert wr_certificates([(point.f, bad)], prob)[0] > WR_RESIDUAL_GATE
 
+    def test_out_of_range_index_is_a_seed_failure(self):
+        """An index outside [0, n) fails its subset at stage seed, and the
+        enumeration records it with the others' points."""
+        prob = problem(2, 6j)
+        point, = fiber_points(prob, [(0, 9)])
+        assert isinstance(point, ValueError) and point.stage == "seed"
+        report = enumerate_fiber(prob, subsets=[(0, 1), (0, 9)])
+        assert not report.complete
+        assert [p.subset_tag for p in report.points] == [(0, 1)]
+        [(subset, why)] = report.failed
+        assert subset == (0, 9)
+        assert why == "ValueError: subset (0, 9) holds a site index outside [0, 4) [stage seed]"
+
     def test_failures_name_their_stage(self):
         point, = fiber_points(problem(2, 1.3j), [(0, 1)])
         assert isinstance(point, SeedTooCoarseError)
         assert point.stage == "seed"
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(problem(2, 1.3j))
-        assert all(why.endswith(" [stage seed]") for _, why in info.value.failed)
+        report = enumerate_fiber(problem(2, 1.3j))
+        assert not report.complete
+        assert all(why.endswith(" [stage seed]") for _, why in report.failed)
 
 
 class TestLockstep:
@@ -367,11 +375,11 @@ class TestLockstep:
         subsets = list(itertools.combinations(range(4), 2))
         for sides, stage in (((6j, -6j), "newton"), ((-6j,), "partner")):
             monkeypatch.setattr(bethe_module, "solve_bae_batch", failing(sides))
-            with pytest.raises(IncompleteFiberError) as info:
-                enumerate_fiber(prob)
+            report = enumerate_fiber(prob)
+            assert not report.complete
             # the batch holds the subsets' systems, then their partners'
             first = 0 if stage == "newton" else len(subsets)
-            assert info.value.failed == tuple(
+            assert report.failed == tuple(
                 (s, "CoalescedRootsError: system %d [stage %s]" % (first + k, stage))
                 for k, s in enumerate(subsets))
 
@@ -432,11 +440,11 @@ class TestLockstep:
             return place(cell, count, offset, avoid=avoid, margin=margin)
 
         monkeypatch.setattr(wronski_module, "golden_points", refuse)
-        with pytest.raises(IncompleteFiberError) as info:
-            enumerate_fiber(prob)
-        assert info.value.failed == ((skip.subset_tag, "ArithmeticError: could not place "
-                                      "the sample points [stage certificate]"),)
-        assert info.value.partial.points == report.points[:1] + report.points[2:]
+        partial = enumerate_fiber(prob)
+        assert not partial.complete
+        assert partial.failed == ((skip.subset_tag, "ArithmeticError: could not place "
+                                   "the sample points [stage certificate]"),)
+        assert partial.points == report.points[:1] + report.points[2:]
 
 
 class TestAsymptoticLaws:
