@@ -218,17 +218,19 @@ def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
 
     rho is odd and rho' even, so each unordered pair is evaluated once.
     A system's values do not depend on the others in the batch, and a
-    PoleError names the first offending difference in system order; a rho
-    or rho' that is not finite raises OverflowError."""
+    PoleError names the first offending difference in system order; a jet,
+    rho or rho' that is not finite raises OverflowError."""
     (count, m), n = t.shape, len(z)
     i, j = _pairs(m)
-    d = _theta_jets(np.concatenate([t[:, i] - t[:, j],
-                                    (t[:, :, None] - np.array(z)).reshape(count, m * n)], axis=1),
-                    ctx, 2, pole="rho")
+    # a Newton candidate far from the cell can pass the largest double in
+    # the jet's derivative rows: it fails here, not with a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = _theta_jets(np.concatenate([t[:, i] - t[:, j],
+                                        (t[:, :, None] - np.array(z)).reshape(count, m * n)],
+                                       axis=1), ctx, 2, pole="rho")
         r = d[1] / d[0]
         rp = d[2] / d[0] - r * r
-    if not (np.isfinite(r).all() and np.isfinite(rp).all()):
+    if not all(np.isfinite(v).all() for v in (d, r, rp)):
         raise OverflowError("rho or rho' is not finite")
     pair_r, pair_rp = np.zeros((2, count, m, m), dtype=complex)
     pair_r[:, i, j], pair_rp[:, i, j] = r[:, :len(i)], rp[:, :len(i)]

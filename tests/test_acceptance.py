@@ -65,7 +65,9 @@ def solve_subset(prob, subset):
 
 @functools.lru_cache(maxsize=None)
 def fiber(m, mu):
-    return enumerate_fiber(problem(m, mu))
+    report = enumerate_fiber(problem(m, mu))
+    assert not report.failed, report.failed
+    return report
 
 
 def cell_samples(ctx, count, seed, margin=0.05, avoid=()):

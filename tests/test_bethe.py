@@ -392,6 +392,17 @@ class TestFarIterates:
         assert not stalls.converged and math.isfinite(stalls.residual)
         assert all(cmath.isfinite(t) for t in stalls.t)
 
+    def test_overflowing_jet_raises_in_the_kernels(self):
+        """At t_0 = 0.3 + 15i theta is finite but its derivative rows pass
+        the largest double: the Bethe kernels raise OverflowError instead of
+        warning and returning inf, while t_0 = 0.3 + 12i stays finite."""
+        prob = problem4(6j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="not finite"):
+                bae_residual([0.3 + 15j, 0.2 + 0.3j], prob)
+            assert np.isfinite(bae_residual([0.3 + 12j, 0.2 + 0.3j], prob)).all()
+
 
 class TestMoves:
     def test_translate_preserves_residual(self):

@@ -79,7 +79,9 @@ def fiber_outcome(prob):
 
 @functools.lru_cache(maxsize=None)
 def fiber_report(m, mu):
-    return enumerate_fiber(problem(m, mu))
+    report = enumerate_fiber(problem(m, mu))
+    assert not report.failed, report.failed
+    return report
 
 
 def normal_form_distance(pa, pb):
@@ -151,7 +153,7 @@ class TestEnumerateFiber:
 
     def test_duplicate_seeds_dedup(self):
         rep = enumerate_fiber(problem(2, 6j), subsets=[(0, 1), (0, 1)])
-        assert rep.count == 1
+        assert rep.count == 1 and not rep.failed
         assert rep.points[0].subset_tag == (0, 1)
 
     def test_merged_subsets_are_a_dedup_failure(self):
@@ -217,7 +219,7 @@ class TestEnumerateFiber:
         points = [point, dataclasses.replace(point, solution=moved)]
         monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: points)
         rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (0, 2, 4)])
-        assert rep.count == 1
+        assert rep.count == 1 and not rep.failed
 
     def test_jacobian_condition(self):
         prob = problem(2, 6j)
@@ -385,7 +387,9 @@ class TestLockstep:
 
     def test_certificates_batch_matches_one_pair_at_a_time(self):
         prob = cell_problem(3, 10j)
-        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:4]]
+        report = enumerate_fiber(prob)
+        assert not report.failed
+        pairs = [(p.f, p.g) for p in report.points[:4]]
         moved = ThetaPoly(1.0, pairs[1][1].mu, (pairs[1][1].roots[0] + 1e-3,)
                           + pairs[1][1].roots[1:], prob.ctx)
         pairs.insert(2, (pairs[1][0], moved))
@@ -398,7 +402,9 @@ class TestLockstep:
         envelope overflows) gets the exception of its own certificate, and
         the other pairs keep their residuals."""
         prob = cell_problem(2, 14j)
-        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        report = enumerate_fiber(prob)
+        assert not report.failed
+        pairs = [(p.f, p.g) for p in report.points[:3]]
         huge = ThetaPoly(1.0, -1000j, pairs[1][1].roots, prob.ctx)
         pairs.insert(1, (pairs[1][0], huge))
         got = wr_certificates(pairs, prob)
@@ -431,6 +437,7 @@ class TestLockstep:
     def test_unplaceable_samples_fail_one_subset(self, monkeypatch):
         prob = cell_problem(2, 14j)
         report = enumerate_fiber(prob)
+        assert not report.failed
         skip = report.points[1]
         place = wronski_module.golden_points
 
