@@ -13,6 +13,10 @@ equations
 
     F_j(t) = 2 pi i mu + 2 sum_{k != j} rho(t_j - t_k) - sum_s rho(t_j - z_s) = 0.
 
+`solve_bae_batch` solves them from asymptotic seeds by a safeguarded Halley
+iteration (Newton's step where the cubic model is out of reach), many
+systems in lockstep, from one theta jet per round.
+
 Solutions are equivalent under t_j -> t_j + 1 and under the simultaneous move
 (t_j -> t_j + tau, mu -> mu - 2); `normalize_solution` reduces the roots into
 a fundamental cell while shifting mu accordingly.
@@ -34,6 +38,7 @@ import numpy as np
 from .elliptic import (
     Torus,
     _joined,
+    _log_derivs,
     _theta_jets,
     eta,
     lattice_distances,
@@ -210,50 +215,58 @@ def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
 
 
 def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
-    """rho and rho' of S systems with roots t, an (S, m) array: at the
-    m(m-1)/2 root pairs j < k as (S, m, m) arrays (pairs above the
-    diagonal) and at the m n root-site differences t_j - z_s as (S, m, n)
-    arrays, from one order-2 theta jet over the differences of all S
-    systems.
+    """rho, rho' and rho'' of S systems with roots t, an (S, m) array, from
+    one order-3 theta jet over the differences of all S systems: the three
+    at the m(m-1)/2 root pairs j < k, as (S, m, m) arrays (pairs above the
+    diagonal), then the three at the m n root-site differences t_j - z_s,
+    as (S, m, n) arrays, then the gap, per system the smallest modulus of
+    one of these differences (no lattice reduction).
 
-    rho is odd and rho' even, so each unordered pair is evaluated once.
-    A system's values do not depend on the others in the batch, and a
-    PoleError names the first offending difference in system order; a jet,
-    rho or rho' that is not finite raises OverflowError."""
+    rho and rho'' are odd and rho' even, so each unordered pair is
+    evaluated once; rows 0-2 of a jet do not depend on its order, so rho
+    and rho' have the bits of an order-2 jet.  A system's values do not
+    depend on the others in the batch, and a PoleError names the first
+    offending difference in system order; a jet, rho, rho' or rho'' that is
+    not finite raises OverflowError."""
     (count, m), n = t.shape, len(z)
     i, j = _pairs(m)
+    diff = np.concatenate([t[:, i] - t[:, j], (t[:, :, None] - np.array(z)).reshape(count, m * n)],
+                          axis=1)
     # a Newton candidate far from the cell can pass the largest double in
     # the jet's derivative rows: it fails here, not with a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = _theta_jets(np.concatenate([t[:, i] - t[:, j],
-                                        (t[:, :, None] - np.array(z)).reshape(count, m * n)],
-                                       axis=1), ctx, 2, pole="rho")
-        r = d[1] / d[0]
-        rp = d[2] / d[0] - r * r
-    if not all(np.isfinite(v).all() for v in (d, r, rp)):
-        raise OverflowError("rho or rho' is not finite")
-    pair_r, pair_rp = np.zeros((2, count, m, m), dtype=complex)
-    pair_r[:, i, j], pair_rp[:, i, j] = r[:, :len(i)], rp[:, :len(i)]
-    return (pair_r, pair_rp, r[:, len(i):].reshape(count, m, n),
-            rp[:, len(i):].reshape(count, m, n))
+        d = _theta_jets(diff, ctx, 3, pole="rho")
+        values = _log_derivs(d)
+    if not all(np.isfinite(v).all() for v in [d] + values):
+        raise OverflowError("rho, rho' or rho'' is not finite")
+    pairs = np.zeros((3, count, m, m), dtype=complex)
+    pairs[:, :, i, j] = [v[:, :len(i)] for v in values]
+    return (*pairs, *(v[:, len(i):].reshape(count, m, n) for v in values),
+            np.abs(diff).min(axis=1))
 
 
 def _residuals(kernels, drive: np.ndarray) -> np.ndarray:
     """The Bethe equation values F_j of each system in `kernels`, with
     drive[k] = 2 pi i mu_k, as an (S, m) array."""
-    pair_r, _, site_r, _ = kernels
+    pair_r, site_r = kernels[0], kernels[3]
     return drive[:, None] + 2.0 * (pair_r.sum(axis=2) - pair_r.sum(axis=1)) - site_r.sum(axis=2)
 
 
-def _jacobians(kernels) -> np.ndarray:
+def _jacobians(kernels, s: np.ndarray = None) -> np.ndarray:
     """dF_j/dt_l of each system in `kernels`, as an (S, m, m) array; mu
     does not enter.  rho' is even, so one evaluation serves both entries
-    of a root pair."""
-    _, pair_rp, _, site_rp = kernels
-    pairs = 2.0 * (pair_rp + pair_rp.transpose(0, 2, 1))
+    of a root pair.  With directions s, an (S, m) array, it is instead the
+    derivative of that Jacobian along s, sum_k d^2 F_j/dt_l dt_k s_k, from
+    rho'' (odd, so again one evaluation per pair)."""
+    if s is None:
+        pair, site = kernels[1], kernels[4].sum(axis=2)
+        pairs = 2.0 * (pair + pair.transpose(0, 2, 1))
+    else:
+        pair, site = kernels[2], kernels[5].sum(axis=2) * s
+        pairs = 2.0 * (pair - pair.transpose(0, 2, 1)) * (s[:, :, None] - s[:, None, :])
     diag = np.zeros_like(pairs)
     k = np.arange(pairs.shape[1])
-    diag[:, k, k] = pairs.sum(axis=2) - site_rp.sum(axis=2)
+    diag[:, k, k] = pairs.sum(axis=2) - site
     return diag - pairs
 
 
@@ -327,7 +340,7 @@ def _by_rows(fn, *rows) -> tuple:
 
 
 def _newton_steps(jacobians, residuals) -> tuple:
-    """The Newton step -J^{-1} F of each system, in one stacked solve."""
+    """The step -J^{-1} F of each system, in one stacked solve."""
     return (np.linalg.solve(jacobians, -residuals[..., None])[..., 0],)
 
 
@@ -337,25 +350,37 @@ def _newton_tol(mu: complex) -> float:
     return max(1e-12, 2e-14 * abs(TWOPI_I * mu))
 
 
+# a system takes the Halley step only while its Newton step is at most this
+# many times the gap of `_bethe_kernels` (its closest root-root or root-site
+# difference); farther out the cubic model is not to be trusted
+HALLEY_REACH = 2.0
+
+
 def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
-    """Damped Newton iteration for S Bethe systems that share sites and
-    torus, in lockstep.
+    """Safeguarded Halley iteration for S Bethe systems that share sites
+    and torus, in lockstep.
 
     System k solves the Bethe equations of problems[k] from seeds[k].
-    Each system keeps the sequence of a solve on its own: from the
-    current iterate it takes the Newton step and backtracks it by halves
-    (up to 20 times) until the residual satisfies an Armijo-type
-    decrease; it stops at the current iterate when no step length is
-    productive, and after max_iter accepted steps, and is converged when
-    its residual is below `_newton_tol` of its own mu.  A seed whose residual lands on a pole
-    raises PoleError once it needs a step.  Its counters record the
-    accepted steps (`iterations`) and the rejected step lengths
-    (`backtracks`).
+    Each system keeps the sequence of a solve on its own.  From the
+    current iterate it takes the Newton step s_N = -J^{-1} F and, where
+    max |s_N| <= HALLEY_REACH times the iterate's gap, the Halley step
+    s_H = -(J + T/2)^{-1} F, T the derivative of J along s_N (cubic
+    convergence, from the rho'' the same jet gives).  A rejected Halley
+    candidate is retried once as the full Newton step, which is then
+    backtracked by halves (up to 20 times) until the residual satisfies an
+    Armijo-type decrease; a system stops at the current iterate when no
+    step length is productive, and after max_iter accepted steps, and is
+    converged when its residual is below `_newton_tol` of its own mu.  A
+    seed whose residual lands on a pole raises PoleError once it needs a
+    step.  Its counters record the accepted steps (`iterations`) and the
+    rejected candidates (`backtracks`).
 
     Every round evaluates the pending candidate of each running system in
     one `_bethe_kernels` call and solves the Jacobians of the systems that
-    go on in one stacked `np.linalg.solve`; `_by_rows` gives each system
-    the bits, and the exception, of a solve on its own.
+    go on in one stacked `np.linalg.solve`, and the Halley systems of the
+    round in one more; `_by_rows` gives each system the bits, and the
+    exception, of a solve on its own.  A Halley system that is singular
+    takes its Newton step.
 
     Returns, per system, its BetheSolution or the exception its own solve
     raises: CoalescedRootsError if roots collide with each other or a site
@@ -375,7 +400,8 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     drive = np.array([TWOPI_I * mu for mu in mus])
     tol = np.array([_newton_tol(mu) for mu in mus])
     t = np.array([[complex(v) for v in seed] for seed in seeds])
-    step = np.zeros_like(t)
+    step, halley = np.zeros((2,) + t.shape, dtype=complex)
+    halley_next = np.zeros(count, dtype=bool)  # the pending candidate is the Halley step
     norm = np.full(count, math.inf)
     lam = np.ones(count)
     tries, iterations, backtracks = np.zeros((3, count), dtype=int)
@@ -399,10 +425,13 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
         else:
             accept = live & (cnorm <= (1.0 - 1e-4 * lam[running]) * norm[running])
             iterations[running[accept]] += 1
-        # rejected: halve the step length, and stop after 20 tries
+        # rejected: a Halley candidate is retried as the Newton step, a
+        # Newton one halves its length, and a system stops after 20 halvings
         back = running[live & ~accept]
-        lam[back] *= 0.5
-        tries[back] += 1
+        halve = back[~halley_next[back]]
+        halley_next[back] = False
+        lam[halve] *= 0.5
+        tries[halve] += 1
         backtracks[back] += 1
         retry = back[tries[back] < 20]
         # accepted: move, and go on unless converged or out of steps
@@ -417,15 +446,27 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
         on &= np.array([errors[pos] is None for pos in moved], dtype=bool)
         go, rows = idx[on], moved[on]
         if go.size:
-            steps, singular = _by_rows(_newton_steps,
-                                       _jacobians([a[rows] for a in kern]), cres[rows])
+            jac = _jacobians([a[rows] for a in kern])
+            steps, singular = _by_rows(_newton_steps, jac, cres[rows])
             step[go] = steps[0]
             for k, exc in zip(go, singular):
                 failed[k] = exc
-            go = go[[exc is None for exc in singular]]
-            lam[go], tries[go] = 1.0, 0
+            keep = np.array([exc is None for exc in singular], dtype=bool)
+            go, rows, jac = go[keep], rows[keep], jac[keep]
+            lam[go], tries[go], halley_next[go] = 1.0, 0, False
+            # kern[-1]: the gaps
+            near = np.abs(step[go]).max(axis=1) <= HALLEY_REACH * kern[-1][rows]
+            if near.any():
+                near_go, near_rows = go[near], rows[near]
+                slopes = _jacobians([a[near_rows] for a in kern], step[near_go])
+                (steps,), singular = _by_rows(_newton_steps, jac[near] + 0.5 * slopes,
+                                              cres[near_rows])
+                solved = np.array([exc is None for exc in singular], dtype=bool)
+                halley[near_go[solved]] = steps[solved]
+                halley_next[near_go[solved]] = True
         running = np.sort(np.concatenate([retry, go]))
-        cand[running] = t[running] + lam[running, None] * step[running]
+        cand[running] = t[running] + np.where(halley_next[running, None], halley[running],
+                                              lam[running, None] * step[running])
         first = False
     done = np.array([exc is None for exc in failed], dtype=bool)
     tags = [None] * count
@@ -438,8 +479,8 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
 
 
 def solve_bae(problem: BetheProblem, seed, *, max_iter: int = 50) -> BetheSolution:
-    """Damped Newton iteration for the Bethe equations: `solve_bae_batch`
-    on one system.
+    """Safeguarded Halley iteration for the Bethe equations:
+    `solve_bae_batch` on one system.
 
     Returns the last iterate, which is the best one, with converged=False
     if `_newton_tol` of mu is not reached within max_iter iterations,

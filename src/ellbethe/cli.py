@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -265,9 +266,48 @@ def _json_default(value):
     raise TypeError("%r is not JSON serializable" % (value,))
 
 
+def _json_text(value, pad, out):
+    """Append to `out` the text json.dumps(value, sort_keys=True, indent=2,
+    default=_json_default) gives value at the level whose newline and
+    indent are `pad`: json's checks in json's order, its string escaper,
+    float.__repr__, and NaN and +-Infinity as json writes them.  (json
+    encodes indented output with its pure-Python encoder, which this
+    writer outruns.)"""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else
+                   "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, tuple, dict)):
+        keyed = isinstance(value, dict)
+        if not value:
+            out.append("{}" if keyed else "[]")
+            return
+        inner = pad + "  "
+        out.append("{" if keyed else "[")
+        for i, item in enumerate(sorted(value.items()) if keyed else value):
+            out.append("," + inner if i else inner)
+            if keyed:
+                key, item = item
+                out.append(encode_basestring_ascii(key) + ": ")
+            _json_text(item, inner, out)
+        out.append(pad + ("}" if keyed else "]"))
+    else:
+        _json_text(_json_default(value), pad, out)
+
+
 def _render(report, as_json):
+    """The report as text: with as_json, the bytes of json.dumps(report,
+    sort_keys=True, indent=2, default=_json_default) and a newline, from
+    `_json_text`."""
     if as_json:
-        return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+        out = []
+        _json_text(report, "\n", out)
+        return "".join(out) + "\n"
     lines = ["%s | command %s | seed %d"
              % (report["schema"], report["command"], report["seed"])]
     for check in report["checks"]:

@@ -41,6 +41,7 @@ from .thetapoly import (
     SolveError,
     ThetaPoly,
     _wronskian_rows,
+    golden_candidates,
     golden_points,
     stacked_derivs,
 )
@@ -86,6 +87,30 @@ class FiberReport:
         return not self.failed and not self.warnings and self.count == self.expected
 
 
+def _sample_points(pairs, problem: BetheProblem) -> list:
+    """Per pair (f, g), all of one degree, its `golden_points(cell, count,
+    (0.5, 0.37))` clear by 1e-3 of the roots of f and g and of the sites,
+    as an array, or the ArithmeticError of their placement.
+
+    Every pair draws from the same candidate sequence, so its first block
+    is tested against every pair's avoided points in one array of lattice
+    distances; only a pair with a blocked candidate places its points
+    with a `golden_points` call of its own."""
+    count = max(8, 2 * problem.m + 2)
+    block = golden_candidates(problem.cell, (0.5, 0.37), np.arange(1, count + 1))
+    avoid = np.array([tuple(f.roots) + tuple(g.roots) + problem.z for f, g in pairs])
+    clear = (lattice_distances(block[:, None] - avoid[:, None, :], problem.ctx)
+             > 1e-3).all(axis=(1, 2))
+    out = []
+    for ok, row in zip(clear, avoid):
+        try:
+            out.append(block if ok else np.array(
+                golden_points(problem.cell, count, (0.5, 0.37), avoid=row, margin=1e-3)))
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
+
+
 def wr_certificates(pairs, problem: BetheProblem) -> list:
     """Relative sampling residual of Wr(f, g) against e^{-2 pi i mu x}
     prod_a theta(x - z_a) for every pair (f, g), all of one degree, at
@@ -98,22 +123,23 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     multipliers, so it has 2m zeros in the cell unless it vanishes; the
     first point fixes c and the other 2m + 1 (at least 7) force it to zero.
     Each pair keeps its own sample points, clear of its roots and the
-    sites.  Wr(f, g) at all of them comes from one theta batch over every
-    f and g, and the target from one more (`stacked_derivs`); a pair that
-    raises inside a batch is certified again on its own (`_by_rows`).
+    sites (`_sample_points`, one array pass for all pairs).  Wr(f, g) at
+    all of them comes from one theta batch over every f and g, and the
+    target from one more (`stacked_derivs`) over the distinct sample rows
+    only, which most pairs share; a pair that raises inside a batch is
+    certified again on its own (`_by_rows`).
     """
+    if not pairs:
+        return []
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
-    count = max(8, 2 * problem.m + 2)
     out = [None] * len(pairs)
     kept, xs = [], []
-    for k, (f, g) in enumerate(pairs):
-        avoid = tuple(f.roots) + tuple(g.roots) + tuple(problem.z)
-        try:
-            xs.append(golden_points(problem.cell, count, (0.5, 0.37), avoid=avoid, margin=1e-3))
-        except ArithmeticError as exc:
-            out[k] = exc
-            continue
-        kept.append(k)
+    for k, x in enumerate(_sample_points(pairs, problem)):
+        if isinstance(x, Exception):
+            out[k] = x
+        else:
+            kept.append(k)
+            xs.append(x)
 
     def certify(idx, x):
         if not len(idx):
@@ -122,7 +148,8 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
                            np.concatenate([x, x]), 1)
         df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
         a, = _wronskian_rows(df, dg)
-        b = stacked_derivs([target] * len(idx), x, 0)[0]
+        rows, inverse = np.unique(x, axis=0, return_inverse=True)
+        b = stacked_derivs([target] * len(rows), rows, 0)[0][inverse.ravel()]
         fit = a[:, :1] / b[:, :1] * b[:, 1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
         return (np.max(err, axis=1, initial=0.0),)
@@ -243,25 +270,36 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     `failed` with the exception and stage `fiber_points` gave it, or its
     dedup twin.
 
-    Each accepted point's `_root_key` is kept as a row of `keys`, and a new
-    point is compared with all earlier ones in one array of lattice
-    distances; the first twin in list order decides.
+    Each point's `_root_key` is row k of `keys`, k its subset's position.
+    One array of lattice distances between the keys' first roots finds the
+    pairs that can be twins, and only those are compared root by root; a
+    point's twin is the first accepted point in list order whose key is
+    within DEDUP_TOL of its own.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
     subsets = list(subsets)
+    results = fiber_points(problem, subsets)
+    found = [k for k, point in enumerate(results) if not isinstance(point, Exception)]
+    keys = np.zeros((len(results), problem.m), dtype=complex)
+    if found:
+        keys[found] = [_root_key(results[k].solution) for k in found]
+    # earlier[k, q]: q < k, and the first roots of their keys are within DEDUP_TOL
+    i, j = np.tril_indices(len(results), -1)
+    earlier = np.zeros((len(results),) * 2, dtype=bool)
+    earlier[i, j] = lattice_distances(keys[j, 0] - keys[i, 0], problem.ctx) < DEDUP_TOL
     failures = []
     points = []
-    keys = np.empty((0, problem.m), dtype=complex)
+    kept = set()
     warnings = []
-    for subset, point in zip(subsets, fiber_points(problem, subsets)):
+    for k, (subset, point) in enumerate(zip(subsets, results)):
         if isinstance(point, Exception):
             failures.append((subset, "%s: %s [stage %s]"
                              % (point.__class__.__name__, point, point.stage)))
             continue
-        key = _root_key(point.solution)
-        close = lattice_distances(keys - key, problem.ctx).max(axis=1) < DEDUP_TOL
-        twin = points[np.argmax(close)].subset_tag if close.any() else None
+        twin = next((results[q].subset_tag for q in np.flatnonzero(earlier[k]) if q in kept
+                     and lattice_distances(keys[q] - keys[k], problem.ctx).max() < DEDUP_TOL),
+                    None)
         if twin is not None:
             if twin != point.subset_tag:
                 failures.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
@@ -272,7 +310,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
                 "subset %s pairs with %s, not its complement (below-threshold mu?)"
                 % (subset, point.partner_tag))
         points.append(point)
-        keys = np.vstack([keys, key])
+        kept.add(k)
     pairing = tuple(sorted({tuple(sorted((p.subset_tag, p.partner_tag)))
                             for p in points}))
     return FiberReport(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+import ellbethe.bethe as bethe_module
 from ellbethe.elliptic import PoleError, Torus, rho, rho_prime
 from ellbethe.thetapoly import FundamentalParallelogram
 from ellbethe.bethe import (
@@ -281,8 +282,9 @@ class TestBatch:
     BAD = [(Z4[0], 0.3 + 0.2j),                  # on a site
            (0.3 + 0.2j, 0.3 + 0.2j + 1e-10),     # a coalesced pair
            (0.25 + 0.45j, 0.64 + 0.72j)]         # far from any solution
-    # per system: the exception class, or (converged, iterations, backtracks)
-    EXPECTED = {
+    # per system: the exception class, or (converged, iterations, backtracks);
+    # NEWTON under the `newton_step` fixture, HALLEY with the default step
+    NEWTON = {
         0: [(False, 0, 0), (False, 0, 0), "CoalescedRootsError", "CoalescedRootsError",
             (False, 0, 0), (False, 0, 0), (False, 0, 0)],
         1: [(False, 1, 0), (False, 1, 0), "PoleError", "PoleError",
@@ -290,9 +292,16 @@ class TestBatch:
         50: [(True, 4, 0), (True, 4, 0), "PoleError", "PoleError",
              (True, 10, 11), (True, 4, 0), (True, 4, 0)],
     }
+    HALLEY = {**NEWTON, 50: [(True, 2, 0), (True, 2, 0), "PoleError", "PoleError",
+                             (True, 6, 10), (True, 2, 0), (True, 2, 0)]}
 
-    @pytest.mark.parametrize("max_iter", [0, 1, 50])
-    def test_failing_systems_do_not_touch_their_neighbours(self, max_iter):
+    @pytest.mark.parametrize("max_iter, step", [
+        pytest.param(n, step, id=str(n) if step == "newton" else "%d-%s" % (n, step))
+        for step in ("newton", "halley") for n in (0, 1, 50)])
+    def test_failing_systems_do_not_touch_their_neighbours(self, max_iter, step, request):
+        if step == "newton":
+            request.getfixturevalue("newton_step")
+        expected = self.NEWTON if step == "newton" else self.HALLEY
         prob, mirror = problem4(), problem4(-10j)
         good = ([seed_asymptotic(prob, s) for s in ((0, 1), (0, 2), (1, 3))]
                 + [seed_asymptotic(mirror, (2, 3))])
@@ -302,7 +311,7 @@ class TestBatch:
         batch = solve_bae_batch(problems, seeds, max_iter=max_iter)
         kinds = [type(r).__name__ if isinstance(r, Exception)
                  else (r.converged, r.iterations, r.backtracks) for r in batch]
-        assert kinds == self.EXPECTED[max_iter]
+        assert kinds == expected[max_iter]
         for p, seed, got in zip(problems, seeds, batch):
             try:
                 want = solve_bae(p, seed, max_iter=max_iter)
@@ -373,6 +382,37 @@ class TestNewtonTarget:
         assert isinstance(got[1], SeedTooCoarseError) and got[1].stage == "seed"
         assert [repr(got[0]), repr(got[2])] == [repr(solve_subset(prob, s))
                                                 for s in ((0, 1), (2, 3))]
+
+
+class TestHalleyStep:
+    """The Halley step's gain, counted in lockstep rounds."""
+
+    # the sites of the m = 3 scan of fiber bench seed 7 (tau = i)
+    SCAN_Z = (0.5348222391162029 + 0.3350943363530908j,
+              0.29748691332983457 + 0.10260185333721672j,
+              0.46849630296380473 + 0.18120747606434928j,
+              0.7887673982252494 + 0.5618466244582009j,
+              0.5228314659592112 + 0.659214019596063j,
+              0.4042186689286956 + 0.9315503940783075j)
+
+    def test_stagnating_partner_converges(self, kernel_rounds):
+        """At -2.2i the partner seeded from (0, 1, 2) stalled under damped
+        Newton steps: 50 iterations, 150 backtracks and 201 rounds, holding
+        its whole batch that long, and unconverged at the end."""
+        prob = BetheProblem(3, self.SCAN_Z, -2.2j, CTX)
+        sol = solve_subset(prob, (0, 1, 2))
+        assert sol.converged and sol.residual < 1e-12
+        assert len(kernel_rounds) <= 5
+
+    def test_halley_is_taken_only_within_reach(self, monkeypatch):
+        """Far from a solution the Newton step leaves the safeguard's reach
+        and the iteration is Newton's: the far seed of TestBatch needs the
+        same first step either way."""
+        prob = problem4()
+        seed = TestBatch.BAD[2]
+        one = solve_bae(prob, seed, max_iter=1)
+        monkeypatch.setattr(bethe_module, "HALLEY_REACH", 0.0)
+        assert repr(solve_bae(prob, seed, max_iter=1)) == repr(one)
 
 
 class TestFarIterates:

@@ -181,6 +181,32 @@ class TestReportFormat:
         _, report = run_json(capsys, ["identities", "--timings"])
         assert report["timings"]["total_s"] > 0.0
 
+    @staticmethod
+    def dumps(report):
+        return json.dumps(report, sort_keys=True, indent=2, default=cli._json_default) + "\n"
+
+    def test_json_writer_gives_the_bytes_of_json_dumps(self, capsys, monkeypatch):
+        """Every command's default report, as `main` hands it over."""
+        render, reports = cli._render, []
+        monkeypatch.setattr(cli, "_render", lambda report, as_json: (
+            reports.append(report), render(report, as_json))[1])
+        for name in cli.COMMANDS:
+            main([name, "--json"])
+        assert [r["command"] for r in reports] == list(cli.COMMANDS)
+        outputs = capsys.readouterr().out
+        assert outputs == "".join(self.dumps(r) for r in reports)
+
+    def test_json_writer_on_edge_values(self):
+        """Non-finite floats, a negative zero, empty containers, a tuple,
+        numpy scalars, complex numbers and non-ASCII text."""
+        report = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": -0.0,
+                  "empty": [[], {}, ()], "tuple": (1, 2.5, "x"),
+                  "numpy": [np.float64(0.1), np.int64(7), np.float32(0.5), np.float64(math.nan)],
+                  "complex": [1 - 2j, np.complex128(3 + 0.5j)],
+                  "warnings": ["na\u00efve \u2603 \"quoted\"\n\t"],
+                  "nested": {"b": {"z": None, "a": True}, "a": False, "": {}}, "big": 10 ** 20}
+        assert cli._render(report, True) == self.dumps(report)
+
     def test_a_parse_leaves_nothing_for_the_next(self, capsys):
         """main reuses one parser: a flag given to one run is unset in the
         next run of the same process."""
@@ -453,10 +479,10 @@ class TestEigenCommand:
         assert code == 0
         assert len(theta_passes) <= 39
 
-    def test_merged_subsets_are_skipped_at_stage_dedup(self, tmp_path, capsys):
-        """Below the threshold three subsets land on other subsets' points;
-        eigen skips them as fiber does, and verifies what the other
-        subsets alone verify."""
+    def test_merged_subsets_are_skipped_at_stage_dedup(self, tmp_path, capsys, newton_step):
+        """Below the threshold, under Newton steps, three subsets land on
+        other subsets' points; eigen skips them as fiber does, and verifies
+        what the other subsets alone verify."""
         merged = {"m": 3, "z": [[v.real, v.imag] for v in MERGED_Z], "mu": [0.0, 2.2]}
         code, report = run_json(capsys, ["eigen", "--config", write_config(tmp_path, merged)])
         assert code == 0
@@ -482,10 +508,10 @@ class TestEigenCommand:
                                                            monkeypatch):
         """An ArithmeticError in the certificate skips the subset, and the
         warning names the class and the stage, as the fiber warnings do."""
-        def refuse(*args, **kwargs):
-            raise ArithmeticError("could not place the sample points")
+        def refuse(pairs, problem):
+            return [ArithmeticError("could not place the sample points") for _ in pairs]
 
-        monkeypatch.setattr(wronski, "golden_points", refuse)
+        monkeypatch.setattr(wronski, "_sample_points", refuse)
         cfg = write_config(tmp_path, M1_CONFIG)
         code, report = run_json(capsys, ["eigen", "--config", cfg])
         # no subset reached the checks

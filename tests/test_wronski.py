@@ -156,9 +156,10 @@ class TestEnumerateFiber:
         assert rep.count == 1 and not rep.failed
         assert rep.points[0].subset_tag == (0, 1)
 
-    def test_merged_subsets_are_a_dedup_failure(self):
-        # seed-1 benchmark scan at mu = 2.5i: subset (0, 3, 4) converges onto
-        # the point of (0, 1, 3), which used to vanish from the fiber silently
+    def test_merged_subsets_are_a_dedup_failure(self, newton_step):
+        # seed-1 benchmark scan at mu = 2.5i: under Newton steps subset
+        # (0, 3, 4) converges onto the point of (0, 1, 3), which used to
+        # vanish from the fiber silently
         prob = BetheProblem(3, MERGED_Z, 2.5j, CTX)
         report = enumerate_fiber(prob, subsets=[(0, 1, 3), (0, 3, 4)])
         assert not report.complete
@@ -167,9 +168,10 @@ class TestEnumerateFiber:
         assert subset == (0, 3, 4)
         assert "(0, 1, 3)" in why and why.endswith(" [stage dedup]")
 
-    def test_dedup_matches_pairwise_reference(self):
-        """At mu = 2.2i three subsets merge: the array dedup keeps and fails
-        the subsets a pairwise loop over cell-reduced sorted roots does."""
+    def test_dedup_matches_pairwise_reference(self, newton_step):
+        """At mu = 2.2i, under Newton steps, three subsets merge: the array
+        dedup keeps and fails the subsets a pairwise loop over cell-reduced
+        sorted roots does."""
         prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
         report = enumerate_fiber(prob)
         assert not report.complete
@@ -194,11 +196,11 @@ class TestEnumerateFiber:
         assert [p.subset_tag for p in report.points] == [p.subset_tag for p in kept]
         assert [f for f in report.failed if f[1].endswith("[stage dedup]")] == merged
 
-    def test_partners_off_the_complement_warn_in_subset_order(self):
-        """At mu = 2.2i two partners settle nearest sites other than their
-        seeds' complements (one of them nearest site 2 twice): the partial
-        report warns for each, in subset order, with the tag the solver
-        read off the partner's roots."""
+    def test_partners_off_the_complement_warn_in_subset_order(self, newton_step):
+        """At mu = 2.2i, under Newton steps, two partners settle nearest
+        sites other than their seeds' complements (one of them nearest site
+        2 twice): the partial report warns for each, in subset order, with
+        the tag the solver read off the partner's roots."""
         prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
         report = enumerate_fiber(prob)
         assert not report.complete
@@ -344,12 +346,14 @@ class TestLockstep:
     """`fiber_points` solves and certifies all subsets in one batch; the
     fiber must be the one a loop over single subsets finds, bit for bit."""
 
-    @pytest.mark.parametrize("prob, stages", [
-        (cell_problem(3, 10j), []),
-        (BetheProblem(3, MERGED_Z, 2.2j, CTX), ["certificate"] + ["dedup"] * 3),
-        (problem(2, 1.3j), ["seed"] * 6),
+    @pytest.mark.parametrize("prob, stages, newton", [
+        (cell_problem(3, 10j), [], False),
+        (BetheProblem(3, MERGED_Z, 2.2j, CTX), ["certificate"] + ["dedup"] * 3, True),
+        (problem(2, 1.3j), ["seed"] * 6, False),
     ], ids=["cell-m3", "merged-2.2i", "coarse-seeds"])
-    def test_batch_matches_one_subset_at_a_time(self, prob, stages, monkeypatch):
+    def test_batch_matches_one_subset_at_a_time(self, prob, stages, newton, monkeypatch, request):
+        if newton:
+            request.getfixturevalue("newton_step")
         points, failures = fiber_outcome(prob)
         one = wronski_module.fiber_points
         monkeypatch.setattr(wronski_module, "fiber_points",
@@ -359,6 +363,13 @@ class TestLockstep:
         assert failures == alone_failures
         # repr shows every float exactly, and the Newton counters too
         assert repr(points) == repr(alone_points)
+
+    def test_m4_fiber_takes_three_rounds(self, kernel_rounds):
+        """The 140 systems of the m = 4 fiber converge in 3 lockstep rounds
+        with Halley steps; damped Newton steps took 6."""
+        report = enumerate_fiber(cell_problem(4, 14j))
+        assert report.complete and report.count == 70
+        assert kernel_rounds == [140, 140, 140]
 
     def test_stage_precedence_in_a_batch(self, monkeypatch):
         """A subset whose solve at mu fails reports stage newton, whatever
@@ -439,19 +450,46 @@ class TestLockstep:
         report = enumerate_fiber(prob)
         assert not report.failed
         skip = report.points[1]
-        place = wronski_module.golden_points
+        place = wronski_module._sample_points
 
-        def refuse(cell, count, offset, avoid=(), margin=0.0):
-            if avoid[0] == skip.f.roots[0]:
-                raise ArithmeticError("could not place the sample points")
-            return place(cell, count, offset, avoid=avoid, margin=margin)
+        def refuse(pairs, problem):
+            return [ArithmeticError("could not place the sample points")
+                    if f.roots == skip.f.roots else x
+                    for (f, _), x in zip(pairs, place(pairs, problem))]
 
-        monkeypatch.setattr(wronski_module, "golden_points", refuse)
+        monkeypatch.setattr(wronski_module, "_sample_points", refuse)
         partial = enumerate_fiber(prob)
         assert not partial.complete
         assert partial.failed == ((skip.subset_tag, "ArithmeticError: could not place "
                                    "the sample points [stage certificate]"),)
         assert partial.points == report.points[:1] + report.points[2:]
+
+    def test_only_blocked_pairs_place_their_own_samples(self, monkeypatch):
+        """Every pair gets the points `golden_points` places for it alone.
+        A pair with a root on the first candidate is the only one that
+        calls `golden_points`, and its failure to place stays its own."""
+        prob = cell_problem(2, 14j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        first = golden_points(prob.cell, 1, (0.5, 0.37))[0]
+        f, g = pairs[1]
+        pairs.insert(1, (f, ThetaPoly(1.0, g.mu, (first,) + g.roots[1:], prob.ctx)))
+        got = wronski_module._sample_points(pairs, prob)
+        assert got[1].tolist() != got[0].tolist() == got[2].tolist()
+        for (f, g), x in zip(pairs, got):
+            assert x.tolist() == golden_points(prob.cell, 8, (0.5, 0.37),
+                                               avoid=f.roots + g.roots + prob.z, margin=1e-3)
+        calls = []
+
+        def refuse(cell, count, offset, avoid=(), margin=0.0):
+            calls.append(tuple(avoid))
+            raise ArithmeticError("could not place the sample points")
+
+        monkeypatch.setattr(wronski_module, "golden_points", refuse)
+        placed = wronski_module._sample_points(pairs, prob)
+        assert calls == [pairs[1][0].roots + pairs[1][1].roots + prob.z]
+        assert isinstance(placed[1], ArithmeticError)
+        assert [x.tolist() for x in placed[:1] + placed[2:]] == [
+            x.tolist() for x in got[:1] + got[2:]]
 
 
 class TestAsymptoticLaws:
