@@ -252,22 +252,30 @@ def _residuals(kernels, drive: np.ndarray) -> np.ndarray:
     return drive[:, None] + 2.0 * (pair_r.sum(axis=2) - pair_r.sum(axis=1)) - site_r.sum(axis=2)
 
 
-def _jacobians(kernels, s: np.ndarray = None) -> np.ndarray:
-    """dF_j/dt_l of each system in `kernels`, as an (S, m, m) array; mu
-    does not enter.  rho' is even, so one evaluation serves both entries
-    of a root pair.  With directions s, an (S, m) array, it is instead the
-    derivative of that Jacobian along s, sum_k d^2 F_j/dt_l dt_k s_k, from
-    rho'' (odd, so again one evaluation per pair)."""
-    if s is None:
-        pair, site = kernels[1], kernels[4].sum(axis=2)
-        pairs = 2.0 * (pair + pair.transpose(0, 2, 1))
-    else:
-        pair, site = kernels[2], kernels[5].sum(axis=2) * s
-        pairs = 2.0 * (pair - pair.transpose(0, 2, 1)) * (s[:, :, None] - s[:, None, :])
+def _assembled(pairs: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """The (S, m, m) matrices with off-diagonal entries -pairs[:, j, l] and
+    diagonal entries sum_l pairs[:, j, l] - site[:, j]."""
     diag = np.zeros_like(pairs)
     k = np.arange(pairs.shape[1])
     diag[:, k, k] = pairs.sum(axis=2) - site
     return diag - pairs
+
+
+def _jacobians(kernels) -> np.ndarray:
+    """dF_j/dt_l of each system in `kernels`, as an (S, m, m) array; mu
+    does not enter.  rho' is even, so one evaluation serves both entries
+    of a root pair."""
+    pair = kernels[1]
+    return _assembled(2.0 * (pair + pair.transpose(0, 2, 1)), kernels[4].sum(axis=2))
+
+
+def _jacobian_slopes(kernels, s: np.ndarray) -> np.ndarray:
+    """The derivative of each system's Jacobian along its row of the (S, m)
+    directions s, sum_k d^2 F_j/dt_l dt_k s_k, as an (S, m, m) array; from
+    rho'' (odd, so again one evaluation per pair)."""
+    pair = kernels[2]
+    return _assembled(2.0 * (pair - pair.transpose(0, 2, 1)) * (s[:, :, None] - s[:, None, :]),
+                      kernels[5].sum(axis=2) * s)
 
 
 def _one_system(t, problem: BetheProblem) -> tuple:
@@ -458,7 +466,7 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
             near = np.abs(step[go]).max(axis=1) <= HALLEY_REACH * kern[-1][rows]
             if near.any():
                 near_go, near_rows = go[near], rows[near]
-                slopes = _jacobians([a[near_rows] for a in kern], step[near_go])
+                slopes = _jacobian_slopes([a[near_rows] for a in kern], step[near_go])
                 (steps,), singular = _by_rows(_newton_steps, jac[near] + 0.5 * slopes,
                                               cres[near_rows])
                 solved = np.array([exc is None for exc in singular], dtype=bool)

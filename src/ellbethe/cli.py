@@ -272,7 +272,9 @@ def _json_text(value, pad, out):
     indent are `pad`: json's checks in json's order, its string escaper,
     float.__repr__, and NaN and +-Infinity as json writes them.  (json
     encodes indented output with its pure-Python encoder, which this
-    writer outruns.)"""
+    writer outruns.)  It takes what the commands build, acyclic trees
+    with str keys: a non-str key raises TypeError, where json converts
+    int, float, bool and None keys, and a cycle RecursionError."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or value is True or value is False:

@@ -96,9 +96,6 @@ class Torus:
     _theta1_norm: complex = field(init=False, repr=False, compare=False)
     _dlog_theta1_norm: complex = field(init=False, repr=False, compare=False)
     _columns: tuple = field(init=False, repr=False, compare=False)
-    # no modular move (c = 0, j = 1): tau' = tau + b, and a point reduced on
-    # the tau lattice is reduced on the tau' lattice too
-    _unmoved: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
@@ -133,7 +130,7 @@ class Torus:
                 ("_j", j), ("_norm", norm), ("_dlog_norm", dlog_norm),
                 ("_theta1_norm", cmath.exp(0.25j * math.pi * (eighths % 8 + t)) * scale * norm),
                 ("_dlog_theta1_norm", dlog_norm + 0.25j * math.pi / (j * j) - 1.5 * c / j),
-                ("_columns", (n, a, phase, loga)), ("_unmoved", c == 0 and j == 1)):
+                ("_columns", (n, a, phase, loga))):
             object.__setattr__(self, name, value)
 
     @property
@@ -205,8 +202,9 @@ def lattice_distances(xs, ctx: Torus) -> np.ndarray:
     the nearest lattice point to a reduced argument is one of its 3x3
     neighbours, so the search is exact however skewed tau is.  At most
     _CHUNK points go through one pass, as in the theta jets, so a large
-    (pairwise) array keeps its 3x3 temporaries small; a point's distance
-    does not depend on the pass it is in.
+    array (the dedup's pairs of first roots, the certificate samples
+    against every pair's roots) keeps its 3x3 temporaries small; a
+    point's distance does not depend on the pass it is in.
     """
     j, tau_r = ctx._j, ctx.tau_reduced
     xs = np.asarray(xs, dtype=complex)
@@ -226,8 +224,7 @@ def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False
 
     The only theta evaluator.  x = x0 + k0 + l0 tau is reduced on the tau
     lattice first (so the zero in reach sits at x0 = 0, subtracted exactly),
-    then with j = c tau + d and x0/j = u0 + k + l tau' (u0 = x0 and k = l =
-    0 when tau needed no modular move, c = 0 and j = 1),
+    then with j = c tau + d and x0/j = u0 + k + l tau',
 
         theta(x, tau) = j (-1)^{k0+l0+k+l} e^{P(x)} S(u0) / S'(0),
         P = -pi i (l0^2 tau + 2 l0 x0 + c x0^2/j + l^2 tau' + 2 l u0),
@@ -259,11 +256,8 @@ def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False
     xs = np.asarray(xs, dtype=complex).ravel()
     c, j, tau, tau_r = ctx.cd[0], ctx._j, ctx.tau, ctx.tau_reduced
     x0, k0, l0 = _splits(xs, tau)
-    if ctx._unmoved:
-        u0, k, l = x0, 0.0, 0.0
-    else:
-        # x0/j lies within a few cells of the origin
-        u0, k, l = _reduce(x0 / j, tau_r)
+    # x0/j lies within a few cells of the origin
+    u0, k, l = _reduce(x0 / j, tau_r)
     if pole is not None:
         near = np.abs(j * u0) < ctx.tol_pole
         if near.any():

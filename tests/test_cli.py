@@ -15,7 +15,7 @@ import pytest
 from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
-from ellbethe.thetapoly import FundamentalParallelogram
+from ellbethe.thetapoly import FundamentalParallelogram, golden_points
 from test_wronski import MERGED_Z
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
@@ -508,11 +508,14 @@ class TestEigenCommand:
                                                            monkeypatch):
         """An ArithmeticError in the certificate skips the subset, and the
         warning names the class and the stage, as the fiber warnings do."""
-        def refuse(pairs, problem):
-            return [ArithmeticError("could not place the sample points") for _ in pairs]
+        def refuse(*args, **kwargs):
+            raise ArithmeticError("could not place the sample points")
 
-        monkeypatch.setattr(wronski, "_sample_points", refuse)
-        cfg = write_config(tmp_path, M1_CONFIG)
+        # a site on the first golden candidate, so that every pair places
+        # its sample points with a `golden_points` call of its own
+        first = golden_points(FundamentalParallelogram(0.0, Torus(1j)), 1, (0.5, 0.37))[0]
+        monkeypatch.setattr(wronski, "golden_points", refuse)
+        cfg = write_config(tmp_path, dict(M1_CONFIG, z=[[0.13, 0.0], [first.real, first.imag]]))
         code, report = run_json(capsys, ["eigen", "--config", cfg])
         # no subset reached the checks
         assert code == 1

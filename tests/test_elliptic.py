@@ -4,7 +4,6 @@ Reference values are frozen from the 50-digit oracle (see oracles.py); the
 identity and quasi-periodicity checks are self-contained.
 """
 
-import copy
 import math
 import re
 
@@ -558,26 +557,6 @@ class TestThetaJets:
                 assert np.array_equal(jet, _theta_jets(complex(x), ctx, order))
                 for r in range(order + 1):
                     assert relerr(jet[r], ref[r]) < 1e-12
-
-    @pytest.mark.parametrize("tau", [1j, 2j, 0.7 + 1.1j])
-    def test_unmoved_torus_skips_the_second_reduction(self, tau):
-        """Where tau needed no modular move (only T-shifts, here to i, 2i
-        and -0.3 + 1.1i) the jets skip the reduction on the tau' lattice:
-        the bits of the general path, at orders 0-4 and d/dtau, on about
-        2,000 points over several cells, zeros and cell edges included."""
-        ctx = Torus(tau)
-        assert ctx._unmoved and ctx.cd == (0, 1)
-        general = copy.copy(ctx)
-        object.__setattr__(general, "_unmoved", False)
-        rng = np.random.default_rng(6)
-        xs = np.concatenate([rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000) * tau.imag,
-                             [0.0, complex(-0.0, 0.0), complex(-0.0, -0.0), 0.5, -0.5,
-                              0.5j * tau.imag, 1.0, tau, 1.0 + tau, complex(-0.0, 0.3)]])
-        for order in range(5):
-            for dtau in (False, True):
-                got = _theta_jets(xs, ctx, order, dtau=dtau)
-                assert got.tobytes() == _theta_jets(xs, general, order, dtau=dtau).tobytes()
-        assert not Torus(0.03j)._unmoved and not Torus(0.3 + 0.8j)._unmoved
 
     def test_large_batches_keep_the_bits_and_the_guard_order(self):
         """A batch longer than one series pass gives every point the bits of

@@ -446,18 +446,22 @@ class TestLockstep:
         assert kept.wr_residual == clean[1]
 
     def test_unplaceable_samples_fail_one_subset(self, monkeypatch):
-        prob = cell_problem(2, 14j)
+        # a site on the first golden candidate: every pair places its
+        # sample points with a `golden_points` call of its own
+        cell = cell_problem(2, 14j).cell
+        first = golden_points(cell, 1, (0.5, 0.37))[0]
+        prob = BetheProblem(2, cell_problem(2, 14j).z[:3] + (first,), 14j, cell.ctx)
         report = enumerate_fiber(prob)
         assert not report.failed
         skip = report.points[1]
-        place = wronski_module._sample_points
+        place = wronski_module.golden_points
 
-        def refuse(pairs, problem):
-            return [ArithmeticError("could not place the sample points")
-                    if f.roots == skip.f.roots else x
-                    for (f, _), x in zip(pairs, place(pairs, problem))]
+        def refuse(cell, count, offset, avoid=(), margin=0.0):
+            if avoid[0] == skip.f.roots[0]:
+                raise ArithmeticError("could not place the sample points")
+            return place(cell, count, offset, avoid=avoid, margin=margin)
 
-        monkeypatch.setattr(wronski_module, "_sample_points", refuse)
+        monkeypatch.setattr(wronski_module, "golden_points", refuse)
         partial = enumerate_fiber(prob)
         assert not partial.complete
         assert partial.failed == ((skip.subset_tag, "ArithmeticError: could not place "
