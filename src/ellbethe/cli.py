@@ -176,8 +176,9 @@ class ExperimentConfig:
                               % (", ".join(unknown),
                                  ", ".join(sorted(DEFAULT_TOLERANCES))))
         for name, value in tolerances.items():
-            if not _is_number(value):
-                raise ConfigError("tolerance %r must be a number, got %r" % (name, value))
+            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+                raise ConfigError("tolerance %r must be a number, finite and >= 0, got %r"
+                                  % (name, value))
         tolerances = {k: float(v) for k, v in tolerances.items()}
 
         seed = merged["seed"]
@@ -599,8 +600,12 @@ def main(argv=None) -> int:
     if args.timings:
         report["timings"] = {"total_s": time.perf_counter() - started}
     if getattr(args, "csv", None):
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(_fiber_csv(report["fiber"]))
+        try:
+            with open(args.csv, "w", encoding="utf-8") as handle:
+                handle.write(_fiber_csv(report["fiber"]))
+        except OSError as exc:
+            print("config error: cannot write CSV: %s" % exc, file=sys.stderr)
+            return 2
     sys.stdout.write(_render(report, args.json))
     failed = any(c["status"] == "fail" for c in report["checks"])
     if failed:

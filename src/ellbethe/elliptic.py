@@ -202,8 +202,8 @@ def lattice_distances(xs, ctx: Torus) -> np.ndarray:
     the nearest lattice point to a reduced argument is one of its 3x3
     neighbours, so the search is exact however skewed tau is.  At most
     _CHUNK points go through one pass, as in the theta jets, so a large
-    array (the dedup's pairs of first roots, the certificate samples
-    against every pair's roots) keeps its 3x3 temporaries small; a
+    array (the dedup's key against key, root by root) keeps its 3x3
+    temporaries small; a
     point's distance does not depend on the pass it is in.
     """
     j, tau_r = ctx._j, ctx.tau_reduced

@@ -164,13 +164,6 @@ class FundamentalParallelogram:
 GOLDEN = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
 
 
-def golden_candidates(cell: FundamentalParallelogram, offset, ks) -> np.ndarray:
-    """The candidates base + a_k + b_k tau of `golden_points` at the
-    indices ks, (a_k, b_k) = offset + k GOLDEN mod 1."""
-    return (cell.base + (offset[0] + ks * GOLDEN[0]) % 1.0
-            + ((offset[1] + ks * GOLDEN[1]) % 1.0) * cell.ctx.tau)
-
-
 def golden_points(cell: FundamentalParallelogram, count: int, offset, skip: int = 0,
                   avoid=(), margin: float = 0.0) -> list[complex]:
     """Deterministic low-discrepancy points inside the cell.
@@ -190,7 +183,8 @@ def golden_points(cell: FundamentalParallelogram, count: int, offset, skip: int 
             raise ArithmeticError("could not place %d sample points clear of %d "
                                   "avoided orbits" % (count, len(avoid)))
         ks = np.arange(k + 1, min(k + count, last) + 1)
-        xs = golden_candidates(cell, offset, ks)
+        xs = (cell.base + (offset[0] + ks * GOLDEN[0]) % 1.0
+              + ((offset[1] + ks * GOLDEN[1]) % 1.0) * cell.ctx.tau)
         clear = (lattice_distances(xs[:, None] - avoid, cell.ctx) > margin).all(axis=1)
         out.extend(complex(x) for x in xs[clear])
         k = int(ks[-1])

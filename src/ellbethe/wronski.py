@@ -9,7 +9,9 @@ seed of each m-element site subset, and the partner (-mu, s) by solving
 them again at -mu from the seed of the complementary subset; all subsets of
 an enumeration and their complements are seeded and solved in one lockstep
 Newton batch (`bethe.solve_subsets`, called by `fiber_points`).
-A pair is accepted only if Wr(f, g) passes `wr_certificates`.  For
+A pair is accepted only if Wr(f, g) passes `wr_certificates` on one row
+of samples clear of the sites: Wr(f, g) - c h has 2m zeros in the cell
+unless it vanishes, wherever the roots of f and g lie.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
@@ -41,7 +43,6 @@ from .thetapoly import (
     SolveError,
     ThetaPoly,
     _wronskian_rows,
-    golden_candidates,
     golden_points,
     stacked_derivs,
 )
@@ -87,78 +88,45 @@ class FiberReport:
         return not self.failed and not self.warnings and self.count == self.expected
 
 
-def _sample_points(pairs, problem: BetheProblem) -> list:
-    """Per pair (f, g), all of one degree, its `golden_points(cell, count,
-    (0.5, 0.37))` clear by 1e-3 of the roots of f and g and of the sites,
-    as an array, or the ArithmeticError of their placement.
-
-    Every pair draws from the same candidate sequence, so its first block
-    is tested against every pair's avoided points in one array of lattice
-    distances; only a pair with a blocked candidate places its points
-    with a `golden_points` call of its own."""
-    count = max(8, 2 * problem.m + 2)
-    block = golden_candidates(problem.cell, (0.5, 0.37), np.arange(1, count + 1))
-    avoid = np.array([tuple(f.roots) + tuple(g.roots) + problem.z for f, g in pairs])
-    clear = (lattice_distances(block[:, None] - avoid[:, None, :], problem.ctx)
-             > 1e-3).all(axis=(1, 2))
-    out = []
-    for ok, row in zip(clear, avoid):
-        try:
-            out.append(block if ok else np.array(
-                golden_points(problem.cell, count, (0.5, 0.37), avoid=row, margin=1e-3)))
-        except ArithmeticError as exc:
-            out.append(exc)
-    return out
-
-
 def wr_certificates(pairs, problem: BetheProblem) -> list:
-    """Relative sampling residual of Wr(f, g) against e^{-2 pi i mu x}
-    prod_a theta(x - z_a) for every pair (f, g), all of one degree, at
-    once: per pair its residual, or the ArithmeticError its own certificate
-    raises.  The residual is pointwise-relative, so the mu-envelope
-    spanning many decades across the cell does not mask errors, and a NaN
-    at any sample makes it NaN.
+    """Relative sampling residual of Wr(f, g) against the target
+    h = e^{-2 pi i mu x} prod_a theta(x - z_a) for every pair (f, g), all
+    of one degree, at once: per pair its residual, or the ArithmeticError
+    its certificate raises.  The residual is pointwise-relative, so the
+    mu-envelope spanning many decades across the cell does not mask errors,
+    and a NaN at any sample makes it NaN.
 
-    Wr(f, g) - c * target is a degree-2m theta-polynomial with the target's
-    multipliers, so it has 2m zeros in the cell unless it vanishes; the
-    first point fixes c and the other 2m + 1 (at least 7) force it to zero.
-    Each pair keeps its own sample points, clear of its roots and the
-    sites (`_sample_points`, one array pass for all pairs).  Wr(f, g) at
-    all of them comes from one theta batch over every f and g, and the
-    target from one more (`stacked_derivs`) over the distinct sample rows
-    only, which most pairs share; a pair that raises inside a batch is
-    certified again on its own (`_by_rows`).
+    Wr(f, g) - c h is a degree-2m theta-polynomial with h's multipliers, so
+    it has 2m zeros in the cell unless it vanishes; the first sample fixes
+    c and the other 2m + 1 (at least 7) force it to zero.  Only h(x_0) is
+    divided by, so the samples avoid the sites alone, never the roots of f
+    and g: one row, placed once per call, serves every pair, and its
+    placement error is every pair's.  h is evaluated once on it, Wr(f, g)
+    in one theta batch over every f and g; a pair that raises inside the
+    batch is certified again on its own (`_by_rows`).
     """
     if not pairs:
         return []
     target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
-    out = [None] * len(pairs)
-    kept, xs = [], []
-    for k, x in enumerate(_sample_points(pairs, problem)):
-        if isinstance(x, Exception):
-            out[k] = x
-        else:
-            kept.append(k)
-            xs.append(x)
+    try:
+        x = np.array(golden_points(problem.cell, max(8, 2 * problem.m + 2), (0.5, 0.37),
+                                   avoid=problem.z, margin=1e-3))
+        b = target.eval(x)
+    except (ArithmeticError, ValueError) as exc:
+        return [exc] * len(pairs)
 
-    def certify(idx, x):
+    def certify(idx):
         if not len(idx):
             return (np.zeros(0),)
         d = stacked_derivs([pairs[k][0] for k in idx] + [pairs[k][1] for k in idx],
-                           np.concatenate([x, x]), 1)
-        df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
-        a, = _wronskian_rows(df, dg)
-        rows, inverse = np.unique(x, axis=0, return_inverse=True)
-        b = stacked_derivs([target] * len(rows), rows, 0)[0][inverse.ravel()]
-        fit = a[:, :1] / b[:, :1] * b[:, 1:]
+                           np.broadcast_to(x, (2 * len(idx), len(x))), 1)
+        a, = _wronskian_rows([v[:len(idx)] for v in d], [v[len(idx):] for v in d])
+        fit = a[:, :1] / b[:1] * b[1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
         return (np.max(err, axis=1, initial=0.0),)
 
-    if kept:
-        (residuals,), errors = _by_rows(certify, np.array(kept), np.array(xs))
-        for k, residual, exc in zip(kept, residuals, errors):
-            out[k] = float(residual) if exc is None else exc
-    return out
+    (residuals,), errors = _by_rows(certify, np.arange(len(pairs)))
+    return [float(r) if exc is None else exc for r, exc in zip(residuals, errors)]
 
 
 def _root_key(sol: BetheSolution) -> np.ndarray:
@@ -270,11 +238,11 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     `failed` with the exception and stage `fiber_points` gave it, or its
     dedup twin.
 
-    Each point's `_root_key` is row k of `keys`, k its subset's position.
-    One array of lattice distances between the keys' first roots finds the
-    pairs that can be twins, and only those are compared root by root; a
-    point's twin is the first accepted point in list order whose key is
-    within DEDUP_TOL of its own.
+    Each point's `_root_key` is row k of `keys`, k its subset's position,
+    and one array of lattice distances compares every key with every
+    other, root by root: `same[k, q]` when keys k and q are within
+    DEDUP_TOL.  A point's twin is the first accepted point q in list order
+    with `same[k, q]`.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
@@ -284,22 +252,17 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     keys = np.zeros((len(results), problem.m), dtype=complex)
     if found:
         keys[found] = [_root_key(results[k].solution) for k in found]
-    # earlier[k, q]: q < k, and the first roots of their keys are within DEDUP_TOL
-    i, j = np.tril_indices(len(results), -1)
-    earlier = np.zeros((len(results),) * 2, dtype=bool)
-    earlier[i, j] = lattice_distances(keys[j, 0] - keys[i, 0], problem.ctx) < DEDUP_TOL
+    same = lattice_distances(keys[None] - keys[:, None], problem.ctx).max(axis=2) < DEDUP_TOL
     failures = []
     points = []
-    kept = set()
+    kept = np.zeros(len(results), dtype=bool)
     warnings = []
     for k, (subset, point) in enumerate(zip(subsets, results)):
         if isinstance(point, Exception):
             failures.append((subset, "%s: %s [stage %s]"
                              % (point.__class__.__name__, point, point.stage)))
             continue
-        twin = next((results[q].subset_tag for q in np.flatnonzero(earlier[k]) if q in kept
-                     and lattice_distances(keys[q] - keys[k], problem.ctx).max() < DEDUP_TOL),
-                    None)
+        twin = next((results[q].subset_tag for q in np.flatnonzero(same[k] & kept)), None)
         if twin is not None:
             if twin != point.subset_tag:
                 failures.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
@@ -310,7 +273,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
                 "subset %s pairs with %s, not its complement (below-threshold mu?)"
                 % (subset, point.partner_tag))
         points.append(point)
-        kept.add(k)
+        kept[k] = True
     pairing = tuple(sorted({tuple(sorted((p.subset_tag, p.partner_tag)))
                             for p in points}))
     return FiberReport(

@@ -15,7 +15,7 @@ import pytest
 from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
-from ellbethe.thetapoly import FundamentalParallelogram, golden_points
+from ellbethe.thetapoly import FundamentalParallelogram
 from test_wronski import MERGED_Z
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
@@ -125,6 +125,12 @@ class TestConfigValidation:
         ("eigen", {"seed": True}, [], "seed must be a non-negative integer"),
         ("identities", {}, ["--seed", "-1"], "seed must be a non-negative integer"),
         ("eigen", {}, ["--seed", "-1"], "seed must be a non-negative integer"),
+        ("fiber", {"tolerances": {"fiber_count": math.inf}}, [],
+         "tolerance 'fiber_count' must be a number, finite and >= 0"),
+        ("solve", {"tolerances": {"bae_residual": math.nan}}, [],
+         "tolerance 'bae_residual' must be a number, finite and >= 0"),
+        ("identities", {"tolerances": {"heat_equation": -1}}, [],
+         "tolerance 'heat_equation' must be a number, finite and >= 0"),
     ])
     def test_rejects_non_finite_boolean_and_negative_values(self, tmp_path, capsys, command,
                                                             payload, argv, text):
@@ -396,6 +402,16 @@ class TestFiberCommand:
         assert lines[0] == "abs_mu,count"
         assert lines[1:] == ["8,6", "6,6", "4,6", "2,6"]
 
+    def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys):
+        """A CSV path in a missing directory exits 2 with one line, not 1
+        (a failed check) with a traceback."""
+        csv_path = tmp_path / "missing" / "scan.csv"
+        assert main(["fiber", "--mu-grid", "8i", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write CSV: ")
+        assert captured.err.count("\n") == 1
+
     def test_grid_scan_reports_threshold_crossing(self, tmp_path, capsys):
         code, report = run_json(capsys, ["fiber", "--mu-grid", "6i,1.3i"])
         assert code == 0
@@ -511,11 +527,10 @@ class TestEigenCommand:
         def refuse(*args, **kwargs):
             raise ArithmeticError("could not place the sample points")
 
-        # a site on the first golden candidate, so that every pair places
-        # its sample points with a `golden_points` call of its own
-        first = golden_points(FundamentalParallelogram(0.0, Torus(1j)), 1, (0.5, 0.37))[0]
+        # the one sample row of each certificate call is refused, so every
+        # subset fails its certificate
         monkeypatch.setattr(wronski, "golden_points", refuse)
-        cfg = write_config(tmp_path, dict(M1_CONFIG, z=[[0.13, 0.0], [first.real, first.imag]]))
+        cfg = write_config(tmp_path, M1_CONFIG)
         code, report = run_json(capsys, ["eigen", "--config", cfg])
         # no subset reached the checks
         assert code == 1

@@ -71,6 +71,17 @@ def problem(m, mu, z=None):
     return BetheProblem(m, z, mu, CTX)
 
 
+def pointwise_residual(f, g, prob, xs):
+    """The certificate's rule one point at a time: Wr(f, g) at xs[0] over
+    the target there fixes the ratio, and the worst relative deviation of
+    Wr(f, g) from ratio * target at the other points is the residual."""
+    target = ThetaPoly(1.0, -prob.mu, prob.z, prob.ctx)
+    wr = wronskian(f, g)
+    ratio = wr.eval(xs[0]) / target.eval(xs[0])
+    return max(abs(wr.eval(x) - ratio * target.eval(x))
+               / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
+
+
 def fiber_outcome(prob):
     """(points, failures) of enumerate_fiber, complete or not."""
     report = enumerate_fiber(prob)
@@ -223,6 +234,29 @@ class TestEnumerateFiber:
         rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (0, 2, 4)])
         assert rep.count == 1 and not rep.failed
 
+    def test_keys_are_compared_whole_not_by_first_root(self, monkeypatch):
+        """Two points whose keys share their first root but differ by 1e-3
+        in another stay two points; a point with exactly the same key is
+        the other's dedup twin."""
+        prob = cell_problem(3, 10j)
+        point, = fiber_points(prob, [(0, 2, 4)])
+        key = wronski_module._root_key(point.solution)
+        last = int(np.argmin(abs(np.array(point.solution.t) - key[-1])))
+        t = list(point.solution.t)
+        t[last] += 1e-3
+        near = dataclasses.replace(point, subset_tag=(1, 3, 5),
+                                   solution=dataclasses.replace(point.solution, t=tuple(t)))
+        near_key = wronski_module._root_key(near.solution)
+        assert near_key[0] == key[0] and abs(near_key[-1] - key[-1]) == pytest.approx(1e-3)
+        twin = dataclasses.replace(point, subset_tag=(1, 3, 5))
+        for other, count, failed in (
+                (near, 2, ()),
+                (twin, 1, (((1, 3, 5), "same point as subset (0, 2, 4) [stage dedup]"),))):
+            monkeypatch.setattr(wronski_module, "fiber_points",
+                                lambda problem, subsets: [point, other])
+            rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (1, 3, 5)])
+            assert rep.count == count and rep.failed == failed
+
     def test_jacobian_condition(self):
         prob = problem(2, 6j)
         for point in fiber_report(2, 6j).points:
@@ -275,15 +309,11 @@ class TestFiberPoint:
         point fixes the ratio and the rest are compared one by one."""
         prob = cell_problem(m, 14j)
         point, = fiber_points(prob, [tuple(range(0, 2 * m, 2))])
+        xs = golden_points(prob.cell, max(8, 2 * m + 2), (0.5, 0.37), avoid=prob.z,
+                           margin=1e-3)
         for g in (point.g, ThetaPoly(1.0, point.g.mu, (point.g.roots[0] + 1e-3,)
                                      + point.g.roots[1:], prob.ctx)):
-            target = ThetaPoly(1.0, -prob.mu, prob.z, prob.ctx)
-            wr = wronskian(point.f, g)
-            xs = golden_points(prob.cell, max(8, 2 * m + 2), (0.5, 0.37),
-                               avoid=point.f.roots + g.roots + prob.z, margin=1e-3)
-            ratio = wr.eval(xs[0]) / target.eval(xs[0])
-            want = max(abs(wr.eval(x) - ratio * target.eval(x))
-                       / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
+            want = pointwise_residual(point.f, g, prob, xs)
             got = wr_certificates([(point.f, g)], prob)[0]
             assert abs(got - want) <= 1e-12 * want + 1e-15
 
@@ -445,55 +475,42 @@ class TestLockstep:
         assert isinstance(failed, ResidueViolationError) and failed.stage == "certificate"
         assert kept.wr_residual == clean[1]
 
-    def test_unplaceable_samples_fail_one_subset(self, monkeypatch):
-        # a site on the first golden candidate: every pair places its
-        # sample points with a `golden_points` call of its own
-        cell = cell_problem(2, 14j).cell
-        first = golden_points(cell, 1, (0.5, 0.37))[0]
-        prob = BetheProblem(2, cell_problem(2, 14j).z[:3] + (first,), 14j, cell.ctx)
-        report = enumerate_fiber(prob)
-        assert not report.failed
-        skip = report.points[1]
-        place = wronski_module.golden_points
-
-        def refuse(cell, count, offset, avoid=(), margin=0.0):
-            if avoid[0] == skip.f.roots[0]:
-                raise ArithmeticError("could not place the sample points")
-            return place(cell, count, offset, avoid=avoid, margin=margin)
-
-        monkeypatch.setattr(wronski_module, "golden_points", refuse)
-        partial = enumerate_fiber(prob)
-        assert not partial.complete
-        assert partial.failed == ((skip.subset_tag, "ArithmeticError: could not place "
-                                   "the sample points [stage certificate]"),)
-        assert partial.points == report.points[:1] + report.points[2:]
-
-    def test_only_blocked_pairs_place_their_own_samples(self, monkeypatch):
-        """Every pair gets the points `golden_points` places for it alone.
-        A pair with a root on the first candidate is the only one that
-        calls `golden_points`, and its failure to place stays its own."""
-        prob = cell_problem(2, 14j)
-        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
-        first = golden_points(prob.cell, 1, (0.5, 0.37))[0]
-        f, g = pairs[1]
-        pairs.insert(1, (f, ThetaPoly(1.0, g.mu, (first,) + g.roots[1:], prob.ctx)))
-        got = wronski_module._sample_points(pairs, prob)
-        assert got[1].tolist() != got[0].tolist() == got[2].tolist()
-        for (f, g), x in zip(pairs, got):
-            assert x.tolist() == golden_points(prob.cell, 8, (0.5, 0.37),
-                                               avoid=f.roots + g.roots + prob.z, margin=1e-3)
-        calls = []
-
-        def refuse(cell, count, offset, avoid=(), margin=0.0):
-            calls.append(tuple(avoid))
+    def test_unplaceable_samples_fail_every_subset(self, monkeypatch):
+        """The sample row is placed once per certificate call, so a refused
+        placement is the certificate failure of every subset."""
+        def refuse(*args, **kwargs):
             raise ArithmeticError("could not place the sample points")
 
         monkeypatch.setattr(wronski_module, "golden_points", refuse)
-        placed = wronski_module._sample_points(pairs, prob)
-        assert calls == [pairs[1][0].roots + pairs[1][1].roots + prob.z]
-        assert isinstance(placed[1], ArithmeticError)
-        assert [x.tolist() for x in placed[:1] + placed[2:]] == [
-            x.tolist() for x in got[:1] + got[2:]]
+        report = enumerate_fiber(cell_problem(2, 14j))
+        assert report.count == 0
+        assert report.failed == tuple(
+            (subset, "ArithmeticError: could not place the sample points [stage certificate]")
+            for subset in itertools.combinations(range(4), 2))
+
+    def test_one_row_certifies_every_pair_even_at_their_roots(self, monkeypatch):
+        """Every pair is certified on the one row placed clear of the sites,
+        and a row passing within 1e-9 of a pair's roots of f and g still
+        certifies it: the zero count of Wr(f, g) - c h never divides by f
+        or g."""
+        prob = cell_problem(2, 14j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points]
+        f, g = pairs[1]
+        row = golden_points(prob.cell, 8, (0.5, 0.37), avoid=prob.z, margin=1e-3)
+        near = row[:1] + [t + 1e-9 for t in f.roots + g.roots] + row[5:]
+        calls = []
+
+        def place(cell, count, offset, avoid=(), margin=0.0):
+            calls.append((count, offset, tuple(avoid), margin))
+            return near
+
+        monkeypatch.setattr(wronski_module, "golden_points", place)
+        got = wr_certificates(pairs, prob)
+        assert calls == [(8, (0.5, 0.37), prob.z, 1e-3)]
+        assert got[1] <= 1e-13
+        for (f, g), residual in zip(pairs, got):
+            want = pointwise_residual(f, g, prob, near)
+            assert abs(residual - want) <= 1e-12 * want + 1e-15
 
 
 class TestAsymptoticLaws:
