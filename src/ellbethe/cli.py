@@ -586,6 +586,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         body = COMMANDS[args.command](cfg)
+        if getattr(args, "csv", None):
+            try:
+                with open(args.csv, "w", encoding="utf-8") as handle:
+                    handle.write(_fiber_csv(body["fiber"]))
+            except OSError as exc:
+                raise ConfigError("cannot write CSV: %s" % exc) from None
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -599,13 +605,6 @@ def main(argv=None) -> int:
     report.update(body)
     if args.timings:
         report["timings"] = {"total_s": time.perf_counter() - started}
-    if getattr(args, "csv", None):
-        try:
-            with open(args.csv, "w", encoding="utf-8") as handle:
-                handle.write(_fiber_csv(report["fiber"]))
-        except OSError as exc:
-            print("config error: cannot write CSV: %s" % exc, file=sys.stderr)
-            return 2
     sys.stdout.write(_render(report, args.json))
     failed = any(c["status"] == "fail" for c in report["checks"])
     if failed:
