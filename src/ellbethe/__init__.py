@@ -34,14 +34,12 @@ from .bethe import (
     wronskian_residues,
 )
 from .elliptic import (
-    LatticePoint,
     PoleError,
     RangeError,
     Torus,
     eta,
     lattice_distance,
     phi,
-    reduce_argument,
     rho,
     rho_prime,
     rho_second,
@@ -106,7 +104,6 @@ __all__ = [
     "FiberReport",
     "FundamentalParallelogram",
     "InvolutionMismatchError",
-    "LatticePoint",
     "MultipleRootError",
     "PoleError",
     "RangeError",
@@ -137,7 +134,6 @@ __all__ = [
     "partner_asymptotic_deviation",
     "phi",
     "psi_derivs",
-    "reduce_argument",
     "rho",
     "rho_prime",
     "rho_second",

@@ -110,18 +110,18 @@ class BetheProblem:
         # the first failure in the order of a loop over sites i that checks
         # site i against the cell, then the pairs (i, j > i): the pairs
         # before the first site outside the cell, from one distance array
-        outside = [i for i, v in enumerate(self.z) if not self.cell.contains(v)] + [n]
-        z = np.array(self.z)
+        z = np.array(self.z, dtype=complex)
+        outside = int(np.append(np.flatnonzero(~self.cell.contains(z)), n)[0])
         i, j = _pairs(n)
-        reached = i < outside[0]
+        reached = i < outside
         dist = lattice_distances(z[i[reached]] - z[j[reached]], self.ctx)
         close = dist <= 1e-6
         if close.any():
             k = int(np.argmax(close))
             raise ValueError("sites %d and %d coincide mod the lattice" % (i[k], j[k]))
-        if outside[0] < n:
+        if outside < n:
             raise ValueError("site %d = %r outside the fundamental cell"
-                             % (outside[0], self.z[outside[0]]))
+                             % (outside, self.z[outside]))
         object.__setattr__(self, "_min_separation", float(dist.min(initial=math.inf)))
 
     @property
@@ -561,12 +561,10 @@ def translate_root(sol: BetheSolution, j: int, k: int, l: int) -> BetheSolution:
 
 def normalize_solution(sol: BetheSolution) -> BetheSolution:
     """Reduce all roots into the problem cell; mu shifts by +2 sum l_j."""
-    cell = sol.problem.cell
-    t = []
+    t, _, ls = (v.tolist() for v in sol.problem.cell.reduce(np.array(sol.t, dtype=complex)))
     mu = sol.mu
-    for v in sol.t:
-        red, (k, l) = cell.reduce(v)
-        t.append(red)
+    # root by root: (mu + 2 l_0) + 2 l_1 can round unlike mu + 2 (l_0 + l_1)
+    for l in ls:
         mu += 2 * l
     res = float(np.max(np.abs(bae_residual(t, sol.problem, mu))))
     return replace(sol, t=tuple(t), mu=mu, residual=res)

@@ -14,6 +14,7 @@ error; warnings leave the exit code at 0 unless --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -97,7 +98,8 @@ def _as_complex(value, field):
     if not all(map(_is_number, parts)):
         raise ConfigError("field %r must be a number or [re, im] pair, got %r"
                           % (field, value))
-    if not all(math.isfinite(v) for v in parts):
+    # finite, and no JSON integer too large for a float (NaN fails too)
+    if not all(abs(v) <= sys.float_info.max for v in parts):
         raise ConfigError("field %r must be finite, got %r" % (field, value))
     return complex(parts[0], parts[1])
 
@@ -176,7 +178,7 @@ class ExperimentConfig:
                               % (", ".join(unknown),
                                  ", ".join(sorted(DEFAULT_TOLERANCES))))
         for name, value in tolerances.items():
-            if not (_is_number(value) and math.isfinite(value) and value >= 0):
+            if not (_is_number(value) and 0 <= value <= sys.float_info.max):
                 raise ConfigError("tolerance %r must be a number, finite and >= 0, got %r"
                                   % (name, value))
         tolerances = {k: float(v) for k, v in tolerances.items()}
@@ -585,13 +587,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         cfg = load_config(args)
-        body = COMMANDS[args.command](cfg)
-        if getattr(args, "csv", None):
-            try:
-                with open(args.csv, "w", encoding="utf-8") as handle:
-                    handle.write(_fiber_csv(body["fiber"]))
-            except OSError as exc:
-                raise ConfigError("cannot write CSV: %s" % exc) from None
+        # opened before the command runs, so an unwritable path costs no run
+        try:
+            csv = open(args.csv, "w", encoding="utf-8") if getattr(args, "csv", None) else None
+        except OSError as exc:
+            raise ConfigError("cannot write CSV: %s" % exc) from None
+        with csv or contextlib.nullcontext():
+            body = COMMANDS[args.command](cfg)
+            if csv:
+                csv.write(_fiber_csv(body["fiber"]))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -144,17 +144,6 @@ class Torus:
         return 1e-10 * self.cell_diagonal
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """Exact lattice vector k + l*tau."""
-
-    k: int
-    l: int
-
-    def value(self, ctx: Torus) -> complex:
-        return self.k + self.l * ctx.tau
-
-
 def _reduce(xs: np.ndarray, tau: complex) -> tuple:
     """x = x0 + k + l tau, |Im x0| <= Im(tau)/2 and |Re x0| <= 1/2, at every
     point of a complex array, k and l as float arrays; no range check."""
@@ -182,12 +171,6 @@ def _splits(xs: np.ndarray, tau: complex) -> tuple:
                              % (x.imag / tau.imag))
         raise RangeError("Re(x) = %g exceeds the supported range" % (x.real,))
     return x0, k, l
-
-
-def reduce_argument(x: complex, ctx: Torus) -> tuple[complex, LatticePoint]:
-    """Split x = x0 + (k + l*tau) with |Im x0| <= Im(tau)/2, |Re x0| <= 1/2."""
-    x0, k, l = _splits(np.array([complex(x)]), ctx.tau)
-    return complex(x0[0]), LatticePoint(int(k[0]), int(l[0]))
 
 
 def lattice_distance(x: complex, ctx: Torus) -> float:

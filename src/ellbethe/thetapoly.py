@@ -138,27 +138,28 @@ def stacked_derivs(polys, xs, order: int = 3) -> list:
 
 @dataclass(frozen=True)
 class FundamentalParallelogram:
-    """Half-open cell base + [0,1) + [0,1) tau."""
+    """Half-open cell base + [0,1) + [0,1) tau.  Each method takes a point
+    or an array, elementwise, with the bits of the scalar formulas."""
 
     base: complex
     ctx: Torus
 
-    def coords(self, x: complex) -> tuple[float, float]:
+    def coords(self, x):
         """Real coordinates (a, b) with x = base + a + b tau."""
-        d = complex(x) - self.base
+        d = np.asarray(x, dtype=complex) - self.base
         b = d.imag / self.ctx.tau.imag
         a = d.real - b * self.ctx.tau.real
         return a, b
 
-    def contains(self, x: complex) -> bool:
+    def contains(self, x):
         a, b = self.coords(x)
-        return 0.0 <= a < 1.0 and 0.0 <= b < 1.0
+        return (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
 
-    def reduce(self, x: complex) -> tuple[complex, tuple[int, int]]:
-        """x = reduced + k + l tau with reduced in the cell; returns (reduced, (k, l))."""
+    def reduce(self, x):
+        """(reduced, k, l) with x = reduced + k + l tau, reduced in the cell, k and l int."""
         a, b = self.coords(x)
-        k, l = math.floor(a), math.floor(b)
-        return complex(x) - k - l * self.ctx.tau, (k, l)
+        k, l = np.floor(a).astype(int), np.floor(b).astype(int)
+        return np.asarray(x, dtype=complex) - k - l * self.ctx.tau, k, l
 
 
 GOLDEN = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
@@ -199,17 +200,13 @@ def canonical_coords(poly: ThetaPoly, cell: FundamentalParallelogram) -> ThetaPo
     the label picks up sum l_j and the scale absorbs the constants; values are
     unchanged.  Roots are sorted by cell coordinates for a unique normal form.
     """
-    new_roots = []
-    mu = poly.mu
-    scale = poly.scale
-    for t in poly.roots:
-        t2, (k, l) = cell.reduce(t)
-        new_roots.append(t2)
+    reduced, ks, ls = (v.tolist() for v in cell.reduce(np.array(poly.roots, dtype=complex)))
+    mu, scale = poly.mu, poly.scale
+    for t2, k, l in zip(reduced, ks, ls):
         mu += l
         sign = -1.0 if (k + l) % 2 else 1.0
         scale *= sign * cmath.exp(-1j * math.pi * l * l * poly.ctx.tau - TWOPI_I * l * t2)
-    new_roots.sort(key=lambda t: cell.coords(t))
-    return ThetaPoly(scale, mu, tuple(new_roots), poly.ctx)
+    return ThetaPoly(scale, mu, tuple(sorted(reduced, key=cell.coords)), poly.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +466,12 @@ def _to_theta_poly(series: FourierTheta, m, a2, b2, cell) -> ThetaPoly:
         x[idx] -= step[idx]
         live[idx] = np.abs(step[idx]) >= 1e-13
     roots = []
-    for t in x[np.abs(step) <= 1e-9]:
-        t, _ = cell.reduce(t)
+    for t in cell.reduce(x[np.abs(step) <= 1e-9])[0].tolist():
         if not (lattice_distances(t - np.array(roots, dtype=complex), ctx) < 1e-6).any():
             roots.append(t)
     if len(roots) != m:
         raise SolveError("expected %d roots in the cell, found %d" % (m, len(roots)))
-    roots.sort(key=lambda t: cell.coords(t))
+    roots.sort(key=cell.coords)
 
     # label: e^{2 pi i L} = A2 fixes L mod 1; |B2 e^{-2 pi i L0 tau - 2 pi i sum roots}|
     # = e^{2 pi k Im tau} fixes the integer part

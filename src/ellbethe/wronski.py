@@ -129,15 +129,6 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     return [float(r) if exc is None else exc for r, exc in zip(residuals, errors)]
 
 
-def _root_key(sol: BetheSolution) -> np.ndarray:
-    """The roots reduced into the problem cell and sorted: the dedup key,
-    so two solutions are one fiber point when their keys are within
-    DEDUP_TOL of each other, root by root, mod the lattice."""
-    cell = sol.problem.cell
-    key = lambda c: (round(c.real, 9), round(c.imag, 9))
-    return np.array(sorted((cell.reduce(t)[0] for t in sol.t), key=key))
-
-
 def _gated(result):
     """A Newton result held to RESIDUAL_GATE alone: the solution, or the
     exception of a failed solve."""
@@ -238,25 +229,29 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     `failed` with the exception and stage `fiber_points` gave it, or its
     dedup twin.
 
-    Each point's `_root_key` is row k of `keys`, k its subset's position,
-    and one array of lattice distances compares every key with every
-    other, root by root: `same[k, q]` when keys k and q are within
-    DEDUP_TOL.  A point's twin is the first accepted point q in list order
-    with `same[k, q]`.
+    A point's key is its roots reduced into the cell and sorted by the
+    rounded (re, im), all keys in one `cell.reduce` pass.  One array of
+    lattice distances compares each key with the keys before it only, root
+    by root: `same[k, q]`, q < k, when keys k and q are within DEDUP_TOL.
+    A point's twin is the first accepted point q in list order with
+    `same[k, q]`.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)
     subsets = list(subsets)
     results = fiber_points(problem, subsets)
-    found = [k for k, point in enumerate(results) if not isinstance(point, Exception)]
-    keys = np.zeros((len(results), problem.m), dtype=complex)
-    if found:
-        keys[found] = [_root_key(results[k].solution) for k in found]
-    same = lattice_distances(keys[None] - keys[:, None], problem.ctx).max(axis=2) < DEDUP_TOL
-    failures = []
-    points = []
+    found = np.array([k for k, point in enumerate(results)
+                      if not isinstance(point, Exception)], dtype=int)
+    roots = problem.cell.reduce(np.array(
+        [results[k].solution.t for k in found], dtype=complex).reshape(len(found), problem.m))[0]
+    keys = np.take_along_axis(
+        roots, np.lexsort((roots.imag.round(9), roots.real.round(9))), axis=1)
+    earlier, later = _pairs(len(found))
+    same = np.zeros((len(results),) * 2, dtype=bool)
+    same[found[later], found[earlier]] = (
+        lattice_distances(keys[earlier] - keys[later], problem.ctx).max(axis=1) < DEDUP_TOL)
+    failures, points, warnings = [], [], []
     kept = np.zeros(len(results), dtype=bool)
-    warnings = []
     for k, (subset, point) in enumerate(zip(subsets, results)):
         if isinstance(point, Exception):
             failures.append((subset, "%s: %s [stage %s]"

@@ -472,6 +472,19 @@ class TestMoves:
             assert abs(a - b) < 1e-10
         assert all(prob.cell.contains(v) for v in norm.t)
 
+    def test_normalize_shifts_mu_root_by_root(self):
+        """mu moves by 2 l_j one root at a time, in root order: with
+        l = (1, -1) and Re mu = 0.1, (mu + 2) - 2 rounds to 0.1 + 9e-17, not
+        to mu + 2 (1 - 1) = mu, and `solve` prints that mu_effective."""
+        prob = problem4()
+        sol = dataclasses.replace(solve_subset(prob, (0, 1)), mu=0.1 + 10j,
+                                  t=(0.3 + 0.2j + CTX.tau, 0.6 + 0.5j - CTX.tau))
+        norm = normalize_solution(sol)
+        assert all(type(v) is complex for v in norm.t)
+        assert np.allclose(norm.t, (0.3 + 0.2j, 0.6 + 0.5j), rtol=0, atol=1e-15)
+        assert norm.mu == (sol.mu + 2) - 2 == complex(0.10000000000000009, 10.0)
+        assert norm.mu != sol.mu + 2 * (1 - 1)
+
 
 class TestInvolution:
     def test_partner_complementary_tags(self):

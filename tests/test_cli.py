@@ -131,6 +131,13 @@ class TestConfigValidation:
          "tolerance 'bae_residual' must be a number, finite and >= 0"),
         ("identities", {"tolerances": {"heat_equation": -1}}, [],
          "tolerance 'heat_equation' must be a number, finite and >= 0"),
+        # integers too large for a float, written out as digits
+        ("solve", {"mu": [0, 10 ** 400]}, [], "field 'mu' must be finite"),
+        ("solve", {"z": [[10 ** 400, 0], [0.41, 0.12], [0.55, 0.31], [0.77, 0.05]]}, [],
+         "field 'z[0]' must be finite"),
+        ("identities", {"tau": [0, 10 ** 400]}, [], "field 'tau' must be finite"),
+        ("solve", {"tolerances": {"bae_residual": 10 ** 400}}, [],
+         "tolerance 'bae_residual' must be a number, finite and >= 0"),
     ])
     def test_rejects_non_finite_boolean_and_negative_values(self, tmp_path, capsys, command,
                                                             payload, argv, text):
@@ -411,6 +418,16 @@ class TestFiberCommand:
         assert captured.out == ""
         assert captured.err.startswith("config error: cannot write CSV: ")
         assert captured.err.count("\n") == 1
+
+    def test_unwritable_csv_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        """The CSV path is opened before the command runs: an unwritable
+        one exits 2 without computing the scan it would have held."""
+        def scan(*args):
+            raise AssertionError("scan_mu_grid called before the CSV path was checked")
+        monkeypatch.setattr(cli, "scan_mu_grid", scan)
+        csv_path = tmp_path / "missing" / "scan.csv"
+        assert main(["fiber", "--mu-grid", "8i,6i,4i,2i", "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write CSV: ")
 
     def test_grid_scan_reports_threshold_crossing(self, tmp_path, capsys):
         code, report = run_json(capsys, ["fiber", "--mu-grid", "6i,1.3i"])

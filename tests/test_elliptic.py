@@ -14,16 +14,15 @@ import oracles as orc
 from ellbethe.elliptic import (
     _CHUNK,
     _MAX_LATTICE_SHIFT,
-    LatticePoint,
     PoleError,
     RangeError,
     Torus,
+    _splits,
     _theta_jets,
     eta,
     lattice_distance,
     lattice_distances,
     phi,
-    reduce_argument,
     rho,
     rho_prime,
     rho_second,
@@ -183,9 +182,10 @@ class TestTheta:
     def test_reduction_roundtrip(self):
         ctx = Torus(0.3 + 0.8j)
         x = 5.2 - 3.1j
-        x0, shift = reduce_argument(x, ctx)
-        assert abs(x0 + shift.value(ctx) - x) < 1e-12
-        assert isinstance(shift, LatticePoint)
+        (x0,), (k,), (l,) = _splits(np.array([x]), ctx.tau)
+        assert abs(x0 + k + l * ctx.tau - x) < 1e-12
+        assert k == int(k) and l == int(l)
+        assert abs(x0.imag) <= ctx.tau.imag / 2 and abs(x0.real) <= 0.5
 
 
 class TestHeatEquation:
@@ -606,7 +606,7 @@ class TestThetaJets:
 
     def test_range_guard_matches_scalar(self):
         """Past _MAX_LATTICE_SHIFT, and at NaN or inf, the evaluator and a
-        kernel raise the RangeError that `reduce_argument` gives the first
+        kernel raise the RangeError that `_splits` gives the first
         offending point, and lattice_distances raises too."""
         ctx = Torus(0.3 + 0.8j)
         limit = _MAX_LATTICE_SHIFT
@@ -618,7 +618,7 @@ class TestThetaJets:
                 (complex(0.2, math.inf), "x = (0.2+infj) is not a finite number")):
             xs = np.array([0.1, bad, 2 * bad])
             with pytest.raises(RangeError, match=re.escape(text) + "$"):
-                reduce_argument(bad, ctx)
+                _splits(np.array([bad]), ctx.tau)
             for fn in (lambda: _theta_jets(xs, ctx, 2, pole="rho"), lambda: rho(xs, ctx)):
                 with pytest.raises(RangeError) as got:
                     fn()
@@ -754,6 +754,7 @@ class TestArrayContract:
         ctx = Torus(0.3 + 0.8j)
         good = np.array([0.2 + 0.1j, 0.4 - 0.2j])
         first, second = 1.0 + ctx.tau + 1e-12, -2.0 + 1e-12j
+        (first_reduced,), _, _ = _splits(np.array([first]), ctx.tau)
         bad = np.array([good[0], first, good[1], second])
         text = "%s evaluated within tol_pole of the lattice (x=%r)"
         for name, fn, x in (
@@ -764,7 +765,7 @@ class TestArrayContract:
                 ("sigma_jet (x slot)", lambda b, c: sigma_jet(b, 0.3, c), first),
                 ("sigma_jet (w slot)", lambda b, c: sigma_jet(0.3, b, c), first),
                 ("phi (x slot)", lambda b, c: phi(b, 0.3, c), first),
-                ("sigma (x slot)", lambda b, c: phi(0.3, b, c), reduce_argument(first, ctx)[0])):
+                ("sigma (x slot)", lambda b, c: phi(0.3, b, c), complex(first_reduced))):
             with pytest.raises(PoleError) as info:
                 fn(bad, ctx)
             assert str(info.value) == text % (name, x)

@@ -123,12 +123,42 @@ class TestFundamentalParallelogram:
         ctx = Torus(0.3 + 0.8j)
         cell = centered_cell(ctx)
         x = 4.3 + 2.9j
-        red, (k, l) = cell.reduce(x)
+        red, k, l = cell.reduce(x)
         assert cell.contains(red)
         assert abs(red + k + l * ctx.tau - x) < 1e-12
         assert cell.contains(cell.base)
         assert not cell.contains(cell.base + 1.0)
         assert not cell.contains(cell.base + ctx.tau)
+
+    def test_array_calls_match_pointwise_bit_for_bit(self):
+        """On an array, coords, contains and reduce give the bits of the
+        per-point calls and of the scalar rule in Python floats, for points
+        several cells out and on the edges: a = 0 or b = 0 is inside,
+        a = 1 or b = 1 outside."""
+        ctx = Torus(0.3 + 0.8j)
+        cell = FundamentalParallelogram(0.0, ctx)
+        rng = np.random.default_rng(7)
+        far = rng.uniform(-4.0, 5.0, 40) + rng.uniform(-4.0, 5.0, 40) * ctx.tau
+        # (a, b) = (0, 0), (0, 0.5), (0.5, 0), (1, 0), (0, 1), exactly
+        edges = np.array([0.0, 0.15 + 0.4j, 0.5, 1.0, 0.3 + 0.8j])
+        assert [tuple(map(float, cell.coords(x))) for x in edges] == [
+            (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        xs = np.concatenate([far, edges])
+        arrays = (*cell.coords(xs), cell.contains(xs), *cell.reduce(xs))
+        for n, x in enumerate(xs.tolist()):
+            d = x - cell.base
+            b = d.imag / ctx.tau.imag
+            a = d.real - b * ctx.tau.real
+            k, l = math.floor(a), math.floor(b)
+            scalar = (a, b, 0.0 <= a < 1.0 and 0.0 <= b < 1.0, x - k - l * ctx.tau, k, l)
+            pointwise = (*cell.coords(x), cell.contains(x), *cell.reduce(x))
+            for got, one, want in zip(arrays, pointwise, scalar):
+                one = np.asarray(one)
+                assert np.asarray(got[n]).tobytes() == one.tobytes()
+                assert np.asarray(want, dtype=one.dtype).tobytes() == one.tobytes()
+        assert arrays[2][-5:].tolist() == [True, True, True, False, False]
+        assert cell.contains(arrays[3]).all()
+        assert arrays[4].dtype.kind == arrays[5].dtype.kind == "i"
 
 
 class TestCanonicalCoords:

@@ -82,6 +82,13 @@ def pointwise_residual(f, g, prob, xs):
                / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
 
 
+def root_key(prob, sol):
+    """The dedup key of a solution: its roots reduced into the cell and
+    sorted by the rounded (re, im)."""
+    roots = prob.cell.reduce(np.array(sol.t))[0].tolist()
+    return np.array(sorted(roots, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
+
+
 def fiber_outcome(prob):
     """(points, failures) of enumerate_fiber, complete or not."""
     report = enumerate_fiber(prob)
@@ -240,13 +247,13 @@ class TestEnumerateFiber:
         the other's dedup twin."""
         prob = cell_problem(3, 10j)
         point, = fiber_points(prob, [(0, 2, 4)])
-        key = wronski_module._root_key(point.solution)
+        key = root_key(prob, point.solution)
         last = int(np.argmin(abs(np.array(point.solution.t) - key[-1])))
         t = list(point.solution.t)
         t[last] += 1e-3
         near = dataclasses.replace(point, subset_tag=(1, 3, 5),
                                    solution=dataclasses.replace(point.solution, t=tuple(t)))
-        near_key = wronski_module._root_key(near.solution)
+        near_key = root_key(prob, near.solution)
         assert near_key[0] == key[0] and abs(near_key[-1] - key[-1]) == pytest.approx(1e-3)
         twin = dataclasses.replace(point, subset_tag=(1, 3, 5))
         for other, count, failed in (
