@@ -16,9 +16,8 @@ from ellbethe import (
     rho_prime,
     sigma,
     theta,
-    theta1_derivs,
-    theta1_dtau,
     theta_derivs,
+    theta_dtau,
 )
 
 
@@ -66,11 +65,13 @@ def main():
     print("sigma(x,w) sigma(x,-w) = rho'(w) - rho'(x): error %.2e"
           % relerr(lhs, rhs))
 
-    print("\n-- heat equation for the unnormalized theta_1 --")
+    print("\n-- heat equation for the normalized theta --")
+    third = theta_derivs(0.0, ctx, 3)[3]
     for point in (0.23 + 0.11j, 0.25 + 0.9 * tau):  # second reduces with l != 0
-        lhs = 4j * math.pi * theta1_dtau(point, ctx)
-        rhs = theta1_derivs(point, ctx, 2)[2]
-        print("4 pi i d/dtau theta_1 = theta_1'' at %s: error %.2e"
+        lhs = 4j * math.pi * theta_dtau(point, ctx)
+        d = theta_derivs(point, ctx, 2)
+        rhs = d[2] - third * d[0]
+        print("4 pi i d/dtau theta = theta'' - theta'''(0) theta at %s: error %.2e"
               % (point, abs(lhs - rhs) / max(1.0, abs(rhs))))
 
 

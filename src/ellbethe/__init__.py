@@ -46,9 +46,6 @@ from .elliptic import (
     sigma,
     sigma_jet,
     theta,
-    theta1,
-    theta1_derivs,
-    theta1_dtau,
     theta_derivs,
     theta_dtau,
 )
@@ -148,9 +145,6 @@ __all__ = [
     "solve_wronskian",
     "stacked_derivs",
     "theta",
-    "theta1",
-    "theta1_derivs",
-    "theta1_dtau",
     "theta_derivs",
     "theta_dtau",
     "translate_root",

@@ -38,9 +38,8 @@ from .elliptic import (
     rho_prime,
     sigma,
     theta,
-    theta1_derivs,
-    theta1_dtau,
     theta_derivs,
+    theta_dtau,
 )
 from .repspace import verify_eigen
 from .thetapoly import FundamentalParallelogram, golden_points
@@ -346,12 +345,14 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
     shifts = ks + ls * ctx.tau
     checks = []
 
-    checks.append(_check("theta_prime_origin",
-                         abs(theta_derivs(0.0, ctx, 1)[1] - 1.0),
+    origin = theta_derivs(0.0, ctx, 3)
+    checks.append(_check("theta_prime_origin", abs(origin[1] - 1.0),
                          cfg.tolerance("theta_prime_origin")))
 
-    lhs = 4j * math.pi * theta1_dtau(xs[:10], ctx)
-    rhs = theta1_derivs(xs[:10], ctx, 2)[2]
+    # the heat equation of the normalized theta, which master_dtau rests on
+    lhs = 4j * math.pi * theta_dtau(xs[:10], ctx)
+    d = theta_derivs(xs[:10], ctx, 2)
+    rhs = d[2] - origin[3] * d[0]
     checks.append(_check("heat_equation",
                          np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))),
                          cfg.tolerance("heat_equation")))

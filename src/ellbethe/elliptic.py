@@ -7,7 +7,8 @@ The basic object is the odd entire function
 
 normalized so that theta'(0, tau) = 1.  It obeys
 
-    theta(x + k + l*tau) = (-1)^{k+l} e^{-pi i l^2 tau - 2 pi i l x} theta(x).
+    theta(x + k + l*tau) = (-1)^{k+l} e^{-pi i l^2 tau - 2 pi i l x} theta(x),
+    4 pi i d/dtau theta(x, tau) = theta''(x, tau) - theta'''(0, tau) theta(x, tau).
 
 From it we build the kernels that appear as coefficients of the KZB and
 transfer-matrix operators:
@@ -89,29 +90,24 @@ class Torus:
     tau: complex
     tau_reduced: complex = field(init=False, repr=False, compare=False)
     cd: tuple = field(init=False, repr=False, compare=False)
-    # c tau + d; e^{-pi i tau'/4} theta_1'(0, tau'), theta_1'(0, tau), their log d/dtau
+    # c tau + d; e^{-pi i tau'/4} theta_1'(0, tau') and its log d/dtau
     _j: complex = field(init=False, repr=False, compare=False)
     _norm: complex = field(init=False, repr=False, compare=False)
     _dlog_norm: complex = field(init=False, repr=False, compare=False)
-    _theta1_norm: complex = field(init=False, repr=False, compare=False)
-    _dlog_theta1_norm: complex = field(init=False, repr=False, compare=False)
     _columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tau = complex(self.tau)
         if not (tau.imag > 0):
             raise ValueError("tau must satisfy Im(tau) > 0, got %r" % (tau,))
-        # theta_1'(0, tau) = e^{pi i eighths/4} scale theta_1'(0, t), where
-        # t -> t - n carries e^{pi i n/4} and t -> -1/t carries (-i t)^{-3/2}
-        # (DLMF 20.7.30); t is recomputed from the matrix, so no drift.
-        a, b, c, d, eighths, scale = 1, 0, 0, 1, 0, 1.0 + 0j
+        # t is recomputed from the matrix, so no drift
+        a, b, c, d = 1, 0, 0, 1
         while True:
             n = round(((a * tau + b) / (c * tau + d)).real)
-            a, b, eighths = a - n * c, b - n * d, eighths + n
+            a, b = a - n * c, b - n * d
             t = (a * tau + b) / (c * tau + d)
             if abs(t) >= 1.0:
                 break
-            scale /= (-1j * t) ** 1.5
             a, b, c, d = -c, -d, a, b
         rows = 1
         while (2 * rows + 1) ** 4 * math.exp(-math.pi * t.imag * rows * rows) >= _ROW_CUTOFF:
@@ -123,13 +119,11 @@ class Torus:
         terms = phase * np.exp(loga) * a
         norm = complex(terms.sum())
         j = c * tau + d
-        # dtau'/dtau = 1/j^2; theta_1'(0, tau)/theta_1'(0, tau') ~ j^{-3/2}
+        # dtau'/dtau = 1/j^2
         dlog_norm = complex((1j * math.pi * n * (n + 1) * terms).sum()) / (norm * j * j)
         for name, value in (
                 ("tau", tau), ("tau_reduced", t), ("cd", (c, d)),
                 ("_j", j), ("_norm", norm), ("_dlog_norm", dlog_norm),
-                ("_theta1_norm", cmath.exp(0.25j * math.pi * (eighths % 8 + t)) * scale * norm),
-                ("_dlog_theta1_norm", dlog_norm + 0.25j * math.pi / (j * j) - 1.5 * c / j),
                 ("_columns", (n, a, phase, loga))):
             object.__setattr__(self, name, value)
 
@@ -396,28 +390,10 @@ def theta_derivs(x, ctx: Torus, order: int = 3) -> np.ndarray:
 
 
 @_pointwise
-def theta1(x, ctx: Torus):
-    """Unnormalized theta_1(x, tau) (the function obeying the heat equation)."""
-    return ctx._theta1_norm * _theta_jets(x, ctx, 0)[0]
-
-
-@_pointwise
-def theta1_derivs(x, ctx: Torus, order: int = 2) -> np.ndarray:
-    """[theta_1, theta_1', ...] up to `order`."""
-    return ctx._theta1_norm * _theta_jets(x, ctx, order)
-
-
-@_pointwise
-def theta1_dtau(x, ctx: Torus):
-    """d/dtau theta_1(x, tau) at fixed x, from the term-wise tau-derivative
-    of the series, so the heat equation stays an independent check."""
-    t, dt = _theta_jets(x, ctx, 0, dtau=True)
-    return ctx._theta1_norm * (dt + t * ctx._dlog_theta1_norm)
-
-
-@_pointwise
 def theta_dtau(x, ctx: Torus):
-    """d/dtau of the normalized theta = theta_1 / theta_1'(0)."""
+    """d/dtau theta(x, tau) at fixed x, from the term-wise tau-derivative
+    of the series, so the heat equation 4 pi i d/dtau theta = theta'' -
+    theta'''(0) theta stays an independent check."""
     return _theta_jets(x, ctx, 0, dtau=True)[1]
 
 

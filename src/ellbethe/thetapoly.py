@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Torus, _exp, _theta_jets, lattice_distances
+from .elliptic import Torus, _exp, _splits, _theta_jets, lattice_distances
 
 TWOPI_I = 2j * math.pi
 
@@ -156,7 +156,10 @@ class FundamentalParallelogram:
         return (0.0 <= a) & (a < 1.0) & (0.0 <= b) & (b < 1.0)
 
     def reduce(self, x):
-        """(reduced, k, l) with x = reduced + k + l tau, reduced in the cell, k and l int."""
+        """(reduced, k, l) with x = reduced + k + l tau, reduced in the cell, k and l
+        int; `_splits` raises RangeError naming the first point of x that
+        is not finite or lies more than _MAX_LATTICE_SHIFT cells out."""
+        _splits(np.ravel(np.asarray(x, dtype=complex)), self.ctx.tau)
         a, b = self.coords(x)
         k, l = np.floor(a).astype(int), np.floor(b).astype(int)
         return np.asarray(x, dtype=complex) - k - l * self.ctx.tau, k, l

@@ -41,16 +41,17 @@ def theta1_series(x, tau, order=0):
     return acc
 
 
-def theta1_dtau(x, tau):
-    """d/dtau theta_1(x, tau), term-wise in the series."""
+def theta1_dtau(x, tau, order=0):
+    """d/dtau d^order/dx^order theta_1(x, tau), term-wise in the series."""
     x = mp.mpmathify(x)
     tau = mp.mpmathify(tau)
     half = mp.mpf(1) / 2
+    shift = order * mp.pi / 2
     acc = mp.mpc(0)
     for n in range(_MAX_TERMS):
         a = (2 * n + 1) * mp.pi
         term = 2 * (-1) ** n * (mp.pi * 1j * (n + half) ** 2) \
-            * mp.exp(mp.pi * 1j * tau * (n + half) ** 2) * mp.sin(a * x)
+            * mp.exp(mp.pi * 1j * tau * (n + half) ** 2) * a ** order * mp.sin(a * x + shift)
         acc += term
         if n > 2 and _term_tail_small(term, acc):
             break
@@ -60,6 +61,14 @@ def theta1_dtau(x, tau):
 def theta(x, tau, order=0):
     """d^order/dx^order of the normalized theta(x, tau)."""
     return theta1_series(x, tau, order) / theta1_series(0, tau, 1)
+
+
+def theta_dtau(x, tau):
+    """d/dtau of the normalized theta(x, tau) at fixed x, by the quotient
+    rule from the term-wise tau-derivatives of theta_1(x) and theta_1'(0)."""
+    norm = theta1_series(0, tau, 1)
+    return (theta1_dtau(x, tau) * norm
+            - theta1_series(x, tau) * theta1_dtau(0, tau, 1)) / norm ** 2
 
 
 def rho(x, tau):

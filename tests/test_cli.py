@@ -247,11 +247,39 @@ class TestIdentitiesCommand:
 
     def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
         """One theta pass per public kernel over all its sample sets: theta,
-        rho, rho', eta, sigma (three jets), phi (three) and the single
-        theta_derivs, theta1_dtau and theta1_derivs calls make 13."""
+        rho, rho', eta, sigma (three jets), phi (three), theta_dtau and the
+        two theta_derivs calls (the origin and the heat-equation points)
+        make 13."""
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
         assert len(theta_passes) <= 13
+
+    @pytest.mark.parametrize("defect", ["dtau_scaled", "third_dropped"])
+    def test_heat_row_catches_seeded_defects(self, capsys, monkeypatch, defect):
+        """The heat_equation row fails by at least 100 times its tolerance
+        when theta_dtau is off by 1e-4, and when the theta'''(0) theta term
+        is dropped (the unnormalized heat equation applied to theta); every
+        other row still passes."""
+        if defect == "dtau_scaled":
+            monkeypatch.setattr(cli, "theta_dtau",
+                                lambda x, ctx: elliptic.theta_dtau(x, ctx) * (1.0 + 1e-4))
+        else:
+            def no_third(x, ctx, order):
+                d = elliptic.theta_derivs(x, ctx, order)
+                if np.ndim(x) == 0:
+                    # the origin jet, whose row 3 is theta'''(0)
+                    d = d.copy()
+                    d[3] = 0.0
+                return d
+
+            monkeypatch.setattr(cli, "theta_derivs", no_third)
+        code, report = run_json(capsys, ["identities"])
+        assert code == 1
+        rows = {c["name"]: c for c in report["checks"]}
+        heat = rows.pop("heat_equation")
+        assert heat["status"] == "fail"
+        assert heat["measured"] >= 100 * DEFAULT_TOLERANCES["heat_equation"]
+        assert all(c["status"] == "pass" for c in rows.values())
 
     @pytest.mark.parametrize("tau", [1.0, 0.03])
     def test_joined_values_have_the_bits_of_separate_calls(self, tmp_path, capsys,

@@ -29,9 +29,6 @@ from ellbethe.elliptic import (
     sigma,
     sigma_jet,
     theta,
-    theta1,
-    theta1_derivs,
-    theta1_dtau,
     theta_derivs,
     theta_dtau,
 )
@@ -90,8 +87,8 @@ class TestTheta:
 
     @pytest.mark.parametrize("tau", LADDER)
     def test_oracle_ladder(self, tau):
-        """theta_derivs orders 0..4, theta1 and theta1_dtau match the 50-digit
-        oracle from Im tau = 5 down to 0.02, in the cell and at translates."""
+        """theta_derivs orders 0..4 and theta_dtau match the 50-digit oracle
+        from Im tau = 5 down to 0.02, in the cell and at translates."""
         ctx = Torus(tau)
         rng = np.random.default_rng(1)
         for a, b in rng.uniform(-0.5, 0.5, size=(3, 2)):
@@ -100,8 +97,7 @@ class TestTheta:
                 d = theta_derivs(x, ctx, 4)
                 for r in range(5):
                     assert relerr(d[r], complex(orc.theta(x, tau, r))) < 1e-12
-                assert relerr(theta1(x, ctx), complex(orc.theta1_series(x, tau))) < 1e-12
-                assert relerr(theta1_dtau(x, ctx), complex(orc.theta1_dtau(x, tau))) < 1e-12
+                assert relerr(theta_dtau(x, ctx), complex(orc.theta_dtau(x, tau))) < 1e-12
 
     def test_relative_accuracy_at_the_zeros(self):
         """Every order up to 4 keeps its relative accuracy next to a lattice
@@ -114,13 +110,13 @@ class TestTheta:
                     want = complex(orc.theta(x, tau, r))
                     assert abs(d[r] - want) < 1e-13 * abs(want)
 
-    def test_theta1_derivs_match_oracle(self):
+    def test_theta_derivs_match_oracle(self):
         for tau in TAUS:
             ctx = Torus(tau)
             for x in sample_points(ctx, 4, seed=12, margin=1e-3):
-                d = theta1_derivs(x, ctx, 4)
+                d = theta_derivs(x, ctx, 4)
                 for r in range(5):
-                    assert relerr(d[r], complex(orc.theta1_series(x, tau, r))) < 1e-13
+                    assert relerr(d[r], complex(orc.theta(x, tau, r))) < 1e-13
 
     def test_derivatives_fd_consistent(self):
         """Orders 1..4 agree with central differences of the order below."""
@@ -188,34 +184,39 @@ class TestTheta:
         assert abs(x0.imag) <= ctx.tau.imag / 2 and abs(x0.real) <= 0.5
 
 
+def heat_error(x, ctx):
+    """Relative error of 4 pi i d/dtau theta = theta'' - theta'''(0) theta."""
+    lhs = 4j * math.pi * theta_dtau(x, ctx)
+    d = theta_derivs(x, ctx, 2)
+    rhs = d[2] - theta_derivs(0.0, ctx, 3)[3] * d[0]
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
 class TestHeatEquation:
-    def test_theta1_heat(self):
-        """4 pi i d/dtau theta_1 = theta_1'' (unnormalized function only)."""
+    def test_theta_heat(self):
+        """The normalized theta obeys 4 pi i theta_tau = theta'' - theta'''(0) theta."""
         for tau in TAUS:
             ctx = Torus(tau)
             for x in (0.23 + 0.11j, -0.4 + 0.35j, 0.5):
-                lhs = 4j * math.pi * theta1_dtau(x, ctx)
-                rhs = theta1_derivs(x, ctx, 2)[2]
-                assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
+                assert heat_error(x, ctx) < 1e-7
 
-    def test_theta1_heat_outside_reduced_strip(self):
+    def test_theta_heat_outside_reduced_strip(self):
         """The tau-derivative at fixed x must transport the reduction:
         x0 = x - k - l tau moves with tau, so points that reduce with
-        l != 0 pick up i pi l^2 theta_1(x0) - l theta_1'(x0) terms."""
+        l != 0 pick up i pi l^2 theta(x0) - l theta'(x0) terms."""
         for tau in TAUS:
             ctx = Torus(tau)
             for x in (0.25 + 0.9 * tau, 0.11 - 1.2 * tau, -0.4 + 2.3 * tau):
-                lhs = 4j * math.pi * theta1_dtau(x, ctx)
-                rhs = theta1_derivs(x, ctx, 2)[2]
-                assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
+                assert heat_error(x, ctx) < 1e-7
 
-    def test_theta1_dtau_vs_fd(self):
-        """d/dtau theta_1 at fixed x against a central difference in tau."""
+    def test_theta_dtau_vs_fd_grid(self):
+        """d/dtau theta at fixed x against a central difference in tau, on
+        a square, a skewed and a thin torus and at far translates."""
         h = 1e-6
         for tau in (1j, 0.3 + 0.8j, 0.05j):
             for x in (0.23 + 0.11j, 0.11 - 1.2 * tau, -0.4 + 2.3 * tau):
-                fd = (theta1(x, Torus(tau + h)) - theta1(x, Torus(tau - h))) / (2 * h)
-                assert abs(theta1_dtau(x, Torus(tau)) - fd) < 1e-7 * max(1.0, abs(fd))
+                fd = (theta(x, Torus(tau + h)) - theta(x, Torus(tau - h))) / (2 * h)
+                assert abs(theta_dtau(x, Torus(tau)) - fd) < 1e-7 * max(1.0, abs(fd))
 
     def test_theta_dtau_vs_fd(self):
         """d/dtau of the normalized theta against a central difference."""
@@ -662,8 +663,8 @@ class TestArrayContract:
     """Every public kernel takes scalars or arrays and returns, in their
     shape, the values of one-point calls bit for bit."""
 
-    ONE_SLOT = [theta, theta1, theta1_dtau, theta_dtau, rho, rho_prime, rho_second,
-                lambda x, ctx: theta_derivs(x, ctx, 4), lambda x, ctx: theta1_derivs(x, ctx, 3)]
+    ONE_SLOT = [theta, theta_dtau, rho, rho_prime, rho_second,
+                lambda x, ctx: theta_derivs(x, ctx, 4)]
     TWO_SLOTS = [sigma, sigma_jet, phi]
 
     @staticmethod

@@ -40,6 +40,16 @@ class TestStructure:
                 rhs = orc.theta1_series(x, tau, 2)
                 assert abs(lhs - rhs) < 1e-40 * max(1, abs(rhs))
 
+    def test_normalized_heat_equation(self):
+        """4 pi i d/dtau theta = theta'' - theta'''(0) theta for theta_dtau,
+        the quotient rule over term-wise tau-derivatives."""
+        for tau in TAUS:
+            third = orc.theta(0, tau, 3)
+            for x in (mp.mpc(0.23, 0.11), mp.mpc(-0.4, 0.35)):
+                lhs = 4j * mp.pi * orc.theta_dtau(x, tau)
+                rhs = orc.theta(x, tau, 2) - third * orc.theta(x, tau)
+                assert abs(lhs - rhs) < 1e-40 * max(1, abs(rhs))
+
     def test_product_form_agrees_with_series(self):
         """sin(pi x)/pi * prod (1-q^n z)(1-q^n/z)/(1-q^n)^2 equals the series."""
         for tau in TAUS:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ellbethe.elliptic import Torus, lattice_distance, theta
+from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta
 from ellbethe.thetapoly import (
     GOLDEN,
     DegenerateMultipliersError,
@@ -160,6 +160,22 @@ class TestFundamentalParallelogram:
         assert cell.contains(arrays[3]).all()
         assert arrays[4].dtype.kind == arrays[5].dtype.kind == "i"
 
+    @pytest.mark.parametrize("bad, message", [
+        (complex(math.nan, 0.0), r"x = \(nan\+0j\) is not a finite number"),
+        (complex(math.inf, 0.0), r"x = \(inf\+0j\) is not a finite number"),
+        (1e300, r"Re\(x\) = 1e\+300 exceeds"),
+        (1e300j, r"Im\(x\)/Im\(tau\) = 1\.25e\+300 exceeds")],
+        ids=["nan", "inf", "1e300", "1e300j"])
+    def test_reduce_rejects_points_out_of_range(self, bad, message):
+        """A point that is not finite or lies more than _MAX_LATTICE_SHIFT
+        cells out raises RangeError naming it, alone and as the first bad
+        point of an array, instead of reducing to garbage k and l."""
+        cell = centered_cell(Torus(0.3 + 0.8j))
+        with pytest.raises(RangeError, match=message):
+            cell.reduce(bad)
+        with pytest.raises(RangeError, match=message):
+            cell.reduce(np.array([0.2 + 0.1j, bad, 7e299]))
+
 
 class TestCanonicalCoords:
     def test_value_preservation(self):
@@ -194,6 +210,13 @@ class TestCanonicalCoords:
         assert once.roots == twice.roots
         assert abs(once.mu - twice.mu) < 1e-14
         assert abs(once.scale - twice.scale) < 1e-12 * max(1, abs(once.scale))
+
+
+    def test_rejects_a_root_that_is_not_finite(self):
+        ctx = Torus(0.3 + 0.8j)
+        f = ThetaPoly(1.0, 0.5, (0.1 + 0.2j, complex(math.nan, 0.0)), ctx)
+        with pytest.raises(RangeError, match="not a finite number"):
+            canonical_coords(f, centered_cell(ctx))
 
 
 class TestGoldenPoints:
