@@ -18,7 +18,8 @@ from ellbethe import (
     Torus,
     asymptotic_deviation,
     enumerate_fiber,
-    estimate_mu_min,
+    scan_mu_grid,
+    scan_mu_min,
     seed_asymptotic,
     solve_bae,
 )
@@ -53,7 +54,7 @@ def main():
 
     print("\n-- how deep must mu be? --")
     grid = (8j, 6j, 4j, 2j)
-    mu_min = estimate_mu_min(prob, grid)
+    mu_min = scan_mu_min(scan_mu_grid(prob, grid))
     print("full certified count on the grid %s down to |Im mu| = %s"
           % (list(grid), mu_min))
     failed = enumerate_fiber(BetheProblem(2, Z4, 1.3j, ctx)).failed

@@ -82,10 +82,10 @@ from .wronski import (
     FiberReport,
     asymptotic_deviation,
     enumerate_fiber,
-    estimate_mu_min,
     fiber_points,
     partner_asymptotic_deviation,
     scan_mu_grid,
+    scan_mu_min,
     wr_certificates,
 )
 
@@ -119,7 +119,6 @@ __all__ = [
     "bae_residual",
     "canonical_coords",
     "enumerate_fiber",
-    "estimate_mu_min",
     "eta",
     "fiber_points",
     "fourier_basis",
@@ -136,6 +135,7 @@ __all__ = [
     "rho_second",
     "s2_via_kzb",
     "scan_mu_grid",
+    "scan_mu_min",
     "seed_asymptotic",
     "sigma",
     "sigma_jet",

@@ -59,19 +59,13 @@ TWOPI_I = 2j * math.pi
 class SeedTooCoarseError(ValueError):
     """Asymptotic seed displacement exceeds half the minimal site separation."""
 
-    code = "seed_too_coarse"
-
 
 class CoalescedRootsError(ArithmeticError):
     """Two Bethe roots (or a root and a site) collided during the solve."""
 
-    code = "coalesced_roots"
-
 
 class InvolutionMismatchError(ArithmeticError):
     """Wronskian partner does not satisfy the Bethe equations as expected."""
-
-    code = "involution_mismatch"
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,7 +91,7 @@ class BetheProblem:
     ctx: Torus
     cell: FundamentalParallelogram = None
     # the smallest site distance mod the lattice, from the validating pass
-    _min_separation: float = field(init=False, repr=False, compare=False)
+    min_separation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(v) for v in self.z))
@@ -122,14 +116,11 @@ class BetheProblem:
         if outside < n:
             raise ValueError("site %d = %r outside the fundamental cell"
                              % (outside, self.z[outside]))
-        object.__setattr__(self, "_min_separation", float(dist.min(initial=math.inf)))
+        object.__setattr__(self, "min_separation", float(dist.min(initial=math.inf)))
 
     @property
     def n(self) -> int:
         return 2 * self.m
-
-    def min_site_separation(self) -> float:
-        return self._min_separation
 
 
 @dataclass(frozen=True)
@@ -315,10 +306,10 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
         raise ValueError("subset %s holds a site index outside [0, %d)" % (subset, problem.n))
     rate = abs(TWOPI_I * problem.mu)
     # tested without dividing by mu, so that mu = 0 is rejected too
-    if 0.5 * problem.min_site_separation() * rate < 1.0:
+    if 0.5 * problem.min_separation * rate < 1.0:
         raise SeedTooCoarseError(
             "seed displacement %.3g exceeds half the minimal site separation %.3g"
-            % (1.0 / rate if rate else math.inf, 0.5 * problem.min_site_separation()))
+            % (1.0 / rate if rate else math.inf, 0.5 * problem.min_separation))
     return tuple(problem.z[i] + 1.0 / (TWOPI_I * problem.mu) for i in subset)
 
 

@@ -38,27 +38,19 @@ TWOPI_I = 2j * math.pi
 
 
 class SolveError(Exception):
-    """Wronskian inversion failed; `code` is a stable machine-readable tag."""
-
-    code = "solve_error"
+    """Wronskian inversion failed."""
 
 
 class ResidueViolationError(SolveError):
     """h/f^2 has a nonzero residue at a root of f: no entire solution exists."""
 
-    code = "residue_violation"
-
 
 class DegenerateMultipliersError(SolveError):
     """Target multipliers coincide with f's own: solution not unique."""
 
-    code = "degenerate_multipliers"
-
 
 class MultipleRootError(SolveError):
     """f has a (near-)multiple root; the residue test is unreliable there."""
-
-    code = "multiple_root"
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +160,21 @@ class FundamentalParallelogram:
 GOLDEN = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
 
 
-def golden_points(cell: FundamentalParallelogram, count: int, offset, skip: int = 0,
+def golden_points(cell: FundamentalParallelogram, count: int, offset,
                   avoid=(), margin: float = 0.0) -> list[complex]:
     """Deterministic low-discrepancy points inside the cell.
 
-    Candidates are base + a_k + b_k tau for k = skip + 1, skip + 2, ...,
+    Candidates are base + a_k + b_k tau for k = 1, 2, ...,
     with (a_k, b_k) = offset + k GOLDEN mod 1; the first `count` lying
     farther than `margin` from the lattice orbit of every point in `avoid`
     are returned.  Raises ArithmeticError after 500 * count candidates.
     Candidates are tested `count` at a time, against every avoided point
-    in one array of lattice distances.
+    in one array of lattice distances.  With nothing to avoid, no candidate
+    is rejected, so a caller that needs disjoint point sets slices one draw.
     """
     avoid = np.array(avoid, dtype=complex)
     out = []
-    k, last = skip, skip + 500 * count
+    k, last = 0, 500 * count
     while len(out) < count:
         if k >= last:
             raise ArithmeticError("could not place %d sample points clear of %d "
@@ -405,7 +398,9 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram) -> SolveRes
 
     # collocation in the Fourier basis of T_{m, A2, B2}
     basis = fourier_basis(m, a2, b2, ctx)
-    xs = np.array(golden_points(cell, 4 * m, (0.5, 0.5)))
+    # one draw: collocation points, fresh verification points, scale probes
+    pts = np.array(golden_points(cell, max(8 * m + 2, 20), (0.5, 0.5)))
+    xs, ys, probes = pts[:4 * m], pts[4 * m:8 * m + 2], pts[13:20]
     bval = np.column_stack([b.eval_many(xs, 0) for b in basis])
     bder = np.column_stack([b.eval_many(xs, 1) for b in basis])
     fval = f.derivs(xs, 1)
@@ -426,7 +421,6 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram) -> SolveRes
                           np.concatenate([c * b.coeffs for c, b in zip(coef, basis)])[order])
 
     # verify on fresh points
-    ys = np.array(golden_points(cell, 4 * m + 2, (0.5, 0.5), skip=4 * m))
     hs = h.eval(ys)
     scale = max(1.0, float(np.max(np.abs(hs))))
     df = f.derivs(ys, 1)
@@ -435,7 +429,7 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram) -> SolveRes
     if residual > 1e-9:
         raise SolveError("collocation residual %.3e exceeds 1e-9" % residual)
 
-    g = _to_theta_poly(series, m, a2, b2, cell)
+    g = _to_theta_poly(series, m, a2, b2, cell, probes)
     # definitive consistency check: the reconstructed theta polynomial must
     # reproduce the collocation solution (catches missed/spurious roots)
     gv = series.eval_many(ys[:5])
@@ -444,8 +438,9 @@ def solve_wronskian(f: ThetaPoly, h, cell: FundamentalParallelogram) -> SolveRes
     return SolveResult(g, residual, condition)
 
 
-def _to_theta_poly(series: FourierTheta, m, a2, b2, cell) -> ThetaPoly:
-    """Convert the Fourier series of g into scale/label/roots form."""
+def _to_theta_poly(series: FourierTheta, m, a2, b2, cell, probes) -> ThetaPoly:
+    """Convert the Fourier series of g into scale/label/roots form; the
+    scale is read off at the best-conditioned of the `probes`."""
     ctx, tau = cell.ctx, cell.ctx.tau
     # trim tails too small to influence roots near the cell, then read the
     # remaining Fourier sum as a polynomial in z = e^{2 pi i x}
@@ -487,7 +482,6 @@ def _to_theta_poly(series: FourierTheta, m, a2, b2, cell) -> ThetaPoly:
 
     # scale: match values at the best-conditioned probe point
     unit = ThetaPoly(1.0, label, tuple(roots), ctx)
-    probes = np.array(golden_points(cell, 7, (0.5, 0.5), skip=13))
     ref = unit.eval(probes)
     best = int(np.argmax(np.abs(ref)))
     return ThetaPoly(series(probes[best]) / ref[best], label, unit.roots, ctx)

@@ -296,19 +296,11 @@ def scan_mu_grid(problem: BetheProblem, mu_grid):
     return ((mu, enumerate_fiber(dataclasses.replace(problem, mu=mu))) for mu in grid)
 
 
-def estimate_mu_min(problem: BetheProblem, mu_grid) -> float:
-    """Smallest |Im mu| on the grid with a complete, certified fiber.
-
-    The grid must be sorted by |Im mu| descending; scanning stops at the
-    first failure.  Returns None when even the largest grid value fails.
-    """
-    return scan_mu_min(scan_mu_grid(problem, mu_grid))
-
-
 def scan_mu_min(rows) -> float:
-    """The |Im mu| of the last complete row before the first incomplete
-    one, of `scan_mu_grid` rows; None if the first row is incomplete.
-    Reads no row past the first incomplete one."""
+    """Smallest |Im mu| on the grid with a complete, certified fiber: the
+    |Im mu| of the last complete row before the first incomplete one, of
+    `scan_mu_grid` rows; None if the first row is incomplete.  Reads no
+    row past the first incomplete one, so the scan stops there."""
     best = None
     for mu, report in rows:
         if not report.complete:

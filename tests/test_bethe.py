@@ -13,7 +13,7 @@ import pytest
 
 import oracles as orc
 import ellbethe.bethe as bethe_module
-from ellbethe.elliptic import PoleError, Torus, rho, rho_prime
+from ellbethe.elliptic import PoleError, RangeError, Torus, rho, rho_prime
 from ellbethe.thetapoly import FundamentalParallelogram
 from ellbethe.bethe import (
     _separation_errors,
@@ -336,6 +336,33 @@ class TestBatch:
             assert sol.subset_tag == nearest_site_tag(sol.t, sol.problem)
         assert [sol.subset_tag for sol in batch[:-1]] == subsets + [(2, 3)]
 
+    def test_a_step_out_of_range_fails_only_its_system(self, monkeypatch):
+        """A Newton step that lands more than 10^6 cells out makes the
+        kernels raise RangeError, a ValueError and no ArithmeticError, so
+        the candidate is not just rejected: it ends that system, and every
+        other system keeps the bits of its solve on its own."""
+        prob = problem4()
+        subsets = list(itertools.combinations(range(4), 2))
+        seeds = [seed_asymptotic(prob, s) for s in subsets]
+        alone = [solve_bae(prob, seed) for seed in seeds]
+        steps, far = bethe_module._newton_steps, 3
+        calls = []
+
+        def leaping(jacobians, residuals):
+            out = steps(jacobians, residuals)
+            calls.append(len(jacobians))
+            if calls == [len(seeds)]:   # the first round's Newton steps
+                out[0][far] += 1e7
+            return out
+
+        monkeypatch.setattr(bethe_module, "_newton_steps", leaping)
+        batch = solve_bae_batch([prob] * len(seeds), seeds)
+        assert calls[0] == len(seeds)
+        assert isinstance(batch[far], RangeError)
+        assert not isinstance(batch[far], ArithmeticError)
+        assert [repr(r) for r in batch[:far] + batch[far + 1:]] == [
+            repr(r) for r in alone[:far] + alone[far + 1:]]
+
     def test_systems_must_share_sites_and_torus(self):
         other = BetheProblem(2, Z4, 10j, Torus(2j))
         with pytest.raises(ValueError, match="share sites and torus"):
@@ -529,6 +556,27 @@ class TestInvolution:
         fake = dataclasses.replace(sol, mu=3.0)
         with pytest.raises(ValueError):
             analytic_involution(fake)
+
+    def test_partner_parameter_off_the_lattice_of_minus_mu(self, monkeypatch):
+        """A partner whose Bethe equations give a nu that is not -mu + 2d
+        for an integer d is a mismatch, not a solution."""
+        sol = solve_subset(problem4(), (0, 1))
+        residual = bethe_module.bae_residual
+        monkeypatch.setattr(bethe_module, "bae_residual", lambda t, problem, mu=None: (
+            residual(t, problem, mu) + (0.25 if mu == 0.0 else 0.0)))
+        with pytest.raises(InvolutionMismatchError, match="is not -mu \\+ 2d for integer d"):
+            analytic_involution(sol)
+
+    def test_partner_residual_above_tolerance(self, monkeypatch):
+        """A partner that fits nu = -mu + 2d but misses its Bethe equations
+        by more than 1e-8 is a mismatch."""
+        sol = solve_subset(problem4(), (0, 1))
+        residual = bethe_module.bae_residual
+        monkeypatch.setattr(bethe_module, "bae_residual", lambda t, problem, mu=None: (
+            residual(t, problem, mu) + (0.0 if mu == 0.0 else 1e-6)))
+        with pytest.raises(InvolutionMismatchError,
+                           match="partner residual 1.000e-06 exceeds 1e-8"):
+            analytic_involution(sol)
 
     def test_partner_solves_bae(self):
         """The mathematical content: partner roots satisfy the Bethe equations

@@ -329,6 +329,30 @@ class TestSolveCommand:
         statuses = {r["status"] for r in report["solutions"]}
         assert statuses == {"no_convergence"}
 
+    def test_unconverged_solution_is_a_warning_row(self, capsys, monkeypatch):
+        """A solve that returns its best iterate unconverged gets status
+        no_convergence and one warning, printed in text mode too; only
+        --strict turns it into exit 1."""
+        solve = cli.solve_subsets
+
+        def one_unconverged(problems, subsets):
+            out = solve(problems, subsets)
+            out[1] = bethe.solve_bae(problems[1], bethe.seed_asymptotic(problems[1], subsets[1]),
+                                     max_iter=0)
+            return out
+
+        monkeypatch.setattr(cli, "solve_subsets", one_unconverged)
+        code, report = run_json(capsys, ["solve"])
+        assert code == 0
+        records = report["solutions"]
+        assert [r["status"] for r in records] == ["converged", "no_convergence"] + ["converged"] * 4
+        warning = "subset (0, 2) did not converge (residual %.3e)" % records[1]["residual"]
+        assert report["warnings"] == [warning]
+        assert main(["solve", "--strict", "--json"]) == 1
+        capsys.readouterr()
+        assert main(["solve"]) == 0
+        assert "\nwarning: %s\n" % warning in capsys.readouterr().out
+
     def test_every_batch_failure_is_reported_per_subset(self, tmp_path, capsys):
         # at |mu| = 1e300 each seed sits on its site, so Newton meets a pole
         cfg = write_config(tmp_path, {"mu": [0, 1e300]})
@@ -473,7 +497,7 @@ class TestFiberCommand:
     def test_threshold_is_the_library_estimate(self, capsys, grid, want):
         mus = [cli._parse_mu_token(token) for token in grid.split(",")]
         prob = ExperimentConfig.from_dict({}).problem(mus[0])
-        assert wronski.estimate_mu_min(prob, mus) == want
+        assert wronski.scan_mu_min(wronski.scan_mu_grid(prob, mus)) == want
         _, report = run_json(capsys, ["fiber", "--mu-grid", grid])
         assert report["fiber"]["mu_min_estimate"] == want
 

@@ -222,12 +222,15 @@ class TestCanonicalCoords:
 class TestGoldenPoints:
     def test_matches_one_candidate_at_a_time(self):
         """Testing candidates in blocks returns the points, in order, that a
-        one-candidate loop over the same sequence accepts."""
+        one-candidate loop over the same sequence accepts; with nothing
+        avoided, a slice [skip:] of one draw is that loop started after
+        candidate `skip` (how solve_wronskian splits its draw)."""
         for tau in (1j, 0.3 + 0.8j):
             ctx = Torus(tau)
             cell = FundamentalParallelogram(-(1.0 + tau) / 2.0, ctx)
-            avoid = (0.0, 0.12 + 0.3j, -0.2 - 0.1j)
-            for count, skip, margin in ((8, 0, 1e-3), (12, 5, 0.2), (3, 0, 0.0)):
+            sites = (0.0, 0.12 + 0.3j, -0.2 - 0.1j)
+            for count, skip, margin, avoid in ((8, 0, 1e-3, sites), (12, 5, 0.2, ()),
+                                               (12, 0, 0.2, sites), (3, 0, 0.0, sites)):
                 want, k = [], skip
                 while len(want) < count:
                     k += 1
@@ -235,8 +238,8 @@ class TestGoldenPoints:
                          + ((0.37 + k * GOLDEN[1]) % 1.0) * tau)
                     if all(lattice_distance(x - p, ctx) > margin for p in avoid):
                         want.append(x)
-                got = golden_points(cell, count, (0.5, 0.37), skip=skip, avoid=avoid,
-                                    margin=margin)
+                got = golden_points(cell, skip + count, (0.5, 0.37), avoid=avoid,
+                                    margin=margin)[skip:]
                 assert got == want
                 assert all(type(x) is complex for x in got)
 

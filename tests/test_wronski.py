@@ -35,9 +35,10 @@ from ellbethe.wronski import (
     WR_RESIDUAL_GATE,
     asymptotic_deviation,
     enumerate_fiber,
-    estimate_mu_min,
     fiber_points,
     partner_asymptotic_deviation,
+    scan_mu_grid,
+    scan_mu_min,
     wr_certificates,
 )
 
@@ -433,6 +434,28 @@ class TestLockstep:
                 (s, "CoalescedRootsError: system %d [stage %s]" % (first + k, stage))
                 for k, s in enumerate(subsets))
 
+    def test_colliding_roots_fail_only_their_subset(self, monkeypatch):
+        """A partner that shares a root with its solution fails its subset
+        at stage certificate, before any Wr is sampled; every other subset
+        keeps the point it gets without the collision."""
+        prob = problem(2, 6j)
+        subsets = list(itertools.combinations(range(4), 2))
+        want = enumerate_fiber(prob)
+        assert want.complete
+        solve, hit = wronski_module.solve_subsets, 2
+
+        def colliding(problems, seed_subsets):
+            out = solve(problems, seed_subsets)
+            sol, par = out[hit], out[len(subsets) + hit]
+            out[len(subsets) + hit] = dataclasses.replace(par, t=(sol.t[0],) + par.t[1:])
+            return out
+
+        monkeypatch.setattr(wronski_module, "solve_subsets", colliding)
+        report = enumerate_fiber(prob)
+        assert report.failed == ((subsets[hit], "SolveError: fiber roots collide with "
+                                  "each other or a site [stage certificate]"),)
+        assert repr(report.points) == repr(want.points[:hit] + want.points[hit + 1:])
+
     def test_certificates_batch_matches_one_pair_at_a_time(self):
         prob = cell_problem(3, 10j)
         report = enumerate_fiber(prob)
@@ -606,16 +629,16 @@ class TestShiftSymmetry:
         assert spread < 1e-10
 
 
-class TestEstimateMuMin:
+class TestScanMuMin:
     def test_m2_threshold_on_grid(self):
-        assert estimate_mu_min(problem(2, 6j), [8j, 6j, 4j, 2j]) == 2.0
+        assert scan_mu_min(scan_mu_grid(problem(2, 6j), [8j, 6j, 4j, 2j])) == 2.0
 
     def test_m1_threshold_on_grid(self):
-        assert estimate_mu_min(problem(1, 6j), [8j, 6j, 4j, 2j]) == 2.0
+        assert scan_mu_min(scan_mu_grid(problem(1, 6j), [8j, 6j, 4j, 2j])) == 2.0
 
     def test_grid_must_descend(self):
         with pytest.raises(ValueError):
-            estimate_mu_min(problem(2, 6j), [2j, 4j])
+            scan_mu_grid(problem(2, 6j), [2j, 4j])
 
     def test_degenerate_sites_raise_threshold_monotonically(self):
         grid = [32j, 16j, 8j, 4j, 2j]
@@ -625,7 +648,7 @@ class TestEstimateMuMin:
             (0.13, 0.15, 0.55 + 0.31j, 0.77 + 0.05j),    # 0.02
             (0.13, 0.13 + 1e-3, 0.55 + 0.31j, 0.77 + 0.05j),
         ]
-        thresholds = [estimate_mu_min(problem(2, 6j, z=z), grid) for z in fixtures]
+        thresholds = [scan_mu_min(scan_mu_grid(problem(2, 6j, z=z), grid)) for z in fixtures]
         assert thresholds[:3] == [2.0, 16.0, 32.0]
         assert thresholds[3] is None  # not found on this grid
 
