@@ -186,20 +186,29 @@ def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
     """Gradients (dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
     (S, m) array and mu their S parameters: the Hamiltonian eigenvalues,
     an (S, n) array from one rho call over every solution and site pair."""
-    z, ctx = np.array(problem.z), problem.ctx
-    mixed, sites = _joined(rho, ctx, (z[:, None] - np.array(t, dtype=complex)[:, None, :],),
-                           (np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)],))
+    z, t = np.array(problem.z), np.array(t, dtype=complex)
+    return _master_dz(*_joined(rho, problem.ctx, (z[:, None] - t[:, None, :],),
+                               (np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)],)), mu)
+
+
+def _master_dz(mixed, sites, mu) -> np.ndarray:
+    """master_dz from rho at z_s - t_j, an (S, n, m) array, and at the site
+    pairs z_s - z_p, p != s, flat in row order."""
     return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed.sum(axis=2)
-            + 0.5 * sites.reshape(problem.n, -1).sum(axis=1))
+            + 0.5 * sites.reshape(mixed.shape[1], -1).sum(axis=1))
 
 
 def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
     """dPhi/dtau of S solutions (see `master_dz`), an (S,) array, via 4 pi
     i d/dtau ln theta(u) = eta(u) - eta(0); one eta call over all the
-    differences, and each solution's sums and scalar arithmetic in turn."""
-    eta0 = theta_derivs(0.0, problem.ctx, 3)[3]
-    roots, mixed, sites = (v - eta0 for v in _joined(
-        eta, problem.ctx, *((d,) for d in _differences(t, problem))))
+    `_differences`, and each solution's sums and scalar arithmetic in turn."""
+    etas = _joined(eta, problem.ctx, *((d,) for d in _differences(t, problem)))
+    return _master_dtau(etas, theta_derivs(0.0, problem.ctx, 3)[3], mu)
+
+
+def _master_dtau(etas, eta0, mu) -> np.ndarray:
+    """master_dtau from eta at the three `_differences` and eta0 = theta'''(0)."""
+    roots, mixed, sites = (v - eta0 for v in etas)
     acc = 2.0 * roots.sum(axis=1) - mixed.sum(axis=1) + 0.5 * sites.sum()
     return np.array([0.5j * math.pi * complex(v) * complex(v) + a / (4j * math.pi)
                      for v, a in zip(mu, acc)])

@@ -22,7 +22,8 @@ lambda) reach the operators as their jet (value, d/d lambda, d^2/d
 lambda^2) of coefficient vectors at the lambda of evaluation, so one
 evaluation serves every operator applied there.  `verify_eigen` checks
 the eigenfunctions Psi (`psi_derivs`) of many solutions against these
-operators, with every kernel evaluated once over all of them.
+operators, with one call per kernel family over all of them, whose
+values the public helpers' own private assembly steps read.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import typing
 
 import numpy as np
 
-from .bethe import BetheSolution, master_dtau, master_dz
-from .elliptic import Torus, eta, phi, rho, rho_prime, sigma, sigma_jet
+from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, master_dtau,
+                    master_dz)
+from .elliptic import Torus, _joined, _rho_rows, eta, phi, sigma, sigma_jet, theta_derivs
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
 
 TWOPI_I = 2j * math.pi
@@ -107,21 +109,22 @@ def kzb_eigenvalues(sols) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _psi_rows(lams, sols, order: int) -> np.ndarray:
-    """(Psi, dPsi/dlambda, d2Psi/dlambda2)[:order + 1] (order 0 or 2) of
-    each solution sols[k] at the points lams[k], an (order + 1, S, L, dim)
-    array: Psi = e^{pi i mu lambda} sum_I W_I v_I, the permanent W_I = Sym_t
-    prod_j sigma(t_j - z_{i_j}, -lambda) folded over the orderings pi (root
-    j takes site I[pi(j)]) by the Leibniz rule along j, the orderings summed
-    last.  All sigma factors come from one kernel call, whose value row
-    does not depend on order; the envelope is scalar arithmetic per point.
-    """
+def _psi_args(lams, sols) -> tuple:
+    """sigma's arguments in `_psi_rows`: t_j - z_s, (S, 1, m, n), and -lambda, (S, L, 1, 1)."""
+    diffs = np.subtract.outer(np.array([sol.t for sol in sols], dtype=complex), sols[0].problem.z)
+    return diffs[:, None], -np.array(lams, dtype=complex)[..., None, None]
+
+
+def _psi_rows(jets, lams, sols) -> np.ndarray:
+    """(Psi, dPsi/dlambda, d2Psi/dlambda2)[:len(jets)] of each solution
+    sols[k] at the points lams[k], an (len(jets), S, L, dim) array, from
+    sigma_jet's rows, or sigma's values alone, at `_psi_args`: Psi = e^{pi i
+    mu lambda} sum_I W_I v_I, the permanent W_I = Sym_t prod_j sigma(t_j -
+    z_{i_j}, -lambda) folded over the orderings pi (root j takes site
+    I[pi(j)]) by the Leibniz rule along j, the orderings summed last; the
+    envelope is scalar arithmetic per point."""
     prob = sols[0].problem
     sp = zero_weight_space(prob.n)
-    # diffs[k, 0, j, s] = t_j - z_s of solution k, against w[k, l] on axis 1
-    diffs = np.subtract.outer(np.array([sol.t for sol in sols], dtype=complex), prob.z)[:, None]
-    w = -np.array(lams, dtype=complex)[..., None, None]
-    jets = np.array(sigma_jet(diffs, w, prob.ctx) if order else (sigma(diffs, w, prob.ctx),))
     sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
     out = np.empty(jets.shape[:3] + (sp.dim,), dtype=complex)
     for k, (row, sol) in enumerate(zip(lams, sols)):
@@ -134,7 +137,7 @@ def _psi_rows(lams, sols, order: int) -> np.ndarray:
         for l, lam in enumerate(row):
             envelope = cmath.exp(c * lam)
             out[0, k, l] = envelope * wk[0, l]
-            if order:
+            if len(jets) > 1:
                 out[1, k, l] = envelope * (c * wk[0, l] - wk[1, l])
                 out[2, k, l] = envelope * (c * c * wk[0, l] - 2.0 * c * wk[1, l] + wk[2, l])
     return out
@@ -143,7 +146,8 @@ def _psi_rows(lams, sols, order: int) -> np.ndarray:
 def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:
     """(Psi, dPsi/dlambda, d2Psi/dlambda2) at lambda, in the subset basis:
     the eigenfunction of a solution and its jet (see `_psi_rows`)."""
-    return tuple(_psi_rows([[lam]], [sol], 2)[:, 0, 0])
+    at = [[lam]], [sol]
+    return tuple(_psi_rows(np.array(sigma_jet(*_psi_args(*at), sol.problem.ctx)), *at)[:, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +169,11 @@ class KzbOperators:
 
 def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     """The KZB operators at lam, a point or an array of points, from one
-    evaluation of rho and eta per unordered site pair and of sigma(z_s -
-    z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair and lambda,
-    one kernel call each.
+    `_rho_rows` call (rho per unordered site pair, rho'(lambda)), one eta
+    call (per unordered site pair and at 0), and one call each of sigma(z_s
+    - z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair and lambda,
+    assembled by `_kzb_operators`, which `verify_eigen` hands the same
+    values from calls it shares with the other helpers.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -190,29 +196,39 @@ def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     phi(lambda, .) one, so the two moves of H_0 add up to
     -phi(lambda, z_s - z_p)/(2 pi i).
     """
-    n = len(z)
+    n, lam = len(z), np.asarray(lam, dtype=complex)
+    d = np.subtract.outer(z, z)
+    pairs, ordered = d[np.triu_indices(n, 1)], d[~np.eye(n, dtype=bool)]
+    r_pairs, r_lam = _joined(_rho_rows, ctx, (pairs,), (lam,))
+    eta_pairs, eta0 = _joined(eta, ctx, (pairs,), (0.0,))
+    return _kzb_operators(n, r_pairs[0], eta_pairs, eta0, r_lam[1],
+                          sigma(ordered, -lam[..., None], ctx), phi(lam[..., None], ordered, ctx))
+
+
+def _kzb_operators(n, rho_d, eta_d, eta0, rho_p, sig, phi_d) -> KzbOperators:
+    """kzb_operators from rho and eta at the pairs z_s - z_p, s < p, eta(0),
+    rho'(lambda), and sigma(., -lambda) and phi(lambda, .) at the pairs p !=
+    s behind lambda's axes, each pair list in row order."""
     sp = zero_weight_space(n)
     hw = sp.hw_site
-    lam = np.asarray(lam, dtype=complex)
+    shape = np.shape(sig)[:-1]
     i, j = np.triu_indices(n, 1)
-    d = np.subtract.outer(z, z)
-    rho_d, eta_d = np.zeros((2, n, n), dtype=complex)
-    rho_d[i, j], eta_d[i, j] = rho(d[i, j], ctx), eta(d[i, j], ctx)
-    rho_d[j, i], eta_d[j, i] = -rho_d[i, j], eta_d[i, j]
+    rho_t, eta_t = np.zeros((2, n, n), dtype=complex)
+    rho_t[i, j], eta_t[i, j] = rho_d, eta_d
+    rho_t[j, i], eta_t[j, i] = -rho_d, eta_d
     off = ~np.eye(n, dtype=bool)
-    sig, phi_d = np.zeros((2,) + lam.shape + (n, n), dtype=complex)
-    sig[..., off] = sigma(d[off], -lam[..., None], ctx)
-    phi_d[..., off] = phi(lam[..., None], d[off], ctx)
-    diag = np.empty(lam.shape + (n + 1, sp.dim), dtype=complex)
-    diag[..., 0, :] = (0.25 * np.sum(hw * (eta_d @ hw), axis=0) + n * (
-        0.25 * eta(0.0, ctx) + rho_prime(lam, ctx))[..., None]) / (4j * math.pi)
-    diag[..., 1:, :] = 0.5 * hw * (rho_d @ hw)
+    sig_t, phi_t = np.zeros((2,) + shape + (n, n), dtype=complex)
+    sig_t[..., off], phi_t[..., off] = sig, phi_d
+    diag = np.empty(shape + (n + 1, sp.dim), dtype=complex)
+    diag[..., 0, :] = (0.25 * np.sum(hw * (eta_t @ hw), axis=0) + n * (
+        0.25 * eta0 + rho_p)[..., None]) / (4j * math.pi)
+    diag[..., 1:, :] = 0.5 * hw * (rho_t @ hw)
     # e21^(s) e12^(p) is the move with p leaving and s joining: a transpose
-    coef = np.zeros(lam.shape + (n + 1, n, n), dtype=complex)
-    coef[..., 0, :, :] = -phi_d / TWOPI_I
+    coef = np.zeros(shape + (n + 1, n, n), dtype=complex)
+    coef[..., 0, :, :] = -phi_t / TWOPI_I
     for s in range(n):
-        coef[..., s + 1, s, :] = sig[..., s, :]
-        coef[..., s + 1, :, s] = -sig[..., :, s]
+        coef[..., s + 1, s, :] = sig_t[..., s, :]
+        coef[..., s + 1, :, s] = -sig_t[..., :, s]
     return KzbOperators(sp, diag, coef)
 
 
@@ -235,10 +251,14 @@ def s2_via_kzb(x, rows, value, z, ctx: Torus) -> np.ndarray:
     + c2^(s) rho'(x - z_s) ], c2^(s) the scalar -3/4 on each factor.
     x may be an array, whose axes then lead those of rows and value.
     """
-    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
-    return (-TWOPI_I * rows[..., 0, :] - (rho(d, ctx)[..., None, :] @ rows[..., 1:, :])[..., 0, :]
-            - C2_SCALAR * np.sum(rho_prime(d, ctx), axis=-1)[..., None]
-            * np.asarray(value, dtype=complex))
+    return _s2_via_kzb(_rho_rows(np.asarray(x, dtype=complex)[..., None] - np.asarray(z), ctx),
+                       rows, value)
+
+
+def _s2_via_kzb(r, rows, value) -> np.ndarray:
+    """s2_via_kzb from the rows (rho, rho') at x - z_s."""
+    return (-TWOPI_I * rows[..., 0, :] - (r[0][..., None, :] @ rows[..., 1:, :])[..., 0, :]
+            - C2_SCALAR * np.sum(r[1], axis=-1)[..., None] * np.asarray(value, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +282,23 @@ def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
     lambda) e12^(s) the product L21 L12 is the sum of single-site moves
     sigma(x - z_s, lambda) sigma(x - z_p, -lambda) e12^(s) e21^(p).
     """
-    sp = zero_weight_space(len(z))
+    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
+    lam = np.asarray(lam, dtype=complex)[..., None]
+    return _rst_n2(_rho_rows(d, ctx), sigma(d, np.array([lam, -lam]), ctx), jet)
+
+
+def _rst_n2(r, sig, jet) -> np.ndarray:
+    """apply_rst_n2 from the rows (rho, rho') and sigma(., +-lambda) at x - z_s."""
+    sp = zero_weight_space(r.shape[-1])
     value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
     # L11 = sum_k [rho(lambda) e22^(k) + rho(x - z_k) e11^(k)], and L22 the same
     # with e11 and e22 swapped and rho(lambda) negated; the weight sums
     # sum_k e11^(k) = -sum_k e22^(k) vanish on V[0], leaving the rho(x - z_k) terms
     e11 = 0.5 * sp.hw_site
-    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
-    lam = np.asarray(lam, dtype=complex)[..., None]
-    l11 = (rho(d, ctx)[..., None, :] @ e11)[..., 0, :]
+    l11 = (r[0][..., None, :] @ e11)[..., 0, :]
     l22 = -l11  # e22 = -e11 per site
-    dx22 = (-rho_prime(d, ctx)[..., None, :] @ e11)[..., 0, :]
-    l21, l12 = sigma(d, np.array([lam, -lam]), ctx)
+    dx22 = (-r[1][..., None, :] @ e11)[..., 0, :]
+    l21, l12 = sig
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
     l21_l12_diag = ((0.5 * (l21 * l12))[..., None, :] @ (1.0 + sp.hw_site))[..., 0, :]
     # the s != p terms, each target's as one contiguous row: numpy's pairwise
@@ -298,23 +323,26 @@ def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
 
 def fundamental_b2(x, sol: BetheSolution):
     """B2(x) with d^2/dx^2 + B2(x) the fundamental operator of Psi, at a
-    point or at every point of an array (see `_fundamental_b2`)."""
-    return _fundamental_b2(x, [sol])[0]
+    point or at every point of an array (see `_b2`)."""
+    return _b2(_rho_rows(_b2_poles(x, [sol]), sol.problem.ctx), [sol])[0]
 
 
-def _fundamental_b2(x, sols) -> np.ndarray:
-    """B2 of each solution sols[k] at the points x, an (S, *x.shape) array
-    from one rho and one rho' call: B2 = -w' - w^2 for w = (ln u)' = pi i mu
-    + sum_j rho(x - t_j) - (1/2) sum_s rho(x - z_s)."""
-    prob = sols[0].problem
+def _b2_poles(x, sols) -> np.ndarray:
+    """x - t_j, then x - z_s, for each solution: an (S, *x.shape, m + n) array."""
     x = np.asarray(x, dtype=complex)
-    axes = (1,) * x.ndim
-    poles = np.array([tuple(sol.t) + tuple(prob.z) for sol in sols], dtype=complex)
+    poles = np.array([tuple(sol.t) + sols[0].problem.z for sol in sols], dtype=complex)
+    return x[..., None] - poles.reshape((len(sols),) + (1,) * x.ndim + (-1,))
+
+
+def _b2(r, sols) -> np.ndarray:
+    """B2 of each solution sols[k] at the points x, an (S, *x.shape) array,
+    from the rows (rho, rho') at its `_b2_poles`: B2 = -w' - w^2 for w =
+    (ln u)' = pi i mu + sum_j rho(x - t_j) - (1/2) sum_s rho(x - z_s)."""
+    prob = sols[0].problem
     weights = np.repeat([1.0, -0.5], [prob.m, prob.n])
-    d = x[..., None] - poles.reshape((len(sols),) + axes + (-1,))
-    rates = np.array([1j * math.pi * sol.mu for sol in sols]).reshape((-1,) + axes)
-    w = rates + rho(d, prob.ctx) @ weights
-    return -(rho_prime(d, prob.ctx) @ weights) - w * w
+    rates = np.array([1j * math.pi * sol.mu for sol in sols]).reshape((-1,) + (1,) * (r.ndim - 3))
+    w = rates + r[0] @ weights
+    return -(r[1] @ weights) - w * w
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +393,47 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     B2(x) (b2_periodicity) and v' + v^2 + B2 = 0 for v = (ln u)', u =
     f/sqrt(Wr) and g/sqrt(Wr) of the pair's theta polynomials
     (kernel_membership); the spread of s . Psi(-lambda) / Psi_partner(lambda)
-    relative to its mean (weyl_ratio).  Each kernel is evaluated once over
-    every pair and point, and each reduction runs per vector or along a
-    last axis, so no value depends on the other pairs.  A NaN anywhere
-    makes its check's worst value NaN, which fails every tolerance."""
+    relative to its mean (weyl_ratio).  Each kernel family is one call over
+    every pair and point, whose values the public helpers' assembly steps
+    read: one `_rho_rows` jet at x - z_s (both S2 routes), at B2's poles, at
+    lambda, at the site pairs and at master_dz's differences; one eta call
+    at master_dtau's differences (whose site pairs H_0 reads too) and at 0,
+    beside master_dtau's theta'''(0); one sigma call for H_s, the Weyl flips
+    and the column determinant; one each of sigma_jet, phi and the theta
+    polynomials.  A point's values do not depend on its batch, and each
+    reduction runs per vector or along a last axis, so no value depends on
+    the other pairs.  A NaN anywhere makes its check's worst value NaN,
+    which fails every tolerance."""
     if not pairs:
         return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ())
     (sols, pars), count = map(list, zip(*pairs)), len(pairs)
-    z, ctx = sols[0].problem.z, sols[0].problem.ctx
+    prob = sols[0].problem
+    z, ctx = np.array(prob.z), prob.ctx
     lams, xs = np.array(lam_pts, dtype=complex), np.array(x_pts, dtype=complex)
-    evs = kzb_eigenvalues(sols)
-    jets = _psi_rows([lam_pts] * count, sols, 2)
-    ops = kzb_operators(lams, z, ctx)
+    t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
+    diffs, sites = _differences(t, prob), np.subtract.outer(z, z)[~np.eye(len(z), dtype=bool)]
+    xz, lam_col = xs[:, None] - z, lams[:, None]
+    flip_lams = [[-lam for lam in lam_pts]] * count + [lam_pts] * count
+    r_xz, r_b2, r_lam, r_pairs, r_mixed, r_sites = _joined(
+        _rho_rows, ctx, (xz,), (_b2_poles(np.array([xs, xs + 1, xs + ctx.tau]), sols),),
+        (lams,), (diffs[2],), (z[:, None] - t[:, None, :],), (sites,))
+    *etas, eta0 = _joined(eta, ctx, *((d,) for d in diffs), (0.0,))
+    sig_kzb, sig_flips, sig_rst = _joined(sigma, ctx, (sites, -lam_col),
+                                          _psi_args(flip_lams, sols + pars),
+                                          (xz, np.array([lam_col, -lam_col])))
+    evs = np.column_stack([_master_dtau(etas, theta_derivs(0.0, ctx, 3)[3], mu),
+                           _master_dz(r_mixed[0], r_sites[0], mu)])
+    at = [lam_pts] * count, sols
+    jets = _psi_rows(np.array(sigma_jet(*_psi_args(*at), ctx)), *at)
+    ops = _kzb_operators(len(z), r_pairs[0], etas[2], eta0, r_lam[1], sig_kzb,
+                         phi(lam_col, sites, ctx))
     rows = np.array([apply_kzb(ops, jets[:, k]) for k in range(count)])
     # s . Psi(-lambda) of each solution, over the partners' Psi(lambda)
-    flips = _psi_rows([[-lam for lam in lam_pts]] * count + [lam_pts] * count, sols + pars, 0)[0]
+    flips = _psi_rows(sig_flips[None], flip_lams, sols + pars)[0]
     ratio = weyl_involution(flips[:count], zero_weight_space(len(z))) / flips[count:]
     mean, overall = ratio.mean(axis=-1), ratio.reshape(count, -1).mean(axis=-1)
-    s2 = s2_via_kzb(xs, rows, jets[0], z, ctx)
-    b2s = _fundamental_b2(np.array([xs, xs + 1, xs + ctx.tau]), sols)
+    s2 = _s2_via_kzb(r_xz, rows, jets[0])
+    b2s = _b2(r_b2, sols)
     b2, scale = b2s[:, 0], np.maximum(1.0, np.abs(b2s[:, 0]))
     pd = stacked_derivs([sol.poly() for sol in sols] + [par.poly() for par in pars],
                         np.broadcast_to(xs, (2 * count, len(xs))), 3)
@@ -398,7 +448,7 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
         "eigen_sum_rule": _norms(np.sum(rows[:, :, 1:], axis=2)) / vnorm,
         # each pair's E_1..E_n summed left to right by Python's sum, the order the values rest on
         "eigenvalue_sum": [abs(sum(e)) for e in evs[:, 1:]],
-        "s2_routes": _norms(s2 - apply_rst_n2(xs, jets, lams, z, ctx)) / np.fmax(1.0, _norms(s2)),
+        "s2_routes": _norms(s2 - _rst_n2(r_xz, sig_rst, jets)) / np.fmax(1.0, _norms(s2)),
         "s2_eigen_b2": _norms(s2 - b2[..., None] * value) / vnorm,
         "b2_periodicity": np.max(np.abs(b2s[:, 1:] - b2[:, None]) / scale[:, None], axis=(1, 2)),
         "kernel_membership": np.max(np.abs(vp + v * v + b2) / scale, axis=-1),

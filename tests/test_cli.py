@@ -634,8 +634,8 @@ class TestNanFailsItsCheck:
     def test_a_nan_in_psi_fails_the_eigen_checks_that_read_it(self, capsys, monkeypatch):
         psi_rows = repspace._psi_rows
 
-        def poisoned(lams, sols, order):
-            out = psi_rows(lams, sols, order)
+        def poisoned(*args):
+            out = psi_rows(*args)
             out[:, 0, 4, 1] = np.nan
             return out
 

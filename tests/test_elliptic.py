@@ -17,6 +17,7 @@ from ellbethe.elliptic import (
     PoleError,
     RangeError,
     Torus,
+    _rho_rows,
     _splits,
     _theta_jets,
     eta,
@@ -700,6 +701,24 @@ class TestArrayContract:
             self.assert_per_point(fn(xs, ctx), lambda x: fn(x, ctx), xs)
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_rho_rows_stack_the_one_row_kernels(self, tau):
+        """`_rho_rows` of orders 2 and 3 stacks rho, rho_prime and
+        rho_second bit for bit: on the mixed points, and at 0.02i also on
+        1,100 points, past one _CHUNK pass."""
+        ctx = Torus(tau)
+        sets = [self.mixed_points(ctx)]
+        if tau == 0.02j:
+            rng = np.random.default_rng(4)
+            n = _CHUNK + 76
+            sets.append(rng.uniform(-0.5, 0.5, n) + 1j * tau.imag * rng.uniform(0.05, 0.95, n))
+        for xs in sets:
+            rows = _rho_rows(xs, ctx, 3)
+            assert rows.shape == (3,) + xs.shape
+            for row, fn in zip(rows, (rho, rho_prime, rho_second)):
+                assert np.array_equal(row, fn(xs, ctx))
+            assert np.array_equal(_rho_rows(xs, ctx), rows[:2])
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_eta_at_z_translates(self, tau):
         """eta's removable points (exactly on or 1e-8 from k, l = 0) mixed
         with ordinary ones take the theta'''(0) limit there."""
@@ -761,6 +780,7 @@ class TestArrayContract:
         for name, fn, x in (
                 ("rho", rho, first), ("rho_prime", rho_prime, first),
                 ("rho_second", rho_second, first),
+                ("rho", _rho_rows, first),
                 ("sigma (x slot)", lambda b, c: sigma(b, 0.3, c), first),
                 ("sigma (w slot)", lambda b, c: sigma(0.3, b, c), first),
                 ("sigma_jet (x slot)", lambda b, c: sigma_jet(b, 0.3, c), first),
@@ -770,6 +790,11 @@ class TestArrayContract:
             with pytest.raises(PoleError) as info:
                 fn(bad, ctx)
             assert str(info.value) == text % (name, x)
+        # past the first _CHUNK pass too
+        long = np.concatenate([np.full(_CHUNK + 5, good[0]), [good[1], second, first]])
+        with pytest.raises(PoleError) as info:
+            _rho_rows(long, ctx)
+        assert str(info.value) == text % ("rho", second)
         with pytest.raises(PoleError) as info:
             eta(np.array([2.0, first, second]), ctx)
         assert str(info.value) == ("eta pole at x = %r (lattice translate with l != 0)"

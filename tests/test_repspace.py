@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,12 @@ from ellbethe.bethe import (
     seed_asymptotic,
     solve_bae,
 )
-from ellbethe import repspace
+from ellbethe import elliptic, repspace
+from ellbethe.cli import _cell_samples
 from ellbethe.thetapoly import wronskian
 from ellbethe.repspace import (
     EIGEN_CHECKS,
+    _psi_args,
     _psi_rows,
     apply_kzb,
     apply_rst_n2,
@@ -47,7 +50,7 @@ def solve_subset(prob, subset):
 
 
 def fixture_solution(m=2, mu=10j, subset=None):
-    z = Z4 if m == 2 else Z4[:2]
+    z = {1: Z4[:2], 2: Z4}.get(m, Z10[:2 * m])
     subset = tuple(range(m)) if subset is None else subset
     return solve_subset(BetheProblem(m, z, mu, CTX), subset)
 
@@ -216,12 +219,13 @@ class TestPsi:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_value_is_order_independent(self, m):
-        """The order-0 rows (order-0 sigma values only, as the Weyl ratio
-        reads them) are psi_derivs' value bit for bit."""
+        """The rows from sigma's values alone (as the Weyl ratio reads them)
+        are psi_derivs' value bit for bit."""
         z = Z10[:2 * m]
         sol = solve_subset(BetheProblem(m, z, 14j, CTX), tuple(range(0, 2 * m, 2)))
         for lam in (LAM, -0.62 + 0.21j):
-            assert np.array_equal(_psi_rows([[lam]], [sol], 0)[0, 0, 0],
+            at = [[lam]], [sol]
+            assert np.array_equal(_psi_rows(sigma(*_psi_args(*at), CTX)[None], *at)[0, 0, 0],
                                   psi_derivs(lam, sol)[0])
 
     def test_m1_single_term(self):
@@ -692,16 +696,54 @@ class TestVerifyEigen:
         sols = [fixture_solution(m=m, subset=subset) for subset in subsets]
         return [(sol, analytic_involution(sol)) for sol in sols]
 
-    @pytest.mark.parametrize("m, subsets", [(1, [(0,), (1,)]), (2, [(0, 1), (0, 2), (1, 3)])])
-    def test_matches_the_per_point_reference(self, m, subsets):
+    @staticmethod
+    def cell_points(prob, count):
+        """`count` lambda and x points, drawn as the eigen command draws them."""
+        return _cell_samples(prob.cell, count, 1), _cell_samples(prob.cell, count, 2, avoid=prob.z)
+
+    @pytest.mark.parametrize("m, subsets, count", [
+        pytest.param(1, [(0,), (1,)], 0, id="1-subsets0"),
+        pytest.param(2, [(0, 1), (0, 2), (1, 3)], 0, id="2-subsets1"),
+        # the bench's eigen shape: one m = 3 pair at 10 lambda and 10 x points
+        pytest.param(3, [(0, 2, 4)], 10, id="3-bench-shape"),
+        # joined calls past _CHUNK points, so they run in passes
+        pytest.param(3, [(0, 1, 2), (0, 2, 4), (1, 3, 5)], 12, id="3-past-chunk")])
+    def test_matches_the_per_point_reference(self, m, subsets, count):
         """Every kernel is batched over the pairs and points, and every
         value is still that of the per-point evaluation, bit for bit."""
         pairs = self.pairs(*subsets, m=m)
-        result = verify_eigen(pairs, self.LAMS, self.XS)
-        worst, tables = reference_verification(pairs, self.LAMS, self.XS)
+        lams, xs = self.cell_points(pairs[0][0].problem, count) if count else (self.LAMS, self.XS)
+        # the Weyl flips put 2 S L m n points into the joined sigma call
+        assert (2 * len(pairs) * len(lams) * 2 * m * m > elliptic._CHUNK) == (count > 10)
+        result = verify_eigen(pairs, lams, xs)
+        worst, tables = reference_verification(pairs, lams, xs)
         assert result.worst == worst
         assert result.ratio_rows == tables
         assert all(value < 1e-8 for value in worst.values())
+
+    def test_one_jet_call_per_kernel_family(self, monkeypatch):
+        """At the bench's eigen shape, one m = 3 pair at 10 lambda and 10 x
+        points, verify_eigen makes at most 15 theta jet calls (the passes of
+        a chunked call are not counted): rho's rows, eta, theta'''(0),
+        sigma, sigma_jet and phi (three jets each) and the theta
+        polynomials."""
+        pairs = self.pairs((0, 2, 4), m=3)
+        lams, xs = self.cell_points(pairs[0][0].problem, 10)
+        jets, depth, calls = elliptic._theta_jets, [0], []
+
+        def counted(*args, **kwargs):
+            calls.append(depth[0] == 0)
+            depth[0] += 1
+            try:
+                return jets(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ellbethe" and getattr(module, "_theta_jets", None) is jets:
+                monkeypatch.setattr(module, "_theta_jets", counted)
+        verify_eigen(pairs, lams, xs)
+        assert 0 < sum(calls) <= 15
 
     def test_pairs_do_not_see_each_other(self):
         pairs = self.pairs((0, 1), (0, 2), (1, 3))
@@ -741,8 +783,8 @@ class TestVerifyEigen:
         clean = verify_eigen(pairs, self.LAMS, self.XS).worst
         psi_rows = repspace._psi_rows
 
-        def poisoned(lams, sols, order):
-            out = psi_rows(lams, sols, order)
+        def poisoned(*args):
+            out = psi_rows(*args)
             out[:, 1, 2, 3] = np.nan
             return out
 

@@ -1,0 +1,149 @@
+"""Compare two source trees on one benchmark workload, in one process.
+
+    python3 tools/bench.py PARENT CHANGE --workload eigen --out BENCH.json
+    python3 tools/bench.py PARENT CHANGE --workload eigen --out BENCH.json --quick
+
+PARENT and CHANGE are checkouts, each with `src/ellbethe`.  Both packages
+are imported side by side, and `perfbench/workloads.py` of this checkout
+generates the workload's experiments from `--seed`, as the benchmark does.
+Each round runs one pass of every experiment through each tree's
+`cli.main([command, "--config", file, "--json"])`; the tree that goes
+first alternates from round to round.  A pass is timed in reference units
+as `perfbench/run.py` reports `wall_ref`: its wall time over the mean time
+of `perfbench/worker.reference_work`, timed before the pass and after each
+experiment.  Both modules are imported, not changed.
+
+The JSON file holds, per tree, the per-round values, their median and
+quartiles and the sha256 of every report, and the number of rounds the
+change won.  At least 10 rounds are run; `--quick` runs 2 rounds over the
+first 3 experiments, to check the tool itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+SCHEMA = "ellbethe-bench/1"
+MIN_ROUNDS = 10
+QUICK_ROUNDS, QUICK_EXPERIMENTS = 2, 3
+
+
+def load_cli(tree):
+    """The `ellbethe.cli` module of the checkout `tree`, imported afresh, so
+    that two trees' packages live side by side (each module holds its own
+    references to the others)."""
+    for name in [n for n in sys.modules if n == "ellbethe" or n.startswith("ellbethe.")]:
+        del sys.modules[name]
+    sys.path.insert(0, os.path.join(tree, "src"))
+    try:
+        return importlib.import_module("ellbethe.cli")
+    finally:
+        sys.path.pop(0)
+
+
+def run_pass(cli, runs, reference_work):
+    """One pass: (wall time over the mean reference time, report digests)."""
+    def ref():
+        started = time.perf_counter()
+        reference_work()
+        return time.perf_counter() - started
+
+    refs, wall, digests = [ref()], 0.0, []
+    for command, path in runs:
+        out = io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", path, "--json"])
+        wall += time.perf_counter() - started
+        refs.append(ref())
+        digests.append("%d:%s" % (code, hashlib.sha256(out.getvalue().encode()).hexdigest()))
+    return wall / statistics.mean(refs), digests
+
+
+def summary(values) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="fiber, eigen or identities")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=MIN_ROUNDS)
+    parser.add_argument("--quick", action="store_true",
+                        help="2 rounds over the first 3 experiments")
+    parser.add_argument("--out", required=True, help="path of the JSON file to write")
+    args = parser.parse_args(argv)
+    if not args.quick and args.rounds < MIN_ROUNDS:
+        parser.error("--rounds must be at least %d" % MIN_ROUNDS)
+    for name in THREAD_VARS:
+        os.environ[name] = "1"
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from worker import reference_work
+    from workloads import make_experiments
+
+    trees = {"parent": load_cli(args.parent), "change": load_cli(args.change)}
+    experiments = make_experiments(args.workload, args.seed)
+    rounds = args.rounds
+    if args.quick:
+        experiments, rounds = experiments[:QUICK_EXPERIMENTS], QUICK_ROUNDS
+    values = {name: [] for name in trees}
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for k, exp in enumerate(experiments):
+            runs.append((exp.command, os.path.join(tmp, "%02d-%s.json" % (k, exp.name))))
+            with open(runs[-1][1], "w", encoding="utf-8") as handle:
+                json.dump(exp.config, handle)
+        for r in range(rounds):
+            for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+                value, seen = run_pass(trees[name], runs, reference_work)
+                values[name].append(value)
+                if digests.setdefault(name, seen) != seen:
+                    raise SystemExit("%s: a report differs between passes" % name)
+
+    import numpy
+
+    record = {
+        "schema": SCHEMA,
+        "workload": args.workload,
+        "seed": args.seed,
+        "rounds": rounds,
+        "quick": args.quick,
+        "unit": "pass wall time / mean reference_work time",
+        "experiments": [exp.name for exp in experiments],
+        "host": {"python": platform.python_version(), "numpy": numpy.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count()},
+        "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        "reports_identical": digests["parent"] == digests["change"],
+    }
+    for name in trees:
+        record[name] = dict(summary(values[name]), report_digests=digests[name])
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("%s seed %d, %d rounds: parent median %.3f, change median %.3f, change won %d"
+          % (args.workload, args.seed, rounds, record["parent"]["median"],
+             record["change"]["median"], record["change_wins"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
