@@ -192,8 +192,7 @@ def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
 
 
 def _master_dz(mixed, sites, mu) -> np.ndarray:
-    """master_dz from rho at z_s - t_j, an (S, n, m) array, and at the site
-    pairs z_s - z_p, p != s, flat in row order."""
+    """master_dz from rho at z_s - t_j, (S, n, m), and at z_s - z_p, p != s, in row order."""
     return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed.sum(axis=2)
             + 0.5 * sites.reshape(mixed.shape[1], -1).sum(axis=1))
 

@@ -347,13 +347,11 @@ def _pointwise(kernel):
 def _joined(kernel, ctx, *arg_sets):
     """kernel(*args, ctx) for every tuple `args` in `arg_sets`, from one call
     over all their broadcast, flattened points: each set gets its values in
-    its broadcast shape, behind any leading row axis of the kernel's result,
-    with the bits a call of its own gives (see above)."""
+    its broadcast shape after any row axis, with the bits a call of its own gives (see above)."""
     sets = [np.broadcast_arrays(*args) for args in arg_sets]
     flat = kernel(*map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets))), ctx)
     ends = np.cumsum([s[0].size for s in sets])[:-1]
-    return [v.reshape(v.shape[:-1] + s[0].shape)
-            for v, s in zip(np.split(flat, ends, axis=-1), sets)]
+    return [v.reshape(v.shape[:-1] + s[0].shape) for v, s in zip(np.split(flat, ends, -1), sets)]
 
 
 def _log_derivs(d) -> list:
@@ -418,11 +416,9 @@ def rho_second(x, ctx: Torus):
 
 
 @_pointwise
-def _rho_rows(x, ctx: Torus, order: int = 2) -> np.ndarray:
-    """[rho, rho', ...] up to rho^(order - 1), one row each, from one theta
-    jet of that order: rows 0-2 of a jet do not depend on its order, so the
-    rows have the bits of rho, rho_prime and rho_second."""
-    return np.array(_log_derivs(_theta_jets(x, ctx, order, pole="rho")))
+def _rho_rows(x, ctx: Torus) -> np.ndarray:
+    """[rho, rho'] from one jet, with the bits of rho and rho_prime."""
+    return np.array(_log_derivs(_theta_jets(x, ctx, 2, pole="rho")))
 
 
 @_pointwise

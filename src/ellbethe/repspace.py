@@ -22,8 +22,7 @@ lambda) reach the operators as their jet (value, d/d lambda, d^2/d
 lambda^2) of coefficient vectors at the lambda of evaluation, so one
 evaluation serves every operator applied there.  `verify_eigen` checks
 the eigenfunctions Psi (`psi_derivs`) of many solutions against these
-operators, with one call per kernel family over all of them, whose
-values the public helpers' own private assembly steps read.
+operators, with one call per kernel family over all of them.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ import typing
 
 import numpy as np
 
-from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, master_dtau,
-                    master_dz)
+from .bethe import BetheSolution, _differences, _master_dtau, _master_dz, master_dtau, master_dz
 from .elliptic import Torus, _joined, _rho_rows, eta, phi, sigma, sigma_jet, theta_derivs
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
 
@@ -169,11 +167,8 @@ class KzbOperators:
 
 def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     """The KZB operators at lam, a point or an array of points, from one
-    `_rho_rows` call (rho per unordered site pair, rho'(lambda)), one eta
-    call (per unordered site pair and at 0), and one call each of sigma(z_s
-    - z_p, -lambda) and phi(lambda, z_s - z_p) per ordered pair and lambda,
-    assembled by `_kzb_operators`, which `verify_eigen` hands the same
-    values from calls it shares with the other helpers.
+    call per kernel family over every site pair and lambda, assembled by
+    `_kzb_operators`, which `verify_eigen` shares.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -196,19 +191,16 @@ def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     phi(lambda, .) one, so the two moves of H_0 add up to
     -phi(lambda, z_s - z_p)/(2 pi i).
     """
-    n, lam = len(z), np.asarray(lam, dtype=complex)
-    d = np.subtract.outer(z, z)
-    pairs, ordered = d[np.triu_indices(n, 1)], d[~np.eye(n, dtype=bool)]
+    d, lam = np.subtract.outer(z, z), np.asarray(lam, dtype=complex)
+    pairs, ordered = d[np.triu_indices(len(z), 1)], d[~np.eye(len(z), dtype=bool)]
     r_pairs, r_lam = _joined(_rho_rows, ctx, (pairs,), (lam,))
     eta_pairs, eta0 = _joined(eta, ctx, (pairs,), (0.0,))
-    return _kzb_operators(n, r_pairs[0], eta_pairs, eta0, r_lam[1],
+    return _kzb_operators(len(z), r_pairs[0], eta_pairs, eta0, r_lam[1],
                           sigma(ordered, -lam[..., None], ctx), phi(lam[..., None], ordered, ctx))
 
 
 def _kzb_operators(n, rho_d, eta_d, eta0, rho_p, sig, phi_d) -> KzbOperators:
-    """kzb_operators from rho and eta at the pairs z_s - z_p, s < p, eta(0),
-    rho'(lambda), and sigma(., -lambda) and phi(lambda, .) at the pairs p !=
-    s behind lambda's axes, each pair list in row order."""
+    """kzb_operators from its kernels' values, at z_s - z_p for s < p, then p != s."""
     sp = zero_weight_space(n)
     hw = sp.hw_site
     shape = np.shape(sig)[:-1]
@@ -251,8 +243,7 @@ def s2_via_kzb(x, rows, value, z, ctx: Torus) -> np.ndarray:
     + c2^(s) rho'(x - z_s) ], c2^(s) the scalar -3/4 on each factor.
     x may be an array, whose axes then lead those of rows and value.
     """
-    return _s2_via_kzb(_rho_rows(np.asarray(x, dtype=complex)[..., None] - np.asarray(z), ctx),
-                       rows, value)
+    return _s2_via_kzb(_rho_rows(np.subtract.outer(np.asarray(x, complex), z), ctx), rows, value)
 
 
 def _s2_via_kzb(r, rows, value) -> np.ndarray:
@@ -282,9 +273,8 @@ def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
     lambda) e12^(s) the product L21 L12 is the sum of single-site moves
     sigma(x - z_s, lambda) sigma(x - z_p, -lambda) e12^(s) e21^(p).
     """
-    d = np.asarray(x, dtype=complex)[..., None] - np.asarray(z)
-    lam = np.asarray(lam, dtype=complex)[..., None]
-    return _rst_n2(_rho_rows(d, ctx), sigma(d, np.array([lam, -lam]), ctx), jet)
+    d, lam = np.subtract.outer(np.asarray(x, dtype=complex), z), np.asarray(lam, dtype=complex)
+    return _rst_n2(_rho_rows(d, ctx), sigma(d, np.array([lam, -lam])[..., None], ctx), jet)
 
 
 def _rst_n2(r, sig, jet) -> np.ndarray:
@@ -324,22 +314,15 @@ def _rst_n2(r, sig, jet) -> np.ndarray:
 def fundamental_b2(x, sol: BetheSolution):
     """B2(x) with d^2/dx^2 + B2(x) the fundamental operator of Psi, at a
     point or at every point of an array (see `_b2`)."""
-    return _b2(_rho_rows(_b2_poles(x, [sol]), sol.problem.ctx), [sol])[0]
-
-
-def _b2_poles(x, sols) -> np.ndarray:
-    """x - t_j, then x - z_s, for each solution: an (S, *x.shape, m + n) array."""
-    x = np.asarray(x, dtype=complex)
-    poles = np.array([tuple(sol.t) + sols[0].problem.z for sol in sols], dtype=complex)
-    return x[..., None] - poles.reshape((len(sols),) + (1,) * x.ndim + (-1,))
+    d = np.asarray(x, dtype=complex)[..., None] - np.array((*sol.t, *sol.problem.z), dtype=complex)
+    return _b2(_rho_rows(d[None], sol.problem.ctx), [sol])[0]
 
 
 def _b2(r, sols) -> np.ndarray:
     """B2 of each solution sols[k] at the points x, an (S, *x.shape) array,
-    from the rows (rho, rho') at its `_b2_poles`: B2 = -w' - w^2 for w =
-    (ln u)' = pi i mu + sum_j rho(x - t_j) - (1/2) sum_s rho(x - z_s)."""
-    prob = sols[0].problem
-    weights = np.repeat([1.0, -0.5], [prob.m, prob.n])
+    from the rows (rho, rho') at x - t_j, then x - z_s: B2 = -w' - w^2 for
+    w = (ln u)' = pi i mu + sum_j rho(x - t_j) - (1/2) sum_s rho(x - z_s)."""
+    weights = np.repeat([1.0, -0.5], [sols[0].problem.m, sols[0].problem.n])
     rates = np.array([1j * math.pi * sol.mu for sol in sols]).reshape((-1,) + (1,) * (r.ndim - 3))
     w = rates + r[0] @ weights
     return -(r[1] @ weights) - w * w
@@ -394,33 +377,26 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     f/sqrt(Wr) and g/sqrt(Wr) of the pair's theta polynomials
     (kernel_membership); the spread of s . Psi(-lambda) / Psi_partner(lambda)
     relative to its mean (weyl_ratio).  Each kernel family is one call over
-    every pair and point, whose values the public helpers' assembly steps
-    read: one `_rho_rows` jet at x - z_s (both S2 routes), at B2's poles, at
-    lambda, at the site pairs and at master_dz's differences; one eta call
-    at master_dtau's differences (whose site pairs H_0 reads too) and at 0,
-    beside master_dtau's theta'''(0); one sigma call for H_s, the Weyl flips
-    and the column determinant; one each of sigma_jet, phi and the theta
-    polynomials.  A point's values do not depend on its batch, and each
-    reduction runs per vector or along a last axis, so no value depends on
-    the other pairs.  A NaN anywhere makes its check's worst value NaN,
-    which fails every tolerance."""
+    every pair and point, read by the helpers' private assembly steps, and
+    each reduction runs per vector or along a last axis, so no value
+    depends on the other pairs.  A NaN anywhere makes its check's worst
+    value NaN, which fails every tolerance."""
     if not pairs:
         return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ())
     (sols, pars), count = map(list, zip(*pairs)), len(pairs)
-    prob = sols[0].problem
-    z, ctx = np.array(prob.z), prob.ctx
+    prob, ctx, z = sols[0].problem, sols[0].problem.ctx, np.array(sols[0].problem.z)
     lams, xs = np.array(lam_pts, dtype=complex), np.array(x_pts, dtype=complex)
     t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
     diffs, sites = _differences(t, prob), np.subtract.outer(z, z)[~np.eye(len(z), dtype=bool)]
-    xz, lam_col = xs[:, None] - z, lams[:, None]
+    xz, zt, lam_col = xs[:, None] - z, z[:, None] - t[:, None, :], lams[:, None]
     flip_lams = [[-lam for lam in lam_pts]] * count + [lam_pts] * count
+    poles = np.array([xs, xs + 1, xs + ctx.tau])[..., None] - np.array(
+        [tuple(sol.t) + prob.z for sol in sols], dtype=complex)[:, None, None]
     r_xz, r_b2, r_lam, r_pairs, r_mixed, r_sites = _joined(
-        _rho_rows, ctx, (xz,), (_b2_poles(np.array([xs, xs + 1, xs + ctx.tau]), sols),),
-        (lams,), (diffs[2],), (z[:, None] - t[:, None, :],), (sites,))
+        _rho_rows, ctx, (xz,), (poles,), (lams,), (diffs[2],), (zt,), (sites,))
     *etas, eta0 = _joined(eta, ctx, *((d,) for d in diffs), (0.0,))
-    sig_kzb, sig_flips, sig_rst = _joined(sigma, ctx, (sites, -lam_col),
-                                          _psi_args(flip_lams, sols + pars),
-                                          (xz, np.array([lam_col, -lam_col])))
+    sig_kzb, sig_rst, sig_flips = _joined(sigma, ctx, (sites, -lam_col), (xz, [lam_col, -lam_col]),
+                                          _psi_args(flip_lams, sols + pars))
     evs = np.column_stack([_master_dtau(etas, theta_derivs(0.0, ctx, 3)[3], mu),
                            _master_dz(r_mixed[0], r_sites[0], mu)])
     at = [lam_pts] * count, sols

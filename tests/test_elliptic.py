@@ -702,9 +702,8 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_rho_rows_stack_the_one_row_kernels(self, tau):
-        """`_rho_rows` of orders 2 and 3 stacks rho, rho_prime and
-        rho_second bit for bit: on the mixed points, and at 0.02i also on
-        1,100 points, past one _CHUNK pass."""
+        """`_rho_rows` stacks rho and rho_prime bit for bit: on the mixed
+        points, and at 0.02i also on 1,100 points, past one _CHUNK pass."""
         ctx = Torus(tau)
         sets = [self.mixed_points(ctx)]
         if tau == 0.02j:
@@ -712,11 +711,10 @@ class TestArrayContract:
             n = _CHUNK + 76
             sets.append(rng.uniform(-0.5, 0.5, n) + 1j * tau.imag * rng.uniform(0.05, 0.95, n))
         for xs in sets:
-            rows = _rho_rows(xs, ctx, 3)
-            assert rows.shape == (3,) + xs.shape
-            for row, fn in zip(rows, (rho, rho_prime, rho_second)):
+            rows = _rho_rows(xs, ctx)
+            assert rows.shape == (2,) + xs.shape
+            for row, fn in zip(rows, (rho, rho_prime)):
                 assert np.array_equal(row, fn(xs, ctx))
-            assert np.array_equal(_rho_rows(xs, ctx), rows[:2])
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_eta_at_z_translates(self, tau):
