@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ellbethe.elliptic import (PoleError, Torus, eta, phi, rho, rho_prime, sigma,
+from ellbethe.elliptic import (PoleError, RangeError, Torus, eta, phi, rho, rho_prime, sigma,
                                sigma_jet, theta)
 from ellbethe.bethe import (
     BetheProblem,
@@ -744,6 +744,27 @@ class TestVerifyEigen:
                 monkeypatch.setattr(module, "_theta_jets", counted)
         verify_eigen(pairs, lams, xs)
         assert 0 < sum(calls) <= 15
+
+    def test_kernel_errors_name_the_first_offending_point(self):
+        """A bad lambda or x raises the kernels' own exception, naming the
+        first offending kernel argument: x - z_s for an x (z_0 = 0.13), the
+        lambda itself for a lambda."""
+        pairs = self.pairs((0, 1))
+        pole = "rho evaluated within tol_pole of the lattice (x=%s)"
+        for lams, xs, error, message in (
+                (self.LAMS, [0.13] + self.XS[1:], PoleError, pole % "0j"),
+                ([0.0] + self.LAMS[1:], self.XS, PoleError, pole % "0j"),
+                (self.LAMS[:2] + [1 + CTX.tau] + self.LAMS[3:], self.XS, PoleError,
+                 pole % "(1+1j)"),
+                ([math.nan] + self.LAMS[1:], self.XS, RangeError,
+                 "x = (nan+0j) is not a finite number"),
+                (self.LAMS, [complex(0.0, math.nan)] + self.XS[1:], RangeError,
+                 "x = (-0.13+nanj) is not a finite number"),
+                (self.LAMS, self.XS[:3] + [1e9], RangeError,
+                 "Re(x) = 1e+09 exceeds the supported range")):
+            with pytest.raises(error) as info:
+                verify_eigen(pairs, lams, xs)
+            assert type(info.value) is error and str(info.value) == message
 
     def test_pairs_do_not_see_each_other(self):
         pairs = self.pairs((0, 1), (0, 2), (1, 3))
