@@ -59,6 +59,9 @@ _ROW_CUTOFF = 1e-17
 # to about 1.5 MB; a point's bits do not depend on the pass it is in
 _CHUNK = 1024
 
+# phi's Taylor branch: a reduced w within this share of the cell diagonal
+_TAYLOR_RADIUS = 3e-5
+
 # lattice_distances steps to the 3x3 neighbours of a reduced argument
 _NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
 
@@ -194,7 +197,7 @@ def lattice_distances(xs, ctx: Torus) -> np.ndarray:
     return out.reshape(xs.shape)[()]
 
 
-def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False) -> np.ndarray:
+def _theta_jets(xs, ctx: Torus, order: int, pole=None, dtau: bool = False) -> np.ndarray:
     """[theta, theta', ..., theta^(order)] at every point of xs, a scalar or
     an array of any shape, as one (order + 1, *shape) array; `dtau` appends
     the row d/dtau theta.
@@ -220,8 +223,9 @@ def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False
     carried by the chain rule: dtau'/dtau = 1/j^2, du0/dtau = -W/j^2 and
     dP/dtau = pi i W^2/j^2.
 
-    It is also the kernels' pole guard: a kernel passes its name as `pole`,
-    and PoleError is raised when |j u0| < tol_pole.  u0 lies in the reduced
+    It is also the kernels' pole guard: a kernel passes its name as `pole`
+    (the theta table a mask of the points it guards), and PoleError is
+    raised when |j u0| < tol_pole.  u0 lies in the reduced
     box and every nonzero point of Z + tau' Z is at least sqrt(3)/4 from it,
     so this is the test lattice_distance(x) < tol_pole whenever the
     shortest period |j| is at least 4 tol_pole/sqrt(3).  RangeError, tested
@@ -237,6 +241,8 @@ def _theta_jets(xs, ctx: Torus, order: int, pole: str = None, dtau: bool = False
     u0, k, l = _reduce(x0 / j, tau_r)
     if pole is not None:
         near = np.abs(j * u0) < ctx.tol_pole
+        if not isinstance(pole, str):
+            near, pole = near & pole, "a guarded slot"
         if near.any():
             raise PoleError("%s evaluated within tol_pole of the lattice (x=%r)"
                             % (pole, complex(xs[np.argmax(near)])))
@@ -349,7 +355,8 @@ def _joined(kernel, ctx, *arg_sets):
     over all their broadcast, flattened points: each set gets its values in
     its broadcast shape after any row axis, with the bits a call of its own gives (see above)."""
     sets = [np.broadcast_arrays(*args) for args in arg_sets]
-    flat = kernel(*map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets))), ctx)
+    # a tuple of rows (sigma_jet's) as one array
+    flat = np.asarray(kernel(*map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets))), ctx))
     ends = np.cumsum([s[0].size for s in sets])[:-1]
     return [v.reshape(v.shape[:-1] + s[0].shape) for v, s in zip(np.split(flat, ends, -1), sets)]
 
@@ -418,16 +425,14 @@ def rho_second(x, ctx: Torus):
 @_pointwise
 def _rho_rows(x, ctx: Torus) -> np.ndarray:
     """[rho, rho'] from one jet, with the bits of rho and rho_prime."""
-    return np.array(_log_derivs(_theta_jets(x, ctx, 2, pole="rho")))
+    return _direct(_rho_rows, x, ctx)
 
 
 @_pointwise
 def sigma(x, w, ctx: Torus):
     """sigma(x, w) = theta(x+w) / (theta(x) theta(w)); the same bits as
     the first entry of sigma_jet."""
-    tx = _theta_jets(x, ctx, 0, pole="sigma (x slot)")[0]
-    tw = _theta_jets(w, ctx, 0, pole="sigma (w slot)")[0]
-    return _theta_jets(x + w, ctx, 0)[0] / (tx * tw)
+    return _direct(sigma, x, w, ctx)
 
 
 @_pointwise
@@ -438,14 +443,18 @@ def sigma_jet(x, w, ctx: Torus) -> tuple:
     quotient-rule form over theta(x) theta(w)^k, from the order-2 jets at
     x + w and at w, so they stay finite when x+w hits the lattice.
     """
-    tw = _theta_jets(w, ctx, 2, pole="sigma_jet (w slot)")
-    tx = _theta_jets(x, ctx, 0, pole="sigma_jet (x slot)")[0]
-    ts = _theta_jets(x + w, ctx, 2)
+    return _direct(sigma_jet, x, w, ctx)
+
+
+def _sigma_rows(tx, tw, ts):
+    """sigma from the jets at x, w and x + w, or sigma_jet from order 2 at w and x + w."""
+    if len(ts) == 1:
+        return ts[0] / (tx[0] * tw[0])
     num2 = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
             - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
-    return (ts[0] / (tx * tw[0]),
-            (ts[1] * tw[0] - ts[0] * tw[1]) / (tx * tw[0] * tw[0]),
-            num2 / (tx * tw[0] ** 3))
+    return (ts[0] / (tx[0] * tw[0]),
+            (ts[1] * tw[0] - ts[0] * tw[1]) / (tx[0] * tw[0] * tw[0]),
+            num2 / (tx[0] * tw[0] ** 3))
 
 
 @_pointwise
@@ -460,17 +469,28 @@ def phi(x, w, ctx: Torus):
     guards the x slot of every point.
     """
     w0, _, l = _splits(w, ctx.tau)
-    small = np.abs(w0) < 3e-5 * ctx.cell_diagonal
+    small = np.abs(w0) < _TAYLOR_RADIUS * ctx.cell_diagonal
     dx = _theta_jets(x, ctx, 4 if small.any() else 1, pole="phi (x slot)")
     out = np.empty(len(x), dtype=complex)
     wide = ~small
     if wide.any():
-        d = _theta_jets(x[wide] - w[wide], ctx, 1)
-        tw = _theta_jets(w[wide], ctx, 0)[0]
-        out[wide] = (d[1] - d[0] * (dx[1][wide] / dx[0][wide])) / (tw * dx[0][wide])
+        out[wide] = _phi_rows(dx[:, wide], _theta_jets(x[wide] - w[wide], ctx, 1),
+                              _theta_jets(w[wide], ctx, 0))
     if small.any():
         out[small] = _phi_taylor(x[small], w0[small], l[small], dx[:, small], ctx)
     return out
+
+
+def _phi_slots(x, w, ctx: Torus):
+    """phi's jets where every w is clear of the Taylor branch, else None."""
+    if (np.abs(_splits(w, ctx.tau)[0]) < _TAYLOR_RADIUS * ctx.cell_diagonal).any():
+        return None
+    return [(x, 1, "phi (x slot)"), (x - w, 1, None), (w, 0, None)]
+
+
+def _phi_rows(dx, d, tw):
+    """phi's quotient form from the jets at x and x - w and theta(w)."""
+    return (d[1] - d[0] * (dx[1] / dx[0])) / (tw[0] * dx[0])
 
 
 def _phi_taylor(x, w0, l, dx, ctx: Torus) -> np.ndarray:
@@ -502,12 +522,87 @@ def eta(x, ctx: Torus):
     eta -> theta'''(0), taken as theta'''/theta' at the reduced argument.
     Translates by l*tau with l != 0 are genuine poles.
     """
+    return _direct(eta, x, ctx)
+
+
+def _eta_slots(x, ctx: Torus) -> list:
+    """eta's jet, at the reduced argument where it is near the origin, and that mask."""
     x0, _, l = _splits(x, ctx.tau)
     near = np.abs(x0) < 1e-6 * ctx.cell_diagonal
     pole = near & (l != 0)
     if pole.any():
         raise PoleError("eta pole at x = %r (lattice translate with l != 0)"
-                        % (complex(x[np.argmax(pole)]),))
-    d = _theta_jets(np.where(near, x0, x), ctx, 3)
+                        % (complex(x.flat[np.argmax(pole)]),))
+    return [(np.where(near, x0, x), 3, None), near]
+
+
+def _eta_rows(d, near):
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(near, d[3] / d[1], d[2] / d[0])
+
+
+# Each kernel's form, for its own calls and the theta table: its slots, the
+# jets it takes as (points, order, pole name or None) in the order it guards
+# them, then any array its formula reads, and the formula, pointwise.
+_FORMS = {
+    _rho_rows: (lambda x, ctx: [(x, 2, "rho")], lambda d: np.array(_log_derivs(d))),
+    theta_derivs: (lambda x, ctx: [(x, 3, None)], lambda d: d),
+    eta: (_eta_slots, _eta_rows),
+    sigma: (lambda x, w, ctx: [(x, 0, "sigma (x slot)"), (w, 0, "sigma (w slot)"),
+                               (x + w, 0, None)], _sigma_rows),
+    sigma_jet: (lambda x, w, ctx: [(w, 2, "sigma_jet (w slot)"), (x, 0, "sigma_jet (x slot)"),
+                                   (x + w, 2, None)], lambda tw, tx, ts: _sigma_rows(tx, tw, ts)),
+    phi: (_phi_slots, _phi_rows),
+}
+
+
+def _direct(kernel, *args):
+    """A kernel at its points (args end in ctx): one _theta_jets call per slot, in turn."""
+    slots, formula = _FORMS[kernel]
+    return formula(*(_theta_jets(s[0], args[-1], s[1], pole=s[2]) if isinstance(s, tuple)
+                     else s for s in slots(*args)))
+
+
+def _theta_table(ctx: Torus, *requests) -> list:
+    """[_joined(kernel, ctx, *arg_sets) for each request (kernel, *arg_sets)]
+    bit for bit, from one _theta_jets call per order: each slot at its own
+    points (x of shape (30,) and w of (10, 1) make 40, x + w 300), order 1
+    read from order 2 (rows 0-2 do not depend on the order, nor a point's
+    jet on its batch), each formula on its slots gathered onto the grid, at
+    most _CHUNK points a pass.  Where a guard fires, a jet overflows or phi
+    takes its Taylor branch, the _joined calls are made instead, in turn."""
+    def joined():
+        return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]
+
+    groups, sets, jets, values = {}, [], {}, []
+    try:
+        for kernel, *arg_sets in requests:
+            values.append([])
+            for args in arg_sets:
+                args = [np.asarray(a, dtype=complex) for a in args]
+                slots = _FORMS[kernel][0](*args, ctx)
+                if slots is None:
+                    return joined()
+                for s in slots:
+                    if isinstance(s, tuple):
+                        groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
+                sets.append((kernel, np.broadcast_shapes(*(a.shape for a in args)), slots,
+                             values[-1]))
+        for order, group in groups.items():
+            sizes = [np.size(s[0]) for s in group]
+            out = _theta_jets(np.concatenate([np.ravel(s[0]) for s in group]), ctx, order,
+                              pole=np.repeat([s[2] is not None for s in group], sizes))
+            for s, piece in zip(group, np.split(out, np.cumsum(sizes)[:-1], axis=1)):
+                jets[id(s)] = piece[:s[1] + 1]
+    except (RangeError, PoleError, OverflowError):
+        return joined()
+    for kernel, grid, slots, out in sets:
+        rows = [(jets[id(s)], np.shape(s[0])) if isinstance(s, tuple) else (s.ravel(), s.shape)
+                for s in slots]
+        rows = [a if shape == grid else
+                a[..., np.broadcast_to(np.arange(a.shape[-1]).reshape(shape), grid).ravel()]
+                for a, shape in rows]
+        v = np.concatenate([np.asarray(_FORMS[kernel][1](*(a[..., c:c + _CHUNK] for a in rows)))
+                            for c in range(0, max(math.prod(grid), 1), _CHUNK)], axis=-1)
+        out.append(v.reshape(v.shape[:-1] + grid))
+    return values

@@ -37,7 +37,7 @@ import typing
 import numpy as np
 
 from .bethe import BetheSolution, _differences, _master_dtau, _master_dz, master_dtau, master_dz
-from .elliptic import Torus, _joined, _rho_rows, eta, phi, sigma, sigma_jet, theta_derivs
+from .elliptic import Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet, theta_derivs
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
 
 TWOPI_I = 2j * math.pi
@@ -167,8 +167,8 @@ class KzbOperators:
 
 def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     """The KZB operators at lam, a point or an array of points, from one
-    call per kernel family over every site pair and lambda, assembled by
-    `_kzb_operators`, which `verify_eigen` shares.
+    theta table over the site pairs and the lambdas on their own axes,
+    assembled by `_kzb_operators`, which `verify_eigen` shares.
 
     The operator attached to site s (0-based; H_{s+1}) is
 
@@ -193,10 +193,10 @@ def kzb_operators(lam, z, ctx: Torus) -> KzbOperators:
     """
     d, lam = np.subtract.outer(z, z), np.asarray(lam, dtype=complex)
     pairs, ordered = d[np.triu_indices(len(z), 1)], d[~np.eye(len(z), dtype=bool)]
-    r_pairs, r_lam = _joined(_rho_rows, ctx, (pairs,), (lam,))
-    eta_pairs, eta0 = _joined(eta, ctx, (pairs,), (0.0,))
-    return _kzb_operators(len(z), r_pairs[0], eta_pairs, eta0, r_lam[1],
-                          sigma(ordered, -lam[..., None], ctx), phi(lam[..., None], ordered, ctx))
+    (r_pairs, r_lam), (eta_pairs, eta0), (sig,), (phi_d,) = _theta_table(
+        ctx, (_rho_rows, (pairs,), (lam,)), (eta, (pairs,), (0.0,)),
+        (sigma, (ordered, -lam[..., None])), (phi, (lam[..., None], ordered)))
+    return _kzb_operators(len(z), r_pairs[0], eta_pairs, eta0, r_lam[1], sig, phi_d)
 
 
 def _kzb_operators(n, rho_d, eta_d, eta0, rho_p, sig, phi_d) -> KzbOperators:
@@ -362,13 +362,18 @@ class EigenVerification(typing.NamedTuple):
 
 
 def _norms(a) -> np.ndarray:
-    """np.linalg.norm per vector on the last axis (one along an axis sums in another order)."""
-    return np.array([np.linalg.norm(v) for v in a.reshape(-1, a.shape[-1])]).reshape(a.shape[:-1])
+    """np.linalg.norm per vector on the last axis, bit for bit: its dot of the real parts plus
+    that of the imaginary parts, as one stacked matmul each (a norm along an axis sums in
+    another order)."""
+    v = np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+    r, i = v.real, v.imag
+    return np.sqrt(r[:, None] @ r[..., None] + i[:, None] @ i[..., None]).reshape(a.shape[:-1])
 
 
 def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     """Verify the eigenfunction Psi of each (solution, partner) pair at the
-    points lambda and x, two lists of one length: over |Psi|, H_a Psi = E_a
+    points lambda and x, two nonempty lists of one length (ValueError
+    otherwise): over |Psi|, H_a Psi = E_a
     Psi (eigen_relation) and sum_s H_s Psi = 0 (eigen_sum_rule); |E_1 + ...
     + E_n| (eigenvalue_sum); at (x_k, lambda_k), `s2_via_kzb` =
     `apply_rst_n2` over max(1, |S2 Psi|) (s2_routes) and S2 Psi = B2 Psi
@@ -376,11 +381,14 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     B2(x) (b2_periodicity) and v' + v^2 + B2 = 0 for v = (ln u)', u =
     f/sqrt(Wr) and g/sqrt(Wr) of the pair's theta polynomials
     (kernel_membership); the spread of s . Psi(-lambda) / Psi_partner(lambda)
-    relative to its mean (weyl_ratio).  Each kernel family is one call over
-    every pair and point, read by the helpers' private assembly steps, and
+    relative to its mean (weyl_ratio).  Every kernel comes from one theta
+    table over every pair and point, read by the helpers' assembly steps, and
     each reduction runs per vector or along a last axis, so no value
     depends on the other pairs.  A NaN anywhere makes its check's worst
     value NaN, which fails every tolerance."""
+    if not len(lam_pts) == len(x_pts) > 0:
+        raise ValueError("lam_pts and x_pts must be nonempty and of one length, got %d and %d"
+                         % (len(lam_pts), len(x_pts)))
     if not pairs:
         return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ())
     (sols, pars), count = map(list, zip(*pairs)), len(pairs)
@@ -392,17 +400,16 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     flip_lams = [[-lam for lam in lam_pts]] * count + [lam_pts] * count
     poles = np.array([xs, xs + 1, xs + ctx.tau])[..., None] - np.array(
         [tuple(sol.t) + prob.z for sol in sols], dtype=complex)[:, None, None]
-    r_xz, r_b2, r_lam, r_pairs, r_mixed, r_sites = _joined(
-        _rho_rows, ctx, (xz,), (poles,), (lams,), (diffs[2],), (zt,), (sites,))
-    *etas, eta0 = _joined(eta, ctx, *((d,) for d in diffs), (0.0,))
-    sig_kzb, sig_rst, sig_flips = _joined(sigma, ctx, (sites, -lam_col), (xz, [lam_col, -lam_col]),
-                                          _psi_args(flip_lams, sols + pars))
-    evs = np.column_stack([_master_dtau(etas, theta_derivs(0.0, ctx, 3)[3], mu),
-                           _master_dz(r_mixed[0], r_sites[0], mu)])
     at = [lam_pts] * count, sols
-    jets = _psi_rows(np.array(sigma_jet(*_psi_args(*at), ctx)), *at)
-    ops = _kzb_operators(len(z), r_pairs[0], etas[2], eta0, r_lam[1], sig_kzb,
-                         phi(lam_col, sites, ctx))
+    ((r_xz, r_b2, r_lam, r_pairs, r_mixed, r_sites), (*etas, eta0), (sig_kzb, sig_rst, sig_flips),
+     (d0,), (psi,), (phi_d,)) = _theta_table(
+        ctx, (_rho_rows, (xz,), (poles,), (lams,), (diffs[2],), (zt,), (sites,)),
+        (eta, *((d,) for d in diffs), (0.0,)),
+        (sigma, (sites, -lam_col), (xz, [lam_col, -lam_col]), _psi_args(flip_lams, sols + pars)),
+        (theta_derivs, (0.0,)), (sigma_jet, _psi_args(*at)), (phi, (lam_col, sites)))
+    evs = np.column_stack([_master_dtau(etas, d0[3], mu), _master_dz(r_mixed[0], r_sites[0], mu)])
+    jets = _psi_rows(psi, *at)
+    ops = _kzb_operators(len(z), r_pairs[0], etas[2], eta0, r_lam[1], sig_kzb, phi_d)
     rows = np.array([apply_kzb(ops, jets[:, k]) for k in range(count)])
     # s . Psi(-lambda) of each solution, over the partners' Psi(lambda)
     flips = _psi_rows(sig_flips[None], flip_lams, sols + pars)[0]

@@ -1,8 +1,10 @@
-"""Tests of tools/bench.py, the two-tree benchmark comparison."""
+"""Tests of tools/bench.py, the two-tree benchmark comparison, and of
+tools/same_reports.py, the two-tree report comparison."""
 
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -58,3 +60,28 @@ def test_committed_files_have_the_schema():
             record = json.load(handle)
         check_schema(record)
         assert not record["quick"] and record["rounds"] >= 10
+
+
+SAME = os.path.join(ROOT, "tools", "same_reports.py")
+
+
+def test_same_reports_passes_one_tree_against_itself():
+    done = subprocess.run([sys.executable, SAME, ROOT, ROOT, "--seeds", "1", "--limit", "2"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "6 reports identical\n"
+
+
+def test_same_reports_names_the_first_report_that_differs(tmp_path):
+    """A tree whose JSON reports end in one newline more differs from the
+    first experiment of the first workload on."""
+    shutil.copytree(os.path.join(ROOT, "src", "ellbethe"), tmp_path / "src" / "ellbethe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "ellbethe" / "cli.py"
+    text = cli.read_text()
+    assert text.count('return "".join(out) + "\\n"') == 1
+    cli.write_text(text.replace('return "".join(out) + "\\n"', 'return "".join(out) + "\\n\\n"'))
+    done = subprocess.run([sys.executable, SAME, ROOT, str(tmp_path), "--seeds", "2-3"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout == "differs: workload fiber, seed 2, experiment m3-tau0-0 (exit 0 vs 0)\n"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from ellbethe import elliptic
 from ellbethe.elliptic import (
     _CHUNK,
     _MAX_LATTICE_SHIFT,
@@ -765,6 +766,62 @@ class TestArrayContract:
                 got, parts = (got,), [(p,) for p in parts]
             for row, want in zip(got, zip(*parts)):
                 assert np.array_equal(row, np.concatenate(want, axis=-1))
+
+    @pytest.mark.parametrize("tau", GUARD_TAUS)
+    def test_theta_table_has_the_bits_of_the_kernels(self, tau, monkeypatch):
+        """Each request of `_theta_table` gets the bits of its own `_joined`
+        call, from one jet call per order (0, 2 and 3): on repeated
+        arguments, imaginary parts of +0.0 and -0.0, phi's order-1 rows read
+        from order 2, eta's removable point 0 beside theta'''(0), and a
+        sigma request past one _CHUNK pass."""
+        ctx = Torus(tau)
+        rng = np.random.default_rng(9)
+        sites = np.array([0.3 - 0.2j * tau.imag, 0.11 + 0.3 * tau, 0.3 - 0.2j * tau.imag,
+                          complex(0.45, 0.0), complex(0.45, -0.0), -0.3 + 0.2j * tau.imag])
+        lams = np.array([0.2 + 0.1j, 0.2 + 0.1j, complex(0.7, 0.0), complex(0.7, -0.0)])[:, None]
+        far = rng.uniform(0.05, 0.95, _CHUNK + 76) + 1j * tau.imag * rng.uniform(0.05, 0.95)
+        requests = [(_rho_rows, (sites,), (lams,), (sites,)),
+                    (eta, (sites,), (0.0,), (np.array([0.0, complex(-0.0, -0.0), 1.0, 3.0]),)),
+                    (theta_derivs, (0.0,)),
+                    (sigma, (sites, -lams), (far, lams[:2]), (sites[:, None, None], far[:3])),
+                    (sigma_jet, (sites, -lams)), (phi, (lams, sites)), (phi, (sites[:2], lams[0]))]
+        jets, depth, calls = elliptic._theta_jets, [0], []
+
+        def counted(xs, ctx, order, **kwargs):
+            if depth[0] == 0:
+                calls.append(order)
+            depth[0] += 1
+            try:
+                return jets(xs, ctx, order, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(elliptic, "_theta_jets", counted)
+        got = elliptic._theta_table(ctx, *requests)
+        assert sorted(calls) == [0, 2, 3]
+        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        for (kernel, *sets), values in zip(requests, got):
+            want = elliptic._joined(kernel, ctx, *sets)
+            assert len(values) == len(want)
+            for value, row in zip(values, want):
+                assert value.shape == row.shape and value.tobytes() == row.tobytes()
+
+    def test_theta_table_falls_back_to_the_kernels(self):
+        """Where phi takes its Taylor branch, or a guard fires, `_theta_table`
+        makes the `_joined` calls in turn: the kernels' values (sigma_jet's
+        rows as one array), and the same
+        first exception, here one in sigma's x slot ahead of the RangeError
+        of eta, a later request, which the table itself meets first."""
+        ctx = Torus(0.3 + 0.8j)
+        ws = np.array([0.3 - 0.2j, 1e-6 + 1e-6j, 2.0 + 2e-6])
+        requests = [(sigma_jet, (ws[:1], 0.2)), (phi, (0.4 + 0.1j, ws)), (sigma, (ws, 0.2))]
+        for (kernel, args), (value,) in zip(requests, elliptic._theta_table(ctx, *requests)):
+            assert value.tobytes() == np.array(kernel(*args, ctx)).tobytes()
+        for bad, error, text in ((1.0 + ctx.tau, PoleError, "sigma (x slot) evaluated"),
+                                 (math.nan, RangeError, "x = (nan+0j) is not")):
+            with pytest.raises(error, match=re.escape(text)):
+                elliptic._theta_table(ctx, (sigma, (np.array([0.3, bad]), 0.2)),
+                                      (eta, (np.array([0.1, 1e9]),)))
 
     def test_errors_name_the_first_offending_point(self):
         """In a mixed array the PoleError of each guard names the first

@@ -687,6 +687,23 @@ def reference_verification(pairs, lams, xs):
     return worst, tuple(tables)
 
 
+def test_stacked_norms_match_the_per_vector_loop():
+    """`_norms` has np.linalg.norm's bits on every vector: random ones of
+    lengths 6..252 at scales 1e-5..1e4, vectors holding a NaN, an inf, only
+    zeros or 1e200 components, and a non-contiguous array."""
+    rng = np.random.default_rng(7)
+    for n in (6, 7, 19, 20, 33, 70, 128, 129, 252):
+        a = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+        a *= 10.0 ** rng.integers(-5, 5, (3, 4, 1))
+        a[0, 0, 1], a[0, 1, 2], a[0, 2], a[0, 3] = math.nan, math.inf, 0.0, 1e200
+        a[1, 0, 0] = complex(0.0, math.nan)
+        for arr in (a, np.asfortranarray(a), a[:, ::-1]):
+            # both overflow alike on the 1e200 row
+            with np.errstate(over="ignore"):
+                want = np.array([np.linalg.norm(v) for v in arr.reshape(-1, n)]).reshape(3, 4)
+                assert repspace._norms(arr).tobytes() == want.tobytes()
+
+
 class TestVerifyEigen:
     LAMS = [0.31 + 0.17j, 0.62 - 0.21j, 0.18 + 0.44j, 0.87 + 0.62j]
     XS = [0.52 + 0.33j, 0.27 + 0.81j, 0.93 + 0.58j, 0.66 + 0.12j]
@@ -723,16 +740,17 @@ class TestVerifyEigen:
 
     def test_one_jet_call_per_kernel_family(self, monkeypatch):
         """At the bench's eigen shape, one m = 3 pair at 10 lambda and 10 x
-        points, verify_eigen makes at most 15 theta jet calls (the passes of
-        a chunked call are not counted): rho's rows, eta, theta'''(0),
-        sigma, sigma_jet and phi (three jets each) and the theta
-        polynomials."""
+        points, verify_eigen makes at most 5 theta jet calls (the passes of
+        a chunked call are not counted): the theta table's calls at orders
+        0, 2 and 3 and the theta polynomials, over at most 2,500 points, as
+        the table takes each kernel's arguments on their own axes."""
         pairs = self.pairs((0, 2, 4), m=3)
         lams, xs = self.cell_points(pairs[0][0].problem, 10)
         jets, depth, calls = elliptic._theta_jets, [0], []
 
         def counted(*args, **kwargs):
-            calls.append(depth[0] == 0)
+            if depth[0] == 0:
+                calls.append(np.size(args[0]))
             depth[0] += 1
             try:
                 return jets(*args, **kwargs)
@@ -743,7 +761,19 @@ class TestVerifyEigen:
             if name.split(".")[0] == "ellbethe" and getattr(module, "_theta_jets", None) is jets:
                 monkeypatch.setattr(module, "_theta_jets", counted)
         verify_eigen(pairs, lams, xs)
-        assert 0 < sum(calls) <= 15
+        assert 0 < len(calls) <= 5
+        assert sum(calls) <= 2500
+
+    @pytest.mark.parametrize("lams, xs", [
+        pytest.param(LAMS, XS[:1], id="4-1"), pytest.param(LAMS[:1], XS, id="1-4"),
+        pytest.param(LAMS, XS[:3], id="4-3"), pytest.param([], [], id="0-0")])
+    def test_point_lists_must_pair_up(self, lams, xs):
+        """lambda and x are taken in pairs (x_k, lambda_k): lists that are
+        empty or of two lengths raise ValueError naming both lengths, with
+        or without pairs to verify, instead of broadcasting or failing in numpy."""
+        for pairs in (self.pairs((0, 1)), []):
+            with pytest.raises(ValueError, match="got %d and %d$" % (len(lams), len(xs))):
+                verify_eigen(pairs, lams, xs)
 
     def test_kernel_errors_name_the_first_offending_point(self):
         """A bad lambda or x raises the kernels' own exception, naming the
