@@ -355,8 +355,8 @@ def _joined(kernel, ctx, *arg_sets):
     over all their broadcast, flattened points: each set gets its values in
     its broadcast shape after any row axis, with the bits a call of its own gives (see above)."""
     sets = [np.broadcast_arrays(*args) for args in arg_sets]
-    # a tuple of rows (sigma_jet's) as one array
-    flat = np.asarray(kernel(*map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets))), ctx))
+    points = map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets)))
+    flat = np.asarray(kernel(*points, ctx))  # a tuple of rows (sigma_jet's) as one array
     ends = np.cumsum([s[0].size for s in sets])[:-1]
     return [v.reshape(v.shape[:-1] + s[0].shape) for v, s in zip(np.split(flat, ends, -1), sets)]
 
@@ -425,14 +425,14 @@ def rho_second(x, ctx: Torus):
 @_pointwise
 def _rho_rows(x, ctx: Torus) -> np.ndarray:
     """[rho, rho'] from one jet, with the bits of rho and rho_prime."""
-    return _direct(_rho_rows, x, ctx)
+    return _direct("_rho_rows", x, ctx)
 
 
 @_pointwise
 def sigma(x, w, ctx: Torus):
     """sigma(x, w) = theta(x+w) / (theta(x) theta(w)); the same bits as
     the first entry of sigma_jet."""
-    return _direct(sigma, x, w, ctx)
+    return _direct("sigma", x, w, ctx)
 
 
 @_pointwise
@@ -443,7 +443,7 @@ def sigma_jet(x, w, ctx: Torus) -> tuple:
     quotient-rule form over theta(x) theta(w)^k, from the order-2 jets at
     x + w and at w, so they stay finite when x+w hits the lattice.
     """
-    return _direct(sigma_jet, x, w, ctx)
+    return _direct("sigma_jet", x, w, ctx)
 
 
 def _sigma_rows(tx, tw, ts):
@@ -522,7 +522,7 @@ def eta(x, ctx: Torus):
     eta -> theta'''(0), taken as theta'''/theta' at the reduced argument.
     Translates by l*tau with l != 0 are genuine poles.
     """
-    return _direct(eta, x, ctx)
+    return _direct("eta", x, ctx)
 
 
 def _eta_slots(x, ctx: Torus) -> list:
@@ -541,36 +541,39 @@ def _eta_rows(d, near):
         return np.where(near, d[3] / d[1], d[2] / d[0])
 
 
-# Each kernel's form, for its own calls and the theta table: its slots, the
-# jets it takes as (points, order, pole name or None) in the order it guards
-# them, then any array its formula reads, and the formula, pointwise.
+# Each kernel's form by name (a wrapper of the kernel keeps its name), for
+# its own calls and the theta table: its slots, the jets it takes as
+# (points, order, pole name or None) in the order it guards them, then any
+# array its formula reads, and the formula, pointwise.
 _FORMS = {
-    _rho_rows: (lambda x, ctx: [(x, 2, "rho")], lambda d: np.array(_log_derivs(d))),
-    theta_derivs: (lambda x, ctx: [(x, 3, None)], lambda d: d),
-    eta: (_eta_slots, _eta_rows),
-    sigma: (lambda x, w, ctx: [(x, 0, "sigma (x slot)"), (w, 0, "sigma (w slot)"),
-                               (x + w, 0, None)], _sigma_rows),
-    sigma_jet: (lambda x, w, ctx: [(w, 2, "sigma_jet (w slot)"), (x, 0, "sigma_jet (x slot)"),
-                                   (x + w, 2, None)], lambda tw, tx, ts: _sigma_rows(tx, tw, ts)),
-    phi: (_phi_slots, _phi_rows),
+    "_rho_rows": (lambda x, ctx: [(x, 2, "rho")], lambda d: np.array(_log_derivs(d))),
+    "theta_derivs": (lambda x, ctx: [(x, 3, None)], lambda d: d),
+    "eta": (_eta_slots, _eta_rows),
+    "sigma": (lambda x, w, ctx: [(x, 0, "sigma (x slot)"), (w, 0, "sigma (w slot)"),
+                                 (x + w, 0, None)], _sigma_rows),
+    "sigma_jet": (lambda x, w, ctx: [(w, 2, "sigma_jet (w slot)"),
+                                     (x, 0, "sigma_jet (x slot)"), (x + w, 2, None)],
+                  lambda tw, tx, ts: _sigma_rows(tx, tw, ts)),
+    "phi": (_phi_slots, _phi_rows),
 }
 
 
-def _direct(kernel, *args):
+def _direct(name, *args):
     """A kernel at its points (args end in ctx): one _theta_jets call per slot, in turn."""
-    slots, formula = _FORMS[kernel]
+    slots, formula = _FORMS[name]
     return formula(*(_theta_jets(s[0], args[-1], s[1], pole=s[2]) if isinstance(s, tuple)
                      else s for s in slots(*args)))
 
 
 def _theta_table(ctx: Torus, *requests) -> list:
-    """[_joined(kernel, ctx, *arg_sets) for each request (kernel, *arg_sets)]
-    bit for bit, from one _theta_jets call per order: each slot at its own
-    points (x of shape (30,) and w of (10, 1) make 40, x + w 300), order 1
-    read from order 2 (rows 0-2 do not depend on the order, nor a point's
-    jet on its batch), each formula on its slots gathered onto the grid, at
-    most _CHUNK points a pass.  Where a guard fires, a jet overflows or phi
-    takes its Taylor branch, the _joined calls are made instead, in turn."""
+    """[_joined(kernel, ctx, *arg_sets) for each request (kernel, *arg_sets)],
+    kernel one named in _FORMS, bit for bit, from one _theta_jets call per
+    order: each slot at its own points (x of shape (30,) and w of (10, 1)
+    make 40, x + w 300), order 1 read from order 2 (rows 0-2 do not depend
+    on the order, nor a point's jet on its batch), each formula on its slots
+    gathered onto the grid, at most _CHUNK points a pass.  Where a guard
+    fires, a jet overflows or phi takes its Taylor branch, the _joined calls
+    are made instead, in turn."""
     def joined():
         return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]
 
@@ -580,7 +583,7 @@ def _theta_table(ctx: Torus, *requests) -> list:
             values.append([])
             for args in arg_sets:
                 args = [np.asarray(a, dtype=complex) for a in args]
-                slots = _FORMS[kernel][0](*args, ctx)
+                slots = _FORMS[kernel.__name__][0](*args, ctx)
                 if slots is None:
                     return joined()
                 for s in slots:
@@ -602,7 +605,8 @@ def _theta_table(ctx: Torus, *requests) -> list:
         rows = [a if shape == grid else
                 a[..., np.broadcast_to(np.arange(a.shape[-1]).reshape(shape), grid).ravel()]
                 for a, shape in rows]
-        v = np.concatenate([np.asarray(_FORMS[kernel][1](*(a[..., c:c + _CHUNK] for a in rows)))
+        formula = _FORMS[kernel.__name__][1]
+        v = np.concatenate([np.asarray(formula(*(a[..., c:c + _CHUNK] for a in rows)))
                             for c in range(0, max(math.prod(grid), 1), _CHUNK)], axis=-1)
         out.append(v.reshape(v.shape[:-1] + grid))
     return values

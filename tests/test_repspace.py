@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 import sys
@@ -763,6 +764,30 @@ class TestVerifyEigen:
         verify_eigen(pairs, lams, xs)
         assert 0 < len(calls) <= 5
         assert sum(calls) <= 2500
+
+    def test_wrapped_kernels_still_take_the_table(self, monkeypatch):
+        """A wrapper that keeps a kernel's name (functools.wraps, as a
+        tracer puts in every namespace that binds the kernel) leaves the
+        results and the theta table in place: the wrappers see no call."""
+        pairs = self.pairs((0, 1), (0, 2))
+        clean = verify_eigen(pairs, self.LAMS, self.XS)
+        calls = []
+
+        def wrapped(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ellbethe":
+                for kernel in (eta, phi, sigma, sigma_jet, elliptic.theta_derivs):
+                    for attr, value in list(vars(module).items()):
+                        if value is kernel:
+                            monkeypatch.setattr(module, attr, wrapped(kernel))
+        assert verify_eigen(pairs, self.LAMS, self.XS) == clean
+        assert calls == []
 
     @pytest.mark.parametrize("lams, xs", [
         pytest.param(LAMS, XS[:1], id="4-1"), pytest.param(LAMS[:1], XS, id="1-4"),
