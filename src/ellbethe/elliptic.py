@@ -448,12 +448,12 @@ def sigma_jet(x, w, ctx: Torus) -> tuple:
 
 def _sigma_rows(tx, tw, ts):
     """sigma from the jets at x, w and x + w, or sigma_jet from order 2 at w and x + w."""
+    value = ts[0] / (tx[0] * tw[0])
     if len(ts) == 1:
-        return ts[0] / (tx[0] * tw[0])
+        return value
     num2 = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
             - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
-    return (ts[0] / (tx[0] * tw[0]),
-            (ts[1] * tw[0] - ts[0] * tw[1]) / (tx[0] * tw[0] * tw[0]),
+    return (value, (ts[1] * tw[0] - ts[0] * tw[1]) / (tx[0] * tw[0] * tw[0]),
             num2 / (tx[0] * tw[0] ** 3))
 
 
@@ -580,16 +580,17 @@ def _theta_table(ctx: Torus, *requests) -> list:
     groups, sets, jets, values = {}, [], {}, []
     try:
         for kernel, *arg_sets in requests:
+            slots_of, formula = _FORMS[kernel.__name__]
             values.append([])
             for args in arg_sets:
                 args = [np.asarray(a, dtype=complex) for a in args]
-                slots = _FORMS[kernel.__name__][0](*args, ctx)
+                slots = slots_of(*args, ctx)
                 if slots is None:
                     return joined()
                 for s in slots:
                     if isinstance(s, tuple):
                         groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
-                sets.append((kernel, np.broadcast_shapes(*(a.shape for a in args)), slots,
+                sets.append((formula, np.broadcast_shapes(*(a.shape for a in args)), slots,
                              values[-1]))
         for order, group in groups.items():
             sizes = [np.size(s[0]) for s in group]
@@ -599,13 +600,12 @@ def _theta_table(ctx: Torus, *requests) -> list:
                 jets[id(s)] = piece[:s[1] + 1]
     except (RangeError, PoleError, OverflowError):
         return joined()
-    for kernel, grid, slots, out in sets:
+    for formula, grid, slots, out in sets:
         rows = [(jets[id(s)], np.shape(s[0])) if isinstance(s, tuple) else (s.ravel(), s.shape)
                 for s in slots]
         rows = [a if shape == grid else
                 a[..., np.broadcast_to(np.arange(a.shape[-1]).reshape(shape), grid).ravel()]
                 for a, shape in rows]
-        formula = _FORMS[kernel.__name__][1]
         v = np.concatenate([np.asarray(formula(*(a[..., c:c + _CHUNK] for a in rows)))
                             for c in range(0, max(math.prod(grid), 1), _CHUNK)], axis=-1)
         out.append(v.reshape(v.shape[:-1] + grid))
