@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -58,9 +59,6 @@ _ROW_CUTOFF = 1e-17
 # points per series pass of _theta_jets: bounds its (rows, points) temporaries
 # to about 1.5 MB; a point's bits do not depend on the pass it is in
 _CHUNK = 1024
-
-# phi's Taylor branch: a reduced w within this share of the cell diagonal
-_TAYLOR_RADIUS = 3e-5
 
 # lattice_distances steps to the 3x3 neighbours of a reduced argument
 _NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
@@ -333,7 +331,7 @@ def _pointwise(kernel):
     points a pass, as past 256 KiB numpy computes `a * temporary` in place
     as `temporary * a`, and with fused multiply-adds a complex product is
     not commutative bit for bit.  The first pass with a bad point raises."""
-    count = kernel.__code__.co_varnames.index("ctx")
+    count = inspect.unwrap(kernel).__code__.co_varnames.index("ctx")
 
     @functools.wraps(kernel)
     def wrapper(*args, **kwargs):
@@ -378,6 +376,32 @@ def _log_derivs(d) -> list:
     return out
 
 
+def _formed(kernel):
+    """A kernel written as a generator, made pointwise: it yields the jets
+    it takes, as (points, order, pole name or None) slots in the order it
+    guards them, and returns its values from them.  Its own calls take one
+    guarded _theta_jets call per slot, in turn; the theta table collects
+    the slots of many kernels first (so a kernel takes at least the rows on
+    all its points that it takes on any part of them)."""
+    at = kernel.__code__.co_varnames.index("ctx")
+
+    @functools.wraps(kernel)
+    def direct(*args, **kwargs):
+        run = kernel(*args, **kwargs)
+        return _sent(run, [_theta_jets(p, args[at], order, pole=name)
+                           for p, order, name in next(run)])
+
+    return _pointwise(direct)
+
+
+def _sent(run, jets):
+    """What a kernel's generator, past its slots, returns given their jets."""
+    try:
+        run.send(jets)
+    except StopIteration as stop:
+        return stop.value
+
+
 # The kernels take scalars or arrays (broadcast against each other) and
 # return values of that shape, from the theta jets at their arguments.
 
@@ -388,12 +412,13 @@ def theta(x, ctx: Torus):
     return _theta_jets(x, ctx, 0)[0]
 
 
-@_pointwise
+@_formed
 def theta_derivs(x, ctx: Torus, order: int = 3) -> np.ndarray:
     """[theta, theta', ...] up to `order` <= 4, one row per derivative."""
     if order not in (0, 1, 2, 3, 4):
         raise ValueError("order must be 0..4")
-    return _theta_jets(x, ctx, order)
+    d, = yield [(x, order, None)]
+    return d
 
 
 @_pointwise
@@ -422,20 +447,22 @@ def rho_second(x, ctx: Torus):
     return _log_derivs(_theta_jets(x, ctx, 3, pole="rho_second"))[2]
 
 
-@_pointwise
+@_formed
 def _rho_rows(x, ctx: Torus) -> np.ndarray:
     """[rho, rho'] from one jet, with the bits of rho and rho_prime."""
-    return _direct("_rho_rows", x, ctx)
+    d, = yield [(x, 2, "rho")]
+    return np.array(_log_derivs(d))
 
 
-@_pointwise
+@_formed
 def sigma(x, w, ctx: Torus):
     """sigma(x, w) = theta(x+w) / (theta(x) theta(w)); the same bits as
     the first entry of sigma_jet."""
-    return _direct("sigma", x, w, ctx)
+    tx, tw, ts = yield [(x, 0, "sigma (x slot)"), (w, 0, "sigma (w slot)"), (x + w, 0, None)]
+    return ts[0] / (tx[0] * tw[0])
 
 
-@_pointwise
+@_formed
 def sigma_jet(x, w, ctx: Torus) -> tuple:
     """(sigma, d/dw sigma, d^2/dw^2 sigma) at (x, w).
 
@@ -443,21 +470,16 @@ def sigma_jet(x, w, ctx: Torus) -> tuple:
     quotient-rule form over theta(x) theta(w)^k, from the order-2 jets at
     x + w and at w, so they stay finite when x+w hits the lattice.
     """
-    return _direct("sigma_jet", x, w, ctx)
-
-
-def _sigma_rows(tx, tw, ts):
-    """sigma from the jets at x, w and x + w, or sigma_jet from order 2 at w and x + w."""
-    value = ts[0] / (tx[0] * tw[0])
-    if len(ts) == 1:
-        return value
+    tw, tx, ts = yield [(w, 2, "sigma_jet (w slot)"), (x, 0, "sigma_jet (x slot)"),
+                        (x + w, 2, None)]
     num2 = (ts[2] * tw[0] * tw[0] - ts[0] * tw[2] * tw[0]
             - 2.0 * ts[1] * tw[1] * tw[0] + 2.0 * ts[0] * tw[1] * tw[1])
-    return (value, (ts[1] * tw[0] - ts[0] * tw[1]) / (tx[0] * tw[0] * tw[0]),
+    return (ts[0] / (tx[0] * tw[0]),
+            (ts[1] * tw[0] - ts[0] * tw[1]) / (tx[0] * tw[0] * tw[0]),
             num2 / (tx[0] * tw[0] ** 3))
 
 
-@_pointwise
+@_formed
 def phi(x, w, ctx: Torus):
     """phi(x, w) = d/dx sigma(w, -x) = sigma(w,-x) (rho(x-w) - rho(x)).
 
@@ -465,32 +487,18 @@ def phi(x, w, ctx: Torus):
     which is regular at x = w.  phi is regular at w on the lattice too
     (phi(x, 0) = -rho'(x)); where the lattice-reduced w0 is small that form
     loses digits to cancellation, so those points take a second-order
-    Taylor expansion in w0 instead.  One jet at x serves both forms and
+    Taylor expansion in w0 instead (the quotient's jets there are taken at
+    x and 1/2, where they stay finite).  One jet at x serves both forms and
     guards the x slot of every point.
     """
     w0, _, l = _splits(w, ctx.tau)
-    small = np.abs(w0) < _TAYLOR_RADIUS * ctx.cell_diagonal
-    dx = _theta_jets(x, ctx, 4 if small.any() else 1, pole="phi (x slot)")
-    out = np.empty(len(x), dtype=complex)
-    wide = ~small
-    if wide.any():
-        out[wide] = _phi_rows(dx[:, wide], _theta_jets(x[wide] - w[wide], ctx, 1),
-                              _theta_jets(w[wide], ctx, 0))
+    small = np.abs(w0) < 3e-5 * ctx.cell_diagonal
+    dx, d, tw = yield [(x, 4 if small.any() else 1, "phi (x slot)"),
+                       (np.where(small, x, x - w), 1, None), (np.where(small, 0.5, w), 0, None)]
+    out = (d[1] - d[0] * (dx[1] / dx[0])) / (tw[0] * dx[0])
     if small.any():
         out[small] = _phi_taylor(x[small], w0[small], l[small], dx[:, small], ctx)
     return out
-
-
-def _phi_slots(x, w, ctx: Torus):
-    """phi's jets where every w is clear of the Taylor branch, else None."""
-    if (np.abs(_splits(w, ctx.tau)[0]) < _TAYLOR_RADIUS * ctx.cell_diagonal).any():
-        return None
-    return [(x, 1, "phi (x slot)"), (x - w, 1, None), (w, 0, None)]
-
-
-def _phi_rows(dx, d, tw):
-    """phi's quotient form from the jets at x and x - w and theta(w)."""
-    return (d[1] - d[0] * (dx[1] / dx[0])) / (tw[0] * dx[0])
 
 
 def _phi_taylor(x, w0, l, dx, ctx: Torus) -> np.ndarray:
@@ -514,7 +522,7 @@ def _phi_taylor(x, w0, l, dx, ctx: Torus) -> np.ndarray:
     return out
 
 
-@_pointwise
+@_formed
 def eta(x, ctx: Torus):
     """eta(x) = rho^2 + rho' = theta''/theta.
 
@@ -522,91 +530,63 @@ def eta(x, ctx: Torus):
     eta -> theta'''(0), taken as theta'''/theta' at the reduced argument.
     Translates by l*tau with l != 0 are genuine poles.
     """
-    return _direct("eta", x, ctx)
-
-
-def _eta_slots(x, ctx: Torus) -> list:
-    """eta's jet, at the reduced argument where it is near the origin, and that mask."""
     x0, _, l = _splits(x, ctx.tau)
     near = np.abs(x0) < 1e-6 * ctx.cell_diagonal
     pole = near & (l != 0)
     if pole.any():
         raise PoleError("eta pole at x = %r (lattice translate with l != 0)"
                         % (complex(x.flat[np.argmax(pole)]),))
-    return [(np.where(near, x0, x), 3, None), near]
-
-
-def _eta_rows(d, near):
+    d, = yield [(np.where(near, x0, x), 3, None)]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(near, d[3] / d[1], d[2] / d[0])
 
 
-# Each kernel's form by name (a wrapper of the kernel keeps its name), for
-# its own calls and the theta table: its slots, the jets it takes as
-# (points, order, pole name or None) in the order it guards them, then any
-# array its formula reads, and the formula, pointwise.
-_FORMS = {
-    "_rho_rows": (lambda x, ctx: [(x, 2, "rho")], lambda d: np.array(_log_derivs(d))),
-    "theta_derivs": (lambda x, ctx: [(x, 3, None)], lambda d: d),
-    "eta": (_eta_slots, _eta_rows),
-    "sigma": (lambda x, w, ctx: [(x, 0, "sigma (x slot)"), (w, 0, "sigma (w slot)"),
-                                 (x + w, 0, None)], _sigma_rows),
-    "sigma_jet": (lambda x, w, ctx: [(w, 2, "sigma_jet (w slot)"),
-                                     (x, 0, "sigma_jet (x slot)"), (x + w, 2, None)],
-                  lambda tw, tx, ts: _sigma_rows(tx, tw, ts)),
-    "phi": (_phi_slots, _phi_rows),
-}
-
-
-def _direct(name, *args):
-    """A kernel at its points (args end in ctx): one _theta_jets call per slot, in turn."""
-    slots, formula = _FORMS[name]
-    return formula(*(_theta_jets(s[0], args[-1], s[1], pole=s[2]) if isinstance(s, tuple)
-                     else s for s in slots(*args)))
-
-
 def _theta_table(ctx: Torus, *requests) -> list:
     """[_joined(kernel, ctx, *arg_sets) for each request (kernel, *arg_sets)],
-    kernel one named in _FORMS, bit for bit, from one _theta_jets call per
-    order: each slot at its own points (x of shape (30,) and w of (10, 1)
-    make 40, x + w 300), order 1 read from order 2 (rows 0-2 do not depend
-    on the order, nor a point's jet on its batch), each formula on its slots
-    gathered onto the grid, at most _CHUNK points a pass.  Where a guard
-    fires, a jet overflows or phi takes its Taylor branch, the _joined calls
-    are made instead, in turn."""
-    def joined():
-        return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]
-
+    kernel one made by _formed, bit for bit, from one _theta_jets call per
+    order.  Each kernel runs once on its arguments as given, on their own
+    axes, for its slots (x of shape (30,) and w of (10, 1) make 40 points,
+    x + w 300); order 1 reads the rows of order 2 (rows 0-2 of a jet do not
+    depend on its order, nor a point's jet on its batch); then the kernel
+    runs once per pass of at most _CHUNK points of the broadcast grid, on
+    its slots' jets gathered there.  Where a guard fires or a jet
+    overflows, the _joined calls are made instead, in turn, so the first
+    fault raises as the kernels raise it."""
     groups, sets, jets, values = {}, [], {}, []
     try:
         for kernel, *arg_sets in requests:
-            slots_of, formula = _FORMS[kernel.__name__]
+            form = inspect.unwrap(kernel)
             values.append([])
             for args in arg_sets:
                 args = [np.asarray(a, dtype=complex) for a in args]
-                slots = slots_of(*args, ctx)
-                if slots is None:
-                    return joined()
+                run = form(*args, ctx)
+                slots = next(run)
+                run.close()
                 for s in slots:
-                    if isinstance(s, tuple):
-                        groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
-                sets.append((formula, np.broadcast_shapes(*(a.shape for a in args)), slots,
-                             values[-1]))
+                    groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
+                sets.append((form, args, slots, values[-1]))
         for order, group in groups.items():
             sizes = [np.size(s[0]) for s in group]
             out = _theta_jets(np.concatenate([np.ravel(s[0]) for s in group]), ctx, order,
                               pole=np.repeat([s[2] is not None for s in group], sizes))
             for s, piece in zip(group, np.split(out, np.cumsum(sizes)[:-1], axis=1)):
                 jets[id(s)] = piece[:s[1] + 1]
+        for form, args, slots, out in sets:
+            grid = np.broadcast_shapes(*(a.shape for a in args))
+            rows = []
+            for s in slots:
+                r, shape = jets[id(s)], np.shape(s[0])
+                if shape != grid:
+                    r = r[:, np.broadcast_to(np.arange(r.shape[1]).reshape(shape), grid).ravel()]
+                rows.append(r)
+            flat = [np.broadcast_to(a, grid).ravel() for a in args]
+            passes = []
+            for c in range(0, max(math.prod(grid), 1), _CHUNK):
+                run = form(*(a[c:c + _CHUNK] for a in flat), ctx)
+                next(run)
+                passes.append(np.asarray(_sent(run, [r[:, c:c + _CHUNK] for r in rows])))
+            v = np.concatenate(passes, axis=-1)
+            out.append(v.reshape(v.shape[:-1] + grid))
     except (RangeError, PoleError, OverflowError):
-        return joined()
-    for formula, grid, slots, out in sets:
-        rows = [(jets[id(s)], np.shape(s[0])) if isinstance(s, tuple) else (s.ravel(), s.shape)
-                for s in slots]
-        rows = [a if shape == grid else
-                a[..., np.broadcast_to(np.arange(a.shape[-1]).reshape(shape), grid).ravel()]
-                for a, shape in rows]
-        v = np.concatenate([np.asarray(formula(*(a[..., c:c + _CHUNK] for a in rows)))
-                            for c in range(0, max(math.prod(grid), 1), _CHUNK)], axis=-1)
-        out.append(v.reshape(v.shape[:-1] + grid))
+        return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]
     return values

@@ -806,21 +806,27 @@ class TestArrayContract:
             for value, row in zip(values, want):
                 assert value.shape == row.shape and value.tobytes() == row.tobytes()
 
-    def test_theta_table_falls_back_to_the_kernels(self):
-        """Where phi takes its Taylor branch, or a guard fires, `_theta_table`
-        makes the `_joined` calls in turn: the kernels' values (sigma_jet's
-        rows as one array), and the same
-        first exception, here one in sigma's x slot ahead of the RangeError
-        of eta, a later request, which the table itself meets first."""
+    def test_theta_table_takes_phi_taylor_and_falls_back_on_faults(self, monkeypatch):
+        """phi's Taylor branch (w within 3e-5 of Z and of a translate with
+        l != 0) runs on the table with the kernels' bits.  Where a guard
+        fires, `_theta_table` makes the `_joined` calls in turn (sigma_jet's
+        rows as one array) and so raises their first exception: here one in
+        sigma's x slot, ahead of the RangeError of eta, a later request,
+        which the table itself meets first."""
         ctx = Torus(0.3 + 0.8j)
-        ws = np.array([0.3 - 0.2j, 1e-6 + 1e-6j, 2.0 + 2e-6])
-        requests = [(sigma_jet, (ws[:1], 0.2)), (phi, (0.4 + 0.1j, ws)), (sigma, (ws, 0.2))]
+        xs = np.array([0.4 + 0.1j, 0.7 + 0.3j])[:, None]
+        ws = np.array([0.3 - 0.2j, 1e-6 + 1e-6j, 2.0 + 2e-6, ctx.tau + 3e-6])
+        requests = [(phi, (xs, ws)), (sigma_jet, (ws[:1], 0.2))]
+        joined = elliptic._joined
+        monkeypatch.setattr(elliptic, "_joined", None)
         for (kernel, args), (value,) in zip(requests, elliptic._theta_table(ctx, *requests)):
             assert value.tobytes() == np.array(kernel(*args, ctx)).tobytes()
+        monkeypatch.setattr(elliptic, "_joined", joined)
         for bad, error, text in ((1.0 + ctx.tau, PoleError, "sigma (x slot) evaluated"),
                                  (math.nan, RangeError, "x = (nan+0j) is not")):
             with pytest.raises(error, match=re.escape(text)):
-                elliptic._theta_table(ctx, (sigma, (np.array([0.3, bad]), 0.2)),
+                elliptic._theta_table(ctx, (sigma_jet, (ws[:2], 0.2)),
+                                      (sigma, (np.array([0.3, bad]), 0.2)),
                                       (eta, (np.array([0.1, 1e9]),)))
 
     def test_errors_name_the_first_offending_point(self):
