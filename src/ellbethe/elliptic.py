@@ -559,33 +559,40 @@ def _theta_table(ctx: Torus, *requests) -> list:
             values.append([])
             for args in arg_sets:
                 args = [np.asarray(a, dtype=complex) for a in args]
-                run = form(*args, ctx)
+                grid = np.broadcast_shapes(*(a.shape for a in args))
+                # a set on its grid that fits one pass keeps this run for its values
+                keep = all(a.shape == grid for a in args) and math.prod(grid) <= _CHUNK
+                run = form(*(a.ravel() if keep else a for a in args), ctx)
                 slots = next(run)
-                run.close()
+                if not keep:
+                    run.close()
                 for s in slots:
                     groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
-                sets.append((form, args, slots, values[-1]))
+                sets.append((form, args, grid, slots, run if keep else None, values[-1]))
         for order, group in groups.items():
             sizes = [np.size(s[0]) for s in group]
             out = _theta_jets(np.concatenate([np.ravel(s[0]) for s in group]), ctx, order,
                               pole=np.repeat([s[2] is not None for s in group], sizes))
             for s, piece in zip(group, np.split(out, np.cumsum(sizes)[:-1], axis=1)):
                 jets[id(s)] = piece[:s[1] + 1]
-        for form, args, slots, out in sets:
-            grid = np.broadcast_shapes(*(a.shape for a in args))
-            rows = []
+        for form, args, grid, slots, run, out in sets:
+            size, rows = math.prod(grid), []
             for s in slots:
-                r, shape = jets[id(s)], np.shape(s[0])
-                if shape != grid:
-                    r = r[:, np.broadcast_to(np.arange(r.shape[1]).reshape(shape), grid).ravel()]
+                r = jets[id(s)]
+                if r.shape[1] != size:  # a slot on its own axes, gathered onto the grid
+                    r = r[:, np.broadcast_to(np.arange(r.shape[1]).reshape(np.shape(s[0])),
+                                             grid).ravel()]
                 rows.append(r)
-            flat = [np.broadcast_to(a, grid).ravel() for a in args]
-            passes = []
-            for c in range(0, max(math.prod(grid), 1), _CHUNK):
-                run = form(*(a[c:c + _CHUNK] for a in flat), ctx)
-                next(run)
-                passes.append(np.asarray(_sent(run, [r[:, c:c + _CHUNK] for r in rows])))
-            v = np.concatenate(passes, axis=-1)
+            runs = [run]
+            if run is None:  # the kernel again on each pass of the grid, for its values
+                flat = [(a if a.shape == grid else np.broadcast_to(a, grid)).ravel() for a in args]
+                runs = [form(*(a[c:c + _CHUNK] for a in flat), ctx)
+                        for c in range(0, max(size, 1), _CHUNK)]
+                for run in runs:
+                    next(run)
+            v = np.concatenate([np.asarray(_sent(run, [r[:, k * _CHUNK:(k + 1) * _CHUNK]
+                                                       for r in rows]))
+                                for k, run in enumerate(runs)], axis=-1)
             out.append(v.reshape(v.shape[:-1] + grid))
     except (RangeError, PoleError, OverflowError):
         return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]

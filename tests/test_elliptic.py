@@ -825,7 +825,7 @@ class TestArrayContract:
         for bad, error, text in ((1.0 + ctx.tau, PoleError, "sigma (x slot) evaluated"),
                                  (math.nan, RangeError, "x = (nan+0j) is not")):
             with pytest.raises(error, match=re.escape(text)):
-                elliptic._theta_table(ctx, (sigma_jet, (ws[:2], 0.2)),
+                elliptic._theta_table(ctx, (sigma_jet, (ws, 0.2)),
                                       (sigma, (np.array([0.3, bad]), 0.2)),
                                       (eta, (np.array([0.1, 1e9]),)))
 
