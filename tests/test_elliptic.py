@@ -772,16 +772,17 @@ class TestArrayContract:
         """Each request of `_theta_table` gets the bits of its own `_joined`
         call, from one jet call per order (0, 2 and 3): on repeated
         arguments, imaginary parts of +0.0 and -0.0, phi's order-1 rows read
-        from order 2, eta's removable point 0 beside theta'''(0), and a
-        sigma request past one _CHUNK pass."""
+        from order 2, eta's removable point 0 beside theta'''(0), and sets
+        past one _CHUNK pass, broadcast (sigma) or not (rho's rows, eta)."""
         ctx = Torus(tau)
         rng = np.random.default_rng(9)
         sites = np.array([0.3 - 0.2j * tau.imag, 0.11 + 0.3 * tau, 0.3 - 0.2j * tau.imag,
                           complex(0.45, 0.0), complex(0.45, -0.0), -0.3 + 0.2j * tau.imag])
         lams = np.array([0.2 + 0.1j, 0.2 + 0.1j, complex(0.7, 0.0), complex(0.7, -0.0)])[:, None]
         far = rng.uniform(0.05, 0.95, _CHUNK + 76) + 1j * tau.imag * rng.uniform(0.05, 0.95)
-        requests = [(_rho_rows, (sites,), (lams,), (sites,)),
-                    (eta, (sites,), (0.0,), (np.array([0.0, complex(-0.0, -0.0), 1.0, 3.0]),)),
+        requests = [(_rho_rows, (sites,), (lams,), (sites,), (far,)),
+                    (eta, (sites,), (0.0,), (np.array([0.0, complex(-0.0, -0.0), 1.0, 3.0]),),
+                     (far[::-1],)),
                     (theta_derivs, (0.0,)),
                     (sigma, (sites, -lams), (far, lams[:2]), (sites[:, None, None], far[:3])),
                     (sigma_jet, (sites, -lams)), (phi, (lams, sites)), (phi, (sites[:2], lams[0]))]
