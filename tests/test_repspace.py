@@ -766,9 +766,9 @@ class TestVerifyEigen:
         assert sum(calls) <= 2500
 
     def test_wrapped_kernels_still_take_the_table(self, monkeypatch):
-        """A wrapper that keeps a kernel's name (functools.wraps, as a
-        tracer puts in every namespace that binds the kernel) leaves the
-        results and the theta table in place: the wrappers see no call."""
+        """A functools.wraps wrapper, as a tracer puts in every namespace
+        that binds a kernel, leaves the results and the theta table in
+        place: the table unwraps it, so the wrappers see no call."""
         pairs = self.pairs((0, 1), (0, 2))
         clean = verify_eigen(pairs, self.LAMS, self.XS)
         calls = []
