@@ -22,7 +22,7 @@ lambda) reach the operators as their jet (value, d/d lambda, d^2/d
 lambda^2) of coefficient vectors at the lambda of evaluation, so one
 evaluation serves every operator applied there.  `verify_eigen` checks
 the eigenfunctions Psi (`psi_derivs`) of many solutions against these
-operators, with one call per kernel family over all of them.
+operators, with one theta table (one jet call per order) over all of them.
 """
 
 from __future__ import annotations
