@@ -37,9 +37,9 @@ import numpy as np
 
 from .elliptic import (
     Torus,
-    _joined,
     _log_derivs,
     _theta_jets,
+    _theta_table,
     eta,
     lattice_distances,
     rho,
@@ -177,7 +177,8 @@ def master_phi(t, problem: BetheProblem) -> complex:
     """
     z, mu, ctx, tau = problem.z, problem.mu, problem.ctx, problem.ctx.tau
     t = [complex(v) for v in t]
-    roots, mixed, sites = (np.log(theta(d, ctx)) for d in _differences(t, problem))
+    roots, mixed, sites = map(np.log, _theta_table(
+        ctx, (theta, *((d,) for d in _differences(t, problem))))[0])
     return (0.5j * math.pi * mu * mu * tau + TWOPI_I * mu * (sum(t) - 0.5 * sum(z))
             + 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum())
 
@@ -185,10 +186,11 @@ def master_phi(t, problem: BetheProblem) -> complex:
 def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
     """Gradients (dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
     (S, m) array and mu their S parameters: the Hamiltonian eigenvalues,
-    an (S, n) array from one rho call over every solution and site pair."""
+    an (S, n) array from one theta table for rho at every solution and site pair."""
     z, t = np.array(problem.z), np.array(t, dtype=complex)
-    return _master_dz(*_joined(rho, problem.ctx, (z[:, None] - t[:, None, :],),
-                               (np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)],)), mu)
+    pairs = np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)]
+    (mixed, sites), = _theta_table(problem.ctx, (rho, (z[:, None] - t[:, None, :],), (pairs,)))
+    return _master_dz(mixed, sites, mu)
 
 
 def _master_dz(mixed, sites, mu) -> np.ndarray:
@@ -199,10 +201,12 @@ def _master_dz(mixed, sites, mu) -> np.ndarray:
 
 def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
     """dPhi/dtau of S solutions (see `master_dz`), an (S,) array, via 4 pi
-    i d/dtau ln theta(u) = eta(u) - eta(0); one eta call over all the
-    `_differences`, and each solution's sums and scalar arithmetic in turn."""
-    etas = _joined(eta, problem.ctx, *((d,) for d in _differences(t, problem)))
-    return _master_dtau(etas, theta_derivs(0.0, problem.ctx, 3)[3], mu)
+    i d/dtau ln theta(u) = eta(u) - eta(0); one theta table for eta at all
+    the `_differences` and theta'''(0), and each solution's sums and scalar
+    arithmetic in turn."""
+    etas, (d0,) = _theta_table(problem.ctx, (eta, *((d,) for d in _differences(t, problem))),
+                               (theta_derivs, (0.0,)))
+    return _master_dtau(etas, d0[3], mu)
 
 
 def _master_dtau(etas, eta0, mu) -> np.ndarray:

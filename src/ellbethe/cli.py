@@ -30,11 +30,11 @@ import numpy as np
 from .bethe import BetheProblem, normalize_solution, solve_subsets
 from .elliptic import (
     Torus,
-    _joined,
+    _rho_rows,
+    _theta_table,
     eta,
     lattice_distances,
     phi,
-    rho,
     rho_prime,
     sigma,
     theta,
@@ -334,8 +334,9 @@ def _render(report, as_json):
 
 def cmd_identities(cfg: ExperimentConfig) -> dict:
     """Each identity is evaluated on all kept samples and the four SHIFTS
-    at once, each kernel once per report over all its sample sets; pairs
-    too near the lattice are dropped before anything is evaluated."""
+    at once, from one theta table per report over every kernel and sample
+    set; pairs too near the lattice are dropped before anything is
+    evaluated."""
     ctx = cfg.torus()
     base = cfg.parallelogram_base
     pts = np.array(_cell_samples(FundamentalParallelogram(base, ctx), 100, cfg.seed))
@@ -343,26 +344,6 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
     # lattice shifts k + l tau along axis 0, against the points along axis 1
     ks, ls = (np.array(col)[:, None] for col in zip(*SHIFTS))
     shifts = ks + ls * ctx.tau
-    checks = []
-
-    origin = theta_derivs(0.0, ctx, 3)
-    checks.append(_check("theta_prime_origin", abs(origin[1] - 1.0),
-                         cfg.tolerance("theta_prime_origin")))
-
-    # the heat equation of the normalized theta, which master_dtau rests on
-    lhs = 4j * math.pi * theta_dtau(xs[:10], ctx)
-    d = theta_derivs(xs[:10], ctx, 2)
-    rhs = d[2] - origin[3] * d[0]
-    checks.append(_check("heat_equation",
-                         np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))),
-                         cfg.tolerance("heat_equation")))
-
-    mult = (1.0 - 2.0 * ((ks + ls) % 2)) * np.exp(-1j * math.pi * ls * ls * ctx.tau
-                                                  - 2j * math.pi * ls * xs)
-    th_shift, th = _joined(theta, ctx, (xs + shifts,), (xs,))
-    checks.append(_check("theta_quasi_periodicity", _worst(_relerr(th_shift, mult * th)),
-                         cfg.tolerance("theta_quasi_periodicity")))
-
     # the kernel and product identities skip pairs with x +- w near the lattice
     apart = np.minimum(lattice_distances(xs + ws, ctx), lattice_distances(xs - ws, ctx)) >= 1e-3
     x, w = xs[apart], ws[apart]
@@ -371,14 +352,31 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
                                         np.full_like(xs, z1 - z2)]), ctx)
     keep = clear.min(axis=0) >= LATTICE_MARGIN
     cx, cw = xs[keep], ws[keep]
-    r, r_shift, r1, r2, rw, rw12 = _joined(rho, ctx, (x,), (x + shifts,), (cx - z1,),
-                                           (cx - z2,), (cw,), (cw - (z1 - z2),))
-    rp, rp_shift, rp_w = _joined(rho_prime, ctx, (x,), (x + shifts,), (w,))
-    e, e_shift = _joined(eta, ctx, (x,), (x + shifts,))
-    sig, sig_minus, sig_wx, sig_x, sig_w, s1, s2, s12 = _joined(
-        sigma, ctx, (x, w), (x, -w), (w, -x), (x + shifts, w), (x, w + shifts),
-        (cx - z1, cw), (cx - z2, -cw), (np.full_like(cx, z1 - z2), -cw))
-    ph, ph_x, ph_w = _joined(phi, ctx, (x, w), (x + shifts, w), (x, w + shifts))
+    lhs = 4j * math.pi * theta_dtau(xs[:10], ctx)
+    ((origin, d), (th_shift, th), ((r, rp), (r_shift, rp_shift), *rho_sets), (rp_w,),
+     (e, e_shift), (sig, sig_minus, sig_wx, sig_x, sig_w, s1, s2, s12),
+     (ph, ph_x, ph_w)) = _theta_table(
+        ctx, (theta_derivs, (0.0,), (xs[:10],)), (theta, (xs + shifts,), (xs,)),
+        (_rho_rows, (x,), (x + shifts,), (cx - z1,), (cx - z2,), (cw,), (cw - (z1 - z2),)),
+        (rho_prime, (w,)), (eta, (x,), (x + shifts,)),
+        (sigma, (x, w), (x, -w), (w, -x), (x + shifts, w), (x, w + shifts),
+         (cx - z1, cw), (cx - z2, -cw), (np.full_like(cx, z1 - z2), -cw)),
+        (phi, (x, w), (x + shifts, w), (x, w + shifts)))
+    r1, r2, rw, rw12 = (rows[0] for rows in rho_sets)
+    checks = [_check("theta_prime_origin", abs(origin[1] - 1.0),
+                     cfg.tolerance("theta_prime_origin"))]
+
+    # the heat equation of the normalized theta, which master_dtau rests on
+    rhs = d[2] - origin[3] * d[0]
+    checks.append(_check("heat_equation",
+                         np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))),
+                         cfg.tolerance("heat_equation")))
+
+    mult = (1.0 - 2.0 * ((ks + ls) % 2)) * np.exp(-1j * math.pi * ls * ls * ctx.tau
+                                                  - 2j * math.pi * ls * xs)
+    checks.append(_check("theta_quasi_periodicity", _worst(_relerr(th_shift, mult * th)),
+                         cfg.tolerance("theta_quasi_periodicity")))
+
     twopi_l = 2j * math.pi * ls
     worst = _worst(
         _relerr(r_shift, r - twopi_l),

@@ -322,43 +322,6 @@ def _exp(z: np.ndarray) -> np.ndarray:
     return np.exp(z)
 
 
-def _pointwise(kernel):
-    """A kernel on flat arrays made to take scalars or arrays: the point
-    arguments (those before ctx) are broadcast against each other and
-    flattened, and each array returned gets their shape back behind any
-    leading jet axis, a scalar for scalars.  All arithmetic thus runs on
-    arrays, so a point has the same bits alone as in a batch: at most _CHUNK
-    points a pass, as past 256 KiB numpy computes `a * temporary` in place
-    as `temporary * a`, and with fused multiply-adds a complex product is
-    not commutative bit for bit.  The first pass with a bad point raises."""
-    count = inspect.unwrap(kernel).__code__.co_varnames.index("ctx")
-
-    @functools.wraps(kernel)
-    def wrapper(*args, **kwargs):
-        points = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in args[:count]))
-        shape = points[0].shape
-        flat = [p.ravel() for p in points]
-        passes = [kernel(*(p[i:i + _CHUNK] for p in flat), *args[count:], **kwargs)
-                  for i in range(0, max(len(flat[0]), 1), _CHUNK)]
-        one = not isinstance(passes[0], tuple)
-        out = tuple(np.concatenate(rows, axis=-1).reshape(rows[0].shape[:-1] + shape)[()]
-                    for rows in zip(*([p] if one else p for p in passes)))
-        return out[0] if one else out
-
-    return wrapper
-
-
-def _joined(kernel, ctx, *arg_sets):
-    """kernel(*args, ctx) for every tuple `args` in `arg_sets`, from one call
-    over all their broadcast, flattened points: each set gets its values in
-    its broadcast shape after any row axis, with the bits a call of its own gives (see above)."""
-    sets = [np.broadcast_arrays(*args) for args in arg_sets]
-    points = map(np.concatenate, zip(*([a.ravel() for a in s] for s in sets)))
-    flat = np.asarray(kernel(*points, ctx))  # a tuple of rows (sigma_jet's) as one array
-    ends = np.cumsum([s[0].size for s in sets])[:-1]
-    return [v.reshape(v.shape[:-1] + s[0].shape) for v, s in zip(np.split(flat, ends, -1), sets)]
-
-
 def _log_derivs(d) -> list:
     """[rho, rho', ...] up to rho^(len(d) - 2), at most rho''', from the
     theta jet d."""
@@ -377,21 +340,21 @@ def _log_derivs(d) -> list:
 
 
 def _formed(kernel):
-    """A kernel written as a generator, made pointwise: it yields the jets
-    it takes, as (points, order, pole name or None) slots in the order it
-    guards them, and returns its values from them.  Its own calls take one
-    guarded _theta_jets call per slot, in turn; the theta table collects
-    the slots of many kernels first (so a kernel takes at least the rows on
-    all its points that it takes on any part of them)."""
+    """A kernel written as a generator, made public: it yields the jets it
+    takes, as (points, order, pole name or None) slots in the order it
+    guards them, and returns its values from them.  A call is the theta
+    table's one request with one set: its points (the arguments before ctx)
+    broadcast against each other, scalars give scalars, and sigma_jet's
+    rows come back as the tuple its annotation names."""
     at = kernel.__code__.co_varnames.index("ctx")
 
     @functools.wraps(kernel)
-    def direct(*args, **kwargs):
-        run = kernel(*args, **kwargs)
-        return _sent(run, [_theta_jets(p, args[at], order, pole=name)
-                           for p, order, name in next(run)])
+    def call(*args, **kwargs):
+        rest = args[at + 1:]
+        (value,), = _theta_table(args[at], (lambda *p: kernel(*p, *rest, **kwargs), args[:at]))
+        return tuple(value) if kernel.__annotations__.get("return") == "tuple" else value[()]
 
-    return _pointwise(direct)
+    return call
 
 
 def _sent(run, jets):
@@ -406,10 +369,11 @@ def _sent(run, jets):
 # return values of that shape, from the theta jets at their arguments.
 
 
-@_pointwise
+@_formed
 def theta(x, ctx: Torus):
     """Normalized theta at any (sane) x."""
-    return _theta_jets(x, ctx, 0)[0]
+    d, = yield [(x, 0, None)]
+    return d[0]
 
 
 @_formed
@@ -421,7 +385,6 @@ def theta_derivs(x, ctx: Torus, order: int = 3) -> np.ndarray:
     return d
 
 
-@_pointwise
 def theta_dtau(x, ctx: Torus):
     """d/dtau theta(x, tau) at fixed x, from the term-wise tau-derivative
     of the series, so the heat equation 4 pi i d/dtau theta = theta'' -
@@ -429,22 +392,25 @@ def theta_dtau(x, ctx: Torus):
     return _theta_jets(x, ctx, 0, dtau=True)[1]
 
 
-@_pointwise
+@_formed
 def rho(x, ctx: Torus):
     """Logarithmic derivative theta'/theta."""
-    return _log_derivs(_theta_jets(x, ctx, 1, pole="rho"))[0]
+    d, = yield [(x, 1, "rho")]
+    return _log_derivs(d)[0]
 
 
-@_pointwise
+@_formed
 def rho_prime(x, ctx: Torus):
     """rho'(x) = theta''/theta - rho^2 (doubly periodic)."""
-    return _log_derivs(_theta_jets(x, ctx, 2, pole="rho_prime"))[1]
+    d, = yield [(x, 2, "rho_prime")]
+    return _log_derivs(d)[1]
 
 
-@_pointwise
+@_formed
 def rho_second(x, ctx: Torus):
     """rho''(x), from the order-3 derivative stack."""
-    return _log_derivs(_theta_jets(x, ctx, 3, pole="rho_second"))[2]
+    d, = yield [(x, 3, "rho_second")]
+    return _log_derivs(d)[2]
 
 
 @_formed
@@ -542,16 +508,24 @@ def eta(x, ctx: Torus):
 
 
 def _theta_table(ctx: Torus, *requests) -> list:
-    """[_joined(kernel, ctx, *arg_sets) for each request (kernel, *arg_sets)],
-    kernel one made by _formed, bit for bit, from one _theta_jets call per
-    order.  Each kernel runs once on its arguments as given, on their own
-    axes, for its slots (x of shape (30,) and w of (10, 1) make 40 points,
-    x + w 300); order 1 reads the rows of order 2 (rows 0-2 of a jet do not
-    depend on its order, nor a point's jet on its batch); then the kernel
-    runs once per pass of at most _CHUNK points of the broadcast grid, on
-    its slots' jets gathered there.  Where a guard fires or a jet
-    overflows, the _joined calls are made instead, in turn, so the first
-    fault raises as the kernels raise it."""
+    """For each request (kernel, *arg_sets), kernel one made by _formed,
+    its values on each set of point arguments, in the set's broadcast shape
+    behind any row axis, from one _theta_jets call per order.  Each kernel
+    runs once on its arguments as given, on their own axes, for its slots
+    (x of shape (30,) and w of (10, 1) make 40 points, x + w 300); order 1
+    reads the rows of order 2 (rows 0-2 of a jet do not depend on its
+    order, nor a point's jet on its batch); then the kernel runs once per
+    pass of at most _CHUNK points of the broadcast grid, on its slots' jets
+    gathered there, so a point has the same bits alone as in a batch: past
+    256 KiB numpy computes `a * temporary` in place as `temporary * a`, and
+    with fused multiply-adds a complex product is not commutative bit for
+    bit.  A set on its grid that fits one pass keeps its first run.
+
+    Where a guard fires or a jet overflows, the fault route runs each set
+    in request order on its broadcast, flattened points: each slot is one
+    _theta_jets call guarded by its name, then the value step runs (so
+    phi's Taylor step meets sigma's pole in its turn).  The first fault,
+    by set and then by slot, thus raises as the kernel raises it."""
     groups, sets, jets, values = {}, [], {}, []
     try:
         for kernel, *arg_sets in requests:
@@ -585,7 +559,7 @@ def _theta_table(ctx: Torus, *requests) -> list:
                 rows.append(r)
             runs = [run]
             if run is None:  # the kernel again on each pass of the grid, for its values
-                flat = [(a if a.shape == grid else np.broadcast_to(a, grid)).ravel() for a in args]
+                flat = [np.broadcast_to(a, grid).ravel() for a in args]
                 runs = [form(*(a[c:c + _CHUNK] for a in flat), ctx)
                         for c in range(0, max(size, 1), _CHUNK)]
                 for run in runs:
@@ -595,5 +569,10 @@ def _theta_table(ctx: Torus, *requests) -> list:
                                 for k, run in enumerate(runs)], axis=-1)
             out.append(v.reshape(v.shape[:-1] + grid))
     except (RangeError, PoleError, OverflowError):
-        return [_joined(kernel, ctx, *arg_sets) for kernel, *arg_sets in requests]
+        for kernel, *arg_sets in requests:
+            for args in arg_sets:
+                points = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+                run = inspect.unwrap(kernel)(*(p.ravel() for p in points), ctx)
+                _sent(run, [_theta_jets(p, ctx, order, pole=name) for p, order, name in next(run)])
+        raise
     return values

@@ -246,13 +246,33 @@ class TestIdentitiesCommand:
         assert all(c["status"] == "pass" for c in report["checks"])
 
     def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
-        """One theta pass per public kernel over all its sample sets: theta,
-        rho, rho', eta, sigma (three jets), phi (three), theta_dtau and the
-        two theta_derivs calls (the origin and the heat-equation points)
-        make 13."""
+        """Every theta pass, a chunked call's passes included: the theta
+        table's jets at orders 0, 2 and 3 and theta_dtau's make 9, within
+        the 13 of one jet per kernel slot."""
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
         assert len(theta_passes) <= 13
+
+    def test_one_jet_call_per_order(self, capsys, monkeypatch):
+        """A report takes its kernels from one theta table, one jet call per
+        order (0, 2 and 3), beside theta_dtau's own jet: at most 4 top-level
+        `_theta_jets` calls (the passes of a chunked call are not counted)."""
+        jets, depth, calls = elliptic._theta_jets, [0], []
+
+        def counted(*args, **kwargs):
+            if depth[0] == 0:
+                calls.append(args[2])
+            depth[0] += 1
+            try:
+                return jets(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in (elliptic, bethe, thetapoly):
+            monkeypatch.setattr(module, "_theta_jets", counted)
+        code, _ = run_json(capsys, ["identities"])
+        assert code == 0
+        assert 0 < len(calls) <= 4
 
     @pytest.mark.parametrize("defect", ["dtau_scaled", "third_dropped"])
     def test_heat_row_catches_seeded_defects(self, capsys, monkeypatch, defect):
@@ -264,12 +284,10 @@ class TestIdentitiesCommand:
             monkeypatch.setattr(cli, "theta_dtau",
                                 lambda x, ctx: elliptic.theta_dtau(x, ctx) * (1.0 + 1e-4))
         else:
-            def no_third(x, ctx, order):
-                d = elliptic.theta_derivs(x, ctx, order)
-                if np.ndim(x) == 0:
-                    # the origin jet, whose row 3 is theta'''(0)
-                    d = d.copy()
-                    d[3] = 0.0
+            def no_third(x, ctx):
+                d = (yield from elliptic.theta_derivs.__wrapped__(x, ctx)).copy()
+                # the origin jet, whose row 3 is theta'''(0)
+                d[3, x == 0.0] = 0.0
                 return d
 
             monkeypatch.setattr(cli, "theta_derivs", no_third)
@@ -284,24 +302,26 @@ class TestIdentitiesCommand:
     @pytest.mark.parametrize("tau", [1.0, 0.03])
     def test_joined_values_have_the_bits_of_separate_calls(self, tmp_path, capsys,
                                                             monkeypatch, tau):
-        """Every set of a joined call, on the default samples, has the bytes
-        of a call of its own; at 0.03i the torus is S-transformed (c != 0)."""
-        joins = []
-        joined = cli._joined
+        """Every set of the report's one theta table, on the default
+        samples, has the bytes of a call of its own; at 0.03i the torus is
+        S-transformed (c != 0)."""
+        tables = []
+        table = cli._theta_table
 
-        def recorded(kernel, ctx, *arg_sets):
-            out = joined(kernel, ctx, *arg_sets)
-            joins.append((kernel, ctx, arg_sets, out))
+        def recorded(ctx, *requests):
+            out = table(ctx, *requests)
+            tables.append((ctx, requests, out))
             return out
 
-        monkeypatch.setattr(cli, "_joined", recorded)
+        monkeypatch.setattr(cli, "_theta_table", recorded)
         cfg = write_config(tmp_path, {"tau": [0.0, tau]})
         assert main(["identities", "--config", cfg]) == 0
         capsys.readouterr()
-        assert [kernel.__name__ for kernel, *_ in joins] == [
-            "theta", "rho", "rho_prime", "eta", "sigma", "phi"]
-        assert (joins[0][1].cd[0] != 0) == (tau < 1.0)
-        for kernel, ctx, arg_sets, out in joins:
+        (ctx, requests, table_out), = tables
+        assert [kernel.__name__ for kernel, *_ in requests] == [
+            "theta_derivs", "theta", "_rho_rows", "rho_prime", "eta", "sigma", "phi"]
+        assert (ctx.cd[0] != 0) == (tau < 1.0)
+        for (kernel, *arg_sets), out in zip(requests, table_out):
             assert len(out) == len(arg_sets)
             for args, values in zip(arg_sets, out):
                 alone = np.asarray(kernel(*args, ctx))
@@ -617,10 +637,8 @@ class TestNanFailsItsCheck:
     def test_a_nan_kernel_value_fails_its_identity(self, capsys, monkeypatch):
         """phi enters only the last two of the seven arrays of
         kernel_quasi_periodicity, so the NaN is never the first one seen."""
-        phi = cli.phi
-
-        def poisoned(*args):
-            out = np.array(phi(*args))
+        def poisoned(x, w, ctx):
+            out = yield from elliptic.phi.__wrapped__(x, w, ctx)
             out.flat[0] = np.nan
             return out
 

@@ -769,11 +769,12 @@ class TestArrayContract:
 
     @pytest.mark.parametrize("tau", GUARD_TAUS)
     def test_theta_table_has_the_bits_of_the_kernels(self, tau, monkeypatch):
-        """Each request of `_theta_table` gets the bits of its own `_joined`
-        call, from one jet call per order (0, 2 and 3): on repeated
-        arguments, imaginary parts of +0.0 and -0.0, phi's order-1 rows read
-        from order 2, eta's removable point 0 beside theta'''(0), and sets
-        past one _CHUNK pass, broadcast (sigma) or not (rho's rows, eta)."""
+        """Each set of each request of `_theta_table` gets, in its broadcast
+        shape, the bits of its points evaluated one at a time, from one jet
+        call per order (0, 2 and 3): on repeated arguments, imaginary parts
+        of +0.0 and -0.0, phi's order-1 rows read from order 2, eta's
+        removable point 0 beside theta'''(0), and sets past one _CHUNK
+        pass, broadcast (sigma) or not (rho's rows, eta)."""
         ctx = Torus(tau)
         rng = np.random.default_rng(9)
         sites = np.array([0.3 - 0.2j * tau.imag, 0.11 + 0.3 * tau, 0.3 - 0.2j * tau.imag,
@@ -802,27 +803,43 @@ class TestArrayContract:
         assert sorted(calls) == [0, 2, 3]
         monkeypatch.setattr(elliptic, "_theta_jets", jets)
         for (kernel, *sets), values in zip(requests, got):
-            want = elliptic._joined(kernel, ctx, *sets)
-            assert len(values) == len(want)
-            for value, row in zip(values, want):
-                assert value.shape == row.shape and value.tobytes() == row.tobytes()
+            assert len(values) == len(sets)
+            for args, value in zip(sets, values):
+                points = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in args))
+                assert value.shape[value.ndim - points[0].ndim:] == points[0].shape
+                for idx in np.ndindex(points[0].shape):
+                    one = np.asarray(kernel(*(complex(p[idx]) for p in points), ctx))
+                    assert value[(Ellipsis,) + idx].tobytes() == one.tobytes()
 
     def test_theta_table_takes_phi_taylor_and_falls_back_on_faults(self, monkeypatch):
         """phi's Taylor branch (w within 3e-5 of Z and of a translate with
-        l != 0) runs on the table with the kernels' bits.  Where a guard
-        fires, `_theta_table` makes the `_joined` calls in turn (sigma_jet's
-        rows as one array) and so raises their first exception: here one in
+        l != 0) runs on the table with the kernels' bits, from one jet call
+        per order (0, 2 and 4) and, in the Taylor step, theta'''(0) and
+        sigma at the translate.  Where a guard fires, the fault route runs
+        the sets in turn and so raises their first exception: here one in
         sigma's x slot, ahead of the RangeError of eta, a later request,
         which the table itself meets first."""
         ctx = Torus(0.3 + 0.8j)
         xs = np.array([0.4 + 0.1j, 0.7 + 0.3j])[:, None]
         ws = np.array([0.3 - 0.2j, 1e-6 + 1e-6j, 2.0 + 2e-6, ctx.tau + 3e-6])
         requests = [(phi, (xs, ws)), (sigma_jet, (ws[:1], 0.2))]
-        joined = elliptic._joined
-        monkeypatch.setattr(elliptic, "_joined", None)
-        for (kernel, args), (value,) in zip(requests, elliptic._theta_table(ctx, *requests)):
+        jets, depth, calls = elliptic._theta_jets, [0], []
+
+        def counted(xs, ctx, order, **kwargs):
+            if depth[0] == 0:
+                calls.append(order)
+            depth[0] += 1
+            try:
+                return jets(xs, ctx, order, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(elliptic, "_theta_jets", counted)
+        got = elliptic._theta_table(ctx, *requests)
+        assert sorted(calls) == [0, 0, 2, 3, 4]
+        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        for (kernel, args), (value,) in zip(requests, got):
             assert value.tobytes() == np.array(kernel(*args, ctx)).tobytes()
-        monkeypatch.setattr(elliptic, "_joined", joined)
         for bad, error, text in ((1.0 + ctx.tau, PoleError, "sigma (x slot) evaluated"),
                                  (math.nan, RangeError, "x = (nan+0j) is not")):
             with pytest.raises(error, match=re.escape(text)):
@@ -861,3 +878,21 @@ class TestArrayContract:
             eta(np.array([2.0, first, second]), ctx)
         assert str(info.value) == ("eta pole at x = %r (lattice translate with l != 0)"
                                    % (first,))
+
+    def test_table_faults_raise_by_set_then_by_slot(self):
+        """Of several faults the theta table raises the first by set, then
+        by slot: sigma's first set, with a bad w, before its second, with a
+        bad x; and phi meeting sigma's pole in its Taylor step before the
+        RangeError of a later request."""
+        ctx = Torus(0.3 + 0.8j)
+        bad_w, bad_x = 1.0 + ctx.tau + 1e-12, -2.0 + 1e-12j
+        (w0,), _, _ = _splits(np.array([bad_w]), ctx.tau)
+        text = "%s evaluated within tol_pole of the lattice (x=%r)"
+        for requests, name, x in (
+                ([(sigma, (0.3, np.array([0.2, bad_w])), (np.array([bad_x]), 0.3))],
+                 "sigma (w slot)", bad_w),
+                ([(phi, (0.3, np.array([0.2, bad_w]))), (eta, (np.array([0.1, 1e9]),))],
+                 "sigma (x slot)", complex(w0))):
+            with pytest.raises(PoleError) as info:
+                elliptic._theta_table(ctx, *requests)
+            assert str(info.value) == text % (name, x)
