@@ -54,6 +54,7 @@ from .thetapoly import (
 )
 
 TWOPI_I = 2j * math.pi
+RESIDUAL_GATE = 1e-10      # max BAE residual of a converged (accepted) solution
 
 
 class SeedTooCoarseError(ValueError):
@@ -130,17 +131,22 @@ class BetheSolution:
     `mu` starts equal to problem.mu but changes by even integers under the
     normalization moves, so it is carried explicitly.  `subset_tag` is the
     sorted indices of the sites nearest (mod the lattice) to the roots.
+    `residual` is max_j |F_j(t)| at mu; Newton stops at `_newton_tol`, and
+    `converged`, the one acceptance rule, is residual <= RESIDUAL_GATE.
     """
 
     problem: BetheProblem
     t: tuple
     mu: complex
     residual: float
-    converged: bool
     subset_tag: tuple
     # Newton counters: accepted steps and rejected step lengths
     iterations: int = field(default=0, compare=False)
     backtracks: int = field(default=0, compare=False)
+
+    @property
+    def converged(self) -> bool:  # false for a NaN residual
+        return self.residual <= RESIDUAL_GATE
 
     def poly(self) -> ThetaPoly:
         """The associated theta polynomial f = e^{pi i mu x} prod theta(x - t_j).
@@ -379,12 +385,12 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     convergence, from the rho'' the same jet gives).  A rejected Halley
     candidate is retried once as the full Newton step, which is then
     backtracked by halves (up to 20 times) until the residual satisfies an
-    Armijo-type decrease; a system stops at the current iterate when no
-    step length is productive, and after max_iter accepted steps, and is
-    converged when its residual is below `_newton_tol` of its own mu.  A
-    seed whose residual lands on a pole raises PoleError once it needs a
-    step.  Its counters record the accepted steps (`iterations`) and the
-    rejected candidates (`backtracks`).
+    Armijo-type decrease; a system stops at the current iterate once its
+    residual is below `_newton_tol` of its own mu, when no step length is
+    productive, or after max_iter accepted steps (`converged` reads that
+    residual against RESIDUAL_GATE).  A seed whose residual lands on a
+    pole raises PoleError once it needs a step.  Counters: the accepted
+    steps (`iterations`) and the rejected candidates (`backtracks`).
 
     Every round evaluates the pending candidate of each running system in
     one `_bethe_kernels` call and solves the Jacobians of the systems that
@@ -484,8 +490,8 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     for k, exc, tag in zip(np.flatnonzero(done), *_separation_errors(t[done], z, ctx)):
         failed[k], tags[k] = exc, tag
     return [failed[k] if failed[k] is not None else
-            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), bool(norm[k] < tol[k]),
-                          tags[k], int(iterations[k]), int(backtracks[k]))
+            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), tags[k],
+                          int(iterations[k]), int(backtracks[k]))
             for k in range(count)]
 
 
@@ -493,9 +499,9 @@ def solve_bae(problem: BetheProblem, seed, *, max_iter: int = 50) -> BetheSoluti
     """Safeguarded Halley iteration for the Bethe equations:
     `solve_bae_batch` on one system.
 
-    Returns the last iterate, which is the best one, with converged=False
-    if `_newton_tol` of mu is not reached within max_iter iterations,
-    tagged with the sites nearest its roots.
+    Returns the last iterate, which is the best one, tagged with the sites
+    nearest its roots.  Newton stops at `_newton_tol` of mu; the solution
+    is `converged` if its residual meets RESIDUAL_GATE.
 
     Raises
     ------
@@ -630,5 +636,4 @@ def analytic_involution(sol: BetheSolution) -> BetheSolution:
     res = float(np.max(np.abs(bae_residual(s, problem, nu))))
     if res > 1e-8:
         raise InvolutionMismatchError("partner residual %.3e exceeds 1e-8" % res)
-    return BetheSolution(problem, s, nu, res, True,
-                         nearest_site_tag(s, problem))
+    return BetheSolution(problem, s, nu, res, nearest_site_tag(s, problem))

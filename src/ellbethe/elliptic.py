@@ -181,8 +181,8 @@ def lattice_distances(xs, ctx: Torus) -> np.ndarray:
     neighbours, so the search is exact however skewed tau is.  At most
     _CHUNK points go through one pass, as in the theta jets, so a large
     array (the dedup's key against key, root by root) keeps its 3x3
-    temporaries small; a
-    point's distance does not depend on the pass it is in.
+    temporaries small; a point's distance does not depend on the pass it
+    is in.
     """
     j, tau_r = ctx._j, ctx.tau_reduced
     xs = np.asarray(xs, dtype=complex)

@@ -9,6 +9,8 @@ seed of each m-element site subset, and the partner (-mu, s) by solving
 them again at -mu from the seed of the complementary subset; all subsets of
 an enumeration and their complements are seeded and solved in one lockstep
 Newton batch (`bethe.solve_subsets`, called by `fiber_points`).
+Newton stops each system at `bethe._newton_tol`, and a solve is accepted
+when it is `converged`: its residual meets `bethe.RESIDUAL_GATE`.
 A pair is accepted only if Wr(f, g) passes `wr_certificates` on one row
 of samples clear of the sites: Wr(f, g) - c h has 2m zeros in the cell
 unless it vanishes, wherever the roots of f and g lie.  For
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import (
+    RESIDUAL_GATE,
     BetheProblem,
     BetheSolution,
     _by_rows,
@@ -49,7 +52,6 @@ from .thetapoly import (
 
 TWOPI_I = 2j * math.pi
 
-RESIDUAL_GATE = 1e-10      # max BAE residual for an accepted solution
 WR_RESIDUAL_GATE = 1e-9    # max relative sampling residual of Wr(f,g) vs h
 DEDUP_TOL = 1e-6           # below this normal-form distance, same point
 
@@ -129,14 +131,6 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     return [float(r) if exc is None else exc for r, exc in zip(residuals, errors)]
 
 
-def _gated(result):
-    """A Newton result held to RESIDUAL_GATE alone: the solution, or the
-    exception of a failed solve."""
-    if not isinstance(result, Exception) and not result.residual <= RESIDUAL_GATE:
-        return SolveError("no convergence (residual %.2e)" % result.residual)
-    return result
-
-
 def _staged(exc, stage):
     exc.stage = stage
     return exc
@@ -151,9 +145,10 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     partner (-mu, s) from the Bethe equations at -mu, seeded at the
     complementary sites (s_j = z_a - 1/(2 pi i mu) + O(mu^-2)), so g has
     label exactly -mu and no Wronskian has to be inverted.  Both solves
-    must meet RESIDUAL_GATE, no two roots or sites may collide, and
-    Wr(f, g) must pass `wr_certificates` at WR_RESIDUAL_GATE.  The
-    partner's tag is the one the solver reads off its roots (the sites
+    must be `converged` (residual <= RESIDUAL_GATE; Newton's own target,
+    `bethe._newton_tol`, accepts nothing), no two roots or sites may
+    collide, and Wr(f, g) must pass `wr_certificates` at WR_RESIDUAL_GATE.
+    The partner's tag is the one the solver reads off its roots (the sites
     nearest them), not assumed.
 
     The solution is used raw (not cell-normalized): f = prod theta(x - t_j)
@@ -174,8 +169,9 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
     mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
     complements = [tuple(sorted(set(range(problem.n)) - set(s))) for s in subsets]
-    results = [_gated(r) for r in solve_subsets([problem] * count + [mirror] * count,
-                                                subsets + complements)]
+    results = [r if isinstance(r, Exception) or r.converged else
+               SolveError("no convergence (residual %.2e)" % r.residual) for r in
+               solve_subsets([problem] * count + [mirror] * count, subsets + complements)]
     out = [None] * count
     pairs = {}      # subset index -> (f, g, solution, partner)
     for k in range(count):

@@ -138,12 +138,23 @@ class TestConfigValidation:
         ("identities", {"tau": [0, 10 ** 400]}, [], "field 'tau' must be finite"),
         ("solve", {"tolerances": {"bae_residual": 10 ** 400}}, [],
          "tolerance 'bae_residual' must be a number, finite and >= 0"),
+        # malformed values and shapes
+        ("solve", [1, 2], [], "config must be a JSON object"),
+        ("fiber", {}, ["--mu-grid", "8i,8x"], "cannot parse '8x' as a complex number"),
+        ("fiber", {"mu_grid": []}, [], "mu_grid must be a non-empty list"),
+        ("solve", {"subsets": []}, [], 'subsets must be "all" or a non-empty list'),
+        ("solve", {"mu": None, "mu_grid": [[0, 8]]}, [], "requires a single mu"),
+        ("identities", {"tau": "i"}, [], "field 'tau' must be a number or [re, im] pair"),
     ])
     def test_rejects_non_finite_boolean_and_negative_values(self, tmp_path, capsys, command,
                                                             payload, argv, text):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg] + argv) == 2
         assert text in capsys.readouterr().err
+
+    def test_rejects_unreadable_config(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "missing.json")]) == 2
+        assert "config error: cannot read config: " in capsys.readouterr().err
 
     def test_tolerance_override_is_applied(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tolerances": {"bae_residual": 1e-30}})
@@ -393,6 +404,16 @@ class TestSolveCommand:
         assert code == 0 and report["warnings"] == []
         assert {r["status"] for r in report["solutions"]} == {"converged"}
 
+    def test_every_subset_converges_at_80i(self, tmp_path, capsys):
+        """At 80i Newton's target, 1.0e-11, lies below the rounding floor of
+        some residuals; `converged` reads RESIDUAL_GATE, as `fiber` does."""
+        cfg = write_config(tmp_path, {"mu": [0.0, 80.0]})
+        code, report = run_json(capsys, ["solve", "--strict", "--config", cfg])
+        assert code == 0 and report["warnings"] == []
+        records = report["solutions"]
+        assert {r["status"] for r in records} == {"converged"}
+        assert max(r["residual"] for r in records) > bethe._newton_tol(80j)
+
     def test_strict_escalates_warnings(self, tmp_path, capsys):
         cfg = write_config(tmp_path, LOW_MU_CONFIG)
         assert main(["solve", "--config", cfg, "--strict", "--json"]) == 1
@@ -480,6 +501,11 @@ class TestFiberCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "abs_mu,count"
         assert lines[1:] == ["8,6", "6,6", "4,6", "2,6"]
+
+    def test_single_mu_writes_the_count_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "fiber.csv"
+        assert main(["fiber", "--csv", str(csv_path)]) == 0
+        assert csv_path.read_text() == "abs_mu,count\n,6\n"
 
     def test_unwritable_csv_is_a_config_error(self, tmp_path, capsys):
         """A CSV path in a missing directory exits 2 with one line, not 1

@@ -76,6 +76,10 @@ class TestTheta:
         assert relerr(theta_derivs(0.2, Torus(2j), 3)[3],
                       -7.9850483989506798899) < 1e-13
 
+    def test_derivs_stop_at_order_4(self):
+        with pytest.raises(ValueError, match="order must be 0..4"):
+            theta_derivs(0.2, Torus(1j), 5)
+
     def test_normalization(self):
         """theta'(0, tau) = 1 to 1e-12 for all sample taus."""
         for tau in TAUS:

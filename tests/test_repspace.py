@@ -208,7 +208,7 @@ def psi_reference(lam, sol):
 
 
 class TestPsi:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_fold_matches_permutation_sum(self, m):
         """Every row of the jet equals the per-ordering Leibniz sum, so a
         uniform rescaling of Psi, which no eigen relation sees, is caught."""

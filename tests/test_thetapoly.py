@@ -269,6 +269,14 @@ class TestWronskian:
             assert relerr(d[1], fd1) < 1e-8
             assert relerr(d[2], fd2) < 1e-8
 
+    def test_derivs_stop_at_order_2(self):
+        ctx = Torus(1j)
+        rng = np.random.default_rng(4)
+        cell = centered_cell(ctx)
+        w = wronskian(random_poly(rng, 2, ctx, cell), random_poly(rng, 2, ctx, cell))
+        with pytest.raises(ValueError, match="up to order 2"):
+            w.derivs(0.21 + 0.13j, 3)
+
     def test_multipliers_and_degree(self):
         """Wr of two degree-m polynomials transforms with degree 2m and
         multipliers (A_f A_g, B_f B_g)."""
@@ -288,6 +296,10 @@ class TestWronskian:
 
 
 class TestFourierBasis:
+    def test_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="m must be positive"):
+            fourier_basis(0, 1.0, 1.0, Torus(1j))
+
     def test_transformation_laws_and_dimension(self):
         for tau in (1j, 0.3 + 0.8j):
             ctx = Torus(tau)

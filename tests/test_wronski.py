@@ -32,6 +32,7 @@ from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, go
                                 wronskian)
 from ellbethe.wronski import (
     DEDUP_TOL,
+    FiberPoint,
     WR_RESIDUAL_GATE,
     asymptotic_deviation,
     enumerate_fiber,
@@ -128,12 +129,29 @@ class TestEnumerateFiber:
                    for p in rep.points)
 
     def test_gate_alone_decides(self):
+        """`converged` is the residual against RESIDUAL_GATE alone."""
         sol = fiber_report(2, 6j).points[0].solution
-        near = dataclasses.replace(sol, residual=1e-11, converged=False)
-        assert wronski_module._gated(near) is near
+        assert dataclasses.replace(sol, residual=1e-11).converged
         for residual in (2e-10, math.nan):
-            gated = wronski_module._gated(dataclasses.replace(sol, residual=residual))
-            assert isinstance(gated, SolveError)
+            assert not dataclasses.replace(sol, residual=residual).converged
+
+    def test_unconverged_solves_fail_at_their_stage(self, monkeypatch):
+        """A solution or partner that is not `converged` is a SolveError at
+        stage newton or partner; the other subsets keep their points."""
+        solve = wronski_module.solve_subsets
+
+        def off_gate(problems, subsets):
+            out = solve(problems, subsets)
+            out[0] = dataclasses.replace(out[0], residual=2e-10)
+            out[len(out) // 2 + 1] = dataclasses.replace(out[len(out) // 2 + 1], residual=math.nan)
+            return out
+
+        monkeypatch.setattr(wronski_module, "solve_subsets", off_gate)
+        got = fiber_points(problem(2, 6j), [(0, 1), (0, 2), (0, 3)])
+        assert [(type(r), str(r), r.stage) for r in got[:2]] == [
+            (SolveError, "no convergence (residual 2.00e-10)", "newton"),
+            (SolveError, "no convergence (residual nan)", "partner")]
+        assert isinstance(got[2], FiberPoint)
 
     def test_m1_count(self):
         rep = fiber_report(1, 6j)
@@ -163,6 +181,9 @@ class TestEnumerateFiber:
         rep = fiber_report(2, 6j)
         for pa, pb in itertools.combinations(rep.points, 2):
             assert normal_form_distance(pa, pb) > 1e-4
+
+    def test_no_pairs_no_certificates(self):
+        assert wr_certificates([], problem(2, 6j)) == []
 
     def test_certificate_rejects_corrupted_pair(self):
         point = fiber_report(2, 6j).points[0]
