@@ -373,6 +373,13 @@ def _newton_tol(mu: complex) -> float:
 HALLEY_REACH = 2.0
 
 
+def _shared_problem(problems) -> BetheProblem:
+    """problems[0], whose sites and torus every problem must share (ValueError otherwise)."""
+    if any(p.z != problems[0].z or p.ctx != problems[0].ctx for p in problems):
+        raise ValueError("the problems of one batch must share sites and torus")
+    return problems[0]
+
+
 def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     """Safeguarded Halley iteration for S Bethe systems that share sites
     and torus, in lockstep.
@@ -410,9 +417,8 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     count = len(seeds)
     if not count:
         return []
-    z, ctx = problems[0].z, problems[0].ctx
-    if any(p.z != z or p.ctx != ctx for p in problems):
-        raise ValueError("the systems of one batch must share sites and torus")
+    prob = _shared_problem(problems)
+    z, ctx = prob.z, prob.ctx
     mus = [p.mu for p in problems]
     drive = np.array([TWOPI_I * mu for mu in mus])
     tol = np.array([_newton_tol(mu) for mu in mus])
@@ -609,7 +615,11 @@ def analytic_involution(sol: BetheSolution) -> BetheSolution:
     Solves Wr(f, g) = prod theta(x - z_s) for g, reads off the partner roots s,
     and determines the partner parameter nu from the partner's own Bethe
     equations; nu must equal -mu + 2d for an integer d (to 1e-8), and the full
-    partner residual is re-verified.
+    partner residual must meet 1e-8.  Both bounds check the inversion; the
+    partner's `converged` applies RESIDUAL_GATE to its residual, which a
+    correct partner can miss at large |mu| (|rho'| ~ |2 pi mu|^2 near a site:
+    up to 2.4e-9 on the default sites at 80i), so a caller accepting it reads
+    `converged`.
 
     Raises
     ------

@@ -36,7 +36,8 @@ import typing
 
 import numpy as np
 
-from .bethe import BetheSolution, _differences, _master_dtau, _master_dz, master_dtau, master_dz
+from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, _shared_problem,
+                    master_dtau, master_dz)
 from .elliptic import Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet, theta_derivs
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
 
@@ -79,7 +80,12 @@ class ZeroWeightSpace:
         """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value[..., :], the
         leading axes of coef and value broadcast (coef's diagonal is not
         read).  Each target adds its m^2 terms one at a time in table order,
-        so its bits depend neither on the batch nor on the memory layout."""
+        so its bits depend neither on the batch nor on the memory layout.  A
+        value with more leading axes than coef is taken one index of its first
+        axis at a time, so the terms held are one index's; the KZB rows and
+        both S2 routes sum the table here alone."""
+        if np.ndim(value) > np.ndim(coef) - 1:
+            return np.array([self.moves(coef, v) for v in value])
         terms = np.asarray(coef)[..., self.leave, self.join] * np.asarray(value)[..., self.src]
         terms = terms.reshape(terms.shape[:-1] + (self.dim, -1))
         return functools.reduce(np.add, np.moveaxis(terms, -1, 0))
@@ -95,10 +101,10 @@ def zero_weight_space(n_sites: int) -> ZeroWeightSpace:
 
 def kzb_eigenvalues(sols) -> np.ndarray:
     """Eigenvalues (E_0 of H_0, E_1..E_n of H_1..H_n) on the eigenfunction
-    of each solution, all of one problem: an (S, n + 1) array from one
-    evaluation of each kernel over every solution."""
+    of each solution, all on one problem's sites and torus (ValueError otherwise):
+    an (S, n + 1) array from one evaluation of each kernel over every solution."""
     t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
-    prob = sols[0].problem
+    prob = _shared_problem([sol.problem for sol in sols])
     return np.column_stack([master_dtau(t, prob, mu), master_dz(t, prob, mu)])
 
 
@@ -229,7 +235,7 @@ def apply_kzb(ops: KzbOperators, jet) -> np.ndarray:
     (value, d1, d2) of F there: the subset-basis coefficient vectors of a
     function of lambda and its first two lambda-derivatives.  Leading axes
     of the jet and of `ops` broadcast into those of the (..., n + 1, dim)
-    rows."""
+    rows, the moves summed by `moves` (one index of a batched jet at a time)."""
     value, d1, d2 = (np.asarray(v, dtype=complex)[..., None, :] for v in jet)
     rows = ops.diag * value + ops.space.moves(ops.coef, value)
     rows[..., :1, :] += d2 / TWOPI_I
@@ -278,7 +284,8 @@ def apply_rst_n2(x, jet, lam, z, ctx: Torus) -> np.ndarray:
 
 
 def _rst_n2(r, sig, jet) -> np.ndarray:
-    """apply_rst_n2 from the rows (rho, rho') and sigma(., +-lambda) at x - z_s."""
+    """apply_rst_n2 from the rows (rho, rho') and sigma(., +-lambda) at x - z_s,
+    L21 L12 summed by `moves` as the KZB rows are (one index of a batched jet at a time)."""
     sp = zero_weight_space(r.shape[-1])
     value, d1, d2 = (np.asarray(v, dtype=complex) for v in jet)
     # L11 = sum_k [rho(lambda) e22^(k) + rho(x - z_k) e11^(k)], and L22 the same
@@ -291,18 +298,7 @@ def _rst_n2(r, sig, jet) -> np.ndarray:
     l21, l12 = sig
     # the s = p terms of L21 L12: e12^(s) e21^(s) is the projector (1 + hw^(s))/2
     l21_l12_diag = ((0.5 * (l21 * l12))[..., None, :] @ (1.0 + sp.hw_site))[..., 0, :]
-    # the s != p terms, each target's as one contiguous row: numpy's pairwise
-    # sum, on which the reported s2_routes values rest (moves() sums in turn);
-    # one leading index (pair) of a batched jet at a time, so the term array
-    # never holds more than one pair's (x, dim m^2) entries
-    coef = l21[..., sp.leave] * l12[..., sp.join]
-
-    def move_sums(v):
-        terms = np.ascontiguousarray(coef * v[..., sp.src])
-        return terms.reshape(terms.shape[:-1] + (sp.dim, -1)).sum(axis=-1)
-
-    l21_l12 = (np.array([move_sums(v) for v in value]) if value.ndim > coef.ndim
-               else move_sums(value))
+    l21_l12 = sp.moves(l21[..., :, None] * l12[..., None, :], value)
     return ((l11 - l22) * d1 + (dx22 + l11 * l22 - l21_l12_diag) * value - l21_l12 - d2)
 
 
@@ -372,27 +368,28 @@ def _norms(a) -> np.ndarray:
 
 def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     """Verify the eigenfunction Psi of each (solution, partner) pair at the
-    points lambda and x, two nonempty lists of one length (ValueError
-    otherwise): over |Psi|, H_a Psi = E_a
-    Psi (eigen_relation) and sum_s H_s Psi = 0 (eigen_sum_rule); |E_1 + ...
-    + E_n| (eigenvalue_sum); at (x_k, lambda_k), `s2_via_kzb` =
-    `apply_rst_n2` over max(1, |S2 Psi|) (s2_routes) and S2 Psi = B2 Psi
-    over |Psi| (s2_eigen_b2); over max(1, |B2|), B2(x + 1) = B2(x + tau) =
-    B2(x) (b2_periodicity) and v' + v^2 + B2 = 0 for v = (ln u)', u =
-    f/sqrt(Wr) and g/sqrt(Wr) of the pair's theta polynomials
-    (kernel_membership); the spread of s . Psi(-lambda) / Psi_partner(lambda)
-    relative to its mean (weyl_ratio).  Every kernel comes from one theta
-    table over every pair and point, read by the helpers' assembly steps, and
-    each reduction runs per vector or along a last axis, so no value
-    depends on the other pairs.  A NaN anywhere makes its check's worst
-    value NaN, which fails every tolerance."""
+    points lambda and x, two nonempty lists of one length, every solution
+    and partner on one problem's sites and torus (ValueError otherwise):
+    over |Psi|, H_a Psi = E_a Psi (eigen_relation) and sum_s H_s Psi = 0
+    (eigen_sum_rule); |E_1 + ... + E_n| (eigenvalue_sum); at (x_k,
+    lambda_k), `s2_via_kzb` = `apply_rst_n2` over max(1, |S2 Psi|)
+    (s2_routes) and S2 Psi = B2 Psi over |Psi| (s2_eigen_b2); over max(1,
+    |B2|), B2(x + 1) = B2(x + tau) = B2(x) (b2_periodicity) and v' + v^2 +
+    B2 = 0 for v = (ln u)', u = f/sqrt(Wr) and g/sqrt(Wr) of the pair's
+    theta polynomials (kernel_membership); the spread of s . Psi(-lambda) /
+    Psi_partner(lambda) relative to its mean (weyl_ratio).  Every kernel
+    comes from one theta table over every pair and point, read by the
+    helpers' assembly steps, and each reduction runs per vector or along a
+    last axis, so no value depends on the other pairs.  A NaN anywhere makes
+    its check's worst value NaN, which fails every tolerance."""
     if not len(lam_pts) == len(x_pts) > 0:
         raise ValueError("lam_pts and x_pts must be nonempty and of one length, got %d and %d"
                          % (len(lam_pts), len(x_pts)))
     if not pairs:
         return EigenVerification(dict.fromkeys(EIGEN_CHECKS, math.inf), ())
     (sols, pars), count = map(list, zip(*pairs)), len(pairs)
-    prob, ctx, z = sols[0].problem, sols[0].problem.ctx, np.array(sols[0].problem.z)
+    prob = _shared_problem([sol.problem for sol in sols + pars])
+    ctx, z = prob.ctx, np.array(prob.z)
     lams, xs = np.array(lam_pts, dtype=complex), np.array(x_pts, dtype=complex)
     t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
     diffs, sites = _differences(t, prob), np.subtract.outer(z, z)[~np.eye(len(z), dtype=bool)]
@@ -410,7 +407,7 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     evs = np.column_stack([_master_dtau(etas, d0[3], mu), _master_dz(r_mixed[0], r_sites[0], mu)])
     jets = _psi_rows(psi, *at)
     ops = _kzb_operators(len(z), r_pairs[0], etas[2], eta0, r_lam[1], sig_kzb, phi_d)
-    rows = np.array([apply_kzb(ops, jets[:, k]) for k in range(count)])
+    rows = apply_kzb(ops, jets)
     # s . Psi(-lambda) of each solution, over the partners' Psi(lambda)
     flips = _psi_rows(sig_flips[None], flip_lams, sols + pars)[0]
     ratio = weyl_involution(flips[:count], zero_weight_space(len(z))) / flips[count:]

@@ -231,6 +231,11 @@ class TestReportFormat:
                   "nested": {"b": {"z": None, "a": True}, "a": False, "": {}}, "big": 10 ** 20}
         assert cli._render(report, True) == self.dumps(report)
 
+    def test_json_writer_rejects_what_json_cannot_encode(self):
+        for value in (object(), {1, 2}):
+            with pytest.raises(TypeError, match="is not JSON serializable"):
+                cli._render({"checks": [value]}, True)
+
     def test_a_parse_leaves_nothing_for_the_next(self, capsys):
         """main reuses one parser: a flag given to one run is unset in the
         next run of the same process."""
@@ -309,6 +314,24 @@ class TestIdentitiesCommand:
         assert heat["status"] == "fail"
         assert heat["measured"] >= 100 * DEFAULT_TOLERANCES["heat_equation"]
         assert all(c["status"] == "pass" for c in rows.values())
+
+    def test_few_kept_samples_are_warned_about(self, capsys, monkeypatch):
+        """With 45 of the 50 (x, w) samples at x = w = z1, a point of the
+        cross identity, x - w and x - z1 fall inside the cut: the kernel
+        and cross identities each keep 5 pairs, warn that they were
+        sampled only that many, and still report their checks."""
+        samples = cli._cell_samples
+
+        def crowded(cell, count, seed, avoid=()):
+            pts = np.array(samples(cell, count, seed, avoid))
+            pts[:45] = pts[50:95] = complex(cell.base) + 0.05 - 0.11j
+            return pts
+
+        monkeypatch.setattr(cli, "_cell_samples", crowded)
+        _, report = run_json(capsys, ["identities"])
+        assert report["warnings"] == ["kernel quasi-periodicity sampled only 5 point pairs",
+                                      "cross identity sampled only 5 point pairs"]
+        assert len(report["checks"]) == 6
 
     @pytest.mark.parametrize("tau", [1.0, 0.03])
     def test_joined_values_have_the_bits_of_separate_calls(self, tmp_path, capsys,

@@ -391,6 +391,25 @@ class TestKzbOperators:
                         - kzb_rows(fd_triple(ga, 1e-3)(LAM), LAM, Z4)[b])
                 assert np.linalg.norm(comm) / scale < 1e-7
 
+    def test_kzb_rows_build_one_pair_at_a_time(self):
+        """70 pairs of jets at m = 4 and 10 lambdas through one apply_kzb:
+        the move terms are built one pair at a time (all at once they take
+        over 100 MB), and each pair keeps the bits it has alone."""
+        rng = np.random.default_rng(6)
+        lams = 0.05 + 0.9 * rng.random(10) + 1j * (0.05 + 0.9 * rng.random(10))
+        jets = rng.standard_normal((3, 70, 10, 70)) + 1j * rng.standard_normal((3, 70, 10, 70))
+        ops = kzb_operators(lams, Z10[:8], CTX)
+        tracemalloc.start()
+        try:
+            got = apply_kzb(ops, jets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert got.shape == (70, 10, 9, 70) and np.isfinite(got).all()
+        for k in range(70):
+            assert np.array_equal(got[k], apply_kzb(ops, jets[:, k]))
+
 
 class TestS2:
     def test_kzb_equals_column_determinant(self):
@@ -820,6 +839,23 @@ class TestVerifyEigen:
             with pytest.raises(error) as info:
                 verify_eigen(pairs, lams, xs)
             assert type(info.value) is error and str(info.value) == message
+
+    def test_solutions_of_two_problems_raise(self):
+        """Every solution and partner is read against the first solution's
+        sites and torus, so a pair, a partner or a solution from other sites
+        or another torus raises ValueError instead of giving wrong values."""
+        pair = self.pairs((0, 1))[0]
+        for prob in (BetheProblem(2, (0.2 + 0.05j, 0.45 + 0.2j, 0.6 + 0.35j, 0.85 + 0.1j), 10j,
+                                  CTX),
+                     BetheProblem(2, Z4, 10j, Torus(1.2j))):
+            sol = solve_subset(prob, (0, 1))
+            other = (sol, analytic_involution(sol))
+            for pairs in ([pair, other], [(pair[0], other[1])]):
+                with pytest.raises(ValueError, match="must share sites and torus"):
+                    verify_eigen(pairs, self.LAMS, self.XS)
+            with pytest.raises(ValueError, match="must share sites and torus"):
+                kzb_eigenvalues([pair[0], sol])
+            assert verify_eigen([other], self.LAMS, self.XS).worst["eigen_relation"] < 1e-8
 
     def test_pairs_do_not_see_each_other(self):
         pairs = self.pairs((0, 1), (0, 2), (1, 3))

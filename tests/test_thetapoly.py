@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from ellbethe import thetapoly
 from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta
 from ellbethe.thetapoly import (
     GOLDEN,
@@ -15,6 +16,7 @@ from ellbethe.thetapoly import (
     FundamentalParallelogram,
     MultipleRootError,
     ResidueViolationError,
+    SolveError,
     ThetaPoly,
     canonical_coords,
     fourier_basis,
@@ -277,6 +279,12 @@ class TestWronskian:
         with pytest.raises(ValueError, match="up to order 2"):
             w.derivs(0.21 + 0.13j, 3)
 
+    def test_factors_must_share_a_torus(self):
+        rng = np.random.default_rng(4)
+        f, g = (random_poly(rng, 2, ctx, centered_cell(ctx)) for ctx in (Torus(1j), Torus(1.2j)))
+        with pytest.raises(ValueError, match="must share a torus"):
+            wronskian(f, g)
+
     def test_multipliers_and_degree(self):
         """Wr of two degree-m polynomials transforms with degree 2m and
         multipliers (A_f A_g, B_f B_g)."""
@@ -299,6 +307,13 @@ class TestFourierBasis:
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError, match="m must be positive"):
             fourier_basis(0, 1.0, 1.0, Torus(1j))
+
+    def test_overflowing_coefficients_raise(self):
+        """B = 1e-300 drives the recursion's ratio past exp's range: the
+        infinite coefficients raise OverflowError (numpy's overflow warning,
+        an error under -W error, is silenced to reach it)."""
+        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="overflow"):
+            fourier_basis(2, 1.0, 1e-300, Torus(1j))
 
     def test_transformation_laws_and_dimension(self):
         for tau in (1j, 0.3 + 0.8j):
@@ -443,6 +458,44 @@ class TestSolveWronskian:
         h = random_poly(rng, 3, ctx, cell)
         with pytest.raises(ValueError):
             solve_wronskian(f, h, cell)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("coefficients", "collocation residual .+ exceeds 1e-9"),
+        ("scale", "root/label reconstruction does not match solution"),
+        ("root_count", "expected 3 roots in the cell, found 2"),
+        ("multipliers", "multipliers inconsistent with recovered roots")])
+    def test_each_verification_failure_raises(self, monkeypatch, fault, message):
+        """Each verification of a computed g raises its SolveError when the
+        step just before it is patched: the least-squares coefficients off
+        by 1e-6, the reconstructed scale off by 1e-6, one root more
+        expected, and the x + tau multiplier negated."""
+        rng = np.random.default_rng(7)
+        ctx = Torus(1j)
+        cell = centered_cell(ctx)
+        f, g = random_poly(rng, 2, ctx, cell), random_poly(rng, 2, ctx, cell)
+        lstsq, to_theta_poly = np.linalg.lstsq, thetapoly._to_theta_poly
+
+        def off_coefficients(*args, **kwargs):
+            coef, *rest = lstsq(*args, **kwargs)
+            return (coef * (1.0 + 1e-6), *rest)
+
+        def off_scale(*args):
+            poly = to_theta_poly(*args)
+            return ThetaPoly(poly.scale * (1.0 + 1e-6), poly.mu, poly.roots, poly.ctx)
+
+        if fault == "coefficients":
+            monkeypatch.setattr(np.linalg, "lstsq", off_coefficients)
+        elif fault == "scale":
+            monkeypatch.setattr(thetapoly, "_to_theta_poly", off_scale)
+        elif fault == "root_count":
+            monkeypatch.setattr(thetapoly, "_to_theta_poly",
+                                lambda series, m, *rest: to_theta_poly(series, m + 1, *rest))
+        else:
+            monkeypatch.setattr(thetapoly, "_to_theta_poly", lambda series, m, a2, b2, *rest:
+                                to_theta_poly(series, m, a2, -b2, *rest))
+        with pytest.raises(SolveError, match=message) as info:
+            solve_wronskian(f, wronskian(f, g), cell)
+        assert type(info.value) is SolveError
 
     def test_against_quadrature_construction(self):
         """Independent construction of g: g = f (M + C) with M(x) the path

@@ -358,6 +358,21 @@ class TestFiberPoint:
             for a, b in ((ours.t, theirs.t), (theirs.t, ours.t)):
                 assert max(min(abs(x - y) for y in b) for x in a) < 1e-9
 
+    def test_partner_matches_wronskian_route_at_80i(self):
+        """At 80i every involution partner has the fiber partner's
+        cell-normalized roots to 1e-12 (9.3e-15 measured) and meets the
+        involution's own 1e-8 bound, though its residual (up to 2.4e-9) can
+        exceed RESIDUAL_GATE: a root sits about 1/|2 pi mu| from its site,
+        where |rho'| is about |2 pi mu|^2 = 2.5e5, so a root error of 1e-14
+        gives a residual of about 2e-9."""
+        for point in fiber_report(2, 80j).points:
+            partner = analytic_involution(point.solution)
+            assert partner.residual < 1e-8
+            ours, theirs = normalize_solution(point.partner), normalize_solution(partner)
+            assert ours.mu == theirs.mu
+            for a, b in ((ours.t, theirs.t), (theirs.t, ours.t)):
+                assert max(min(abs(x - y) for y in b) for x in a) < 1e-12
+
     @pytest.mark.parametrize("subset", [(0, 1, 2, 3), (0, 1, 3, 7)])
     def test_wronskian_route_keeps_the_terms_that_dominate_inside_the_cell(self, subset):
         """The partners of these m = 4 subsets need Fourier terms that are
