@@ -14,7 +14,11 @@ Operators act on coefficient vectors in the subset basis, never on the
 2^n-dimensional space: each one below is a diagonal (the vector of its
 eigenvalues on the v_I) plus a weighted sum of the moves e12^(s) e21^(p)
 read from one table.  That includes L21 L12 in the column determinant,
-whose middle factor passes through the weight -2 space.
+whose middle factor passes through the weight -2 space.  The coefficients
+of the eigenfunction Psi, permanents of m x m blocks of sigma jets, come
+from a second table built beside it: the row expansion over column
+subsets (`ZeroWeightSpace.minors`) takes sum_k C(n, k) k jet products,
+where summing the m! root orderings of each subset takes C(n, m) m! m.
 
 Functions of the dynamical variable lambda (= lambda_1 - lambda_2 after
 the sl2 reduction d/d lambda_1 -> d/d lambda, d/d lambda_2 -> -d/d
@@ -27,7 +31,6 @@ operators, with one theta table (one jet call per order) over all of them.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 import itertools
@@ -64,9 +67,10 @@ class ZeroWeightSpace:
             raise ValueError("need a positive even number of sites, got %d" % n_sites)
         self.n_sites = n_sites
         self.m = n_sites // 2
-        self.subsets = tuple(itertools.combinations(range(n_sites), self.m))
+        levels = [tuple(itertools.combinations(range(n_sites), k)) for k in range(self.m + 1)]
+        ranks = [{S: j for j, S in enumerate(level)} for level in levels]
+        self.subsets, self._index = levels[-1], ranks[-1]
         self.dim = len(self.subsets)
-        self._index = {I: k for k, I in enumerate(self.subsets)}
         inside = np.array([[s in I for I in self.subsets] for s in range(n_sites)])
         self.hw_site = np.where(inside, -1.0, 1.0)
         # e21^(p) acts first and takes p into the subset, e12^(s) takes s out
@@ -75,20 +79,29 @@ class ZeroWeightSpace:
                 for s in range(n_sites) if s not in target
                 for p in target]
         self.src, self.tgt, self.leave, self.join = np.array(rows, dtype=np.intp).T
+        # the permanents of `_psi_rows`, level k = 2..m: for each k-subset S, the
+        # index of each S minus S[i] among the (k - 1)-subsets, and the site S[i]
+        self.minors = [(np.array([[ranks[k - 1][S[:i] + S[i + 1:]] for i in range(k)]
+                                  for S in levels[k]]), np.array(levels[k]))
+                       for k in range(2, self.m + 1)]
 
     def moves(self, coef, value) -> np.ndarray:
         """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value[..., :], the
         leading axes of coef and value broadcast (coef's diagonal is not
         read).  Each target adds its m^2 terms one at a time in table order,
-        so its bits depend neither on the batch nor on the memory layout.  A
-        value with more leading axes than coef is taken one index of its first
-        axis at a time, so the terms held are one index's; the KZB rows and
-        both S2 routes sum the table here alone."""
-        if np.ndim(value) > np.ndim(coef) - 1:
-            return np.array([self.moves(coef, v) for v in value])
-        terms = np.asarray(coef)[..., self.leave, self.join] * np.asarray(value)[..., self.src]
-        terms = terms.reshape(terms.shape[:-1] + (self.dim, -1))
-        return functools.reduce(np.add, np.moveaxis(terms, -1, 0))
+        so its bits depend neither on the batch nor on the memory layout.  The
+        coefficients are gathered once per call, and a value with more leading
+        axes than coef is taken one index of those extra axes at a time, so
+        the terms held are one index's; the KZB rows and both S2 routes sum
+        the table here alone."""
+        coef, value = np.asarray(coef)[..., self.leave, self.join], np.asarray(value)
+        lead = value.shape[:max(value.ndim - coef.ndim, 0)]
+        rows = []
+        for v in value.reshape((-1,) + value.shape[len(lead):]):
+            terms = coef * v[..., self.src]
+            terms = terms.reshape(terms.shape[:-1] + (self.dim, -1))
+            rows.append(functools.reduce(np.add, np.moveaxis(terms, -1, 0)))
+        return np.reshape(rows, lead + rows[0].shape)
 
     def index(self, subset) -> int:
         return self._index[tuple(sorted(subset))]
@@ -123,28 +136,25 @@ def _psi_rows(jets, lams, sols) -> np.ndarray:
     """(Psi, dPsi/dlambda, d2Psi/dlambda2)[:len(jets)] of each solution
     sols[k] at the points lams[k], an (len(jets), S, L, dim) array, from
     sigma_jet's rows, or sigma's values alone, at `_psi_args`: Psi = e^{pi i
-    mu lambda} sum_I W_I v_I, the permanent W_I = Sym_t prod_j sigma(t_j -
-    z_{i_j}, -lambda) folded over the orderings pi (root j takes site
-    I[pi(j)]) by the Leibniz rule along j, the orderings summed last; the
-    envelope is scalar arithmetic per point."""
-    prob = sols[0].problem
-    sp = zero_weight_space(prob.n)
-    sites = np.array(sp.subsets)[:, list(itertools.permutations(range(prob.m)))]
-    out = np.empty(jets.shape[:3] + (sp.dim,), dtype=complex)
-    for k, (row, sol) in enumerate(zip(lams, sols)):
-        jk = jets[:, k]
-        fold = jk[..., 0, sites[..., 0]]
-        for j in range(1, prob.m):
-            fold = _leibniz(fold, jk[..., j, sites[..., j]])
-        wk = np.sum(fold, axis=-1)
-        c = 1j * math.pi * sol.mu
-        for l, lam in enumerate(row):
-            envelope = cmath.exp(c * lam)
-            out[0, k, l] = envelope * wk[0, l]
-            if len(jets) > 1:
-                out[1, k, l] = envelope * (c * wk[0, l] - wk[1, l])
-                out[2, k, l] = envelope * (c * c * wk[0, l] - 2.0 * c * wk[1, l] + wk[2, l])
-    return out
+    mu lambda} sum_I W_I v_I, W_I the permanent of the block sigma(t_j - z_s,
+    -lambda), s in I.  Its row expansion over the column subsets,
+    P_k(S) = sum_{s in S} P_{k-1}(S - s) sigma(t_k - z_s, -lambda) with the
+    products by the Leibniz rule, runs through the levels of
+    `ZeroWeightSpace.minors` one solution at a time, each level's k terms
+    added one at a time in order, so a row's bits do not depend on the
+    batch; the envelope and its lambda-derivatives are one array expression."""
+    sp = zero_weight_space(sols[0].problem.n)
+    w = np.empty(jets.shape[:3] + (sp.dim,), dtype=complex)
+    for k, jk in enumerate(np.moveaxis(jets, 1, 0)):
+        perm = jk[..., 0, :]
+        for j, (drop, sites) in enumerate(sp.minors, 1):
+            perm = functools.reduce(np.add, [_leibniz(perm[..., d], jk[..., j, s])
+                                             for d, s in zip(drop.T, sites.T)])
+        w[:, k] = perm
+    c = 1j * math.pi * np.array([sol.mu for sol in sols])[:, None, None]
+    if len(w) > 1:
+        w[1], w[2] = c * w[0] - w[1], c * c * w[0] - 2.0 * c * w[1] + w[2]
+    return np.exp(c * np.array(lams, dtype=complex)[..., None]) * w
 
 
 def psi_derivs(lam: complex, sol: BetheSolution) -> tuple:

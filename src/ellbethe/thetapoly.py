@@ -318,7 +318,8 @@ def fourier_basis(m: int, a_mult: complex, b_mult: complex, ctx: Torus) -> list[
         n = r + js * m
         logmod = loga.real[:, None] - 2.0 * math.pi * np.outer(n, heights)
         keep = (logmod >= logmod.max(axis=0) - 40.0).any(axis=1)
-        coeffs = np.exp(loga[keep])
+        with np.errstate(over="ignore"):  # an overflow raises OverflowError below
+            coeffs = np.exp(loga[keep])
         if not np.all(np.isfinite(coeffs)):
             raise OverflowError("Fourier coefficients overflow for these multipliers")
         basis.append(FourierTheta(nu0, n[keep].astype(float), coeffs))

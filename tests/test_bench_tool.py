@@ -3,6 +3,7 @@ tools/same_reports.py, the two-tree report comparison."""
 
 import glob
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,3 +86,75 @@ def test_same_reports_names_the_first_report_that_differs(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1, done.stdout + done.stderr
     assert done.stdout == "differs: workload fiber, seed 2, experiment m3-tau0-0 (exit 0 vs 0)\n"
+
+
+def patched_tree(tmp_path, old, new):
+    """A tree whose src/ellbethe is this one's with `old` in cli.py, found
+    once, replaced by `new`."""
+    shutil.copytree(os.path.join(ROOT, "src", "ellbethe"), tmp_path / "src" / "ellbethe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "ellbethe" / "cli.py"
+    text = cli.read_text()
+    assert text.count(old) == 1
+    cli.write_text(text.replace(old, new))
+    return str(tmp_path)
+
+
+def test_same_reports_moved_prints_the_largest_moves(tmp_path):
+    """A tree whose check values are all 1e-12 larger, relatively: --moved
+    passes it and prints a relative move of 1e-12 for each check that moved
+    (a zero value does not move) and none for ratio_table."""
+    tree = patched_tree(tmp_path, '"measured": float(measured),',
+                        '"measured": float(measured) * (1.0 + 1e-12),')
+    done = subprocess.run([sys.executable, SAME, ROOT, tree, "--seeds", "1", "--limit", "2",
+                           "--moved"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    first, *lines = done.stdout.splitlines()
+    assert first == "6 reports compared, 6 moved"
+    rows = {}
+    for line in lines:
+        place, _, rest = line.partition(": ")
+        words = rest.split()
+        rows[place] = int(words[0]), float(words[-3].rstrip(",")), float(words[-1])
+    assert list(rows)[-1] == "ratio_table" and rows["ratio_table"] == (0, 0.0, 0.0)
+    assert rows["eigen_relation"][0] == rows["weyl_ratio"][0] == 2
+    assert rows["heat_equation"][0] == 2
+    for count, largest, relative in rows.values():
+        assert (count == 0) == (largest == 0.0)
+        assert count == 0 or 0.5e-12 < relative < 2e-12
+
+
+def test_same_reports_moved_fails_on_a_flipped_status(tmp_path):
+    """A tree where weyl_ratio always fails: --moved compares every report
+    and names each one whose status, and so exit code, differs."""
+    tree = patched_tree(tmp_path, '"status": "pass" if measured <= tolerance else "fail",',
+                        '"status": "pass" if measured <= tolerance and name != "weyl_ratio"'
+                        ' else "fail",')
+    done = subprocess.run([sys.executable, SAME, ROOT, tree, "--seeds", "1", "--limit", "2",
+                           "--moved"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout == ("differs: workload eigen, seed 1, experiment m2-tau0 (exit 0 vs 1)\n"
+                           "differs: workload eigen, seed 1, experiment m2-tau1 (exit 0 vs 1)\n")
+
+
+def test_moves_reads_only_measured_values_and_the_ratio_table():
+    """At one exit code, a moved measured value or ratio is a move, and a
+    flipped status, a new warning or a moved tolerance is a difference."""
+    sys.path.insert(0, os.path.dirname(SAME))
+    try:
+        from same_reports import moves
+    finally:
+        sys.path.pop(0)
+
+    def run(status="pass", measured=2.0 ** -40, tolerance=1e-8, warnings=(), ratio=1.0):
+        return 0, json.dumps({"checks": [{"name": "c", "status": status, "measured": measured,
+                                          "tolerance": tolerance}],
+                              "warnings": list(warnings), "ratio_table": [{"ratio": [ratio, 0.0]}]})
+
+    assert moves(run(), run()) == {"c": [], "ratio_table": []}
+    assert moves(run(), run(measured=1.5 * 2.0 ** -40, ratio=1.25)) == {
+        "c": [(2.0 ** -41, 0.5)], "ratio_table": [(0.25, 0.25)]}
+    for changed in (run(status="fail"), run(warnings=["w"]), run(tolerance=1e-9),
+                    run(measured=math.nan)):
+        assert moves(run(), changed) is None
+    assert moves(run(), (1, run()[1])) is None

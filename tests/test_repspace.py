@@ -19,10 +19,12 @@ from ellbethe.bethe import (
     bae_residual,
     seed_asymptotic,
     solve_bae,
+    solve_subsets,
 )
 from ellbethe import elliptic, repspace
 from ellbethe.cli import _cell_samples
 from ellbethe.thetapoly import wronskian
+from test_wronski import cell_problem
 from ellbethe.repspace import (
     EIGEN_CHECKS,
     _psi_args,
@@ -228,6 +230,48 @@ class TestPsi:
             at = [[lam]], [sol]
             assert np.array_equal(_psi_rows(sigma(*_psi_args(*at), CTX)[None], *at)[0, 0, 0],
                                   psi_derivs(lam, sol)[0])
+
+    @staticmethod
+    def cell_rows(m, mu):
+        """Every solution of cell_problem(m, mu), one per subset, and the
+        arguments of `_psi_rows` at 10 lambdas for all of them."""
+        prob = cell_problem(m, mu)
+        subsets = zero_weight_space(2 * m).subsets
+        sols = solve_subsets([prob] * len(subsets), subsets)
+        assert all(sol.converged for sol in sols)
+        lams = _cell_samples(prob.cell, 10, 1)
+        return prob.ctx, lams, ([lams] * len(sols), sols)
+
+    def test_batched_rows_are_the_lone_rows_at_m4(self):
+        """All 70 solutions of cell_problem(4, 14j) at 10 lambdas through one
+        `_psi_rows`: each sampled solution keeps the bits of its lone
+        psi_derivs rows, from sigma_jet's rows and from sigma's values alone,
+        as each level's terms are added one at a time in order (a sum over
+        a stacked term axis rounds with the batch shape)."""
+        ctx, lams, at = self.cell_rows(4, 14j)
+        jet_rows = _psi_rows(np.array(sigma_jet(*_psi_args(*at), ctx)), *at)
+        value_rows = _psi_rows(sigma(*_psi_args(*at), ctx)[None], *at)[0]
+        for k in (0, 23, 46, 69):
+            for l, lam in enumerate(lams):
+                lone = psi_derivs(lam, at[1][k])
+                assert all(np.array_equal(jet_rows[r, k, l], lone[r]) for r in range(3))
+                assert np.array_equal(value_rows[k, l], lone[0])
+
+    def test_peak_memory_of_every_m5_solution(self):
+        """All 252 solutions of cell_problem(5, 18j) at 10 lambdas: the
+        permanents are built one solution at a time, so the traced peak of
+        `_psi_rows` stays at most 150 MB (levels gathered for every
+        solution at once take over 500 MB)."""
+        ctx, lams, at = self.cell_rows(5, 18j)
+        jets = np.array(sigma_jet(*_psi_args(*at), ctx))
+        tracemalloc.start()
+        try:
+            rows = _psi_rows(jets, *at)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150e6
+        assert rows.shape == (3, 252, 10, 252) and np.isfinite(rows).all()
 
     def test_m1_single_term(self):
         """For m=1 and I={0}, W_I is the single factor sigma(t - z_0, -lam)."""

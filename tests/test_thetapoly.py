@@ -310,9 +310,9 @@ class TestFourierBasis:
 
     def test_overflowing_coefficients_raise(self):
         """B = 1e-300 drives the recursion's ratio past exp's range: the
-        infinite coefficients raise OverflowError (numpy's overflow warning,
-        an error under -W error, is silenced to reach it)."""
-        with np.errstate(over="ignore"), pytest.raises(OverflowError, match="overflow"):
+        infinite coefficients raise OverflowError, also under -W
+        error::RuntimeWarning, as numpy's overflow warning is silenced there."""
+        with pytest.raises(OverflowError, match="overflow"):
             fourier_basis(2, 1.0, 1e-300, Torus(1j))
 
     def test_transformation_laws_and_dimension(self):
