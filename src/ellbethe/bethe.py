@@ -424,15 +424,16 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     tol = np.array([_newton_tol(mu) for mu in mus])
     t = np.array([[complex(v) for v in seed] for seed in seeds])
     step, halley = np.zeros((2,) + t.shape, dtype=complex)
-    halley_next = np.zeros(count, dtype=bool)  # the pending candidate is the Halley step
+    # each system's pending candidate: rung -1 the Halley step, rung a >= 0
+    # the Newton step times 2^-a (the seed: rung 0 and a zero step)
+    rung = np.zeros(count, dtype=int)
     norm = np.full(count, math.inf)
-    lam = np.ones(count)
-    tries, iterations, backtracks = np.zeros((3, count), dtype=int)
+    iterations = np.full(count, -1)     # the seed's acceptance makes it 0
+    backtracks = np.zeros(count, dtype=int)
     failed = [None] * count     # the exception that ends a system
     kernels = functools.partial(_bethe_kernels, z=z, ctx=ctx)
     running = np.arange(count)  # systems with a candidate to evaluate
     cand = t.copy()
-    first = True
     while running.size:
         kern, errors = _by_rows(kernels, cand[running])
         cres = _residuals(kern, drive[running])
@@ -443,20 +444,14 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
             elif exc is not None:
                 failed[running[pos]] = exc
         live = np.array([failed[k] is None for k in running], dtype=bool)
-        if first:
-            accept = live
-        else:
-            accept = live & (cnorm <= (1.0 - 1e-4 * lam[running]) * norm[running])
-            iterations[running[accept]] += 1
-        # rejected: a Halley candidate is retried as the Newton step, a
-        # Newton one halves its length, and a system stops after 20 halvings
+        lam = np.ldexp(1.0, -np.maximum(rung[running], 0))
+        accept = live & (cnorm <= (1.0 - 1e-4 * lam) * norm[running])
+        iterations[running[accept]] += 1
+        # rejected: one rung down, and a system stops at rung 20
         back = running[live & ~accept]
-        halve = back[~halley_next[back]]
-        halley_next[back] = False
-        lam[halve] *= 0.5
-        tries[halve] += 1
+        rung[back] += 1
         backtracks[back] += 1
-        retry = back[tries[back] < 20]
+        retry = back[rung[back] < 20]
         # accepted: move, and go on unless converged or out of steps
         moved = np.flatnonzero(accept)
         idx = running[moved]
@@ -476,7 +471,7 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
                 failed[k] = exc
             keep = np.array([exc is None for exc in singular], dtype=bool)
             go, rows, jac = go[keep], rows[keep], jac[keep]
-            lam[go], tries[go], halley_next[go] = 1.0, 0, False
+            rung[go] = 0
             # kern[-1]: the gaps
             near = np.abs(step[go]).max(axis=1) <= HALLEY_REACH * kern[-1][rows]
             if near.any():
@@ -486,11 +481,11 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
                                               cres[near_rows])
                 solved = np.array([exc is None for exc in singular], dtype=bool)
                 halley[near_go[solved]] = steps[solved]
-                halley_next[near_go[solved]] = True
+                rung[near_go[solved]] = -1
         running = np.sort(np.concatenate([retry, go]))
-        cand[running] = t[running] + np.where(halley_next[running, None], halley[running],
-                                              lam[running, None] * step[running])
-        first = False
+        lam = np.ldexp(1.0, -np.maximum(rung[running], 0))
+        cand[running] = t[running] + np.where(rung[running, None] < 0, halley[running],
+                                              lam[:, None] * step[running])
     done = np.array([exc is None for exc in failed], dtype=bool)
     tags = [None] * count
     for k, exc, tag in zip(np.flatnonzero(done), *_separation_errors(t[done], z, ctx)):
