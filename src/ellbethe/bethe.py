@@ -389,13 +389,16 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     current iterate it takes the Newton step s_N = -J^{-1} F and, where
     max |s_N| <= HALLEY_REACH times the iterate's gap, the Halley step
     s_H = -(J + T/2)^{-1} F, T the derivative of J along s_N (cubic
-    convergence, from the rho'' the same jet gives).  A rejected Halley
-    candidate is retried once as the full Newton step, which is then
-    backtracked by halves (up to 20 times) until the residual satisfies an
-    Armijo-type decrease; a system stops at the current iterate once its
-    residual is below `_newton_tol` of its own mu, when no step length is
-    productive, or after max_iter accepted steps (`converged` reads that
-    residual against RESIDUAL_GATE).  A seed whose residual lands on a
+    convergence, from the rho'' the same jet gives).  A system's pending
+    candidate is a rung of one ladder: rung -1 the Halley step, rung a >= 0
+    the Newton step times 2^-a.  A candidate is accepted when its residual
+    norm is at most (1 - 1e-4 * 2^-max(a, 0)) times the current one; an
+    accepted step resets the rung to -1 (Halley within reach and solvable)
+    or 0, and a rejected candidate moves one rung down.  The seed is the
+    first candidate, accepted against an infinite norm.  A system stops at
+    the current iterate once its residual is below `_newton_tol` of its
+    own mu, at rung 20, or after max_iter accepted steps (`converged` reads
+    that residual against RESIDUAL_GATE).  A seed whose residual lands on a
     pole raises PoleError once it needs a step.  Counters: the accepted
     steps (`iterations`) and the rejected candidates (`backtracks`).
 

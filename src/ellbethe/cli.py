@@ -43,7 +43,7 @@ from .elliptic import (
 )
 from .repspace import verify_eigen
 from .thetapoly import FundamentalParallelogram, golden_points
-from .wronski import enumerate_fiber, scan_mu_grid, scan_mu_min
+from .wronski import WR_RESIDUAL_GATE, enumerate_fiber, scan_mu_grid, scan_mu_min
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -58,7 +58,7 @@ DEFAULT_TOLERANCES = {
     "sigma_product_identity": 1e-10,
     "bae_residual": RESIDUAL_GATE,
     "fiber_count": 0.0,
-    "wr_certificate": 1e-9,
+    "wr_certificate": WR_RESIDUAL_GATE,
     "mu_min_found": 0.0,
     "eigen_relation": 1e-8,
     "eigen_sum_rule": 1e-9,

@@ -13,7 +13,9 @@ Newton stops each system at `bethe._newton_tol`, and a solve is accepted
 when it is `converged`: its residual meets `bethe.RESIDUAL_GATE`.
 A pair is accepted only if Wr(f, g) passes `wr_certificates` on one row
 of samples clear of the sites: Wr(f, g) - c h has 2m zeros in the cell
-unless it vanishes, wherever the roots of f and g lie.  For
+unless it vanishes, wherever the roots of f and g lie.  The certificate
+cancels the envelopes e^{2 pi i (label) x} of f, g and h before it
+evaluates anything, so it does not overflow at large |Im mu|.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
@@ -38,9 +40,10 @@ from .bethe import (
     BetheSolution,
     _by_rows,
     _pairs,
+    site_wronskian,
     solve_subsets,
 )
-from .elliptic import lattice_distances
+from .elliptic import _exp, lattice_distances
 from .thetapoly import (
     ResidueViolationError,
     SolveError,
@@ -103,26 +106,34 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     c and the other 2m + 1 (at least 7) force it to zero.  Only h(x_0) is
     divided by, so the samples avoid the sites alone, never the roots of f
     and g: one row, placed once per call, serves every pair, and its
-    placement error is every pair's.  h is evaluated once on it, Wr(f, g)
-    in one theta batch over every f and g; a pair that raises inside the
-    batch is certified again on its own (`_by_rows`).
+    placement error is every pair's.  No envelope is formed: with
+    f = e^{ax} F, g = e^{bx} G and h = e^{cx} H (H = `bethe.site_wronskian`),
+    Wr(f, g) = e^{(a+b)x} (Wr(F, G) + (b - a) F G), so F, G and H are
+    evaluated with label 0 and only e^{(a+b-c)x} is exponentiated
+    (`elliptic._exp`), exactly 1 for a fiber pair.  H is evaluated once on
+    the row, Wr(F, G) in one theta batch over every F and G; a pair that
+    raises inside the batch is certified again on its own (`_by_rows`).
     """
     if not pairs:
         return []
-    target = ThetaPoly(1.0, -problem.mu, problem.z, problem.ctx)
     try:
         x = np.array(golden_points(problem.cell, max(8, 2 * problem.m + 2), (0.5, 0.37),
                                    avoid=problem.z, margin=1e-3))
-        b = target.eval(x)
+        b = site_wronskian(problem).eval(x)
     except (ArithmeticError, ValueError) as exc:
         return [exc] * len(pairs)
 
     def certify(idx):
         if not len(idx):
             return (np.zeros(0),)
-        d = stacked_derivs([pairs[k][0] for k in idx] + [pairs[k][1] for k in idx],
+        fs, gs = [pairs[k][0] for k in idx], [pairs[k][1] for k in idx]
+        d = stacked_derivs([dataclasses.replace(p, mu=0.0) for p in fs + gs],
                            np.broadcast_to(x, (2 * len(idx), len(x))), 1)
-        a, = _wronskian_rows([v[:len(idx)] for v in d], [v[len(idx):] for v in d])
+        df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
+        wr, = _wronskian_rows(df, dg)
+        rates = TWOPI_I * np.array([[g.mu - f.mu, f.mu + g.mu + problem.mu]
+                                    for f, g in zip(fs, gs)])
+        a = _exp(rates[:, 1:] * x) * (wr + rates[:, :1] * df[0] * dg[0])
         fit = a[:, :1] / b[:1] * b[1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
         return (np.max(err, axis=1, initial=0.0),)

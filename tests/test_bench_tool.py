@@ -158,3 +158,23 @@ def test_moves_reads_only_measured_values_and_the_ratio_table():
                     run(measured=math.nan)):
         assert moves(run(), changed) is None
     assert moves(run(), (1, run()[1])) is None
+
+
+def test_moves_lets_a_fiber_point_residual_move():
+    """A moved `wr_residual` of one fiber point is a move of its own place;
+    a moved root of f is a difference."""
+    sys.path.insert(0, os.path.dirname(SAME))
+    try:
+        from same_reports import POINT_RESIDUAL, moves
+    finally:
+        sys.path.pop(0)
+
+    def run(residual=2.0 ** -50, root=0.25):
+        points = [{"f_roots": [[root, 0.5]], "wr_residual": residual},
+                  {"f_roots": [[0.75, 0.5]], "wr_residual": 2.0 ** -49}]
+        return 0, json.dumps({"checks": [], "fiber": {"count": 2, "points": points}})
+
+    assert moves(run(), run()) == {"ratio_table": []}
+    assert moves(run(), run(residual=2.0 ** -51)) == {
+        "ratio_table": [], POINT_RESIDUAL: [(2.0 ** -51, 0.5)]}
+    assert moves(run(), run(root=0.375)) is None

@@ -441,6 +441,27 @@ class TestHalleyStep:
         monkeypatch.setattr(bethe_module, "HALLEY_REACH", 0.0)
         assert repr(solve_bae(prob, seed, max_iter=1)) == repr(one)
 
+    def test_a_rejected_halley_candidate_is_retried_as_the_full_newton_step(
+            self, monkeypatch, request):
+        """With T poisoned to -1.98 J, so that J + T/2 = J/100, every Halley
+        candidate is 100 Newton steps long and overshoots: it is rejected,
+        and the next candidate is the Newton step at full length, not
+        halved.  The solve takes Newton's iterates, with one backtrack per
+        accepted step."""
+        prob = problem4()
+        seed = seed_asymptotic(prob, (0, 1))
+        jacobians = bethe_module._jacobians
+        monkeypatch.setattr(bethe_module, "_jacobian_slopes",
+                            lambda kernels, s: -1.98 * jacobians(kernels))
+        halley = [solve_bae(prob, seed, max_iter=n) for n in (1, 50)]
+        request.getfixturevalue("newton_step")
+        newton = [solve_bae(prob, seed, max_iter=n) for n in (1, 50)]
+        assert newton[1].converged and newton[1].iterations > 1
+        for got, want in zip(halley, newton):
+            assert got.t == want.t and got.residual == want.residual
+            assert got.iterations == want.iterations == got.backtracks
+            assert want.backtracks == 0
+
 
 class TestFarIterates:
     """Newton candidates far from the cell overflow the theta jets: the

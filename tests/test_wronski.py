@@ -128,6 +128,15 @@ class TestEnumerateFiber:
         assert all(p.solution.residual <= 1e-10 and p.partner.residual <= 1e-10
                    for p in rep.points)
 
+    @pytest.mark.parametrize("m, mu", [(2, 120j), (2, 200j), (4, 120j)])
+    def test_full_count_holds_where_the_envelopes_overflow(self, m, mu):
+        """Past about 115i the envelope e^{-2 pi i mu x} of g and h passes
+        the largest double inside the cell; the certificate never forms it,
+        since for a fiber pair the envelopes of f, g and h cancel exactly."""
+        report = enumerate_fiber(problem(m, mu) if m == 2 else cell_problem(m, mu))
+        assert report.complete and report.count == math.comb(2 * m, m)
+        assert max(p.wr_residual for p in report.points) <= 1e-13
+
     def test_gate_alone_decides(self):
         """`converged` is the residual against RESIDUAL_GATE alone."""
         sol = fiber_report(2, 6j).points[0].solution

@@ -16,11 +16,12 @@ and experiment, and 0 after printing the number of reports compared.
     python3 tools/same_reports.py PARENT CHANGE --moved
 
 `--moved` lets a change move numbers where a change of rounding shows:
-each check's `measured` value and the numbers of `ratio_table`.  Every
-report is compared.  The tool exits 1, naming each report that differs,
-if two reports differ in exit code, warnings, check names or statuses,
-or anywhere else; otherwise it prints, for each check and for
-`ratio_table`, how many reports moved there and the largest absolute and
+each check's `measured` value, each fiber point's `wr_residual` and the
+numbers of `ratio_table`.  Every report is compared.  The tool exits 1,
+naming each report that differs, if two reports differ in exit code,
+warnings, check names or statuses, or anywhere else; otherwise it
+prints, for each check, for the points' `wr_residual` (if one moved)
+and for `ratio_table`, how many reports moved there and the largest absolute and
 relative move (relative to the parent's value), and exits 0.
 """
 
@@ -37,6 +38,7 @@ import tempfile
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TOOLS)
+POINT_RESIDUAL = "fiber.points.wr_residual"
 
 
 def seed_range(text):
@@ -69,8 +71,10 @@ def leaves(value, path=()) -> list:
 def moves(parent, change):
     """{place: [(absolute, relative) move, ...]} of two (exit code, stdout)
     reports, for each place of a JSON report: each check's name, for its
-    `measured` value, and "ratio_table", for the table's numbers.  None if
-    the reports differ anywhere else or a moved number is not finite in both."""
+    `measured` value, POINT_RESIDUAL, for every fiber point's `wr_residual`
+    (a key only where one moved), and "ratio_table", for the table's
+    numbers.  None if the reports differ anywhere else or a moved number is
+    not finite in both."""
     if parent[0] != change[0]:
         return None
     try:
@@ -89,11 +93,13 @@ def moves(parent, change):
             place = "ratio_table"
         elif path[0] == "checks" and path[2:] == ("measured",):
             place = old["checks"][path[1]]["name"]
+        elif path[:2] == ("fiber", "points") and path[3:] == ("wr_residual",):
+            place = POINT_RESIDUAL
         else:
             return None
         if not all(type(v) is float and math.isfinite(v) for v in (a, b)):
             return None
-        out[place].append((abs(b - a), abs(b - a) / abs(a) if a else math.inf))
+        out.setdefault(place, []).append((abs(b - a), abs(b - a) / abs(a) if a else math.inf))
     return out
 
 
@@ -118,8 +124,9 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", type=int, default=None,
                         help="only the first N experiments of each workload")
     parser.add_argument("--moved", action="store_true",
-                        help="compare every report, let check measured values and ratio_table "
-                             "numbers move, and print the largest moves")
+                        help="compare every report, let check measured values, fiber point "
+                             "wr_residual values and ratio_table numbers move, and print the "
+                             "largest moves")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, TOOLS)
