@@ -510,23 +510,27 @@ def eta(x, ctx: Torus):
 def _theta_table(ctx: Torus, *requests) -> list:
     """For each request (kernel, *arg_sets), kernel one made by _formed,
     its values on each set of point arguments, in the set's broadcast shape
-    behind any row axis, from one _theta_jets call per order.  Each kernel
-    runs once on its arguments as given, on their own axes, for its slots
-    (x of shape (30,) and w of (10, 1) make 40 points, x + w 300); order 1
-    reads the rows of order 2 (rows 0-2 of a jet do not depend on its
-    order, nor a point's jet on its batch); then the kernel runs once per
-    pass of at most _CHUNK points of the broadcast grid, on its slots' jets
-    gathered there, so a point has the same bits alone as in a batch: past
-    256 KiB numpy computes `a * temporary` in place as `temporary * a`, and
-    with fused multiply-adds a complex product is not commutative bit for
-    bit.  A set on its grid that fits one pass keeps its first run.
+    behind any row axis, from one jet per distinct slot, at its highest
+    order, and one _theta_jets call per order.  Each kernel runs once on
+    its arguments as given, on their own axes, for its slots (x of shape
+    (30,) and w of (10, 1) make 40 points, x + w 300).  Slots whose points
+    have one shape and the same bytes (+0.0 and -0.0 stay apart) share one
+    read-only jet, guarded where any of them is, at their highest order,
+    order 1 counted as 2, and each reads its own leading rows (rows of a
+    jet do not depend on its order, nor a point's jet on its batch); then
+    the kernel runs once per pass of at most _CHUNK points of the broadcast
+    grid, on its slots' jets gathered there, so a point has the same bits
+    alone as in a batch: past 256 KiB numpy computes `a * temporary` in
+    place as `temporary * a`, and with fused multiply-adds a complex
+    product is not commutative bit for bit.  A set on its grid that fits
+    one pass keeps its first run.
 
     Where a guard fires or a jet overflows, the fault route runs each set
     in request order on its broadcast, flattened points: each slot is one
     _theta_jets call guarded by its name, then the value step runs (so
     phi's Taylor step meets sigma's pole in its turn).  The first fault,
     by set and then by slot, thus raises as the kernel raises it."""
-    groups, sets, jets, values = {}, [], {}, []
+    keys, groups, sets, jets, values = {}, {}, [], {}, []
     try:
         for kernel, *arg_sets in requests:
             form = inspect.unwrap(kernel)
@@ -541,14 +545,20 @@ def _theta_table(ctx: Torus, *requests) -> list:
                 if not keep:
                     run.close()
                 for s in slots:
-                    groups.setdefault(2 if s[1] == 1 else s[1], []).append(s)
+                    points = np.asarray(s[0], dtype=complex)
+                    keys.setdefault((points.shape, points.tobytes()), [points]).append(s)
                 sets.append((form, args, grid, slots, run if keep else None, values[-1]))
+        for points, *same in keys.values():
+            groups.setdefault(max(2 if s[1] == 1 else s[1] for s in same), []).append(
+                (points, any(s[2] is not None for s in same), same))
         for order, group in groups.items():
-            sizes = [np.size(s[0]) for s in group]
-            out = _theta_jets(np.concatenate([np.ravel(s[0]) for s in group]), ctx, order,
-                              pole=np.repeat([s[2] is not None for s in group], sizes))
-            for s, piece in zip(group, np.split(out, np.cumsum(sizes)[:-1], axis=1)):
-                jets[id(s)] = piece[:s[1] + 1]
+            sizes = [points.size for points, _, _ in group]
+            out = _theta_jets(np.concatenate([points.ravel() for points, _, _ in group]), ctx,
+                              order, pole=np.repeat([guard for _, guard, _ in group], sizes))
+            out.flags.writeable = False
+            for (_, _, same), piece in zip(group, np.split(out, np.cumsum(sizes)[:-1], axis=1)):
+                for s in same:
+                    jets[id(s)] = piece[:s[1] + 1]
         for form, args, grid, slots, run, out in sets:
             size, rows = math.prod(grid), []
             for s in slots:
@@ -556,6 +566,7 @@ def _theta_table(ctx: Torus, *requests) -> list:
                 if r.shape[1] != size:  # a slot on its own axes, gathered onto the grid
                     r = r[:, np.broadcast_to(np.arange(r.shape[1]).reshape(np.shape(s[0])),
                                              grid).ravel()]
+                    r.flags.writeable = False
                 rows.append(r)
             runs = [run]
             if run is None:  # the kernel again on each pass of the grid, for its values

@@ -65,25 +65,26 @@ class ZeroWeightSpace:
     def __init__(self, n_sites: int):
         if n_sites <= 0 or n_sites % 2 != 0:
             raise ValueError("need a positive even number of sites, got %d" % n_sites)
-        self.n_sites = n_sites
-        self.m = n_sites // 2
-        levels = [tuple(itertools.combinations(range(n_sites), k)) for k in range(self.m + 1)]
-        ranks = [{S: j for j, S in enumerate(level)} for level in levels]
-        self.subsets, self._index = levels[-1], ranks[-1]
-        self.dim = len(self.subsets)
-        inside = np.array([[s in I for I in self.subsets] for s in range(n_sites)])
-        self.hw_site = np.where(inside, -1.0, 1.0)
-        # e21^(p) acts first and takes p into the subset, e12^(s) takes s out
-        rows = [(self.index(set(target) - {p} | {s}), k, s, p)
-                for k, target in enumerate(self.subsets)
-                for s in range(n_sites) if s not in target
-                for p in target]
-        self.src, self.tgt, self.leave, self.join = np.array(rows, dtype=np.intp).T
+        self.n_sites, self.m = n_sites, n_sites // 2
+        # levels[k - 1]: the k-subsets, lexicographic; rank[bitmask]: a subset's index in its level
+        levels = [np.array(list(itertools.combinations(range(n_sites), k)))
+                  for k in range(1, self.m + 1)]
+        bits = [np.sum(1 << level, axis=1) for level in levels]
+        rank = np.empty(2 ** n_sites, dtype=np.intp)
+        rank[np.concatenate(bits)] = np.concatenate([np.arange(len(b)) for b in bits])
+        top = levels[-1]
+        self.subsets, self.dim = tuple(map(tuple, top.tolist())), len(top)
+        self._index = {S: j for j, S in enumerate(self.subsets)}
+        self.hw_site = np.where((np.arange(n_sites)[:, None, None] == top).any(-1), -1.0, 1.0)
+        # e21^(p) acts first and takes p into the subset, e12^(s) takes s out; per target,
+        # s ascending outside it (subset k's complement is subset dim - 1 - k), then p inside
+        tgt, leave, join = np.arange(self.dim)[:, None, None], top[::-1, :, None], top[:, None, :]
+        src = rank[bits[-1][:, None, None] + (1 << leave) - (1 << join)]
+        self.src, self.tgt, self.leave, self.join = (np.broadcast_to(a, src.shape).ravel()
+                                                     for a in (src, tgt, leave, join))
         # the permanents of `_psi_rows`, level k = 2..m: for each k-subset S, the
         # index of each S minus S[i] among the (k - 1)-subsets, and the site S[i]
-        self.minors = [(np.array([[ranks[k - 1][S[:i] + S[i + 1:]] for i in range(k)]
-                                  for S in levels[k]]), np.array(levels[k]))
-                       for k in range(2, self.m + 1)]
+        self.minors = [(rank[b[:, None] - (1 << lv)], lv) for b, lv in zip(bits[1:], levels[1:])]
 
     def moves(self, coef, value) -> np.ndarray:
         """sum_{s != p} coef[..., s, p] e12^(s) e21^(p) value[..., :], the

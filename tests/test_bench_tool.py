@@ -5,6 +5,7 @@ import glob
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench.py")
 SIDE_KEYS = {"values", "median", "q1", "q3", "report_digests"}
+# written since the jet counting pass was added; older committed files lack it
+OPTIONAL_SIDE_KEYS = {"theta_jets"}
 KEYS = {"schema", "workload", "seed", "rounds", "quick", "unit", "experiments", "host",
         "change_wins", "reports_identical", "parent", "change"}
 
@@ -22,7 +25,11 @@ def check_schema(record):
     assert set(record["host"]) == {"python", "numpy", "machine", "cpus"}
     for side in ("parent", "change"):
         values = record[side]["values"]
-        assert set(record[side]) == SIDE_KEYS
+        assert SIDE_KEYS <= set(record[side]) <= SIDE_KEYS | OPTIONAL_SIDE_KEYS
+        for order, row in record[side].get("theta_jets", {}).items():
+            assert re.fullmatch(r"[0-4](\+dtau)?", order)
+            assert set(row) == {"calls", "points"}
+            assert row["calls"] > 0 and row["points"] >= 0
         assert len(values) == record["rounds"] and all(v > 0 for v in values)
         assert record[side]["q1"] <= record[side]["median"] <= record[side]["q3"]
         assert len(record[side]["report_digests"]) == len(record["experiments"])
@@ -34,7 +41,7 @@ def check_schema(record):
 
 def test_quick_run_writes_the_schema(tmp_path):
     """One tree against itself in quick mode: 2 rounds over 3 experiments,
-    with identical reports on both sides."""
+    with identical reports and jet counts on both sides."""
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, TOOL, ROOT, ROOT, "--workload", "eigen", "--quick",
                     "--out", str(out)], check=True, capture_output=True, timeout=60)
@@ -43,6 +50,10 @@ def test_quick_run_writes_the_schema(tmp_path):
     assert (record["workload"], record["rounds"], record["quick"]) == ("eigen", 2, True)
     assert len(record["experiments"]) == 3
     assert record["reports_identical"]
+    # the untimed counting pass: the same tree takes the same jets
+    jets = record["parent"]["theta_jets"]
+    assert jets == record["change"]["theta_jets"]
+    assert "0" in jets and "3" in jets
 
 
 def test_full_runs_take_at_least_ten_rounds(tmp_path):

@@ -263,7 +263,7 @@ class TestIdentitiesCommand:
 
     def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
         """Every theta pass, a chunked call's passes included: the theta
-        table's jets at orders 0, 2 and 3 and theta_dtau's make 9, within
+        table's jets at orders 0, 2 and 3 and theta_dtau's make 4, within
         the 13 of one jet per kernel slot."""
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
@@ -289,6 +289,37 @@ class TestIdentitiesCommand:
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
         assert 0 < len(calls) <= 4
+
+    def test_table_evaluates_each_distinct_slot_once(self, capsys, monkeypatch):
+        """On the default config the report's one theta table evaluates
+        1,911 points, one jet per distinct slot (3,861, one per slot, when
+        the kernels that share an argument array each took their own jet):
+        261 at order 3, 850 at order 2 and 800 at order 0."""
+        jets, table, depth, calls, tables = elliptic._theta_jets, cli._theta_table, [0], [], []
+
+        def counted(xs, ctx, order, **kwargs):
+            if depth[0] == 0:
+                calls.append((order, np.size(xs)))
+            depth[0] += 1
+            try:
+                return jets(xs, ctx, order, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def recorded(ctx, *requests):
+            start = len(calls)
+            out = table(ctx, *requests)
+            tables.append(calls[start:])
+            return out
+
+        for module in (elliptic, bethe, thetapoly):
+            monkeypatch.setattr(module, "_theta_jets", counted)
+        monkeypatch.setattr(cli, "_theta_table", recorded)
+        code, _ = run_json(capsys, ["identities"])
+        assert code == 0
+        (table_calls,) = tables
+        assert sorted(table_calls) == [(0, 800), (2, 850), (3, 261)]
+        assert sum(size for _, size in table_calls) == 1911
 
     @pytest.mark.parametrize("defect", ["dtau_scaled", "third_dropped"])
     def test_heat_row_catches_seeded_defects(self, capsys, monkeypatch, defect):

@@ -900,3 +900,68 @@ class TestArrayContract:
             with pytest.raises(PoleError) as info:
                 elliptic._theta_table(ctx, *requests)
             assert str(info.value) == text % (name, x)
+
+    def test_table_shares_one_jet_per_distinct_slot(self, monkeypatch):
+        """One array asked for at orders 0 (theta) and 3 (theta_derivs), and
+        at 1 (rho) beside 2 (_rho_rows), is evaluated once at its highest
+        order, and every request gets the bits of its lone call; an array
+        of the same values with -0.0 in place of +0.0 stays a slot of its own."""
+        ctx = Torus(0.3 + 0.8j)
+        p = np.array([0.2 + 0.1j, 0.45 - 0.3j, complex(0.7, 0.0)])
+        q = np.array([0.2 + 0.1j, 0.45 - 0.3j, complex(0.7, -0.0)])
+        requests = [(theta, (p,), (q,)), (theta_derivs, (p,)), (rho, (p,)), (_rho_rows, (p,))]
+        jets, depth, calls = elliptic._theta_jets, [0], []
+
+        def counted(xs, ctx, order, **kwargs):
+            if depth[0] == 0:
+                calls.append((order, np.size(xs)))
+            depth[0] += 1
+            try:
+                return jets(xs, ctx, order, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(elliptic, "_theta_jets", counted)
+        got = elliptic._theta_table(ctx, *requests)
+        assert sorted(calls) == [(0, 3), (3, 3)]
+        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        for (kernel, *sets), values in zip(requests, got):
+            for (x,), value in zip(sets, values):
+                assert value.tobytes() == np.asarray(kernel(x, ctx)).tobytes()
+
+    def test_a_shared_slot_is_guarded_where_any_request_guards_it(self):
+        """theta's unguarded slot and _rho_rows' slot guarded as rho, at one
+        array with a point within tol_pole of the lattice: in either request
+        order the table raises rho's PoleError at that point, as the fault
+        route runs the sets by set and then by slot; without that point
+        both get the bits of their lone calls."""
+        ctx = Torus(0.3 + 0.8j)
+        bad = 1.0 + ctx.tau + 1e-12
+        p = np.array([0.2 + 0.1j, bad, 0.4 - 0.2j])
+        text = "rho evaluated within tol_pole of the lattice (x=%r)" % (bad,)
+        for requests in ([(theta, (p,)), (_rho_rows, (p,))], [(_rho_rows, (p,)), (theta, (p,))]):
+            with pytest.raises(PoleError) as info:
+                elliptic._theta_table(ctx, *requests)
+            assert str(info.value) == text
+        good = p[[0, 2]]
+        (th,), (rows,) = elliptic._theta_table(ctx, (theta, (good,)), (_rho_rows, (good,)))
+        assert th.tobytes() == theta(good, ctx).tobytes()
+        assert rows.tobytes() == _rho_rows(good, ctx).tobytes()
+
+    def test_kernels_cannot_write_into_their_jets(self):
+        """The jets the table hands out are read-only, those read in place
+        and those gathered onto a broadcast grid alike, so a kernel that
+        writes into one raises ValueError instead of changing the jet of
+        another slot at the same points."""
+
+        @elliptic._formed
+        def scribble(x, w, ctx):
+            d, _ = yield [(x, 0, None), (w, 0, None)]
+            d[0] = 0.0
+            return d[0]
+
+        ctx = Torus(1j)
+        x = np.array([0.2 + 0.1j, 0.45 - 0.3j, 0.7 + 0.2j])
+        for w in (x, x[:2, None]):
+            with pytest.raises(ValueError, match="read-only"):
+                elliptic._theta_table(ctx, (scribble, (x, w)), (theta, (x,)))

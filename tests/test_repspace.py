@@ -188,6 +188,36 @@ class TestZeroWeightSpace:
         assert sp.subsets[sp.dim - 1 - sp.index((0, 1))] == (2, 3)
         assert sp.index((1, 0)) == sp.index((0, 1))
 
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_tables_match_the_dict_construction(self, n):
+        """The subsets, hw_site, the move table and the minors, built from
+        bitmask ranks, equal entry for entry (and in dtype) those of the
+        construction that ranks each subset through a dict: per target, s
+        ascending outside it, then p ascending inside it."""
+        m = n // 2
+        levels = [tuple(itertools.combinations(range(n), k)) for k in range(m + 1)]
+        ranks = [{S: j for j, S in enumerate(level)} for level in levels]
+        subsets = levels[-1]
+        inside = np.array([[s in I for I in subsets] for s in range(n)])
+        rows = [(ranks[-1][tuple(sorted(set(target) - {p} | {s}))], k, s, p)
+                for k, target in enumerate(subsets)
+                for s in range(n) if s not in target
+                for p in target]
+        table = np.array(rows, dtype=np.intp).T
+        minors = [(np.array([[ranks[k - 1][S[:i] + S[i + 1:]] for i in range(k)]
+                             for S in levels[k]]), np.array(levels[k]))
+                  for k in range(2, m + 1)]
+        sp = repspace.ZeroWeightSpace(n)
+        assert sp.subsets == subsets and sp._index == ranks[-1] and sp.dim == len(subsets)
+        want = [np.where(inside, -1.0, 1.0), *table]
+        got = [sp.hw_site, sp.src, sp.tgt, sp.leave, sp.join]
+        assert len(sp.minors) == len(minors)
+        for (drop, sites), (want_drop, want_sites) in zip(sp.minors, minors):
+            got += [drop, sites]
+            want += [want_drop, want_sites]
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
 
 def psi_reference(lam, sol):
     """(Psi, Psi', Psi'') from W_I summed over the m! orderings of the roots,

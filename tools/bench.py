@@ -15,8 +15,12 @@ experiment.  Both modules are imported, not changed.
 
 The JSON file holds, per tree, the per-round values, their median and
 quartiles and the sha256 of every report, and the number of rounds the
-change won.  At least 10 rounds are run; `--quick` runs 2 rounds over the
-first 3 experiments, to check the tool itself.
+change won.  After the rounds, one more pass of each tree, untimed, counts
+its top-level `_theta_jets` calls (a chunked call's passes are one call)
+and their points by jet order, "0+dtau" for a jet with the d/dtau row,
+into each tree's `theta_jets` field.  At least 10 rounds are run;
+`--quick` runs 2 rounds over the first 3 experiments, to check the tool
+itself.
 """
 
 from __future__ import annotations
@@ -42,11 +46,16 @@ MIN_ROUNDS = 10
 QUICK_ROUNDS, QUICK_EXPERIMENTS = 2, 3
 
 
+def package_modules() -> dict:
+    """The `ellbethe` modules imported now, by name."""
+    return {n: m for n, m in sys.modules.items() if n == "ellbethe" or n.startswith("ellbethe.")}
+
+
 def load_cli(tree):
     """The `ellbethe.cli` module of the checkout `tree`, imported afresh, so
     that two trees' packages live side by side (each module holds its own
     references to the others)."""
-    for name in [n for n in sys.modules if n == "ellbethe" or n.startswith("ellbethe.")]:
+    for name in package_modules():
         del sys.modules[name]
     sys.path.insert(0, os.path.join(tree, "src"))
     try:
@@ -74,6 +83,40 @@ def run_pass(cli, runs, reference_work):
     return wall / statistics.mean(refs), digests
 
 
+def count_jets(cli, modules, runs) -> dict:
+    """One untimed pass of `runs` through `cli`, with every module of its
+    tree (`modules`, by name) that binds `_theta_jets` seeing a counting
+    wrapper: {order: {"calls": top-level calls, "points": their points}}."""
+    import numpy
+
+    jets, depth, counts = modules["ellbethe.elliptic"]._theta_jets, [0], {}
+
+    def counted(xs, ctx, order, **kwargs):
+        if depth[0] == 0:
+            row = counts.setdefault("%d%s" % (order, "+dtau" if kwargs.get("dtau") else ""),
+                                    {"calls": 0, "points": 0})
+            row["calls"] += 1
+            row["points"] += int(numpy.size(xs))
+        depth[0] += 1
+        try:
+            return jets(xs, ctx, order, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    bound = [m for m in modules.values() if getattr(m, "_theta_jets", None) is jets]
+    for module in bound:
+        module._theta_jets = counted
+    try:
+        for command, path in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main([command, "--config", path, "--json"])
+    finally:
+        for module in bound:
+            module._theta_jets = jets
+    return dict(sorted(counts.items()))
+
+
 def summary(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3}
@@ -99,7 +142,10 @@ def main(argv=None) -> int:
     from worker import reference_work
     from workloads import make_experiments
 
-    trees = {"parent": load_cli(args.parent), "change": load_cli(args.change)}
+    trees, modules = {}, {}
+    for name in ("parent", "change"):
+        trees[name] = load_cli(getattr(args, name))
+        modules[name] = package_modules()
     experiments = make_experiments(args.workload, args.seed)
     rounds = args.rounds
     if args.quick:
@@ -118,6 +164,7 @@ def main(argv=None) -> int:
                 values[name].append(value)
                 if digests.setdefault(name, seen) != seen:
                     raise SystemExit("%s: a report differs between passes" % name)
+        jet_counts = {name: count_jets(cli, modules[name], runs) for name, cli in trees.items()}
 
     import numpy
 
@@ -135,7 +182,8 @@ def main(argv=None) -> int:
         "reports_identical": digests["parent"] == digests["change"],
     }
     for name in trees:
-        record[name] = dict(summary(values[name]), report_digests=digests[name])
+        record[name] = dict(summary(values[name]), report_digests=digests[name],
+                            theta_jets=jet_counts[name])
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
