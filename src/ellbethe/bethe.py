@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .elliptic import (
+    TWOPI_I,
     Torus,
     _log_derivs,
     _theta_jets,
@@ -53,7 +54,6 @@ from .thetapoly import (
     solve_wronskian,
 )
 
-TWOPI_I = 2j * math.pi
 RESIDUAL_GATE = 1e-10      # max BAE residual of a converged (accepted) solution
 
 
@@ -83,7 +83,8 @@ class BetheProblem:
     """n = 2m sites, twist mu, and the cell used for normal forms.
 
     Sites must be pairwise distinct mod the lattice (separation > 1e-6) and
-    lie in the half-open fundamental cell.
+    lie in the half-open fundamental cell, which must be on the problem's
+    torus.
     """
 
     m: int
@@ -99,6 +100,9 @@ class BetheProblem:
         object.__setattr__(self, "mu", complex(self.mu))
         if self.cell is None:
             object.__setattr__(self, "cell", FundamentalParallelogram(0.0, self.ctx))
+        if self.cell.ctx.tau != self.ctx.tau:
+            raise ValueError("the cell is on tau = %r, the problem on tau = %r"
+                             % (self.cell.ctx.tau, self.ctx.tau))
         n = len(self.z)
         if n != 2 * self.m:
             raise ValueError("need exactly 2m = %d sites, got %d" % (2 * self.m, n))

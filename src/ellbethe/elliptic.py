@@ -473,7 +473,8 @@ def _phi_taylor(x, w0, l, dx, ctx: Torus) -> np.ndarray:
     second-argument shift law phi(x, w0 + k + l tau) = e^{2 pi i l x}
     (phi(x, w0) + 2 pi i l sigma(w0, -x)).  sigma(w0, -x) has a pole at
     w0 = 0, so near a translate with l != 0 phi is genuinely singular and
-    sigma raises PoleError within tol_pole of it."""
+    sigma raises PoleError within tol_pole of it; a factor e^{2 pi i l x}
+    past the double range raises OverflowError (`_exp`)."""
     r0, r1, r2, r3 = _log_derivs(dx)
     et = dx[2] / dx[0]
     et0 = _theta_jets(0.0, ctx, 3)[3]
@@ -483,8 +484,8 @@ def _phi_taylor(x, w0, l, dx, ctx: Torus) -> np.ndarray:
     far = l != 0
     if far.any():
         xf, lf = x[far], l[far]
-        out[far] = np.exp(TWOPI_I * lf * xf) * (out[far]
-                                                + TWOPI_I * lf * sigma(w0[far], -xf, ctx))
+        out[far] = _exp(TWOPI_I * lf * xf) * (out[far]
+                                              + TWOPI_I * lf * sigma(w0[far], -xf, ctx))
     return out
 
 

@@ -41,10 +41,9 @@ import numpy as np
 
 from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, _shared_problem,
                     master_dtau, master_dz)
-from .elliptic import Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet, theta_derivs
+from .elliptic import (TWOPI_I, Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet,
+                       theta_derivs)
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
-
-TWOPI_I = 2j * math.pi
 
 # c2 = e11 e22 - e12 e21 + e11 acts on each C^2 factor by this scalar
 C2_SCALAR = -0.75

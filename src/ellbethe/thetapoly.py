@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Torus, _exp, _splits, _theta_jets, lattice_distances
-
-TWOPI_I = 2j * math.pi
+from .elliptic import TWOPI_I, Torus, _exp, _splits, _theta_jets, lattice_distances
 
 # ---------------------------------------------------------------------------
 # errors

@@ -7,15 +7,17 @@ g = e^{2 pi i (-mu + k) x} prod theta(x - s_j) with integer k.  Fiber
 points are found by solving the Bethe equations from the asymptotic
 seed of each m-element site subset, and the partner (-mu, s) by solving
 them again at -mu from the seed of the complementary subset; all subsets of
-an enumeration and their complements are seeded and solved in one lockstep
-Newton batch (`bethe.solve_subsets`, called by `fiber_points`).
-Newton stops each system at `bethe._newton_tol`, and a solve is accepted
-when it is `converged`: its residual meets `bethe.RESIDUAL_GATE`.
-A pair is accepted only if Wr(f, g) passes `wr_certificates` on one row
-of samples clear of the sites: Wr(f, g) - c h has 2m zeros in the cell
-unless it vanishes, wherever the roots of f and g lie.  The certificate
-cancels the envelopes e^{2 pi i (label) x} of f, g and h before it
-evaluates anything, so it does not overflow at large |Im mu|.  For
+an enumeration and their complements are seeded and solved in one
+safeguarded Halley batch (`bethe.solve_subsets`, called by `fiber_points`).
+The solver stops each system at `bethe._newton_tol`, and a solve is
+accepted when it is `converged`: its residual meets `bethe.RESIDUAL_GATE`.
+A pair is accepted only if it passes `wr_certificates`, the whole
+certificate of a pair: no two of its roots and the sites collide, and
+Wr(f, g) passes on one row of samples clear of the sites: Wr(f, g) - c h
+has 2m zeros in the cell unless it vanishes, wherever the roots of f and
+g lie.  The certificate cancels the envelopes e^{2 pi i (label) x} of f,
+g and h before it evaluates anything, so it does not overflow at large
+|Im mu|.  For
 |Im mu| above an instance-dependent threshold this yields all C(2m, m)
 points, pairwise distinct, with complementary subset tags inside each
 involution pair.  `bethe.analytic_involution`, which inverts the
@@ -43,7 +45,7 @@ from .bethe import (
     site_wronskian,
     solve_subsets,
 )
-from .elliptic import _exp, lattice_distances
+from .elliptic import TWOPI_I, _exp, lattice_distances
 from .thetapoly import (
     ResidueViolationError,
     SolveError,
@@ -52,8 +54,6 @@ from .thetapoly import (
     golden_points,
     stacked_derivs,
 )
-
-TWOPI_I = 2j * math.pi
 
 WR_RESIDUAL_GATE = 1e-9    # max relative sampling residual of Wr(f,g) vs h
 DEDUP_TOL = 1e-6           # below this normal-form distance, same point
@@ -94,34 +94,48 @@ class FiberReport:
 
 
 def wr_certificates(pairs, problem: BetheProblem) -> list:
-    """Relative sampling residual of Wr(f, g) against the target
-    h = e^{-2 pi i mu x} prod_a theta(x - z_a) for every pair (f, g), all
-    of one degree, at once: per pair its residual, or the ArithmeticError
-    its certificate raises.  The residual is pointwise-relative, so the
-    mu-envelope spanning many decades across the cell does not mask errors,
-    and a NaN at any sample makes it NaN.
+    """The certificate of every pair (f, g), all of one degree, at once:
+    per pair the relative sampling residual of Wr(f, g) against the target
+    h = e^{-2 pi i mu x} prod_a theta(x - z_a), or the exception that
+    fails it.  A pair fails first if any two of f's roots, g's roots and
+    the sites lie within 1e-6 of each other mod the lattice (SolveError),
+    then if the sample row cannot be placed, and then by its own residual
+    or the ArithmeticError its Wr check raises.  The residual is
+    pointwise-relative, so the mu-envelope spanning many decades across
+    the cell does not mask errors, and a NaN at any sample makes it NaN.
 
     Wr(f, g) - c h is a degree-2m theta-polynomial with h's multipliers, so
     it has 2m zeros in the cell unless it vanishes; the first sample fixes
     c and the other 2m + 1 (at least 7) force it to zero.  Only h(x_0) is
     divided by, so the samples avoid the sites alone, never the roots of f
     and g: one row, placed once per call, serves every pair, and its
-    placement error is every pair's.  No envelope is formed: with
-    f = e^{ax} F, g = e^{bx} G and h = e^{cx} H (H = `bethe.site_wronskian`),
+    placement error is that of every pair without a collision.  No
+    envelope is formed: with f = e^{ax} F, g = e^{bx} G and h = e^{cx} H
+    (H = `bethe.site_wronskian`),
     Wr(f, g) = e^{(a+b)x} (Wr(F, G) + (b - a) F G), so F, G and H are
     evaluated with label 0 and only e^{(a+b-c)x} is exponentiated
-    (`elliptic._exp`), exactly 1 for a fiber pair.  H is evaluated once on
-    the row, Wr(F, G) in one theta batch over every F and G; a pair that
-    raises inside the batch is certified again on its own (`_by_rows`).
+    (`elliptic._exp`), exactly 1 for a fiber pair.  The collision test
+    takes one distance array over every pair and H is evaluated once on
+    the row, Wr(F, G) in one theta batch over every F and G clear of
+    collisions; a pair that raises inside a batch is tested again on its
+    own (`_by_rows`).
     """
     if not pairs:
         return []
+    roots = np.array([f.roots + g.roots + problem.z for f, g in pairs])
+    i, j = _pairs(roots.shape[1])
+    (collide,), errors = _by_rows(
+        lambda r: ((lattice_distances(r[:, i] - r[:, j], problem.ctx) < 1e-6).any(axis=1),),
+        roots)
+    out = [SolveError("fiber roots collide with each other or a site") if exc is None and hit
+           else exc for hit, exc in zip(collide, errors)]
+    clear = np.array([k for k, exc in enumerate(out) if exc is None], dtype=int)
     try:
         x = np.array(golden_points(problem.cell, max(8, 2 * problem.m + 2), (0.5, 0.37),
                                    avoid=problem.z, margin=1e-3))
         b = site_wronskian(problem).eval(x)
-    except (ArithmeticError, ValueError) as exc:
-        return [exc] * len(pairs)
+    except (ArithmeticError, ValueError) as placement:
+        return [placement if exc is None else exc for exc in out]
 
     def certify(idx):
         if not len(idx):
@@ -138,8 +152,10 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
         return (np.max(err, axis=1, initial=0.0),)
 
-    (residuals,), errors = _by_rows(certify, np.arange(len(pairs)))
-    return [float(r) if exc is None else exc for r, exc in zip(residuals, errors)]
+    (residuals,), errors = _by_rows(certify, clear)
+    for k, residual, exc in zip(clear, residuals, errors):
+        out[k] = float(residual) if exc is None else exc
+    return out
 
 
 def _staged(exc, stage):
@@ -157,10 +173,10 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     complementary sites (s_j = z_a - 1/(2 pi i mu) + O(mu^-2)), so g has
     label exactly -mu and no Wronskian has to be inverted.  Both solves
     must be `converged` (residual <= RESIDUAL_GATE; Newton's own target,
-    `bethe._newton_tol`, accepts nothing), no two roots or sites may
-    collide, and Wr(f, g) must pass `wr_certificates` at WR_RESIDUAL_GATE.
-    The partner's tag is the one the solver reads off its roots (the sites
-    nearest them), not assumed.
+    `bethe._newton_tol`, accepts nothing), and the pair must pass
+    `wr_certificates`, which owns the collision test of roots and sites,
+    at WR_RESIDUAL_GATE.  The partner's tag is the one the solver reads
+    off its roots (the sites nearest them), not assumed.
 
     The solution is used raw (not cell-normalized): f = prod theta(x - t_j)
     has label exactly 0 only for root representatives satisfying the Bethe
@@ -168,12 +184,11 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     the pair into a different section (caught by the Wr certificate).
 
     Every solution and partner is seeded and solved in one
-    `solve_subsets` batch (the subsets, then their complements); the pairs
-    that pass both residual gates are checked for collisions in one
-    distance array and certified in one `wr_certificates` pass.  Every exception
-    carries a `stage` attribute naming the first step that failed, in the
-    order seed, newton, partner, certificate, whatever the other systems
-    of the batch did.
+    `solve_subsets` batch (the subsets, then their complements), and the
+    pairs that pass both residual gates are certified in one
+    `wr_certificates` call.  Every exception carries a `stage` attribute
+    naming the first step that failed, in the order seed, newton, partner,
+    certificate, whatever the other systems of the batch did.
     """
     subsets = [tuple(s) for s in subsets]
     count = len(subsets)
@@ -183,45 +198,23 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     results = [r if isinstance(r, Exception) or r.converged else
                SolveError("no convergence (residual %.2e)" % r.residual) for r in
                solve_subsets([problem] * count + [mirror] * count, subsets + complements)]
-    out = [None] * count
-    pairs = {}      # subset index -> (f, g, solution, partner)
-    for k in range(count):
-        sol, par = results[k], results[count + k]
+    out, solved = [], []
+    for sol, par in zip(results[:count], results[count:]):
         if isinstance(sol, Exception):
-            out[k] = _staged(sol, getattr(sol, "stage", "newton"))
-            continue
-        if isinstance(par, Exception):
-            out[k] = _staged(par, "partner")
-            continue
-        f = ThetaPoly(1.0, 0.0, sol.t, problem.ctx)
-        g = ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx)
-        pairs[k] = (f, g, sol, par)
-    if not pairs:
-        return out
-
-    order = list(pairs)
-    roots = np.array([tuple(pairs[k][2].t) + tuple(pairs[k][3].t) + problem.z for k in order])
-    i, j = _pairs(roots.shape[1])
-    (collide,), errors = _by_rows(
-        lambda r: ((lattice_distances(r[:, i] - r[:, j], problem.ctx) < 1e-6).any(axis=1),),
-        roots)
-    for k, hit, exc in zip(order, collide, errors):
-        if exc is None and hit:
-            exc = SolveError("fiber roots collide with each other or a site")
-        if exc is not None:
-            out[k] = _staged(exc, "certificate")
-            del pairs[k]
-    order = list(pairs)
-    residuals = wr_certificates([pairs[k][:2] for k in order], problem)
-    for k, residual in zip(order, residuals):
+            out.append(_staged(sol, getattr(sol, "stage", "newton")))
+        elif isinstance(par, Exception):
+            out.append(_staged(par, "partner"))
+        else:
+            solved.append(len(out))
+            out.append((ThetaPoly(1.0, 0.0, sol.t, problem.ctx),
+                        ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx), sol, par))
+    for k, residual in zip(solved, wr_certificates([out[k][:2] for k in solved], problem)):
         if not isinstance(residual, Exception) and not residual <= WR_RESIDUAL_GATE:
             residual = ResidueViolationError(
                 "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
-        if isinstance(residual, Exception):
-            out[k] = _staged(residual, "certificate")
-            continue
-        f, g, sol, par = pairs[k]
-        out[k] = FiberPoint(f, g, subsets[k], par.subset_tag, residual, sol, par)
+        f, g, sol, par = out[k]
+        out[k] = (_staged(residual, "certificate") if isinstance(residual, Exception)
+                  else FiberPoint(f, g, subsets[k], par.subset_tag, residual, sol, par))
     return out
 
 

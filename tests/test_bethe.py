@@ -82,6 +82,17 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="^sites 0 and 3 coincide mod the lattice$"):
             BetheProblem(2, (0.1, 1.4, 0.5, 0.1 + 1e-9), 10j, CTX)
 
+    def test_cell_on_another_torus(self):
+        """A cell on another torus is refused, naming both taus, before the
+        sites are checked: its `contains` and `reduce` would use its own tau
+        while every distance and solve uses the problem's."""
+        cell = FundamentalParallelogram(0.0, Torus(2j))
+        for z in (Z4, Z4[:3]):
+            with pytest.raises(ValueError,
+                               match=r"^the cell is on tau = 2j, the problem on tau = 1j$"):
+                BetheProblem(2, z, 6j, CTX, cell)
+        BetheProblem(2, Z4, 6j, CTX, FundamentalParallelogram(0.0, Torus(1j)))
+
     def test_site_outside_cell(self):
         with pytest.raises(ValueError):
             BetheProblem(1, (0.3, 1.4), 10j, CTX)

@@ -16,6 +16,7 @@ from ellbethe.elliptic import (
     _CHUNK,
     _MAX_LATTICE_SHIFT,
     PoleError,
+    TWOPI_I,
     RangeError,
     Torus,
     _rho_rows,
@@ -647,6 +648,25 @@ class TestThetaJets:
         jet = theta_derivs(0.3 + 12j, ctx, 4)
         for r in range(5):
             assert relerr(jet[r], complex(orc.theta(0.3 + 12j, 1j, r))) < 1e-12
+
+    def test_phi_far_translate_overflows_loudly(self):
+        """phi at w within 1e-6 of l tau takes the Taylor step, carried to
+        the translate by the factor e^{2 pi i l x}.  At l = -300 that factor
+        passes the double range: phi raises OverflowError, alone and through
+        the theta table beside another kernel, instead of returning NaN.  At
+        l = -50 phi keeps the bits of the shift law taken with np.exp, and
+        the oracle's value."""
+        ctx = Torus(1j)
+        x = 0.1 + 0.5j
+        with pytest.raises(OverflowError, match="^math range error$"):
+            phi(x, -300 * ctx.tau + 1e-6, ctx)
+        with pytest.raises(OverflowError, match="^math range error$"):
+            elliptic._theta_table(ctx, (theta, (np.array([0.2, 0.3]),)),
+                                  (phi, (np.array([x]), np.array([-300 * ctx.tau + 1e-6]))))
+        got = phi(x, -50 * ctx.tau + 1e-6, ctx)
+        assert got == np.exp(TWOPI_I * -50 * x) * (phi(x, 1e-6, ctx)
+                                                   + TWOPI_I * -50 * sigma(1e-6, -x, ctx))
+        assert relerr(got, complex(orc.phi(x, -50 * ctx.tau + 1e-6, 1j))) < 1e-12
 
     def test_lattice_distances_match_scalar(self):
         """The brute-force scalar search of

@@ -25,7 +25,7 @@ from ellbethe.bethe import (
     normalize_solution,
     translate_root,
 )
-from ellbethe.elliptic import Torus, lattice_distance, theta_derivs
+from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta_derivs
 import ellbethe.bethe as bethe_module
 import ellbethe.wronski as wronski_module
 from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, golden_points,
@@ -562,6 +562,63 @@ class TestLockstep:
         assert report.failed == tuple(
             (subset, "ArithmeticError: could not place the sample points [stage certificate]")
             for subset in itertools.combinations(range(4), 2))
+
+    def test_certificate_fails_a_partner_sharing_a_root(self, monkeypatch):
+        """A g that shares a root with its f (a repaired partner gone wrong)
+        fails its pair with the collision SolveError, alone and in a batch,
+        and never enters the Wr batch; the other pairs keep the residuals of
+        their lone calls."""
+        prob = cell_problem(2, 14j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        f, g = pairs[1]
+        pairs.insert(1, (f, dataclasses.replace(g, roots=(f.roots[0],) + g.roots[1:])))
+        sizes, stacked = [], wronski_module.stacked_derivs
+
+        def counted(polys, xs, order):
+            sizes.append(len(polys))
+            return stacked(polys, xs, order)
+
+        monkeypatch.setattr(wronski_module, "stacked_derivs", counted)
+        got = wr_certificates(pairs, prob)
+        assert sizes == [6]
+        for exc in (got[1], wr_certificates([pairs[1]], prob)[0]):
+            assert type(exc) is SolveError
+            assert str(exc) == "fiber roots collide with each other or a site"
+        assert [got[0]] + got[2:] == [wr_certificates([pair], prob)[0]
+                                      for pair in pairs[:1] + pairs[2:]]
+
+    def test_collisions_win_over_the_placement_error(self, monkeypatch):
+        """With the sample row refused, a colliding pair still reports its
+        collision and a pair whose collision test raises its exception; every
+        other pair reports the placement error, in a batch and in a report."""
+        prob = problem(2, 6j)
+        clean = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        (f, g), (f2, g2) = clean[1:]
+        pairs = [clean[0], (f, dataclasses.replace(g, roots=(f.roots[1],) + g.roots[1:])),
+                 (f2, dataclasses.replace(g2, roots=(complex(math.nan),) + g2.roots[1:]))]
+
+        def refuse(*args, **kwargs):
+            raise ArithmeticError("could not place the sample points")
+
+        monkeypatch.setattr(wronski_module, "golden_points", refuse)
+        got = wr_certificates(pairs, prob)
+        assert [type(exc) for exc in got] == [ArithmeticError, SolveError, RangeError]
+        assert str(got[1]) == "fiber roots collide with each other or a site"
+
+        subsets = list(itertools.combinations(range(4), 2))
+        hit, solve = 2, wronski_module.solve_subsets
+
+        def colliding(problems, seed_subsets):
+            out = solve(problems, seed_subsets)
+            sol, par = out[hit], out[len(subsets) + hit]
+            out[len(subsets) + hit] = dataclasses.replace(par, t=(sol.t[0],) + par.t[1:])
+            return out
+
+        monkeypatch.setattr(wronski_module, "solve_subsets", colliding)
+        assert enumerate_fiber(prob).failed == tuple(
+            (s, ("SolveError: fiber roots collide with each other or a site" if k == hit else
+                 "ArithmeticError: could not place the sample points") + " [stage certificate]")
+            for k, s in enumerate(subsets))
 
     def test_one_row_certifies_every_pair_even_at_their_roots(self, monkeypatch):
         """Every pair is certified on the one row placed clear of the sites,
