@@ -182,7 +182,7 @@ def _differences(t, problem: BetheProblem) -> tuple:
 def master_phi(t, problem: BetheProblem) -> complex:
     """Phi(t); uses principal logarithms, so only defined mod 2 pi i.
 
-    Derivatives (master_dz, master_dtau, bae_residual) are single-valued and
+    Derivatives (master_gradient, bae_residual) are single-valued and
     are what the eigenvalue formulas consume.
     """
     z, mu, ctx, tau = problem.z, problem.mu, problem.ctx, problem.ctx.tau
@@ -193,34 +193,28 @@ def master_phi(t, problem: BetheProblem) -> complex:
             + 2.0 * roots.sum() - mixed.sum() + 0.5 * sites.sum())
 
 
-def master_dz(t, problem: BetheProblem, mu) -> np.ndarray:
-    """Gradients (dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
-    (S, m) array and mu their S parameters: the Hamiltonian eigenvalues,
-    an (S, n) array from one theta table for rho at every solution and site pair."""
+def master_gradient(t, problem: BetheProblem, mu) -> np.ndarray:
+    """(dPhi/dtau, dPhi/dz_1, ..., dPhi/dz_n) of S solutions, roots t an
+    (S, m) array and mu their S parameters: the Hamiltonian eigenvalues, an
+    (S, n + 1) array from one theta table for eta at all the `_differences`
+    and theta'''(0) (4 pi i d/dtau ln theta(u) = eta(u) - eta(0)), and rho
+    at every solution and site pair."""
     z, t = np.array(problem.z), np.array(t, dtype=complex)
     pairs = np.subtract.outer(z, z)[~np.eye(problem.n, dtype=bool)]
-    (mixed, sites), = _theta_table(problem.ctx, (rho, (z[:, None] - t[:, None, :],), (pairs,)))
-    return _master_dz(mixed, sites, mu)
+    etas, (d0,), (mixed, sites) = _theta_table(
+        problem.ctx, (eta, *((d,) for d in _differences(t, problem))), (theta_derivs, (0.0,)),
+        (rho, (z[:, None] - t[:, None, :],), (pairs,)))
+    return np.column_stack([_master_dtau(etas, d0[3], mu), _master_dz(mixed, sites, mu)])
 
 
 def _master_dz(mixed, sites, mu) -> np.ndarray:
-    """master_dz from rho at z_s - t_j, (S, n, m), and at z_s - z_p, p != s, in row order."""
+    """dPhi/dz from rho at z_s - t_j, (S, n, m), and at z_s - z_p, p != s, in row order."""
     return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed.sum(axis=2)
             + 0.5 * sites.reshape(mixed.shape[1], -1).sum(axis=1))
 
 
-def master_dtau(t, problem: BetheProblem, mu) -> np.ndarray:
-    """dPhi/dtau of S solutions (see `master_dz`), an (S,) array, via 4 pi
-    i d/dtau ln theta(u) = eta(u) - eta(0); one theta table for eta at all
-    the `_differences` and theta'''(0), and each solution's sums and scalar
-    arithmetic in turn."""
-    etas, (d0,) = _theta_table(problem.ctx, (eta, *((d,) for d in _differences(t, problem))),
-                               (theta_derivs, (0.0,)))
-    return _master_dtau(etas, d0[3], mu)
-
-
 def _master_dtau(etas, eta0, mu) -> np.ndarray:
-    """master_dtau from eta at the three `_differences` and eta0 = theta'''(0)."""
+    """dPhi/dtau from eta at the three `_differences` and eta0 = theta'''(0)."""
     roots, mixed, sites = (v - eta0 for v in etas)
     acc = 2.0 * roots.sum(axis=1) - mixed.sum(axis=1) + 0.5 * sites.sum()
     return np.array([0.5j * math.pi * complex(v) * complex(v) + a / (4j * math.pi)

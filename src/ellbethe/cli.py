@@ -366,7 +366,7 @@ def cmd_identities(cfg: ExperimentConfig) -> dict:
     checks = [_check("theta_prime_origin", abs(origin[1] - 1.0),
                      cfg.tolerance("theta_prime_origin"))]
 
-    # the heat equation of the normalized theta, which master_dtau rests on
+    # the heat equation of the normalized theta, on which master_gradient's dPhi/dtau rests
     rhs = d[2] - origin[3] * d[0]
     checks.append(_check("heat_equation",
                          np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))),

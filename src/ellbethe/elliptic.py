@@ -346,12 +346,12 @@ def _formed(kernel):
     table's one request with one set: its points (the arguments before ctx)
     broadcast against each other, scalars give scalars, and sigma_jet's
     rows come back as the tuple its annotation names."""
-    at = kernel.__code__.co_varnames.index("ctx")
+    at, bind = kernel.__code__.co_varnames.index("ctx"), inspect.signature(kernel).bind
 
     @functools.wraps(kernel)
     def call(*args, **kwargs):
-        rest = args[at + 1:]
-        (value,), = _theta_table(args[at], (lambda *p: kernel(*p, *rest, **kwargs), args[:at]))
+        args = bind(*args, **kwargs).args  # ctx by keyword too
+        (value,), = _theta_table(args[at], (lambda *p: kernel(*p, *args[at + 1:]), args[:at]))
         return tuple(value) if kernel.__annotations__.get("return") == "tuple" else value[()]
 
     return call

@@ -17,8 +17,7 @@ read from one table.  That includes L21 L12 in the column determinant,
 whose middle factor passes through the weight -2 space.  The coefficients
 of the eigenfunction Psi, permanents of m x m blocks of sigma jets, come
 from a second table built beside it: the row expansion over column
-subsets (`ZeroWeightSpace.minors`) takes sum_k C(n, k) k jet products,
-where summing the m! root orderings of each subset takes C(n, m) m! m.
+subsets (`ZeroWeightSpace.minors`) takes sum_k C(n, k) k jet products.
 
 Functions of the dynamical variable lambda (= lambda_1 - lambda_2 after
 the sl2 reduction d/d lambda_1 -> d/d lambda, d/d lambda_2 -> -d/d
@@ -40,7 +39,7 @@ import typing
 import numpy as np
 
 from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, _shared_problem,
-                    master_dtau, master_dz)
+                    master_gradient)
 from .elliptic import (TWOPI_I, Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet,
                        theta_derivs)
 from .thetapoly import _leibniz, _wronskian_rows, stacked_derivs
@@ -118,7 +117,7 @@ def kzb_eigenvalues(sols) -> np.ndarray:
     an (S, n + 1) array from one evaluation of each kernel over every solution."""
     t, mu = np.array([sol.t for sol in sols], dtype=complex), [sol.mu for sol in sols]
     prob = _shared_problem([sol.problem for sol in sols])
-    return np.column_stack([master_dtau(t, prob, mu), master_dz(t, prob, mu)])
+    return master_gradient(t, prob, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -281,11 +281,6 @@ class FourierTheta:
         weights = self.coeffs * (TWOPI_I * (self.nu0 + self.offsets)) ** order
         return np.exp(TWOPI_I * self.nu0 * xs) * (phases @ weights)
 
-    def eval(self, x: complex, order: int = 0) -> complex:
-        return complex(self.eval_many(np.array([x]), order)[0])
-
-    __call__ = eval
-
 
 def fourier_basis(m: int, a_mult: complex, b_mult: complex, ctx: Torus) -> list[FourierTheta]:
     """Basis of the m-dimensional space T_{m, A, B}.
@@ -483,4 +478,5 @@ def _to_theta_poly(series: FourierTheta, m, a2, b2, cell, probes) -> ThetaPoly:
     unit = ThetaPoly(1.0, label, tuple(roots), ctx)
     ref = unit.eval(probes)
     best = int(np.argmax(np.abs(ref)))
-    return ThetaPoly(series(probes[best]) / ref[best], label, unit.roots, ctx)
+    scale = complex(series.eval_many(probes[best:best + 1])[0]) / ref[best]
+    return ThetaPoly(scale, label, unit.roots, ctx)

@@ -246,7 +246,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
         [results[k].solution.t for k in found], dtype=complex).reshape(len(found), problem.m))[0]
     keys = np.take_along_axis(
         roots, np.lexsort((roots.imag.round(9), roots.real.round(9))), axis=1)
-    earlier, later = _pairs(len(found))
+    earlier, later = np.triu_indices(len(found), 1)
     same = np.zeros((len(results),) * 2, dtype=bool)
     same[found[later], found[earlier]] = (
         lattice_distances(keys[earlier] - keys[later], problem.ctx).max(axis=1) < DEDUP_TOL)

@@ -37,22 +37,6 @@ def run_json(capsys, argv):
     return code, report
 
 
-@pytest.fixture
-def theta_passes(monkeypatch):
-    """The list that gets one entry per `_theta_jets` call (a theta pass)
-    made through `elliptic`, `bethe` or `thetapoly`."""
-    calls = []
-    jets = elliptic._theta_jets
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return jets(*args, **kwargs)
-
-    for module in (elliptic, bethe, thetapoly):
-        monkeypatch.setattr(module, "_theta_jets", counted)
-    return calls
-
-
 class TestConfigValidation:
     def test_default_config_runs(self, capsys):
         assert main(["identities"]) == 0
@@ -261,65 +245,34 @@ class TestIdentitiesCommand:
         assert len(report["checks"]) == 6
         assert all(c["status"] == "pass" for c in report["checks"])
 
-    def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
-        """Every theta pass, a chunked call's passes included: the theta
-        table's jets at orders 0, 2 and 3 and theta_dtau's make 4, within
-        the 13 of one jet per kernel slot."""
-        code, _ = run_json(capsys, ["identities"])
-        assert code == 0
-        assert len(theta_passes) <= 13
-
-    def test_one_jet_call_per_order(self, capsys, monkeypatch):
+    def test_one_jet_call_per_order(self, capsys, theta_jet_calls):
         """A report takes its kernels from one theta table, one jet call per
-        order (0, 2 and 3), beside theta_dtau's own jet: at most 4 top-level
-        `_theta_jets` calls (the passes of a chunked call are not counted)."""
-        jets, depth, calls = elliptic._theta_jets, [0], []
-
-        def counted(*args, **kwargs):
-            if depth[0] == 0:
-                calls.append(args[2])
-            depth[0] += 1
-            try:
-                return jets(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        for module in (elliptic, bethe, thetapoly):
-            monkeypatch.setattr(module, "_theta_jets", counted)
+        order (0, 2 and 3), beside theta_dtau's own jet: at most 4
+        `_theta_jets` calls."""
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
-        assert 0 < len(calls) <= 4
+        assert 0 < len(theta_jet_calls) <= 4
 
-    def test_table_evaluates_each_distinct_slot_once(self, capsys, monkeypatch):
+    def test_table_evaluates_each_distinct_slot_once(self, capsys, monkeypatch, theta_jet_calls):
         """On the default config the report's one theta table evaluates
         1,911 points, one jet per distinct slot (3,861, one per slot, when
         the kernels that share an argument array each took their own jet):
-        261 at order 3, 850 at order 2 and 800 at order 0."""
-        jets, table, depth, calls, tables = elliptic._theta_jets, cli._theta_table, [0], [], []
-
-        def counted(xs, ctx, order, **kwargs):
-            if depth[0] == 0:
-                calls.append((order, np.size(xs)))
-            depth[0] += 1
-            try:
-                return jets(xs, ctx, order, **kwargs)
-            finally:
-                depth[0] -= 1
+        261 at order 3, 850 at order 2 and 800 at order 0; theta_dtau's
+        jet at 10 points is the report's only other call."""
+        table, tables = cli._theta_table, []
 
         def recorded(ctx, *requests):
-            start = len(calls)
+            start = len(theta_jet_calls)
             out = table(ctx, *requests)
-            tables.append(calls[start:])
+            tables.append(theta_jet_calls[start:])
             return out
 
-        for module in (elliptic, bethe, thetapoly):
-            monkeypatch.setattr(module, "_theta_jets", counted)
         monkeypatch.setattr(cli, "_theta_table", recorded)
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
         (table_calls,) = tables
-        assert sorted(table_calls) == [(0, 800), (2, 850), (3, 261)]
-        assert sum(size for _, size in table_calls) == 1911
+        assert sorted(table_calls) == [(0, 800, False), (2, 850, False), (3, 261, False)]
+        assert sorted(theta_jet_calls) == sorted(table_calls + [(0, 10, True)])
 
     @pytest.mark.parametrize("defect", ["dtau_scaled", "third_dropped"])
     def test_heat_row_catches_seeded_defects(self, capsys, monkeypatch, defect):
@@ -656,13 +609,14 @@ class TestEigenCommand:
         assert len(report["ratio_table"]) == 10
 
 
-    def test_default_run_evaluates_each_kernel_once(self, capsys, theta_passes):
+    def test_default_run_evaluates_each_kernel_once(self, capsys, theta_jet_calls):
         """The verifier evaluates every kernel over all (subset, lambda, x)
         at once, the eigenvalues included: the default eigen makes at most
-        39 theta passes."""
+        10 theta jet calls over at most 4,221 points."""
         code, _ = run_json(capsys, ["eigen"])
         assert code == 0
-        assert len(theta_passes) <= 39
+        assert 0 < len(theta_jet_calls) <= 10
+        assert sum(points for _, points, _ in theta_jet_calls) <= 4221
 
     def test_merged_subsets_are_skipped_at_stage_dedup(self, tmp_path, capsys, newton_step):
         """Below the threshold, under Newton steps, three subsets land on

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from ellbethe import elliptic
+from ellbethe import elliptic, wronski
 from ellbethe.elliptic import (
     _CHUNK,
     _MAX_LATTICE_SHIFT,
@@ -566,6 +566,16 @@ class TestThetaJets:
                 for r in range(order + 1):
                     assert relerr(jet[r], ref[r]) < 1e-12
 
+    def test_jet_probe_sees_every_binding_and_counts_a_call_once(self, monkeypatch, request):
+        """The theta_jet_calls fixture wraps `_theta_jets` wherever an
+        ellbethe module binds it, a module bound only by this test included,
+        and records a call past one series pass as one call."""
+        monkeypatch.setattr(wronski, "_theta_jets", _theta_jets, raising=False)
+        calls = request.getfixturevalue("theta_jet_calls")
+        wronski._theta_jets(np.full(_CHUNK + 5, 0.2 + 0.1j), Torus(1j), 2)
+        theta_dtau(0.3, Torus(1j))
+        assert calls == [(2, _CHUNK + 5, False), (0, 1, True)]
+
     def test_large_batches_keep_the_bits_and_the_guard_order(self):
         """A batch longer than one series pass gives every point the bits of
         a one-point call, and its guards still see all points first: the
@@ -791,8 +801,19 @@ class TestArrayContract:
             for row, want in zip(got, zip(*parts)):
                 assert np.array_equal(row, np.concatenate(want, axis=-1))
 
+    def test_ctx_by_keyword(self):
+        """Every kernel made public by `_formed` takes ctx (and theta_derivs
+        its order) by keyword, with the bits of the positional call."""
+        ctx, w = Torus(0.3 + 0.8j), 0.3 + 0.05j
+        for x in (0.2, np.array([0.2 + 0.1j, 0.45 - 0.3j])):
+            for kernel in [theta, rho, rho_prime, rho_second, eta] + self.TWO_SLOTS:
+                args = (x, w) if kernel in self.TWO_SLOTS else (x,)
+                want = np.asarray(kernel(*args, ctx)).tobytes()
+                assert np.asarray(kernel(*args, ctx=ctx)).tobytes() == want
+            assert theta_derivs(x, ctx=ctx, order=2).tobytes() == theta_derivs(x, ctx, 2).tobytes()
+
     @pytest.mark.parametrize("tau", GUARD_TAUS)
-    def test_theta_table_has_the_bits_of_the_kernels(self, tau, monkeypatch):
+    def test_theta_table_has_the_bits_of_the_kernels(self, tau, theta_jet_calls):
         """Each set of each request of `_theta_table` gets, in its broadcast
         shape, the bits of its points evaluated one at a time, from one jet
         call per order (0, 2 and 3): on repeated arguments, imaginary parts
@@ -811,21 +832,8 @@ class TestArrayContract:
                     (theta_derivs, (0.0,)),
                     (sigma, (sites, -lams), (far, lams[:2]), (sites[:, None, None], far[:3])),
                     (sigma_jet, (sites, -lams)), (phi, (lams, sites)), (phi, (sites[:2], lams[0]))]
-        jets, depth, calls = elliptic._theta_jets, [0], []
-
-        def counted(xs, ctx, order, **kwargs):
-            if depth[0] == 0:
-                calls.append(order)
-            depth[0] += 1
-            try:
-                return jets(xs, ctx, order, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(elliptic, "_theta_jets", counted)
         got = elliptic._theta_table(ctx, *requests)
-        assert sorted(calls) == [0, 2, 3]
-        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        assert sorted(order for order, _, _ in theta_jet_calls) == [0, 2, 3]
         for (kernel, *sets), values in zip(requests, got):
             assert len(values) == len(sets)
             for args, value in zip(sets, values):
@@ -835,7 +843,7 @@ class TestArrayContract:
                     one = np.asarray(kernel(*(complex(p[idx]) for p in points), ctx))
                     assert value[(Ellipsis,) + idx].tobytes() == one.tobytes()
 
-    def test_theta_table_takes_phi_taylor_and_falls_back_on_faults(self, monkeypatch):
+    def test_theta_table_takes_phi_taylor_and_falls_back_on_faults(self, theta_jet_calls):
         """phi's Taylor branch (w within 3e-5 of Z and of a translate with
         l != 0) runs on the table with the kernels' bits, from one jet call
         per order (0, 2 and 4) and, in the Taylor step, theta'''(0) and
@@ -847,21 +855,8 @@ class TestArrayContract:
         xs = np.array([0.4 + 0.1j, 0.7 + 0.3j])[:, None]
         ws = np.array([0.3 - 0.2j, 1e-6 + 1e-6j, 2.0 + 2e-6, ctx.tau + 3e-6])
         requests = [(phi, (xs, ws)), (sigma_jet, (ws[:1], 0.2))]
-        jets, depth, calls = elliptic._theta_jets, [0], []
-
-        def counted(xs, ctx, order, **kwargs):
-            if depth[0] == 0:
-                calls.append(order)
-            depth[0] += 1
-            try:
-                return jets(xs, ctx, order, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(elliptic, "_theta_jets", counted)
         got = elliptic._theta_table(ctx, *requests)
-        assert sorted(calls) == [0, 0, 2, 3, 4]
-        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        assert sorted(order for order, _, _ in theta_jet_calls) == [0, 0, 2, 3, 4]
         for (kernel, args), (value,) in zip(requests, got):
             assert value.tobytes() == np.array(kernel(*args, ctx)).tobytes()
         for bad, error, text in ((1.0 + ctx.tau, PoleError, "sigma (x slot) evaluated"),
@@ -921,7 +916,7 @@ class TestArrayContract:
                 elliptic._theta_table(ctx, *requests)
             assert str(info.value) == text % (name, x)
 
-    def test_table_shares_one_jet_per_distinct_slot(self, monkeypatch):
+    def test_table_shares_one_jet_per_distinct_slot(self, theta_jet_calls):
         """One array asked for at orders 0 (theta) and 3 (theta_derivs), and
         at 1 (rho) beside 2 (_rho_rows), is evaluated once at its highest
         order, and every request gets the bits of its lone call; an array
@@ -930,21 +925,8 @@ class TestArrayContract:
         p = np.array([0.2 + 0.1j, 0.45 - 0.3j, complex(0.7, 0.0)])
         q = np.array([0.2 + 0.1j, 0.45 - 0.3j, complex(0.7, -0.0)])
         requests = [(theta, (p,), (q,)), (theta_derivs, (p,)), (rho, (p,)), (_rho_rows, (p,))]
-        jets, depth, calls = elliptic._theta_jets, [0], []
-
-        def counted(xs, ctx, order, **kwargs):
-            if depth[0] == 0:
-                calls.append((order, np.size(xs)))
-            depth[0] += 1
-            try:
-                return jets(xs, ctx, order, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(elliptic, "_theta_jets", counted)
         got = elliptic._theta_table(ctx, *requests)
-        assert sorted(calls) == [(0, 3), (3, 3)]
-        monkeypatch.setattr(elliptic, "_theta_jets", jets)
+        assert sorted(theta_jet_calls) == [(0, 3, False), (3, 3, False)]
         for (kernel, *sets), values in zip(requests, got):
             for (x,), value in zip(sets, values):
                 assert value.tobytes() == np.asarray(kernel(x, ctx)).tobytes()

@@ -832,31 +832,17 @@ class TestVerifyEigen:
         assert result.ratio_rows == tables
         assert all(value < 1e-8 for value in worst.values())
 
-    def test_one_jet_call_per_kernel_family(self, monkeypatch):
+    def test_one_jet_call_per_kernel_family(self, theta_jet_calls):
         """At the bench's eigen shape, one m = 3 pair at 10 lambda and 10 x
-        points, verify_eigen makes at most 5 theta jet calls (the passes of
-        a chunked call are not counted): the theta table's calls at orders
-        0, 2 and 3 and the theta polynomials, over at most 2,500 points, as
-        the table takes each kernel's arguments on their own axes."""
+        points, verify_eigen makes at most 5 theta jet calls (the table's at
+        orders 0, 2 and 3 and the theta polynomials') over at most 2,500
+        points, as the table takes each kernel's arguments on their own axes."""
         pairs = self.pairs((0, 2, 4), m=3)
         lams, xs = self.cell_points(pairs[0][0].problem, 10)
-        jets, depth, calls = elliptic._theta_jets, [0], []
-
-        def counted(*args, **kwargs):
-            if depth[0] == 0:
-                calls.append(np.size(args[0]))
-            depth[0] += 1
-            try:
-                return jets(*args, **kwargs)
-            finally:
-                depth[0] -= 1
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "ellbethe" and getattr(module, "_theta_jets", None) is jets:
-                monkeypatch.setattr(module, "_theta_jets", counted)
+        theta_jet_calls.clear()
         verify_eigen(pairs, lams, xs)
-        assert 0 < len(calls) <= 5
-        assert sum(calls) <= 2500
+        assert 0 < len(theta_jet_calls) <= 5
+        assert sum(points for _, points, _ in theta_jet_calls) <= 2500
 
     def test_wrapped_kernels_still_take_the_table(self, monkeypatch):
         """A functools.wraps wrapper, as a tracer puts in every namespace

@@ -205,6 +205,16 @@ class TestEnumerateFiber:
         assert rep.count == 1 and not rep.failed
         assert rep.points[0].subset_tag == (0, 1)
 
+    def test_dedup_keeps_no_index_table(self):
+        """The dedup's key pairs are not cached: a second enumeration with a
+        new point count leaves the `_pairs` cache as the first left it."""
+        prob = problem(2, 6j)
+        bethe_module._pairs.cache_clear()
+        enumerate_fiber(prob)
+        size = bethe_module._pairs.cache_info().currsize
+        assert enumerate_fiber(prob, subsets=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]).count == 5
+        assert bethe_module._pairs.cache_info().currsize == size
+
     def test_merged_subsets_are_a_dedup_failure(self, newton_step):
         # seed-1 benchmark scan at mu = 2.5i: under Newton steps subset
         # (0, 3, 4) converges onto the point of (0, 1, 3), which used to
