@@ -221,6 +221,15 @@ def _master_dtau(etas, eta0, mu) -> np.ndarray:
                      for v, a in zip(mu, acc)])
 
 
+def _distinct(keys: np.ndarray) -> tuple:
+    """(first, inverse) of a flat array: the position of each distinct
+    value's first occurrence, in the order they occur, and each entry's
+    index into them."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
     """rho, rho' and rho'' of S systems with roots t, an (S, m) array, from
     one order-3 theta jet over the differences of all S systems: the three
@@ -231,21 +240,38 @@ def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
 
     rho and rho'' are odd and rho' even, so each unordered pair is
     evaluated once; rows 0-2 of a jet do not depend on its order, so rho
-    and rho' have the bits of an order-2 jet.  A system's values do not
-    depend on the others in the batch, and a PoleError names the first
-    offending difference in system order; a jet, rho, rho' or rho'' that is
-    not finite raises OverflowError."""
+    and rho' have the bits of an order-2 jet.  Where systems share roots
+    (the seed round), the jet is taken once per distinct root pair, then at
+    the n site differences of each distinct root (keyed on its bits, so
+    +0.0 and -0.0 stay apart), both in first-occurrence order, and gathered
+    onto the systems; otherwise (a lone system, a later round) at each
+    system's differences in turn.  A point's jet does not depend on its
+    batch, nor then a system's values, and a PoleError names the first
+    offending difference of a lone system; a jet, rho, rho' or rho'' that
+    is not finite raises OverflowError."""
     (count, m), n = t.shape, len(z)
     i, j = _pairs(m)
     diff = np.concatenate([t[:, i] - t[:, j], (t[:, :, None] - np.array(z)).reshape(count, m * n)],
                           axis=1)
+    points, gather = diff, None
+    # roots shared (the seed round): a set of their values also merges +0.0 and -0.0
+    if len(set(t.ravel().tolist())) < t.size:
+        root_at, root_ids = _distinct(t.ravel().view("V16"))
+        root_ids = root_ids.reshape(count, m)
+        pair_at, pair_ids = _distinct((root_ids[:, i] * len(root_at) + root_ids[:, j]).ravel())
+        points = np.concatenate([diff[:, :len(i)].ravel()[pair_at],
+                                 diff[:, len(i):].reshape(count * m, n)[root_at].ravel()])
+        gather = np.concatenate([pair_ids.reshape(count, len(i)), len(pair_at) + (
+            root_ids[:, :, None] * n + np.arange(n)).reshape(count, m * n)], axis=1)
     # a Newton candidate far from the cell can pass the largest double in
     # the jet's derivative rows: it fails here, not with a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = _theta_jets(diff, ctx, 3, pole="rho")
+        d = _theta_jets(points, ctx, 3, pole="rho")
         values = _log_derivs(d)
     if not all(np.isfinite(v).all() for v in [d] + values):
         raise OverflowError("rho, rho' or rho'' is not finite")
+    if gather is not None:
+        values = [v[gather] for v in values]
     pairs = np.zeros((3, count, m, m), dtype=complex)
     pairs[:, :, i, j] = [v[:, :len(i)] for v in values]
     return (*pairs, *(v[:, len(i):].reshape(count, m, n) for v in values),
@@ -404,7 +430,9 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     one `_bethe_kernels` call and solves the Jacobians of the systems that
     go on in one stacked `np.linalg.solve`, and the Halley systems of the
     round in one more; `_by_rows` gives each system the bits, and the
-    exception, of a solve on its own.  A Halley system that is singular
+    exception, of a solve on its own.  In the seed round, where systems
+    share roots, the kernels take one jet per distinct root pair and per
+    distinct root's site differences.  A Halley system that is singular
     takes its Newton step.
 
     Returns, per system, its BetheSolution or the exception its own solve

@@ -215,11 +215,12 @@ def _theta_jets(xs, ctx: Torus, order: int, pole=None, dtau: bool = False) -> np
     of the Gaussian and of the dominant exponential near a cusp cancel
     inside one exponent, not in a Leibniz sum; within 0.05 of u0 = 0 it
     sums the parts even and odd in i a/j instead, so every order keeps its
-    relative accuracy at the zero.  The two forms, and the sign of Im u0,
-    are masks that pick each point's coefficients for one shared
-    recursion.  d/dtau at fixed x is the term-wise tau'-derivative of S
-    carried by the chain rule: dtau'/dtau = 1/j^2, du0/dtau = -W/j^2 and
-    dP/dtau = pi i W^2/j^2.
+    relative accuracy at the zero.  Every point runs the first form, whose
+    two exponentials never meet in the recursion, with the sign of Im u0 a
+    0/1 factor; the points within 0.05 of u0 = 0 (a few percent of a
+    batch), gathered, then run the second and replace their rows.  d/dtau
+    at fixed x is the term-wise tau'-derivative of S carried by the chain
+    rule: dtau'/dtau = 1/j^2, du0/dtau = -W/j^2 and dP/dtau = pi i W^2/j^2.
 
     It is also the kernels' pole guard: a kernel passes its name as `pole`
     (the theta table a mask of the points it guards), and PoleError is
@@ -253,16 +254,15 @@ def _theta_jets(xs, ctx: Torus, order: int, pole=None, dtau: bool = False) -> np
     v = np.abs(u0.imag)
     up = u0.imag >= 0
     # per row n and point: e^{i a Re u0}, expm1(-2 a v), e^{-a v} sin(a u0)
-    # and e^{-a v} cos(a u0); masks enter as 0/1 factors, which select exactly
+    # and e^{-a v} cos(a u0), this only where it is read
     z = np.exp(1j * (a * u0.real))
     em = np.expm1(-2.0 * a * v)
     amp = phase * np.exp(loga + (2.0 * math.pi) * n * v)
     ch, sh = 1.0 + 0.5 * em, (0.5 - up) * em
     amp_s = amp * (z.imag * ch + 1j * (z.real * sh))
     if order or dtau:
-        zc = z.real * ch - 1j * (z.imag * sh)
         wt = c * x0 + l + l0 * j
-    sign = 1.0 - 2.0 * ((k0 + l0 + k + l) % 2)
+    sign = 1.0 - 2.0 * ((k0 + l0 + k + l).astype(int) & 1)
     # P = -pi i expo, regrouped
     expo = l0 * (l0 * tau + 2.0 * x0) + l * (l * tau_r + 2.0 * u0)
     if c:
@@ -274,29 +274,38 @@ def _theta_jets(xs, ctx: Torus, order: int, pole=None, dtau: bool = False) -> np
     if order:
         # d^r/dx^r e^{P +- i a u0} = H_r(A +- B) e^{...}, A = P', B = i a/j,
         # as one recursion: x' = alpha x + beta y + r P'' x_prev, y' = beta x
-        # + alpha2 y + r P'' y_prev, with (alpha, alpha2, beta) = (A, A, B)
-        # near u0 = 0 (H(A +- B) = E +- O: sum 2i sin E_r + 2 cos O_r) and
-        # (A + B, A - B, 0) elsewhere; P'' = 2 kappa c vanishes when c = 0
+        # + alpha2 y + r P'' y_prev.  Every point takes (alpha, alpha2, beta)
+        # = (A + B, A - B, 0), so x and y never meet; then the balanced ones
+        # (|u0| < 0.05), gathered, take (A, A, B), where H(A +- B) = E +- O
+        # and the sum is 2i sin E_r + 2 cos O_r.  P'' = 2 kappa c vanishes
+        # when c = 0
         kappa = -1j * math.pi / j
-        big_a = 2.0 * kappa * wt
-        big_b = -kappa * (2 * n + 1)
-        p2 = 2.0 * kappa * c
-        balanced = np.abs(u0) < 0.05
-        steep = ~balanced * big_b
-        alpha, alpha2, beta = big_a + steep, big_a - steep, balanced * big_b
-        f1 = np.where(balanced, 2j * amp_s, amp * z * (1.0 + up * em))
-        f2 = np.where(balanced, 2.0 * amp * zc, -amp * z.conj() * (1.0 + ~up * em))
-        x, y, xp, yp = 1.0, ~balanced, 0.0, 0.0
+        big_a, big_b, p2 = 2.0 * kappa * wt, -kappa * (2 * n + 1), 2.0 * kappa * c
         half_g = -0.5j * g
-        for r in range(order):
-            nx, ny = alpha * x + beta * y, beta * x + alpha2 * y
-            if r and c:
-                nx, ny = nx + r * p2 * xp, ny + r * p2 * yp
-            x, y, xp, yp = nx, ny, x, y
-            out[r + 1] = _row_sum(f1 * x + f2 * y) * half_g
+        parts = [(slice(None), amp * z * (1.0 + up * em), -amp * z.conj() * (1.0 + ~up * em),
+                  big_a + big_b, big_a - big_b, None, 1.0)]
+        bal = np.flatnonzero(np.abs(u0) < 0.05)
+        if bal.size:
+            # alpha and beta filled out to (rows, points), as on the steep
+            # side: a product with a broadcast operand takes another numpy
+            # loop, whose bits differ, so a lone point would round unlike a batch
+            alpha, zb = big_a[bal] + 0.0 * big_b, z.take(bal, axis=1)
+            zc = zb.real * ch.take(bal, axis=1) - 1j * (zb.imag * sh.take(bal, axis=1))
+            parts.append((bal, 2j * amp_s.take(bal, axis=1), 2.0 * amp.take(bal, axis=1) * zc,
+                          alpha, alpha, big_b * np.ones(bal.size), 0.0))
+        for cols, f1, f2, alpha, alpha2, beta, y in parts:
+            x, xp, yp = 1.0, 0.0, 0.0
+            for r in range(order):
+                nx, ny = alpha * x, alpha2 * y
+                if beta is not None:
+                    nx, ny = nx + beta * y, beta * x + ny
+                if r and c:
+                    nx, ny = nx + r * p2 * xp, ny + r * p2 * yp
+                x, y, xp, yp = nx, ny, x, y
+                out[r + 1, cols] = _row_sum(f1 * x + f2 * y) * half_g[cols]
     if dtau:
         s_tau = _row_sum(1j * math.pi * n * (n + 1) * amp_s)
-        s_x = _row_sum(a * amp * zc)
+        s_x = _row_sum(a * amp * (z.real * ch - 1j * (z.imag * sh)))
         out[-1] = (out[0] * (c / j + 1j * math.pi * wt * wt / (j * j) - ctx._dlog_norm)
                    + g * (s_tau - wt * s_x) / (j * j))
     return out.reshape((len(out),) + shape)

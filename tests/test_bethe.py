@@ -373,6 +373,37 @@ class TestBatch:
         assert [repr(r) for r in batch[:far] + batch[far + 1:]] == [
             repr(r) for r in alone[:far] + alone[far + 1:]]
 
+    def test_a_shared_seed_root_on_a_pole_fails_only_its_systems(self, theta_jet_calls):
+        """Two systems whose seeds share a root within tol_pole of a site,
+        beside one that does not: the seed round takes one jet per distinct
+        root and root pair (23 points, where the three systems hold 27
+        differences), raises, and falls back to each system alone, so each
+        gets the exception text, or the solution, of its own solve."""
+        prob = problem4()
+        near = Z4[1] + 0.3 * CTX.tol_pole
+        seeds = [(near, 0.3 + 0.2j), seed_asymptotic(prob, (0, 2)), (0.6 + 0.1j, near)]
+        batch = solve_bae_batch([prob] * 3, seeds)
+        assert theta_jet_calls[0] == (3, 23, False)
+        shown = [(type(r).__name__, str(r) if isinstance(r, Exception) else repr(r))
+                 for r in batch + [solve_bae_batch([prob], [s])[0] for s in seeds]]
+        assert shown[:3] == shown[3:]
+        assert [kind for kind, _ in shown[:3]] == ["PoleError", "BetheSolution", "PoleError"]
+        assert shown[0][1] == "rho evaluated within tol_pole of the lattice (x=%r)" % (
+            near - Z4[1],)
+
+    def test_seed_roots_apart_in_the_sign_of_zero_take_their_own_jets(self, theta_jet_calls):
+        """Seed roots are keyed on their bits: a root and its twin with the
+        other sign of Im 0.0 are two roots of the seed round (3 roots, 12
+        site differences and 2 pairs), and each system keeps its lone bits."""
+        prob = problem4()
+        seed = seed_asymptotic(prob, (0, 1))
+        assert seed[0].imag == 0.0
+        twin = complex(seed[0].real, -seed[0].imag)
+        seeds = [seed, (twin, seed[1])]
+        batch = solve_bae_batch([prob] * 2, seeds)
+        assert theta_jet_calls[0] == (3, 14, False)
+        assert [repr(r) for r in batch] == [repr(solve_bae(prob, s)) for s in seeds]
+
     def test_systems_must_share_sites_and_torus(self):
         other = BetheProblem(2, Z4, 10j, Torus(2j))
         with pytest.raises(ValueError, match="share sites and torus"):

@@ -245,14 +245,6 @@ class TestIdentitiesCommand:
         assert len(report["checks"]) == 6
         assert all(c["status"] == "pass" for c in report["checks"])
 
-    def test_one_jet_call_per_order(self, capsys, theta_jet_calls):
-        """A report takes its kernels from one theta table, one jet call per
-        order (0, 2 and 3), beside theta_dtau's own jet: at most 4
-        `_theta_jets` calls."""
-        code, _ = run_json(capsys, ["identities"])
-        assert code == 0
-        assert 0 < len(theta_jet_calls) <= 4
-
     def test_table_evaluates_each_distinct_slot_once(self, capsys, monkeypatch, theta_jet_calls):
         """On the default config the report's one theta table evaluates
         1,911 points, one jet per distinct slot (3,861, one per slot, when

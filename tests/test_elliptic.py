@@ -550,21 +550,34 @@ class TestThetaJets:
 
     @pytest.mark.parametrize("tau", LADDER)
     def test_matches_scalar_and_oracle(self, tau):
-        """Orders 0..4 at the test_oracle_ladder points, lattice translates
-        included, as one array each: the bits of one-point calls, and within
-        1e-12 of the oracle."""
+        """Orders 0..4, with and without the d/dtau row, at the
+        test_oracle_ladder points, lattice translates included, as one array
+        each: the bits of one-point calls, and within 1e-12 of the oracle.
+        At tau = i, 0.3 + 0.8i and 0.05i the array also holds points whose
+        reduced argument u0 lies just inside and just outside |u0| = 0.05,
+        where the recursion changes form, on both sides of Im u0 = 0."""
         ctx = Torus(tau)
         rng = np.random.default_rng(1)
-        xs = np.array([[a + k + (b + l) * tau for k, l in ((0, 0), (1, -1), (-2, 2))]
-                       for a, b in rng.uniform(-0.5, 0.5, size=(3, 2))])
-        want = [[complex(orc.theta(x, tau, r)) for r in range(5)] for x in xs.ravel()]
+        shifts = ((0, 0), (1, -1), (-2, 2))
+        xs = [[a + k + (b + l) * tau for k, l in shifts]
+              for a, b in rng.uniform(-0.5, 0.5, size=(3, 2))]
+        if tau in (1j, 0.3 + 0.8j, 0.05j):
+            # x0 = j u0 on the tau lattice, then u0 on the tau' lattice
+            xs += [[ctx._j * u0 + k + l * tau for k, l in shifts]
+                   for u0 in (0.0499 * (0.6 + 0.8j), 0.0499 * (-0.8 - 0.6j), 0.01j,
+                              0.0501 * (0.6 - 0.8j), 0.0501 * (-0.8 + 0.6j))]
+        xs = np.array(xs)
+        want = [[complex(orc.theta(x, tau, r)) for r in range(5)]
+                + [complex(orc.theta_dtau(x, tau))] for x in xs.ravel()]
         for order in range(5):
-            jets = _theta_jets(xs, ctx, order)
-            assert jets.shape == (order + 1,) + xs.shape
-            for x, jet, ref in zip(xs.ravel(), jets.reshape(order + 1, -1).T, want):
-                assert np.array_equal(jet, _theta_jets(complex(x), ctx, order))
-                for r in range(order + 1):
-                    assert relerr(jet[r], ref[r]) < 1e-12
+            for dtau in (False, True):
+                jets = _theta_jets(xs, ctx, order, dtau=dtau)
+                assert jets.shape == (order + 1 + dtau,) + xs.shape
+                for x, jet, ref in zip(xs.ravel(), jets.reshape(len(jets), -1).T, want):
+                    one = _theta_jets(complex(x), ctx, order, dtau=dtau)
+                    assert jet.tobytes() == one.tobytes()
+                    for r, value in enumerate(jet):
+                        assert relerr(value, ref[r] if r <= order else ref[-1]) < 1e-12
 
     def test_jet_probe_sees_every_binding_and_counts_a_call_once(self, monkeypatch, request):
         """The theta_jet_calls fixture wraps `_theta_jets` wherever an

@@ -464,6 +464,14 @@ class TestLockstep:
         assert report.complete and report.count == 70
         assert kernel_rounds == [140, 140, 140]
 
+    def test_m4_seed_round_takes_each_distinct_difference_once(self, theta_jet_calls):
+        """The seed round of the m = 4 fiber takes one jet per distinct root
+        pair and per distinct root's site differences, 56 + 16 * 8 = 184
+        points where its 140 systems hold 5,320 differences; in the two
+        later rounds every root is distinct, and all 5,320 are evaluated."""
+        assert enumerate_fiber(cell_problem(4, 14j)).complete
+        assert [size for order, size, _ in theta_jet_calls if order == 3] == [184, 5320, 5320]
+
     def test_stage_precedence_in_a_batch(self, monkeypatch):
         """A subset whose solve at mu fails reports stage newton, whatever
         its partner did in the same batch; one whose partner alone fails
