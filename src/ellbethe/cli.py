@@ -43,7 +43,8 @@ from .elliptic import (
 )
 from .repspace import verify_eigen
 from .thetapoly import FundamentalParallelogram, golden_points
-from .wronski import WR_RESIDUAL_GATE, enumerate_fiber, scan_mu_grid, scan_mu_min
+from .wronski import (WR_RESIDUAL_GATE, GridOrderError, enumerate_fiber, scan_mu_grid,
+                      scan_mu_min)
 
 SCHEMA = "elliptic-bethe/1"
 LATTICE_MARGIN = 0.05
@@ -272,7 +273,8 @@ def _json_text(value, pad, out):
     """Append to `out` the text json.dumps(value, sort_keys=True, indent=2,
     default=_json_default) gives value at the level whose newline and
     indent are `pad`: json's checks in json's order, its string escaper,
-    float.__repr__, and NaN and +-Infinity as json writes them.  (json
+    float.__repr__, and NaN and +-Infinity as json writes them; a complex
+    with finite parts is written as its [re, im] text in one step.  (json
     encodes indented output with its pure-Python encoder, which this
     writer outruns.)  It takes what the commands build, acyclic trees
     with str keys: a non-str key raises TypeError, where json converts
@@ -286,6 +288,10 @@ def _json_text(value, pad, out):
     elif isinstance(value, float):
         out.append(float.__repr__(value) if math.isfinite(value) else
                    "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, complex) and math.isfinite(value.real) and math.isfinite(value.imag):
+        inner = pad + "  "
+        out.append("[%s%s,%s%s%s]" % (inner, float.__repr__(value.real), inner,
+                                       float.__repr__(value.imag), pad))
     elif isinstance(value, (list, tuple, dict)):
         keyed = isinstance(value, dict)
         if not value:
@@ -459,10 +465,9 @@ def cmd_fiber(cfg: ExperimentConfig) -> dict:
     out = {"checks": checks, "warnings": warnings}
     if cfg.mu_grid is not None:
         try:
-            scan = scan_mu_grid(cfg.problem(cfg.mu_grid[0]), cfg.mu_grid)
-        except ValueError as exc:
+            scanned = scan_mu_grid(cfg.problem(cfg.mu_grid[0]), cfg.mu_grid)
+        except GridOrderError as exc:
             raise ConfigError(str(exc)) from None
-        scanned = list(scan)
         rows = [{"mu": complex(mu), "abs_mu": abs(complex(mu)), "count": report.count,
                  "expected": report.expected, "complete": report.complete}
                 for mu, report in scanned]

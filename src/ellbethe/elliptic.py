@@ -60,9 +60,6 @@ _ROW_CUTOFF = 1e-17
 # to about 1.5 MB; a point's bits do not depend on the pass it is in
 _CHUNK = 1024
 
-# lattice_distances steps to the 3x3 neighbours of a reduced argument
-_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
-
 # past this real part e^z overflows a double, and cmath.exp raises
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
@@ -177,22 +174,21 @@ def lattice_distances(xs, ctx: Torus) -> np.ndarray:
     """Distance from x to the lattice Z + tau*Z at every point of xs.
 
     Z + tau Z = (c tau + d)(Z + tau' Z), and on the reduced basis (1, tau')
-    the nearest lattice point to a reduced argument is one of its 3x3
-    neighbours, so the search is exact however skewed tau is.  At most
-    _CHUNK points go through one pass, as in the theta jets, so a large
-    array (the dedup's key against key, root by root) keeps its 3x3
-    temporaries small; a point's distance does not depend on the pass it
-    is in.
+    a reduced argument u0 (|Re u0| <= 1/2, |Im u0| <= Im tau'/2) has its
+    nearest lattice point among two candidates: 0, and the nearest point
+    k + l tau' of row l = sign(Im u0), k = rint(Re(u0 - l tau')).  Row 0
+    has no point nearer than 0, as |Re u0| <= 1/2.  Row -l lies at least
+    |Im u0| + Im tau' away, and as Im tau' >= sqrt(3)/2 the square of that
+    exceeds |u0|^2 <= 1/4 + (Im u0)^2 by at least 1/2, so the search is
+    exact however skewed tau is.  Both candidates are differences the full
+    3x3 neighbour search also forms, and rounding keeps their order within
+    a row, so every distance has that search's bits.
     """
     j, tau_r = ctx._j, ctx.tau_reduced
     xs = np.asarray(xs, dtype=complex)
-    flat = xs.ravel()
-    out = np.empty(flat.shape)
-    for start in range(0, len(flat), _CHUNK):
-        u0 = _splits(flat[start:start + _CHUNK] / j, tau_r)[0]
-        rows = u0[:, None] - _NEIGHBOURS * tau_r
-        out[start:start + _CHUNK] = abs(j) * np.abs(rows[..., None] - _NEIGHBOURS).min(axis=(1, 2))
-    return out.reshape(xs.shape)[()]
+    u0 = _splits(xs / j, tau_r)[0]
+    row = u0 - np.sign(u0.imag) * tau_r
+    return (abs(j) * np.minimum(np.abs(u0), np.abs(row - np.rint(row.real))))[()]
 
 
 def _theta_jets(xs, ctx: Torus, order: int, pole=None, dtau: bool = False) -> np.ndarray:

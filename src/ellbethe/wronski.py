@@ -25,6 +25,11 @@ Wronskian instead, is the independent route to the same partner.
 `enumerate_fiber` returns one `FiberReport`, complete or not: the
 certified points and, for every subset without one, the reason and the
 stage it failed at; `fiber`, the mu-grid scan and `eigen` all read it.
+Two subsets whose solves land on one point are caught by the dedup, which
+compares whole keys (cell-reduced sorted roots) only within neighbouring
+buckets of their root sums, in time and memory linear in the points.
+`scan_mu_grid` solves every grid row in one batch, then pairs, certifies
+and deduplicates each row as `enumerate_fiber` does.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ from .thetapoly import (
 
 WR_RESIDUAL_GATE = 1e-9    # max relative sampling residual of Wr(f,g) vs h
 DEDUP_TOL = 1e-6           # below this normal-form distance, same point
+_GRID_MAX = 1 << 20        # dedup buckets per cell period at most: numbers fit int64
+
+
+class GridOrderError(ValueError):
+    """A mu grid that is not sorted by |Im mu| descending."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +173,50 @@ def _staged(exc, stage):
     return exc
 
 
+def _solved(problems, subsets) -> list:
+    """Per problem, the `solve_subsets` result of every subset at its mu,
+    then of every complement at -mu, an unconverged solve turned into a
+    SolveError.  The problems share sites and torus, and all their systems
+    go through one batch: a system's bits do not depend on its batch."""
+    batch, tags = [], []
+    for problem in problems:
+        # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
+        mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
+        batch += [problem] * len(subsets) + [mirror] * len(subsets)
+        tags += subsets + [tuple(sorted(set(range(problem.n)) - set(s))) for s in subsets]
+    results = [r if isinstance(r, Exception) or r.converged else
+               SolveError("no convergence (residual %.2e)" % r.residual)
+               for r in solve_subsets(batch, tags)]
+    size = 2 * len(subsets)
+    return [results[k * size:(k + 1) * size] for k in range(len(problems))]
+
+
+def _paired(problem: BetheProblem, subsets, results) -> list:
+    """Pair each subset's solution with its partner (`_solved`'s row of
+    `problem`), and certify every pair that has both in one
+    `wr_certificates` call: per subset its FiberPoint or its staged
+    exception."""
+    count = len(subsets)
+    out, solved = [], []
+    for sol, par in zip(results[:count], results[count:]):
+        if isinstance(sol, Exception):
+            out.append(_staged(sol, getattr(sol, "stage", "newton")))
+        elif isinstance(par, Exception):
+            out.append(_staged(par, "partner"))
+        else:
+            solved.append(len(out))
+            out.append((ThetaPoly(1.0, 0.0, sol.t, problem.ctx),
+                        ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx), sol, par))
+    for k, residual in zip(solved, wr_certificates([out[k][:2] for k in solved], problem)):
+        if not isinstance(residual, Exception) and not residual <= WR_RESIDUAL_GATE:
+            residual = ResidueViolationError(
+                "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
+        f, g, sol, par = out[k]
+        out[k] = (_staged(residual, "certificate") if isinstance(residual, Exception)
+                  else FiberPoint(f, g, subsets[k], par.subset_tag, residual, sol, par))
+    return out
+
+
 def fiber_points(problem: BetheProblem, subsets) -> list:
     """Solve, pair, certify, and package the fiber point of every subset
     at once: per subset its FiberPoint, or the exception (ArithmeticError,
@@ -191,65 +245,61 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     certificate, whatever the other systems of the batch did.
     """
     subsets = [tuple(s) for s in subsets]
-    count = len(subsets)
-    # 0.0 - mu, not -mu: keeps a negative zero out of the g-label
-    mirror = dataclasses.replace(problem, mu=0.0 - problem.mu)
-    complements = [tuple(sorted(set(range(problem.n)) - set(s))) for s in subsets]
-    results = [r if isinstance(r, Exception) or r.converged else
-               SolveError("no convergence (residual %.2e)" % r.residual) for r in
-               solve_subsets([problem] * count + [mirror] * count, subsets + complements)]
-    out, solved = [], []
-    for sol, par in zip(results[:count], results[count:]):
-        if isinstance(sol, Exception):
-            out.append(_staged(sol, getattr(sol, "stage", "newton")))
-        elif isinstance(par, Exception):
-            out.append(_staged(par, "partner"))
-        else:
-            solved.append(len(out))
-            out.append((ThetaPoly(1.0, 0.0, sol.t, problem.ctx),
-                        ThetaPoly(1.0, (par.mu - sol.mu) / 2.0, par.t, problem.ctx), sol, par))
-    for k, residual in zip(solved, wr_certificates([out[k][:2] for k in solved], problem)):
-        if not isinstance(residual, Exception) and not residual <= WR_RESIDUAL_GATE:
-            residual = ResidueViolationError(
-                "Wr(f,g) fails the target-shape certificate (%.2e)" % residual)
-        f, g, sol, par = out[k]
-        out[k] = (_staged(residual, "certificate") if isinstance(residual, Exception)
-                  else FiberPoint(f, g, subsets[k], par.subset_tag, residual, sol, par))
+    return _paired(problem, subsets, _solved([problem], subsets)[0])
+
+
+def _close_keys(keys: np.ndarray, problem: BetheProblem) -> list:
+    """Per row of `keys` (one point's cell-reduced sorted roots), the
+    earlier rows within DEDUP_TOL of it root by root mod the lattice, in
+    ascending order.
+
+    Keys that close have root sums within m DEDUP_TOL of each other mod the
+    lattice.  So each key is bucketed by the cell coordinates (a, b) of its
+    root sum, on a grid whose buckets are at least 2 m DEDUP_TOL wide in
+    the plane (twice the bound, so rounding stays far inside a bucket): a
+    displacement of length d moves b by at most d / Im tau and a by at most
+    d (1 + |Re tau| / Im tau).  The grid has a whole number of buckets per
+    period, so it wraps at the cell edges, and a key is compared whole only
+    with the earlier keys in its own bucket and the eight around it (found
+    by a binary search of the sorted bucket numbers), in one array of
+    lattice distances subtracted as earlier key minus later key.
+    """
+    count, m = keys.shape
+    tau = problem.ctx.tau
+    side = 2 * m * DEDUP_TOL
+    sizes = np.array([min(_GRID_MAX, max(1, int(1.0 / (side * (1.0 + abs(tau.real) / tau.imag))))),
+                      min(_GRID_MAX, max(1, int(tau.imag / side)))])
+    cells = np.floor(np.stack(problem.cell.coords(keys.sum(axis=1)), axis=-1) * sizes)
+    cells = cells.astype(np.int64) % sizes
+    # the distinct steps to a neighbour: a grid under 3 buckets wide wraps onto itself
+    steps = np.array(sorted({(da % sizes[0], db % sizes[1])
+                             for da in (-1, 0, 1) for db in (-1, 0, 1)}))
+    place = np.array([sizes[1], 1])     # a bucket's number is cells @ place
+    order = np.argsort(cells @ place, kind="stable")
+    ranked = (cells @ place)[order]
+    near = (((cells[:, None, :] + steps) % sizes) @ place).ravel()
+    lo = np.searchsorted(ranked, near, "left")
+    span = np.searchsorted(ranked, near, "right") - lo
+    later = np.repeat(np.arange(count).repeat(len(steps)), span)
+    earlier = order[np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)]
+    ahead = earlier < later
+    later, earlier = later[ahead], earlier[ahead]
+    same = lattice_distances(keys[earlier] - keys[later], problem.ctx).max(axis=1) < DEDUP_TOL
+    out = [[] for _ in range(count)]
+    for k, q in sorted(zip(later[same].tolist(), earlier[same].tolist())):
+        out[k].append(q)
     return out
 
 
-def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
-    """Enumerate the labeled fiber over e^{-2 pi i mu x} prod theta(x - z_a).
-
-    One `fiber_points` batch over the m-element site subsets.  A subset
-    repeated in an explicit `subsets` list collapses onto its own point;
-    one whose solve lands on another subset's point (below-threshold mu
-    can merge basins) fails at stage dedup.  The report is returned
-    whether or not the fiber is complete: each failing subset is in
-    `failed` with the exception and stage `fiber_points` gave it, or its
-    dedup twin.
-
-    A point's key is its roots reduced into the cell and sorted by the
-    rounded (re, im), all keys in one `cell.reduce` pass.  One array of
-    lattice distances compares each key with the keys before it only, root
-    by root: `same[k, q]`, q < k, when keys k and q are within DEDUP_TOL.
-    A point's twin is the first accepted point q in list order with
-    `same[k, q]`.
-    """
-    if subsets is None:
-        subsets = itertools.combinations(range(problem.n), problem.m)
-    subsets = list(subsets)
-    results = fiber_points(problem, subsets)
-    found = np.array([k for k, point in enumerate(results)
-                      if not isinstance(point, Exception)], dtype=int)
+def _report(problem: BetheProblem, subsets, results) -> FiberReport:
+    """The FiberReport of `results`, the `fiber_points` list of `subsets`:
+    their exceptions, and their points deduplicated (see enumerate_fiber)."""
+    found = [k for k, point in enumerate(results) if not isinstance(point, Exception)]
     roots = problem.cell.reduce(np.array(
         [results[k].solution.t for k in found], dtype=complex).reshape(len(found), problem.m))[0]
     keys = np.take_along_axis(
         roots, np.lexsort((roots.imag.round(9), roots.real.round(9))), axis=1)
-    earlier, later = np.triu_indices(len(found), 1)
-    same = np.zeros((len(results),) * 2, dtype=bool)
-    same[found[later], found[earlier]] = (
-        lattice_distances(keys[earlier] - keys[later], problem.ctx).max(axis=1) < DEDUP_TOL)
+    close = dict(zip(found, ([found[q] for q in row] for row in _close_keys(keys, problem))))
     failures, points, warnings = [], [], []
     kept = np.zeros(len(results), dtype=bool)
     for k, (subset, point) in enumerate(zip(subsets, results)):
@@ -257,7 +307,7 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
             failures.append((subset, "%s: %s [stage %s]"
                              % (point.__class__.__name__, point, point.stage)))
             continue
-        twin = next((results[q].subset_tag for q in np.flatnonzero(same[k] & kept)), None)
+        twin = next((results[q].subset_tag for q in close[k] if kept[q]), None)
         if twin is not None:
             if twin != point.subset_tag:
                 failures.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
@@ -282,25 +332,57 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     )
 
 
-def scan_mu_grid(problem: BetheProblem, mu_grid):
-    """Enumerate the fiber at each grid value of mu, lazily and in order.
+def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
+    """Enumerate the labeled fiber over e^{-2 pi i mu x} prod theta(x - z_a).
 
-    The grid must be sorted by |Im mu| descending (checked before the first
-    enumeration).  Yields (mu, report) per grid value, the report of
-    `enumerate_fiber` at that mu; `report.complete` is the row's verdict.
+    One `fiber_points` batch over the m-element site subsets.  A subset
+    repeated in an explicit `subsets` list collapses onto its own point;
+    one whose solve lands on another subset's point (below-threshold mu
+    can merge basins) fails at stage dedup.  The report is returned
+    whether or not the fiber is complete: each failing subset is in
+    `failed` with the exception and stage `fiber_points` gave it, or its
+    dedup twin.
+
+    A point's key is its roots reduced into the cell and sorted by the
+    rounded (re, im), all keys in one `cell.reduce` pass, and two keys are
+    the same point when they are within DEDUP_TOL root by root mod the
+    lattice.  A point's twin is the first accepted earlier point with the
+    same key.  Keys are compared only within neighbour buckets of their
+    root sums (`_close_keys`), which hold every pair that close, so the
+    dedup takes time and memory linear in the points where they are well
+    apart, not an array over all pairs.
+    """
+    if subsets is None:
+        subsets = itertools.combinations(range(problem.n), problem.m)
+    subsets = list(subsets)
+    return _report(problem, subsets, fiber_points(problem, subsets))
+
+
+def scan_mu_grid(problem: BetheProblem, mu_grid) -> list:
+    """Enumerate the fiber at each grid value of mu: a list of (mu,
+    report), the report that `enumerate_fiber` gives at that mu;
+    `report.complete` is the row's verdict.
+
+    The grid must be sorted by |Im mu| descending (GridOrderError, a
+    ValueError, before anything is solved).  Every row's subsets and
+    complements are solved in one `solve_subsets` batch, each system at its
+    own row's mu; then each row is paired, certified and deduplicated as
+    `enumerate_fiber` does it, with the same bits.
     """
     grid = list(mu_grid)
     mags = [abs(complex(mu).imag) for mu in grid]
     if mags != sorted(mags, reverse=True):
-        raise ValueError("mu_grid must be sorted by |Im mu| descending")
-    return ((mu, enumerate_fiber(dataclasses.replace(problem, mu=mu))) for mu in grid)
+        raise GridOrderError("mu_grid must be sorted by |Im mu| descending")
+    problems = [dataclasses.replace(problem, mu=mu) for mu in grid]
+    subsets = list(itertools.combinations(range(problem.n), problem.m))
+    return [(mu, _report(p, subsets, _paired(p, subsets, row)))
+            for mu, p, row in zip(grid, problems, _solved(problems, subsets))]
 
 
 def scan_mu_min(rows) -> float:
     """Smallest |Im mu| on the grid with a complete, certified fiber: the
     |Im mu| of the last complete row before the first incomplete one, of
-    `scan_mu_grid` rows; None if the first row is incomplete.  Reads no
-    row past the first incomplete one, so the scan stops there."""
+    `scan_mu_grid` rows; None if the first row is incomplete."""
     best = None
     for mu, report in rows:
         if not report.complete:

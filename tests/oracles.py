@@ -11,9 +11,15 @@ cross-check in test_oracles.py.
 
 The normalized function is theta(x, tau) = theta_1(x, tau) / theta_1'(0, tau),
 so theta'(0, tau) = 1.
+
+`lattice_distances_3x3` is the reference of the distance kernel in double
+precision: the full search over the 3x3 neighbours of a reduced argument.
 """
 
 import mpmath as mp
+import numpy as np
+
+from ellbethe.elliptic import _reduce
 
 mp.mp.dps = 50
 
@@ -109,3 +115,17 @@ def theta_poly(x, scale, mu, roots, tau):
     for t in roots:
         val *= theta(x - t, tau)
     return val
+
+
+_NEIGHBOURS = np.array([-1.0, 0.0, 1.0])
+
+
+def lattice_distances_3x3(xs, ctx):
+    """Distance from x to Z + tau Z at every point of xs by the search over
+    all 3x3 neighbours k + l tau' (k, l in {-1, 0, 1}) of the argument u0
+    reduced on the basis (1, tau') of Z + tau Z = (c tau + d)(Z + tau' Z)."""
+    j, tau_r = ctx._j, ctx.tau_reduced
+    xs = np.asarray(xs, dtype=complex)
+    u0 = _reduce(xs.ravel() / j, tau_r)[0]
+    rows = u0[:, None] - _NEIGHBOURS * tau_r
+    return (abs(j) * np.abs(rows[..., None] - _NEIGHBOURS).min(axis=(1, 2))).reshape(xs.shape)

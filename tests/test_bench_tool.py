@@ -13,8 +13,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench.py")
 SIDE_KEYS = {"values", "median", "q1", "q3", "report_digests"}
-# written since the jet counting pass was added; older committed files lack it
-OPTIONAL_SIDE_KEYS = {"theta_jets"}
+# written since the counting pass was added (lattice_distances since a later
+# change); older committed files lack them
+OPTIONAL_SIDE_KEYS = {"theta_jets", "lattice_distances"}
 KEYS = {"schema", "workload", "seed", "rounds", "quick", "unit", "experiments", "host",
         "change_wins", "reports_identical", "parent", "change"}
 
@@ -30,6 +31,10 @@ def check_schema(record):
             assert re.fullmatch(r"[0-4](\+dtau)?", order)
             assert set(row) == {"calls", "points"}
             assert row["calls"] > 0 and row["points"] >= 0
+        if "lattice_distances" in record[side]:
+            row = record[side]["lattice_distances"]
+            assert set(row) == {"calls", "points"}
+            assert row["calls"] >= 0 and row["points"] >= 0
         assert len(values) == record["rounds"] and all(v > 0 for v in values)
         assert record[side]["q1"] <= record[side]["median"] <= record[side]["q3"]
         assert len(record[side]["report_digests"]) == len(record["experiments"])
@@ -50,10 +55,13 @@ def test_quick_run_writes_the_schema(tmp_path):
     assert (record["workload"], record["rounds"], record["quick"]) == ("eigen", 2, True)
     assert len(record["experiments"]) == 3
     assert record["reports_identical"]
-    # the untimed counting pass: the same tree takes the same jets
+    # the untimed counting pass: the same tree takes the same jets and distances
     jets = record["parent"]["theta_jets"]
     assert jets == record["change"]["theta_jets"]
     assert "0" in jets and "3" in jets
+    distances = record["parent"]["lattice_distances"]
+    assert distances == record["change"]["lattice_distances"]
+    assert distances["calls"] > 0 and distances["points"] > 0
 
 
 def test_full_runs_take_at_least_ten_rounds(tmp_path):

@@ -206,11 +206,14 @@ class TestReportFormat:
 
     def test_json_writer_on_edge_values(self):
         """Non-finite floats, a negative zero, empty containers, a tuple,
-        numpy scalars, complex numbers and non-ASCII text."""
+        numpy scalars, complex numbers (finite, with a NaN or infinite
+        part, numpy's, and nested) and non-ASCII text."""
         report = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": -0.0,
                   "empty": [[], {}, ()], "tuple": (1, 2.5, "x"),
                   "numpy": [np.float64(0.1), np.int64(7), np.float32(0.5), np.float64(math.nan)],
-                  "complex": [1 - 2j, np.complex128(3 + 0.5j)],
+                  "complex": [1 - 2j, np.complex128(3 + 0.5j), complex(-0.0, 1e-300),
+                              complex(math.nan, 1), complex(2, -math.inf), np.complex64(1j),
+                              {"deep": [[0.1 + 0.2j]]}],
                   "warnings": ["na\u00efve \u2603 \"quoted\"\n\t"],
                   "nested": {"b": {"z": None, "a": True}, "a": False, "": {}}, "big": 10 ** 20}
         assert cli._render(report, True) == self.dumps(report)
@@ -548,7 +551,18 @@ class TestFiberCommand:
 
     def test_grid_must_descend(self, capsys):
         assert main(["fiber", "--mu-grid", "2i,4i", "--json"]) == 2
-        assert "descending" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: mu_grid must be sorted by |Im mu| descending\n"
+
+    def test_a_value_error_inside_the_scan_is_not_a_config_error(self, monkeypatch):
+        """The scan runs eagerly inside the command, and only its grid-order
+        check is a config error: a ValueError from the solve propagates."""
+        def solve(problems, subsets):
+            raise ValueError("inside the solve")
+        monkeypatch.setattr(wronski, "solve_subsets", solve)
+        with pytest.raises(ValueError, match="inside the solve"):
+            main(["fiber", "--mu-grid", "8i,6i", "--json"])
 
 
 class TestEigenCommand:

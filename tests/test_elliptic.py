@@ -172,7 +172,7 @@ class TestTheta:
             assert abs(red.imag - tau.imag / abs(c * tau + d) ** 2) < 1e-12 * red.imag
 
     def test_lattice_distance_is_exact_on_skewed_torus(self):
-        """The 3x3 neighbour search runs on the reduced basis; on the raw
+        """The nearest-point search runs on the reduced basis; on the raw
         basis it returned 0.2016 here, though 1 - 2 tau is 0.075 away."""
         ctx = Torus(0.4 + 0.05j)
         assert abs(lattice_distance(0.2 - 0.025j, ctx) - 0.075) < 1e-12
@@ -706,6 +706,27 @@ class TestThetaJets:
             assert got.shape == xs.shape
             want = np.array([brute_lattice_distance(x, tau) for x in xs.ravel()])
             np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 0.8j, 2j, 5j, 0.05j, 0.4 + 0.05j, 0.02j,
+                                     -0.5 + 0.866j])
+    def test_two_candidates_are_the_neighbour_search(self, tau):
+        """The two-candidate kernel gives the bits of the full 3x3 neighbour
+        search (oracles.lattice_distances_3x3) at 10^5 random points a few
+        periods out, and on the edges and corners of the reduced box:
+        Re u0 = +-1/2 and 0, Im u0 = 0 and +-Im tau'/2, each also one ulp
+        inside, at lattice translates."""
+        ctx = Torus(tau)
+        j, red = ctx._j, ctx.tau_reduced
+        rng = np.random.default_rng(29)
+        scattered = (rng.uniform(-3, 3, 10 ** 5) + rng.uniform(-3, 3, 10 ** 5) * red) * j
+        half = red.imag / 2
+        re = [-0.5, np.nextafter(-0.5, 0), 0.0, -0.0, np.nextafter(0.5, 0), 0.5]
+        im = [-half, np.nextafter(-half, 0), 0.0, -0.0, np.nextafter(half, 0), half]
+        box = np.array([complex(a, b) for a in re for b in im])
+        shifts = np.array([k + l * red for k in (-2, 0, 1) for l in (-1, 0, 2)])
+        edges = (box[:, None] + shifts).ravel()
+        for xs in (scattered, edges * j, edges):
+            assert np.array_equal(lattice_distances(xs, ctx), orc.lattice_distances_3x3(xs, ctx))
 
 
 class TestArrayContract:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles as orc
 from ellbethe.bethe import (
     BetheProblem,
     CoalescedRootsError,
@@ -46,10 +47,13 @@ from ellbethe.wronski import (
 CTX = Torus(1j)
 Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
 Z2 = Z4[:2]
-# cell coordinates (a, b) of sites z = a + b tau; at tau = i these extend Z4
+# cell coordinates (a, b) of sites z = a + b tau; at tau = i these extend Z4,
+# at least 0.18 apart mod the lattice; cell_problem(6, 22j) and (7, 26j) are
+# complete
 CELL_AB = ((0.13, 0.0), (0.41, 0.12), (0.55, 0.31), (0.77, 0.05),
            (0.05, 0.55), (0.29, 0.71), (0.62, 0.83), (0.88, 0.47),
-           (0.35, 0.42), (0.71, 0.63))
+           (0.35, 0.42), (0.71, 0.63), (0.18, 0.28), (0.88, 0.22),
+           (0.48, 0.95), (0.95, 0.85))
 
 
 # seed-1 benchmark scan sites: below 2.6i some subsets converge onto other
@@ -89,6 +93,33 @@ def root_key(prob, sol):
     sorted by the rounded (re, im)."""
     roots = prob.cell.reduce(np.array(sol.t))[0].tolist()
     return np.array(sorted(roots, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
+
+
+def dedup_all_pairs(prob, subsets, results):
+    """(points, failed, warnings) of the report of `results`, the
+    `fiber_points` list of `subsets`, by the all-pairs rule: each point's
+    key (`root_key`) against the key of every earlier accepted point, in
+    list order, by the 3x3 neighbour search (oracles.lattice_distances_3x3)."""
+    points, failed, warnings, kept = [], [], [], []
+    for subset, point in zip(subsets, results):
+        if isinstance(point, Exception):
+            failed.append((subset, "%s: %s [stage %s]"
+                           % (type(point).__name__, point, point.stage)))
+            continue
+        key = root_key(prob, point.solution)
+        twin = next((q.subset_tag for q, q_key in kept
+                     if orc.lattice_distances_3x3(q_key - key, prob.ctx).max() < DEDUP_TOL), None)
+        if twin is not None:
+            if twin != point.subset_tag:
+                failed.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
+            continue
+        complement = tuple(sorted(set(range(prob.n)) - set(subset)))
+        if point.partner_tag != complement:
+            warnings.append("subset %s pairs with %s, not its complement (below-threshold mu?)"
+                            % (subset, point.partner_tag))
+        points.append(point)
+        kept.append((point, key))
+    return tuple(points), tuple(failed), tuple(warnings)
 
 
 def fiber_outcome(prob):
@@ -255,6 +286,78 @@ class TestEnumerateFiber:
         assert [p.subset_tag for p in report.points] == [p.subset_tag for p in kept]
         assert [f for f in report.failed if f[1].endswith("[stage dedup]")] == merged
 
+    @pytest.mark.parametrize("case", ["cell5-planted", "merged-2.5i", "merged-2.2i"])
+    def test_dedup_matches_all_pairs_oracle(self, case, newton_step, monkeypatch):
+        """The bucketed dedup keeps, fails and warns for the subsets the
+        all-pairs oracle does: on cell_problem(5, 18j) with repeated
+        subsets, copies of earlier points under later tags and a point with
+        a root moved by a period planted, and on MERGED_Z where solves
+        merge under Newton steps (one merge at 2.5i, three at 2.2i)."""
+        if case == "cell5-planted":
+            prob = cell_problem(5, 18j)
+            subsets = list(itertools.combinations(range(10), 5))
+            subsets += subsets[::37]
+            results = fiber_points(prob, subsets)
+            for k in range(5, 252, 50):
+                results[k] = dataclasses.replace(results[k - 3], subset_tag=subsets[k])
+            results[100] = dataclasses.replace(
+                results[100], solution=translate_root(results[100].solution, 2, 1, 0))
+            merges = 5
+        else:
+            prob = BetheProblem(3, MERGED_Z, 2.5j if case == "merged-2.5i" else 2.2j, CTX)
+            subsets = list(itertools.combinations(range(6), 3))
+            results = fiber_points(prob, subsets)
+            merges = 1 if case == "merged-2.5i" else 3
+        monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: results)
+        report = enumerate_fiber(prob, subsets)
+        points, failed, warnings = dedup_all_pairs(prob, subsets, results)
+        assert report.points == points
+        assert report.failed == failed
+        assert report.warnings == warnings
+        assert sum(why.endswith("[stage dedup]") for _, why in failed) == merges
+        assert report.count == len(set(map(tuple, subsets))) - merges - sum(
+            isinstance(r, Exception) for r in results)
+
+    @pytest.mark.parametrize("edge", ["a", "b"])
+    def test_twins_across_a_cell_edge_are_one_point(self, edge, monkeypatch):
+        """Two solves 1e-9 apart whose root sums lie on either side of a
+        cell edge, at coordinate a = 1 or b = 1, are still one point: the
+        buckets wrap at the cell edges.  Across b = 1 a root crosses the
+        edge too, and its reduced copies lie a period apart."""
+        prob = cell_problem(3, 10j)
+        point, = fiber_points(prob, [(0, 2, 4)])
+        planted = []
+        for tag, side in (((0, 2, 4), 1), ((1, 3, 5), -1)):
+            if edge == "a":
+                t = (0.2 + 0.1j, 0.3 + 0.4j, 0.5 + side * 5e-10 + 0.7j)
+            else:
+                t = (0.2 + 0.3j, 0.5 + side * 5e-10j, 0.7 + 0.7j)
+            planted.append(dataclasses.replace(
+                point, subset_tag=tag, solution=dataclasses.replace(point.solution, t=t)))
+        sums = [prob.cell.coords(root_key(prob, p.solution).sum()) for p in planted]
+        k = "ab".index(edge)
+        assert sums[0][k] == pytest.approx(1 + 5e-10, abs=1e-15)
+        assert sums[1][k] % 1 == pytest.approx(1 - 5e-10, abs=1e-15)
+        monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: planted)
+        rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (1, 3, 5)])
+        assert rep.count == 1
+        assert rep.failed == (((1, 3, 5), "same point as subset (0, 2, 4) [stage dedup]"),)
+
+    @pytest.mark.parametrize("tau, turn", [(1j, 1), (1j, 1j), (0.3 + 0.8j, (1 - 1j) / 2 ** 0.5)])
+    def test_twins_at_the_tolerance_are_one_point(self, tau, turn, monkeypatch):
+        """A copy of a point with every root moved 0.9 DEDUP_TOL the same
+        way, so that its root sum is 2.7 DEDUP_TOL away, is its twin: the
+        buckets are wide enough for the sum of m root moves."""
+        prob = cell_problem(3, 10j, tau)
+        point, = fiber_points(prob, [(0, 2, 4)])
+        t = tuple(np.array(point.solution.t) + 0.9 * DEDUP_TOL * turn)
+        twin = dataclasses.replace(point, subset_tag=(1, 3, 5),
+                                   solution=dataclasses.replace(point.solution, t=t))
+        monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: [point, twin])
+        rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (1, 3, 5)])
+        assert rep.count == 1
+        assert rep.failed == (((1, 3, 5), "same point as subset (0, 2, 4) [stage dedup]"),)
+
     def test_partners_off_the_complement_warn_in_subset_order(self, newton_step):
         """At mu = 2.2i, under Newton steps, two partners settle nearest
         sites other than their seeds' complements (one of them nearest site
@@ -350,6 +453,12 @@ class TestFiberPoint:
             complement = tuple(sorted(set(range(10)) - set(point.subset_tag)))
             assert point.partner_tag == complement
             assert point.wr_residual <= WR_RESIDUAL_GATE
+
+    def test_m6_fiber_certifies_every_subset(self):
+        prob = cell_problem(6, 22j)
+        rep = enumerate_fiber(prob)
+        assert rep.count == rep.expected == 924
+        assert rep.complete
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_certificate_matches_pointwise_loop(self, m):
@@ -759,6 +868,32 @@ class TestScanMuMin:
     def test_grid_must_descend(self):
         with pytest.raises(ValueError):
             scan_mu_grid(problem(2, 6j), [2j, 4j])
+
+    @pytest.mark.parametrize("newton", [False, True], ids=["halley", "newton"])
+    def test_rows_are_the_enumerations_at_each_mu(self, newton, request, monkeypatch):
+        """The scan solves every row in one `solve_subsets` batch, and each
+        row is the report `enumerate_fiber` gives at its mu, merges and
+        failures included; at 1i the seed check rejects every subset."""
+        if newton:
+            request.getfixturevalue("newton_step")
+        grid = [6j, 2.5j, 2.2j, 1j]
+        prob = BetheProblem(3, MERGED_Z, grid[0], CTX)
+        batches, solve = [], wronski_module.solve_subsets
+
+        def counted(problems, subsets):
+            batches.append(len(subsets))
+            return solve(problems, subsets)
+
+        monkeypatch.setattr(wronski_module, "solve_subsets", counted)
+        rows = scan_mu_grid(prob, grid)
+        assert batches == [2 * 20 * len(grid)]
+        assert [mu for mu, _ in rows] == grid
+        for mu, report in rows:
+            assert report == enumerate_fiber(dataclasses.replace(prob, mu=mu))
+        assert [report.complete for _, report in rows] == [True, not newton, False, False]
+        last = rows[-1][1]
+        assert last.count == 0 and len(last.failed) == 20
+        assert all("[stage seed]" in why for _, why in last.failed)
 
     def test_degenerate_sites_raise_threshold_monotonically(self):
         grid = [32j, 16j, 8j, 4j, 2j]

@@ -18,9 +18,10 @@ quartiles and the sha256 of every report, and the number of rounds the
 change won.  After the rounds, one more pass of each tree, untimed, counts
 its top-level `_theta_jets` calls (a chunked call's passes are one call)
 and their points by jet order, "0+dtau" for a jet with the d/dtau row,
-into each tree's `theta_jets` field.  At least 10 rounds are run;
-`--quick` runs 2 rounds over the first 3 experiments, to check the tool
-itself.
+into each tree's `theta_jets` field, and its top-level `lattice_distances`
+calls and their points into its `lattice_distances` field.  At least 10
+rounds are run; `--quick` runs 2 rounds over the first 3 experiments, to
+check the tool itself.
 """
 
 from __future__ import annotations
@@ -83,38 +84,56 @@ def run_pass(cli, runs, reference_work):
     return wall / statistics.mean(refs), digests
 
 
-def count_jets(cli, modules, runs) -> dict:
-    """One untimed pass of `runs` through `cli`, with every module of its
-    tree (`modules`, by name) that binds `_theta_jets` seeing a counting
-    wrapper: {order: {"calls": top-level calls, "points": their points}}."""
+def counted(fn, row_of):
+    """fn behind a wrapper that adds each top-level call (one made outside
+    another call of fn) and its points to the {"calls", "points"} row that
+    row_of gives for the call's other arguments."""
     import numpy
 
-    jets, depth, counts = modules["ellbethe.elliptic"]._theta_jets, [0], {}
+    depth = [0]
 
-    def counted(xs, ctx, order, **kwargs):
+    def wrapper(xs, *args, **kwargs):
         if depth[0] == 0:
-            row = counts.setdefault("%d%s" % (order, "+dtau" if kwargs.get("dtau") else ""),
-                                    {"calls": 0, "points": 0})
+            row = row_of(*args, **kwargs)
             row["calls"] += 1
             row["points"] += int(numpy.size(xs))
         depth[0] += 1
         try:
-            return jets(xs, ctx, order, **kwargs)
+            return fn(xs, *args, **kwargs)
         finally:
             depth[0] -= 1
 
-    bound = [m for m in modules.values() if getattr(m, "_theta_jets", None) is jets]
-    for module in bound:
-        module._theta_jets = counted
+    return wrapper
+
+
+def count_calls(cli, modules, runs) -> tuple:
+    """One untimed pass of `runs` through `cli`, with every module of its
+    tree (`modules`, by name) that binds `_theta_jets` or
+    `lattice_distances` seeing a counting wrapper: ({order: {"calls":
+    top-level calls, "points": their points}} of the jets, {"calls",
+    "points"} of the distances)."""
+    elliptic, jets, distances = modules["ellbethe.elliptic"], {}, {"calls": 0, "points": 0}
+
+    def jet_row(ctx, order, **kwargs):
+        return jets.setdefault("%d%s" % (order, "+dtau" if kwargs.get("dtau") else ""),
+                               {"calls": 0, "points": 0})
+
+    wrappers = {"_theta_jets": counted(elliptic._theta_jets, jet_row),
+                "lattice_distances": counted(elliptic.lattice_distances,
+                                             lambda ctx: distances)}
+    bound = [(m, name, getattr(elliptic, name)) for m in modules.values() for name in wrappers
+             if getattr(m, name, None) is getattr(elliptic, name)]
+    for module, name, _ in bound:
+        setattr(module, name, wrappers[name])
     try:
         for command, path in runs:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 cli.main([command, "--config", path, "--json"])
     finally:
-        for module in bound:
-            module._theta_jets = jets
-    return dict(sorted(counts.items()))
+        for module, name, fn in bound:
+            setattr(module, name, fn)
+    return dict(sorted(jets.items())), distances
 
 
 def summary(values) -> dict:
@@ -164,7 +183,7 @@ def main(argv=None) -> int:
                 values[name].append(value)
                 if digests.setdefault(name, seen) != seen:
                     raise SystemExit("%s: a report differs between passes" % name)
-        jet_counts = {name: count_jets(cli, modules[name], runs) for name, cli in trees.items()}
+        counts = {name: count_calls(cli, modules[name], runs) for name, cli in trees.items()}
 
     import numpy
 
@@ -183,7 +202,7 @@ def main(argv=None) -> int:
     }
     for name in trees:
         record[name] = dict(summary(values[name]), report_digests=digests[name],
-                            theta_jets=jet_counts[name])
+                            theta_jets=counts[name][0], lattice_distances=counts[name][1])
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
