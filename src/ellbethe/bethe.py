@@ -204,21 +204,20 @@ def master_gradient(t, problem: BetheProblem, mu) -> np.ndarray:
     etas, (d0,), (mixed, sites) = _theta_table(
         problem.ctx, (eta, *((d,) for d in _differences(t, problem))), (theta_derivs, (0.0,)),
         (rho, (z[:, None] - t[:, None, :],), (pairs,)))
-    return np.column_stack([_master_dtau(etas, d0[3], mu), _master_dz(mixed, sites, mu)])
+    return _master_eigenvalues(etas, d0[3], mixed, sites, mu)
 
 
-def _master_dz(mixed, sites, mu) -> np.ndarray:
-    """dPhi/dz from rho at z_s - t_j, (S, n, m), and at z_s - z_p, p != s, in row order."""
-    return (np.array([-1j * math.pi * complex(v) for v in mu])[:, None] - mixed.sum(axis=2)
-            + 0.5 * sites.reshape(mixed.shape[1], -1).sum(axis=1))
-
-
-def _master_dtau(etas, eta0, mu) -> np.ndarray:
-    """dPhi/dtau from eta at the three `_differences` and eta0 = theta'''(0)."""
-    roots, mixed, sites = (v - eta0 for v in etas)
-    acc = 2.0 * roots.sum(axis=1) - mixed.sum(axis=1) + 0.5 * sites.sum()
-    return np.array([0.5j * math.pi * complex(v) * complex(v) + a / (4j * math.pi)
-                     for v, a in zip(mu, acc)])
+def _master_eigenvalues(etas, eta0, mixed, sites, mu) -> np.ndarray:
+    """(dPhi/dtau, dPhi/dz) as `master_gradient` gives them, from eta at the three
+    `_differences` and eta0 = theta'''(0), and rho at z_s - t_j, (S, n, m), and at
+    z_s - z_p, p != s, in row order."""
+    mu = [complex(v) for v in mu]
+    roots, roots_sites, site_pairs = (v - eta0 for v in etas)
+    acc = 2.0 * roots.sum(axis=1) - roots_sites.sum(axis=1) + 0.5 * site_pairs.sum()
+    dtau = [0.5j * math.pi * v * v + a / (4j * math.pi) for v, a in zip(mu, acc)]
+    dz = (np.array([-1j * math.pi * v for v in mu])[:, None] - mixed.sum(axis=2)
+          + 0.5 * sites.reshape(mixed.shape[1], -1).sum(axis=1))
+    return np.column_stack([dtau, dz])
 
 
 def _distinct(keys: np.ndarray) -> tuple:

@@ -38,7 +38,7 @@ import typing
 
 import numpy as np
 
-from .bethe import (BetheSolution, _differences, _master_dtau, _master_dz, _shared_problem,
+from .bethe import (BetheSolution, _differences, _master_eigenvalues, _shared_problem,
                     master_gradient)
 from .elliptic import (TWOPI_I, Torus, _rho_rows, _theta_table, eta, phi, sigma, sigma_jet,
                        theta_derivs)
@@ -413,7 +413,7 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
         (eta, *((d,) for d in diffs), (0.0,)),
         (sigma, (sites, -lam_col), (xz, [lam_col, -lam_col]), _psi_args(flip_lams, sols + pars)),
         (theta_derivs, (0.0,)), (sigma_jet, _psi_args(*at)), (phi, (lam_col, sites)))
-    evs = np.column_stack([_master_dtau(etas, d0[3], mu), _master_dz(r_mixed[0], r_sites[0], mu)])
+    evs = _master_eigenvalues(etas, d0[3], r_mixed[0], r_sites[0], mu)
     jets = _psi_rows(psi, *at)
     ops = _kzb_operators(len(z), r_pairs[0], etas[2], eta0, r_lam[1], sig_kzb, phi_d)
     rows = apply_kzb(ops, jets)

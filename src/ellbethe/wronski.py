@@ -25,9 +25,10 @@ Wronskian instead, is the independent route to the same partner.
 `enumerate_fiber` returns one `FiberReport`, complete or not: the
 certified points and, for every subset without one, the reason and the
 stage it failed at; `fiber`, the mu-grid scan and `eigen` all read it.
-Two subsets whose solves land on one point are caught by the dedup, which
-compares whole keys (cell-reduced sorted roots) only within neighbouring
-buckets of their root sums, in time and memory linear in the points.
+Two subsets whose solves land on one point fail the dedup: a point is its
+set of roots mod the lattice, the same as another when each root lies
+within DEDUP_TOL of one of the other's (one to one if its roots are over 2
+DEDUP_TOL apart); buckets of root sums keep it linear in the points.
 `scan_mu_grid` solves every grid row in one batch, then pairs, certifies
 and deduplicates each row as `enumerate_fiber` does.
 """
@@ -248,28 +249,29 @@ def fiber_points(problem: BetheProblem, subsets) -> list:
     return _paired(problem, subsets, _solved([problem], subsets)[0])
 
 
-def _close_keys(keys: np.ndarray, problem: BetheProblem) -> list:
-    """Per row of `keys` (one point's cell-reduced sorted roots), the
-    earlier rows within DEDUP_TOL of it root by root mod the lattice, in
-    ascending order.
+def _close_keys(roots: np.ndarray, problem: BetheProblem) -> list:
+    """Per row of `roots` (one point's roots, as solved), the earlier rows
+    that are the same point, in ascending order: every root of each lies
+    within DEDUP_TOL of some root of the other mod the lattice.
 
-    Keys that close have root sums within m DEDUP_TOL of each other mod the
-    lattice.  So each key is bucketed by the cell coordinates (a, b) of its
-    root sum, on a grid whose buckets are at least 2 m DEDUP_TOL wide in
-    the plane (twice the bound, so rounding stays far inside a bucket): a
+    That match is one to one, so the root sums lie within m DEDUP_TOL mod
+    the lattice, whenever a point's roots are more than 2 DEDUP_TOL apart.
+    So each point is bucketed by the cell coordinates (a, b) of its root
+    sum, on a grid whose buckets are at least 2 m DEDUP_TOL wide in the
+    plane (twice the bound, so rounding stays far inside a bucket): a
     displacement of length d moves b by at most d / Im tau and a by at most
     d (1 + |Re tau| / Im tau).  The grid has a whole number of buckets per
-    period, so it wraps at the cell edges, and a key is compared whole only
-    with the earlier keys in its own bucket and the eight around it (found
-    by a binary search of the sorted bucket numbers), in one array of
-    lattice distances subtracted as earlier key minus later key.
+    period, so it wraps at the cell edges, and a point is compared only with
+    the earlier points in its own bucket and the eight around it (a binary
+    search of the sorted bucket numbers), in one (pairs, m, m) array of
+    root distances subtracted as earlier minus later.
     """
-    count, m = keys.shape
+    count, m = roots.shape
     tau = problem.ctx.tau
     side = 2 * m * DEDUP_TOL
     sizes = np.array([min(_GRID_MAX, max(1, int(1.0 / (side * (1.0 + abs(tau.real) / tau.imag))))),
                       min(_GRID_MAX, max(1, int(tau.imag / side)))])
-    cells = np.floor(np.stack(problem.cell.coords(keys.sum(axis=1)), axis=-1) * sizes)
+    cells = np.floor(np.stack(problem.cell.coords(roots.sum(axis=1)), axis=-1) * sizes)
     cells = cells.astype(np.int64) % sizes
     # the distinct steps to a neighbour: a grid under 3 buckets wide wraps onto itself
     steps = np.array(sorted({(da % sizes[0], db % sizes[1])
@@ -284,7 +286,8 @@ def _close_keys(keys: np.ndarray, problem: BetheProblem) -> list:
     earlier = order[np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)]
     ahead = earlier < later
     later, earlier = later[ahead], earlier[ahead]
-    same = lattice_distances(keys[earlier] - keys[later], problem.ctx).max(axis=1) < DEDUP_TOL
+    d = lattice_distances(roots[earlier, :, None] - roots[later, None, :], problem.ctx)
+    same = np.maximum(d.min(axis=1).max(axis=1), d.min(axis=2).max(axis=1)) < DEDUP_TOL
     out = [[] for _ in range(count)]
     for k, q in sorted(zip(later[same].tolist(), earlier[same].tolist())):
         out[k].append(q)
@@ -295,11 +298,8 @@ def _report(problem: BetheProblem, subsets, results) -> FiberReport:
     """The FiberReport of `results`, the `fiber_points` list of `subsets`:
     their exceptions, and their points deduplicated (see enumerate_fiber)."""
     found = [k for k, point in enumerate(results) if not isinstance(point, Exception)]
-    roots = problem.cell.reduce(np.array(
-        [results[k].solution.t for k in found], dtype=complex).reshape(len(found), problem.m))[0]
-    keys = np.take_along_axis(
-        roots, np.lexsort((roots.imag.round(9), roots.real.round(9))), axis=1)
-    close = dict(zip(found, ([found[q] for q in row] for row in _close_keys(keys, problem))))
+    roots = np.array([results[k].solution.t for k in found], dtype=complex).reshape(-1, problem.m)
+    close = dict(zip(found, ([found[q] for q in row] for row in _close_keys(roots, problem))))
     failures, points, warnings = [], [], []
     kept = np.zeros(len(results), dtype=bool)
     for k, (subset, point) in enumerate(zip(subsets, results)):
@@ -343,12 +343,12 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     `failed` with the exception and stage `fiber_points` gave it, or its
     dedup twin.
 
-    A point's key is its roots reduced into the cell and sorted by the
-    rounded (re, im), all keys in one `cell.reduce` pass, and two keys are
-    the same point when they are within DEDUP_TOL root by root mod the
-    lattice.  A point's twin is the first accepted earlier point with the
-    same key.  Keys are compared only within neighbour buckets of their
-    root sums (`_close_keys`), which hold every pair that close, so the
+    Two points are the same when every root of each lies within DEDUP_TOL
+    of some root of the other mod the lattice, whatever their order or
+    cell; this is a one-to-one match within DEDUP_TOL wherever a point's
+    roots are more than 2 DEDUP_TOL apart.  A point's twin is the first
+    accepted earlier point that is the same.  Points are compared only
+    within neighbour buckets of their root sums (`_close_keys`), so the
     dedup takes time and memory linear in the points where they are well
     apart, not an array over all pairs.
     """

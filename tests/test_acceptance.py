@@ -41,15 +41,9 @@ from ellbethe.thetapoly import (
     wronskian,
 )
 from ellbethe.wronski import enumerate_fiber
+from common import CTX, Z2, Z4, relerr
 
-CTX = Torus(1j)
-Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
-Z2 = Z4[:2]
 TWOPI_I = 2j * math.pi
-
-
-def relerr(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def problem(m, mu):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from common import CTX, Z4, solve_subset
 import ellbethe.bethe as bethe_module
 from ellbethe.elliptic import PoleError, RangeError, Torus, rho, rho_prime
 from ellbethe.thetapoly import FundamentalParallelogram
@@ -36,9 +37,6 @@ from ellbethe.bethe import (
     wronskian_residues,
 )
 
-CTX = Torus(1j)
-Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
-
 
 def problem4(mu=10j):
     return BetheProblem(2, Z4, mu, CTX)
@@ -46,10 +44,6 @@ def problem4(mu=10j):
 
 def problem2(mu=10j):
     return BetheProblem(1, Z4[:2], mu, CTX)
-
-
-def solve_subset(prob, subset):
-    return solve_bae(prob, seed_asymptotic(prob, subset))
 
 
 class TestProblemValidation:

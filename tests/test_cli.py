@@ -16,13 +16,10 @@ from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
-from test_wronski import MERGED_Z
+from common import M4_CONFIG, MERGED_Z
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
 LOW_MU_CONFIG = {"mu": [0.0, 1.3]}
-M4_CONFIG = {"m": 4, "mu": [0.0, 14.0],
-             "z": [[0.13, 0.0], [0.41, 0.12], [0.55, 0.31], [0.77, 0.05],
-                   [0.05, 0.55], [0.29, 0.71], [0.62, 0.83], [0.88, 0.47]]}
 
 
 def write_config(tmp_path, payload, name="config.json"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from common import relerr
 from ellbethe import elliptic, wronski
 from ellbethe.elliptic import (
     _CHUNK,
@@ -41,10 +42,6 @@ TAUS = [1j, 2j, 0.3 + 0.8j]
 LADDER = [5j, 2j, 1j, 0.3 + 0.8j, 0.2j, 0.4 + 0.05j, 0.05j, 0.03j, 0.02j]
 # square, skewed, near-cusp skewed and thin tori
 GUARD_TAUS = [1j, 0.3 + 0.8j, 0.4 + 0.05j, 0.02j]
-
-
-def relerr(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def sample_points(ctx, n, seed, margin=5e-2):

@@ -17,14 +17,12 @@ from ellbethe.bethe import (
     BetheProblem,
     analytic_involution,
     bae_residual,
-    seed_asymptotic,
-    solve_bae,
     solve_subsets,
 )
 from ellbethe import elliptic, repspace
 from ellbethe.cli import _cell_samples
 from ellbethe.thetapoly import wronskian
-from test_wronski import cell_problem
+from common import CELL_AB, CTX, Z4, cell_problem, solve_subset
 from ellbethe.repspace import (
     EIGEN_CHECKS,
     _psi_args,
@@ -41,15 +39,8 @@ from ellbethe.repspace import (
     zero_weight_space,
 )
 
-CTX = Torus(1j)
-Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
-Z10 = Z4 + (0.05 + 0.55j, 0.29 + 0.71j, 0.62 + 0.83j, 0.88 + 0.47j,
-            0.35 + 0.42j, 0.71 + 0.63j)
+Z10 = tuple(a + b * 1j for a, b in CELL_AB[:10])
 LAM = 0.31 + 0.17j
-
-
-def solve_subset(prob, subset):
-    return solve_bae(prob, seed_asymptotic(prob, subset))
 
 
 def fixture_solution(m=2, mu=10j, subset=None):

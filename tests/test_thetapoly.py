@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from common import relerr
 from ellbethe import thetapoly
 from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta
 from ellbethe.thetapoly import (
@@ -25,10 +26,6 @@ from ellbethe.thetapoly import (
     stacked_derivs,
     wronskian,
 )
-
-
-def relerr(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def centered_cell(ctx):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
+from common import CTX, MERGED_Z, Z2, Z4, cell_problem
 from ellbethe.bethe import (
     BetheProblem,
     CoalescedRootsError,
@@ -26,7 +27,7 @@ from ellbethe.bethe import (
     normalize_solution,
     translate_root,
 )
-from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta_derivs
+from ellbethe.elliptic import RangeError, lattice_distance, theta_derivs
 import ellbethe.bethe as bethe_module
 import ellbethe.wronski as wronski_module
 from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, golden_points,
@@ -43,32 +44,6 @@ from ellbethe.wronski import (
     scan_mu_min,
     wr_certificates,
 )
-
-CTX = Torus(1j)
-Z4 = (0.13, 0.41 + 0.12j, 0.55 + 0.31j, 0.77 + 0.05j)
-Z2 = Z4[:2]
-# cell coordinates (a, b) of sites z = a + b tau; at tau = i these extend Z4,
-# at least 0.18 apart mod the lattice; cell_problem(6, 22j) and (7, 26j) are
-# complete
-CELL_AB = ((0.13, 0.0), (0.41, 0.12), (0.55, 0.31), (0.77, 0.05),
-           (0.05, 0.55), (0.29, 0.71), (0.62, 0.83), (0.88, 0.47),
-           (0.35, 0.42), (0.71, 0.63), (0.18, 0.28), (0.88, 0.22),
-           (0.48, 0.95), (0.95, 0.85))
-
-
-# seed-1 benchmark scan sites: below 2.6i some subsets converge onto other
-# subsets' points
-MERGED_Z = (0.12890928334489193 + 0.8705894159142823j,
-            0.5731648745745974 + 0.7985952968328152j,
-            0.6952530335957309 + 0.05419763380688547j,
-            0.46772907960594134 + 0.5771382780492729j,
-            0.5505276633859453 + 0.9508925304238594j,
-            0.0038096713445530117 + 0.019650900869300436j)
-
-
-def cell_problem(m, mu, tau=1j):
-    return BetheProblem(m, [a + b * tau for a, b in CELL_AB[:2 * m]], mu,
-                        Torus(tau))
 
 
 def problem(m, mu, z=None):
@@ -88,27 +63,28 @@ def pointwise_residual(f, g, prob, xs):
                / max(abs(wr.eval(x)), abs(ratio * target.eval(x))) for x in xs[1:])
 
 
-def root_key(prob, sol):
-    """The dedup key of a solution: its roots reduced into the cell and
-    sorted by the rounded (re, im)."""
-    roots = prob.cell.reduce(np.array(sol.t))[0].tolist()
-    return np.array(sorted(roots, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
+def root_set_distance(ctx, ta, tb):
+    """The largest distance from a root of either root set to the nearest
+    root of the other, mod the lattice by the 3x3 neighbour search
+    (oracles.lattice_distances_3x3): two points are the same when it is
+    below DEDUP_TOL."""
+    d = orc.lattice_distances_3x3(np.subtract.outer(np.array(ta), np.array(tb)), ctx)
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
 
 
 def dedup_all_pairs(prob, subsets, results):
     """(points, failed, warnings) of the report of `results`, the
     `fiber_points` list of `subsets`, by the all-pairs rule: each point's
-    key (`root_key`) against the key of every earlier accepted point, in
-    list order, by the 3x3 neighbour search (oracles.lattice_distances_3x3)."""
-    points, failed, warnings, kept = [], [], [], []
+    roots against those of every earlier accepted point, in list order, by
+    `root_set_distance`."""
+    points, failed, warnings = [], [], []
     for subset, point in zip(subsets, results):
         if isinstance(point, Exception):
             failed.append((subset, "%s: %s [stage %s]"
                            % (type(point).__name__, point, point.stage)))
             continue
-        key = root_key(prob, point.solution)
-        twin = next((q.subset_tag for q, q_key in kept
-                     if orc.lattice_distances_3x3(q_key - key, prob.ctx).max() < DEDUP_TOL), None)
+        twin = next((q.subset_tag for q in points if root_set_distance(
+            prob.ctx, q.solution.t, point.solution.t) < DEDUP_TOL), None)
         if twin is not None:
             if twin != point.subset_tag:
                 failed.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
@@ -118,7 +94,6 @@ def dedup_all_pairs(prob, subsets, results):
             warnings.append("subset %s pairs with %s, not its complement (below-threshold mu?)"
                             % (subset, point.partner_tag))
         points.append(point)
-        kept.append((point, key))
     return tuple(points), tuple(failed), tuple(warnings)
 
 
@@ -133,15 +108,6 @@ def fiber_report(m, mu):
     report = enumerate_fiber(problem(m, mu))
     assert not report.failed, report.failed
     return report
-
-
-def normal_form_distance(pa, pb):
-    """Independent copy of the dedup metric: max lattice-reduced coordinate
-    distance between sorted root tuples."""
-    key = lambda c: (round(c.real, 9), round(c.imag, 9))
-    ra = sorted(pa.f.roots, key=key)
-    rb = sorted(pb.f.roots, key=key)
-    return max(lattice_distance(a - b, CTX) for a, b in zip(ra, rb))
 
 
 class TestEnumerateFiber:
@@ -220,7 +186,7 @@ class TestEnumerateFiber:
     def test_fiber_distinctness(self):
         rep = fiber_report(2, 6j)
         for pa, pb in itertools.combinations(rep.points, 2):
-            assert normal_form_distance(pa, pb) > 1e-4
+            assert root_set_distance(CTX, pa.f.roots, pb.f.roots) > 1e-4
 
     def test_no_pairs_no_certificates(self):
         assert wr_certificates([], problem(2, 6j)) == []
@@ -260,30 +226,17 @@ class TestEnumerateFiber:
 
     def test_dedup_matches_pairwise_reference(self, newton_step):
         """At mu = 2.2i, under Newton steps, three subsets merge: the array
-        dedup keeps and fails the subsets a pairwise loop over cell-reduced
-        sorted roots does."""
+        dedup keeps and fails the subsets the all-pairs oracle does over
+        the subsets each solved on its own."""
         prob = BetheProblem(3, MERGED_Z, 2.2j, CTX)
         report = enumerate_fiber(prob)
         assert not report.complete
-
-        def key(point):
-            return sorted((prob.cell.reduce(t)[0] for t in point.solution.t),
-                          key=lambda c: (round(c.real, 9), round(c.imag, 9)))
-
-        kept, merged = [], []
-        for subset in itertools.combinations(range(6), 3):
-            point, = fiber_points(prob, [subset])
-            if isinstance(point, (SolveError, ArithmeticError, ValueError)):
-                continue
-            twin = next((q.subset_tag for q in kept
-                         if max(lattice_distance(a - b, CTX)
-                                for a, b in zip(key(point), key(q))) < DEDUP_TOL), None)
-            if twin is None:
-                kept.append(point)
-            elif twin != subset:
-                merged.append((subset, "same point as subset %s [stage dedup]" % (twin,)))
+        subsets = list(itertools.combinations(range(6), 3))
+        points, failed, _ = dedup_all_pairs(
+            prob, subsets, [fiber_points(prob, [subset])[0] for subset in subsets])
+        merged = [f for f in failed if f[1].endswith("[stage dedup]")]
         assert len(merged) == 3
-        assert [p.subset_tag for p in report.points] == [p.subset_tag for p in kept]
+        assert [p.subset_tag for p in report.points] == [p.subset_tag for p in points]
         assert [f for f in report.failed if f[1].endswith("[stage dedup]")] == merged
 
     @pytest.mark.parametrize("case", ["cell5-planted", "merged-2.5i", "merged-2.2i"])
@@ -322,8 +275,7 @@ class TestEnumerateFiber:
     def test_twins_across_a_cell_edge_are_one_point(self, edge, monkeypatch):
         """Two solves 1e-9 apart whose root sums lie on either side of a
         cell edge, at coordinate a = 1 or b = 1, are still one point: the
-        buckets wrap at the cell edges.  Across b = 1 a root crosses the
-        edge too, and its reduced copies lie a period apart."""
+        buckets wrap at the cell edges."""
         prob = cell_problem(3, 10j)
         point, = fiber_points(prob, [(0, 2, 4)])
         planted = []
@@ -334,7 +286,7 @@ class TestEnumerateFiber:
                 t = (0.2 + 0.3j, 0.5 + side * 5e-10j, 0.7 + 0.7j)
             planted.append(dataclasses.replace(
                 point, subset_tag=tag, solution=dataclasses.replace(point.solution, t=t)))
-        sums = [prob.cell.coords(root_key(prob, p.solution).sum()) for p in planted]
+        sums = [prob.cell.coords(sum(p.solution.t)) for p in planted]
         k = "ab".index(edge)
         assert sums[0][k] == pytest.approx(1 + 5e-10, abs=1e-15)
         assert sums[1][k] % 1 == pytest.approx(1 - 5e-10, abs=1e-15)
@@ -372,10 +324,32 @@ class TestEnumerateFiber:
         for point in report.points:
             assert point.partner_tag == nearest_site_tag(point.partner.t, prob)
 
+    @pytest.mark.parametrize("case", ["cell-edge", "rounding-edge"])
+    def test_root_sets_are_one_point_in_any_order(self, case, monkeypatch):
+        """Two copies of a point are one point whatever the order or cell of
+        their roots: one root 5e-10 either side of the a = 0/1 cell edge,
+        or 1e-13 either side of a round(., 9) boundary beside another root
+        with the same rounded real part, so that a key sorted by the cell-
+        reduced or rounded (re, im) would order the two copies apart."""
+        prob = cell_problem(3, 10j)
+        point, = fiber_points(prob, [(0, 2, 4)])
+        if case == "cell-edge":
+            roots = [(side * 5e-10 + 0.5j, 0.3 + 0.2j, 0.7 + 0.8j) for side in (1, -1)]
+        else:
+            roots = [(first + 0.7j, 0.3000000007 + 0.2j, 0.6 + 0.5j)
+                     for first in (0.3000000004999, 0.3000000005001)]
+        planted = [dataclasses.replace(point, subset_tag=tag,
+                                       solution=dataclasses.replace(point.solution, t=t))
+                   for tag, t in zip(((0, 2, 4), (1, 3, 5)), roots)]
+        monkeypatch.setattr(wronski_module, "fiber_points", lambda problem, subsets: planted)
+        rep = enumerate_fiber(prob, subsets=[(0, 2, 4), (1, 3, 5)])
+        assert rep.count == 1
+        assert rep.failed == (((1, 3, 5), "same point as subset (0, 2, 4) [stage dedup]"),)
+
     def test_translated_root_is_the_same_point(self, monkeypatch):
-        """The dedup key reduces roots into the cell before sorting: with
-        t_0 moved by 1 the raw sorted roots were 0.52 apart, and the moved
-        copy of a point entered the fiber as a second point."""
+        """Roots are compared mod the lattice: with t_0 moved by 1 the raw
+        roots are a period apart, and the moved copy of a point is still
+        the same point."""
         prob = cell_problem(3, 10j)
         point, = fiber_points(prob, [(0, 2, 4)])
         moved = translate_root(point.solution, 0, 1, 0)
@@ -386,19 +360,15 @@ class TestEnumerateFiber:
         assert rep.count == 1 and not rep.failed
 
     def test_keys_are_compared_whole_not_by_first_root(self, monkeypatch):
-        """Two points whose keys share their first root but differ by 1e-3
-        in another stay two points; a point with exactly the same key is
-        the other's dedup twin."""
+        """Two points that share all roots but the last, moved by 1e-3, stay
+        two points; a point with exactly the same roots is the other's
+        dedup twin."""
         prob = cell_problem(3, 10j)
         point, = fiber_points(prob, [(0, 2, 4)])
-        key = root_key(prob, point.solution)
-        last = int(np.argmin(abs(np.array(point.solution.t) - key[-1])))
-        t = list(point.solution.t)
-        t[last] += 1e-3
+        t = point.solution.t[:-1] + (point.solution.t[-1] + 1e-3,)
         near = dataclasses.replace(point, subset_tag=(1, 3, 5),
-                                   solution=dataclasses.replace(point.solution, t=tuple(t)))
-        near_key = root_key(prob, near.solution)
-        assert near_key[0] == key[0] and abs(near_key[-1] - key[-1]) == pytest.approx(1e-3)
+                                   solution=dataclasses.replace(point.solution, t=t))
+        assert root_set_distance(prob.ctx, point.solution.t, t) == pytest.approx(1e-3)
         twin = dataclasses.replace(point, subset_tag=(1, 3, 5))
         for other, count, failed in (
                 (near, 2, ()),
