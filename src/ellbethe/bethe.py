@@ -253,8 +253,10 @@ def _bethe_kernels(t: np.ndarray, z: tuple, ctx: Torus) -> tuple:
     diff = np.concatenate([t[:, i] - t[:, j], (t[:, :, None] - np.array(z)).reshape(count, m * n)],
                           axis=1)
     points, gather = diff, None
-    # roots shared (the seed round): a set of their values also merges +0.0 and -0.0
-    if len(set(t.ravel().tolist())) < t.size:
+    # roots shared (the seed round): equal values sort next to each other,
+    # and == also pairs +0.0 with -0.0
+    ordered = np.sort(t, axis=None)
+    if (ordered[1:] == ordered[:-1]).any():
         root_at, root_ids = _distinct(t.ravel().view("V16"))
         root_ids = root_ids.reshape(count, m)
         pair_at, pair_ids = _distinct((root_ids[:, i] * len(root_at) + root_ids[:, j]).ravel())
@@ -338,20 +340,50 @@ def seed_asymptotic(problem: BetheProblem, subset) -> tuple:
     For large Im mu each Bethe root sits this close to its site; the seed is
     rejected (ValueError) if the subset holds an index outside [0, n), and
     (SeedTooCoarseError) if the displacement exceeds half the minimal site
-    separation.
+    separation.  This is `_seeds` on one subset.
     """
-    subset = tuple(subset)
-    if len(subset) != problem.m or len(set(subset)) != problem.m:
-        raise ValueError("subset must pick m distinct sites")
-    if not all(0 <= i < problem.n for i in subset):
-        raise ValueError("subset %s holds a site index outside [0, %d)" % (subset, problem.n))
-    rate = abs(TWOPI_I * problem.mu)
-    # tested without dividing by mu, so that mu = 0 is rejected too
-    if 0.5 * problem.min_separation * rate < 1.0:
-        raise SeedTooCoarseError(
-            "seed displacement %.3g exceeds half the minimal site separation %.3g"
-            % (1.0 / rate if rate else math.inf, 0.5 * problem.min_separation))
-    return tuple(problem.z[i] + 1.0 / (TWOPI_I * problem.mu) for i in subset)
+    return _lone(_seeds([problem], [subset]))
+
+
+def _lone(results):
+    """The one entry of a one-system result list, raised if it is an exception."""
+    result, = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _seeds(problems, subsets) -> list:
+    """Per system, the `seed_asymptotic` seed of subsets[k] for problems[k],
+    or the ValueError it raises, with `stage = "seed"`.  The displacement
+    1/(2 pi i mu) and the seed check are formed once per distinct problem
+    object, with the arithmetic of a lone subset."""
+    shifts, out = {}, []    # by problem: the displacement, or the seed check's message
+    for problem, subset in zip(problems, map(tuple, subsets)):
+        if id(problem) not in shifts:
+            rate = abs(TWOPI_I * problem.mu)
+            # tested without dividing by mu, so that mu = 0 is rejected too
+            shifts[id(problem)] = (
+                "seed displacement %.3g exceeds half the minimal site separation %.3g"
+                % (1.0 / rate if rate else math.inf, 0.5 * problem.min_separation)
+                if 0.5 * problem.min_separation * rate < 1.0 else 1.0 / (TWOPI_I * problem.mu))
+        shift = shifts[id(problem)]
+        if len(subset) != problem.m or len(set(subset)) != problem.m:
+            out.append(_staged(ValueError("subset must pick m distinct sites"), "seed"))
+        elif subset and not 0 <= min(subset) <= max(subset) < problem.n:
+            out.append(_staged(ValueError("subset %s holds a site index outside [0, %d)"
+                                          % (subset, problem.n)), "seed"))
+        elif isinstance(shift, str):
+            out.append(_staged(SeedTooCoarseError(shift), "seed"))
+        else:
+            out.append(tuple([problem.z[i] + shift for i in subset]))
+    return out
+
+
+def _staged(exc, stage):
+    """exc, with `stage` naming the step of the solve that it failed."""
+    exc.stage = stage
+    return exc
 
 
 def _by_rows(fn, *rows) -> tuple:
@@ -361,15 +393,16 @@ def _by_rows(fn, *rows) -> tuple:
     One call serves all rows.  If it raises ArithmeticError or ValueError,
     fn runs again on each row alone, so that every row gets exactly the
     value or the exception it gets alone (the theta jets give a point the
-    same bits in any batch).  errors[k] is the exception of row k, whose
-    output rows are then left zero."""
+    same bits in any batch).  errors maps each row that raised to its
+    exception, and that row's outputs are left zero; it is empty when the
+    one call succeeds."""
     count = len(rows[0])
     try:
-        return fn(*rows), [None] * count
+        return fn(*rows), {}
     except (ArithmeticError, ValueError):
         pass
     outs = tuple(np.zeros((count,) + a.shape[1:], a.dtype) for a in fn(*(r[:0] for r in rows)))
-    errors = [None] * count
+    errors = {}
     for k in range(count):
         try:
             for out, a in zip(outs, fn(*(r[k:k + 1] for r in rows))):
@@ -397,10 +430,12 @@ HALLEY_REACH = 2.0
 
 
 def _shared_problem(problems) -> BetheProblem:
-    """problems[0], whose sites and torus every problem must share (ValueError otherwise)."""
-    if any(p.z != problems[0].z or p.ctx != problems[0].ctx for p in problems):
+    """problems[0], whose sites and torus every problem must share (ValueError
+    otherwise); each distinct problem object is compared once."""
+    first = problems[0]
+    if any(p.z != first.z or p.ctx != first.ctx for p in {id(p): p for p in problems}.values()):
         raise ValueError("the problems of one batch must share sites and torus")
-    return problems[0]
+    return first
 
 
 def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
@@ -432,7 +467,10 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     exception, of a solve on its own.  In the seed round, where systems
     share roots, the kernels take one jet per distinct root pair and per
     distinct root's site differences.  A Halley system that is singular
-    takes its Newton step.
+    takes its Newton step.  A round is whole-array work plus work per
+    system that raised: `_by_rows` reports only the rows that raised, an
+    `ended` mask marks the systems that failed, and each step gathers only
+    the kernel arrays it reads (rho' for J, rho'' for its slope).
 
     Returns, per system, its BetheSolution or the exception its own solve
     raises: CoalescedRootsError if roots collide with each other or a site
@@ -450,7 +488,7 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     mus = [p.mu for p in problems]
     drive = np.array([TWOPI_I * mu for mu in mus])
     tol = np.array([_newton_tol(mu) for mu in mus])
-    t = np.array([[complex(v) for v in seed] for seed in seeds])
+    t = np.array(seeds, dtype=complex)
     step, halley = np.zeros((2,) + t.shape, dtype=complex)
     # each system's pending candidate: rung -1 the Halley step, rung a >= 0
     # the Newton step times 2^-a (the seed: rung 0 and a zero step)
@@ -458,70 +496,74 @@ def solve_bae_batch(problems, seeds, *, max_iter: int = 50) -> list:
     norm = np.full(count, math.inf)
     iterations = np.full(count, -1)     # the seed's acceptance makes it 0
     backtracks = np.zeros(count, dtype=int)
-    failed = [None] * count     # the exception that ends a system
+    failed = {}                         # the exception that ends a system, by system
+    ended = np.zeros(count, dtype=bool)
+
+    def end(systems, excs):
+        failed.update(zip(systems.tolist(), excs))
+        ended[systems] = True
+
     kernels = functools.partial(_bethe_kernels, z=z, ctx=ctx)
     running = np.arange(count)  # systems with a candidate to evaluate
-    cand = t.copy()
+    cand, lam = t.copy(), np.ones(count)     # lam: the candidates' step lengths 2^-max(a, 0)
     while running.size:
         kern, errors = _by_rows(kernels, cand[running])
         cres = _residuals(kern, drive[running])
         cnorm = np.abs(cres).max(axis=1)
-        for pos, exc in enumerate(errors):
-            if isinstance(exc, ArithmeticError):
-                cnorm[pos] = math.inf
-            elif exc is not None:
-                failed[running[pos]] = exc
-        live = np.array([failed[k] is None for k in running], dtype=bool)
-        lam = np.ldexp(1.0, -np.maximum(rung[running], 0))
+        # an ArithmeticError rejects the candidate, any other error ends the system
+        hard = [pos for pos, exc in errors.items() if not isinstance(exc, ArithmeticError)]
+        end(running[hard], [errors.pop(pos) for pos in hard])
+        cnorm[list(errors)] = math.inf
+        live = ~ended[running]
         accept = live & (cnorm <= (1.0 - 1e-4 * lam) * norm[running])
-        iterations[running[accept]] += 1
         # rejected: one rung down, and a system stops at rung 20
         back = running[live & ~accept]
         rung[back] += 1
         backtracks[back] += 1
         retry = back[rung[back] < 20]
         # accepted: move, and go on unless converged or out of steps
-        moved = np.flatnonzero(accept)
-        idx = running[moved]
-        t[idx], norm[idx] = cand[idx], cnorm[moved]
-        on = (iterations[idx] < max_iter) & ~(norm[idx] < tol[idx])
+        idx = running[accept]
+        iterations[idx] += 1
+        t[idx], norm[idx] = cand[idx], cnorm[accept]
+        on = accept & (iterations[running] < max_iter) & ~(norm[running] < tol[running])
         # a residual that raised (a seed on a pole) fails once it needs a step
-        for pos, k in zip(moved[on], idx[on]):
-            if errors[pos] is not None:
-                failed[k] = errors[pos]
-        on &= np.array([errors[pos] is None for pos in moved], dtype=bool)
-        go, rows = idx[on], moved[on]
+        pole = [pos for pos in errors if on[pos]]
+        end(running[pole], [errors[pos] for pos in pole])
+        on[pole] = False
+        rows = np.flatnonzero(on)
+        go = running[rows]
         if go.size:
-            jac = _jacobians([a[rows] for a in kern])
-            steps, singular = _by_rows(_newton_steps, jac, cres[rows])
-            step[go] = steps[0]
-            for k, exc in zip(go, singular):
-                failed[k] = exc
-            keep = np.array([exc is None for exc in singular], dtype=bool)
+            # each step gathers only the kernel arrays it reads, None for the others
+            jac = _jacobians([a[rows] if k in (1, 4) else None for k, a in enumerate(kern)])
+            (steps,), singular = _by_rows(_newton_steps, jac, cres[rows])
+            step[go] = steps
+            end(go[list(singular)], singular.values())
+            keep = ~ended[go]
             go, rows, jac = go[keep], rows[keep], jac[keep]
             rung[go] = 0
             # kern[-1]: the gaps
             near = np.abs(step[go]).max(axis=1) <= HALLEY_REACH * kern[-1][rows]
             if near.any():
                 near_go, near_rows = go[near], rows[near]
-                slopes = _jacobian_slopes([a[near_rows] for a in kern], step[near_go])
+                slopes = _jacobian_slopes([a[near_rows] if k in (1, 2, 4, 5) else None
+                                           for k, a in enumerate(kern)], step[near_go])
                 (steps,), singular = _by_rows(_newton_steps, jac[near] + 0.5 * slopes,
                                               cres[near_rows])
-                solved = np.array([exc is None for exc in singular], dtype=bool)
-                halley[near_go[solved]] = steps[solved]
-                rung[near_go[solved]] = -1
+                # a singular Halley system keeps its Newton step
+                halley[near_go], rung[near_go] = steps, -1
+                rung[near_go[list(singular)]] = 0
         running = np.sort(np.concatenate([retry, go]))
         lam = np.ldexp(1.0, -np.maximum(rung[running], 0))
         cand[running] = t[running] + np.where(rung[running, None] < 0, halley[running],
                                               lam[:, None] * step[running])
-    done = np.array([exc is None for exc in failed], dtype=bool)
-    tags = [None] * count
-    for k, exc, tag in zip(np.flatnonzero(done), *_separation_errors(t[done], z, ctx)):
-        failed[k], tags[k] = exc, tag
-    return [failed[k] if failed[k] is not None else
-            BetheSolution(problems[k], tuple(t[k]), mus[k], float(norm[k]), tags[k],
-                          int(iterations[k]), int(backtracks[k]))
-            for k in range(count)]
+    done = np.flatnonzero(~ended)
+    out = [failed.get(k) for k in range(count)]
+    for k, roots, exc, tag, res, its, backs in zip(
+            done.tolist(), t[done], *_separation_errors(t[done], z, ctx), norm[done].tolist(),
+            iterations[done].tolist(), backtracks[done].tolist()):
+        out[k] = exc if exc is not None else BetheSolution(
+            problems[k], tuple(roots), mus[k], res, tag, its, backs)
+    return out
 
 
 def solve_bae(problem: BetheProblem, seed, *, max_iter: int = 50) -> BetheSolution:
@@ -537,26 +579,20 @@ def solve_bae(problem: BetheProblem, seed, *, max_iter: int = 50) -> BetheSoluti
     CoalescedRootsError
         If roots collide with each other or a site (separation < 1e-8).
     """
-    result, = solve_bae_batch([problem], [seed], max_iter=max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _lone(solve_bae_batch([problem], [seed], max_iter=max_iter))
 
 
 def solve_subsets(problems, subsets) -> list:
     """Solve problems[k] from the asymptotic seed of subsets[k], for every
     k in one `solve_bae_batch`: per system its BetheSolution or the
     exception of its solve.  A seed that `seed_asymptotic` rejects is that
-    system's exception, with `stage = "seed"`, and is never solved."""
-    out, seeded, seeds = [None] * len(subsets), [], []
-    for k, (problem, subset) in enumerate(zip(problems, subsets)):
-        try:
-            seeds.append(seed_asymptotic(problem, subset))
-            seeded.append(k)
-        except ValueError as exc:
-            exc.stage = "seed"
-            out[k] = exc
-    for k, result in zip(seeded, solve_bae_batch([problems[k] for k in seeded], seeds)):
+    system's exception, with `stage = "seed"`, and is never solved; the
+    seeds come from `_seeds`, one displacement and seed check per distinct
+    problem."""
+    out = _seeds(problems, subsets)
+    seeded = [k for k, seed in enumerate(out) if not isinstance(seed, Exception)]
+    for k, result in zip(seeded, solve_bae_batch([problems[k] for k in seeded],
+                                                 [out[k] for k in seeded])):
         out[k] = result
     return out
 
@@ -569,18 +605,18 @@ def _separation_errors(t: np.ndarray, z, ctx: Torus) -> tuple:
     count, m = t.shape
     others = np.concatenate([t, np.broadcast_to(np.array(z, dtype=complex), (count, len(z)))],
                             axis=1)
-    (dist,), errors = _by_rows(lambda r, o: (lattice_distances(r[:, :, None] - o[:, None, :],
+    (dist,), raised = _by_rows(lambda r, o: (lattice_distances(r[:, :, None] - o[:, None, :],
                                                                ctx),), t, others)
+    errors = [raised.get(k) for k in range(count)]
     close = dist < 1e-8
     close[:, :, :m] = np.triu(close[:, :, :m], 1)
-    for k in np.flatnonzero(close.any(axis=(1, 2))):
-        if errors[k] is None:
+    for k in np.flatnonzero(close.any(axis=(1, 2))).tolist():
+        if k not in raised:
             i, col = divmod(int(np.argmax(close[k])), close.shape[2])
             errors[k] = CoalescedRootsError(
                 "Bethe roots %d and %d coalesced" % (i, col) if col < m
                 else "Bethe root %d hit site %d" % (i, col - m))
-    nearest = np.argmin(dist[:, :, m:], axis=2)
-    return errors, [tuple(sorted(int(a) for a in row)) for row in nearest]
+    return errors, list(map(tuple, np.sort(np.argmin(dist[:, :, m:], axis=2), axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -100,28 +100,47 @@ class ThetaPoly:
         return [d[0] for d in stacked_derivs([self], np.asarray(x, dtype=complex)[None], order)]
 
 
+@dataclass(frozen=True)
+class _Products:
+    """The P label-0 theta polynomials c_p prod_j theta(x - t_pj) on ctx,
+    roots t_p the rows of the (P, degree) array `roots` and scales c_p the
+    P `scales`: what `stacked_derivs` takes in place of P ThetaPoly
+    objects."""
+
+    roots: np.ndarray
+    scales: np.ndarray
+    ctx: Torus
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+
 def stacked_derivs(polys, xs, order: int = 3) -> list:
     """[f, f', ..., f^(order)] for P >= 1 theta polynomials of one degree
     on one torus, polynomial p at the points xs[p], an array of shape
-    (P, ...); each entry has the shape of xs.
+    (P, ...); each entry has the shape of xs.  `polys` is a list of
+    ThetaPoly or, for P label-0 polynomials, their `_Products` (the bits
+    of ThetaPoly(c, 0, roots, ctx) without building one).
 
     The factors of all polynomials come from one theta batch over all
     (point, root) pairs, and the powers (2 pi i mu)^r of each label are
     taken one polynomial at a time, as Python complex numbers."""
-    ctx, degree = polys[0].ctx, polys[0].degree
-    if any(p.ctx != ctx or p.degree != degree for p in polys):
-        raise ValueError("stacked theta polynomials must share a torus and a degree")
+    if isinstance(polys, _Products):
+        ctx, roots = polys.ctx, polys.roots
+        rates, scales = [0j] * len(roots), polys.scales
+    else:
+        ctx, degree = polys[0].ctx, polys[0].degree
+        if any(p.ctx != ctx or p.degree != degree for p in polys):
+            raise ValueError("stacked theta polynomials must share a torus and a degree")
+        roots = np.array([p.roots for p in polys], dtype=complex).reshape(len(polys), degree)
+        rates, scales = [TWOPI_I * p.mu for p in polys], [p.scale for p in polys]
     xs = np.asarray(xs, dtype=complex)
     col = (slice(None),) + (None,) * (xs.ndim - 1)
-    rates = [TWOPI_I * p.mu for p in polys]
-    e0 = (np.array([p.scale for p in polys], dtype=complex)[col]
-          * _exp(np.array(rates, dtype=complex)[col] * xs))
-    roots = np.array([p.roots for p in polys], dtype=complex).reshape(
-        (len(polys),) + (1,) * (xs.ndim - 1) + (degree,))
-    jets = _theta_jets(xs[..., None] - roots, ctx, order)
+    e0 = np.array(scales, dtype=complex)[col] * _exp(np.array(rates, dtype=complex)[col] * xs)
+    jets = _theta_jets(xs[..., None] - roots[col], ctx, order)
     stack = [np.array([rate ** r for rate in rates], dtype=complex)[col] * e0
              for r in range(order + 1)]
-    for i in range(degree):
+    for i in range(roots.shape[1]):
         stack = _leibniz(stack, jets[..., i])
     return stack
 

@@ -48,6 +48,7 @@ from .bethe import (
     BetheSolution,
     _by_rows,
     _pairs,
+    _staged,
     site_wronskian,
     solve_subsets,
 )
@@ -56,6 +57,7 @@ from .thetapoly import (
     ResidueViolationError,
     SolveError,
     ThetaPoly,
+    _Products,
     _wronskian_rows,
     golden_points,
     stacked_derivs,
@@ -125,53 +127,55 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     (H = `bethe.site_wronskian`),
     Wr(f, g) = e^{(a+b)x} (Wr(F, G) + (b - a) F G), so F, G and H are
     evaluated with label 0 and only e^{(a+b-c)x} is exponentiated
-    (`elliptic._exp`), exactly 1 for a fiber pair.  The collision test
-    takes one distance array over every pair and H is evaluated once on
-    the row, Wr(F, G) in one theta batch over every F and G clear of
-    collisions; a pair that raises inside a batch is tested again on its
-    own (`_by_rows`).
+    (`elliptic._exp`), exactly 1 for a fiber pair.  F and G are f and g
+    at label 0, from one array of the roots and one of the scales of every
+    f and g (`thetapoly._Products`, the bits of ThetaPoly copies without
+    building one per polynomial); every f and g has degree m.  The
+    collision test takes one distance array over every pair and H is
+    evaluated once on the row, Wr(F, G) in one theta batch over every F
+    and G clear of collisions; a pair that raises inside a batch is
+    tested again on its own (`_by_rows`), so the call is whole-array work
+    plus work per failing pair.
     """
     if not pairs:
         return []
     roots = np.array([f.roots + g.roots + problem.z for f, g in pairs])
+    # per pair: the labels of f and g, then their scales
+    terms = np.array([(f.mu, g.mu, f.scale, g.scale) for f, g in pairs])
     i, j = _pairs(roots.shape[1])
     (collide,), errors = _by_rows(
         lambda r: ((lattice_distances(r[:, i] - r[:, j], problem.ctx) < 1e-6).any(axis=1),),
         roots)
-    out = [SolveError("fiber roots collide with each other or a site") if exc is None and hit
-           else exc for hit, exc in zip(collide, errors)]
-    clear = np.array([k for k, exc in enumerate(out) if exc is None], dtype=int)
+    for k in np.flatnonzero(collide).tolist():
+        errors[k] = SolveError("fiber roots collide with each other or a site")
+    clear = np.flatnonzero(np.bincount(list(errors), minlength=len(pairs)) == 0)
     try:
         x = np.array(golden_points(problem.cell, max(8, 2 * problem.m + 2), (0.5, 0.37),
                                    avoid=problem.z, margin=1e-3))
         b = site_wronskian(problem).eval(x)
     except (ArithmeticError, ValueError) as placement:
-        return [placement if exc is None else exc for exc in out]
+        return [errors.get(k, placement) for k in range(len(pairs))]
 
     def certify(idx):
         if not len(idx):
             return (np.zeros(0),)
-        fs, gs = [pairs[k][0] for k in idx], [pairs[k][1] for k in idx]
-        d = stacked_derivs([dataclasses.replace(p, mu=0.0) for p in fs + gs],
-                           np.broadcast_to(x, (2 * len(idx), len(x))), 1)
-        df, dg = [v[:len(idx)] for v in d], [v[len(idx):] for v in d]
+        # f and g of each pair on two rows in turn
+        fg = roots[idx, :2 * problem.m].reshape(-1, problem.m)
+        d = stacked_derivs(_Products(fg, terms[idx, 2:].ravel(), problem.ctx),
+                           np.broadcast_to(x, (len(fg), len(x))), 1)
+        df, dg = ([v[k::2] for v in d] for k in (0, 1))
         wr, = _wronskian_rows(df, dg)
-        rates = TWOPI_I * np.array([[g.mu - f.mu, f.mu + g.mu + problem.mu]
-                                    for f, g in zip(fs, gs)])
+        mu_f, mu_g = terms[idx, :2].T
+        rates = TWOPI_I * np.stack([mu_g - mu_f, mu_f + mu_g + problem.mu], axis=1)
         a = _exp(rates[:, 1:] * x) * (wr + rates[:, :1] * df[0] * dg[0])
         fit = a[:, :1] / b[:1] * b[1:]
         err = np.abs(a[:, 1:] - fit) / np.maximum(np.abs(a[:, 1:]), np.abs(fit))
         return (np.max(err, axis=1, initial=0.0),)
 
-    (residuals,), errors = _by_rows(certify, clear)
-    for k, residual, exc in zip(clear, residuals, errors):
-        out[k] = float(residual) if exc is None else exc
-    return out
-
-
-def _staged(exc, stage):
-    exc.stage = stage
-    return exc
+    (residuals,), raised = _by_rows(certify, clear)
+    errors.update((int(clear[pos]), exc) for pos, exc in raised.items())
+    found = dict(zip(clear.tolist(), residuals.tolist()))
+    return [errors.get(k, found.get(k)) for k in range(len(pairs))]
 
 
 def _solved(problems, subsets) -> list:

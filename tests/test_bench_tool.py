@@ -13,15 +13,18 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "bench.py")
 SIDE_KEYS = {"values", "median", "q1", "q3", "report_digests"}
-# written since the counting pass was added (lattice_distances since a later
-# change); older committed files lack them
-OPTIONAL_SIDE_KEYS = {"theta_jets", "lattice_distances"}
+# written since the counting pass was added (lattice_distances, bethe_rounds,
+# layers and the top-level verdict since later changes); older committed files
+# lack them
+OPTIONAL_SIDE_KEYS = {"theta_jets", "lattice_distances", "bethe_rounds", "layers"}
+LAYERS = {"_theta_jets", "solve_bae_batch", "wr_certificates", "_render"}
 KEYS = {"schema", "workload", "seed", "rounds", "quick", "unit", "experiments", "host",
         "change_wins", "reports_identical", "parent", "change"}
+OPTIONAL_KEYS = {"verdict"}
 
 
 def check_schema(record):
-    assert set(record) == KEYS
+    assert KEYS <= set(record) <= KEYS | OPTIONAL_KEYS
     assert record["schema"] == "ellbethe-bench/1"
     assert set(record["host"]) == {"python", "numpy", "machine", "cpus"}
     for side in ("parent", "change"):
@@ -35,6 +38,10 @@ def check_schema(record):
             row = record[side]["lattice_distances"]
             assert set(row) == {"calls", "points"}
             assert row["calls"] >= 0 and row["points"] >= 0
+        rounds = record[side].get("bethe_rounds", [])
+        assert all(isinstance(n, int) and n > 0 for n in rounds)
+        layers = record[side].get("layers", {})
+        assert set(layers) <= LAYERS and all(v >= 0 for v in layers.values())
         assert len(values) == record["rounds"] and all(v > 0 for v in values)
         assert record[side]["q1"] <= record[side]["median"] <= record[side]["q3"]
         assert len(record[side]["report_digests"]) == len(record["experiments"])
@@ -42,6 +49,13 @@ def check_schema(record):
         c < p for p, c in zip(record["parent"]["values"], record["change"]["values"]))
     assert record["reports_identical"] == (record["parent"]["report_digests"]
                                            == record["change"]["report_digests"])
+    if "verdict" in record:
+        claim, parent = record["verdict"], record["parent"]
+        assert claim["win_share"] == record["change_wins"] / record["rounds"]
+        assert claim["median_gap"] == parent["median"] - record["change"]["median"]
+        assert claim["parent_iqr"] == parent["q3"] - parent["q1"]
+        assert claim["gain"] == (claim["win_share"] >= 0.9
+                                 and claim["median_gap"] > claim["parent_iqr"])
 
 
 def test_quick_run_writes_the_schema(tmp_path):
@@ -62,6 +76,15 @@ def test_quick_run_writes_the_schema(tmp_path):
     distances = record["parent"]["lattice_distances"]
     assert distances == record["change"]["lattice_distances"]
     assert distances["calls"] > 0 and distances["points"] > 0
+    # the lockstep rounds: one entry per `_bethe_kernels` call, the same on both sides
+    assert record["parent"]["bethe_rounds"] == record["change"]["bethe_rounds"]
+    assert record["parent"]["bethe_rounds"]
+    # the layer rows: every layer, in seconds per pass
+    for side in ("parent", "change"):
+        assert set(record[side]["layers"]) == LAYERS
+        assert record[side]["layers"]["_theta_jets"] > 0
+    # the claim rule's verdict (check_schema recomputes it)
+    assert "verdict" in record
 
 
 def test_full_runs_take_at_least_ten_rounds(tmp_path):

@@ -367,6 +367,31 @@ class TestBatch:
         assert [repr(r) for r in batch[:far] + batch[far + 1:]] == [
             repr(r) for r in alone[:far] + alone[far + 1:]]
 
+    def test_a_singular_newton_system_ends_alone(self, monkeypatch):
+        """A system whose Jacobian is singular (planted: zeroed where a root
+        lies within 1e-3 of a site, so that rho' there passes 1e5) makes
+        the stacked Newton solve raise LinAlgError; each system is then
+        solved alone, so that system ends with the exception of its own
+        solve and its neighbours keep the bits of theirs."""
+        prob = problem4()
+        seeds = [seed_asymptotic(prob, s) for s in itertools.combinations(range(4), 2)]
+        near, jacobians = 2, bethe_module._jacobians
+        seeds.insert(near, (Z4[1] + 1e-3, 0.3 + 0.2j))
+
+        def singular(kernels):
+            jac = jacobians(kernels)
+            jac[np.abs(kernels[4]).max(axis=(1, 2)) > 1e5] = 0.0
+            return jac
+
+        monkeypatch.setattr(bethe_module, "_jacobians", singular)
+        batch = solve_bae_batch([prob] * len(seeds), seeds)
+        alone = [solve_bae_batch([prob], [seed])[0] for seed in seeds]
+        assert isinstance(batch[near], np.linalg.LinAlgError)
+        assert type(alone[near]) is type(batch[near]) and str(alone[near]) == str(batch[near])
+        others = batch[:near] + batch[near + 1:]
+        assert all(sol.converged for sol in others)
+        assert [repr(r) for r in others] == [repr(r) for r in alone[:near] + alone[near + 1:]]
+
     def test_a_shared_seed_root_on_a_pole_fails_only_its_systems(self, theta_jet_calls):
         """Two systems whose seeds share a root within tol_pole of a site,
         beside one that does not: the seed round takes one jet per distinct
@@ -438,6 +463,24 @@ class TestNewtonTarget:
             assert isinstance(got, ValueError) and got.stage == "seed"
             assert str(subset) in str(got)
 
+    def test_solve_subsets_stages_each_rejected_subset_of_one_problem(self):
+        """One shared problem with valid subsets, a repeated index and an
+        index out of range: each rejected subset gets `seed_asymptotic`'s
+        exception with stage seed, and each other subset the bits of its
+        solve on its own."""
+        prob = problem4()
+        subsets = [(0, 1), (1, 1), (2, 3), (0, 4), (1, 3)]
+        got = solve_subsets([prob] * len(subsets), subsets)
+        assert [isinstance(r, ValueError) for r in got] == [False, True, False, True, False]
+        for subset, result in zip(subsets, got):
+            try:
+                seed = seed_asymptotic(prob, subset)
+            except ValueError as exc:
+                assert type(result) is type(exc) and str(result) == str(exc)
+                assert result.stage == "seed"
+                continue
+            assert repr(result) == repr(solve_bae(prob, seed))
+
     def test_solve_subsets_stages_rejected_seeds(self):
         prob, coarse = problem4(40j), problem4(1.3j)
         got = solve_subsets([prob, coarse, prob], [(0, 1), (0, 1), (2, 3)])
@@ -475,6 +518,29 @@ class TestHalleyStep:
         one = solve_bae(prob, seed, max_iter=1)
         monkeypatch.setattr(bethe_module, "HALLEY_REACH", 0.0)
         assert repr(solve_bae(prob, seed, max_iter=1)) == repr(one)
+
+    def test_a_singular_halley_system_takes_the_newton_step(self, monkeypatch, request):
+        """With T planted as -2 J, J + T/2 = 0: every Halley solve raises
+        LinAlgError, and every system takes its Newton step instead, so a
+        batch at mu and -mu gives exactly what the `newton_step` solver
+        gives."""
+        prob, mirror = problem4(), problem4(-10j)
+        subsets = list(itertools.combinations(range(4), 2))
+        problems = [prob] * len(subsets) + [mirror] * len(subsets)
+        seeds = [seed_asymptotic(p, s) for p, s in zip(problems, subsets * 2)]
+        jacobians, slopes = bethe_module._jacobians, []
+
+        def singular(kernels, s):
+            slopes.append(len(s))
+            return -2.0 * jacobians(kernels)
+
+        monkeypatch.setattr(bethe_module, "_jacobian_slopes", singular)
+        halley = solve_bae_batch(problems, seeds)
+        assert slopes and slopes[0] == len(seeds)   # all within reach in the seed round
+        request.getfixturevalue("newton_step")
+        newton = solve_bae_batch(problems, seeds)
+        assert all(sol.converged for sol in newton)
+        assert [repr(r) for r in halley] == [repr(r) for r in newton]
 
     def test_a_rejected_halley_candidate_is_retried_as_the_full_newton_step(
             self, monkeypatch, request):

@@ -15,13 +15,25 @@ experiment.  Both modules are imported, not changed.
 
 The JSON file holds, per tree, the per-round values, their median and
 quartiles and the sha256 of every report, and the number of rounds the
-change won.  After the rounds, one more pass of each tree, untimed, counts
-its top-level `_theta_jets` calls (a chunked call's passes are one call)
-and their points by jet order, "0+dtau" for a jet with the d/dtau row,
-into each tree's `theta_jets` field, and its top-level `lattice_distances`
-calls and their points into its `lattice_distances` field.  At least 10
-rounds are run; `--quick` runs 2 rounds over the first 3 experiments, to
-check the tool itself.
+change won.  Its `verdict` applies the claim rule of a gain: the change
+wins at least 90 % of the rounds (a tie wins for neither side), and the
+parent's median exceeds the change's by more than the parent's
+interquartile range; the last line printed gives the parent's quartiles
+and the verdict.
+
+After the rounds, one more pass of each tree, untimed, counts its
+top-level `_theta_jets` calls (a chunked call's passes are one call) and
+their points by jet order, "0+dtau" for a jet with the d/dtau row, into
+each tree's `theta_jets` field, its top-level `lattice_distances` calls
+and their points into its `lattice_distances` field, and the number of
+systems of each `bethe._bethe_kernels` call (one per lockstep solver
+round, or a lone evaluation) into its `bethe_rounds` list.  Then
+LAYER_PASSES more passes of each tree time, per pass, the top-level calls
+of `_theta_jets`, of `bethe.solve_bae_batch` and `wronski.wr_certificates`
+with the time of the jets they call taken out, and of `cli._render`; each
+tree's `layers` field holds the median seconds per pass of each (a layer
+the tree lacks is left out).  At least 10 rounds are run; `--quick` runs 2
+rounds over the first 3 experiments, to check the tool itself.
 """
 
 from __future__ import annotations
@@ -45,6 +57,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 SCHEMA = "ellbethe-bench/1"
 MIN_ROUNDS = 10
 QUICK_ROUNDS, QUICK_EXPERIMENTS = 2, 3
+LAYER_PASSES = 3
+# the claim rule of a gain: the share of rounds the change must win
+CLAIM_WIN_SHARE = 0.9
 
 
 def package_modules() -> dict:
@@ -106,34 +121,101 @@ def counted(fn, row_of):
     return wrapper
 
 
+def run_quietly(cli, runs):
+    """One pass of `runs` through `cli`, its output discarded."""
+    for command, path in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([command, "--config", path, "--json"])
+
+
+@contextlib.contextmanager
+def patched(modules, wrappers):
+    """Within the block, every module of `modules` (by name) that binds one
+    of the functions in `wrappers` ({function: wrapper}) sees the wrapper."""
+    by_id = {id(fn): wrapper for fn, wrapper in wrappers.items()}
+    bound = [(m, name, fn) for m in modules.values() for name, fn in vars(m).items()
+             if id(fn) in by_id]
+    for module, name, fn in bound:
+        setattr(module, name, by_id[id(fn)])
+    try:
+        yield
+    finally:
+        for module, name, fn in bound:
+            setattr(module, name, fn)
+
+
 def count_calls(cli, modules, runs) -> tuple:
     """One untimed pass of `runs` through `cli`, with every module of its
-    tree (`modules`, by name) that binds `_theta_jets` or
-    `lattice_distances` seeing a counting wrapper: ({order: {"calls":
+    tree (`modules`, by name) that binds `_theta_jets`, `lattice_distances`
+    or `_bethe_kernels` seeing a counting wrapper: ({order: {"calls":
     top-level calls, "points": their points}} of the jets, {"calls",
-    "points"} of the distances)."""
+    "points"} of the distances, the systems of each `_bethe_kernels` call)."""
     elliptic, jets, distances = modules["ellbethe.elliptic"], {}, {"calls": 0, "points": 0}
+    rounds = []
 
     def jet_row(ctx, order, **kwargs):
         return jets.setdefault("%d%s" % (order, "+dtau" if kwargs.get("dtau") else ""),
                                {"calls": 0, "points": 0})
 
-    wrappers = {"_theta_jets": counted(elliptic._theta_jets, jet_row),
-                "lattice_distances": counted(elliptic.lattice_distances,
-                                             lambda ctx: distances)}
-    bound = [(m, name, getattr(elliptic, name)) for m in modules.values() for name in wrappers
-             if getattr(m, name, None) is getattr(elliptic, name)]
-    for module, name, _ in bound:
-        setattr(module, name, wrappers[name])
-    try:
-        for command, path in runs:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                cli.main([command, "--config", path, "--json"])
-    finally:
-        for module, name, fn in bound:
-            setattr(module, name, fn)
-    return dict(sorted(jets.items())), distances
+    def counted_kernels(t, *args, **kwargs):
+        rounds.append(len(t))
+        return kernels(t, *args, **kwargs)
+
+    kernels = getattr(modules["ellbethe.bethe"], "_bethe_kernels", None)
+    wrappers = {elliptic._theta_jets: counted(elliptic._theta_jets, jet_row),
+                elliptic.lattice_distances: counted(elliptic.lattice_distances,
+                                                    lambda ctx: distances)}
+    if kernels is not None:
+        wrappers[kernels] = counted_kernels
+    with patched(modules, wrappers):
+        run_quietly(cli, runs)
+    return dict(sorted(jets.items())), distances, rounds
+
+
+def time_layers(cli, modules, runs) -> dict:
+    """LAYER_PASSES passes of `runs` through `cli`, each timing the
+    top-level calls of `_theta_jets`, of `solve_bae_batch` and
+    `wr_certificates` without the jets they call, and of `_render`: the
+    median seconds per pass of each layer the tree has."""
+    owners = {"_theta_jets": "elliptic", "solve_bae_batch": "bethe",
+              "wr_certificates": "wronski", "_render": "cli"}
+    layers = {name: getattr(modules["ellbethe." + owner], name) for name, owner in owners.items()
+              if hasattr(modules["ellbethe." + owner], name)}
+    spent, active, jets = dict.fromkeys(layers, 0.0), set(), [0.0]
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            if name in active:  # a pass of a chunked jet call, or a call inside the layer
+                return fn(*args, **kwargs)
+            active.add(name)
+            jets_before, started = jets[0], time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = time.perf_counter() - started
+                active.discard(name)
+                if name == "_theta_jets":
+                    jets[0] += took
+                    spent[name] += took
+                else:
+                    spent[name] += took - (jets[0] - jets_before)
+        return wrapper
+
+    passes = []
+    with patched(modules, {fn: timed(name, fn) for name, fn in layers.items()}):
+        for _ in range(LAYER_PASSES):
+            spent.update(dict.fromkeys(spent, 0.0))
+            run_quietly(cli, runs)
+            passes.append(dict(spent))
+    return {name: statistics.median(p[name] for p in passes) for name in layers}
+
+
+def verdict(parent, change, wins) -> dict:
+    """The claim rule of a gain on the per-round values of both trees."""
+    rounds = len(parent["values"])
+    gap, spread = parent["median"] - change["median"], parent["q3"] - parent["q1"]
+    return {"win_share": wins / rounds, "median_gap": gap, "parent_iqr": spread,
+            "gain": wins >= CLAIM_WIN_SHARE * rounds and gap > spread}
 
 
 def summary(values) -> dict:
@@ -184,6 +266,7 @@ def main(argv=None) -> int:
                 if digests.setdefault(name, seen) != seen:
                     raise SystemExit("%s: a report differs between passes" % name)
         counts = {name: count_calls(cli, modules[name], runs) for name, cli in trees.items()}
+        layers = {name: time_layers(cli, modules[name], runs) for name, cli in trees.items()}
 
     import numpy
 
@@ -202,13 +285,21 @@ def main(argv=None) -> int:
     }
     for name in trees:
         record[name] = dict(summary(values[name]), report_digests=digests[name],
-                            theta_jets=counts[name][0], lattice_distances=counts[name][1])
+                            theta_jets=counts[name][0], lattice_distances=counts[name][1],
+                            bethe_rounds=counts[name][2], layers=layers[name])
+    record["verdict"] = verdict(record["parent"], record["change"], record["change_wins"])
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    parent, claim = record["parent"], record["verdict"]
     print("%s seed %d, %d rounds: parent median %.3f, change median %.3f, change won %d"
-          % (args.workload, args.seed, rounds, record["parent"]["median"],
-             record["change"]["median"], record["change_wins"]))
+          % (args.workload, args.seed, rounds, parent["median"], record["change"]["median"],
+             record["change_wins"]))
+    print("parent quartiles %.3f / %.3f / %.3f; %s: won %.0f %% of rounds (needs %.0f %%), "
+          "median gap %.3f against the parent's IQR %.3f"
+          % (parent["q1"], parent["median"], parent["q3"],
+             "gain" if claim["gain"] else "no gain", 100 * claim["win_share"],
+             100 * CLAIM_WIN_SHARE, claim["median_gap"], claim["parent_iqr"]))
     return 0
 
 
