@@ -424,8 +424,9 @@ def verify_eigen(pairs, lam_pts, x_pts) -> EigenVerification:
     s2 = _s2_via_kzb(r_xz, rows, jets[0])
     b2s = _b2(r_b2, sols)
     b2, scale = b2s[:, 0], np.maximum(1.0, np.abs(b2s[:, 0]))
-    pd = stacked_derivs([sol.poly() for sol in sols] + [par.poly() for par in pars],
-                        np.broadcast_to(xs, (2 * count, len(xs))), 3)
+    # the pairs' theta polynomials, each ThetaPoly(1, mu / 2, t) of `BetheSolution.poly`
+    pd = stacked_derivs([sol.t for sol in sols + pars], [sol.mu / 2.0 for sol in sols + pars],
+                        np.ones(2 * count), ctx, np.broadcast_to(xs, (2 * count, len(xs))), 3)
     wd = _wronskian_rows([row[:count] for row in pd], [row[count:] for row in pd])
     pd = [row.reshape(2, count, -1) for row in pd]
     v = pd[1] / pd[0] - 0.5 * wd[1] / wd[0]

@@ -96,45 +96,27 @@ class ThetaPoly:
 
     def derivs(self, x, order: int = 3) -> list:
         """[f, f', ..., f^(order)](x) by Leibniz over the factors, each entry
-        of the shape of x: `stacked_derivs` on this one polynomial."""
-        return [d[0] for d in stacked_derivs([self], np.asarray(x, dtype=complex)[None], order)]
+        of the shape of x: `stacked_derivs` on this polynomial's one row."""
+        return [d[0] for d in stacked_derivs([self.roots], [self.mu], [self.scale], self.ctx,
+                                             np.asarray(x, dtype=complex)[None], order)]
 
 
-@dataclass(frozen=True)
-class _Products:
-    """The P label-0 theta polynomials c_p prod_j theta(x - t_pj) on ctx,
-    roots t_p the rows of the (P, degree) array `roots` and scales c_p the
-    P `scales`: what `stacked_derivs` takes in place of P ThetaPoly
-    objects."""
-
-    roots: np.ndarray
-    scales: np.ndarray
-    ctx: Torus
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
-def stacked_derivs(polys, xs, order: int = 3) -> list:
-    """[f, f', ..., f^(order)] for P >= 1 theta polynomials of one degree
-    on one torus, polynomial p at the points xs[p], an array of shape
-    (P, ...); each entry has the shape of xs.  `polys` is a list of
-    ThetaPoly or, for P label-0 polynomials, their `_Products` (the bits
-    of ThetaPoly(c, 0, roots, ctx) without building one).
+def stacked_derivs(roots, labels, scales, ctx: Torus, xs, order: int = 3) -> list:
+    """[f, f', ..., f^(order)] for the P >= 1 theta polynomials
+    f_p = c_p e^{2 pi i mu_p x} prod_j theta(x - t_pj) on the torus ctx:
+    roots t_p the rows of the (P, degree) array `roots`, labels mu_p and
+    scales c_p the P values of `labels` and `scales`.  Polynomial p is
+    evaluated at the points xs[p], an array of shape (P, ...), and each
+    entry has the shape of xs.  One torus and one root array make every
+    polynomial of one torus and one degree; a caller that takes pairs from
+    outside checks them where it packs them (`wronski.wr_certificates`).
 
     The factors of all polynomials come from one theta batch over all
     (point, root) pairs, and the powers (2 pi i mu)^r of each label are
-    taken one polynomial at a time, as Python complex numbers."""
-    if isinstance(polys, _Products):
-        ctx, roots = polys.ctx, polys.roots
-        rates, scales = [0j] * len(roots), polys.scales
-    else:
-        ctx, degree = polys[0].ctx, polys[0].degree
-        if any(p.ctx != ctx or p.degree != degree for p in polys):
-            raise ValueError("stacked theta polynomials must share a torus and a degree")
-        roots = np.array([p.roots for p in polys], dtype=complex).reshape(len(polys), degree)
-        rates, scales = [TWOPI_I * p.mu for p in polys], [p.scale for p in polys]
-    xs = np.asarray(xs, dtype=complex)
+    taken one polynomial at a time, as Python complex numbers, so a row has
+    the bits of its polynomial alone."""
+    roots, xs = np.asarray(roots, dtype=complex), np.asarray(xs, dtype=complex)
+    rates = [TWOPI_I * complex(mu) for mu in labels]
     col = (slice(None),) + (None,) * (xs.ndim - 1)
     e0 = np.array(scales, dtype=complex)[col] * _exp(np.array(rates, dtype=complex)[col] * xs)
     jets = _theta_jets(xs[..., None] - roots[col], ctx, order)

@@ -57,7 +57,6 @@ from .thetapoly import (
     ResidueViolationError,
     SolveError,
     ThetaPoly,
-    _Products,
     _wronskian_rows,
     golden_points,
     stacked_derivs,
@@ -127,18 +126,27 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     (H = `bethe.site_wronskian`),
     Wr(f, g) = e^{(a+b)x} (Wr(F, G) + (b - a) F G), so F, G and H are
     evaluated with label 0 and only e^{(a+b-c)x} is exponentiated
-    (`elliptic._exp`), exactly 1 for a fiber pair.  F and G are f and g
-    at label 0, from one array of the roots and one of the scales of every
-    f and g (`thetapoly._Products`, the bits of ThetaPoly copies without
-    building one per polynomial); every f and g has degree m.  The
-    collision test takes one distance array over every pair and H is
-    evaluated once on the row, Wr(F, G) in one theta batch over every F
-    and G clear of collisions; a pair that raises inside a batch is
-    tested again on its own (`_by_rows`), so the call is whole-array work
-    plus work per failing pair.
+    (`elliptic._exp`), exactly 1 for a fiber pair.  F and G are the rows
+    of one array of the roots of every f and g, with their scales, taken by
+    `thetapoly.stacked_derivs` at labels 0, so no ThetaPoly is built per
+    polynomial.  Packing the pairs into that array is where they are
+    checked: if any f or g has a degree other than m or lies on a torus
+    other than problem.ctx.tau, the call raises ValueError naming the first
+    such pair, before it evaluates anything.  The collision test takes one
+    distance array over every pair and H is evaluated once on the row,
+    Wr(F, G) in one theta batch over every F and G clear of collisions; a
+    pair that raises inside a batch is tested again on its own
+    (`_by_rows`), so the call is whole-array work plus work per failing
+    pair.
     """
     if not pairs:
         return []
+    for k, pair in enumerate(pairs):
+        off = [(p.degree, p.ctx.tau) for p in pair
+               if p.degree != problem.m or p.ctx.tau != problem.ctx.tau]
+        if off:
+            raise ValueError("pair %d has a polynomial of degree %d on tau = %r, not of degree "
+                             "%d on tau = %r" % ((k, *off[0], problem.m, problem.ctx.tau)))
     roots = np.array([f.roots + g.roots + problem.z for f, g in pairs])
     # per pair: the labels of f and g, then their scales
     terms = np.array([(f.mu, g.mu, f.scale, g.scale) for f, g in pairs])
@@ -161,7 +169,7 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
             return (np.zeros(0),)
         # f and g of each pair on two rows in turn
         fg = roots[idx, :2 * problem.m].reshape(-1, problem.m)
-        d = stacked_derivs(_Products(fg, terms[idx, 2:].ravel(), problem.ctx),
+        d = stacked_derivs(fg, [0] * len(fg), terms[idx, 2:].ravel(), problem.ctx,
                            np.broadcast_to(x, (len(fg), len(x))), 1)
         df, dg = ([v[k::2] for v in d] for k in (0, 1))
         wr, = _wronskian_rows(df, dg)

@@ -1,6 +1,7 @@
 """Tests of theta polynomials, the Fourier basis, and Wronskian inversion."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -87,14 +88,28 @@ class TestThetaPoly:
         rng = np.random.default_rng(5)
         polys = [random_poly(rng, 3, ctx, cell) for _ in range(4)]
         xs = np.array([golden_points(cell, 6, (0.1 * k, 0.2)) for k in range(4)]).reshape(4, 2, 3)
-        got = stacked_derivs(polys, xs, 3)
+        got = stacked_derivs([p.roots for p in polys], [p.mu for p in polys],
+                             [p.scale for p in polys], ctx, xs, 3)
         assert all(row.shape == xs.shape for row in got)
         for k, poly in enumerate(polys):
             for row, want in zip(got, poly.derivs(xs[k], 3)):
                 assert np.array_equal(row[k], want)
-        for other in (random_poly(rng, 2, ctx, cell), random_poly(rng, 3, Torus(1j), cell)):
-            with pytest.raises(ValueError, match="share a torus and a degree"):
-                stacked_derivs(polys[:1] + [other], xs[:2], 1)
+
+    def test_stacked_scales_and_labels_match_one_at_a_time(self):
+        """Scales 2.5 - 1j, 0 and 1e-300 and labels 0, -6j and 0.3 + 2j in one
+        batch: each row has the bits of its polynomial's own `derivs`."""
+        ctx = Torus(0.3 + 0.8j)
+        cell = centered_cell(ctx)
+        rng = np.random.default_rng(7)
+        polys = [dataclasses.replace(random_poly(rng, 2, ctx, cell), scale=scale, mu=mu)
+                 for scale, mu in ((2.5 - 1j, 0.0), (0.0, -6j), (1e-300, 0.3 + 2j))]
+        xs = np.array([golden_points(cell, 5, (0.2 * k, 0.1)) for k in range(3)])
+        got = stacked_derivs([p.roots for p in polys], [p.mu for p in polys],
+                             [p.scale for p in polys], ctx, xs, 3)
+        for k, poly in enumerate(polys):
+            for row, want in zip(got, poly.derivs(xs[k], 3)):
+                assert np.array_equal(row[k], want)
+        assert not got[0][1].any() and got[0][2].any()
 
     def test_transformation_laws(self):
         """f(x+1) = A(-1)^m f; f(x+tau) = B(-1)^m e^{-pi i m tau - 2 pi i m x} f."""

@@ -27,7 +27,7 @@ from ellbethe.bethe import (
     normalize_solution,
     translate_root,
 )
-from ellbethe.elliptic import RangeError, lattice_distance, theta_derivs
+from ellbethe.elliptic import RangeError, Torus, lattice_distance, theta_derivs
 import ellbethe.bethe as bethe_module
 import ellbethe.wronski as wronski_module
 from ellbethe.thetapoly import (ResidueViolationError, SolveError, ThetaPoly, golden_points,
@@ -671,9 +671,9 @@ class TestLockstep:
         pairs.insert(1, (f, dataclasses.replace(g, roots=(f.roots[0],) + g.roots[1:])))
         sizes, stacked = [], wronski_module.stacked_derivs
 
-        def counted(polys, xs, order):
-            sizes.append(len(polys))
-            return stacked(polys, xs, order)
+        def counted(roots, labels, scales, ctx, xs, order):
+            sizes.append(len(roots))
+            return stacked(roots, labels, scales, ctx, xs, order)
 
         monkeypatch.setattr(wronski_module, "stacked_derivs", counted)
         got = wr_certificates(pairs, prob)
@@ -683,6 +683,44 @@ class TestLockstep:
             assert str(exc) == "fiber roots collide with each other or a site"
         assert [got[0]] + got[2:] == [wr_certificates([pair], prob)[0]
                                       for pair in pairs[:1] + pairs[2:]]
+
+    def test_pairs_off_the_torus_or_the_degree_raise(self, monkeypatch):
+        """A fiber pair re-declared on tau = 2i, and the pair (f + a root of
+        g, g - that root) of degrees (3, 1), whose roots are those of a true
+        pair, are not pairs of the tau = i, m = 2 problem: wr_certificates
+        raises ValueError naming the first such pair before it evaluates
+        anything, alone and in a batch with valid pairs."""
+        prob = problem(2, 6j)
+        pairs = [(p.f, p.g) for p in enumerate_fiber(prob).points[:2]]
+        f, g = pairs[1]
+        moved = tuple(dataclasses.replace(p, ctx=Torus(2j)) for p in (f, g))
+        swapped = (dataclasses.replace(f, roots=f.roots + g.roots[:1]),
+                   dataclasses.replace(g, roots=g.roots[1:]))
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated before the pairs were checked")
+
+        for name in ("lattice_distances", "golden_points", "stacked_derivs"):
+            monkeypatch.setattr(wronski_module, name, evaluated)
+        for bad in (moved, swapped):
+            for batch, k in (([bad], 0), ([pairs[0], bad, pairs[1]], 1),
+                             ([pairs[0], bad, moved, swapped], 1)):
+                with pytest.raises(ValueError, match="^pair %d " % k):
+                    wr_certificates(batch, prob)
+
+    def test_scaled_pairs_match_their_lone_calls(self):
+        """Pairs whose f and g carry the scales 2.5 - 1j, 0 and 1e-300 get
+        in one batch the certificate each gets alone, a NaN matching a NaN:
+        at scale 0, and at 1e-300 where F G underflows, Wr is 0 and every
+        sample divides 0 by 0."""
+        prob = problem(2, 6j)
+        pairs = [(dataclasses.replace(p.f, scale=c), dataclasses.replace(p.g, scale=c))
+                 for p, c in zip(enumerate_fiber(prob).points, (2.5 - 1j, 0.0, 1e-300))]
+        with np.errstate(invalid="ignore"):
+            got = wr_certificates(pairs, prob)
+            alone = [wr_certificates([pair], prob)[0] for pair in pairs]
+        assert np.array_equal(got, alone, equal_nan=True)
+        assert got[0] <= WR_RESIDUAL_GATE and np.isnan(got[1:]).all()
 
     def test_collisions_win_over_the_placement_error(self, monkeypatch):
         """With the sample row refused, a colliding pair still reports its
