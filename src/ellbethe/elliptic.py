@@ -520,16 +520,16 @@ def _theta_table(ctx: Torus, *requests) -> list:
     order, and one _theta_jets call per order.  Each kernel runs once on
     its arguments as given, on their own axes, for its slots (x of shape
     (30,) and w of (10, 1) make 40 points, x + w 300).  Slots whose points
-    have one shape and the same bytes (+0.0 and -0.0 stay apart) share one
-    read-only jet, guarded where any of them is, at their highest order,
-    order 1 counted as 2, and each reads its own leading rows (rows of a
-    jet do not depend on its order, nor a point's jet on its batch); then
-    the kernel runs once per pass of at most _CHUNK points of the broadcast
-    grid, on its slots' jets gathered there, so a point has the same bits
-    alone as in a batch: past 256 KiB numpy computes `a * temporary` in
-    place as `temporary * a`, and with fused multiply-adds a complex
-    product is not commutative bit for bit.  A set on its grid that fits
-    one pass keeps its first run.
+    have the same bytes (+0.0 and -0.0 stay apart), whatever their shapes,
+    share one read-only jet, guarded where any of them is, at their highest
+    order, order 1 counted as 2, and each reads its own leading rows (rows
+    of a jet do not depend on its order, nor a point's jet on its batch)
+    and gathers them by its own shape; then the kernel runs once per pass
+    of at most _CHUNK points of the broadcast grid, on its slots' jets
+    gathered there, so a point has the same bits alone as in a batch: past
+    256 KiB numpy computes `a * temporary` in place as `temporary * a`, and
+    with fused multiply-adds a complex product is not commutative bit for
+    bit.  A set on its grid that fits one pass keeps its first run.
 
     Where a guard fires or a jet overflows, the fault route runs each set
     in request order on its broadcast, flattened points: each slot is one
@@ -552,7 +552,7 @@ def _theta_table(ctx: Torus, *requests) -> list:
                     run.close()
                 for s in slots:
                     points = np.asarray(s[0], dtype=complex)
-                    keys.setdefault((points.shape, points.tobytes()), [points]).append(s)
+                    keys.setdefault(points.tobytes(), [points]).append(s)
                 sets.append((form, args, grid, slots, run if keep else None, values[-1]))
         for points, *same in keys.values():
             groups.setdefault(max(2 if s[1] == 1 else s[1] for s in same), []).append(

@@ -28,7 +28,8 @@ stage it failed at; `fiber`, the mu-grid scan and `eigen` all read it.
 Two subsets whose solves land on one point fail the dedup: a point is its
 set of roots mod the lattice, the same as another when each root lies
 within DEDUP_TOL of one of the other's (one to one if its roots are over 2
-DEDUP_TOL apart); buckets of root sums keep it linear in the points.
+DEDUP_TOL apart); a point is compared only with its neighbours on the ring
+of its root sum's cell coordinate a mod 1, which a lattice move keeps.
 `scan_mu_grid` solves every grid row in one batch, then pairs, certifies
 and deduplicates each row as `enumerate_fiber` does.
 """
@@ -64,7 +65,6 @@ from .thetapoly import (
 
 WR_RESIDUAL_GATE = 1e-9    # max relative sampling residual of Wr(f,g) vs h
 DEDUP_TOL = 1e-6           # below this normal-form distance, same point
-_GRID_MAX = 1 << 20        # dedup buckets per cell period at most: numbers fit int64
 
 
 class GridOrderError(ValueError):
@@ -111,8 +111,9 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     h = e^{-2 pi i mu x} prod_a theta(x - z_a), or the exception that
     fails it.  A pair fails first if any two of f's roots, g's roots and
     the sites lie within 1e-6 of each other mod the lattice (SolveError),
-    then if the sample row cannot be placed, and then by its own residual
-    or the ArithmeticError its Wr check raises.  The residual is
+    then if f or g has a zero or non-finite scale (SolveError), then if the
+    sample row cannot be placed, and then by its own residual or the
+    ArithmeticError its Wr check raises.  The residual is
     pointwise-relative, so the mu-envelope spanning many decades across
     the cell does not mask errors, and a NaN at any sample makes it NaN.
 
@@ -127,12 +128,14 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
     Wr(f, g) = e^{(a+b)x} (Wr(F, G) + (b - a) F G), so F, G and H are
     evaluated with label 0 and only e^{(a+b-c)x} is exponentiated
     (`elliptic._exp`), exactly 1 for a fiber pair.  F and G are the rows
-    of one array of the roots of every f and g, with their scales, taken by
-    `thetapoly.stacked_derivs` at labels 0, so no ThetaPoly is built per
-    polynomial.  Packing the pairs into that array is where they are
-    checked: if any f or g has a degree other than m or lies on a torus
-    other than problem.ctx.tau, the call raises ValueError naming the first
-    such pair, before it evaluates anything.  The collision test takes one
+    of one array of the roots of every f and g, taken by
+    `thetapoly.stacked_derivs` at labels 0 and unit scales, so no ThetaPoly
+    is built per polynomial: the fit is proportional to the first sample,
+    so the residual does not depend on the scales, and a scale of 1e-300
+    cannot underflow F G to 0 / 0.  Packing the pairs into that array is
+    where they are checked: if any f or g has a degree other than m or lies
+    on a torus other than problem.ctx.tau, the call raises ValueError
+    naming the first such pair, before it evaluates anything.  The collision test takes one
     distance array over every pair and H is evaluated once on the row,
     Wr(F, G) in one theta batch over every F and G clear of collisions; a
     pair that raises inside a batch is tested again on its own
@@ -148,14 +151,16 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
             raise ValueError("pair %d has a polynomial of degree %d on tau = %r, not of degree "
                              "%d on tau = %r" % ((k, *off[0], problem.m, problem.ctx.tau)))
     roots = np.array([f.roots + g.roots + problem.z for f, g in pairs])
-    # per pair: the labels of f and g, then their scales
-    terms = np.array([(f.mu, g.mu, f.scale, g.scale) for f, g in pairs])
+    labels = np.array([(f.mu, g.mu) for f, g in pairs], dtype=complex)
+    scales = np.array([(f.scale, g.scale) for f, g in pairs], dtype=complex)
     i, j = _pairs(roots.shape[1])
     (collide,), errors = _by_rows(
         lambda r: ((lattice_distances(r[:, i] - r[:, j], problem.ctx) < 1e-6).any(axis=1),),
         roots)
     for k in np.flatnonzero(collide).tolist():
         errors[k] = SolveError("fiber roots collide with each other or a site")
+    for k in np.flatnonzero(~(np.isfinite(scales) & (scales != 0)).all(axis=1)).tolist():
+        errors.setdefault(k, SolveError("f or g has a zero or non-finite scale"))
     clear = np.flatnonzero(np.bincount(list(errors), minlength=len(pairs)) == 0)
     try:
         x = np.array(golden_points(problem.cell, max(8, 2 * problem.m + 2), (0.5, 0.37),
@@ -169,11 +174,11 @@ def wr_certificates(pairs, problem: BetheProblem) -> list:
             return (np.zeros(0),)
         # f and g of each pair on two rows in turn
         fg = roots[idx, :2 * problem.m].reshape(-1, problem.m)
-        d = stacked_derivs(fg, [0] * len(fg), terms[idx, 2:].ravel(), problem.ctx,
+        d = stacked_derivs(fg, [0] * len(fg), [1.0] * len(fg), problem.ctx,
                            np.broadcast_to(x, (len(fg), len(x))), 1)
         df, dg = ([v[k::2] for v in d] for k in (0, 1))
         wr, = _wronskian_rows(df, dg)
-        mu_f, mu_g = terms[idx, :2].T
+        mu_f, mu_g = labels[idx].T
         rates = TWOPI_I * np.stack([mu_g - mu_f, mu_f + mu_g + problem.mu], axis=1)
         a = _exp(rates[:, 1:] * x) * (wr + rates[:, :1] * df[0] * dg[0])
         fit = a[:, :1] / b[:1] * b[1:]
@@ -268,42 +273,35 @@ def _close_keys(roots: np.ndarray, problem: BetheProblem) -> list:
 
     That match is one to one, so the root sums lie within m DEDUP_TOL mod
     the lattice, whenever a point's roots are more than 2 DEDUP_TOL apart.
-    So each point is bucketed by the cell coordinates (a, b) of its root
-    sum, on a grid whose buckets are at least 2 m DEDUP_TOL wide in the
-    plane (twice the bound, so rounding stays far inside a bucket): a
-    displacement of length d moves b by at most d / Im tau and a by at most
-    d (1 + |Re tau| / Im tau).  The grid has a whole number of buckets per
-    period, so it wraps at the cell edges, and a point is compared only with
-    the earlier points in its own bucket and the eight around it (a binary
-    search of the sorted bucket numbers), in one (pairs, m, m) array of
-    root distances subtracted as earlier minus later.
+    A displacement of length d moves the cell coordinate a of a root sum by
+    at most d (1 + |Re tau| / Im tau), and a lattice move leaves a mod 1
+    as it is; `reach` is twice that bound for d = m DEDUP_TOL, so rounding
+    stays far inside it.  The points are sorted by a mod 1, and each is
+    compared only with the points less than `reach` after it on that ring,
+    wrapping past a = 1, or with every other point once where the window is
+    longer than the ring: one (pairs, m, m) array of root distances
+    subtracted as earlier minus later.
     """
     count, m = roots.shape
     tau = problem.ctx.tau
-    side = 2 * m * DEDUP_TOL
-    sizes = np.array([min(_GRID_MAX, max(1, int(1.0 / (side * (1.0 + abs(tau.real) / tau.imag))))),
-                      min(_GRID_MAX, max(1, int(tau.imag / side)))])
-    cells = np.floor(np.stack(problem.cell.coords(roots.sum(axis=1)), axis=-1) * sizes)
-    cells = cells.astype(np.int64) % sizes
-    # the distinct steps to a neighbour: a grid under 3 buckets wide wraps onto itself
-    steps = np.array(sorted({(da % sizes[0], db % sizes[1])
-                             for da in (-1, 0, 1) for db in (-1, 0, 1)}))
-    place = np.array([sizes[1], 1])     # a bucket's number is cells @ place
-    order = np.argsort(cells @ place, kind="stable")
-    ranked = (cells @ place)[order]
-    near = (((cells[:, None, :] + steps) % sizes) @ place).ravel()
-    lo = np.searchsorted(ranked, near, "left")
-    span = np.searchsorted(ranked, near, "right") - lo
-    later = np.repeat(np.arange(count).repeat(len(steps)), span)
-    earlier = order[np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)]
-    ahead = earlier < later
-    later, earlier = later[ahead], earlier[ahead]
+    reach = 2 * m * DEDUP_TOL * (1.0 + abs(tau.real) / tau.imag)
+    a = problem.cell.coords(roots.sum(axis=1))[0] % 1.0
+    order = np.argsort(a, kind="stable")
+    ring = np.concatenate([a[order], a[order] + 1.0])
+    # per point on the ring, the number less than reach after it, at most all the others
+    span = np.minimum(np.searchsorted(ring, ring[:count] + reach) - np.arange(count), count) - 1
+    start = np.repeat(np.arange(count), span)
+    ahead = start + 1 + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    i, j = order[start], order[ahead % count]
+    # each pair once, as later * count + earlier: sorted by later, then earlier
+    # (np.sort, not np.unique, which imports numpy.ma on its first call)
+    codes = np.sort(np.maximum(i, j) * count + np.minimum(i, j))
+    later, earlier = np.divmod(codes[np.diff(codes, prepend=-1) != 0], count)
     d = lattice_distances(roots[earlier, :, None] - roots[later, None, :], problem.ctx)
     same = np.maximum(d.min(axis=1).max(axis=1), d.min(axis=2).max(axis=1)) < DEDUP_TOL
-    out = [[] for _ in range(count)]
-    for k, q in sorted(zip(later[same].tolist(), earlier[same].tolist())):
-        out[k].append(q)
-    return out
+    earlier = earlier[same].tolist()
+    bounds = np.searchsorted(later[same], np.arange(count + 1)).tolist()
+    return [earlier[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _report(problem: BetheProblem, subsets, results) -> FiberReport:
@@ -360,9 +358,9 @@ def enumerate_fiber(problem: BetheProblem, subsets=None) -> FiberReport:
     cell; this is a one-to-one match within DEDUP_TOL wherever a point's
     roots are more than 2 DEDUP_TOL apart.  A point's twin is the first
     accepted earlier point that is the same.  Points are compared only
-    within neighbour buckets of their root sums (`_close_keys`), so the
-    dedup takes time and memory linear in the points where they are well
-    apart, not an array over all pairs.
+    with their neighbours on the ring of their root sums' cell coordinate
+    a mod 1 (`_close_keys`), so the dedup forms no array over all pairs
+    where the root sums are spread over the ring.
     """
     if subsets is None:
         subsets = itertools.combinations(range(problem.n), problem.m)

@@ -1,7 +1,10 @@
-"""Fixtures shared by the test modules and by the CI's config writers.
+"""Fixtures shared by the test modules and by the CI's config writer.
 
-    PYTHONPATH=src:tests python -c "from common import M4_CONFIG; print(M4_CONFIG)"
+    PYTHONPATH=src:tests python -c "from common import write_ci_configs; write_ci_configs('.')"
 """
+
+import json
+import os
 
 from ellbethe.bethe import BetheProblem, seed_asymptotic, solve_bae
 from ellbethe.elliptic import Torus
@@ -39,3 +42,35 @@ def solve_subset(prob, subset):
 def cell_problem(m, mu, tau=1j):
     return BetheProblem(m, [a + b * tau for a, b in CELL_AB[:2 * m]], mu,
                         Torus(tau))
+
+
+def write_ci_configs(folder):
+    """Write the CI hash-seed rows' configs into `folder`, one NAME.json
+    each, as json.dump writes them: the cell_problem ones carry their m,
+    tau, sites and mu on the imaginary axis."""
+    def cell(m, mu, tau=1j):
+        p = cell_problem(m, mu * 1j, tau)
+        return {"m": m, "tau": [p.ctx.tau.real, p.ctx.tau.imag],
+                "z": [[v.real, v.imag] for v in p.z], "mu": [0.0, mu]}
+
+    merged = [[v.real, v.imag] for v in MERGED_Z]
+    configs = {
+        "m4": M4_CONFIG,
+        "tau003": {"tau": [0.0, 0.03]},
+        "merged": {"m": 3, "z": merged, "mu": [0.0, 2.2]},
+        "merged25": {"m": 3, "z": merged, "mu": [0.0, 2.5]},
+        "skew": cell(3, 10.0, 0.3 + 0.8j),
+        "cell5": cell(5, 18.0),
+        "mixed": {"z": [[0.01, 0.005], [0.41, 0.12], [0.55, 0.31], [0.77, 0.003]],
+                  "mu": [3.3, 6.0]},
+        "skewtau": {"tau": [0.3, 0.8]},
+        "mu80": {"mu": [0.0, 80.0]},
+        "mu120": {"mu": [0.0, 120.0]},
+        "mu200": {"mu": [0.0, 200.0]},
+        "cell7": cell(7, 26.0),
+        "cell4-120": cell(4, 120.0),
+        "cell4-skew": cell(4, 14.0, 0.3 + 0.8j),
+    }
+    for name, config in configs.items():
+        with open(os.path.join(folder, name + ".json"), "w") as out:
+            json.dump(config, out)

@@ -8,6 +8,8 @@ assembly, and exit codes (0 = ran, 1 = check failure, 2 = config error).
 import itertools
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from ellbethe import bethe, cli, elliptic, repspace, thetapoly, wronski
 from ellbethe.cli import DEFAULT_TOLERANCES, ExperimentConfig, _cell_samples, main
 from ellbethe.elliptic import Torus, lattice_distance
 from ellbethe.thetapoly import FundamentalParallelogram
-from common import M4_CONFIG, MERGED_Z
+from common import M4_CONFIG, MERGED_Z, write_ci_configs
 
 M1_CONFIG = {"m": 1, "z": [[0.13, 0.0], [0.41, 0.12]], "mu": [0.0, 6.0]}
 LOW_MU_CONFIG = {"mu": [0.0, 1.3]}
@@ -39,6 +41,17 @@ class TestConfigValidation:
         assert main(["identities"]) == 0
         out = capsys.readouterr().out
         assert "result: PASS" in out
+
+    def test_ci_configs_load(self, tmp_path):
+        """Every config the CI's hash-seed step writes loads through
+        ExperimentConfig.from_dict, and they are the files its rows name."""
+        write_ci_configs(tmp_path)
+        workflow = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+        named = set(re.findall(r"--config \$RUNNER_TEMP/(\S+)", workflow.read_text()))
+        assert {path.name for path in tmp_path.iterdir()} == named and len(named) == 14
+        for path in tmp_path.iterdir():
+            assert isinstance(ExperimentConfig.from_dict(json.loads(path.read_text())),
+                              ExperimentConfig)
 
     def test_rejects_nonpositive_imag_tau(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"tau": [0.0, -1.0]})
@@ -247,10 +260,11 @@ class TestIdentitiesCommand:
 
     def test_table_evaluates_each_distinct_slot_once(self, capsys, monkeypatch, theta_jet_calls):
         """On the default config the report's one theta table evaluates
-        1,911 points, one jet per distinct slot (3,861, one per slot, when
-        the kernels that share an argument array each took their own jet):
-        261 at order 3, 850 at order 2 and 800 at order 0; theta_dtau's
-        jet at 10 points is the report's only other call."""
+        1,711 points, one jet per distinct slot whatever its shape (3,861,
+        one per slot, when the kernels that share an argument array each
+        took their own jet): 261 at order 3, 650 at order 2 and 800 at
+        order 0; theta_dtau's jet at 10 points is the report's only other
+        call."""
         table, tables = cli._theta_table, []
 
         def recorded(ctx, *requests):
@@ -263,7 +277,7 @@ class TestIdentitiesCommand:
         code, _ = run_json(capsys, ["identities"])
         assert code == 0
         (table_calls,) = tables
-        assert sorted(table_calls) == [(0, 800, False), (2, 850, False), (3, 261, False)]
+        assert sorted(table_calls) == [(0, 800, False), (2, 650, False), (3, 261, False)]
         assert sorted(theta_jet_calls) == sorted(table_calls + [(0, 10, True)])
 
     @pytest.mark.parametrize("defect", ["dtau_scaled", "third_dropped"])

@@ -18,6 +18,7 @@ import pytest
 import oracles as orc
 from common import CTX, MERGED_Z, Z2, Z4, cell_problem
 from ellbethe.bethe import (
+    RESIDUAL_GATE,
     BetheProblem,
     CoalescedRootsError,
     SeedTooCoarseError,
@@ -239,14 +240,39 @@ class TestEnumerateFiber:
         assert [p.subset_tag for p in report.points] == [p.subset_tag for p in points]
         assert [f for f in report.failed if f[1].endswith("[stage dedup]")] == merged
 
-    @pytest.mark.parametrize("case", ["cell5-planted", "merged-2.5i", "merged-2.2i"])
+    @pytest.mark.parametrize("case", ["cell5-planted", "thin-planted", "merged-2.5i",
+                                      "merged-2.2i"])
     def test_dedup_matches_all_pairs_oracle(self, case, newton_step, monkeypatch):
-        """The bucketed dedup keeps, fails and warns for the subsets the
-        all-pairs oracle does: on cell_problem(5, 18j) with repeated
-        subsets, copies of earlier points under later tags and a point with
-        a root moved by a period planted, and on MERGED_Z where solves
-        merge under Newton steps (one merge at 2.5i, three at 2.2i)."""
-        if case == "cell5-planted":
+        """The dedup on the ring of root sums keeps, fails and warns for the
+        subsets the all-pairs oracle does: on cell_problem(5, 18j) with
+        repeated subsets, copies of earlier points under later tags and a
+        point with a root moved by a period planted; on tau = 0.45 + 2e-6 i,
+        thin enough that the window is longer than the ring, with random
+        points and twins of them (roots permuted, moved by lattice vectors
+        and by under DEDUP_TOL) planted; and on MERGED_Z where solves merge
+        under Newton steps (one merge at 2.5i, three at 2.2i)."""
+        if case == "thin-planted":
+            prob = cell_problem(3, 10j, 0.45 + 2e-6j)
+            assert 2 * 3 * DEDUP_TOL * (1 + 0.45 / 2e-6) > 1
+            template, = fiber_points(cell_problem(3, 10j), [(0, 2, 4)])
+            subsets = list(itertools.combinations(range(6), 3))
+            rng = np.random.default_rng(7)
+            roots = rng.random((20, 3)) + rng.random((20, 3)) * prob.ctx.tau
+            for k in range(4, 20, 3):
+                roots[k] = (roots[k - 4][::-1] + rng.integers(-2, 3, 3)
+                            + rng.integers(-2, 3, 3) * prob.ctx.tau
+                            + 0.5 * DEDUP_TOL * np.exp(2j * np.pi * rng.random(3)))
+            results = [dataclasses.replace(
+                template, subset_tag=subset,
+                partner_tag=tuple(sorted(set(range(6)) - set(subset))),
+                solution=dataclasses.replace(template.solution, t=tuple(t.tolist())))
+                for subset, t in zip(subsets, roots)]
+            # each earlier twin listed once, and no point as its own twin
+            assert wronski_module._close_keys(roots, prob) == [
+                [q for q in range(k) if root_set_distance(prob.ctx, roots[q], roots[k]) < DEDUP_TOL]
+                for k in range(20)]
+            merges = 6
+        elif case == "cell5-planted":
             prob = cell_problem(5, 18j)
             subsets = list(itertools.combinations(range(10), 5))
             subsets += subsets[::37]
@@ -275,7 +301,8 @@ class TestEnumerateFiber:
     def test_twins_across_a_cell_edge_are_one_point(self, edge, monkeypatch):
         """Two solves 1e-9 apart whose root sums lie on either side of a
         cell edge, at coordinate a = 1 or b = 1, are still one point: the
-        buckets wrap at the cell edges."""
+        ring of the root sums' a mod 1 wraps past a = 1, and b plays no
+        part."""
         prob = cell_problem(3, 10j)
         point, = fiber_points(prob, [(0, 2, 4)])
         planted = []
@@ -299,7 +326,7 @@ class TestEnumerateFiber:
     def test_twins_at_the_tolerance_are_one_point(self, tau, turn, monkeypatch):
         """A copy of a point with every root moved 0.9 DEDUP_TOL the same
         way, so that its root sum is 2.7 DEDUP_TOL away, is its twin: the
-        buckets are wide enough for the sum of m root moves."""
+        ring's window is wide enough for the sum of m root moves."""
         prob = cell_problem(3, 10j, tau)
         point, = fiber_points(prob, [(0, 2, 4)])
         t = tuple(np.array(point.solution.t) + 0.9 * DEDUP_TOL * turn)
@@ -710,17 +737,44 @@ class TestLockstep:
 
     def test_scaled_pairs_match_their_lone_calls(self):
         """Pairs whose f and g carry the scales 2.5 - 1j, 0 and 1e-300 get
-        in one batch the certificate each gets alone, a NaN matching a NaN:
-        at scale 0, and at 1e-300 where F G underflows, Wr is 0 and every
-        sample divides 0 by 0."""
+        in one batch the certificate each gets alone: the unit-scale
+        residual at 2.5 - 1j and at 1e-300, where F G would underflow, and
+        at 0 the SolveError that names the scale."""
         prob = problem(2, 6j)
         pairs = [(dataclasses.replace(p.f, scale=c), dataclasses.replace(p.g, scale=c))
                  for p, c in zip(enumerate_fiber(prob).points, (2.5 - 1j, 0.0, 1e-300))]
-        with np.errstate(invalid="ignore"):
-            got = wr_certificates(pairs, prob)
-            alone = [wr_certificates([pair], prob)[0] for pair in pairs]
-        assert np.array_equal(got, alone, equal_nan=True)
-        assert got[0] <= WR_RESIDUAL_GATE and np.isnan(got[1:]).all()
+        got = wr_certificates(pairs, prob)
+        alone = [wr_certificates([pair], prob)[0] for pair in pairs]
+        assert [got[0], got[2]] == [alone[0], alone[2]]
+        assert got[0] <= WR_RESIDUAL_GATE and got[2] <= WR_RESIDUAL_GATE
+        assert [(type(r), str(r)) for r in (got[1], alone[1])] == [
+            (SolveError, "f or g has a zero or non-finite scale")] * 2
+
+    def test_tiny_scales_give_the_unit_scale_residual(self):
+        """A fiber pair with both scales 1e-300 gets the residual of the same
+        pair at unit scale, bit for bit."""
+        prob = problem(2, 6j)
+        point = enumerate_fiber(prob).points[0]
+        tiny = (dataclasses.replace(point.f, scale=1e-300),
+                dataclasses.replace(point.g, scale=1e-300))
+        unit, = wr_certificates([(point.f, point.g)], prob)
+        assert wr_certificates([tiny], prob) == [unit]
+        assert unit <= WR_RESIDUAL_GATE
+
+    @pytest.mark.parametrize("scale", [0.0, math.inf, math.nan])
+    def test_a_degenerate_scale_fails_only_its_pair(self, scale):
+        """A pair whose f has scale 0, inf or NaN fails with the SolveError
+        naming the scale, alone and between valid pairs, and the valid pairs
+        keep their lone certificates."""
+        prob = problem(2, 6j)
+        clean = [(p.f, p.g) for p in enumerate_fiber(prob).points[:3]]
+        f, g = clean[1]
+        bad = (dataclasses.replace(f, scale=scale), g)
+        lone, = wr_certificates([bad], prob)
+        got = wr_certificates([clean[0], bad, clean[2]], prob)
+        for exc in (lone, got[1]):
+            assert (type(exc), str(exc)) == (SolveError, "f or g has a zero or non-finite scale")
+        assert [got[0], got[2]] == [wr_certificates([pair], prob)[0] for pair in clean[::2]]
 
     def test_collisions_win_over_the_placement_error(self, monkeypatch):
         """With the sample row refused, a colliding pair still reports its
@@ -864,6 +918,28 @@ class TestShiftSymmetry:
         ratios = [lifted_wr.eval(x) / target.eval(x) for x in xs]
         spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
         assert spread < 1e-10
+
+    def test_spectral_flow_translates_solve_and_certify_but_are_not_fiber_points(self):
+        """The spectral-flow equivalence (t_j -> t_j + l tau, mu -> mu - 2l):
+        each of the 24 one-root translates of the points of the fibers at
+        2 + 6i and -2 + 6i, with l = 1 and -1, solves the Bethe equations at
+        6i and certifies with its `analytic_involution` partner, yet its
+        root set is no point of the 6i fiber (measured: residuals up to
+        9.4e-13, Wr up to 1.2e-14, root-set distances from 8.0e-3).  So
+        the certificates cannot tell the fibers apart: the count's labels
+        come from the seeds."""
+        prob = problem(2, 6j)
+        moved = [translate_root(p.solution, j, 0, l)
+                 for l in (1, -1) for p in fiber_report(2, 2 * l + 6j).points for j in range(2)]
+        assert len(moved) == 24
+        for sol in moved:
+            assert sol.mu == 6j and sol.residual <= RESIDUAL_GATE
+            partner = analytic_involution(sol)
+            pair = (ThetaPoly(1.0, 0.0, sol.t, CTX),
+                    ThetaPoly(1.0, (partner.mu - sol.mu) / 2.0, partner.t, CTX))
+            assert wr_certificates([pair], prob)[0] <= WR_RESIDUAL_GATE
+            assert min(root_set_distance(CTX, sol.t, p.solution.t)
+                       for p in fiber_report(2, 6j).points) > DEDUP_TOL
 
 
 class TestScanMuMin:
